@@ -2,8 +2,9 @@
 rational arithmetic, for GL_n(Z), SL_n(Z) and their congruence subgroups."""
 
 from .exactla import (
-    LPResult, NotPositiveDefinite, RatMatrix, Rational, SNFResult,
-    format_rational, hnf, ldlt, lp, parse_rational, saturation, snf,
+    CertificateError, LPResult, NotPositiveDefinite, RatMatrix, Rational,
+    SNFResult, format_rational, hnf, ldlt, lp, parse_rational, saturation,
+    snf,
 )
 from .lattice import (
     GramForm, GroupSpec, MinimaResult, config_equiv, config_stabilizer,

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cells import OrbitComplex, enumerate_W, subcomplex_WF
-from .exactla import IntMatrix, QQ, f_matrix, f_rank, f_rref, snf
+from .exactla import (
+    CertificateError, IntMatrix, QQ, f_matrix, f_rank, f_rref, snf,
+)
 from .flags import (
     RationalFlag, flag_equivalent, flag_orbits, flag_types,
     subflags_with_signs,
@@ -149,7 +151,7 @@ def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
         pieces.append(tuple(col_pieces))
     pieces.append(())
     dc = DoubleComplex(group, tuple(columns), tuple(pieces), w_complex, w_qc)
-    _assert_total_differential_squares_to_zero(dc)
+    _check_total_differential_squares_to_zero(dc)
     return dc
 
 
@@ -161,7 +163,7 @@ def _locate_flag(column: Sequence[Summand], flag: RationalFlag,
         w = flag_equivalent(flag, s.flag, group)
         if w is not None:
             return idx, w
-    raise AssertionError("deleted flag matches no representative")
+    raise CertificateError("deleted flag matches no representative")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,7 @@ def total_differential(dc: DoubleComplex, k: int) -> IntMatrix:
     return tuple(tuple(r) for r in mat)
 
 
-def _assert_total_differential_squares_to_zero(dc: DoubleComplex):
+def _check_total_differential_squares_to_zero(dc: DoubleComplex):
     kmax = dc.num_columns - 1 + dc.max_q()
     for k in range(kmax + 1):
         a = total_differential(dc, k + 1)
@@ -223,7 +225,8 @@ def _assert_total_differential_squares_to_zero(dc: DoubleComplex):
         for j in range(len(b[0])):
             col = [sum(a[i][t] * b[t][j] for t in range(len(b)))
                    for i in range(len(a))]
-            assert all(x == 0 for x in col), "total differential fails D*D=0"
+            if any(col):
+                raise CertificateError("total differential fails D*D=0")
 
 
 def total_cohomology(dc: DoubleComplex, coeff="Q"):
@@ -352,13 +355,15 @@ class _Filtered:
         """Coordinates of vec in the lift basis modulo the denominator."""
         cols = [list(v) for v in lifts] + [list(v) for v in den]
         if not cols:
-            assert all(self.field.is_zero(x) for x in vec)
+            if not all(self.field.is_zero(x) for x in vec):
+                raise CertificateError("vector not in the span")
             return [self.field.of(0)] * 0
         rows = list(map(list, zip(*cols))) if cols else []
         aug = [row + [x] for row, x in zip(rows, vec)]
         rr, pivots = f_rref(self.field, aug)
         ncols = len(cols)
-        assert all(pv != ncols for pv in pivots), "vector not in the span"
+        if ncols in pivots:
+            raise CertificateError("vector not in the span")
         sol = [self.field.of(0)] * ncols
         for i, pv in enumerate(pivots):
             sol[pv] = rr[i][ncols]
@@ -402,8 +407,8 @@ def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None
             if timg:
                 diffs[(p, q)] = tuple(tuple(r_) for r_ in
                                       zip(*rows)) if rows else ()
-            elif rows:
-                assert all(not c for c in rows)
+            elif any(rows):
+                raise CertificateError("page differential into zero is nonzero")
         pages.append(SpectralPage(r, entries, diffs))
     # abutment over the field
     dims = total_dims(dc)
@@ -495,7 +500,8 @@ def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
                 out = [sum((field.mul(dtot[i][j], v[j])
                             for j in range(len(v))), start=field.of(0))
                        for i in range(len(dtot))]
-                assert all(field.is_zero(x) for x in out)
+                if not all(field.is_zero(x) for x in out):
+                    raise CertificateError("restricted cocycle is not a total cocycle")
         cobs = []
         if dtot_prev:
             for j in range(len(dtot_prev[0])):

@@ -18,14 +18,14 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .exactla import (
-    OPTIMAL, UNBOUNDED, IntMatrix, IntVector, RatMatrix, int_matvec,
-    int_transpose, lp, saturation,
+    OPTIMAL, UNBOUNDED, CertificateError, IntMatrix, IntVector, RatMatrix,
+    int_matvec, int_transpose, lp, saturation,
 )
 from .flags import RationalFlag, flag_equivalent
 from .lattice import (
-    GramForm, GroupSpec, VectorConfig, canonical_config, canonical_vector,
-    config_equiv, config_rank, config_spans, minimal_vectors, normalize,
-    vectors_below,
+    GramForm, GroupSpec, VectorConfig, _char_pairings, canonical_config,
+    canonical_vector, config_equiv, config_rank, config_spans,
+    minimal_vectors, normalize, vectors_below,
 )
 from .retraction import ScalingVector, orthant_bound, retract, scale_along_flag
 
@@ -224,7 +224,7 @@ class _Chart:
             ge_rhs.append(Fraction(1) - c2)
         res = lp(row, (), (), ge_lhs, ge_rhs)
         if res.status == UNBOUNDED:
-            raise AssertionError("chart polytope is unbounded")
+            raise CertificateError("chart polytope is unbounded")
         if res.status != OPTIMAL:
             return None
         return const + res.objective
@@ -297,7 +297,7 @@ def _cell_from_config_uncached(config: VectorConfig, tighten: bool) -> Cell:
                          if w not in config)
         return Cell(config, cell_dimension(config), witness,
                     CONTACT_RADIUS, contacts)
-    raise AssertionError("cutting-plane loop did not converge")
+    raise CertificateError("cutting-plane loop did not converge")
 
 
 def _forced_tight(chart: _Chart, cands: Sequence[IntVector],
@@ -461,24 +461,14 @@ class OrbitComplex:
 
 
 def _orbit_key(config: VectorConfig):
-    """Group-invariant prefilter: pairings under the inverse characteristic
-    form are preserved by any configuration equivalence."""
-    n = len(config[0])
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for v in config:
-        for i in range(n):
-            if v[i]:
-                for j in range(n):
-                    q[i][j] += v[i] * v[j]
-    qinv = RatMatrix.from_rows(q).inverse()
-
-    def pair(v, w):
-        row = qinv.matvec(w)
-        return sum(a * x for a, x in zip(row, v))
-
-    norms = sorted(pair(v, v) for v in config)
-    cross = sorted(abs(pair(v, w)) for v, w in combinations(config, 2))
-    return (len(config), tuple(norms), tuple(cross))
+    """Group-invariant prefilter: the determinant of the characteristic
+    form and its adjugate pairings, which any configuration equivalence
+    preserves up to the signs of the vectors."""
+    det_q, table = _char_pairings(config, len(config[0]))
+    m = len(config)
+    norms = sorted(table[i][i] for i in range(m))
+    cross = sorted(abs(table[i][j]) for i, j in combinations(range(m), 2))
+    return (m, det_q, tuple(norms), tuple(cross))
 
 
 class _OrbitIndex:
@@ -538,7 +528,7 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
         if constraint is not None:
             for f in faces:
                 if not respects_flag(f.config, constraint):
-                    raise AssertionError("face left the flag subcomplex")
+                    raise CertificateError("face left the flag subcomplex")
             cofaces = [c for c in cofaces
                        if respects_flag(c.config, constraint)]
         neighbors = faces + cofaces
@@ -566,7 +556,8 @@ def enumerate_W(group: GroupSpec, experimental_n4: bool = False,
             "n = 4 needs the experimental flag; n > 4 is unsupported")
     seed_form = normalize(root_form(n))
     seed = cell_from_config(minimal_vectors(seed_form).vectors)
-    assert seed.dim == 0, "seed configuration is not a 0-cell"
+    if seed.dim != 0:
+        raise CertificateError("seed configuration is not a 0-cell")
     return enumerate_complex(group, seed, None, variant)
 
 
@@ -633,7 +624,8 @@ def wf_seed(group: GroupSpec, flag: RationalFlag) -> Cell:
     moved = scale_along_flag(normalize(base), flag, s)
     final = retract(moved).final_form
     seed = cell_from_config(minimal_vectors(final).vectors)
-    assert respects_flag(seed.config, flag)
+    if not respects_flag(seed.config, flag):
+        raise CertificateError("seed cell does not respect the flag")
     return seed
 
 

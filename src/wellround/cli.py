@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .boundary import (
@@ -23,7 +22,7 @@ from .cells import (
     Incidence, OrbitCell, OrbitComplex, cell_from_config, enumerate_W,
     is_small_enough, subcomplex_WF,
 )
-from .exactla import format_rational, parse_rational
+from .exactla import CertificateError, format_rational, parse_rational
 from .flags import RationalFlag, flag_orbits
 from .lattice import (
     GramForm, GroupSpec, config_from_json, config_to_json, minimal_vectors,
@@ -33,32 +32,8 @@ from .quotient import barycentric_quotient, cohomology, homology
 from .retraction import orthant_bound, retract
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    command: str
-    group: Optional[GroupSpec]
-    coefficients: str
-    inputs: dict
-    output: Optional[str]
-    trace: bool = False
-    svg: bool = False
-    fallback_subdivision: bool = False
-    threads: int = 1
-
-
 class DomainError(Exception):
     pass
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("WELLROUND_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"WELLROUND_THREADS must be an integer: {raw!r}") from exc
-    if cap < 1:
-        raise DomainError("WELLROUND_THREADS must be >= 1")
-    return cap
 
 
 def _load_json(path: str) -> dict:
@@ -502,35 +477,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _job_config(args) -> JobConfig:
-    inputs = {}
+def _check_args(args):
+    """Fail early on a missing input file or an invalid group."""
     for key in ("form", "flag", "complex"):
         path = getattr(args, key, None)
-        if path:
-            if not os.path.exists(path):
-                raise DomainError(f"input path does not exist: {path}")
-            inputs[key] = path
-    group = None
+        if path and not os.path.exists(path):
+            raise DomainError(f"input path does not exist: {path}")
     if getattr(args, "group", None) and getattr(args, "n", None):
-        group = _group_from_args(args)
-    return JobConfig(
-        command=args.command,
-        group=group,
-        coefficients=getattr(args, "coeff", "Q"),
-        inputs=inputs,
-        output=getattr(args, "out", None),
-        trace=bool(getattr(args, "trace", False)),
-        svg=(args.command == "svg"),
-        fallback_subdivision=bool(getattr(args, "fallback_subdivision", False)),
-        threads=_threads_cap(),
-    )
+        _group_from_args(args)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _job_config(args)
+        _check_args(args)
         if args.command == "retract":
             _emit(_cmd_retract(args), args.out)
         elif args.command == "bound":
@@ -563,7 +524,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, CertificateError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"},
                          sort_keys=True))
         return 1

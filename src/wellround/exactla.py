@@ -38,6 +38,12 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+class CertificateError(RuntimeError):
+    """A check of the program's own answer failed (for example D^2 != 0,
+    or a lift that does not reduce to its residue class).  Raised
+    explicitly, so the checks also run under ``python -O``."""
+
+
 class NotPositiveDefinite(ValueError):
     """Raised when a symmetric matrix has a nonpositive pivot.
 
@@ -268,7 +274,43 @@ def int_matvec(a: IntMatrix, v: Sequence[int]) -> IntVector:
 
 
 def int_det(m: IntMatrix) -> int:
-    return int(RatMatrix.from_rows(m).det())
+    """Determinant by fraction-free (Bareiss) elimination: every entry
+    stays an integer, and each division by the previous pivot is exact.
+    Zero pivots are replaced by a row swap, which flips the sign."""
+    a = [list(r) for r in m]
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("det of non-square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * p - f * rk[j]) // prev
+        prev = p
+    return sign * a[n - 1][n - 1]
+
+
+def int_adjugate(m: IntMatrix) -> IntMatrix:
+    """The adjugate adj(m), with m @ adj(m) = det(m) I, from cofactors."""
+    n = len(m)
+    return tuple(
+        tuple((-1) ** (i + j) * int_det([[x for c, x in enumerate(row) if c != i]
+                                         for r, row in enumerate(m) if r != j])
+              for j in range(n))
+        for i in range(n))
 
 
 def is_unimodular(m: IntMatrix) -> bool:
@@ -276,8 +318,13 @@ def is_unimodular(m: IntMatrix) -> bool:
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:
-    inv = RatMatrix.from_rows(m).inverse()
-    return inv.to_int()
+    det = int_det(m)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    adj = int_adjugate(m)
+    if any(x % det for row in adj for x in row):
+        raise ValueError("matrix is not integral")
+    return tuple(tuple(x // det for x in row) for row in adj)
 
 
 def _row_hnf(m: IntMatrix) -> IntMatrix:
@@ -369,7 +416,7 @@ def snf(m: IntMatrix) -> SNFResult:
     for i in range(r - 1):
         if (diag[i] == 0 and diag[i + 1] != 0) or \
                 (diag[i] != 0 and diag[i + 1] % diag[i] != 0):
-            raise AssertionError("divisibility chain violated")
+            raise CertificateError("divisibility chain violated")
     return SNFResult(u, tuple(diag), v)
 
 

@@ -20,8 +20,9 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
-    IntMatrix, IntVector, RatMatrix, int_det, int_identity, int_inverse,
-    int_matmul, int_matrix, int_transpose, snf, saturation,
+    CertificateError, IntMatrix, IntVector, RatMatrix, int_adjugate, int_det,
+    int_identity, int_inverse, int_matmul, int_matrix, int_transpose, snf,
+    saturation,
 )
 from .lattice import GroupSpec
 
@@ -173,7 +174,7 @@ def complete_saturated(c: IntMatrix) -> IntMatrix:
     cols = int_transpose(c) + tuple(int_transpose(uinv)[d:])
     w = int_transpose(cols)
     if abs(int_det(w)) != 1:
-        raise AssertionError("completion failed")
+        raise CertificateError("completion failed")
     return w
 
 
@@ -225,13 +226,9 @@ def mod_mul(a: ModMatrix, b: ModMatrix, n_mod: int) -> ModMatrix:
 
 def mod_inverse(a: ModMatrix, n_mod: int) -> ModMatrix:
     """Inverse mod N of a matrix with det a unit (via integer adjugate)."""
-    k = len(a)
-    det = int_det(a)
-    dinv = pow(det % n_mod, -1, n_mod)
-    ra = RatMatrix.from_rows(a)
-    adj = ra.inverse().scale(det)  # integral adjugate
-    return tuple(tuple((int(x) * dinv) % n_mod for x in row)
-                 for row in adj.entries)
+    dinv = pow(int_det(a) % n_mod, -1, n_mod)
+    return tuple(tuple((x * dinv) % n_mod for x in row)
+                 for row in int_adjugate(a))
 
 
 def _elementary(n: int, i: int, j: int, c: int) -> IntMatrix:
@@ -283,7 +280,7 @@ def sl_lift(mbar: ModMatrix, n_mod: int) -> IntMatrix:
                 src = next((i for i in range(t + 1, k) if a[i][t] % p != 0),
                            None)
                 if src is None:
-                    raise AssertionError("column not unimodular")
+                    raise CertificateError("column not unimodular")
                 coeff.setdefault(src, []).append(p)
             for src, ps in sorted(coeff.items()):
                 # c = 1 mod the assigned primes, 0 mod the other prime factors
@@ -318,14 +315,15 @@ def sl_lift(mbar: ModMatrix, n_mod: int) -> IntMatrix:
         apply_op(t, t + 1, 1)               # rows (1,-1),(1,0)
         apply_op(t + 1, t, n_mod - 1)       # rows (1,-1),(0,1)
         apply_op(t, t + 1, 1)               # rows (1,0),(0,1)
-    assert all(a[i][j] == int(i == j) % n_mod for i in range(k) for j in range(k))
+    if any(a[i][j] != int(i == j) % n_mod for i in range(k) for j in range(k)):
+        raise CertificateError("reduction to the identity mod N failed")
     # E_r ... E_1 mbar = I, so mbar = E_1^{-1} ... E_r^{-1} mod N
     lift = int_identity(k)
     for (i, j, c) in ops:
         ci = c if c <= n_mod // 2 else c - n_mod
         lift = int_matmul(lift, _elementary(k, i, j, -ci))
-    assert int_det(lift) == 1
-    assert mod_mat(lift, n_mod) == mod_mat(mbar, n_mod)
+    if int_det(lift) != 1 or mod_mat(lift, n_mod) != mod_mat(mbar, n_mod):
+        raise CertificateError("SL lift does not reduce to its residue class")
     return lift
 
 
@@ -486,8 +484,8 @@ def _lift_parabolic(pbar: ModMatrix, n: int, dims: Sequence[int],
                 c = pbar[i][j] % n_mod
                 lift[i][j] = c if c <= n_mod // 2 else c - n_mod
     out = tuple(tuple(r) for r in lift)
-    assert int_det(out) == 1
-    assert mod_mat(out, n_mod) == mod_mat(pbar, n_mod)
+    if int_det(out) != 1 or mod_mat(out, n_mod) != mod_mat(pbar, n_mod):
+        raise CertificateError("parabolic lift does not reduce to its residue class")
     return out
 
 
@@ -507,7 +505,8 @@ def flag_equivalent(f1: RationalFlag, f2: RationalFlag,
     if not group.is_congruence:
         g = int_matmul(b2, int_inverse(b1))
         # det(b2)/det(b1) = +1 by construction, so g lies in SL already
-        assert group.contains(g)
+        if not group.contains(g):
+            raise CertificateError("flag witness is not in the group")
         return g
     n_mod = group.level
     dims = f1.dims
@@ -519,10 +518,18 @@ def flag_equivalent(f1: RationalFlag, f2: RationalFlag,
         if member(pbar):
             p = _lift_parabolic(pbar, n, dims, n_mod)
             g = int_matmul(int_matmul(b2, p), int_inverse(b1))
-            assert group.contains(g)
-            assert f1.transform(g) == flag_canonical(f2)
+            if not group.contains(g):
+                raise CertificateError("flag witness is not in the group")
+            if f1.transform(g) != flag_canonical(f2):
+                raise CertificateError("flag witness does not carry f1 to f2")
             return g
     return None
+
+
+# flag_orbits caches the images of each row of a coset label under the
+# parabolic image; it stops adding rows at this many cached images (about
+# 64 bytes each), so large levels stay bounded in memory
+_ROW_IMAGES_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -551,10 +558,24 @@ def flag_orbits(group: GroupSpec, dims: Sequence[int]) -> FlagOrbitSet:
     if not group.is_congruence:
         return FlagOrbitSet(n, group, dims, (std,))
     n_mod = group.level
-    pbar_elems = parabolic_image_elements(n, dims, n_mod)
+    pbar_cols = [tuple(zip(*p))
+                 for p in parabolic_image_elements(n, dims, n_mod)]
+    row_images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def canon(m: ModMatrix) -> ModMatrix:
-        return min(mod_mul(m, p, n_mod) for p in pbar_elems)
+        """min over the parabolic image of m p.  Row i of m p is row i of
+        m times p, so each distinct row's images are computed once."""
+        rows = []
+        for row in m:
+            images = row_images.get(row)
+            if images is None:
+                images = [tuple(sum(x * y for x, y in zip(row, col)) % n_mod
+                                for col in cols)
+                          for cols in pbar_cols]
+                if len(row_images) * len(pbar_cols) < _ROW_IMAGES_MAX:
+                    row_images[row] = images
+            rows.append(images)
+        return min(zip(*rows))
 
     # BFS of the coset space SL_n(Z/N) / P_mod under elementary generators
     gens = [mod_mat(_elementary(n, i, j, 1), n_mod)

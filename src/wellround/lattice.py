@@ -20,8 +20,8 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
-    IntMatrix, IntVector, RatMatrix, format_rational, int_det, int_matmul,
-    int_matrix, int_matvec, int_transpose, ldlt, parse_rational,
+    IntMatrix, IntVector, RatMatrix, format_rational, int_adjugate, int_det,
+    int_matmul, int_matrix, int_matvec, int_transpose, ldlt, parse_rational,
 )
 
 Vector = IntVector
@@ -295,29 +295,42 @@ class GroupSpec:
 # Configuration equivalence and stabilizers
 # ---------------------------------------------------------------------------
 
-def _char_form_inverse(config: VectorConfig) -> RatMatrix:
-    """Inverse of the characteristic form Q_S = sum vv^T of a spanning
-    configuration; its pairings are preserved by any equivalence."""
-    n = len(config[0])
-    q = [[Fraction(0)] * n for _ in range(n)]
+def _char_pairings(config: VectorConfig, n: int) -> tuple[int, IntMatrix]:
+    """(det Q, P) for the integral characteristic form Q = sum vv^T of the
+    configuration, with P[i][j] = v_i^T adj(Q) v_j.  Any U with
+    U(+-S) = +-S' has |det U| = 1 and Q_S' = U Q_S U^T, so det Q and the
+    pairings (up to the signs of the vectors) are invariants; det Q != 0
+    exactly when S spans Q^n."""
+    q = [[0] * n for _ in range(n)]
     for v in config:
         for i in range(n):
             if v[i]:
                 for j in range(n):
                     q[i][j] += v[i] * v[j]
-    return RatMatrix.from_rows(q).inverse()
+    adj = int_adjugate(q)
+    rows = [int_matvec(adj, v) for v in config]
+    return int_det(q), tuple(tuple(sum(a * x for a, x in zip(row, v))
+                                   for v in config) for row in rows)
 
 
 def _independent_basis(config: VectorConfig, n: int) -> tuple[int, ...]:
-    """Indices of a deterministic Q-basis chosen from the configuration."""
+    """Indices of a deterministic Q-basis chosen from the configuration:
+    each vector that is independent of the ones chosen before it, found
+    by fraction-free reduction against the chosen vectors' echelon rows."""
     chosen: list[int] = []
-    rows: list[Sequence[int]] = []
+    echelon: list[tuple[int, list[int]]] = []     # (pivot column, row)
     for idx, v in enumerate(config):
-        if config_rank(tuple(rows) + (v,)) > len(rows):
-            chosen.append(idx)
-            rows.append(v)
-            if len(rows) == n:
-                return tuple(chosen)
+        w = list(v)
+        for p, row in echelon:
+            if w[p]:
+                w = [row[p] * x - w[p] * y for x, y in zip(w, row)]
+        piv = next((p for p, x in enumerate(w) if x), None)
+        if piv is None:
+            continue
+        chosen.append(idx)
+        echelon.append((piv, w))
+        if len(chosen) == n:
+            return tuple(chosen)
     raise ValueError("configuration does not span")
 
 
@@ -330,41 +343,59 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
                   flag=None, find_all: bool = False) -> list[IntMatrix]:
     """Backtracking search for U in the group with U(+-src) = +-dst,
     optionally preserving a flag.  Complete by exhaustion over images of
-    a basis of src; the characteristic-form pairing is the pruning
-    invariant."""
+    a basis of src, in exact integer arithmetic.
+
+    Invariant: with Q = sum vv^T the characteristic form of a
+    configuration, an equivalence has Q_dst = U Q_src U^T and
+    |det U| = 1, so det Q_src = det Q_dst, and the pairings
+    v^T adj(Q) w (= det Q times the pairings through Q^-1) are carried
+    from src to dst, up to the sign chosen for each image.  Unequal
+    determinants or norm multisets reject at once; inside the search
+    each candidate image must match, by lookup in the two pairing
+    tables, the norm of its basis vector and the pairings with the
+    images already chosen.  A leaf forms U = W adj(B) / det B from the
+    basis B and its images W and keeps it only if it is integral,
+    unimodular, maps src onto dst, lies in the group and preserves the
+    flag."""
     n = group.n
     if len(src) != len(dst):
         return []
-    if not (config_spans(src, n) and config_spans(dst, n)):
+    if any(len(v) != n for v in src + dst):
         raise ValueError("configurations must span Q^n")
-    qs_inv = _char_form_inverse(src)
-    qd_inv = _char_form_inverse(dst)
-
-    def pair(qinv: RatMatrix, v: Sequence[int], w: Sequence[int]) -> Fraction:
-        row = qinv.matvec(w)
-        return sum(a * x for a, x in zip(row, v))
-
-    src_norms = sorted(pair(qs_inv, v, v) for v in src)
-    dst_norms = sorted(pair(qd_inv, v, v) for v in dst)
-    if src_norms != dst_norms:
+    det_s, ps = _char_pairings(src, n)
+    det_d, pd = (det_s, ps) if dst == src else _char_pairings(dst, n)
+    if not (det_s and det_d):
+        raise ValueError("configurations must span Q^n")
+    if det_s != det_d or (sorted(ps[i][i] for i in range(len(src)))
+                          != sorted(pd[j][j] for j in range(len(dst)))):
         return []
 
     basis_idx = _independent_basis(src, n)
-    basis = [src[i] for i in basis_idx]
-    bmat = RatMatrix.from_rows(int_transpose(tuple(basis)))
-    bmat_inv = bmat.inverse()
-    candidates = [w for w in dst] + [tuple(-x for x in w) for w in dst]
+    bmat = int_transpose(tuple(src[i] for i in basis_idx))
+    det_b = int_det(bmat)
+    adj_b = int_adjugate(bmat)
+    # candidate images in the order dst, then -dst, as (index, sign)
+    candidates = [(j, 1) for j in range(len(dst))] + \
+        [(j, -1) for j in range(len(dst))]
+    # per depth: the candidates with the right norm, and the pairings of
+    # that basis vector with the earlier ones
+    level_cands = []
+    level_pairs = []
+    for depth, b in enumerate(basis_idx):
+        level_cands.append([(j, s) for j, s in candidates
+                            if pd[j][j] == ps[b][b]])
+        level_pairs.append([ps[basis_idx[k]][b] for k in range(depth)])
     dst_set = frozenset(dst)
 
     results: list[IntMatrix] = []
-    images: list[IntVector] = []
+    images: list[tuple[int, int]] = []
 
     def accept() -> Optional[IntMatrix]:
-        w = RatMatrix.from_rows(int_transpose(tuple(images)))
-        u = w @ bmat_inv
-        if not u.is_integral():
+        w = int_transpose(tuple(tuple(s * x for x in dst[j]) for j, s in images))
+        w_adj = int_matmul(w, adj_b)
+        if any(x % det_b for row in w_adj for x in row):
             return None
-        ui = u.to_int()
+        ui = tuple(tuple(x // det_b for x in row) for row in w_adj)
         if abs(int_det(ui)) != 1:
             return None
         mapped = {canonical_vector(int_matvec(ui, v)) for v in src}
@@ -384,19 +415,13 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
             if u is not None:
                 results.append(u)
             return
-        v = basis[depth]
-        nv = pair(qs_inv, v, v)
-        for w in candidates:
-            if pair(qd_inv, w, w) != nv:
+        targets = level_pairs[depth]
+        for j, s in level_cands[depth]:
+            row = pd[j]
+            if any(sk * s * row[jk] != t
+                   for (jk, sk), t in zip(images, targets)):
                 continue
-            ok = True
-            for k in range(depth):
-                if pair(qd_inv, images[k], w) != pair(qs_inv, basis[k], v):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            images.append(w)
+            images.append((j, s))
             backtrack(depth + 1)
             images.pop()
             if results and not find_all:

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 from .cells import OrbitComplex, cell_dimension, cell_faces
 from .exactla import (
-    IntMatrix, PrimeField, QQ, f_kernel, f_matrix, f_rank, int_matmul,
-    int_matvec, snf,
+    CertificateError, IntMatrix, PrimeField, QQ, f_kernel, f_matrix, f_rank,
+    int_matmul, int_matvec, snf,
 )
 from .flags import RationalFlag
 from .lattice import VectorConfig, canonical_config, config_equiv, config_stabilizer
@@ -149,7 +149,7 @@ def barycentric_quotient(complex: OrbitComplex,
 
     double=True subdivides a second time (fallback only; one subdivision
     suffices because chain stabilizers fix chains pointwise, which the
-    construction verifies via its canonical-labeling asserts)."""
+    construction verifies via its canonical-labeling checks)."""
     qc = _first_subdivision(complex)
     if double:
         qc = _second_subdivision(complex, qc)
@@ -191,12 +191,13 @@ def _first_subdivision(complex: OrbitComplex) -> QuotientComplex:
         for j, s in enumerate(simplices[k]):
             for i in range(k + 1):
                 kk, idx = locate(s.chain[:i] + s.chain[i + 1:])
-                assert kk == k - 1
+                if kk != k - 1:
+                    raise CertificateError("face chain has the wrong dimension")
                 mat[idx][j] += (-1) ** i
         boundaries.append(tuple(tuple(r) for r in mat))
     qc = QuotientComplex(complex.group, complex.constraint,
                          simplices, tuple(boundaries))
-    _assert_boundary_squares_to_zero(qc)
+    _check_boundary_squares_to_zero(qc)
     object.__setattr__(qc, "_locate", locate)
     object.__setattr__(qc, "_indexer", indexer)
     return qc
@@ -260,14 +261,15 @@ def _second_subdivision(complex: OrbitComplex,
         for j, t in enumerate(levels[k]):
             for i in range(k + 1):
                 kk, idx = locate2(t[:i] + t[i + 1:])
-                assert kk == k - 1
+                if kk != k - 1:
+                    raise CertificateError("face chain has the wrong dimension")
                 mat[idx][j] += (-1) ** i
         boundaries.append(tuple(tuple(r) for r in mat))
     simplices = tuple(tuple(SimplexOrbit(k, t[-1], -1) for t in level)
                       for k, level in enumerate(levels))
     qc = QuotientComplex(complex.group, complex.constraint,
                          simplices, tuple(boundaries))
-    _assert_boundary_squares_to_zero(qc)
+    _check_boundary_squares_to_zero(qc)
     object.__setattr__(qc, "_locate", locate2)
     object.__setattr__(qc, "_indexer", indexer)
     return qc
@@ -296,11 +298,11 @@ def _nested_chain_flags(subchains: Sequence[Chain], top: Chain):
     return flags
 
 
-def _assert_boundary_squares_to_zero(qc: QuotientComplex):
+def _check_boundary_squares_to_zero(qc: QuotientComplex):
     for k in range(2, qc.dim + 1):
         prod = _mat_mul(qc.boundaries[k - 1], qc.boundaries[k])
-        assert all(x == 0 for row in prod for x in row), \
-            "boundary squared is nonzero"
+        if any(x for row in prod for x in row):
+            raise CertificateError("boundary squared is nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,7 @@ def induced_map(sub: QuotientComplex, sup: QuotientComplex,
                 twist: Optional[IntMatrix] = None) -> ChainMap:
     """The chain map sending a simplex orbit of `sub` to the orbit of
     its (optionally twisted) representative chain in `sup`; commutes
-    with the boundaries exactly (asserted)."""
+    with the boundaries exactly (checked)."""
     if sub.dim > sup.dim:
         raise IncompatibleComplexes("source complex exceeds target dimension")
     mats = []
@@ -468,14 +470,16 @@ def induced_map(sub: QuotientComplex, sup: QuotientComplex,
                 kk, idx = sup.locate(chain)
             except KeyError as exc:
                 raise IncompatibleComplexes(str(exc)) from exc
-            assert kk == k
+            if kk != k:
+                raise CertificateError("chain map changes the dimension")
             mat[idx][j] += 1
         mats.append(tuple(tuple(r) for r in mat))
     cm = ChainMap(sub, sup, tuple(mats))
     for k in range(1, sub.dim + 1):
         left = _mat_mul(cm.matrix(k - 1), sub.boundaries[k])
         right = _mat_mul(sup.boundaries[k], cm.matrix(k))
-        assert left == right, "chain map does not commute with boundaries"
+        if left != right:
+            raise CertificateError("chain map does not commute with boundaries")
     return cm
 
 

@@ -19,7 +19,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-from .exactla import IntMatrix, RatMatrix, int_transpose, saturation
+from .exactla import (
+    CertificateError, IntMatrix, RatMatrix, int_transpose, saturation,
+)
 from .flags import RationalFlag, complete_saturated, flag_from_members
 from .lattice import (
     GramForm, canonical_config, config_spans, minimal_vectors, normalize,
@@ -167,7 +169,7 @@ def _stopping(a: GramForm, member: IntMatrix) -> tuple[Fraction, tuple]:
                 best = r
         radius *= 2
         if radius > 2 ** 40:
-            raise AssertionError("no stopping scale found")
+            raise CertificateError("no stopping scale found")
     while True:
         scaled = _scale_at_member(a, member, best)
         tight = []
@@ -186,7 +188,7 @@ def _stopping(a: GramForm, member: IntMatrix) -> tuple[Fraction, tuple]:
                 tight.append(w)
         if not violated:
             if not tight:
-                raise AssertionError("stopping scale certification failed")
+                raise CertificateError("stopping scale certification failed")
             return best, canonical_config(tight)
 
 
@@ -236,8 +238,8 @@ def retract(a: GramForm) -> RetractionTrace:
             stages.append(RetractionStage(member, Fraction(1), ()))
     final = cur
     final_mins = minimal_vectors(final)
-    assert final_mins.min_sq == 1
-    assert config_spans(final_mins.vectors, n)
+    if final_mins.min_sq != 1 or not config_spans(final_mins.vectors, n):
+        raise CertificateError("retracted form is not well-rounded with minimum 1")
 
     minima_flag = tuple(st.member for st in stages)
     proper = []
@@ -249,9 +251,10 @@ def retract(a: GramForm) -> RetractionTrace:
     irred = flag_from_members(n, proper) if proper else None
     if irred is not None:
         rebuilt = scale_along_flag(start, irred, ScalingVector.of(scale_factors))
-        assert rebuilt == final, "composite disagrees with block scaling"
-    else:
-        assert final == start
+        if rebuilt != final:
+            raise CertificateError("composite disagrees with block scaling")
+    elif final != start:
+        raise CertificateError("trivial retraction moved the form")
     return RetractionTrace(tuple(stages), final, minima_flag, irred)
 
 
@@ -426,4 +429,4 @@ def _certify_orthant(base: GramForm, flag: RationalFlag,
             if bad is None:
                 return t_list
         t_list = [x / 2 for x in t_list]
-    raise AssertionError("orthant bound certification did not converge")
+    raise CertificateError("orthant bound certification did not converge")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, UNBOUNDED,
-    NotPositiveDefinite, RatMatrix, format_rational, hnf, int_identity,
-    int_kernel, int_matmul, int_matrix, int_matvec, int_transpose, ldlt, lp,
-    parse_rational, saturation, snf,
+    NotPositiveDefinite, RatMatrix, format_rational, hnf, int_adjugate,
+    int_det, int_identity, int_inverse, int_kernel, int_matmul, int_matrix,
+    int_matvec, int_transpose, ldlt, lp, parse_rational, saturation, snf,
 )
 
 
@@ -181,6 +181,47 @@ def test_int_kernel():
 @settings(max_examples=60, deadline=None)
 def test_snf_property(rows):
     _check_snf(int_matrix(rows))
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Square integer matrices with n <= 5; about a third are made
+    singular by replacing one row with a combination of the others."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1,
+                               max_size=n - 1))
+        k = draw(st.integers(0, n - 1))
+        others = [r for i, r in enumerate(rows) if i != k]
+        rows[k] = [sum(c * r[j] for c, r in zip(coeffs, others))
+                   for j in range(n)]
+    return int_matrix(rows)
+
+
+@given(square_int_matrices())
+@settings(max_examples=200, deadline=None)
+def test_int_det_matches_rational_det(m):
+    det = int_det(m)
+    assert det == RatMatrix.from_rows(m).det()
+    n = len(m)
+    assert int_matmul(m, int_adjugate(m)) == tuple(
+        tuple(det * int(i == j) for j in range(n)) for i in range(n))
+
+
+def test_int_det_zero_pivot_and_inverse():
+    # zero leading pivots force row swaps, each flipping the sign
+    assert int_det(((0, 1), (1, 0))) == -1
+    assert int_det(((0, 0, 2), (0, 3, 0), (5, 0, 0))) == -30
+    assert int_det(((0, 1), (0, 1))) == 0
+    assert int_det(()) == 1
+    u = ((2, 1, 0), (1, 1, 0), (0, 3, 1))
+    assert int_matmul(u, int_inverse(u)) == int_identity(3)
+    with pytest.raises(ValueError):
+        int_inverse(((2, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        int_inverse(((1, 2), (2, 4)))
 
 
 def test_lp_trivial_bounded():

@@ -6,8 +6,8 @@ import pytest
 from wellround.exactla import int_det, int_matrix
 from wellround.flags import (
     SingleMemberFlag, adapted_basis, flag_canonical, flag_equivalent,
-    flag_from_members, flag_orbits, flag_types, in_parabolic, mod_mat,
-    sl_lift, standard_flag, subflags_with_signs,
+    flag_from_members, flag_orbits, flag_types, in_parabolic, mod_inverse,
+    mod_mat, mod_mul, sl_lift, standard_flag, subflags_with_signs,
 )
 from wellround.lattice import GroupSpec
 
@@ -177,3 +177,17 @@ def test_flag_types():
     assert flag_types(3, 2) == [(1,), (2,)]
     assert flag_types(3, 3) == [(1, 2)]
     assert flag_types(4, 3) == [(1, 2), (1, 3), (2, 3)]
+
+
+def test_mod_inverse_random():
+    rng = random.Random(11)
+    for _ in range(40):
+        n_mod = rng.choice((2, 3, 5, 6, 11, 12))
+        k = rng.randint(1, 3)
+        a = mod_mat([[rng.randint(0, n_mod - 1) for _ in range(k)]
+                     for _ in range(k)], n_mod)
+        if gcd(int_det(a), n_mod) != 1:
+            continue
+        ident = mod_mat([[int(i == j) for j in range(k)] for i in range(k)],
+                        n_mod)
+        assert mod_mul(a, mod_inverse(a, n_mod), n_mod) == ident
