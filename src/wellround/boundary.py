@@ -17,17 +17,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cells import OrbitComplex, enumerate_W, subcomplex_WF
-from .exactla import (
-    CertificateError, IntMatrix, QQ, f_matrix, f_rank, f_rref, snf,
-)
+from .exactla import CertificateError, Echelon, IntMatrix, QQ, f_rank, snf
 from .flags import (
     RationalFlag, flag_equivalent, flag_orbits, flag_types,
     subflags_with_signs,
 )
 from .lattice import GroupSpec
 from .quotient import (
-    ChainMap, QuotientComplex, barycentric_quotient, homology, induced_map,
-    parse_coeff,
+    ChainMap, QuotientComplex, barycentric_quotient, cycle_reps, homology,
+    induced_map, parse_coeff,
 )
 
 
@@ -241,27 +239,21 @@ def total_cohomology(dc: DoubleComplex, coeff="Q"):
         dk = total_differential(dc, k)
         dkm = total_differential(dc, k - 1) if k >= 1 else ()
         if coeff == "Z":
-            rk = _int_rank(dk)
-            rkm = _int_rank(dkm)
+            rk = f_rank(QQ, dk)
+            rkm = f_rank(QQ, dkm)
             betti = dims[k] - rk - rkm
             torsion: tuple[int, ...] = ()
             if dkm and dkm[0]:
                 torsion = tuple(int(d) for d in snf(dkm).diag if d not in (0, 1))
             out.append({"degree": k, "betti": betti, "torsion": torsion})
         else:
-            rk = f_rank(coeff, f_matrix(coeff, dk)) if dk and dk[0] else 0
-            rkm = f_rank(coeff, f_matrix(coeff, dkm)) if dkm and dkm[0] else 0
+            rk = f_rank(coeff, dk)
+            rkm = f_rank(coeff, dkm)
             out.append({"degree": k, "betti": dims[k] - rk - rkm,
                         "torsion": ()})
     while out and out[-1]["betti"] == 0 and not out[-1]["torsion"]:
         out.pop()
     return out
-
-
-def _int_rank(m) -> int:
-    if not m or not m[0]:
-        return 0
-    return f_rank(QQ, f_matrix(QQ, m))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +270,17 @@ class SpectralPage:
         return self.entries.get((p, q), 0)
 
 
+def _sparse_rows(m: IntMatrix) -> list[list[tuple[int, int]]]:
+    """The nonzero entries (column, value) of each row of an integer matrix."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _matvec(field, rows: Sequence[Sequence[tuple[int, int]]], vec) -> list:
+    """An integer matrix, given by its nonzero entries per row, applied to
+    a vector over the field."""
+    return [field.of(sum(x * vec[j] for j, x in row)) for row in rows]
+
+
 class _Filtered:
     """Exact subquotient linear algebra for the column filtration."""
 
@@ -287,9 +290,8 @@ class _Filtered:
         self.pmax = dc.num_columns - 1
         self.kmax = self.pmax + dc.max_q() + 1
         self.positions = {k: total_positions(dc, k) for k in range(self.kmax + 2)}
-        self.D = {k: f_matrix(field, total_differential(dc, k))
-                  if total_differential(dc, k) else []
-                  for k in range(self.kmax + 2)}
+        self.D = {k: total_differential(dc, k) for k in range(self.kmax + 2)}
+        self.D_sparse = {k: _sparse_rows(d) for k, d in self.D.items()}
 
     def coords_from(self, k: int, p: int) -> list[int]:
         return [i for i, (pp, _) in enumerate(self.positions[k]) if pp >= p]
@@ -302,20 +304,11 @@ class _Filtered:
         cols = self.coords_from(k, p)
         if not cols:
             return []
-        d = self.D.get(k, [])
-        nfull = len(self.positions[k + 1]) if k + 1 in self.positions else 0
-        bad_rows = [i for i, (pp, _) in enumerate(self.positions.get(k + 1, []))
-                    if pp < p + r]
-        rows = []
-        for i in bad_rows:
-            rows.append([d[i][c] for c in cols] if d else
-                        [self.field.of(0)] * len(cols))
-        if rows:
-            from .exactla import f_kernel
-            ker = f_kernel(self.field, rows, len(cols))
-        else:
-            ker = [[self.field.of(int(a == b)) for b in range(len(cols))]
-                   for a in range(len(cols))]
+        d = self.D.get(k)
+        rows = [[d[i][c] for c in cols]
+                for i, (pp, _) in enumerate(self.positions.get(k + 1, []))
+                if pp < p + r] if d else []
+        ker = Echelon(self.field, rows).kernel(len(cols))
         full = []
         n = len(self.positions[k])
         for v in ker:
@@ -326,12 +319,10 @@ class _Filtered:
         return full
 
     def apply_d(self, k: int, vec: list) -> list:
-        d = self.D.get(k, [])
+        d = self.D_sparse.get(k)
         if not d:
             return [self.field.of(0)] * len(self.positions.get(k + 1, []))
-        return [sum((self.field.mul(d[i][j], vec[j]) for j in range(len(vec))),
-                    start=self.field.of(0))
-                for i in range(len(d))]
+        return _matvec(self.field, d, vec)
 
     def page_entry(self, r: int, p: int, q: int):
         """(numerator basis, denominator basis, lifts spanning E_r)."""
@@ -340,16 +331,8 @@ class _Filtered:
             [self.apply_d(p + q - 1, v)
              for v in self.z_space(r - 1, p - r + 1, q + r - 2)]
         den = [v for v in den if any(not self.field.is_zero(x) for x in v)]
-        rank_den = f_rank(self.field, den) if den else 0
-        lifts = []
-        basis = [list(v) for v in den]
-        rank = rank_den
-        for v in z:
-            if f_rank(self.field, basis + [list(v)]) > rank:
-                lifts.append(v)
-                basis.append(list(v))
-                rank += 1
-        return z, den, lifts
+        basis = Echelon(self.field, den)
+        return z, den, [v for v in z if basis.add(v)]
 
     def express(self, vec, lifts, den):
         """Coordinates of vec in the lift basis modulo the denominator."""
@@ -358,9 +341,8 @@ class _Filtered:
             if not all(self.field.is_zero(x) for x in vec):
                 raise CertificateError("vector not in the span")
             return [self.field.of(0)] * 0
-        rows = list(map(list, zip(*cols))) if cols else []
-        aug = [row + [x] for row, x in zip(rows, vec)]
-        rr, pivots = f_rref(self.field, aug)
+        aug = [row + (x,) for row, x in zip(zip(*cols), vec)]
+        rr, pivots = Echelon(self.field, aug).reduced()
         ncols = len(cols)
         if ncols in pivots:
             raise CertificateError("vector not in the span")
@@ -468,44 +450,26 @@ def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
         dq = _transpose(cob_out, nq)
         dqm = _transpose(cob_in, len(w_qc.simplices[q - 1])
                          if 1 <= q <= w_qc.dim else 0)
-        reps = _cohomology_reps(field, dq, dqm, nq)
+        reps = cycle_reps(field, dq, dqm, nq)
         dim_w = len(reps)
-        # embed via the transposed inclusion maps into total degree q
-        imgs = []
-        for rep in reps:
-            vec = []
-            for p in range(dc.num_columns):
-                qq = q - p
-                if p == 0:
-                    for s, cm in zip(dc.columns[0], maps):
-                        m = cm.matrix(q)
-                        cnt = len(s.qc.simplices[q]) if q <= s.qc.dim else 0
-                        for i in range(cnt):
-                            val = sum((field.mul(field.of(m[t][i]), rep[t])
-                                       for t in range(len(rep))),
-                                      start=field.of(0))
-                            vec.append(val)
-                else:
-                    vec.extend([field.of(0)] * dc.cochain_dim(p, qq))
-            imgs.append(vec)
+        # embed via the transposed inclusion maps into total degree q:
+        # the column-0 blocks, then zeros for the other columns
+        restrict_rows = [row for cm in maps
+                         for row in _sparse_rows(tuple(zip(*cm.matrix(q))))]
+        pad = [field.of(0)] * sum(dc.cochain_dim(p, q - p)
+                                  for p in range(1, dc.num_columns))
+        imgs = [_matvec(field, restrict_rows, rep) + pad for rep in reps]
         # total cohomology data in degree q
-        dtot = f_matrix(field, total_differential(dc, q)) \
-            if total_differential(dc, q) else []
-        dtot_prev = f_matrix(field, total_differential(dc, q - 1)) \
-            if q >= 1 and total_differential(dc, q - 1) else []
+        dtot = total_differential(dc, q)
+        dtot_prev = total_differential(dc, q - 1) if q >= 1 else ()
         dim_total = total_dims(dc)[q] - (f_rank(field, dtot) if dtot else 0) \
             - (f_rank(field, dtot_prev) if dtot_prev else 0)
-        for v in imgs:  # restriction of a cocycle is a total cocycle
-            if dtot:
-                out = [sum((field.mul(dtot[i][j], v[j])
-                            for j in range(len(v))), start=field.of(0))
-                       for i in range(len(dtot))]
-                if not all(field.is_zero(x) for x in out):
+        if dtot:  # restriction of a cocycle is a total cocycle
+            dtot_rows = _sparse_rows(dtot)
+            for v in imgs:
+                if not all(field.is_zero(x) for x in _matvec(field, dtot_rows, v)):
                     raise CertificateError("restricted cocycle is not a total cocycle")
-        cobs = []
-        if dtot_prev:
-            for j in range(len(dtot_prev[0])):
-                cobs.append([dtot_prev[i][j] for i in range(len(dtot_prev))])
+        cobs = list(zip(*dtot_prev)) if dtot_prev else []
         rank_cob = f_rank(field, cobs) if cobs else 0
         rank = (f_rank(field, cobs + imgs) - rank_cob) if imgs else 0
         degrees.append(RestrictionDegree(q, dim_w, dim_total, rank,
@@ -518,32 +482,6 @@ def _transpose(m, ncols_of_result: int):
     if not m or not m[0]:
         return []
     return [list(r) for r in zip(*m)]
-
-
-def _cohomology_reps(field, dq, dqm, n):
-    """Cocycle representatives spanning H^q of a cochain complex given
-    d^q (out) and d^{q-1} (in) as row-major matrices."""
-    from .exactla import f_kernel
-    if n == 0:
-        return []
-    if dq:
-        kernel = f_kernel(field, f_matrix(field, dq), n)
-    else:
-        kernel = [[field.of(int(i == j)) for j in range(n)] for i in range(n)]
-    image = []
-    if dqm:
-        mm = f_matrix(field, dqm)
-        for j in range(len(mm[0])):
-            image.append([mm[i][j] for i in range(len(mm))])
-    basis = [list(v) for v in image]
-    rank = f_rank(field, basis) if basis else 0
-    reps = []
-    for v in kernel:
-        if f_rank(field, basis + [list(v)]) > rank:
-            reps.append(v)
-            basis.append(list(v))
-            rank += 1
-    return reps
 
 
 @dataclass(frozen=True)
@@ -582,39 +520,25 @@ def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
         # dual boundary into degree q: transpose(D^q)
         out_map = [list(r) for r in zip(*d_down)] if d_down and d_down[0] else []
         in_map = [list(r) for r in zip(*d_up)] if d_up and d_up[0] else []
-        reps = _cohomology_reps(field, out_map, in_map, nq)
+        reps = cycle_reps(field, out_map, in_map, nq)
         dim_boundary = len(reps)
         # push a cycle into the chains of the retract quotient: column 0
         # components flow along the inclusion chain maps
         nw = len(w_qc.simplices[q]) if q <= w_qc.dim else 0
-        imgs = []
-        for rep in reps:
-            vec = [field.of(0)] * nw
-            off = 0
-            for s, cm in zip(dc.columns[0], maps):
-                scnt = len(s.qc.simplices[q]) if q <= s.qc.dim else 0
-                m = cm.matrix(q)
-                for t in range(scnt):
-                    x = rep[off + t]
-                    if field.is_zero(x):
-                        continue
-                    for i in range(nw):
-                        if m[i][t]:
-                            vec[i] = field.add(
-                                vec[i], field.mul(field.of(m[i][t]), x))
-                off += scnt
-            imgs.append(vec)
+        include_rows = [[] for _ in range(nw)]
+        off = 0
+        for s, cm in zip(dc.columns[0], maps):
+            for row, entries in zip(include_rows, _sparse_rows(cm.matrix(q))):
+                row += [(off + t, x) for t, x in entries]
+            off += len(s.qc.simplices[q]) if q <= s.qc.dim else 0
+        imgs = [_matvec(field, include_rows, rep) for rep in reps]
         # homology of the retract quotient in degree q
         bq = w_qc.boundaries[q] if 1 <= q <= w_qc.dim else ()
         bq1 = w_qc.boundaries[q + 1] if q + 1 <= w_qc.dim else ()
-        rk = f_rank(field, f_matrix(field, bq)) if bq and bq[0] else 0
-        rk1 = f_rank(field, f_matrix(field, bq1)) if bq1 and bq1[0] else 0
+        rk = f_rank(field, bq) if bq and bq[0] else 0
+        rk1 = f_rank(field, bq1) if bq1 and bq1[0] else 0
         dim_w = nw - rk - rk1
-        bnds = []
-        if bq1 and bq1[0]:
-            mm = f_matrix(field, bq1)
-            for j in range(len(mm[0])):
-                bnds.append([mm[i][j] for i in range(len(mm))])
+        bnds = list(zip(*bq1)) if bq1 and bq1[0] else []
         rank_b = f_rank(field, bnds) if bnds else 0
         nonzero_imgs = [v for v in imgs if any(not field.is_zero(x) for x in v)]
         rank = (f_rank(field, bnds + nonzero_imgs) - rank_b) \
@@ -664,19 +588,9 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
     for q in range(dc.w_qc.dim + 1):
         mat = cm.matrix(q)
         reps = sub_h.degrees[q].representatives if q <= summand.qc.dim else ()
-        imgs = []
-        for rep in reps:
-            vec = [sum((field.mul(field.of(mat[i][j]), field.of(rep[j])
-                        if isinstance(rep[j], int) else rep[j])
-                        for j in range(len(rep))), start=field.of(0))
-                   for i in range(len(mat))]
-            imgs.append(vec)
+        imgs = [_matvec(field, _sparse_rows(mat), rep) for rep in reps]
         bq1 = dc.w_qc.boundaries[q + 1] if q + 1 <= dc.w_qc.dim else ()
-        bnds = []
-        if bq1 and bq1[0]:
-            mm = f_matrix(field, bq1)
-            for j in range(len(mm[0])):
-                bnds.append([mm[i][j] for i in range(len(mm))])
+        bnds = list(zip(*bq1)) if bq1 and bq1[0] else []
         rank_b = f_rank(field, bnds) if bnds else 0
         nonzero = [v for v in imgs if any(not field.is_zero(x) for x in v)]
         hom_ranks.append((f_rank(field, bnds + nonzero) - rank_b)

@@ -5,18 +5,23 @@ Everything in this module is exact: rationals are `fractions.Fraction`
 Python ints.  Provided here:
 
 * LDL^T factorization with positive-definiteness certification,
+* Bareiss determinants, adjugates and inverses of integer matrices,
 * column-style Hermite normal form, integer kernels and saturation,
 * Smith normal form with unimodular transforms (for homology over Z),
 * a two-phase simplex solver with Bland's rule over the rationals,
-* small generic Gaussian-elimination helpers over Q and F_p.
+* `Echelon`, an incrementally built echelon basis over Q or F_p that
+  keeps integer rows over Q; rank (`f_rank`), null spaces (`f_kernel`),
+  reduced row echelon forms and the choice of homology representatives
+  all run on it.
 
-All values are immutable and all functions are pure.
+All functions are pure; `Echelon` is the one mutable object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -586,35 +591,24 @@ def lp(c: Sequence, eq_lhs: Sequence[Sequence] = (), eq_rhs: Sequence = (),
 
 
 # ---------------------------------------------------------------------------
-# Field abstraction for homology over Q and F_p
+# Exact elimination over Q and F_p
 # ---------------------------------------------------------------------------
 
 class RationalField:
-    """Field operations for Fraction matrices."""
+    """The rationals, as coefficients; elements are Fractions."""
 
     name = "Q"
 
-    def of(self, n: int) -> Fraction:
+    def of(self, n) -> Fraction:
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
 
     def is_zero(self, a) -> bool:
         return a == 0
 
 
 class PrimeField:
-    """Field operations for integers mod a prime p."""
+    """The integers mod a prime p, as coefficients; elements are residues
+    in [0, p)."""
 
     def __init__(self, p: int):
         if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
@@ -625,18 +619,6 @@ class PrimeField:
     def of(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        return (a * pow(b, -1, self.p)) % self.p
-
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
@@ -644,52 +626,115 @@ class PrimeField:
 QQ = RationalField()
 
 
-def f_matrix(field, int_rows: Sequence[Sequence[int]]) -> list[list]:
-    return [[field.of(x) for x in row] for row in int_rows]
+class Echelon:
+    """An incrementally built semi-echelon basis of a row space over Q or
+    F_p: ``add(v)`` keeps v and returns True exactly when v is independent
+    of the rows added before it.
 
+    Every kept row is reduced against the rows kept before it and is
+    labelled by its pivot, its first nonzero column, so one pass over the
+    basis reduces a new vector.  Over Q the rows are integers: a vector
+    is scaled once by the lcm of its denominators, eliminated fraction-free
+    (v <- a v - x r for a basis row r with pivot entry a and x = v[pivot],
+    both divided by gcd(a, x); Bareiss, Math. Comp. 1968) and divided by
+    the gcd of its entries, so no Fraction arithmetic happens.  Over F_p
+    the rows are residues with pivot entry 1.
+    """
 
-def f_rref(field, a: list[list]):
-    """Reduced row echelon form over a field; returns (rows, pivots)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    a = [list(r) for r in a]
-    pivots: list[int] = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, m) if not field.is_zero(a[i][j])), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = field.div(field.of(1), a[r][j])
-        a[r] = [field.mul(x, inv) for x in a[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(a[i][j]):
-                f = a[i][j]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
+    def __init__(self, field, rows: Iterable[Sequence] = ()):
+        self.p: Optional[int] = getattr(field, "p", None)  # None over Q
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: Sequence) -> bool:
+        """Reduce v against the basis; keep it and return True if it is
+        independent of the basis, else return False."""
+        p = self.p
+        if p is None:
+            d = lcm(*(x.denominator for x in v))
+            row = [x.numerator * (d // x.denominator) for x in v]
+        else:
+            row = [x % p for x in v]
+        for c, r in zip(self.pivots, self.rows):
+            if row[c]:
+                row = self._clear(row, c, r)
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        if p is None:
+            g = gcd(*row)
+            if g != 1:
+                row = [x // g for x in row]
+        else:
+            inv = pow(row[lead], -1, p)
+            row = [x * inv % p for x in row]
+        self.rows.append(row)
+        self.pivots.append(lead)
+        return True
+
+    def _clear(self, row: list[int], c: int, r: list[int]) -> list[int]:
+        """row minus a multiple of the basis row r, whose pivot is c, so
+        that the entry in column c becomes 0; over Q row is first scaled
+        by a / gcd(a, row[c]) for the pivot entry a, keeping integers."""
+        x = row[c]
+        if self.p is not None:
+            return [(s - x * t) % self.p for s, t in zip(row, r)]
+        a = r[c]
+        g = gcd(a, x)
+        a, x = a // g, x // g
+        return [a * s - x * t for s, t in zip(row, r)]
+
+    def reduced(self) -> tuple[list[list], list[int]]:
+        """(rows, pivots) of the reduced row echelon form of the span:
+        rows sorted by pivot, pivot entries 1 and every other entry in a
+        pivot column 0; Fractions over Q, residues over F_p.  The form is
+        determined by the span alone."""
+        done: list[tuple[int, list[int]]] = []  # fully reduced, pivots descending
+        for c, row in sorted(zip(self.pivots, self.rows), reverse=True):
+            for c2, r2 in done:
+                if row[c2]:
+                    row = self._clear(row, c2, r2)
+            done.append((c, row))
+        done.reverse()
+        if self.p is None:
+            zero = Fraction(0)
+            rows = [[Fraction(x, row[c]) if x else zero for x in row]
+                    for c, row in done]
+        else:
+            rows = [row for _, row in done]
+        return rows, [c for c, _ in done]
+
+    def kernel(self, ncols: int) -> list[list]:
+        """Basis of the vectors x with r . x = 0 for every row r: one per
+        non-pivot column f, with x_f = 1 and 0 at the other non-pivot
+        columns."""
+        rows, pivots = self.reduced()
+        p = self.p
+        zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
+        taken = set(pivots)
+        basis = []
+        for f in range(ncols):
+            if f in taken:
+                continue
+            v = [zero] * ncols
+            v[f] = one
+            for row, c in zip(rows, pivots):
+                v[c] = -row[f] if p is None else -row[f] % p
+            basis.append(v)
+        return basis
 
 
 def f_rank(field, a: Sequence[Sequence]) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(f_rref(field, [list(r) for r in a])[1])
+    """Rank over the field of the rows of a (integers, or elements of the
+    field)."""
+    return len(Echelon(field, a))
 
 
 def f_kernel(field, a: Sequence[Sequence], ncols: int) -> list[list]:
     """Basis of the null space {x : a x = 0} over the field."""
-    if not a:
-        return [[field.of(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    rr, pivots = f_rref(field, [list(r) for r in a])
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for fcol in free:
-        v = [field.of(0)] * ncols
-        v[fcol] = field.of(1)
-        for i, p in enumerate(pivots):
-            v[p] = field.sub(field.of(0), rr[i][fcol])
-        basis.append(v)
-    return basis
+    return Echelon(field, a).kernel(ncols)

@@ -302,19 +302,20 @@ def sl_lift(mbar: ModMatrix, n_mod: int) -> IntMatrix:
         for i in range(t):
             if a[i][t] % n_mod:
                 apply_op(i, t, (-a[i][t] * inv) % n_mod)
-    # diagonal of units with product 1: clear pairwise with row operations
+    # diagonal of units with product 1: six row operations (Whitehead's
+    # lemma) turn each block diag(u, w) into diag(1, uw), so the last
+    # entry ends up 1
     for t in range(k - 1):
         u = a[t][t]
         if u == 1:
             continue
         uinv = pow(u, -1, n_mod)
-        apply_op(t + 1, t, uinv)            # rows (u,0),(1,v)
-        apply_op(t, t + 1, (-u) % n_mod)    # rows (0,-1),(1,v)
-        v = a[t + 1][t + 1]
-        apply_op(t + 1, t, v)               # rows (0,-1),(1,0)
-        apply_op(t, t + 1, 1)               # rows (1,-1),(1,0)
-        apply_op(t + 1, t, n_mod - 1)       # rows (1,-1),(0,1)
-        apply_op(t, t + 1, 1)               # rows (1,0),(0,1)
+        apply_op(t + 1, t, uinv)            # rows (u,0),(1,w)
+        apply_op(t, t + 1, (-u) % n_mod)    # rows (0,-uw),(1,w)
+        apply_op(t + 1, t, uinv)            # rows (0,-uw),(1,0)
+        apply_op(t, t + 1, 1)               # rows (1,-uw),(1,0)
+        apply_op(t + 1, t, n_mod - 1)       # rows (1,-uw),(0,uw)
+        apply_op(t, t + 1, 1)               # rows (1,0),(0,uw)
     if any(a[i][j] != int(i == j) % n_mod for i in range(k) for j in range(k)):
         raise CertificateError("reduction to the identity mod N failed")
     # E_r ... E_1 mbar = I, so mbar = E_1^{-1} ... E_r^{-1} mod N

@@ -256,11 +256,14 @@ class GroupSpec:
     def is_congruence(self) -> bool:
         return self.family in ("gamma0", "gamma1", "gamma") and self.level > 1
 
-    def contains(self, u: IntMatrix) -> bool:
+    def contains(self, u: IntMatrix, det: Optional[int] = None) -> bool:
+        """Membership of an integer matrix; ``det``, when the caller has
+        it already, is det u."""
         u = int_matrix(u)
         if len(u) != self.n or any(len(r) != self.n for r in u):
             return False
-        det = int_det(u)
+        if det is None:
+            det = int_det(u)
         if self.family == "gl":
             return abs(det) == 1
         if det != 1:
@@ -396,12 +399,13 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
         if any(x % det_b for row in w_adj for x in row):
             return None
         ui = tuple(tuple(x // det_b for x in row) for row in w_adj)
-        if abs(int_det(ui)) != 1:
+        det_u = int_det(ui)
+        if abs(det_u) != 1:
             return None
         mapped = {canonical_vector(int_matvec(ui, v)) for v in src}
         if mapped != dst_set:
             return None
-        if not group.contains(ui):
+        if not group.contains(ui, det_u):
             return None
         if flag is not None and not _flag_preserved(ui, flag):
             return None

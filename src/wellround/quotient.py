@@ -7,8 +7,8 @@ killed by the top cell's finite stabilizer.  An element stabilizing a
 chain fixes each member (their dimensions differ), so simplices never
 fold onto themselves and the orbit complex computes the homology of the
 quotient space with any coefficients.  Boundary matrices are integer
-matrices; homology is exact (Smith normal form over Z, Gaussian
-elimination over Q or F_p).
+matrices; homology is exact (Smith normal form for torsion over Z,
+the fraction-free `exactla.Echelon` for ranks and representatives).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .cells import OrbitComplex, cell_dimension, cell_faces
 from .exactla import (
-    CertificateError, IntMatrix, PrimeField, QQ, f_kernel, f_matrix, f_rank,
+    CertificateError, Echelon, IntMatrix, PrimeField, QQ, f_kernel, f_rank,
     int_matmul, int_matvec, snf,
 )
 from .flags import RationalFlag
@@ -344,12 +344,6 @@ def _nonempty(m: IntMatrix) -> bool:
     return bool(m) and bool(m[0])
 
 
-def _int_rank(m: IntMatrix) -> int:
-    if not _nonempty(m):
-        return 0
-    return f_rank(QQ, f_matrix(QQ, m))
-
-
 def homology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
     """Homology of the quotient complex over Z, Q or F_p."""
     if isinstance(coeff, str) and coeff != "Z":
@@ -360,20 +354,12 @@ def homology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
     for k in range(top + 1):
         dk = qc.boundaries[k] if k >= 1 else ()
         dk1 = qc.boundaries[k + 1] if k + 1 <= top else ()
-        if coeff == "Z":
-            betti = dims[k] - _int_rank(dk) - _int_rank(dk1)
-            torsion: tuple[int, ...] = ()
-            if _nonempty(dk1):
-                torsion = tuple(int(d) for d in snf(dk1).diag
-                                if d not in (0, 1))
-            reps = _cycle_reps(QQ, dk, dk1, dims[k])
-        else:
-            field = coeff
-            rk = f_rank(field, f_matrix(field, dk)) if _nonempty(dk) else 0
-            rk1 = f_rank(field, f_matrix(field, dk1)) if _nonempty(dk1) else 0
-            betti = dims[k] - rk - rk1
-            torsion = ()
-            reps = _cycle_reps(field, dk, dk1, dims[k])
+        field = QQ if coeff == "Z" else coeff
+        betti = dims[k] - f_rank(field, dk) - f_rank(field, dk1)
+        torsion: tuple[int, ...] = ()
+        if coeff == "Z" and _nonempty(dk1):
+            torsion = tuple(int(d) for d in snf(dk1).diag if d not in (0, 1))
+        reps = cycle_reps(field, dk, dk1, dims[k])
         degrees.append(DegreeHomology(betti, torsion, reps[:betti]))
     name = "Z" if coeff == "Z" else coeff.name
     return HomologyResult(name, tuple(degrees))
@@ -409,28 +395,14 @@ def cohomology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
     return HomologyResult(res.coeff, tuple(reversed(res.degrees)))
 
 
-def _cycle_reps(field, dk, dk1, dim_k):
-    """Cycles spanning the homology: kernel vectors extending a basis of
-    the image."""
-    if dim_k == 0:
+def cycle_reps(field, d_out, d_in, dim: int) -> tuple[tuple, ...]:
+    """Cycles spanning the homology at a chain group of dimension dim:
+    the kernel vectors of d_out (dim columns) that are independent modulo
+    the image of d_in (dim rows) and of the kernel vectors before them."""
+    if dim == 0:
         return ()
-    if _nonempty(dk):
-        kernel = f_kernel(field, f_matrix(field, dk), dim_k)
-    else:
-        kernel = [[field.of(int(i == j)) for j in range(dim_k)]
-                  for i in range(dim_k)]
-    basis: list[list] = []
-    if _nonempty(dk1):
-        for j in range(len(dk1[0])):
-            basis.append([field.of(dk1[i][j]) for i in range(dim_k)])
-    reps = []
-    rank = f_rank(field, basis) if basis else 0
-    for v in kernel:
-        if f_rank(field, basis + [list(v)]) > rank:
-            reps.append(tuple(v))
-            basis.append(list(v))
-            rank += 1
-    return tuple(reps)
+    basis = Echelon(field, zip(*d_in))
+    return tuple(tuple(v) for v in f_kernel(field, d_out, dim) if basis.add(v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from wellround.boundary import (
     spectral_sequence, total_cohomology, total_differential, total_dims,
 )
 from wellround.cells import enumerate_W
+from wellround.exactla import int_det
 from wellround.flags import flag_orbits
 from wellround.lattice import GroupSpec
 from wellround.quotient import barycentric_quotient, homology
@@ -91,12 +93,53 @@ def test_small_enough_quotient_is_regular():
             assert sum(abs(x) for x in col) == k + 1
 
 
+def _brute_force_flag_orbit_count(family, p, dims):
+    """Orbits of the image of the group in SL_3(F_p) on the F_p-flags of
+    the given type.  For a prime level p the parabolic P(Z) maps onto the
+    parabolic of SL_3(F_p) when p <= 3, so these orbits match the orbits
+    of the group on rational flags."""
+    vectors = list(product(range(p), repeat=3))
+
+    def span(basis):
+        return frozenset(tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p
+                               for i in range(3))
+                         for cs in product(range(p), repeat=len(basis)))
+
+    subspaces = {d: {span(b) for b in product(vectors, repeat=d)
+                     if len(span(b)) == p ** d} for d in dims}
+    flags = [f for f in product(*(subspaces[d] for d in dims))
+             if all(a < b for a, b in zip(f, f[1:]))]
+
+    def in_group(g):
+        if int_det(g) % p != 1:
+            return False
+        if family == "gamma0":
+            return g[2][0] == g[2][1] == 0
+        return g[2][0] == g[2][1] == 0 and g[2][2] == 1  # gamma1
+
+    group = [g for g in (tuple(zip(*[iter(e)] * 3))
+                         for e in product(range(p), repeat=9)) if in_group(g)]
+    unseen, count = set(flags), 0
+    while unseen:
+        start = unseen.pop()
+        count += 1
+        for g in group:
+            unseen.discard(tuple(
+                frozenset(tuple(sum(g[i][j] * v[j] for j in range(3)) % p
+                                for i in range(3)) for v in member)
+                for member in start))
+    return count
+
+
 def test_congruence_flag_orbits_n3_brute_force():
-    # independent oracle over F_2: lines and planes each fall into the
-    # z = 0 and z != 0 classes under the bottom-row pattern group
-    for dims, expect in (((1,), 2), ((2,), 2)):
-        got = flag_orbits(GroupSpec(3, "gamma0", 2), dims).count
-        assert got == expect
+    # independent oracle over F_level; at level 2 lines and planes each
+    # fall into the z = 0 and z != 0 classes
+    for family, level in (("gamma0", 2), ("gamma0", 3), ("gamma1", 3)):
+        for dims in ((1,), (2,), (1, 2)):
+            got = flag_orbits(GroupSpec(3, family, level), dims).count
+            assert got == _brute_force_flag_orbit_count(family, level, dims)
+            if level == 2 and len(dims) == 1:
+                assert got == 2
 
 
 def test_sl3_euler_consistency():

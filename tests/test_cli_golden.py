@@ -1,0 +1,63 @@
+"""Byte-for-byte comparison of CLI output with fixtures in tests/golden/.
+
+The fixtures were written by the Gauss-Jordan elimination that the
+echelon basis replaced, so any change in ranks, representatives or page
+differentials shows up here.  To rewrite a fixture after an intended
+change of output, run the command listed for it in CASES with its stdout
+redirected to the fixture file.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from wellround.boundary import build_double_complex
+from wellround.cli import run
+from wellround.lattice import GroupSpec
+from wellround.quotient import cohomology, homology
+
+GOLDEN = Path(__file__).parent / "golden"
+GAMMA0_11 = ["-n", "2", "--group", "gamma0", "--level", "11"]
+FLAG = {"n": 2, "members": [[[1], [0]]]}  # the line spanned by e_1
+
+CASES = {
+    f"boundary_{mode}_gamma0_11_{tag}.json":
+        ["boundary", mode, *GAMMA0_11, "--coeff", coeff]
+    for mode in ("total", "e1", "ss", "restrict", "facemap")
+    for coeff, tag in (("Q", "q"), ("Fp:3", "fp3"))
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_boundary_output_matches_golden(name, tmp_path, capsys):
+    argv = list(CASES[name])
+    if argv[1] == "facemap":
+        flag = tmp_path / "flag.json"
+        flag.write_text(json.dumps(FLAG))
+        argv += ["--flag", str(flag)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_homology_output_matches_golden(tmp_path, capsys):
+    cx = tmp_path / "cx.json"
+    assert run(["cells", "enumerate", *GAMMA0_11, "--out", str(cx)]) == 0
+    capsys.readouterr()
+    assert run(["homology", "--complex", str(cx), "--coeff", "Z"]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "homology_gamma0_11_z.json").read_text()
+
+
+def test_representatives_match_golden():
+    # the CLI prints no representatives, so they are compared here: the
+    # quotient W/Gamma_0(11) (index 0) and its two cusp subcomplexes
+    dc = build_double_complex(GroupSpec(2, "gamma0", 11))
+    want = json.loads((GOLDEN / "representatives_gamma0_11.json").read_text())
+    for i, qc in enumerate([dc.w_qc] + [s.qc for s in dc.columns[0]]):
+        for coeff in ("Z", "Q", "Fp:3"):
+            for fn in (homology, cohomology):
+                res = fn(qc, coeff)
+                got = [[str(x) for x in rep] for d in res.degrees
+                       for rep in d.representatives]
+                assert got == want[f"{fn.__name__} {coeff} {i}"]

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellround.exactla import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED,
-    NotPositiveDefinite, RatMatrix, format_rational, hnf, int_adjugate,
-    int_det, int_identity, int_inverse, int_kernel, int_matmul, int_matrix,
-    int_matvec, int_transpose, ldlt, lp, parse_rational, saturation, snf,
+    INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
+    Echelon, NotPositiveDefinite, PrimeField, RatMatrix, f_kernel, f_rank,
+    format_rational, hnf, int_adjugate, int_det, int_identity, int_inverse,
+    int_kernel, int_matmul, int_matrix, int_matvec, int_transpose, ldlt, lp,
+    parse_rational, saturation, snf,
 )
 
 
@@ -222,6 +223,134 @@ def test_int_det_zero_pivot_and_inverse():
         int_inverse(((2, 0), (0, 1)))
     with pytest.raises(ValueError):
         int_inverse(((1, 2), (2, 4)))
+
+
+# --- the echelon basis against the Gauss-Jordan elimination it replaced ----
+
+def _ref_rref(p, a):
+    """Reduced row echelon form by Gauss-Jordan elimination in field
+    arithmetic, as the package computed it before the echelon basis:
+    Fractions over Q (p None), residues mod p otherwise."""
+    if p is None:
+        norm, inv = Fraction, lambda x: 1 / x
+    else:
+        norm, inv = (lambda x: x % p), (lambda x: pow(x, -1, p))
+    a = [[norm(x) for x in row] for row in a]
+    m, n = len(a), len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for j in range(n):
+        piv = next((i for i in range(r, m) if a[i][j] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        f = inv(a[r][j])
+        a[r] = [norm(x * f) for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][j] != 0:
+                f = a[i][j]
+                a[i] = [norm(x - f * y) for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+        r += 1
+        if r == m:
+            break
+    return a[:r], pivots
+
+
+def _ref_kernel(p, a, ncols):
+    rows, pivots = _ref_rref(p, a)
+    zero = Fraction(0) if p is None else 0
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = zero + 1
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] if p is None else -row[f] % p
+        basis.append(v)
+    return basis
+
+
+def _ref_accepted(p, image, candidates):
+    """Indices of the candidates kept by one full elimination per
+    candidate: those raising the rank of the image plus the candidates
+    kept before them."""
+    basis = [list(v) for v in image]
+    rank = len(_ref_rref(p, basis)[1])
+    kept = []
+    for i, v in enumerate(candidates):
+        if len(_ref_rref(p, basis + [list(v)])[1]) > rank:
+            kept.append(i)
+            basis.append(list(v))
+            rank += 1
+    return kept
+
+
+_entries = st.one_of(st.integers(-3, 3), st.integers(-1000, 1000))
+
+
+@st.composite
+def int_matrices(draw, ncols=None):
+    """Integer matrices with up to 7 rows and 1-6 columns, some with a
+    row combined from two others, a zero row or a zero column."""
+    n = ncols if ncols is not None else draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                         max_size=5))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        ca, cb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([ca * x + cb * y for x, y in zip(rows[a], rows[b])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    if draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        rows = [[0 if j == col else x for j, x in enumerate(row)] for row in rows]
+    return rows
+
+
+_FIELDS = [(QQ, None), (PrimeField(2), 2), (PrimeField(3), 3), (PrimeField(5), 5)]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_gauss_jordan(data):
+    m = data.draw(int_matrices())
+    n = len(m[0]) if m else data.draw(st.integers(1, 6))
+    cands = data.draw(int_matrices(ncols=n))
+    dens = data.draw(st.lists(st.integers(1, 6), min_size=len(cands),
+                              max_size=len(cands)))
+    for field, p in _FIELDS:
+        # candidates over Q carry denominators, like kernel vectors
+        vecs = [[Fraction(x, d) for x in row] for row, d in zip(cands, dens)] \
+            if p is None else cands
+        assert f_rank(field, m) == len(_ref_rref(p, m)[1])
+        assert f_kernel(field, m, n) == _ref_kernel(p, m, n)
+        assert Echelon(field, vecs).reduced() == _ref_rref(p, vecs)
+        basis = Echelon(field, m)
+        kept = [i for i, v in enumerate(vecs) if basis.add(v)]
+        assert kept == _ref_accepted(p, m, vecs)
+
+
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_smith_invariants(m):
+    # universal coefficients: the rank over F_p counts the invariant
+    # factors that p does not divide
+    diag = snf(int_matrix(m)).diag if m else ()
+    assert f_rank(QQ, m) == sum(1 for d in diag if d)
+    for p in (2, 3, 5):
+        assert f_rank(PrimeField(p), m) == sum(1 for d in diag if d % p)
+
+
+def test_kernel_types_and_empty_matrix():
+    assert f_kernel(QQ, [], 2) == [[1, 0], [0, 1]]
+    assert all(isinstance(x, Fraction) for v in f_kernel(QQ, [[2, 4]], 2)
+               for x in v)
+    assert f_kernel(QQ, [[2, 4]], 2) == [[Fraction(-2), Fraction(1)]]
+    assert f_kernel(PrimeField(3), [[2, 4]], 2) == [[1, 1]]
+    assert f_rank(QQ, []) == 0
+    assert f_rank(QQ, [[], []]) == 0
 
 
 def test_lp_trivial_bounded():

@@ -104,6 +104,40 @@ def test_sl_lift_roundtrip():
             assert mod_mat(lift, n_mod) == mbar
 
 
+def _check_lift(mbar, n_mod):
+    lift = sl_lift(mbar, n_mod)
+    assert int_det(lift) == 1
+    assert mod_mat(lift, n_mod) == mod_mat(mbar, n_mod)
+
+
+def test_sl_lift_unit_diagonals():
+    # diag(u, w, 1/(uw)): the diagonal-clearing step must handle blocks
+    # diag(u, w) with uw != 1, which products of elementary matrices
+    # rarely reach
+    for n_mod in range(3, 13):
+        units = [u for u in range(1, n_mod) if gcd(u, n_mod) == 1]
+        for u in units:
+            for w in units:
+                last = pow(u * w, -1, n_mod)
+                _check_lift(((u, 0, 0), (0, w, 0), (0, 0, last)), n_mod)
+
+
+def test_sl_lift_random_matrices():
+    rng = random.Random(47)
+    for k in (3, 4):
+        for n_mod in range(3, 13):
+            for _ in range(8):
+                while True:
+                    m = [[rng.randrange(n_mod) for _ in range(k)]
+                         for _ in range(k)]
+                    det = int_det(m) % n_mod
+                    if gcd(det, n_mod) == 1:
+                        break
+                # scale the first row so that the determinant is 1 mod N
+                m[0] = [x * pow(det, -1, n_mod) % n_mod for x in m[0]]
+                _check_lift(tuple(tuple(r) for r in m), n_mod)
+
+
 def test_flag_orbits_level_one():
     assert flag_orbits(GroupSpec(2, "sl"), (1,)).count == 1
     for dims in ((1,), (2,), (1, 2)):

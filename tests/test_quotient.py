@@ -77,7 +77,7 @@ def test_cusp_circle_maps_into_graph_with_rank_one():
     wf = barycentric_quotient(subcomplex_WF(cx, flag))
     cm = induced_map(wf, qc)
     # rank of H_1(circle) -> H_1(graph): image of the fundamental cycle
-    from wellround.exactla import QQ, f_matrix, f_rank
+    from wellround.exactla import QQ, f_rank
     circle_cycles = homology(wf, "Q").degrees[1].representatives
     assert len(circle_cycles) == 1
     mat = cm.matrix(1)
