@@ -232,25 +232,18 @@ def total_cohomology(dc: DoubleComplex, coeff="Q"):
     Z also the torsion (via Smith form)."""
     if isinstance(coeff, str):
         coeff = parse_coeff(coeff)
+    field = QQ if coeff == "Z" else coeff  # ranks over Z are ranks over Q
     dims = total_dims(dc)
     kmax = len(dims) - 1
     out = []
     for k in range(kmax):
         dk = total_differential(dc, k)
         dkm = total_differential(dc, k - 1) if k >= 1 else ()
-        if coeff == "Z":
-            rk = f_rank(QQ, dk)
-            rkm = f_rank(QQ, dkm)
-            betti = dims[k] - rk - rkm
-            torsion: tuple[int, ...] = ()
-            if dkm and dkm[0]:
-                torsion = tuple(int(d) for d in snf(dkm).diag if d not in (0, 1))
-            out.append({"degree": k, "betti": betti, "torsion": torsion})
-        else:
-            rk = f_rank(coeff, dk)
-            rkm = f_rank(coeff, dkm)
-            out.append({"degree": k, "betti": dims[k] - rk - rkm,
-                        "torsion": ()})
+        betti = dims[k] - f_rank(field, dk) - f_rank(field, dkm)
+        torsion: tuple[int, ...] = ()
+        if coeff == "Z" and dkm and dkm[0]:
+            torsion = tuple(int(d) for d in snf(dkm).diag if d not in (0, 1))
+        out.append({"degree": k, "betti": betti, "torsion": torsion})
     while out and out[-1]["betti"] == 0 and not out[-1]["torsion"]:
         out.pop()
     return out

@@ -348,13 +348,13 @@ def homology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
     """Homology of the quotient complex over Z, Q or F_p."""
     if isinstance(coeff, str) and coeff != "Z":
         coeff = parse_coeff(coeff)
+    field = QQ if coeff == "Z" else coeff  # ranks over Z are ranks over Q
     dims = [len(level) for level in qc.simplices]
     top = qc.dim
     degrees = []
     for k in range(top + 1):
         dk = qc.boundaries[k] if k >= 1 else ()
         dk1 = qc.boundaries[k + 1] if k + 1 <= top else ()
-        field = QQ if coeff == "Z" else coeff
         betti = dims[k] - f_rank(field, dk) - f_rank(field, dk1)
         torsion: tuple[int, ...] = ()
         if coeff == "Z" and _nonempty(dk1):
