@@ -270,7 +270,8 @@ def _sparse_rows(m: IntMatrix) -> list[list[tuple[int, int]]]:
 
 def _matvec(field, rows: Sequence[Sequence[tuple[int, int]]], vec) -> list:
     """An integer matrix, given by its nonzero entries per row, applied to
-    a vector over the field."""
+    a vector over the field.  Entries come out canonical (residues in
+    [0, p) over F_p), so a zero vector is one with ``not any(v)``."""
     return [field.of(sum(x * vec[j] for j, x in row)) for row in rows]
 
 
@@ -323,7 +324,7 @@ class _Filtered:
         den = self.z_space(r - 1, p + 1, q - 1) + \
             [self.apply_d(p + q - 1, v)
              for v in self.z_space(r - 1, p - r + 1, q + r - 2)]
-        den = [v for v in den if any(not self.field.is_zero(x) for x in v)]
+        den = [v for v in den if any(v)]
         basis = Echelon(self.field, den)
         return z, den, [v for v in z if basis.add(v)]
 
@@ -331,7 +332,7 @@ class _Filtered:
         """Coordinates of vec in the lift basis modulo the denominator."""
         cols = [list(v) for v in lifts] + [list(v) for v in den]
         if not cols:
-            if not all(self.field.is_zero(x) for x in vec):
+            if any(vec):
                 raise CertificateError("vector not in the span")
             return [self.field.of(0)] * 0
         aug = [row + (x,) for row, x in zip(zip(*cols), vec)]
@@ -460,7 +461,7 @@ def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
         if dtot:  # restriction of a cocycle is a total cocycle
             dtot_rows = _sparse_rows(dtot)
             for v in imgs:
-                if not all(field.is_zero(x) for x in _matvec(field, dtot_rows, v)):
+                if any(_matvec(field, dtot_rows, v)):
                     raise CertificateError("restricted cocycle is not a total cocycle")
         cobs = list(zip(*dtot_prev)) if dtot_prev else []
         rank_cob = f_rank(field, cobs) if cobs else 0
@@ -533,7 +534,7 @@ def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
         dim_w = nw - rk - rk1
         bnds = list(zip(*bq1)) if bq1 and bq1[0] else []
         rank_b = f_rank(field, bnds) if bnds else 0
-        nonzero_imgs = [v for v in imgs if any(not field.is_zero(x) for x in v)]
+        nonzero_imgs = [v for v in imgs if any(v)]
         rank = (f_rank(field, bnds + nonzero_imgs) - rank_b) \
             if nonzero_imgs else 0
         degrees.append(BoundaryHomologyDegree(q, dim_boundary, dim_w, rank))
@@ -585,7 +586,7 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
         bq1 = dc.w_qc.boundaries[q + 1] if q + 1 <= dc.w_qc.dim else ()
         bnds = list(zip(*bq1)) if bq1 and bq1[0] else []
         rank_b = f_rank(field, bnds) if bnds else 0
-        nonzero = [v for v in imgs if any(not field.is_zero(x) for x in v)]
+        nonzero = [v for v in imgs if any(v)]
         hom_ranks.append((f_rank(field, bnds + nonzero) - rank_b)
                          if nonzero else 0)
         co_ranks.append(hom_ranks[-1])  # adjoint maps have equal rank

@@ -602,9 +602,6 @@ class RationalField:
     def of(self, n) -> Fraction:
         return Fraction(n)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
 
 class PrimeField:
     """The integers mod a prime p, as coefficients; elements are residues
@@ -618,9 +615,6 @@ class PrimeField:
 
     def of(self, n: int) -> int:
         return n % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
 
 QQ = RationalField()
