@@ -1,13 +1,18 @@
 """Byte-for-byte comparison of CLI output with fixtures in tests/golden/.
 
-The fixtures were written by the Gauss-Jordan elimination that the
-echelon basis replaced, so any change in ranks, representatives or page
-differentials shows up here.  To rewrite a fixture after an intended
-change of output, run the command listed for it in CASES with its stdout
+The boundary fixtures were written by the Gauss-Jordan elimination that
+the echelon basis replaced, so any change in ranks, representatives or
+page differentials shows up here.  The retract and bound fixtures were
+written by the Fraction projector retraction that the integer split
+kernel replaced, so any change in a stage factor, tight vector, final
+form or orthant bound shows up here.  To rewrite a fixture after an
+intended change of output, run the command listed for it in CASES (or
+RETRACT_CASES, with the form and flag written to files) with its stdout
 redirected to the fixture file.
 """
 
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,44 @@ CASES = {
     for mode in ("total", "e1", "ss", "restrict", "facemap")
     for coeff, tag in (("Q", "q"), ("Fp:3", "fp3"))
 }
+
+
+FORMS = {
+    "n2": [[3, 1], [1, 5]],
+    "n3": [[4, 1, -1], [1, 6, 2], [-1, 2, 9]],
+    "n4": [[3, 1, 0, -1], [1, 5, 2, 0], [0, 2, 7, 1], [-1, 0, 1, 11]],
+    # non-integral, with unrelated prime denominators
+    "n3q": [[F(7, 3), F(2, 11), F(-1, 5)], [F(2, 11), F(41, 13), F(3, 7)],
+            [F(-1, 5), F(3, 7), F(97, 17)]],
+}
+
+# fixture name -> (form, flag dimensions or None for a traced retract)
+RETRACT_CASES = {
+    **{f"retract_trace_{k}.json": (k, None) for k in FORMS},
+    "bound_n2.json": ("n2", (1,)),
+    "bound_n3.json": ("n3", (1, 2)),
+    "bound_n3q.json": ("n3q", (2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETRACT_CASES))
+def test_retract_output_matches_golden(name, tmp_path, capsys):
+    key, dims = RETRACT_CASES[name]
+    rows = FORMS[key]
+    n = len(rows)
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": n, "rows": [[str(x) for x in row]
+                                                 for row in rows]}))
+    if dims is None:
+        argv = ["retract", "--form", str(form), "--trace"]
+    else:
+        flag = tmp_path / "flag.json"
+        flag.write_text(json.dumps({"n": n, "members": [
+            [[int(i == j) for j in range(d)] for i in range(n)]
+            for d in dims]}))
+        argv = ["bound", "--form", str(form), "--flag", str(flag)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
