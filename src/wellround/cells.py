@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Optional, Sequence
 
 from .exactla import (
-    OPTIMAL, UNBOUNDED, CertificateError, IntMatrix, IntVector, RatMatrix,
-    int_matvec, int_transpose, lp, saturation,
+    OPTIMAL, UNBOUNDED, CertificateError, IntMatrix, IntVector,
+    NotPositiveDefinite, RatMatrix, int_adjugate, int_ldlt, int_matvec,
+    int_scaled, int_transpose, lp, saturation,
 )
 from .flags import RationalFlag, flag_equivalent
 from .lattice import (
@@ -91,33 +93,22 @@ def _gram_from_point(n: int, pairs, point) -> RatMatrix:
 
 
 def _pd_violation(a: RatMatrix) -> Optional[IntVector]:
-    """An integer vector with nonpositive squared length, if one exists."""
-    n = a.rows
-    lmat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d: list[Fraction] = []
-    for j in range(n):
-        dj = a[j, j] - sum(lmat[j][k] ** 2 * d[k] for k in range(j))
-        if dj <= 0:
-            x = [Fraction(0)] * n
-            x[j] = Fraction(1)
-            for i in reversed(range(j)):
-                x[i] = -sum(lmat[k][i] * x[k] for k in range(i + 1, j + 1))
-            denom = 1
-            for c in x:
-                denom = denom * c.denominator // _gcd(denom, c.denominator)
-            vec = tuple(int(c * denom) for c in x)
-            return canonical_vector(vec)
-        d.append(dj)
-        for i in range(j + 1, n):
-            lmat[i][j] = (a[i, j] - sum(lmat[i][k] * lmat[j][k] * d[k]
-                                        for k in range(j))) / dj
+    """An integer vector with nonpositive squared length, if one exists.
+
+    At the first nonpositive pivot j of the fraction-free LDL^T, the
+    vector x = L^-T e_j solves A_j x = d_j e_j on the leading block A_j of
+    order j + 1, so it lies on the line of the last column of adj(A_j);
+    that column, made primitive, is returned."""
+    m, _ = int_scaled(a)
+    try:
+        int_ldlt(m)
+    except NotPositiveDefinite as exc:
+        k = exc.index
+        adj = int_adjugate(tuple(row[:k] for row in m[:k]))
+        x = [row[k - 1] for row in adj] + [0] * (len(m) - k)
+        g = gcd(*x)
+        return canonical_vector(tuple(c // g for c in x))
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _config_sym_rank(config: VectorConfig) -> int:

@@ -57,7 +57,7 @@ def _emit(data, output: Optional[str]):
 
 def _group_from_args(args) -> GroupSpec:
     family = args.group.lower()
-    level = getattr(args, "level", 1) or 1
+    level = getattr(args, "level", 1)
     try:
         return GroupSpec(args.n, family, level)
     except ValueError as exc:

@@ -4,7 +4,8 @@ Everything in this module is exact: rationals are `fractions.Fraction`
 (re-exported as ``Rational``), integer matrices are tuples of tuples of
 Python ints.  Provided here:
 
-* LDL^T factorization with positive-definiteness certification,
+* fraction-free LDL^T factorization (Bareiss) with positive-definiteness
+  certification, and its rational form `ldlt`,
 * Bareiss determinants, adjugates and inverses of integer matrices,
 * column-style Hermite normal form, integer kernels and saturation,
 * Smith normal form with unimodular transforms (for homology over Z),
@@ -31,8 +32,12 @@ IntMatrix = tuple[IntVector, ...]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" into a Fraction; ValueError on bad text,
+    including a zero denominator."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -229,27 +234,70 @@ def _rref(a: list[list[Fraction]]):
     return a, pivots
 
 
+def int_scaled(a: RatMatrix) -> tuple[IntMatrix, int]:
+    """(M, D) with a = M / D: D > 0 is the lcm of the denominators of the
+    entries and M an integer matrix."""
+    den = lcm(*(x.denominator for row in a.entries for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in a.entries), den
+
+
+def int_ldlt(m: IntMatrix) -> tuple[IntMatrix, IntVector]:
+    """Fraction-free L D L^T of a symmetric positive-definite integer
+    matrix by Bareiss elimination (Math. Comp. 1968).
+
+    Returns (rows, minors): minors[i] is the leading principal minor
+    Delta_{i+1} of order i + 1, and rows[i] is row i after i elimination
+    steps, zero left of the diagonal, with rows[i][i] = Delta_{i+1}.  With
+    Delta_0 = 1 the factorization is L[j][i] = rows[i][j] / Delta_{i+1} and
+    d_i = Delta_{i+1} / Delta_i, so that
+
+        v^T m v = sum_i (Delta_{i+1} v_i + N_i)^2 / (Delta_i Delta_{i+1}),
+        N_i = sum_{j > i} rows[i][j] v_j.
+
+    Every division in the elimination is exact, and by symmetry only the
+    entries on and right of the diagonal are updated.  Raises
+    NotPositiveDefinite (with the 1-based position) at the first minor
+    that is not positive.
+    """
+    a = [list(r) for r in m]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        rk = a[k]
+        p = rk[k]
+        if p <= 0:
+            raise NotPositiveDefinite(k + 1)
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = rk[i]
+            for j in range(i, n):
+                ri[j] = (ri[j] * p - f * rk[j]) // prev
+        prev = p
+    rows = tuple(tuple(0 if j < i else x for j, x in enumerate(r))
+                 for i, r in enumerate(a))
+    return rows, tuple(rows[i][i] for i in range(n))
+
+
 def ldlt(a: RatMatrix) -> tuple[RatMatrix, tuple[Fraction, ...]]:
     """L D L^T factorization of a symmetric positive-definite matrix.
 
-    Returns (L, pivots) with L unit lower-triangular and all pivots > 0.
-    Raises NotPositiveDefinite (with the 1-based pivot position) as soon
-    as a nonpositive pivot appears.
+    Returns (L, pivots) with L unit lower-triangular and all pivots > 0,
+    read off the fraction-free factorization `int_ldlt` of the integer
+    matrix M = D a.  Raises NotPositiveDefinite (with the 1-based pivot
+    position) at the first nonpositive pivot.
     """
     if not a.is_symmetric():
         raise ValueError("matrix is not symmetric")
-    n = a.rows
-    lmat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d: list[Fraction] = []
-    for j in range(n):
-        dj = a[j, j] - sum(lmat[j][k] * lmat[j][k] * d[k] for k in range(j))
-        if dj <= 0:
-            raise NotPositiveDefinite(j + 1)
-        d.append(dj)
-        for i in range(j + 1, n):
-            lmat[i][j] = (a[i, j] - sum(lmat[i][k] * lmat[j][k] * d[k]
-                                        for k in range(j))) / dj
-    return RatMatrix(tuple(tuple(r) for r in lmat)), tuple(d)
+    m, den = int_scaled(a)
+    rows, minors = int_ldlt(m)
+    n = len(rows)
+    lmat = tuple(tuple(Fraction(rows[j][i], minors[j]) if i > j
+                       else Fraction(int(i == j)) for j in range(n))
+                 for i in range(n))
+    prev = (1,) + minors
+    return RatMatrix(lmat), tuple(Fraction(minors[i], prev[i] * den)
+                                  for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +357,14 @@ def int_det(m: IntMatrix) -> int:
 
 
 def int_adjugate(m: IntMatrix) -> IntMatrix:
-    """The adjugate adj(m), with m @ adj(m) = det(m) I, from cofactors."""
+    """The adjugate adj(m), with m @ adj(m) = det(m) I: in closed form up
+    to 2 x 2, from cofactors beyond."""
     n = len(m)
+    if n <= 1:
+        return ((1,),) if n else ()
+    if n == 2:
+        (a, b), (c, d) = m
+        return ((d, -b), (-c, a))
     return tuple(
         tuple((-1) ** (i + j) * int_det([[x for c, x in enumerate(row) if c != i]
                                          for r, row in enumerate(m) if r != j])

@@ -2,26 +2,29 @@
 
 A point of the symmetric space is a rational symmetric positive-definite
 Gram matrix up to positive scaling.  This module provides exact
-shortest-vector enumeration (Fincke-Pohst driven by the LDL^T
-factorization, with purely rational comparisons), the arithmetic minimum
+shortest-vector enumeration (Fincke-Pohst driven by the fraction-free
+LDL^T factorization, walking integer budgets), the arithmetic minimum
 and minimal vectors, well-roundedness, homothety normalization, and
 equivalence / stabilizer searches for vector configurations under
 GL_n(Z), SL_n(Z) and congruence subgroups.
 
 Squared lengths everywhere: every stored quantity is the value v^T A v,
-never a square root, so all arithmetic stays in Q.
+never a square root, so all arithmetic stays in Q.  A form keeps its
+matrix as A = M / D with M integral, and the exact work on it (values,
+enumeration, the positive-definiteness check) is integer arithmetic on M.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
     IntMatrix, IntVector, RatMatrix, format_rational, int_adjugate, int_det,
-    int_matmul, int_matrix, int_matvec, int_transpose, ldlt, parse_rational,
+    int_ldlt, int_matmul, int_matrix, int_matvec, int_scaled, int_transpose,
+    parse_rational,
 )
 
 Vector = IntVector
@@ -73,14 +76,27 @@ def config_spans(config: Sequence[Sequence[int]], n: int) -> bool:
 @dataclass(frozen=True)
 class GramForm:
     """Symmetric positive-definite rational matrix; v -> v^T A v is the
-    squared length of the lattice vector v."""
+    squared length of the lattice vector v.
+
+    Derived on construction: A = numer / denom with numer integral and
+    denom the lcm of the denominators, and the fraction-free LDL^T
+    factorization `ldl` = (rows, minors) of numer (see `int_ldlt`), whose
+    failure is the positive-definiteness check."""
 
     matrix: RatMatrix
+    numer: IntMatrix = field(init=False, repr=False, compare=False)
+    denom: int = field(init=False, repr=False, compare=False)
+    ldl: tuple[IntMatrix, IntVector] = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if not self.matrix.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        ldlt(self.matrix)  # raises NotPositiveDefinite otherwise
+        numer, denom = int_scaled(self.matrix)
+        object.__setattr__(self, "numer", numer)
+        object.__setattr__(self, "denom", denom)
+        # raises NotPositiveDefinite otherwise
+        object.__setattr__(self, "ldl", int_ldlt(numer))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "GramForm":
@@ -96,12 +112,11 @@ class GramForm:
 
     def value(self, v: Sequence[int]) -> Fraction:
         """The squared length v^T A v."""
-        row = self.matrix.matvec(v)
-        return sum(a * Fraction(x) for a, x in zip(row, v))
+        return self.pairing(v, v)
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> Fraction:
-        row = self.matrix.matvec(w)
-        return sum(a * Fraction(x) for a, x in zip(row, v))
+        return Fraction(sum(x * y for x, y in zip(v, int_matvec(self.numer, w))),
+                        self.denom)
 
     def scale(self, c) -> "GramForm":
         c = Fraction(c)
@@ -138,53 +153,64 @@ class MinimaResult:
 # Exact Fincke-Pohst enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_values(a: GramForm, bound: Fraction) -> list[tuple[IntVector, Fraction]]:
+def _enumerate_values(a: GramForm, bound: Fraction) -> list[tuple[IntVector, int]]:
     """All sign-canonical nonzero integer vectors v with v^T A v <= bound,
-    with their values.  Exact: interval endpoints are located by scanning
-    out from the nearest integer, avoiding square roots entirely."""
+    each with the integer v^T M v for A = M / D (so its value is that over
+    a.denom), sorted.
+
+    Fincke-Pohst on the fraction-free LDL^T of M: level i contributes
+    (Delta_{i+1} v_i + N_i)^2 / (Delta_i Delta_{i+1}), so with T the lcm
+    of those denominators every contribution times T is an integer and
+    the search walks an integer budget, floor(bound D T).  At each level
+    the scan starts at the integer nearest the centre -N_i / Delta_{i+1}
+    and goes up, then down, each until the contribution exceeds what is
+    left; no square roots and no Fractions are needed."""
     n = a.n
-    lmat, d = ldlt(a.matrix)
+    rows, minors = a.ldl
     bound = Fraction(bound)
     if bound <= 0:
         return []
-    # v^T A v = sum_i d_i (v_i + c_i)^2 with c_i = sum_{j>i} L[j][i] v_j
-    out: list[tuple[IntVector, Fraction]] = []
+    dens = [p * q for p, q in zip((1,) + minors, minors)]
+    t = lcm(*dens)
+    weights = [t // x for x in dens]
+    budget = bound.numerator * a.denom * t // bound.denominator
+    out: list[tuple[IntVector, int]] = []
     v = [0] * n
 
-    def descend(i: int, remaining: Fraction):
+    def descend(i: int, remaining: int):
         if i < 0:
-            val = bound - remaining
             vec = tuple(v)
             if any(vec):
-                out.append((canonical_vector(vec), val))
+                out.append((canonical_vector(vec), (budget - remaining) // t))
             return
-        c = sum(lmat[j, i] * v[j] for j in range(i + 1, n))
-        center = -c
-        # nearest integer to the rational center = floor(center + 1/2)
-        m0 = (2 * center.numerator + center.denominator) // (2 * center.denominator)
+        row = rows[i]
+        piv = minors[i]
+        w = weights[i]
+        s = sum(row[j] * v[j] for j in range(i + 1, n))
+        # nearest integer to the centre -s/piv = floor(-s/piv + 1/2)
+        m0 = (piv - 2 * s) // (2 * piv)
         m = m0
         while True:
-            t = d[i] * (m + c) ** 2
-            if t > remaining:
+            x = piv * m + s
+            cost = w * x * x
+            if cost > remaining:
                 break
             v[i] = m
-            descend(i - 1, remaining - t)
+            descend(i - 1, remaining - cost)
             m += 1
         m = m0 - 1
         while True:
-            t = d[i] * (m + c) ** 2
-            if t > remaining:
+            x = piv * m + s
+            cost = w * x * x
+            if cost > remaining:
                 break
             v[i] = m
-            descend(i - 1, remaining - t)
+            descend(i - 1, remaining - cost)
             m -= 1
         v[i] = 0
 
-    descend(n - 1, bound)
-    dedup: dict[IntVector, Fraction] = {}
-    for vec, val in out:
-        dedup[vec] = val
-    return sorted(dedup.items())
+    descend(n - 1, budget)
+    return sorted(dict(out).items())
 
 
 def vectors_below(a: GramForm, bound, raw: bool = False) -> VectorConfig:
@@ -204,9 +230,9 @@ def minimal_vectors(a: GramForm) -> MinimaResult:
     """Arithmetic minimum (squared) and the set of minimal vectors."""
     start = min(a.matrix[i, i] for i in range(a.n))
     items = _enumerate_values(a, start)
-    min_sq = min(val for _, val in items)
-    vecs = tuple(v for v, val in items if val == min_sq)
-    return MinimaResult(min_sq, vecs)
+    least = min(val for _, val in items)
+    vecs = tuple(v for v, val in items if val == least)
+    return MinimaResult(Fraction(least, a.denom), vecs)
 
 
 def is_well_rounded(a: GramForm) -> bool:

@@ -7,6 +7,14 @@ shrink factor at each stage is mu^2 = (1 - p)/q for the critical lattice
 vector with parallel/perpendicular squared parts (p, q), so the whole
 computation stays in Q even though mu itself is irrational.
 
+Everything is computed from one integer split per member: for A = M/D
+with M integral and a member B, let G = B^T M B and E = D det G.  The
+A-orthogonal projector P onto span B has A P = S / E with the integer
+matrix S = (MB) adj(G) (MB)^T, so the parallel part of w is
+p = y^T adj(G) y / E with y = (MB)^T w.  Candidates are compared by
+integer numerators over E, a stage form is mu^2 A + (1 - mu^2) S / E,
+and block scalings telescope pi_j^T A pi_j = A P_j - A P_{j-1}.
+
 Block scalings along a flag realize the geodesic action on Gram
 matrices; the scaling vector stores the squared block factors a_j^2,
 with rho-coordinates (block ratios) available by conversion.
@@ -16,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .exactla import (
-    CertificateError, IntMatrix, RatMatrix, int_transpose, saturation,
+    CertificateError, IntMatrix, RatMatrix, int_adjugate, int_det,
+    int_matmul, int_matvec, int_transpose, saturation,
 )
 from .flags import RationalFlag, complete_saturated, flag_from_members
 from .lattice import (
@@ -31,6 +40,57 @@ from .lattice import (
 
 class AlreadyFull(ValueError):
     """The sublattice already spans Q^n: no stopping scale exists."""
+
+
+def _qf(m: IntMatrix, v: Sequence[int]) -> int:
+    """v^T m v for an integer matrix m."""
+    return sum(x * sum(a * y for a, y in zip(row, v)) for x, row in zip(v, m) if x)
+
+
+def _rat(num: IntMatrix, den: int) -> RatMatrix:
+    """The rational matrix num / den."""
+    return RatMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in num))
+
+
+def _form(num: IntMatrix, den: int) -> GramForm:
+    return GramForm(_rat(num, den))
+
+
+class _Split:
+    """The A-orthogonal split along the span of a member B, for A = M/D
+    (see the module docstring): mbt = (MB)^T, gram = G = B^T M B,
+    adj = adj(G), g = det G, e = D g and s = S = (MB) adj(G) (MB)^T, so
+    that A P = S / E for the A-orthogonal projector P onto span B."""
+
+    def __init__(self, a: GramForm, member: IntMatrix):
+        self.m = a.numer
+        self.member = member
+        mb = int_matmul(a.numer, member)
+        self.mbt = int_transpose(mb)
+        self.gram = int_matmul(int_transpose(member), mb)
+        self.adj = int_adjugate(self.gram)
+        self.g = int_det(self.gram)
+        self.e = a.denom * self.g
+        self.s = int_matmul(int_matmul(mb, self.adj), self.mbt)
+
+    def perp_gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
+        """E times the Gram matrix, under A, of the perpendicular parts of
+        the vectors: C (g M - S) C^T for the matrix C with these rows."""
+        gm_s = tuple(tuple(self.g * x - y for x, y in zip(rm, rs))
+                     for rm, rs in zip(self.m, self.s))
+        return int_matmul(int_matmul(vectors, gm_s), int_transpose(vectors))
+
+    def parts(self, w: Sequence[int]) -> tuple[int, int]:
+        """(P, Q) with P/E and Q/E the squared parallel and perpendicular
+        parts of w."""
+        y = int_matvec(self.mbt, w)
+        par = sum(a * b for a, b in zip(y, int_matvec(self.adj, y)))
+        return par, self.g * _qf(self.m, w) - par
+
+    def projector(self) -> RatMatrix:
+        """P = B adj(G) (MB)^T / det G."""
+        return _rat(int_matmul(int_matmul(self.member, self.adj), self.mbt),
+                    self.g)
 
 
 @dataclass(frozen=True)
@@ -47,17 +107,10 @@ class FlagSplitting:
         return len(self.projectors)
 
 
-def _span_projector(a: GramForm, member: IntMatrix) -> RatMatrix:
-    """A-orthogonal projection of Q^n onto the column span of member."""
-    b = RatMatrix.from_rows(member)
-    gram = b.transpose() @ a.matrix @ b
-    return b @ gram.inverse() @ b.transpose() @ a.matrix
-
-
 def flag_split(a: GramForm, flag: RationalFlag) -> FlagSplitting:
     if flag.n != a.n:
         raise ValueError("flag dimension mismatch")
-    nested = [_span_projector(a, m) for m in flag.members]
+    nested = [_Split(a, m).projector() for m in flag.members]
     nested.append(RatMatrix.identity(a.n))
     projectors = []
     prev = RatMatrix.zeros(a.n, a.n)
@@ -111,40 +164,43 @@ def scale_along_flag(a: GramForm, flag: RationalFlag,
                      s: ScalingVector) -> GramForm:
     """The form sum_j s_j^2 pi_j^T A pi_j: block j of the A-orthogonal
     splitting is rescaled by s_j^2.  Flag members and their orthogonal
-    complements are unchanged."""
-    split = flag_split(a, flag)
-    if len(s) != split.num_blocks:
+    complements are unchanged.
+
+    With pi_j^T A pi_j = A P_j - A P_{j-1} (P_0 = 0, P_l = I for l
+    blocks) the sum telescopes to s_l^2 A + sum_{j<l} (s_j^2 - s_{j+1}^2)
+    A P_j, taken over one common denominator."""
+    if flag.n != a.n:
+        raise ValueError("flag dimension mismatch")
+    if len(s) != len(flag.members) + 1:
         raise ValueError("scaling vector has wrong number of blocks")
-    out = RatMatrix.zeros(a.n, a.n)
-    for factor, proj in zip(s.s_sq, split.projectors):
-        out = out + (proj.transpose() @ a.matrix @ proj).scale(factor)
-    return GramForm(out)
+    terms = []
+    for member, s_j, s_next in zip(flag.members, s.s_sq, s.s_sq[1:]):
+        split = _Split(a, member)
+        terms.append(((s_j - s_next) / split.e, split.s))
+    terms.append((s.s_sq[-1] / a.denom, a.numer))
+    den = lcm(*(c.denominator for c, _ in terms))
+    weights = [(c.numerator * (den // c.denominator), mat) for c, mat in terms]
+    n = a.n
+    return _form(tuple(tuple(sum(w * mat[i][k] for w, mat in weights)
+                             for k in range(n)) for i in range(n)), den)
 
 
-def _scale_at_member(a: GramForm, member: IntMatrix, mu_sq: Fraction) -> GramForm:
-    """Multiply squared lengths orthogonal to the member span by mu_sq."""
-    p = _span_projector(a, member)
-    q = RatMatrix.identity(a.n) - p
-    out = (p.transpose() @ a.matrix @ p) + \
-        (q.transpose() @ a.matrix @ q).scale(mu_sq)
-    return GramForm(out)
+def _scale_at_member(a: GramForm, split: _Split, mu_sq: Fraction) -> GramForm:
+    """Multiply squared lengths orthogonal to the member span by mu_sq:
+    the form mu^2 A + (1 - mu^2) S / E."""
+    u, v = mu_sq.numerator, mu_sq.denominator
+    ug = u * split.g
+    return _form(tuple(tuple(ug * x + (v - u) * y for x, y in zip(rm, rs))
+                       for rm, rs in zip(a.numer, split.s)),
+                 v * split.e)
 
 
-def _parts(a: GramForm, proj: RatMatrix, w: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """Squared parallel and perpendicular components of w."""
-    pw = proj.matvec(w)
-    qw = tuple(Fraction(x) - y for x, y in zip(w, pw))
-    arow = a.matrix.matvec(pw)
-    p = sum(x * y for x, y in zip(arow, pw))
-    arow = a.matrix.matvec(qw)
-    q = sum(x * y for x, y in zip(arow, qw))
-    return p, q
-
-
-def _stopping(a: GramForm, member: IntMatrix) -> tuple[Fraction, tuple]:
-    """The critical squared scale mu^2 and the vectors that reach the
-    minimum there.  Certified: under the rescaled form, a complete
-    enumeration below 1 confirms no vector beats the minimum."""
+def _stopping(a: GramForm, member: IntMatrix) -> tuple[Fraction, tuple, GramForm]:
+    """The critical squared scale mu^2, the vectors that reach the
+    minimum there and the rescaled form.  Candidates are ranked by the
+    integer numerators of (1 - p)/q = (E - P)/Q over the split's E.
+    Certified: under the rescaled form, a complete enumeration below 1
+    confirms no vector beats the minimum."""
     n = a.n
     d = len(member[0]) if member else 0
     if d >= n:
@@ -152,44 +208,48 @@ def _stopping(a: GramForm, member: IntMatrix) -> tuple[Fraction, tuple]:
     mins = minimal_vectors(a)
     if mins.min_sq != 1:
         raise ValueError("form must be normalized to minimum 1")
-    proj = _span_projector(a, member)
+    split = _Split(a, member)
+    e = split.e
 
-    def ratio(w) -> Optional[Fraction]:
-        p, q = _parts(a, proj, w)
-        if q == 0 or p >= 1:
+    def ratio(par: int, perp: int) -> Optional[tuple[int, int]]:
+        if perp == 0 or par >= e:
             return None
-        return (1 - p) / q
+        return e - par, perp
+
+    def beats(r, best) -> bool:
+        return best is None or r[0] * best[1] > best[0] * r[1]
 
     best = None
     radius = Fraction(4)
     while best is None:
         for w in vectors_below(a, radius):
-            r = ratio(w)
-            if r is not None and (best is None or r > best):
+            r = ratio(*split.parts(w))
+            if r is not None and beats(r, best):
                 best = r
         radius *= 2
         if radius > 2 ** 40:
             raise CertificateError("no stopping scale found")
     while True:
-        scaled = _scale_at_member(a, member, best)
+        mu_sq = Fraction(*best)
+        scaled = _scale_at_member(a, split, mu_sq)
         tight = []
         violated = False
         for w in vectors_below(scaled, 1):
-            val = scaled.value(w)
-            _, q = _parts(a, proj, w)
-            if q == 0:
+            par, perp = split.parts(w)
+            if perp == 0:
                 continue
-            if val < 1:
-                r = ratio(w)
-                if r is not None and r > best:
+            val = _qf(scaled.numer, w)
+            if val < scaled.denom:
+                r = ratio(par, perp)
+                if r is not None and beats(r, best):
                     best = r
                     violated = True
-            elif val == 1:
+            elif val == scaled.denom:
                 tight.append(w)
         if not violated:
             if not tight:
                 raise CertificateError("stopping scale certification failed")
-            return best, canonical_config(tight)
+            return mu_sq, canonical_config(tight), scaled
 
 
 def stopping_mu(a: GramForm, member: IntMatrix) -> Fraction:
@@ -231,8 +291,7 @@ def retract(a: GramForm) -> RetractionTrace:
         member = saturation(int_transpose(mins.vectors))
         rank = len(member[0])
         if rank == i and rank < n:
-            mu_sq, tight = _stopping(cur, member)
-            cur = _scale_at_member(cur, member, mu_sq)
+            mu_sq, tight, cur = _stopping(cur, member)
             stages.append(RetractionStage(member, mu_sq, tight))
         else:
             stages.append(RetractionStage(member, Fraction(1), ()))
@@ -296,14 +355,13 @@ def retract_path(a: GramForm, t, precision=Fraction(1, 10 ** 9)) -> GramForm:
     cur = normalize(a)
     for st in trace.stages[:stage_idx - 1]:
         if st.mu_sq != 1:
-            cur = _scale_at_member(cur, st.member, st.mu_sq)
+            cur = _scale_at_member(cur, _Split(cur, st.member), st.mu_sq)
     st = trace.stages[stage_idx - 1]
     if st.mu_sq == 1:
         return cur
-    p = _span_projector(cur, st.member)
-    q = RatMatrix.identity(n) - p
-    perp = q.transpose() @ cur.matrix @ q
-    par = p.transpose() @ cur.matrix @ p
+    split = _Split(cur, st.member)
+    par = _rat(split.s, split.e)
+    perp = cur.matrix - par
     biggest = max(abs(x) for row in perp.entries for x in row)
     delta = precision / (3 * (1 + biggest))
     mu = sqrt_approx(st.mu_sq, delta)
@@ -336,33 +394,30 @@ def orthant_bound(a: GramForm, flag: RationalFlag) -> OrthantBound:
     retraction normalization); measuring alpha at the global scale makes
     the bound too generous whenever the member misses the global minima.
     """
+    if flag.n != a.n:
+        raise ValueError("flag dimension mismatch")
     base = normalize(a)
-    n = base.n
     alpha_list: list[Fraction] = []
     beta_list: list[Fraction] = []
     t_list: list[Fraction] = []
     running = Fraction(1)
     for member in flag.members:
         d = len(member[0])
+        split = _Split(base, member)
         # retraction inside the member (scale-invariant stage factors)
-        b = RatMatrix.from_rows(member)
-        sub = GramForm(b.transpose() @ base.matrix @ b)
+        sub = _form(split.gram, base.denom)
         beta = Fraction(1)
         if d > 1:
             for st in retract(sub).stages:
                 beta *= st.mu_sq
         beta_list.append(beta)
         # shortest vector of the orthogonal projection onto the complement,
-        # relative to the sublattice minimum
+        # relative to the sublattice minimum: the complement columns c have
+        # Gram entries c^T A c' - c^T S c' / E
         sub_min = minimal_vectors(sub).min_sq
-        proj = _span_projector(base, member)
-        w = complete_saturated(member)
-        comp_cols = int_transpose(w)[d:]
-        qmat = RatMatrix.identity(n) - proj
-        imgs = [qmat.matvec(col) for col in comp_cols]
-        gram = [[sum(base.matrix.matvec(v)[k] * u[k] for k in range(n))
-                 for v in imgs] for u in imgs]
-        alpha = minimal_vectors(GramForm.from_rows(gram)).min_sq / sub_min
+        comp_cols = int_transpose(complete_saturated(member))[d:]
+        gram = _form(split.perp_gram(comp_cols), split.e)
+        alpha = minimal_vectors(gram).min_sq / sub_min
         alpha_list.append(alpha)
         t_j = min(Fraction(1), alpha * beta / (4 * running))
         t_list.append(t_j)

@@ -95,6 +95,43 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+def test_zero_denominator_bound_is_json_error(tmp_path, capsys):
+    form = write_json(tmp_path, "f.json",
+                      {"n": 2, "rows": [["1", "0"], ["0", "2"]]})
+    code, out = invoke(capsys, "minvec", "--form", form, "--bound", "1/0")
+    assert code == 1
+    assert "zero denominator" in json.loads(out)["error"]
+
+
+def test_zero_denominator_in_form_is_json_error(tmp_path, capsys):
+    form = write_json(tmp_path, "f.json",
+                      {"n": 2, "rows": [["1", "0"], ["0", "2/0"]]})
+    code, out = invoke(capsys, "retract", "--form", form)
+    assert code == 1
+    assert "zero denominator" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_nonpositive_level_is_json_error(capsys, level):
+    code, out = invoke(capsys, "flags", "orbits", "-n", "2", "--group",
+                       "gamma0", "--level", level, "--type", "1")
+    assert code == 1
+    assert json.loads(out) == {"error": "level must be >= 1"}
+
+
+@pytest.mark.parametrize("form_n,flag_n", [(2, 3), (3, 2)])
+def test_bound_dimension_mismatch_is_json_error(tmp_path, capsys, form_n,
+                                                flag_n):
+    rows = [[str(2 if i == j else 0) for j in range(form_n)]
+            for i in range(form_n)]
+    form = write_json(tmp_path, "f.json", {"n": form_n, "rows": rows})
+    flag = write_json(tmp_path, "F.json", {"n": flag_n, "members": [
+        [[int(i == 0)] for i in range(flag_n)]]})
+    code, out = invoke(capsys, "bound", "--form", form, "--flag", flag)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError: flag dimension mismatch"}
+
+
 def test_missing_input_is_domain_error(capsys):
     code, out = invoke(capsys, "retract", "--form", "/nonexistent/f.json")
     assert code == 1

@@ -186,9 +186,10 @@ def test_snf_property(rows):
 
 @st.composite
 def square_int_matrices(draw):
-    """Square integer matrices with n <= 5; about a third are made
-    singular by replacing one row with a combination of the others."""
-    n = draw(st.integers(1, 5))
+    """Square integer matrices with n <= 5 (n = 0 included); about a third
+    are made singular by replacing one row with a combination of the
+    others."""
+    n = draw(st.integers(0, 5))
     rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
                          min_size=n, max_size=n))
     if n > 1 and draw(st.integers(0, 2)) == 0:
@@ -207,8 +208,15 @@ def test_int_det_matches_rational_det(m):
     det = int_det(m)
     assert det == RatMatrix.from_rows(m).det()
     n = len(m)
-    assert int_matmul(m, int_adjugate(m)) == tuple(
+    adj = int_adjugate(m)
+    assert int_matmul(m, adj) == tuple(
         tuple(det * int(i == j) for j in range(n)) for i in range(n))
+    # the closed forms for n <= 2 agree with the cofactor definition
+    assert adj == tuple(
+        tuple((-1) ** (i + j) * int_det([[x for c, x in enumerate(row) if c != i]
+                                         for r, row in enumerate(m) if r != j])
+              for j in range(n))
+        for i in range(n))
 
 
 def test_int_det_zero_pivot_and_inverse():
