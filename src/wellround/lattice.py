@@ -115,8 +115,8 @@ class GramForm:
         return self.pairing(v, v)
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> Fraction:
-        return Fraction(sum(x * y for x, y in zip(v, int_matvec(self.numer, w))),
-                        self.denom)
+        row = int_matvec(self.numer, w)
+        return Fraction(sum(x * y for x, y in zip(v, row)), self.denom)
 
     def scale(self, c) -> "GramForm":
         c = Fraction(c)

@@ -44,7 +44,8 @@ class AlreadyFull(ValueError):
 
 def _qf(m: IntMatrix, v: Sequence[int]) -> int:
     """v^T m v for an integer matrix m."""
-    return sum(x * sum(a * y for a, y in zip(row, v)) for x, row in zip(v, m) if x)
+    return sum(x * sum(a * y for a, y in zip(row, v))
+               for x, row in zip(v, m) if x)
 
 
 def _rat(num: IntMatrix, den: int) -> RatMatrix:
@@ -59,8 +60,7 @@ def _form(num: IntMatrix, den: int) -> GramForm:
 class _Split:
     """The A-orthogonal split along the span of a member B, for A = M/D
     (see the module docstring): mbt = (MB)^T, gram = G = B^T M B,
-    adj = adj(G), g = det G, e = D g and s = S = (MB) adj(G) (MB)^T, so
-    that A P = S / E for the A-orthogonal projector P onto span B."""
+    adj = adj(G), g = det G, e = E = D g and s = S, with A P = S / E."""
 
     def __init__(self, a: GramForm, member: IntMatrix):
         self.m = a.numer
