@@ -7,8 +7,13 @@ written by the Fraction projector retraction that the integer split
 kernel replaced, so any change in a stage factor, tight vector, final
 form or orthant bound shows up here.  To rewrite a fixture after an
 intended change of output, run the command listed for it in CASES (or
-RETRACT_CASES, with the form and flag written to files) with its stdout
-redirected to the fixture file.
+RETRACT_CASES, with the form and flag written to files, or CELL_CASES, with the flag written to
+a file) with its stdout redirected to the fixture file.
+
+The cell fixtures were written by the Fraction Gauss-Jordan elimination
+that `exactla.Echelon` replaced in cell charts, span tests, flag
+respect and adapted bases, so any change in a cell, a face, a witness
+or a flag representative shows up here.
 """
 
 import json
@@ -31,6 +36,23 @@ CASES = {
         ["boundary", mode, *GAMMA0_11, "--coeff", coeff]
     for mode in ("total", "e1", "ss", "restrict", "facemap")
     for coeff, tag in (("Q", "q"), ("Fp:3", "fp3"))
+}
+
+LINE3 = {"n": 3, "members": [[[1], [0], [0]]]}  # the line spanned by e_1
+
+# fixture name -> CLI arguments; a dict stands for a flag file
+CELL_CASES = {
+    "cells_enumerate_gl_2.json": ["cells", "enumerate", "-n", "2",
+                                  "--group", "gl"],
+    "cells_enumerate_gamma0_11.json": ["cells", "enumerate", *GAMMA0_11],
+    "cells_enumerate_sl_3.json": ["cells", "enumerate", "-n", "3",
+                                  "--group", "sl"],
+    "cells_wf_sl_3_line.json": ["cells", "wf", "-n", "3", "--group", "sl",
+                                "--flag", LINE3],
+    "smallenough_gamma_3.json": ["smallenough", "-n", "2", "--group",
+                                 "gamma", "--level", "3"],
+    "flags_orbits_gamma0_6_1.json": ["flags", "orbits", "-n", "2", "--group",
+                                     "gamma0", "--level", "6", "--type", "1"],
 }
 
 
@@ -79,6 +101,19 @@ def test_boundary_output_matches_golden(name, tmp_path, capsys):
         flag = tmp_path / "flag.json"
         flag.write_text(json.dumps(FLAG))
         argv += ["--flag", str(flag)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CELL_CASES))
+def test_cell_output_matches_golden(name, tmp_path, capsys):
+    argv = []
+    for arg in CELL_CASES[name]:
+        if isinstance(arg, dict):
+            path = tmp_path / "flag.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        argv.append(arg)
     assert run(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
