@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cells import OrbitComplex, enumerate_W, subcomplex_WF
-from .exactla import CertificateError, Echelon, IntMatrix, QQ, f_rank, snf
+from .exactla import (
+    CertificateError, Echelon, IntMatrix, QQ, f_rank, f_solve, snf,
+)
 from .flags import (
     RationalFlag, flag_equivalent, flag_orbits, flag_types,
     subflags_with_signs,
@@ -330,19 +332,11 @@ class _Filtered:
 
     def express(self, vec, lifts, den):
         """Coordinates of vec in the lift basis modulo the denominator."""
-        cols = [list(v) for v in lifts] + [list(v) for v in den]
-        if not cols:
-            if any(vec):
-                raise CertificateError("vector not in the span")
-            return [self.field.of(0)] * 0
-        aug = [row + (x,) for row, x in zip(zip(*cols), vec)]
-        rr, pivots = Echelon(self.field, aug).reduced()
-        ncols = len(cols)
-        if ncols in pivots:
+        cols = list(lifts) + list(den)
+        a = [[c[i] for c in cols] for i in range(len(vec))]
+        sol = f_solve(self.field, a, vec, len(cols))
+        if sol is None:
             raise CertificateError("vector not in the span")
-        sol = [self.field.of(0)] * ncols
-        for i, pv in enumerate(pivots):
-            sol[pv] = rr[i][ncols]
         return sol[:len(lifts)]
 
 

@@ -19,11 +19,13 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .exactla import (
-    OPTIMAL, UNBOUNDED, CertificateError, IntMatrix, IntVector,
-    NotPositiveDefinite, RatMatrix, int_adjugate, int_ldlt, int_matvec,
-    int_scaled, int_transpose, lp, saturation,
+    OPTIMAL, QQ, UNBOUNDED, CertificateError, Echelon, IntMatrix, IntVector,
+    NotPositiveDefinite, RatMatrix, f_rank, int_adjugate, int_ldlt,
+    int_matvec, int_scaled, int_transpose, lp, saturation,
 )
-from .flags import RationalFlag, flag_equivalent
+from .flags import (
+    RationalFlag, _subspace_contained, flag_equivalent, respects_flag,
+)
 from .lattice import (
     GramForm, GroupSpec, VectorConfig, _char_pairings, canonical_config,
     canonical_vector, config_equiv, config_rank, config_spans,
@@ -112,10 +114,8 @@ def _pd_violation(a: RatMatrix) -> Optional[IntVector]:
 
 
 def _config_sym_rank(config: VectorConfig) -> int:
-    n = len(config[0])
-    pairs = _sym_pairs(n)
-    rows = [[Fraction(v[i] * v[j]) for (i, j) in pairs] for v in config]
-    return RatMatrix.from_rows(rows).rank()
+    pairs = _sym_pairs(len(config[0]))
+    return f_rank(QQ, [[v[i] * v[j] for (i, j) in pairs] for v in config])
 
 
 def cell_dimension(config: VectorConfig) -> int:
@@ -127,10 +127,8 @@ def _initial_candidates(config: VectorConfig, n: int) -> set[IntVector]:
     """Seed constraint vectors guaranteeing a bounded LP: a basis from the
     configuration, its pairwise sums/differences, and the unit vectors."""
     cands: set[IntVector] = set()
-    basis: list[IntVector] = []
-    for v in config:
-        if config_rank(tuple(basis) + (v,)) > len(basis):
-            basis.append(v)
+    span = Echelon(QQ)
+    basis = [v for v in config if span.add(v)]
     for i in range(n):
         cands.add(canonical_vector(tuple(int(k == i) for k in range(n))))
     for u, w in combinations(basis, 2):
@@ -142,19 +140,21 @@ def _initial_candidates(config: VectorConfig, n: int) -> set[IntVector]:
 class _Chart:
     """Affine parameterization of {A symmetric : A[v] = 1 for v in eqs}:
     A = origin + sum t_i dirs_i.  Shrinks every LP to the cell dimension
-    plus a slack variable."""
+    plus a slack variable.  The origin (free coordinates 0) and the
+    directions (the free-column kernel basis) come from one elimination
+    of the augmented system."""
 
     def __init__(self, eqs: VectorConfig, n: int):
         self.n = n
         self.pairs = _sym_pairs(n)
-        rows = [_value_coeffs(self.pairs, v) for v in eqs]
-        mat = RatMatrix.from_rows(rows)
-        sol = mat.solve([Fraction(1)] * len(eqs))
+        k = len(self.pairs)
+        system = Echelon(QQ, [_value_coeffs(self.pairs, v) + [1] for v in eqs])
+        sol = system.solution(k)
         self.ok = sol is not None
         if not self.ok:
             return
         self.origin = sol
-        self.dirs = mat.kernel()
+        self.dirs = system.kernel(k)
 
     def functional(self, w) -> tuple[Fraction, list[Fraction]]:
         """A[w] = const + row . t on the chart."""
@@ -561,16 +561,6 @@ def expected_top_dim(n: int) -> int:
 # Flags respected by cells; flag subcomplexes
 # ---------------------------------------------------------------------------
 
-def respects_flag(config: VectorConfig, flag: RationalFlag) -> bool:
-    """True iff the configuration vectors inside each member span it."""
-    for member in flag.members:
-        mm = RatMatrix.from_rows(member)
-        inside = tuple(v for v in config if mm.solve(v) is not None)
-        if not inside or config_rank(inside) != len(member[0]):
-            return False
-    return True
-
-
 def flags_respected_by(cell: Cell) -> list[RationalFlag]:
     """Every flag assembled from proper subspaces spanned by subsets of
     the configuration (each such span is automatically respected)."""
@@ -585,9 +575,7 @@ def flags_respected_by(cell: Cell) -> list[RationalFlag]:
 
     def contained(a: IntMatrix, b: IntMatrix) -> bool:
         if (a, b) not in contains:
-            bm = RatMatrix.from_rows(b)
-            contains[(a, b)] = all(bm.solve(col) is not None
-                                   for col in int_transpose(a))
+            contains[(a, b)] = _subspace_contained(a, b)
         return contains[(a, b)]
 
     flags: list[RationalFlag] = []

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .boundary import (
@@ -78,6 +79,16 @@ def _flag_from_file(path: str) -> RationalFlag:
         return RationalFlag.from_json(data)
     except Exception as exc:
         raise DomainError(f"bad flag: {exc}") from exc
+
+
+def _complex_from_file(path: str) -> OrbitComplex:
+    data = _load_json(path)
+    try:
+        return complex_from_json(data)
+    except CertificateError:
+        raise
+    except Exception as exc:
+        raise DomainError(f"bad complex: {exc}") from exc
 
 
 def complex_to_json(cx: OrbitComplex) -> dict:
@@ -180,7 +191,7 @@ def _cmd_cells_wf(args) -> dict:
 
 
 def _cmd_homology(args) -> dict:
-    cx = complex_from_json(_load_json(args.complex))
+    cx = _complex_from_file(args.complex)
     qc = barycentric_quotient(cx, double=args.fallback_subdivision)
     res = homology(qc, args.coeff)
     out = {
@@ -404,7 +415,10 @@ def _cmd_svg(args) -> str:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small query."""
     parser = argparse.ArgumentParser(
         prog="wellround",
         description="well-rounded retract, flag subcomplexes and boundary "

@@ -4,6 +4,7 @@ Everything in this module is exact: rationals are `fractions.Fraction`
 (re-exported as ``Rational``), integer matrices are tuples of tuples of
 Python ints.  Provided here:
 
+* `RatMatrix`, rational matrix arithmetic (no elimination),
 * fraction-free LDL^T factorization (Bareiss) with positive-definiteness
   certification, and its rational form `ldlt`,
 * Bareiss determinants, adjugates and inverses of integer matrices,
@@ -11,9 +12,10 @@ Python ints.  Provided here:
 * Smith normal form with unimodular transforms (for homology over Z),
 * a two-phase simplex solver with Bland's rule over the rationals,
 * `Echelon`, an incrementally built echelon basis over Q or F_p that
-  keeps integer rows over Q; rank (`f_rank`), null spaces (`f_kernel`),
-  reduced row echelon forms and the choice of homology representatives
-  all run on it.
+  keeps integer rows over Q, and the one elimination kernel outside the
+  simplex: rank and independence (`add`, `f_rank`), span membership
+  (`spans`), null spaces (`kernel`, `f_kernel`), particular solutions
+  (`solution`, `f_solve`) and reduced row echelon forms all run on it.
 
 All functions are pure; `Echelon` is the one mutable object.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -99,12 +101,6 @@ class RatMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.entries))) if self.entries else self
 
@@ -144,94 +140,6 @@ class RatMatrix:
         if not self.is_integral():
             raise ValueError("matrix is not integral")
         return tuple(tuple(a.numerator for a in r) for r in self.entries)
-
-    def rank(self) -> int:
-        return len(_rref([list(r) for r in self.entries])[1])
-
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("det of non-square matrix")
-        a = [list(r) for r in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for j in range(n):
-            piv = next((i for i in range(j, n) if a[i][j] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != j:
-                a[j], a[piv] = a[piv], a[j]
-                det = -det
-            det *= a[j][j]
-            inv = 1 / a[j][j]
-            for i in range(j + 1, n):
-                if a[i][j] != 0:
-                    f = a[i][j] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        return det
-
-    def inverse(self) -> "RatMatrix":
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        a = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-             for i, r in enumerate(self.entries)]
-        rr, pivots = _rref(a)
-        if len(pivots) < n or pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return RatMatrix(tuple(tuple(row[n:]) for row in rr))
-
-    def solve(self, rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
-        """One solution x of self @ x = rhs, or None if inconsistent."""
-        m, n = self.rows, self.cols
-        a = [list(r) + [Fraction(b)] for r, b in zip(self.entries, rhs)]
-        rr, pivots = _rref(a)
-        if any(p == n for p in pivots):
-            return None  # pivot in the augmented column: inconsistent
-        for i in range(len(pivots), m):
-            if rr[i][n] != 0:
-                return None
-        x = [Fraction(0)] * n
-        for i, p in enumerate(pivots):
-            x[p] = rr[i][n]
-        return tuple(x)
-
-    def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of the rational null space, as a tuple of vectors."""
-        rr, pivots = _rref([list(r) for r in self.entries])
-        n = self.cols
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * n
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -rr[i][f]
-            basis.append(tuple(v))
-        return tuple(basis)
-
-
-def _rref(a: list[list[Fraction]]):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, m) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][j]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][j] != 0:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
 
 
 def int_scaled(a: RatMatrix) -> tuple[IntMatrix, int]:
@@ -658,11 +566,14 @@ class RationalField:
 
 
 class PrimeField:
-    """The integers mod a prime p, as coefficients; elements are residues
-    in [0, p)."""
+    """The integers mod a prime p < 2^31, as coefficients; elements are
+    residues in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        # the trial division below stays in milliseconds under this bound
+        if p >= 2 ** 31:
+            raise ValueError("the prime must be below the bound 2^31")
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
@@ -699,9 +610,9 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def add(self, v: Sequence) -> bool:
-        """Reduce v against the basis; keep it and return True if it is
-        independent of the basis, else return False."""
+    def _reduce(self, v: Sequence) -> list[int]:
+        """v reduced against the basis: integer over Q, residues over F_p;
+        all zero exactly when v lies in the span."""
         p = self.p
         if p is None:
             d = lcm(*(x.denominator for x in v))
@@ -711,9 +622,21 @@ class Echelon:
         for c, r in zip(self.pivots, self.rows):
             if row[c]:
                 row = self._clear(row, c, r)
+        return row
+
+    def spans(self, v: Sequence) -> bool:
+        """True when v lies in the span of the basis; the basis is left
+        unchanged."""
+        return not any(self._reduce(v))
+
+    def add(self, v: Sequence) -> bool:
+        """Reduce v against the basis; keep it and return True if it is
+        independent of the basis, else return False."""
+        row = self._reduce(v)
         lead = next((j for j, x in enumerate(row) if x), None)
         if lead is None:
             return False
+        p = self.p
         if p is None:
             g = gcd(*row)
             if g != 1:
@@ -758,9 +681,11 @@ class Echelon:
         return rows, [c for c, _ in done]
 
     def kernel(self, ncols: int) -> list[list]:
-        """Basis of the vectors x with r . x = 0 for every row r: one per
-        non-pivot column f, with x_f = 1 and 0 at the other non-pivot
-        columns."""
+        """Basis of the vectors x with r . x = 0 for every row r, taken
+        over the first ncols columns: one per non-pivot column f < ncols,
+        with x_f = 1 and 0 at the other non-pivot columns.  For the rows
+        [a | b] of a consistent system in ncols unknowns this is the
+        kernel of a."""
         rows, pivots = self.reduced()
         p = self.p
         zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
@@ -776,6 +701,18 @@ class Echelon:
             basis.append(v)
         return basis
 
+    def solution(self, ncols: int) -> Optional[list]:
+        """For the rows [a | b] of a system a x = b in ncols unknowns: the
+        solution with every free variable 0, or None when a pivot lies in
+        the column of b, so that the system is inconsistent."""
+        rows, pivots = self.reduced()
+        if pivots and pivots[-1] == ncols:
+            return None
+        x = [Fraction(0) if self.p is None else 0] * ncols
+        for row, c in zip(rows, pivots):
+            x[c] = row[ncols]
+        return x
+
 
 def f_rank(field, a: Sequence[Sequence]) -> int:
     """Rank over the field of the rows of a (integers, or elements of the
@@ -786,3 +723,9 @@ def f_rank(field, a: Sequence[Sequence]) -> int:
 def f_kernel(field, a: Sequence[Sequence], ncols: int) -> list[list]:
     """Basis of the null space {x : a x = 0} over the field."""
     return Echelon(field, a).kernel(ncols)
+
+
+def f_solve(field, a: Sequence[Sequence], b: Sequence, ncols: int) -> Optional[list]:
+    """The solution x of a x = b over the field (a with ncols columns)
+    whose free variables are 0, or None when there is no solution."""
+    return Echelon(field, [[*row, y] for row, y in zip(a, b)]).solution(ncols)

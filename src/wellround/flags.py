@@ -20,9 +20,9 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
-    CertificateError, IntMatrix, IntVector, RatMatrix, int_adjugate, int_det,
-    int_identity, int_inverse, int_matmul, int_matrix, int_transpose, snf,
-    saturation,
+    QQ, CertificateError, Echelon, IntMatrix, IntVector, f_rank, f_solve,
+    int_adjugate, int_det, int_identity, int_inverse, int_matmul, int_matrix,
+    int_transpose, snf, saturation,
 )
 from .lattice import GroupSpec
 
@@ -95,10 +95,17 @@ class RationalFlag:
 
 
 def _subspace_contained(small: IntMatrix, big: IntMatrix) -> bool:
-    """Q-span inclusion, checked column by column."""
-    bigm = RatMatrix.from_rows(big)
-    for col in int_transpose(small):
-        if bigm.solve(col) is None:
+    """Q-span inclusion of the column spaces, checked column by column."""
+    span = Echelon(QQ, int_transpose(big))
+    return all(span.spans(col) for col in int_transpose(small))
+
+
+def respects_flag(config: Sequence[IntVector], flag: RationalFlag) -> bool:
+    """True iff the configuration vectors inside each member span it."""
+    for member in flag.members:
+        span = Echelon(QQ, int_transpose(member))
+        inside = [v for v in config if span.spans(v)]
+        if f_rank(QQ, inside) != len(member[0]):
             return False
     return True
 
@@ -184,13 +191,12 @@ def adapted_basis(flag: RationalFlag) -> IntMatrix:
     n = flag.n
     cols: tuple[IntVector, ...] = ()
     for m in flag.members:
-        mm = RatMatrix.from_rows(m)
         d = len(m[0])
         if cols:
             # coordinates of the current columns inside this member
             y_cols = []
             for cvec in cols:
-                sol = mm.solve(cvec)
+                sol = f_solve(QQ, m, cvec, d)
                 y_cols.append(tuple(int(x) for x in sol))
             y = int_transpose(tuple(y_cols))
             w = complete_saturated(y)

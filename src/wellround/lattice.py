@@ -22,9 +22,9 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
-    IntMatrix, IntVector, RatMatrix, format_rational, int_adjugate, int_det,
-    int_ldlt, int_matmul, int_matrix, int_matvec, int_scaled, int_transpose,
-    parse_rational,
+    QQ, Echelon, IntMatrix, IntVector, RatMatrix, f_rank, format_rational,
+    int_adjugate, int_det, int_ldlt, int_matmul, int_matrix, int_matvec,
+    int_scaled, int_transpose, parse_rational,
 )
 
 Vector = IntVector
@@ -60,9 +60,7 @@ def canonical_config(vectors: Iterable[Sequence[int]]) -> VectorConfig:
 
 
 def config_rank(config: Sequence[Sequence[int]]) -> int:
-    if not config:
-        return 0
-    return RatMatrix.from_rows(config).rank()
+    return f_rank(QQ, config)
 
 
 def config_spans(config: Sequence[Sequence[int]], n: int) -> bool:
@@ -344,22 +342,14 @@ def _char_pairings(config: VectorConfig, n: int) -> tuple[int, IntMatrix]:
 
 def _independent_basis(config: VectorConfig, n: int) -> tuple[int, ...]:
     """Indices of a deterministic Q-basis chosen from the configuration:
-    each vector that is independent of the ones chosen before it, found
-    by fraction-free reduction against the chosen vectors' echelon rows."""
+    each vector that is independent of the ones chosen before it."""
+    basis = Echelon(QQ)
     chosen: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []     # (pivot column, row)
     for idx, v in enumerate(config):
-        w = list(v)
-        for p, row in echelon:
-            if w[p]:
-                w = [row[p] * x - w[p] * y for x, y in zip(w, row)]
-        piv = next((p for p, x in enumerate(w) if x), None)
-        if piv is None:
-            continue
-        chosen.append(idx)
-        echelon.append((piv, w))
-        if len(chosen) == n:
-            return tuple(chosen)
+        if basis.add(v):
+            chosen.append(idx)
+            if len(chosen) == n:
+                return tuple(chosen)
     raise ValueError("configuration does not span")
 
 

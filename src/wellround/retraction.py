@@ -31,7 +31,10 @@ from .exactla import (
     CertificateError, IntMatrix, RatMatrix, int_adjugate, int_det,
     int_matmul, int_matvec, int_transpose, saturation,
 )
-from .flags import RationalFlag, complete_saturated, flag_from_members
+from .flags import (
+    RationalFlag, _subspace_contained, complete_saturated, flag_from_members,
+    respects_flag,
+)
 from .lattice import (
     GramForm, canonical_config, config_spans, minimal_vectors, normalize,
     vectors_below,
@@ -429,14 +432,8 @@ def orthant_bound(a: GramForm, flag: RationalFlag) -> OrthantBound:
 def _members_dominated(trace: RetractionTrace, flag: RationalFlag) -> bool:
     """Each flag member is contained in the minima-flag member of its
     dimension (equality, or a harmless tie that jumped past it)."""
-    for member in flag.members:
-        d = len(member[0])
-        dominating = trace.minima_flag[d - 1]
-        big = RatMatrix.from_rows(dominating)
-        for col in int_transpose(member):
-            if big.solve(col) is None:
-                return False
-    return True
+    return all(_subspace_contained(m, trace.minima_flag[len(m[0]) - 1])
+               for m in flag.members)
 
 
 def _certify_orthant(base: GramForm, flag: RationalFlag,
@@ -451,25 +448,16 @@ def _certify_orthant(base: GramForm, flag: RationalFlag,
     the image lands in the subcomplex, and halving any single coordinate
     (or all of them) reproduces the same image exactly.
     """
-    from .lattice import config_rank
 
     def image_at(tv: list[Fraction]):
         moved = scale_along_flag(base, flag, ScalingVector.from_rho_sq(tv))
         return retract(moved)
 
-    def respects(form: GramForm) -> bool:
-        vecs = minimal_vectors(form).vectors
-        for member in flag.members:
-            mm = RatMatrix.from_rows(member)
-            inside = tuple(v for v in vecs if mm.solve(v) is not None)
-            if not inside or config_rank(inside) != len(member[0]):
-                return False
-        return True
-
     for _ in range(80):
         trace = image_at(t_list)
         target = trace.final_form
-        ok = _members_dominated(trace, flag) and respects(target)
+        ok = _members_dominated(trace, flag) and \
+            respects_flag(minimal_vectors(target).vectors, flag)
         if ok:
             probes = [[x / 2 for x in t_list]]
             for j in range(len(t_list)):

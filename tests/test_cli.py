@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wellround
 from wellround.cli import run
 
 
@@ -192,3 +195,44 @@ def test_smallenough_cli(capsys):
     assert code == 0
     assert data["smallEnough"] is False
     assert "counterexample" in data
+
+
+def fresh_run(*argv):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(wellround.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "wellround.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reuse_matches_fresh_runs(tmp_path, capsys):
+    # the parser is built once per process; a traced call, a usage error
+    # and an untraced call in a row must each print what a new process does
+    form = write_json(tmp_path, "f.json",
+                      {"n": 2, "rows": [["2", "1"], ["1", "4"]]})
+    code = run(["retract", "--form", form, "--trace"])
+    assert (code, *capsys.readouterr()) == \
+        fresh_run("retract", "--form", form, "--trace")
+    with pytest.raises(SystemExit) as exc:
+        run(["retract"])
+    assert (exc.value.code, *capsys.readouterr()) == fresh_run("retract")
+    code = run(["retract", "--form", form])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == fresh_run("retract", "--form", form)
+    assert "stages" not in json.loads(out)
+
+
+def test_bad_complex_is_json_error(tmp_path, capsys):
+    cx = write_json(tmp_path, "c.json", [1, 2])
+    code, out = invoke(capsys, "homology", "--complex", cx)
+    assert code == 1
+    assert json.loads(out)["error"].startswith("bad complex: ")
+
+
+def test_huge_prime_is_json_error(capsys):
+    code, out = invoke(capsys, "boundary", "total", "-n", "2", "--group",
+                       "gl", "--coeff", "Fp:1" + "0" * 399)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValueError: the prime must be below the bound 2^31"}

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import pytest
 
+import gauss_jordan as gj
 from wellround.cells import _orbit_key
 from wellround.exactla import (
     RatMatrix, int_det, int_matmul, int_matvec, int_transpose,
@@ -24,6 +25,7 @@ from wellround.lattice import (
     GroupSpec, canonical_config, canonical_vector, config_equiv, config_rank,
     config_spans, config_stabilizer,
 )
+from wellround.lattice import _independent_basis as echelon_basis
 
 
 # --- the Fraction oracle -----------------------------------------------------
@@ -35,7 +37,7 @@ def _char_form_inverse(config):
         for i in range(n):
             for j in range(n):
                 q[i][j] += v[i] * v[j]
-    return RatMatrix.from_rows(q).inverse()
+    return gj.inverse(q)
 
 
 def _independent_basis(config, n):
@@ -66,7 +68,7 @@ def oracle_search(src, dst, group, flag=None, find_all=False):
             sorted(pair(qd_inv, v, v) for v in dst):
         return []
     basis = [src[i] for i in _independent_basis(src, n)]
-    bmat_inv = RatMatrix.from_rows(int_transpose(tuple(basis))).inverse()
+    bmat_inv = gj.inverse(int_transpose(tuple(basis)))
     candidates = list(dst) + [tuple(-x for x in w) for w in dst]
     dst_set = frozenset(dst)
     results, images = [], []
@@ -224,6 +226,20 @@ def test_orbit_key_is_invariant(n, seed):
     s = random_config(rng, n, rng.randint(n, n + 2))
     for _ in range(3):
         assert _orbit_key(s) == _orbit_key(apply(random_unimodular(rng, n), s))
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_independent_basis_matches_oracle(n, seed):
+    # the echelon basis keeps the same vectors as one rank per vector;
+    # a configuration in a hyperplane is refused by both
+    rng = random.Random(6000 * n + seed)
+    s = random_config(rng, n, rng.randint(n, n + 3))
+    assert echelon_basis(s, n) == _independent_basis(s, n)
+    flat = tuple(v[:-1] + (0,) for v in s if any(v[:-1]))
+    with pytest.raises(ValueError):
+        echelon_basis(flat, n)
+    with pytest.raises(ValueError):
+        _independent_basis(flat, n)
 
 
 def test_non_spanning_configuration_is_rejected():

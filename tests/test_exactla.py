@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gauss_jordan as gj
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
     Echelon, NotPositiveDefinite, PrimeField, RatMatrix, f_kernel, f_rank,
-    format_rational, hnf, int_adjugate, int_det, int_identity, int_inverse,
-    int_kernel, int_matmul, int_matrix, int_matvec, int_transpose, ldlt, lp,
-    parse_rational, saturation, snf,
+    f_solve, format_rational, hnf, int_adjugate, int_det, int_identity,
+    int_inverse, int_kernel, int_matmul, int_matrix, int_matvec,
+    int_transpose, ldlt, lp, parse_rational, saturation, snf,
 )
 
 
@@ -76,8 +77,8 @@ def _check_snf(m):
             assert res.diag[i + 1] % res.diag[i] == 0
         else:
             assert res.diag[i + 1] == 0
-    assert abs(RatMatrix.from_rows(res.left).det()) == 1
-    assert abs(RatMatrix.from_rows(res.right).det()) == 1
+    assert abs(gj.det(res.left)) == 1
+    assert abs(gj.det(res.right)) == 1
     return res
 
 
@@ -206,7 +207,7 @@ def square_int_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_int_det_matches_rational_det(m):
     det = int_det(m)
-    assert det == RatMatrix.from_rows(m).det()
+    assert det == gj.det(m)
     n = len(m)
     adj = int_adjugate(m)
     assert int_matmul(m, adj) == tuple(
@@ -234,39 +235,10 @@ def test_int_det_zero_pivot_and_inverse():
 
 
 # --- the echelon basis against the Gauss-Jordan elimination it replaced ----
-
-def _ref_rref(p, a):
-    """Reduced row echelon form by Gauss-Jordan elimination in field
-    arithmetic, as the package computed it before the echelon basis:
-    Fractions over Q (p None), residues mod p otherwise."""
-    if p is None:
-        norm, inv = Fraction, lambda x: 1 / x
-    else:
-        norm, inv = (lambda x: x % p), (lambda x: pow(x, -1, p))
-    a = [[norm(x) for x in row] for row in a]
-    m, n = len(a), len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, m) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        f = inv(a[r][j])
-        a[r] = [norm(x * f) for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][j] != 0:
-                f = a[i][j]
-                a[i] = [norm(x - f * y) for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-        if r == m:
-            break
-    return a[:r], pivots
-
+# (`gauss_jordan.rref`, kept in the tests as the oracle)
 
 def _ref_kernel(p, a, ncols):
-    rows, pivots = _ref_rref(p, a)
+    rows, pivots = gj.rref(p, a)
     zero = Fraction(0) if p is None else 0
     basis = []
     for f in range(ncols):
@@ -285,10 +257,10 @@ def _ref_accepted(p, image, candidates):
     candidate: those raising the rank of the image plus the candidates
     kept before them."""
     basis = [list(v) for v in image]
-    rank = len(_ref_rref(p, basis)[1])
+    rank = len(gj.rref(p, basis)[1])
     kept = []
     for i, v in enumerate(candidates):
-        if len(_ref_rref(p, basis + [list(v)])[1]) > rank:
+        if len(gj.rref(p, basis + [list(v)])[1]) > rank:
             kept.append(i)
             basis.append(list(v))
             rank += 1
@@ -332,12 +304,44 @@ def test_echelon_matches_gauss_jordan(data):
         # candidates over Q carry denominators, like kernel vectors
         vecs = [[Fraction(x, d) for x in row] for row, d in zip(cands, dens)] \
             if p is None else cands
-        assert f_rank(field, m) == len(_ref_rref(p, m)[1])
+        assert f_rank(field, m) == len(gj.rref(p, m)[1])
         assert f_kernel(field, m, n) == _ref_kernel(p, m, n)
-        assert Echelon(field, vecs).reduced() == _ref_rref(p, vecs)
+        assert Echelon(field, vecs).reduced() == gj.rref(p, vecs)
         basis = Echelon(field, m)
         kept = [i for i, v in enumerate(vecs) if basis.add(v)]
         assert kept == _ref_accepted(p, m, vecs)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_and_span_test_match_gauss_jordan(data):
+    m = data.draw(int_matrices())
+    n = len(m[0]) if m else data.draw(st.integers(1, 6))
+    dens = data.draw(st.lists(st.integers(1, 6), min_size=len(m),
+                              max_size=len(m)))
+    x = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    drawn_b = data.draw(st.lists(_entries, min_size=len(m), max_size=len(m)))
+    cands = data.draw(int_matrices(ncols=n))
+    for field, p in _FIELDS:
+        # over Q the rows and candidates carry denominators
+        if p is None:
+            a = [[Fraction(v, d) for v in row] for row, d in zip(m, dens)]
+            vecs = [[Fraction(v, i + 2) for v in row]
+                    for i, row in enumerate(cands)]
+        else:
+            a, vecs = m, cands
+        # the consistent right-hand side a x, then a drawn one
+        consistent = [sum(c * y for c, y in zip(row, x)) for row in a]
+        assert gj.solve(a, consistent, p, n) is not None
+        for b in (consistent, drawn_b):
+            assert f_solve(field, a, b, n) == gj.solve(a, b, p, n)
+        # the span test answers like a rank comparison and keeps the basis
+        basis = Echelon(field, a)
+        rows, pivots = [list(r) for r in basis.rows], list(basis.pivots)
+        rank = gj.rank(p, a)
+        for v in vecs:
+            assert basis.spans(v) == (gj.rank(p, a + [v]) == rank)
+        assert basis.rows == rows and basis.pivots == pivots
 
 
 @given(int_matrices())

@@ -149,3 +149,9 @@ def test_parse_coeff():
     assert parse_coeff("Fp:5").name == "F5"
     with pytest.raises(ValueError):
         parse_coeff("Fp:6")
+    # primality is decided by trial division, so p is bounded
+    assert parse_coeff("Fp:2147483647").name == "F2147483647"  # 2^31 - 1
+    with pytest.raises(ValueError, match=r"bound 2\^31"):
+        parse_coeff("Fp:2147483659")  # the least prime above 2^31
+    with pytest.raises(ValueError, match=r"bound 2\^31"):
+        parse_coeff("Fp:1" + "0" * 399)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import gauss_jordan as gj
 from wellround.exactla import RatMatrix, int_transpose
 from wellround.flags import flag_from_members, standard_flag
 from wellround.lattice import (
@@ -152,8 +153,7 @@ def test_retract_minima_span_flag_members():
         vecs = minimal_vectors(trace.final_form).vectors
         for member in trace.minima_flag:
             cols = int_transpose(member)
-            mm = RatMatrix.from_rows(member)
-            inside = [v for v in vecs if mm.solve(v) is not None]
+            inside = [v for v in vecs if gj.solve(member, v) is not None]
             assert config_rank(tuple(inside)) == len(member[0])
 
 
@@ -221,8 +221,8 @@ def test_orthant_bound_common_image_respects_flag():
             images.add(final)
             vecs = minimal_vectors(final).vectors
             for member in flag.members:
-                mm = RatMatrix.from_rows(member)
-                inside = [v for v in vecs if mm.solve(v) is not None]
+                inside = [v for v in vecs
+                          if gj.solve(member, v) is not None]
                 assert config_rank(tuple(inside)) == len(member[0])
         assert len(images) == 1
 

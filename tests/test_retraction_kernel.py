@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gauss_jordan as gj
 from wellround.cells import _pd_violation
 from wellround.exactla import (
     NotPositiveDefinite, RatMatrix, int_matmul, int_transpose, ldlt,
@@ -101,7 +102,7 @@ def ref_minimal(a):
 def ref_span_projector(a, member):
     b = RatMatrix.from_rows(member)
     gram = b.transpose() @ a.matrix @ b
-    return b @ gram.inverse() @ b.transpose() @ a.matrix
+    return b @ gj.inverse(gram) @ b.transpose() @ a.matrix
 
 
 def ref_parts(a, proj, w):
@@ -219,7 +220,7 @@ def rational_forms(draw, ns=(2, 3, 4)):
 def brute_force(a, bound):
     """Primitive and imprimitive classes with value <= bound, by a scan of
     the box |v_i| <= sqrt(bound (A^-1)_ii), which contains all of them."""
-    inv = a.matrix.inverse()
+    inv = gj.inverse(a.matrix)
     radii = [isqrt((bound * inv[i, i]).__floor__()) + 1 for i in range(a.n)]
     size = 1
     for r in radii:
