@@ -726,6 +726,7 @@ def f_kernel(field, a: Sequence[Sequence], ncols: int) -> list[list]:
 
 
 def f_solve(field, a: Sequence[Sequence], b: Sequence, ncols: int) -> Optional[list]:
-    """The solution x of a x = b over the field (a with ncols columns)
-    whose free variables are 0, or None when there is no solution."""
+    """The solution x of a x = b over the field whose free variables are
+    0, or None when there is none; a has one row of ncols entries per
+    entry of b."""
     return Echelon(field, [[*row, y] for row, y in zip(a, b)]).solution(ncols)
