@@ -145,7 +145,11 @@ def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
         col_pieces = []
         for t_idx, tgt in enumerate(columns[p + 1]):
             for deleted, sign in subflags_with_signs(tgt.flag):
-                s_idx, witness = _locate_flag(columns[p], deleted, group)
+                hit = _locate_flag(columns[p], deleted, group)
+                if hit is None:
+                    raise CertificateError(
+                        "deleted flag matches no representative")
+                s_idx, witness = hit
                 cm = induced_map(tgt.qc, columns[p][s_idx].qc, twist=witness)
                 col_pieces.append(HorizontalPiece(s_idx, t_idx, sign, cm))
         pieces.append(tuple(col_pieces))
@@ -156,14 +160,16 @@ def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
 
 
 def _locate_flag(column: Sequence[Summand], flag: RationalFlag,
-                 group: GroupSpec):
+                 group: GroupSpec) -> Optional[tuple[int, IntMatrix]]:
+    """The summand whose flag is equivalent to `flag` and a witness
+    carrying `flag` onto it, or None."""
     for idx, s in enumerate(column):
         if s.flag.dims != flag.dims:
             continue
         w = flag_equivalent(flag, s.flag, group)
         if w is not None:
             return idx, w
-    raise CertificateError("deleted flag matches no representative")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +563,10 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
     """Maps induced by one flag subcomplex inclusion, no spectral
     machinery: chain level in homology, transposed in cohomology."""
     field = parse_coeff(coeff) if isinstance(coeff, str) else coeff
-    summand = None
-    for s in dc.columns[0]:
-        if s.flag == flag:
-            summand = s
-            break
-    if summand is None:
-        for s in dc.columns[0]:
-            if flag_equivalent(flag, s.flag, dc.group) is not None:
-                summand = s
-                break
-    if summand is None:
+    hit = _locate_flag(dc.columns[0], flag, dc.group)
+    if hit is None:
         raise ValueError("flag is not equivalent to a column-0 representative")
+    summand = dc.columns[0][hit[0]]
     cm = induced_map(summand.qc, dc.w_qc)
     sub_h = homology(summand.qc, field)
     hom_ranks = []

@@ -7,7 +7,9 @@ symmetric-matrix coordinates, with the infinite constraint family
 certified by a cutting-plane loop (enumerate below the current witness,
 add violators, repeat).  Faces carry larger configurations, cofaces
 smaller ones; orbit enumeration walks the face/coface graph and
-canonicalizes with the configuration-equivalence search.
+canonicalizes with the configuration-equivalence search.  The orbit
+index the walk builds stays with the complex: `OrbitComplex.locate` is
+the one answer to "which orbit is this cell in, and by which element".
 """
 
 from __future__ import annotations
@@ -417,10 +419,14 @@ class Incidence:
 
 @dataclass(frozen=True)
 class OrbitComplex:
+    """Orbit representatives, their codimension-1 incidences, and the
+    index that found them, which `locate` reuses."""
+
     group: GroupSpec
     cells: tuple[OrbitCell, ...]
     incidences: tuple[Incidence, ...]
-    constraint: Optional[RationalFlag] = None
+    constraint: Optional[RationalFlag]
+    index: _OrbitIndex = field(compare=False, repr=False)
 
     def by_dim(self) -> dict[int, list[OrbitCell]]:
         out: dict[int, list[OrbitCell]] = {}
@@ -434,6 +440,14 @@ class OrbitComplex:
 
     def cell_by_id(self, cid: int) -> Cell:
         return self.cells[cid].cell
+
+    def locate(self, config: VectorConfig) -> tuple[int, IntMatrix]:
+        """The orbit id of a cell configuration and a group element
+        carrying it onto the representative configuration."""
+        hit = self.index.locate(config)
+        if hit is None:
+            raise KeyError(f"cell not found in complex: {config}")
+        return hit
 
     def to_json(self) -> dict:
         data = {
@@ -463,20 +477,33 @@ def _orbit_key(config: VectorConfig):
 
 
 class _OrbitIndex:
+    """Orbit representatives bucketed by dimension and `_orbit_key`.  A
+    configuration is located by the equivalence search against the
+    representatives in its bucket only; hits are remembered by
+    configuration (misses are not, since the walk adds orbits later)."""
+
     def __init__(self, group: GroupSpec, constraint: Optional[RationalFlag]):
         self.group = group
         self.constraint = constraint
         self.orbits: list[OrbitCell] = []
         self.buckets: dict = {}
+        self._hits: dict[VectorConfig, tuple[int, IntMatrix]] = {}
 
-    def locate(self, cell: Cell):
-        key = (cell.dim, _orbit_key(cell.config))
-        for oid in self.buckets.get(key, ()):
-            u = config_equiv(cell.config, self.orbits[oid].cell.config,
+    def locate(self, config: VectorConfig, dim: Optional[int] = None):
+        """(orbit id, u) with u carrying the configuration onto the
+        representative's, or None; dim defaults to the cell dimension."""
+        hit = self._hits.get(config)
+        if hit is not None:
+            return hit
+        if dim is None:
+            dim = cell_dimension(config)
+        for oid in self.buckets.get((dim, _orbit_key(config)), ()):
+            u = config_equiv(config, self.orbits[oid].cell.config,
                              self.group, flag=self.constraint)
             if u is not None:
+                self._hits[config] = (oid, u)
                 return oid, u
-        return None, None
+        return None
 
     def add(self, cell: Cell) -> int:
         oid = len(self.orbits)
@@ -526,16 +553,14 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
         if variant:
             neighbors = list(reversed(neighbors))
         for nb in neighbors:
-            fid, _ = index.locate(nb)
-            if fid is None:
-                fid = index.add(nb)
-                queue.append(fid)
+            if index.locate(nb.config, nb.dim) is None:
+                queue.append(index.add(nb))
         for f in faces:
             if f.dim == rep.dim - 1:
-                fid, via = index.locate(f)
+                fid, via = index.locate(f.config, f.dim)
                 incidences.append(Incidence(oid, fid, via))
-    cells = tuple(index.orbits)
-    return OrbitComplex(group, cells, tuple(incidences), constraint)
+    return OrbitComplex(group, tuple(index.orbits), tuple(incidences),
+                        constraint, index)
 
 
 def enumerate_W(group: GroupSpec, experimental_n4: bool = False,

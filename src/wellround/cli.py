@@ -20,7 +20,7 @@ from .boundary import (
     spectral_sequence, total_cohomology,
 )
 from .cells import (
-    Incidence, OrbitCell, OrbitComplex, cell_from_config, enumerate_W,
+    Incidence, OrbitComplex, _OrbitIndex, cell_from_config, enumerate_W,
     is_small_enough, subcomplex_WF,
 )
 from .exactla import CertificateError, format_rational, parse_rational
@@ -96,20 +96,37 @@ def complex_to_json(cx: OrbitComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> OrbitComplex:
+    """An orbit complex from its JSON form.  Cell ids must be 0, ..., m-1,
+    a constraint flag must live in the group's dimension, and no two
+    cells may lie in one orbit; the orbit index is rebuilt by adding the
+    cells in id order."""
     group = GroupSpec.from_json(data["group"])
-    cells = []
-    for item in sorted(data["cells"], key=lambda c: c["id"]):
-        config = config_from_json(item["config"])
-        cell = cell_from_config(config)
-        cells.append(OrbitCell(int(item["id"]), cell))
+    constraint = None
+    if "constraint" in data:
+        constraint = RationalFlag.from_json(data["constraint"])
+        if constraint.n != group.n:
+            raise ValueError(f"constraint flag has n = {constraint.n}, "
+                             f"the group has n = {group.n}")
+    items = sorted(data["cells"], key=lambda c: int(c["id"]))
+    if [int(item["id"]) for item in items] != list(range(len(items))):
+        raise ValueError("cell ids must be 0, ..., m-1, each once")
+    index = _OrbitIndex(group, constraint)
+    for item in items:
+        cell = cell_from_config(config_from_json(item["config"]))
+        if cell.n != group.n:
+            raise ValueError(f"cell {item['id']} has n = {cell.n}, "
+                             f"the group has n = {group.n}")
+        hit = index.locate(cell.config, cell.dim)
+        if hit is not None:
+            raise ValueError(f"cells {hit[0]} and {item['id']} lie in "
+                             "one orbit")
+        index.add(cell)
     incidences = tuple(
         Incidence(int(i["cell"]), int(i["face"]),
                   tuple(tuple(int(x) for x in row) for row in i["via"]))
         for i in data.get("incidences", ()))
-    constraint = None
-    if "constraint" in data:
-        constraint = RationalFlag.from_json(data["constraint"])
-    return OrbitComplex(group, tuple(cells), incidences, constraint)
+    return OrbitComplex(group, tuple(index.orbits), incidences, constraint,
+                        index)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +209,7 @@ def _cmd_cells_wf(args) -> dict:
 
 def _cmd_homology(args) -> dict:
     cx = _complex_from_file(args.complex)
-    qc = barycentric_quotient(cx, double=args.fallback_subdivision)
+    qc = barycentric_quotient(cx)
     res = homology(qc, args.coeff)
     out = {
         "coeff": res.coeff,
@@ -470,7 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="homology of an enumerated complex")
     p.add_argument("--complex", required=True)
     p.add_argument("--coeff", default="Z", help="Z | Q | Fp:<prime>")
-    p.add_argument("--fallback-subdivision", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("boundary", help="boundary cohomology reports")

@@ -280,10 +280,6 @@ def int_adjugate(m: IntMatrix) -> IntMatrix:
         for i in range(n))
 
 
-def is_unimodular(m: IntMatrix) -> bool:
-    return len(m) == len(m[0]) and abs(int_det(m)) == 1
-
-
 def int_inverse(m: IntMatrix) -> IntMatrix:
     det = int_det(m)
     if det == 0:

@@ -3,26 +3,29 @@
 Simplices of the first barycentric subdivision are strictly increasing
 chains of cells; the group permutes chains, and a chain is anchored at
 the orbit representative of its top cell, with the residual ambiguity
-killed by the top cell's finite stabilizer.  An element stabilizing a
-chain fixes each member (their dimensions differ), so simplices never
-fold onto themselves and the orbit complex computes the homology of the
-quotient space with any coefficients.  Boundary matrices are integer
-matrices; homology is exact (Smith normal form for torsion over Z,
-the fraction-free `exactla.Echelon` for ranks and representatives).
+killed by the top cell's finite stabilizer.  The top cell's orbit and
+the element carrying it onto the representative come from the orbit
+complex's own index (`OrbitComplex.locate`).  An element stabilizing a
+chain fixes each member (their dimensions differ), so it fixes the
+simplex pointwise: simplices never fold onto themselves, and this one
+subdivision computes the homology of the quotient space with any
+coefficients.  Boundary matrices are integer matrices; homology is
+exact (Smith normal form for torsion over Z, the fraction-free
+`exactla.Echelon` for ranks and representatives).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cells import OrbitComplex, cell_dimension, cell_faces
+from .cells import OrbitComplex, cell_faces
 from .exactla import (
     CertificateError, Echelon, IntMatrix, PrimeField, QQ, f_kernel, f_rank,
-    int_matmul, int_matvec, snf,
+    int_matvec, snf,
 )
 from .flags import RationalFlag
-from .lattice import VectorConfig, canonical_config, config_equiv, config_stabilizer
+from .lattice import VectorConfig, canonical_config, config_stabilizer
 
 Chain = tuple[VectorConfig, ...]  # cell configs, dimension-increasing
 
@@ -39,7 +42,7 @@ def _apply_chain(u: IntMatrix, chain: Chain) -> Chain:
 class SimplexOrbit:
     dim: int
     chain: Chain          # canonical representative, top cell last
-    top_orbit: int        # orbit id of the top cell (-1 in the double model)
+    top_orbit: int        # orbit id of the top cell
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,17 @@ class QuotientComplex:
     """Simplex orbits per dimension with integer boundary matrices.
 
     boundaries[k] maps k-chains to (k-1)-chains; rows are indexed by the
-    (k-1)-simplices.  boundaries[0] is the empty matrix.
+    (k-1)-simplices.  boundaries[0] is the empty matrix.  A quotient of
+    an orbit complex keeps the indexer of its chains, which `locate`
+    reads; complexes built from matrices alone have none.
     """
 
     group: object
     constraint: Optional[RationalFlag]
     simplices: tuple[tuple[SimplexOrbit, ...], ...]
     boundaries: tuple[IntMatrix, ...]
+    chains: Optional[_ChainIndexer] = field(default=None, compare=False,
+                                            repr=False)
 
     @property
     def dim(self) -> int:
@@ -70,19 +77,21 @@ class QuotientComplex:
 
     def locate(self, chain: Chain) -> tuple[int, int]:
         """(dimension, index) of the simplex orbit containing the chain."""
-        return self._locate(chain)  # type: ignore[attr-defined]
+        return self.chains.locate(chain)
 
 
 class _ChainIndexer:
-    """Canonicalization of cell chains under the group action."""
+    """Canonical chains under the group action, and the simplex orbit of
+    a chain: its top cell is located through the orbit complex's index,
+    the chain is moved so that the top cell is the representative, and
+    the top cell's stabilizer picks the least image."""
 
     def __init__(self, complex: OrbitComplex):
         self.complex = complex
         self.group = complex.group
         self.constraint = complex.constraint
         self._stab: dict[int, tuple[IntMatrix, ...]] = {}
-        self._closure: dict[int, list[VectorConfig]] = {}
-        self._top: dict[VectorConfig, tuple[int, IntMatrix]] = {}
+        self.ids: dict[Chain, tuple[int, int]] = {}
 
     def stabilizer(self, oid: int) -> tuple[IntMatrix, ...]:
         if oid not in self._stab:
@@ -91,38 +100,27 @@ class _ChainIndexer:
                 rep.config, self.group, flag=self.constraint).elements
         return self._stab[oid]
 
-    def closure_configs(self, oid: int) -> list[VectorConfig]:
-        if oid not in self._closure:
-            rep = self.complex.cell_by_id(oid)
-            seen = {rep.config: rep}
-            frontier = [rep]
-            while frontier:
-                cur = frontier.pop()
-                for f in cell_faces(cur):
-                    if f.config not in seen:
-                        seen[f.config] = f
-                        frontier.append(f)
-            self._closure[oid] = sorted(seen)
-        return self._closure[oid]
-
     def canonical_chain(self, oid: int, chain: Chain) -> Chain:
         return min(_apply_chain(g, chain) for g in self.stabilizer(oid))
 
-    def locate_top(self, config: VectorConfig) -> tuple[int, IntMatrix]:
-        """Orbit id of a cell config and a witness carrying it onto the
-        representative configuration."""
-        if config in self._top:
-            return self._top[config]
-        d = cell_dimension(config)
-        for oc in self.complex.cells:
-            if oc.cell.dim != d:
-                continue
-            u = config_equiv(config, oc.cell.config, self.group,
-                             flag=self.constraint)
-            if u is not None:
-                self._top[config] = (oc.id, u)
-                return oc.id, u
-        raise KeyError(f"cell not found in complex: {config}")
+    def locate(self, chain: Chain) -> tuple[int, int]:
+        oid, u = self.complex.locate(chain[-1])
+        moved = _apply_chain(u, chain[:-1]) + \
+            (self.complex.cell_by_id(oid).config,)
+        return self.ids[self.canonical_chain(oid, moved)]
+
+
+def _closure_configs(complex: OrbitComplex, oid: int) -> list[VectorConfig]:
+    rep = complex.cell_by_id(oid)
+    seen = {rep.config: rep}
+    frontier = [rep]
+    while frontier:
+        cur = frontier.pop()
+        for f in cell_faces(cur):
+            if f.config not in seen:
+                seen[f.config] = f
+                frontier.append(f)
+    return sorted(seen)
 
 
 def _enumerate_chains(poset: Sequence[VectorConfig], top: VectorConfig):
@@ -143,25 +141,13 @@ def _enumerate_chains(poset: Sequence[VectorConfig], top: VectorConfig):
     return chains
 
 
-def barycentric_quotient(complex: OrbitComplex,
-                         double: bool = False) -> QuotientComplex:
-    """The quotient of the first barycentric subdivision by the group.
-
-    double=True subdivides a second time (fallback only; one subdivision
-    suffices because chain stabilizers fix chains pointwise, which the
-    construction verifies via its canonical-labeling checks)."""
-    qc = _first_subdivision(complex)
-    if double:
-        qc = _second_subdivision(complex, qc)
-    return qc
-
-
-def _first_subdivision(complex: OrbitComplex) -> QuotientComplex:
+def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
+    """The quotient of the first barycentric subdivision by the group."""
     indexer = _ChainIndexer(complex)
     by_dim: dict[int, list[SimplexOrbit]] = {}
     seen: set[Chain] = set()
     for oc in complex.cells:
-        closure = indexer.closure_configs(oc.id)
+        closure = _closure_configs(complex, oc.id)
         for chain in _enumerate_chains(closure, oc.cell.config):
             canon = indexer.canonical_chain(oc.id, chain)
             if canon in seen:
@@ -173,16 +159,9 @@ def _first_subdivision(complex: OrbitComplex) -> QuotientComplex:
     max_dim = max(by_dim) if by_dim else 0
     simplices = tuple(tuple(sorted(by_dim.get(k, ()), key=lambda s: s.chain))
                       for k in range(max_dim + 1))
-    ids: dict[Chain, tuple[int, int]] = {}
     for k, level in enumerate(simplices):
         for i, s in enumerate(level):
-            ids[s.chain] = (k, i)
-
-    def locate(chain: Chain) -> tuple[int, int]:
-        oid, u = indexer.locate_top(chain[-1])
-        moved = _apply_chain(u, chain[:-1]) + \
-            (complex.cell_by_id(oid).config,)
-        return ids[indexer.canonical_chain(oid, moved)]
+            indexer.ids[s.chain] = (k, i)
 
     boundaries: list[IntMatrix] = [()]
     for k in range(1, max_dim + 1):
@@ -190,112 +169,15 @@ def _first_subdivision(complex: OrbitComplex) -> QuotientComplex:
         mat = [[0] * len(simplices[k]) for _ in range(rows)]
         for j, s in enumerate(simplices[k]):
             for i in range(k + 1):
-                kk, idx = locate(s.chain[:i] + s.chain[i + 1:])
+                kk, idx = indexer.locate(s.chain[:i] + s.chain[i + 1:])
                 if kk != k - 1:
                     raise CertificateError("face chain has the wrong dimension")
                 mat[idx][j] += (-1) ** i
         boundaries.append(tuple(tuple(r) for r in mat))
     qc = QuotientComplex(complex.group, complex.constraint,
-                         simplices, tuple(boundaries))
+                         simplices, tuple(boundaries), indexer)
     _check_boundary_squares_to_zero(qc)
-    object.__setattr__(qc, "_locate", locate)
-    object.__setattr__(qc, "_indexer", indexer)
     return qc
-
-
-def _second_subdivision(complex: OrbitComplex,
-                        first: QuotientComplex) -> QuotientComplex:
-    """Chains of chains, anchored at the canonical top chain."""
-    indexer: _ChainIndexer = first._indexer  # type: ignore[attr-defined]
-    stab_cache: dict[Chain, tuple[IntMatrix, ...]] = {}
-
-    def chain_stab(chain: Chain) -> tuple[IntMatrix, ...]:
-        if chain not in stab_cache:
-            oid, _ = indexer.locate_top(chain[-1])
-            stab_cache[chain] = tuple(
-                g for g in indexer.stabilizer(oid)
-                if _apply_chain(g, chain) == chain)
-        return stab_cache[chain]
-
-    def canonical_top_chain(chain: Chain) -> tuple[Chain, IntMatrix]:
-        oid, u = indexer.locate_top(chain[-1])
-        moved = _apply_chain(u, chain[:-1]) + \
-            (complex.cell_by_id(oid).config,)
-        best, best_g = None, None
-        for g in indexer.stabilizer(oid):
-            cand = _apply_chain(g, moved)
-            if best is None or cand < best:
-                best, best_g = cand, g
-        return best, int_matmul(best_g, u)
-
-    by_dim: dict[int, list[tuple[Chain, ...]]] = {}
-    seen: set[tuple[Chain, ...]] = set()
-    for level in first.simplices:
-        for s in level:
-            top = s.chain
-            stab = chain_stab(top)
-            for flagchain in _nested_chain_flags(_all_subchains(top), top):
-                canon = min(tuple(_apply_chain(g, t) for t in flagchain)
-                            for g in stab)
-                if canon not in seen:
-                    seen.add(canon)
-                    by_dim.setdefault(len(canon) - 1, []).append(canon)
-    max_dim = max(by_dim) if by_dim else 0
-    levels = tuple(tuple(sorted(by_dim.get(k, ())))
-                   for k in range(max_dim + 1))
-    ids = {}
-    for k, level in enumerate(levels):
-        for i, t in enumerate(level):
-            ids[t] = (k, i)
-
-    def locate2(flagchain: tuple[Chain, ...]) -> tuple[int, int]:
-        top, g = canonical_top_chain(flagchain[-1])
-        moved = tuple(_apply_chain(g, t) for t in flagchain[:-1]) + (top,)
-        canon = min(tuple(_apply_chain(h, t) for t in moved)
-                    for h in chain_stab(top))
-        return ids[canon]
-
-    boundaries: list[IntMatrix] = [()]
-    for k in range(1, max_dim + 1):
-        mat = [[0] * len(levels[k]) for _ in range(len(levels[k - 1]))]
-        for j, t in enumerate(levels[k]):
-            for i in range(k + 1):
-                kk, idx = locate2(t[:i] + t[i + 1:])
-                if kk != k - 1:
-                    raise CertificateError("face chain has the wrong dimension")
-                mat[idx][j] += (-1) ** i
-        boundaries.append(tuple(tuple(r) for r in mat))
-    simplices = tuple(tuple(SimplexOrbit(k, t[-1], -1) for t in level)
-                      for k, level in enumerate(levels))
-    qc = QuotientComplex(complex.group, complex.constraint,
-                         simplices, tuple(boundaries))
-    _check_boundary_squares_to_zero(qc)
-    object.__setattr__(qc, "_locate", locate2)
-    object.__setattr__(qc, "_indexer", indexer)
-    return qc
-
-
-def _all_subchains(chain: Chain) -> list[Chain]:
-    from itertools import combinations
-    out = []
-    for k in range(1, len(chain) + 1):
-        out.extend(tuple(sub) for sub in combinations(chain, k))
-    return out
-
-
-def _nested_chain_flags(subchains: Sequence[Chain], top: Chain):
-    flags = [(top,)]
-
-    def grow(prefix):
-        first = set(prefix[0])
-        for t in subchains:
-            if set(t) < first:
-                flag = (t,) + prefix
-                flags.append(flag)
-                grow(flag)
-
-    grow((top,))
-    return flags
 
 
 def _check_boundary_squares_to_zero(qc: QuotientComplex):

@@ -1,5 +1,6 @@
 """Certificate checks are explicit raises of CertificateError, so they
-still run under `python -O`, and the CLI reports them as a JSON error."""
+still run under `python -O`, and the CLI reports them as a JSON error.
+Each case runs a mutant of the program in a subprocess under -O."""
 
 import json
 import os
@@ -11,6 +12,15 @@ from pathlib import Path
 import wellround
 
 SRC = str(Path(wellround.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _run_optimized(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", script, *args],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.strip().splitlines()
 
 # The block scaling used to rebuild the retraction is replaced by one
 # that returns twice the correct form, so the rebuilt form disagrees with
@@ -38,14 +48,40 @@ SCRIPT = textwrap.dedent("""
 def test_certificate_raised_under_optimize(tmp_path):
     form = tmp_path / "f.json"
     form.write_text(json.dumps({"n": 2, "rows": [["1", "0"], ["0", "2"]]}))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT, str(form)],
-                          capture_output=True, text=True, env=env, check=True)
-    cli_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    cli_line, result_line = _run_optimized(SCRIPT, str(form))[-2:]
     result = json.loads(result_line)
     assert result["optimize"] == 1
     assert result["raised"] == "composite disagrees with block scaling"
     assert result["code"] == 1
     assert json.loads(cli_line) == {
         "error": "CertificateError: composite disagrees with block scaling"}
+
+
+# One entry of the top boundary matrix of the quotient is raised by 1
+# before the D^2 = 0 check sees it; the SL_3 quotient has dimension 3, so
+# the check has a product to test.
+QUOTIENT_SCRIPT = textwrap.dedent("""
+    import dataclasses, json, sys
+    import wellround.quotient as quotient
+    from wellround.cli import run
+
+    real = quotient._check_boundary_squares_to_zero
+
+    def corrupted(qc):
+        top = [list(row) for row in qc.boundaries[-1]]
+        top[0][0] += 1
+        bnds = qc.boundaries[:-1] + (tuple(tuple(r) for r in top),)
+        real(dataclasses.replace(qc, boundaries=bnds))
+
+    quotient._check_boundary_squares_to_zero = corrupted
+    code = run(["homology", "--complex", sys.argv[1]])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_quotient_certificate_raised_under_optimize():
+    cx = GOLDEN / "cells_enumerate_sl_3.json"
+    cli_line, result_line = _run_optimized(QUOTIENT_SCRIPT, str(cx))[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: boundary squared is nonzero"}

@@ -236,3 +236,61 @@ def test_huge_prime_is_json_error(capsys):
     assert code == 1
     assert json.loads(out) == {
         "error": "ValueError: the prime must be below the bound 2^31"}
+
+
+def _gamma0_3_complex():
+    from wellround.cells import enumerate_W
+    from wellround.cli import complex_to_json
+    from wellround.lattice import GroupSpec
+    return complex_to_json(enumerate_W(GroupSpec(2, "gamma0", 3)))
+
+
+def test_gamma0_3_complex_homology(tmp_path, capsys):
+    # the unaltered file the bad ones below are made from
+    cx = write_json(tmp_path, "c.json", _gamma0_3_complex())
+    code, out = invoke(capsys, "homology", "--complex", cx)
+    assert code == 0
+    assert [d["betti"] for d in json.loads(out)["degrees"]] == [1, 1]
+
+
+def _renumber(old, new):
+    def edit(data):
+        for cell in data["cells"]:
+            if cell["id"] == old:
+                cell["id"] = new
+    return edit
+
+
+def _add_translate(data):
+    # the first 1-cell moved by [[1, 1], [0, 1]], an element of Gamma_0(3)
+    cell = next(c for c in data["cells"] if c["dim"] == 1)
+    moved = [[v[0] + v[1], v[1]] for v in cell["config"]]
+    data["cells"].append(dict(cell, id=len(data["cells"]), config=moved))
+
+
+def _constrain_n3(data):
+    data["constraint"] = {"n": 3, "members": [[[1], [0], [0]]]}
+
+
+def _add_cell_n3(data):
+    data["cells"].append({"id": len(data["cells"]),
+                          "config": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_renumber(3, 7), "cell ids must be 0, ..., m-1"),
+    (_renumber(0, -1), "cell ids must be 0, ..., m-1"),
+    (_renumber(1, 0), "cell ids must be 0, ..., m-1"),
+    (_add_translate, "cells 1 and 4 lie in one orbit"),
+    (_constrain_n3, "constraint flag has n = 3"),
+    (_add_cell_n3, "cell 4 has n = 3"),
+], ids=["id-gap", "id-negative", "id-repeated", "orbit-repeated",
+        "constraint-n", "cell-n"])
+def test_inconsistent_complex_is_json_error(tmp_path, capsys, edit, message):
+    data = _gamma0_3_complex()
+    edit(data)
+    cx = write_json(tmp_path, "c.json", data)
+    code, out = invoke(capsys, "homology", "--complex", cx)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error.startswith("bad complex: ") and message in error

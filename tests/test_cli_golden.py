@@ -14,6 +14,11 @@ The cell fixtures were written by the Fraction Gauss-Jordan elimination
 that `exactla.Echelon` replaced in cell charts, span tests, flag
 respect and adapted bases, so any change in a cell, a face, a witness
 or a flag representative shows up here.
+
+The homology fixtures of the SL_3 complexes read the cell fixtures back
+with `homology --complex`; they were written while quotients still found
+cells by a linear scan over the orbits, before they read the complex's
+own orbit index, and they pin the flag-constrained lookup through W_F.
 """
 
 import json
@@ -125,6 +130,20 @@ def test_homology_output_matches_golden(tmp_path, capsys):
     assert run(["homology", "--complex", str(cx), "--coeff", "Z"]) == 0
     assert capsys.readouterr().out == \
         (GOLDEN / "homology_gamma0_11_z.json").read_text()
+
+
+# fixture name -> the cell fixture read back as the complex
+HOMOLOGY_CASES = {
+    "homology_sl_3_z.json": "cells_enumerate_sl_3.json",
+    "homology_wf_sl_3_line_z.json": "cells_wf_sl_3_line.json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_CASES))
+def test_complex_homology_matches_golden(name, capsys):
+    cx = GOLDEN / HOMOLOGY_CASES[name]
+    assert run(["homology", "--complex", str(cx), "--coeff", "Z"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
 def test_representatives_match_golden():

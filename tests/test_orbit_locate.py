@@ -1,0 +1,70 @@
+"""`OrbitComplex.locate` against a linear scan over every orbit of the
+same dimension.  The scan is the lookup quotients used before they read
+the complex's own bucketed index, kept here only as the oracle: for
+every configuration in the closure of every orbit cell, and for its
+translate by a group element, both must give the same orbit and the
+same witness, also on a second (remembered) lookup."""
+
+import pytest
+
+from wellround.cells import (
+    _seed_shift, cell_dimension, enumerate_W, subcomplex_WF,
+)
+from wellround.exactla import int_matvec
+from wellround.flags import standard_flag
+from wellround.lattice import GroupSpec, canonical_config, config_equiv
+from wellround.quotient import _closure_configs
+
+
+def _scan(complex, config):
+    d = cell_dimension(config)
+    for oc in complex.cells:
+        if oc.cell.dim != d:
+            continue
+        u = config_equiv(config, oc.cell.config, complex.group,
+                         flag=complex.constraint)
+        if u is not None:
+            return oc.id, u
+    raise KeyError(f"cell not found in complex: {config}")
+
+
+def _wf(n, group):
+    return subcomplex_WF(enumerate_W(group), standard_flag(n, (1,)))
+
+
+COMPLEXES = {
+    "W GL_2": lambda: enumerate_W(GroupSpec(2, "gl")),
+    "W SL_2": lambda: enumerate_W(GroupSpec(2, "sl")),
+    "W Gamma_0(11)": lambda: enumerate_W(GroupSpec(2, "gamma0", 11)),
+    "W Gamma(3)": lambda: enumerate_W(GroupSpec(2, "gamma", 3)),
+    "W SL_3": lambda: enumerate_W(GroupSpec(3, "sl")),
+    "W_F SL_2 line": lambda: _wf(2, GroupSpec(2, "sl")),
+    "W_F SL_3 line": lambda: _wf(3, GroupSpec(3, "sl")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_locate_matches_linear_scan(name):
+    complex = COMPLEXES[name]()
+    # I + level e_1 e_n^T lies in every test group and fixes the line e_1
+    shift = _seed_shift(complex.group)
+    checked = 0
+    for oc in complex.cells:
+        for config in _closure_configs(complex, oc.id):
+            moved = canonical_config(tuple(int_matvec(shift, v))
+                                     for v in config)
+            for c in (config, moved):
+                want = _scan(complex, c)
+                assert complex.locate(c) == want
+                assert complex.locate(c) == want
+                checked += 1
+    assert checked >= 2 * len(complex.cells)
+
+
+def test_locate_miss_is_key_error():
+    # the edge {(0,1), (1,-1)} of W has no vector on the line e_1, so no
+    # element preserving that line carries it into W_F
+    wf = _wf(2, GroupSpec(2, "sl"))
+    config = canonical_config(((0, 1), (1, -1)))
+    with pytest.raises(KeyError, match="cell not found in complex"):
+        wf.locate(config)
