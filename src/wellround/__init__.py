@@ -3,8 +3,7 @@ rational arithmetic, for GL_n(Z), SL_n(Z) and their congruence subgroups."""
 
 from .exactla import (
     CertificateError, LPResult, NotPositiveDefinite, RatMatrix, Rational,
-    SNFResult, format_rational, hnf, ldlt, lp, parse_rational, saturation,
-    snf,
+    format_rational, hnf, lp, parse_rational, saturation, snf,
 )
 from .lattice import (
     GramForm, GroupSpec, MinimaResult, config_equiv, config_stabilizer,

@@ -237,7 +237,7 @@ def _check_total_differential_squares_to_zero(dc: DoubleComplex):
 
 def total_cohomology(dc: DoubleComplex, coeff="Q"):
     """Cohomology of the total complex: over a field the dimensions, over
-    Z also the torsion (via Smith form)."""
+    Z also the torsion (the Smith invariants of `exactla.snf`)."""
     if isinstance(coeff, str):
         coeff = parse_coeff(coeff)
     field = QQ if coeff == "Z" else coeff  # ranks over Z are ranks over Q
@@ -250,7 +250,7 @@ def total_cohomology(dc: DoubleComplex, coeff="Q"):
         betti = dims[k] - f_rank(field, dk) - f_rank(field, dkm)
         torsion: tuple[int, ...] = ()
         if coeff == "Z" and dkm and dkm[0]:
-            torsion = tuple(int(d) for d in snf(dkm).diag if d not in (0, 1))
+            torsion = tuple(d for d in snf(dkm) if d > 1)
         out.append({"degree": k, "betti": betti, "torsion": torsion})
     while out and out[-1]["betti"] == 0 and not out[-1]["torsion"]:
         out.pop()

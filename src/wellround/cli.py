@@ -97,9 +97,11 @@ def complex_to_json(cx: OrbitComplex) -> dict:
 
 def complex_from_json(data: dict) -> OrbitComplex:
     """An orbit complex from its JSON form.  Cell ids must be 0, ..., m-1,
-    a constraint flag must live in the group's dimension, and no two
-    cells may lie in one orbit; the orbit index is rebuilt by adding the
-    cells in id order."""
+    each cell's dim must be that of the cell its config spans, a
+    constraint flag must live in the group's dimension, and no two cells
+    may lie in one orbit; an incidence must join two of the cells, the
+    face one dimension lower, by an element of the group.  The orbit
+    index is rebuilt by adding the cells in id order."""
     group = GroupSpec.from_json(data["group"])
     constraint = None
     if "constraint" in data:
@@ -116,17 +118,31 @@ def complex_from_json(data: dict) -> OrbitComplex:
         if cell.n != group.n:
             raise ValueError(f"cell {item['id']} has n = {cell.n}, "
                              f"the group has n = {group.n}")
+        if int(item["dim"]) != cell.dim:
+            raise ValueError(f"cell {item['id']} has dim {item['dim']}, "
+                             f"its config spans a {cell.dim}-cell")
         hit = index.locate(cell.config, cell.dim)
         if hit is not None:
             raise ValueError(f"cells {hit[0]} and {item['id']} lie in "
                              "one orbit")
         index.add(cell)
-    incidences = tuple(
-        Incidence(int(i["cell"]), int(i["face"]),
-                  tuple(tuple(int(x) for x in row) for row in i["via"]))
-        for i in data.get("incidences", ()))
-    return OrbitComplex(group, tuple(index.orbits), incidences, constraint,
-                        index)
+    dims = [oc.cell.dim for oc in index.orbits]
+    incidences = []
+    for i in data.get("incidences", ()):
+        inc = Incidence(int(i["cell"]), int(i["face"]),
+                        tuple(tuple(int(x) for x in row) for row in i["via"]))
+        if not (0 <= inc.cell < len(dims) and 0 <= inc.face < len(dims)):
+            raise ValueError(f"incidence {inc.cell} -> {inc.face} names a "
+                             f"cell outside 0, ..., {len(dims) - 1}")
+        if dims[inc.face] != dims[inc.cell] - 1:
+            raise ValueError(f"incidence {inc.cell} -> {inc.face} joins "
+                             f"dims {dims[inc.cell]} and {dims[inc.face]}")
+        if not group.contains(inc.via):
+            raise ValueError(f"incidence {inc.cell} -> {inc.face} has a "
+                             "via that is not in the group")
+        incidences.append(inc)
+    return OrbitComplex(group, tuple(index.orbits), tuple(incidences),
+                        constraint, index)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ Python ints.  Provided here:
 
 * `RatMatrix`, rational matrix arithmetic (no elimination),
 * fraction-free LDL^T factorization (Bareiss) with positive-definiteness
-  certification, and its rational form `ldlt`,
+  certification,
 * Bareiss determinants, adjugates and inverses of integer matrices,
-* column-style Hermite normal form, integer kernels and saturation,
-* Smith normal form with unimodular transforms (for homology over Z),
+* one integer normal form, the row Hermite normal form with its
+  unimodular transform (`_row_hnf`), from which the column HNF, the
+  saturated integer kernel, saturation and the Smith invariants (for
+  homology over Z) are all derived,
 * a two-phase simplex solver with Bland's rule over the rationals,
 * `Echelon`, an incrementally built echelon basis over Q or F_p that
   keeps integer rows over Q, and the one elimination kernel outside the
@@ -187,29 +189,8 @@ def int_ldlt(m: IntMatrix) -> tuple[IntMatrix, IntVector]:
     return rows, tuple(rows[i][i] for i in range(n))
 
 
-def ldlt(a: RatMatrix) -> tuple[RatMatrix, tuple[Fraction, ...]]:
-    """L D L^T factorization of a symmetric positive-definite matrix.
-
-    Returns (L, pivots) with L unit lower-triangular and all pivots > 0,
-    read off the fraction-free factorization `int_ldlt` of the integer
-    matrix M = D a.  Raises NotPositiveDefinite (with the 1-based pivot
-    position) at the first nonpositive pivot.
-    """
-    if not a.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    m, den = int_scaled(a)
-    rows, minors = int_ldlt(m)
-    n = len(rows)
-    lmat = tuple(tuple(Fraction(rows[j][i], minors[j]) if i > j
-                       else Fraction(int(i == j)) for j in range(n))
-                 for i in range(n))
-    prev = (1,) + minors
-    return RatMatrix(lmat), tuple(Fraction(minors[i], prev[i] * den)
-                                  for i in range(n))
-
-
 # ---------------------------------------------------------------------------
-# Integer matrices: HNF, SNF, kernels, saturation
+# Integer matrices: one Hermite form for HNF, SNF, kernels, saturation
 # ---------------------------------------------------------------------------
 
 def int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
@@ -290,14 +271,16 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(x // det for x in row) for row in adj)
 
 
-def _row_hnf(m: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form: echelon rows, positive pivots,
-    entries above a pivot reduced into [0, pivot).  Zero rows dropped."""
-    a = [list(r) for r in m]
+def _row_hnf(a: list[list[int]], width: int) -> int:
+    """Bring the rows of a, in place, into row Hermite normal form on
+    their first width columns: echelon rows, positive pivots, entries
+    above a pivot reduced into [0, pivot), zero rows last.  Returns the
+    rank r, the number of nonzero rows.  Only unimodular row operations
+    are used, and they carry any columns past width along, so rows
+    [m | I] become [H | U] with U m = H."""
     nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
     r = 0
-    for j in range(ncols):
+    for j in range(width):
         while True:
             live = [i for i in range(r, nrows) if a[i][j] != 0]
             if not live:
@@ -323,7 +306,19 @@ def _row_hnf(m: IntMatrix) -> IntMatrix:
             r += 1
             if r == nrows:
                 break
-    return tuple(tuple(row) for row in a[:r] if any(row))
+    return r
+
+
+def hnf_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, int]:
+    """(H, U, r): the row Hermite normal form H of m, a unimodular U with
+    U m = H, and the rank r, so that the rows of U from r on are a basis
+    of the integer left kernel of m."""
+    width = len(m[0]) if m else 0
+    a = [list(row) + [int(i == k) for k in range(len(m))]
+         for i, row in enumerate(m)]
+    r = _row_hnf(a, width)
+    return (tuple(tuple(row[:width]) for row in a),
+            tuple(tuple(row[width:]) for row in a), r)
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
@@ -335,66 +330,51 @@ def hnf(m: IntMatrix) -> IntMatrix:
     m = int_matrix(m)
     if not m:
         return m
-    return int_transpose(_row_hnf(int_transpose(m)))
+    a = [list(col) for col in int_transpose(m)]
+    r = _row_hnf(a, len(m))
+    return int_transpose(tuple(tuple(row) for row in a[:r]))
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    left: IntMatrix
-    diag: IntVector
-    right: IntMatrix
+def snf(m: IntMatrix) -> IntVector:
+    """The invariant factors of m: the diagonal d_1 | d_2 | ... of its
+    Smith normal form, min(rows, cols) nonnegative entries, zeros last.
 
-    def reconstruct(self, m: IntMatrix) -> IntMatrix:
-        return int_matmul(int_matmul(self.left, m), self.right)
-
-
-def snf(m: IntMatrix) -> SNFResult:
-    """Smith normal form with transforms: left @ m @ right is diagonal
-    with a nonnegative divisibility chain d_1 | d_2 | ...
-
-    Backed by sympy's DomainMatrix decomposition over ZZ; naive gcd
-    elimination suffers catastrophic entry growth on dense matrices.
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 1979); each is a unimodular
+    change of basis on one side, and the reduction above the pivots
+    keeps the entries small.  One gcd/lcm pass then turns the diagonal
+    into the divisibility chain.
     """
     m = int_matrix(m)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return SNFResult(int_identity(nrows), (), int_identity(ncols))
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.matrices.normalforms import smith_normal_decomp
-
-    dm = DomainMatrix.from_list([[ZZ(x) for x in row] for row in m], ZZ)
-    d, s, t = smith_normal_decomp(dm)
-    u = int_matrix(s.to_list())
-    v = int_matrix(t.to_list())
-    dd = d.to_list()
-    r = min(nrows, ncols)
-    diag = [int(dd[i][i]) for i in range(r)]
-    for i in range(r):
-        if diag[i] < 0:
-            diag[i] = -diag[i]
-            u = tuple(row if k != i else tuple(-x for x in row)
-                      for k, row in enumerate(u))
-    for i in range(r - 1):
-        if (diag[i] == 0 and diag[i + 1] != 0) or \
-                (diag[i] != 0 and diag[i + 1] % diag[i] != 0):
+    size = min(len(m), len(m[0])) if m else 0
+    a = [list(row) for row in m]
+    while True:
+        r = _row_hnf(a, len(a[0]) if a else 0)
+        a = a[:r]
+        if all(x == 0 for i, row in enumerate(a) for j, x in enumerate(row)
+               if i != j):
+            break
+        a = [list(col) for col in zip(*a)]
+    diag = [a[i][i] for i in range(len(a))]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    diag += [0] * (size - len(diag))
+    for x, y in zip(diag, diag[1:]):
+        if (x == 0 and y != 0) or (x != 0 and y % x != 0):
             raise CertificateError("divisibility chain violated")
-    return SNFResult(u, tuple(diag), v)
+    return tuple(diag)
 
 
 def int_kernel(m: IntMatrix) -> tuple[IntVector, ...]:
-    """Basis (as vectors) of the saturated integer kernel {x : m x = 0}."""
+    """Basis (as vectors) of the saturated integer kernel {x : m x = 0}:
+    the rows of the Hermite transform of m^T below its rank."""
     m = int_matrix(m)
     if not m:
         return ()
-    ncols = len(m[0])
-    if all(all(x == 0 for x in row) for row in m):
-        return tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
-    res = snf(m)
-    rank = sum(1 for d in res.diag if d != 0)
-    vt = int_transpose(res.right)
-    return tuple(vt[j] for j in range(rank, ncols))
+    _, u, r = hnf_transform(int_transpose(m))
+    return u[r:]
 
 
 def saturation(m: IntMatrix) -> IntMatrix:
@@ -405,9 +385,7 @@ def saturation(m: IntMatrix) -> IntMatrix:
     perp = int_kernel(int_transpose(m))  # vectors orthogonal to the span
     if not perp:
         return hnf(int_identity(n))
-    sat = int_kernel(tuple(perp))
-    cols = tuple(sat)
-    return hnf(int_transpose(cols))
+    return hnf(int_transpose(int_kernel(perp)))
 
 
 # ---------------------------------------------------------------------------

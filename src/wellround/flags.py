@@ -21,8 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 from .exactla import (
     QQ, CertificateError, Echelon, IntMatrix, IntVector, f_rank, f_solve,
-    int_adjugate, int_det, int_identity, int_inverse, int_matmul, int_matrix,
-    int_transpose, snf, saturation,
+    hnf_transform, int_adjugate, int_det, int_identity, int_inverse,
+    int_matmul, int_matrix, int_transpose, saturation,
 )
 from .lattice import GroupSpec
 
@@ -174,12 +174,12 @@ def complete_saturated(c: IntMatrix) -> IntMatrix:
     d = len(c[0]) if c else 0
     if d == 0:
         return int_identity(n)
-    res = snf(c)
-    if any(x != 1 for x in res.diag):
+    # U c = H; for a saturated c of rank d, H = [I_d; 0], so c is the
+    # first d columns of the unimodular U^-1
+    h, u, _ = hnf_transform(c)
+    if h[:d] != int_identity(d):
         raise ValueError("matrix is not saturated")
-    uinv = int_inverse(res.left)
-    cols = int_transpose(c) + tuple(int_transpose(uinv)[d:])
-    w = int_transpose(cols)
+    w = int_inverse(u)
     if abs(int_det(w)) != 1:
         raise CertificateError("completion failed")
     return w

@@ -10,8 +10,9 @@ chain fixes each member (their dimensions differ), so it fixes the
 simplex pointwise: simplices never fold onto themselves, and this one
 subdivision computes the homology of the quotient space with any
 coefficients.  Boundary matrices are integer matrices; homology is
-exact (Smith normal form for torsion over Z, the fraction-free
-`exactla.Echelon` for ranks and representatives).
+exact: torsion over Z is read from the Smith invariants that
+`exactla.snf` computes by alternating Hermite forms, and ranks and
+representatives come from the fraction-free `exactla.Echelon`.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def homology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
         betti = dims[k] - f_rank(field, dk) - f_rank(field, dk1)
         torsion: tuple[int, ...] = ()
         if coeff == "Z" and _nonempty(dk1):
-            torsion = tuple(int(d) for d in snf(dk1).diag if d not in (0, 1))
+            torsion = tuple(d for d in snf(dk1) if d > 1)
         reps = cycle_reps(field, dk, dk1, dims[k])
         degrees.append(DegreeHomology(betti, torsion, reps[:betti]))
     name = "Z" if coeff == "Z" else coeff.name

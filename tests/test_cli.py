@@ -277,6 +277,21 @@ def _add_cell_n3(data):
                           "config": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]})
 
 
+def _set_dim(data):
+    data["cells"][0]["dim"] = 5
+
+
+def _set_incidence(key, value):
+    def edit(data):
+        data["incidences"][0][key] = value
+    return edit
+
+
+def _reverse_incidence(data):
+    inc = data["incidences"][0]
+    inc["cell"], inc["face"] = inc["face"], inc["cell"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_renumber(3, 7), "cell ids must be 0, ..., m-1"),
     (_renumber(0, -1), "cell ids must be 0, ..., m-1"),
@@ -284,8 +299,14 @@ def _add_cell_n3(data):
     (_add_translate, "cells 1 and 4 lie in one orbit"),
     (_constrain_n3, "constraint flag has n = 3"),
     (_add_cell_n3, "cell 4 has n = 3"),
+    (_set_dim, "cell 0 has dim 5, its config spans a 0-cell"),
+    (_set_incidence("cell", 99), "names a cell outside 0, ..., 3"),
+    (_set_incidence("face", -5), "names a cell outside 0, ..., 3"),
+    (_reverse_incidence, "joins dims 0 and 1"),
+    (_set_incidence("via", [[7, 0], [0, 7]]), "via that is not in the group"),
 ], ids=["id-gap", "id-negative", "id-repeated", "orbit-repeated",
-        "constraint-n", "cell-n"])
+        "constraint-n", "cell-n", "cell-dim", "incidence-cell",
+        "incidence-face", "incidence-dims", "incidence-via"])
 def test_inconsistent_complex_is_json_error(tmp_path, capsys, edit, message):
     data = _gamma0_3_complex()
     edit(data)
@@ -294,3 +315,33 @@ def test_inconsistent_complex_is_json_error(tmp_path, capsys, edit, message):
     assert code == 1
     error = json.loads(out)["error"]
     assert error.startswith("bad complex: ") and message in error
+
+
+def test_query_path_never_imports_sympy(tmp_path):
+    # sympy is only the tests' Smith-form oracle: the integer normal forms
+    # of the package are its own, down to the torsion over Z
+    form = write_json(tmp_path, "f.json",
+                      {"n": 3, "rows": [["2", "1", "0"], ["1", "3", "1"],
+                                        ["0", "1", "5"]]})
+    flag = write_json(tmp_path, "F.json", {"n": 3, "members": [[[1], [0], [0]]]})
+    cx = write_json(tmp_path, "c.json", _gamma0_3_complex())
+    commands = [
+        ["retract", "--form", form, "--trace"],
+        ["bound", "--form", form, "--flag", flag],
+        ["homology", "--complex", cx, "--coeff", "Z"],
+        ["boundary", "total", "-n", "2", "--group", "gamma0", "--level", "6",
+         "--coeff", "Z"],
+        ["flags", "orbits", "-n", "3", "--group", "gamma0", "--level", "2",
+         "--type", "1,2"],
+    ]
+    script = ("import json, sys\n"
+              "from wellround.cli import run\n"
+              f"codes = [run(argv) for argv in {commands!r}]\n"
+              "print(json.dumps([codes, 'sympy' in sys.modules]))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(wellround.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    assert json.loads(last) == [[0] * len(commands), False]

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
     Echelon, NotPositiveDefinite, PrimeField, RatMatrix, f_kernel, f_rank,
     f_solve, format_rational, hnf, int_adjugate, int_det, int_identity,
-    int_inverse, int_kernel, int_matmul, int_matrix, int_matvec,
-    int_transpose, ldlt, lp, parse_rational, saturation, snf,
+    int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix, int_matvec,
+    int_scaled, int_transpose, lp, parse_rational, saturation, snf,
 )
 
 
@@ -21,6 +23,20 @@ def test_rational_roundtrip():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(5, 1)) == "5"
     assert format_rational(Fraction(-2, 6)) == "-1/3"
+
+
+def ldlt(a):
+    """(L, pivots) of a symmetric positive-definite RatMatrix, read off
+    the fraction-free `int_ldlt` of M = D a: L[j][i] = rows[i][j] /
+    Delta_{i+1} and d_i = Delta_{i+1} / (Delta_i D)."""
+    m, den = int_scaled(a)
+    rows, minors = int_ldlt(m)
+    n = len(rows)
+    lmat = RatMatrix.from_rows(
+        [[Fraction(rows[j][i], minors[j]) if i > j else int(i == j)
+          for j in range(n)] for i in range(n)])
+    prev = (1,) + minors
+    return lmat, tuple(Fraction(minors[i], prev[i] * den) for i in range(n))
 
 
 def test_ldlt_identity():
@@ -65,31 +81,39 @@ def test_ldlt_reconstruction_random():
         assert all(x > 0 for x in d)
 
 
+# --- Smith invariants against sympy, the oracle ------------------------------
+
+def sympy_invariants(m):
+    """The diagonal of sympy's Smith normal form of m, made nonnegative:
+    min(rows, cols) entries."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import smith_normal_form
+
+    size = min(len(m), len(m[0])) if m else 0
+    if size == 0:
+        return ()
+    d = smith_normal_form(DomainMatrix.from_list(
+        [[ZZ(x) for x in row] for row in m], ZZ)).to_list()
+    return tuple(abs(int(d[i][i])) for i in range(size))
+
+
 def _check_snf(m):
-    res = snf(m)
-    prod = res.reconstruct(m)
-    r = len(res.diag)
-    for i, row in enumerate(prod):
-        for j, x in enumerate(row):
-            assert x == (res.diag[i] if i == j and i < r else 0)
-    for i in range(r - 1):
-        if res.diag[i] != 0:
-            assert res.diag[i + 1] % res.diag[i] == 0
-        else:
-            assert res.diag[i + 1] == 0
-    assert abs(gj.det(res.left)) == 1
-    assert abs(gj.det(res.right)) == 1
-    return res
+    diag = snf(m)
+    assert diag == sympy_invariants(m)
+    for x, y in zip(diag, diag[1:]):
+        assert y % x == 0 if x else y == 0
+    return diag
 
 
 def test_snf_examples():
-    res = _check_snf(int_matrix([[0, 0], [0, 0]]))
-    assert res.diag == (0, 0)
-    res = _check_snf(int_matrix([[2, 0], [0, 4]]))
-    assert res.diag == (2, 4)
+    assert _check_snf(int_matrix([[0, 0], [0, 0]])) == (0, 0)
+    assert _check_snf(int_matrix([[2, 0], [0, 4]])) == (2, 4)
     # brute-force oracle for diag(2,3): smallest invariant factors are 1, 6
-    res = _check_snf(int_matrix([[2, 0], [0, 3]]))
-    assert res.diag == (1, 6)
+    assert _check_snf(int_matrix([[2, 0], [0, 3]])) == (1, 6)
+    assert _check_snf(int_matrix([[0, 3], [0, 0], [0, 6]])) == (3, 0)
+    assert snf(((1,),)) == (1,)
+    assert snf(()) == () and snf(((), ())) == ()
 
 
 def test_snf_random():
@@ -108,19 +132,50 @@ def test_snf_random_larger():
         _check_snf(mat)
 
 
+@st.composite
+def smith_inputs(draw):
+    """Integer matrices up to 12 x 12, dense or sparse with entries in
+    {0, +-1, +-2} like boundary matrices, some with a zero row and a zero
+    column inserted."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    entries = draw(st.sampled_from([st.integers(-8, 8),
+                                    st.sampled_from([0, 0, 0, 1, -1, 2, -2])]))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, nrows)), [0] * ncols)
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols))
+        rows = [row[:col] + [0] + row[col:] for row in rows]
+    return int_matrix(rows)
+
+
+@given(smith_inputs())
+@settings(max_examples=80, deadline=None)
+def test_snf_property(m):
+    _check_snf(m)
+
+
+# --- Hermite forms, kernels and saturation -----------------------------------
+
+def _minor_gcd(m, r):
+    """The gcd of the r x r minors of m (its r-th determinantal divisor,
+    the product of its first r invariant factors), by Gauss-Jordan
+    determinants."""
+    return gcd(*(int(gj.det([[m[i][j] for j in cols] for i in rows]))
+                 for rows in combinations(range(len(m)), r)
+                 for cols in combinations(range(len(m[0])), r)))
+
+
 def _in_col_lattice(m, v):
-    """Integer membership oracle via Smith form: is v in the Z-span of
-    the columns of m?  Independent of the HNF code path."""
-    res = snf(m)
-    uv = int_matvec(res.left, v)
-    r = len(res.diag)
-    for i, x in enumerate(uv):
-        if i < r and res.diag[i] != 0:
-            if x % res.diag[i] != 0:
-                return False
-        elif x != 0:
-            return False
-    return True
+    """Integer membership oracle by determinantal divisors: is v in the
+    Z-span of the columns of m?  With r the rank of m, exactly when
+    [m | v] has rank r and the same gcd of r x r minors, which is the
+    index of the column lattice in its saturation.  Independent of the
+    Hermite and Smith code."""
+    mv = [list(row) + [x] for row, x in zip(m, v)]
+    r = gj.rank(None, m)
+    return gj.rank(None, mv) == r and _minor_gcd(m, r) == _minor_gcd(mv, r)
 
 
 def _col_lattice_equal(a, b):
@@ -137,6 +192,7 @@ def test_hnf_canonical_and_lattice_preserving():
     m = int_matrix([[2, 1], [0, 1]])
     h = hnf(m)
     assert _col_lattice_equal(m, h)
+    assert not _in_col_lattice(m, (1, 0))
     assert hnf(h) == h
     # canonical: any unimodular recombination of columns gives the same HNF
     u = int_matrix([[1, 1], [0, 1]])
@@ -174,15 +230,34 @@ def test_int_kernel():
     assert len(ker) == 1
     v = ker[0]
     assert int_matvec(m, v) == (0,)
-    from math import gcd
     assert gcd(v[0], v[1]) == 1  # saturated
 
 
-@given(st.lists(st.lists(st.integers(-8, 8), min_size=3, max_size=3),
-                min_size=2, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_snf_property(rows):
-    _check_snf(int_matrix(rows))
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+                min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_int_kernel_is_saturated_rational_kernel(rows):
+    m = int_matrix(rows)
+    ker = int_kernel(m)
+    assert all(int_matvec(m, v) == (0,) * len(m) for v in ker)
+    # independent and as many as the rational kernel has dimensions
+    assert gj.rank(None, ker) == len(ker) == 4 - gj.rank(None, m)
+    if ker:
+        # saturated: the gcd of the maximal minors of the basis is 1
+        assert _minor_gcd(ker, len(ker)) == 1
+
+
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+                min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_saturation_is_the_saturated_span(rows):
+    m = int_matrix(rows)
+    sat = saturation(m)
+    r = gj.rank(None, m)
+    assert len(sat[0]) == r if r else sat == ()
+    if r:
+        assert _minor_gcd(sat, r) == 1
+        assert all(_in_col_lattice(sat, v) for v in int_transpose(m))
 
 
 @st.composite
@@ -349,7 +424,7 @@ def test_solve_and_span_test_match_gauss_jordan(data):
 def test_rank_matches_smith_invariants(m):
     # universal coefficients: the rank over F_p counts the invariant
     # factors that p does not divide
-    diag = snf(int_matrix(m)).diag if m else ()
+    diag = snf(int_matrix(m)) if m else ()
     assert f_rank(QQ, m) == sum(1 for d in diag if d)
     for p in (2, 3, 5):
         assert f_rank(PrimeField(p), m) == sum(1 for d in diag if d % p)

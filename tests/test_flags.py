@@ -2,10 +2,14 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wellround.exactla import int_det, int_matrix
+import gauss_jordan as gj
+from wellround.exactla import int_det, int_matmul, int_matrix
 from wellround.flags import (
-    SingleMemberFlag, adapted_basis, flag_canonical, flag_equivalent,
+    SingleMemberFlag, adapted_basis, complete_saturated, flag_canonical,
+    flag_equivalent,
     flag_from_members, flag_orbits, flag_types, in_parabolic, mod_inverse,
     mod_mat, mod_mul, sl_lift, standard_flag, subflags_with_signs,
 )
@@ -84,6 +88,38 @@ def test_complete_saturated_and_adapted_basis():
         for j, d in enumerate(f.dims):
             sub = tuple(tuple(row[:d]) for row in b)
             assert flag_from_members(n, [sub]).members[0] == f.members[j]
+
+
+@st.composite
+def saturated_matrices(draw):
+    """Saturated n x d integer matrices, n <= 4: the first d columns of
+    a unimodular L R P (L unit lower and R unit upper triangular, P a
+    permutation)."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, n))
+    lower = [[draw(st.integers(-3, 3)) if j < i else int(i == j)
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(st.integers(-3, 3)) if j > i else int(i == j)
+              for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    u = int_matmul(int_matrix(lower), int_matrix(upper))
+    return tuple(tuple(row[perm[j]] for j in range(d)) for row in u)
+
+
+@given(saturated_matrices())
+@settings(max_examples=150, deadline=None)
+def test_complete_saturated_extends_the_columns(c):
+    w = complete_saturated(c)
+    d = len(c[0])
+    assert tuple(row[:d] for row in w) == c
+    assert abs(gj.det(w)) == 1
+
+
+def test_complete_saturated_rejects_unsaturated():
+    with pytest.raises(ValueError, match="not saturated"):
+        complete_saturated(((2,), (0,)))
+    with pytest.raises(ValueError, match="not saturated"):
+        complete_saturated(((1, 2), (2, 4)))
 
 
 def test_sl_lift_roundtrip():

@@ -143,6 +143,42 @@ def test_homology_torsion_mod_p():
     assert cz.torsion() == ((), (), (2,))
 
 
+def _assert_universal_coefficients(qc):
+    """dim H_k(F_p) = b_k + #{t in tors_k : p | t} + #{t in tors_{k-1} :
+    p | t}, for p = 2, 3: the Z answer (Smith invariants) against the
+    F_p answer (elimination mod p)."""
+    hz = homology(qc, "Z")
+    tors = ((),) + hz.torsion()
+    for p in (2, 3):
+        want = tuple(b + sum(t % p == 0 for t in tors[k + 1])
+                     + sum(t % p == 0 for t in tors[k])
+                     for k, b in enumerate(hz.betti_numbers()))
+        assert homology(qc, parse_coeff(f"Fp:{p}")).betti_numbers() == want
+
+
+def test_universal_coefficients_with_torsion():
+    # one vertex and loops with one disk: glued six times along a single
+    # loop, H_1 = Z/6; along 2a + 4b for two loops, H_1 = Z + Z/2
+    _assert_universal_coefficients(
+        _fake_complex((1, 1, 1), [(), ((0,),), ((6,),)]))
+    _assert_universal_coefficients(
+        _fake_complex((1, 2, 1), [(), ((0, 0),), ((2,), (4,))]))
+
+
+@pytest.mark.parametrize("group", [
+    GroupSpec(2, "sl"), GroupSpec(2, "gl"), GroupSpec(2, "gamma0", 11),
+    GroupSpec(2, "gamma0", 6), GroupSpec(2, "gamma", 3),
+    GroupSpec(2, "gamma1", 5), GroupSpec(3, "gl")], ids=str)
+def test_universal_coefficients_on_quotients(group):
+    # W / Gamma, and for n = 2 W_F / Gamma_F for a cusp
+    cx = enumerate_W(group)
+    _assert_universal_coefficients(barycentric_quotient(cx))
+    if group.n == 2:
+        flag = flag_orbits(group, (1,)).reps[0]
+        _assert_universal_coefficients(
+            barycentric_quotient(subcomplex_WF(cx, flag)))
+
+
 def test_parse_coeff():
     assert parse_coeff("Z") == "Z"
     assert parse_coeff("Q").name == "Q"

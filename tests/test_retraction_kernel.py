@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 import gauss_jordan as gj
 from wellround.cells import _pd_violation
 from wellround.exactla import (
-    NotPositiveDefinite, RatMatrix, int_matmul, int_transpose, ldlt,
-    saturation,
+    NotPositiveDefinite, RatMatrix, int_ldlt, int_matmul, int_scaled,
+    int_transpose, saturation,
 )
 from wellround.flags import standard_flag
 from wellround.lattice import (
@@ -54,6 +54,19 @@ def ref_ldlt(a):
             lmat[i][j] = (a[i, j] - sum(lmat[i][k] * lmat[j][k] * d[k]
                                         for k in range(j))) / dj
     return lmat, d
+
+
+def int_ldlt_factors(a):
+    """(L as lists, pivots) read off the fraction-free `int_ldlt` of
+    M = D a: L[j][i] = rows[i][j] / Delta_{i+1} and d_i = Delta_{i+1} /
+    (Delta_i D)."""
+    m, den = int_scaled(a)
+    rows, minors = int_ldlt(m)
+    n = len(rows)
+    prev = (1,) + minors
+    lmat = [[Fraction(rows[j][i], minors[j]) if i > j else Fraction(int(i == j))
+             for j in range(n)] for i in range(n)]
+    return lmat, [Fraction(minors[i], prev[i] * den) for i in range(n)]
 
 
 def ref_enumerate(a, bound):
@@ -281,15 +294,13 @@ def test_ldlt_and_pd_check_match_fraction_elimination(a):
         want = ref_ldlt(a)
     except NotPositiveDefinite as exc:
         with pytest.raises(NotPositiveDefinite) as got:
-            ldlt(a)
+            int_ldlt_factors(a)
         assert got.value.index == exc.index
         with pytest.raises(NotPositiveDefinite) as got:
             GramForm(a)
         assert got.value.index == exc.index
     else:
-        lmat, d = ldlt(a)
-        assert [list(r) for r in lmat.entries] == want[0]
-        assert list(d) == want[1]
+        assert int_ldlt_factors(a) == want
         GramForm(a)
     assert _pd_violation(a) == ref_pd_violation(a)
 
