@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 from .cells import OrbitComplex, enumerate_W, subcomplex_WF
 from .exactla import (
-    CertificateError, Echelon, IntMatrix, QQ, f_rank, f_solve, snf,
+    CertificateError, Echelon, IntMatrix, SparseRows, f_rank_modulo, f_solve,
+    int_transpose, sparse_matmul, sparse_rows,
 )
 from .flags import (
     RationalFlag, flag_equivalent, flag_orbits, flag_types,
@@ -26,8 +27,8 @@ from .flags import (
 )
 from .lattice import GroupSpec
 from .quotient import (
-    ChainMap, QuotientComplex, barycentric_quotient, cycle_reps, homology,
-    induced_map, parse_coeff,
+    ChainMap, QuotientComplex, barycentric_quotient, cohomology, homology,
+    homology_at, induced_map, parse_coeff,
 )
 
 
@@ -48,11 +49,23 @@ class HorizontalPiece:
 
 @dataclass(frozen=True)
 class DoubleComplex:
+    """The double complex and its total complex, assembled once.
+
+    Total degree k lists the blocks (p, s, q) with p + q = k, by column p
+    and then by summand s; block (p, s, q) holds the q-cochains of summand
+    s of column p from coordinate offsets[p, s, q] on.  differentials[k]
+    is D^k from degree k to k + 1, and sparse[k] its nonzero rows."""
+
     group: GroupSpec
     columns: tuple[tuple[Summand, ...], ...]
     pieces: tuple[tuple[HorizontalPiece, ...], ...]  # per column p: maps p -> p+1
     w_complex: OrbitComplex
     w_qc: QuotientComplex
+    inclusions: tuple[ChainMap, ...]  # column-0 summands into W/Gamma
+    offsets: dict[tuple[int, int, int], int]
+    dims: tuple[int, ...]
+    differentials: tuple[IntMatrix, ...]
+    sparse: tuple[SparseRows, ...]
 
     @property
     def num_columns(self) -> int:
@@ -61,63 +74,11 @@ class DoubleComplex:
     def max_q(self) -> int:
         return max((s.qc.dim for col in self.columns for s in col), default=0)
 
-    def cochain_dim(self, p: int, q: int) -> int:
-        if not (0 <= p < self.num_columns) or q < 0:
-            return 0
-        total = 0
-        for s in self.columns[p]:
-            if q <= s.qc.dim:
-                total += len(s.qc.simplices[q])
-        return total
-
-    def offsets(self, p: int, q: int) -> list[int]:
-        out = []
-        acc = 0
-        for s in self.columns[p]:
-            out.append(acc)
-            if q <= s.qc.dim:
-                acc += len(s.qc.simplices[q])
-        return out
-
-    def vertical_matrix(self, p: int, q: int) -> IntMatrix:
-        """(-1)^p times the coboundary: block diagonal over summands."""
-        rows = self.cochain_dim(p, q + 1)
-        cols = self.cochain_dim(p, q)
-        mat = [[0] * cols for _ in range(rows)]
-        roff = self.offsets(p, q + 1)
-        coff = self.offsets(p, q)
-        sign = -1 if p % 2 else 1
-        for idx, s in enumerate(self.columns[p]):
-            if q + 1 > s.qc.dim:
-                continue
-            bnd = s.qc.boundaries[q + 1]  # (q-simplices) x (q+1-simplices)
-            for i in range(len(s.qc.simplices[q + 1])):
-                for j in range(len(s.qc.simplices[q])):
-                    if bnd and bnd[j][i]:
-                        mat[roff[idx] + i][coff[idx] + j] = sign * bnd[j][i]
-        return tuple(tuple(r) for r in mat)
-
-    def horizontal_matrix(self, p: int, q: int) -> IntMatrix:
-        """Cech differential: column p cochains to column p+1 cochains."""
-        rows = self.cochain_dim(p + 1, q)
-        cols = self.cochain_dim(p, q)
-        mat = [[0] * cols for _ in range(rows)]
-        if p + 1 >= self.num_columns:
-            return tuple(tuple(r) for r in mat)
-        roff = self.offsets(p + 1, q)
-        coff = self.offsets(p, q)
-        for piece in self.pieces[p]:
-            tgt = self.columns[p + 1][piece.target]
-            src = self.columns[p][piece.source]
-            if q > tgt.qc.dim or q > src.qc.dim:
-                continue
-            cmat = piece.chain_map.matrix(q)  # src-simplices x tgt-simplices
-            for i in range(len(tgt.qc.simplices[q])):
-                for j in range(len(src.qc.simplices[q])):
-                    if cmat and cmat[j][i]:
-                        mat[roff[piece.target] + i][coff[piece.source] + j] += \
-                            piece.sign * cmat[j][i]
-        return tuple(tuple(r) for r in mat)
+    def filtration_start(self, k: int, p: int) -> int:
+        """The first coordinate of total degree k in column p or later:
+        the coordinates from there on span F^p of degree k."""
+        return min((off for (pp, _, q), off in self.offsets.items()
+                    if pp >= p and pp + q == k), default=self.dims[k])
 
 
 def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
@@ -154,7 +115,13 @@ def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
                 col_pieces.append(HorizontalPiece(s_idx, t_idx, sign, cm))
         pieces.append(tuple(col_pieces))
     pieces.append(())
-    dc = DoubleComplex(group, tuple(columns), tuple(pieces), w_complex, w_qc)
+    inclusions = tuple(induced_map(s.qc, w_qc) for s in columns[0])
+    offsets, dims = _layout(columns)
+    differentials = tuple(_assemble(columns, pieces, offsets, dims, k)
+                          for k in range(len(dims) - 1))
+    dc = DoubleComplex(group, tuple(columns), tuple(pieces), w_complex, w_qc,
+                       inclusions, offsets, dims, differentials,
+                       tuple(sparse_rows(d) for d in differentials))
     _check_total_differential_squares_to_zero(dc)
     return dc
 
@@ -176,82 +143,86 @@ def _locate_flag(column: Sequence[Summand], flag: RationalFlag,
 # Total complex
 # ---------------------------------------------------------------------------
 
-def total_dims(dc: DoubleComplex) -> list[int]:
-    kmax = dc.num_columns - 1 + dc.max_q()
-    return [sum(dc.cochain_dim(p, k - p) for p in range(dc.num_columns))
-            for k in range(kmax + 2)]
+def _layout(columns):
+    """The first coordinate of every block (p, s, q) and the dimension of
+    every total degree, up to the first degree above the top, which is 0."""
+    top = len(columns) - 1 + max((s.qc.dim for col in columns for s in col),
+                                 default=0)
+    offsets: dict[tuple[int, int, int], int] = {}
+    dims = []
+    for k in range(top + 2):
+        size = 0
+        for p, column in enumerate(columns):
+            for s, summand in enumerate(column):
+                if 0 <= k - p <= summand.qc.dim:
+                    offsets[p, s, k - p] = size
+                    size += len(summand.qc.simplices[k - p])
+        dims.append(size)
+    return offsets, tuple(dims)
 
 
-def total_positions(dc: DoubleComplex, k: int) -> list[tuple[int, int]]:
-    """Basis labels (p, local index) of the total degree-k cochains."""
-    out = []
-    for p in range(dc.num_columns):
-        for i in range(dc.cochain_dim(p, k - p)):
-            out.append((p, i))
-    return out
+def _assemble(columns, pieces, offsets, dims, k: int) -> IntMatrix:
+    """D^k = vertical + horizontal, from total degree k to k + 1.  Each
+    block is a transposed integer matrix: the vertical block of a summand
+    in column p is (-1)^p times its coboundary, the transposed boundary,
+    and the horizontal block of a piece is its sign times its transposed
+    chain map, which restricts cochains of the source to the target."""
+    mat = [[0] * dims[k] for _ in range(dims[k + 1])]
 
+    def add_transposed(row0: int, col0: int, sign: int, m: IntMatrix):
+        for j, row in enumerate(m):
+            for i, x in enumerate(row):
+                if x:
+                    mat[row0 + i][col0 + j] += sign * x
 
-def total_differential(dc: DoubleComplex, k: int) -> IntMatrix:
-    """D = vertical + horizontal from total degree k to k+1."""
-    src = total_positions(dc, k)
-    dst = total_positions(dc, k + 1)
-    dst_index = {}
-    for i, (p, loc) in enumerate(dst):
-        dst_index[(p, loc)] = i
-    mat = [[0] * len(src) for _ in range(len(dst))]
-    col_offset = {}
-    acc = 0
-    for p in range(dc.num_columns):
-        col_offset[p] = acc
-        acc += dc.cochain_dim(p, k - p)
-    for p in range(dc.num_columns):
+    for p, column in enumerate(columns):
         q = k - p
-        if q < 0 or dc.cochain_dim(p, q) == 0:
-            continue
-        vm = dc.vertical_matrix(p, q)
-        for i in range(dc.cochain_dim(p, q + 1)):
-            for j in range(dc.cochain_dim(p, q)):
-                if vm and vm[i][j]:
-                    mat[dst_index[(p, i)]][col_offset[p] + j] += vm[i][j]
-        hm = dc.horizontal_matrix(p, q)
-        for i in range(dc.cochain_dim(p + 1, q)):
-            for j in range(dc.cochain_dim(p, q)):
-                if hm and hm[i][j]:
-                    mat[dst_index[(p + 1, i)]][col_offset[p] + j] += hm[i][j]
+        for s, summand in enumerate(column):
+            if 0 <= q < summand.qc.dim:
+                add_transposed(offsets[p, s, q + 1], offsets[p, s, q],
+                               -1 if p % 2 else 1, summand.qc.boundaries[q + 1])
+        for piece in pieces[p]:
+            if (p + 1, piece.target, q) in offsets:
+                add_transposed(offsets[p + 1, piece.target, q],
+                               offsets[p, piece.source, q], piece.sign,
+                               piece.chain_map.matrix(q))
     return tuple(tuple(r) for r in mat)
 
 
+def total_dims(dc: DoubleComplex) -> list[int]:
+    """The dimension of every total degree; the last one, above the top,
+    is 0."""
+    return list(dc.dims)
+
+
+def total_differential(dc: DoubleComplex, k: int) -> IntMatrix:
+    """D = vertical + horizontal from total degree k to k+1; empty outside
+    the degrees of the complex."""
+    return dc.differentials[k] if 0 <= k < len(dc.differentials) else ()
+
+
 def _check_total_differential_squares_to_zero(dc: DoubleComplex):
-    kmax = dc.num_columns - 1 + dc.max_q()
-    for k in range(kmax + 1):
-        a = total_differential(dc, k + 1)
-        b = total_differential(dc, k)
-        if not a or not b or not a[0] or not b[0]:
-            continue
-        for j in range(len(b[0])):
-            col = [sum(a[i][t] * b[t][j] for t in range(len(b)))
-                   for i in range(len(a))]
-            if any(col):
-                raise CertificateError("total differential fails D*D=0")
+    for k in range(len(dc.sparse) - 1):
+        if any(sparse_matmul(dc.sparse[k + 1], dc.sparse[k])):
+            raise CertificateError("total differential fails D*D=0")
+
+
+def _field(coeff, job: str):
+    field = parse_coeff(coeff)
+    if field == "Z":
+        raise ValueError(f"{job} need field coefficients")
+    return field
 
 
 def total_cohomology(dc: DoubleComplex, coeff="Q"):
     """Cohomology of the total complex: over a field the dimensions, over
     Z also the torsion (the Smith invariants of `exactla.snf`)."""
-    if isinstance(coeff, str):
-        coeff = parse_coeff(coeff)
-    field = QQ if coeff == "Z" else coeff  # ranks over Z are ranks over Q
-    dims = total_dims(dc)
-    kmax = len(dims) - 1
+    coeff = parse_coeff(coeff)
     out = []
-    for k in range(kmax):
-        dk = total_differential(dc, k)
-        dkm = total_differential(dc, k - 1) if k >= 1 else ()
-        betti = dims[k] - f_rank(field, dk) - f_rank(field, dkm)
-        torsion: tuple[int, ...] = ()
-        if coeff == "Z" and dkm and dkm[0]:
-            torsion = tuple(d for d in snf(dkm) if d > 1)
-        out.append({"degree": k, "betti": betti, "torsion": torsion})
+    for k in range(len(dc.dims) - 1):
+        h = homology_at(coeff, total_differential(dc, k),
+                        total_differential(dc, k - 1), dc.dims[k])
+        out.append({"degree": k, "betti": h.betti, "torsion": h.torsion})
     while out and out[-1]["betti"] == 0 and not out[-1]["torsion"]:
         out.pop()
     return out
@@ -271,11 +242,6 @@ class SpectralPage:
         return self.entries.get((p, q), 0)
 
 
-def _sparse_rows(m: IntMatrix) -> list[list[tuple[int, int]]]:
-    """The nonzero entries (column, value) of each row of an integer matrix."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
-
-
 def _matvec(field, rows: Sequence[Sequence[tuple[int, int]]], vec) -> list:
     """An integer matrix, given by its nonzero entries per row, applied to
     a vector over the field.  Entries come out canonical (residues in
@@ -290,41 +256,27 @@ class _Filtered:
         self.dc = dc
         self.field = field
         self.pmax = dc.num_columns - 1
-        self.kmax = self.pmax + dc.max_q() + 1
-        self.positions = {k: total_positions(dc, k) for k in range(self.kmax + 2)}
-        self.D = {k: total_differential(dc, k) for k in range(self.kmax + 2)}
-        self.D_sparse = {k: _sparse_rows(d) for k, d in self.D.items()}
-
-    def coords_from(self, k: int, p: int) -> list[int]:
-        return [i for i, (pp, _) in enumerate(self.positions[k]) if pp >= p]
 
     def z_space(self, r: int, p: int, q: int) -> list[list]:
-        """Basis of {x in F^p T^{p+q} : D x in F^{p+r}}."""
+        """Basis of {x in F^p T^{p+q} : D x in F^{p+r}}.  Columns come in
+        order, so F^p is a tail of the coordinates, and D x lies in
+        F^{p+r} when the rows of D before F^{p+r} vanish on x."""
         k = p + q
-        if k < 0 or k > self.kmax + 1:
+        if not 0 <= k < len(self.dc.dims):
             return []
-        cols = self.coords_from(k, p)
-        if not cols:
+        lo = self.dc.filtration_start(k, p)
+        n = self.dc.dims[k]
+        if lo == n:
             return []
-        d = self.D.get(k)
-        rows = [[d[i][c] for c in cols]
-                for i, (pp, _) in enumerate(self.positions.get(k + 1, []))
-                if pp < p + r] if d else []
-        ker = Echelon(self.field, rows).kernel(len(cols))
+        d = total_differential(self.dc, k)
+        rows = [row[lo:] for row in d[:self.dc.filtration_start(k + 1, p + r)]]
         full = []
-        n = len(self.positions[k])
-        for v in ker:
-            vec = [self.field.of(0)] * n
-            for c, x in zip(cols, v):
-                vec[c] = x
-            full.append(vec)
+        for v in Echelon(self.field, rows).kernel(n - lo):
+            full.append([self.field.of(0)] * lo + v)
         return full
 
     def apply_d(self, k: int, vec: list) -> list:
-        d = self.D_sparse.get(k)
-        if not d:
-            return [self.field.of(0)] * len(self.positions.get(k + 1, []))
-        return _matvec(self.field, d, vec)
+        return _matvec(self.field, self.dc.sparse[k], vec)
 
     def page_entry(self, r: int, p: int, q: int):
         """(numerator basis, denominator basis, lifts spanning E_r)."""
@@ -349,9 +301,7 @@ class _Filtered:
 def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None):
     """Pages E_1, E_2, ... of the column filtration, with differentials,
     until stabilization; returns (pages, abutment dims per degree)."""
-    field = parse_coeff(coeff) if isinstance(coeff, str) else coeff
-    if field == "Z":
-        raise ValueError("spectral pages need field coefficients")
+    field = _field(coeff, "spectral pages")
     work = _Filtered(dc, field)
     pmax = work.pmax
     if r_stop is None:
@@ -387,14 +337,9 @@ def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None
                 raise CertificateError("page differential into zero is nonzero")
         pages.append(SpectralPage(r, entries, diffs))
     # abutment over the field
-    dims = total_dims(dc)
-    abutment = []
-    for k in range(len(dims) - 1):
-        dk = work.D.get(k, [])
-        dkm = work.D.get(k - 1, []) if k >= 1 else []
-        rk = f_rank(field, dk) if dk else 0
-        rkm = f_rank(field, dkm) if dkm else 0
-        abutment.append(dims[k] - rk - rkm)
+    abutment = [homology_at(field, total_differential(dc, k),
+                            total_differential(dc, k - 1), dc.dims[k]).betti
+                for k in range(len(dc.dims) - 1)]
     while abutment and abutment[-1] == 0:
         abutment.pop()
     return pages, abutment
@@ -423,59 +368,47 @@ class RestrictionReport:
     degrees: tuple[RestrictionDegree, ...]
 
 
-def _inclusion_chain_maps(dc: DoubleComplex) -> list[ChainMap]:
-    return [induced_map(s.qc, dc.w_qc) for s in dc.columns[0]]
+def _inclusion_rows(dc: DoubleComplex, q: int) -> list[list[tuple[int, int]]]:
+    """The chain-level map from total degree q to the q-chains of W/Gamma,
+    by nonzero entries per row: column-0 blocks include along their chain
+    maps, the other columns map to 0."""
+    rows: list[list[tuple[int, int]]] = \
+        [[] for _ in range(len(dc.w_qc.simplices[q]) if q <= dc.w_qc.dim else 0)]
+    for s, cm in enumerate(dc.inclusions):
+        if (0, s, q) in dc.offsets:
+            off = dc.offsets[0, s, q]
+            for row, entries in zip(rows, sparse_rows(cm.matrix(q))):
+                row += [(off + t, x) for t, x in entries]
+    return rows
 
 
 def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
     """Cochain-level restriction from the retract quotient into column 0,
     composed into total cohomology; ranks and interior dimensions."""
-    field = parse_coeff(coeff) if isinstance(coeff, str) else coeff
-    maps = _inclusion_chain_maps(dc)
-    w_qc = dc.w_qc
-    kmax = max(w_qc.dim, len(total_dims(dc)) - 2)
+    field = _field(coeff, "restriction ranks")
+    cocycles = cohomology(dc.w_qc, field).degrees
     degrees = []
-    for q in range(kmax + 1):
-        # cocycle representatives of H^q(W/Gamma)
-        cob_in = w_qc.boundaries[q] if 1 <= q <= w_qc.dim else ()
-        cob_out = w_qc.boundaries[q + 1] if q + 1 <= w_qc.dim else ()
-        nq = len(w_qc.simplices[q]) if q <= w_qc.dim else 0
-        # cochain complex: d^q = transpose of boundary_{q+1}
-        dq = _transpose(cob_out, nq)
-        dqm = _transpose(cob_in, len(w_qc.simplices[q - 1])
-                         if 1 <= q <= w_qc.dim else 0)
-        reps = cycle_reps(field, dq, dqm, nq)
-        dim_w = len(reps)
-        # embed via the transposed inclusion maps into total degree q:
-        # the column-0 blocks, then zeros for the other columns
-        restrict_rows = [row for cm in maps
-                         for row in _sparse_rows(tuple(zip(*cm.matrix(q))))]
-        pad = [field.of(0)] * sum(dc.cochain_dim(p, q - p)
-                                  for p in range(1, dc.num_columns))
-        imgs = [_matvec(field, restrict_rows, rep) + pad for rep in reps]
-        # total cohomology data in degree q
+    for q in range(max(dc.w_qc.dim, len(dc.dims) - 2) + 1):
+        reps = cocycles[q].representatives if q <= dc.w_qc.dim else ()
+        # the restriction is the transposed inclusion: total coordinate c
+        # collects the cocycle's values on the simplices that c includes to
+        restrict_rows: list[list[tuple[int, int]]] = \
+            [[] for _ in range(dc.dims[q])]
+        for w, entries in enumerate(_inclusion_rows(dc, q)):
+            for c, x in entries:
+                restrict_rows[c].append((w, x))
+        imgs = [_matvec(field, restrict_rows, rep) for rep in reps]
         dtot = total_differential(dc, q)
-        dtot_prev = total_differential(dc, q - 1) if q >= 1 else ()
-        dim_total = total_dims(dc)[q] - (f_rank(field, dtot) if dtot else 0) \
-            - (f_rank(field, dtot_prev) if dtot_prev else 0)
+        dtot_prev = total_differential(dc, q - 1)
+        dim_total = homology_at(field, dtot, dtot_prev, dc.dims[q]).betti
         if dtot:  # restriction of a cocycle is a total cocycle
-            dtot_rows = _sparse_rows(dtot)
             for v in imgs:
-                if any(_matvec(field, dtot_rows, v)):
+                if any(_matvec(field, dc.sparse[q], v)):
                     raise CertificateError("restricted cocycle is not a total cocycle")
-        cobs = list(zip(*dtot_prev)) if dtot_prev else []
-        rank_cob = f_rank(field, cobs) if cobs else 0
-        rank = (f_rank(field, cobs + imgs) - rank_cob) if imgs else 0
-        degrees.append(RestrictionDegree(q, dim_w, dim_total, rank,
-                                         dim_w - rank))
-    name = field.name if field != "Z" else "Z"
-    return RestrictionReport(name, tuple(degrees))
-
-
-def _transpose(m, ncols_of_result: int):
-    if not m or not m[0]:
-        return []
-    return [list(r) for r in zip(*m)]
+        rank = f_rank_modulo(field, zip(*dtot_prev), imgs)  # modulo coboundaries
+        degrees.append(RestrictionDegree(q, len(reps), dim_total, rank,
+                                         len(reps) - rank))
+    return RestrictionReport(field.name, tuple(degrees))
 
 
 @dataclass(frozen=True)
@@ -492,6 +425,13 @@ class BoundaryHomologyReport:
     degrees: tuple[BoundaryHomologyDegree, ...]
 
 
+def _rank_in_homology(field, qc: QuotientComplex, q: int, cycles) -> int:
+    """Rank of the classes of q-cycles of qc in H_q(qc): their rank modulo
+    the boundaries, the columns of boundaries[q + 1]."""
+    return f_rank_modulo(field, zip(*qc.boundaries[q + 1]) if q < qc.dim else (),
+                         cycles)
+
+
 def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
     """Homology of the dual total complex and the rank of its map into
     the homology of the retract quotient.
@@ -500,49 +440,26 @@ def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
     project to their column-0 components and include along the flag
     subcomplexes (the signed column-1 contributions cancel pairwise, so
     this is a chain map; asserted in the test suite)."""
-    field = parse_coeff(coeff) if isinstance(coeff, str) else coeff
-    maps = _inclusion_chain_maps(dc)
-    w_qc = dc.w_qc
-    dims = total_dims(dc)
+    field = _field(coeff, "boundary homology ranks")
+    w_hom = homology(dc.w_qc, field).degrees
     degrees = []
-    kmax = len(dims) - 2
-    for q in range(max(kmax, w_qc.dim) + 1):
-        nq = dims[q] if q < len(dims) else 0
-        d_down = total_differential(dc, q - 1) if q >= 1 else ()
-        d_up = total_differential(dc, q)
+    for q in range(max(len(dc.dims) - 2, dc.w_qc.dim) + 1):
         # dual boundary out of degree q: transpose(D^{q-1});
         # dual boundary into degree q: transpose(D^q)
-        out_map = [list(r) for r in zip(*d_down)] if d_down and d_down[0] else []
-        in_map = [list(r) for r in zip(*d_up)] if d_up and d_up[0] else []
-        reps = cycle_reps(field, out_map, in_map, nq)
-        dim_boundary = len(reps)
+        h = homology_at(field, int_transpose(total_differential(dc, q - 1)),
+                        int_transpose(total_differential(dc, q)),
+                        dc.dims[q])
         # push a cycle into the chains of the retract quotient: column 0
         # components flow along the inclusion chain maps
-        nw = len(w_qc.simplices[q]) if q <= w_qc.dim else 0
-        include_rows = [[] for _ in range(nw)]
-        off = 0
-        for s, cm in zip(dc.columns[0], maps):
-            for row, entries in zip(include_rows, _sparse_rows(cm.matrix(q))):
-                row += [(off + t, x) for t, x in entries]
-            off += len(s.qc.simplices[q]) if q <= s.qc.dim else 0
-        imgs = [_matvec(field, include_rows, rep) for rep in reps]
-        # homology of the retract quotient in degree q
-        bq = w_qc.boundaries[q] if 1 <= q <= w_qc.dim else ()
-        bq1 = w_qc.boundaries[q + 1] if q + 1 <= w_qc.dim else ()
-        rk = f_rank(field, bq) if bq and bq[0] else 0
-        rk1 = f_rank(field, bq1) if bq1 and bq1[0] else 0
-        dim_w = nw - rk - rk1
-        bnds = list(zip(*bq1)) if bq1 and bq1[0] else []
-        rank_b = f_rank(field, bnds) if bnds else 0
-        nonzero_imgs = [v for v in imgs if any(v)]
-        rank = (f_rank(field, bnds + nonzero_imgs) - rank_b) \
-            if nonzero_imgs else 0
-        degrees.append(BoundaryHomologyDegree(q, dim_boundary, dim_w, rank))
+        include_rows = _inclusion_rows(dc, q)
+        imgs = [_matvec(field, include_rows, rep) for rep in h.representatives]
+        dim_w = w_hom[q].betti if q <= dc.w_qc.dim else 0
+        degrees.append(BoundaryHomologyDegree(
+            q, h.betti, dim_w, _rank_in_homology(field, dc.w_qc, q, imgs)))
     while degrees and degrees[-1].dim_boundary == 0 \
             and degrees[-1].dim_retract == 0:
         degrees.pop()
-    name = field.name if field != "Z" else "Z"
-    return BoundaryHomologyReport(name, tuple(degrees))
+    return BoundaryHomologyReport(field.name, tuple(degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -562,27 +479,20 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
              coeff="Q") -> FaceMapReport:
     """Maps induced by one flag subcomplex inclusion, no spectral
     machinery: chain level in homology, transposed in cohomology."""
-    field = parse_coeff(coeff) if isinstance(coeff, str) else coeff
+    field = _field(coeff, "face maps")
     hit = _locate_flag(dc.columns[0], flag, dc.group)
     if hit is None:
         raise ValueError("flag is not equivalent to a column-0 representative")
     summand = dc.columns[0][hit[0]]
-    cm = induced_map(summand.qc, dc.w_qc)
+    cm = dc.inclusions[hit[0]]
     sub_h = homology(summand.qc, field)
     hom_ranks = []
-    co_ranks = []
     for q in range(dc.w_qc.dim + 1):
-        mat = cm.matrix(q)
         reps = sub_h.degrees[q].representatives if q <= summand.qc.dim else ()
-        imgs = [_matvec(field, _sparse_rows(mat), rep) for rep in reps]
-        bq1 = dc.w_qc.boundaries[q + 1] if q + 1 <= dc.w_qc.dim else ()
-        bnds = list(zip(*bq1)) if bq1 and bq1[0] else []
-        rank_b = f_rank(field, bnds) if bnds else 0
-        nonzero = [v for v in imgs if any(v)]
-        hom_ranks.append((f_rank(field, bnds + nonzero) - rank_b)
-                         if nonzero else 0)
-        co_ranks.append(hom_ranks[-1])  # adjoint maps have equal rank
-    name = field.name if field != "Z" else "Z"
-    return FaceMapReport(summand.flag, name, tuple(hom_ranks),
-                         tuple(co_ranks),
+        rows = sparse_rows(cm.matrix(q))
+        imgs = [_matvec(field, rows, rep) for rep in reps]
+        hom_ranks.append(_rank_in_homology(field, dc.w_qc, q, imgs))
+    # adjoint maps have equal rank
+    return FaceMapReport(summand.flag, field.name, tuple(hom_ranks),
+                         tuple(hom_ranks),
                          tuple(cm.matrix(q) for q in range(dc.w_qc.dim + 1)))

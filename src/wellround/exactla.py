@@ -8,6 +8,8 @@ Python ints.  Provided here:
 * fraction-free LDL^T factorization (Bareiss) with positive-definiteness
   certification,
 * Bareiss determinants, adjugates and inverses of integer matrices,
+* a product of integer matrices given by their nonzero entries per row
+  (`sparse_matmul`), which checks the chain-level certificates,
 * one integer normal form, the row Hermite normal form with its
   unimodular transform (`_row_hnf`), from which the column HNF, the
   saturated integer kernel, saturation and the Smith invariants (for
@@ -15,9 +17,10 @@ Python ints.  Provided here:
 * a two-phase simplex solver with Bland's rule over the rationals,
 * `Echelon`, an incrementally built echelon basis over Q or F_p that
   keeps integer rows over Q, and the one elimination kernel outside the
-  simplex: rank and independence (`add`, `f_rank`), span membership
-  (`spans`), null spaces (`kernel`, `f_kernel`), particular solutions
-  (`solution`, `f_solve`) and reduced row echelon forms all run on it.
+  simplex: rank and independence (`add`, `f_rank`, `f_rank_modulo`),
+  span membership (`spans`), null spaces (`kernel`, `f_kernel`),
+  particular solutions (`solution`, `f_solve`) and reduced row echelon
+  forms all run on it.
 
 All functions are pure; `Echelon` is the one mutable object.
 """
@@ -33,6 +36,7 @@ Rational = Fraction
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]  # (column, value) per row
 
 
 def parse_rational(text: str) -> Fraction:
@@ -213,6 +217,27 @@ def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def int_matvec(a: IntMatrix, v: Sequence[int]) -> IntVector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def sparse_rows(m: IntMatrix) -> SparseRows:
+    """The nonzero entries (column, value) of each row of an integer
+    matrix, columns ascending."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+
+
+def sparse_matmul(a: SparseRows, b: SparseRows) -> SparseRows:
+    """The product a·b of integer matrices given by their nonzero rows,
+    as nonzero rows: row i of the product combines the rows of b that the
+    entries of row i of a name.  It costs one step per pair of matching
+    nonzeros, so the zeros of sparse boundary matrices cost nothing."""
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for t, x in row:
+            for j, y in b[t]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+    return tuple(out)
 
 
 def int_det(m: IntMatrix) -> int:
@@ -692,6 +717,15 @@ def f_rank(field, a: Sequence[Sequence]) -> int:
     """Rank over the field of the rows of a (integers, or elements of the
     field)."""
     return len(Echelon(field, a))
+
+
+def f_rank_modulo(field, base: Iterable[Sequence],
+                  vectors: Iterable[Sequence]) -> int:
+    """Rank over the field of the vectors modulo the span of base, that
+    is f_rank(base + vectors) - f_rank(base): the number of vectors that
+    an echelon basis of base accepts."""
+    span = Echelon(field, base)
+    return sum(span.add(v) for v in vectors)
 
 
 def f_kernel(field, a: Sequence[Sequence], ncols: int) -> list[list]:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 from .cells import OrbitComplex, cell_faces
 from .exactla import (
-    CertificateError, Echelon, IntMatrix, PrimeField, QQ, f_kernel, f_rank,
-    int_matvec, snf,
+    CertificateError, Echelon, IntMatrix, PrimeField, QQ, int_matvec,
+    int_transpose, snf, sparse_matmul, sparse_rows,
 )
 from .flags import RationalFlag
 from .lattice import VectorConfig, canonical_config, config_stabilizer
@@ -182,9 +182,9 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
 
 
 def _check_boundary_squares_to_zero(qc: QuotientComplex):
+    rows = [sparse_rows(b) for b in qc.boundaries]
     for k in range(2, qc.dim + 1):
-        prod = _mat_mul(qc.boundaries[k - 1], qc.boundaries[k])
-        if any(x for row in prod for x in row):
+        if any(sparse_matmul(rows[k - 1], rows[k])):
             raise CertificateError("boundary squared is nonzero")
 
 
@@ -211,8 +211,11 @@ class HomologyResult:
         return tuple(d.torsion for d in self.degrees)
 
 
-def parse_coeff(text: str):
-    """"Z", "Q" or "Fp:<prime>" to a coefficient descriptor."""
+def parse_coeff(text):
+    """"Z", "Q" or "Fp:<prime>" to a coefficient descriptor; a descriptor
+    is returned as it is."""
+    if not isinstance(text, str):
+        return text
     text = text.strip()
     if text.upper() == "Z":
         return "Z"
@@ -227,65 +230,50 @@ def _nonempty(m: IntMatrix) -> bool:
     return bool(m) and bool(m[0])
 
 
+def homology_at(coeff, d_out: IntMatrix, d_in: IntMatrix,
+                dim: int) -> DegreeHomology:
+    """Homology at a chain group of dimension dim, between the map d_in
+    into it (dim rows) and the map d_out out of it (dim columns); a
+    cochain complex passes its coboundaries the same way.
+
+    The betti number is dim - rank d_out - rank d_in; over Z the torsion
+    is read from the Smith invariants of d_in (ranks over Z are ranks over
+    Q).  The representatives are the kernel vectors of d_out that are
+    independent modulo the image of d_in and of the kernel vectors before
+    them; the two echelon bases that give the ranks give them too."""
+    field = QQ if coeff == "Z" else coeff
+    out = Echelon(field, d_out)
+    image = Echelon(field, zip(*d_in))
+    betti = dim - len(out) - len(image)
+    torsion: tuple[int, ...] = ()
+    if coeff == "Z" and _nonempty(d_in):
+        torsion = tuple(d for d in snf(d_in) if d > 1)
+    reps = tuple(tuple(v) for v in out.kernel(dim) if image.add(v))
+    return DegreeHomology(betti, torsion, reps)
+
+
+def _boundary(qc: QuotientComplex, k: int) -> IntMatrix:
+    return qc.boundaries[k] if 1 <= k <= qc.dim else ()
+
+
 def homology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
     """Homology of the quotient complex over Z, Q or F_p."""
-    if isinstance(coeff, str) and coeff != "Z":
-        coeff = parse_coeff(coeff)
-    field = QQ if coeff == "Z" else coeff  # ranks over Z are ranks over Q
-    dims = [len(level) for level in qc.simplices]
-    top = qc.dim
-    degrees = []
-    for k in range(top + 1):
-        dk = qc.boundaries[k] if k >= 1 else ()
-        dk1 = qc.boundaries[k + 1] if k + 1 <= top else ()
-        betti = dims[k] - f_rank(field, dk) - f_rank(field, dk1)
-        torsion: tuple[int, ...] = ()
-        if coeff == "Z" and _nonempty(dk1):
-            torsion = tuple(d for d in snf(dk1) if d > 1)
-        reps = cycle_reps(field, dk, dk1, dims[k])
-        degrees.append(DegreeHomology(betti, torsion, reps[:betti]))
-    name = "Z" if coeff == "Z" else coeff.name
-    return HomologyResult(name, tuple(degrees))
-
-
-def dualize(qc: QuotientComplex) -> QuotientComplex:
-    """Reverse the grading so that cochains become chains: level k of the
-    dual holds the (top-k)-simplices and its boundary is the transposed
-    coboundary."""
-    top = qc.dim
-    simplices = tuple(qc.simplices[top - k] for k in range(top + 1))
-    boundaries: list[IntMatrix] = [()]
-    for k in range(1, top + 1):
-        # rows of the dual boundary: (k-1)-simplices of the dual =
-        # (top-k+1)-simplices of qc; entries transpose the boundary there
-        m = qc.boundaries[top - k + 1]
-        rows = len(qc.simplices[top - k + 1])
-        cols = len(qc.simplices[top - k])
-        dual = [[0] * cols for _ in range(rows)]
-        if _nonempty(m):
-            for i in range(len(m)):
-                for j in range(len(m[0])):
-                    dual[j][i] = m[i][j]
-        boundaries.append(tuple(tuple(r) for r in dual))
-    return QuotientComplex(qc.group, qc.constraint, simplices,
-                           tuple(boundaries))
+    coeff = parse_coeff(coeff)
+    degrees = tuple(homology_at(coeff, _boundary(qc, k), _boundary(qc, k + 1),
+                                len(level))
+                    for k, level in enumerate(qc.simplices))
+    return HomologyResult("Z" if coeff == "Z" else coeff.name, degrees)
 
 
 def cohomology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
-    """Cohomology via the dualized complex: degree q of the result reads
-    H^q (= homology of the dual in degree top - q, relabelled)."""
-    res = homology(dualize(qc), coeff)
-    return HomologyResult(res.coeff, tuple(reversed(res.degrees)))
-
-
-def cycle_reps(field, d_out, d_in, dim: int) -> tuple[tuple, ...]:
-    """Cycles spanning the homology at a chain group of dimension dim:
-    the kernel vectors of d_out (dim columns) that are independent modulo
-    the image of d_in (dim rows) and of the kernel vectors before them."""
-    if dim == 0:
-        return ()
-    basis = Echelon(field, zip(*d_in))
-    return tuple(tuple(v) for v in f_kernel(field, d_out, dim) if basis.add(v))
+    """Cohomology of the quotient complex over Z, Q or F_p: degree q sits
+    between the coboundaries d^{q-1} and d^q, the transposed boundaries;
+    representatives are cocycles in simplex coordinates."""
+    coeff = parse_coeff(coeff)
+    degrees = tuple(homology_at(coeff, int_transpose(_boundary(qc, q + 1)),
+                                int_transpose(_boundary(qc, q)), len(level))
+                    for q, level in enumerate(qc.simplices))
+    return HomologyResult("Z" if coeff == "Z" else coeff.name, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +319,10 @@ def induced_map(sub: QuotientComplex, sup: QuotientComplex,
         mats.append(tuple(tuple(r) for r in mat))
     cm = ChainMap(sub, sup, tuple(mats))
     for k in range(1, sub.dim + 1):
-        left = _mat_mul(cm.matrix(k - 1), sub.boundaries[k])
-        right = _mat_mul(sup.boundaries[k], cm.matrix(k))
+        left = sparse_matmul(sparse_rows(cm.matrix(k - 1)),
+                             sparse_rows(sub.boundaries[k]))
+        right = sparse_matmul(sparse_rows(sup.boundaries[k]),
+                              sparse_rows(cm.matrix(k)))
         if left != right:
             raise CertificateError("chain map does not commute with boundaries")
     return cm
-
-
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not _nonempty(a) or not _nonempty(b):
-        rows = len(a)
-        cols = len(b[0]) if b and b[0] else 0
-        return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)

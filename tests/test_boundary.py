@@ -3,12 +3,14 @@ from itertools import product
 
 import pytest
 
+import dense_assembly
+import wellround.boundary as boundary
 from wellround.boundary import (
     boundary_homology, build_double_complex, e1_page, face_map, restriction,
     spectral_sequence, total_cohomology, total_differential, total_dims,
 )
 from wellround.cells import enumerate_W
-from wellround.exactla import int_det
+from wellround.exactla import int_det, sparse_rows
 from wellround.flags import flag_orbits
 from wellround.lattice import GroupSpec
 from wellround.quotient import barycentric_quotient, homology
@@ -142,8 +144,13 @@ def test_congruence_flag_orbits_n3_brute_force():
                 assert got == 2
 
 
-def test_sl3_euler_consistency():
-    dc = build_double_complex(GroupSpec(3, "sl"))
+@pytest.fixture(scope="module")
+def sl3_dc():
+    return build_double_complex(GroupSpec(3, "sl"))
+
+
+def test_sl3_euler_consistency(sl3_dc):
+    dc = sl3_dc
     page = e1_page(dc)
     chi_e1 = sum((-1) ** (p + q) * d for (p, q), d in page.entries.items())
     total = total_cohomology(dc, "Q")
@@ -153,3 +160,45 @@ def test_sl3_euler_consistency():
         dk = total_differential(dc, k)
         chi_tot += (-1) ** k * total_dims(dc)[k]
     assert chi_e1 == chi_tot
+
+
+def _assert_matches_dense_assembly(dc):
+    assert total_dims(dc) == dense_assembly.total_dims(dc)
+    for k in range(len(dc.dims) + 1):
+        assert total_differential(dc, k) == \
+            dense_assembly.total_differential(dc, k), k
+    assert dc.sparse == tuple(sparse_rows(d) for d in dc.differentials)
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec(2, "sl"), GroupSpec(2, "gl"), GroupSpec(2, "gamma0", 11),
+    GroupSpec(2, "gamma0", 6), GroupSpec(2, "gamma", 3),
+    GroupSpec(2, "gamma1", 5)], ids=str)
+def test_differentials_match_dense_assembly(spec):
+    _assert_matches_dense_assembly(build_double_complex(spec))
+
+
+def test_sl3_differentials_match_dense_assembly(sl3_dc):
+    # two columns: the horizontal blocks and their signs are exercised
+    assert sl3_dc.num_columns == 2
+    _assert_matches_dense_assembly(sl3_dc)
+
+
+def test_each_differential_assembled_once(monkeypatch):
+    assembled = []
+    real = boundary._assemble
+
+    def counting(*args):
+        assembled.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(boundary, "_assemble", counting)
+    group = GroupSpec(2, "gamma0", 11)
+    dc = build_double_complex(group)
+    total_cohomology(dc, "Q")
+    total_cohomology(dc, "Z")
+    spectral_sequence(dc, "Q")
+    restriction(dc, "Fp:3")
+    boundary_homology(dc, "Q")
+    face_map(dc, flag_orbits(group, (1,)).reps[0], "Q")
+    assert assembled == list(range(len(dc.dims) - 1))

@@ -85,3 +85,37 @@ def test_quotient_certificate_raised_under_optimize():
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line) == {
         "error": "CertificateError: boundary squared is nonzero"}
+
+
+# One entry of the stored D^0 is raised by 1, in both its dense and its
+# sparse form, before the D^2 = 0 check sees it.  The entry lies in a row
+# that D^1 reads (a nonzero column of D^1), so D^1 D^0 gains that column
+# of D^1.  SL_3 has two columns, so its total complex has a D^1 to test.
+TOTAL_SCRIPT = textwrap.dedent("""
+    import dataclasses, json, sys
+    import wellround.boundary as boundary
+    from wellround.cli import run
+    from wellround.exactla import sparse_rows
+
+    real = boundary._check_total_differential_squares_to_zero
+
+    def corrupted(dc):
+        i = next(row[0][0] for row in dc.sparse[1] if row)
+        d0 = [list(row) for row in dc.differentials[0]]
+        d0[i][0] += 1
+        d0 = tuple(tuple(r) for r in d0)
+        real(dataclasses.replace(
+            dc, differentials=(d0,) + dc.differentials[1:],
+            sparse=(sparse_rows(d0),) + dc.sparse[1:]))
+
+    boundary._check_total_differential_squares_to_zero = corrupted
+    code = run(["boundary", "total", "-n", "3", "--group", "sl"])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_total_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(TOTAL_SCRIPT)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: total differential fails D*D=0"}

@@ -90,6 +90,19 @@ def test_boundary_restrict_gamma0_11(capsys):
     assert by_degree[1]["interior"] == 2
 
 
+@pytest.mark.parametrize("mode, job", [("restrict", "restriction ranks"),
+                                       ("facemap", "face maps")])
+def test_boundary_ranks_reject_integer_coefficients(tmp_path, capsys, mode,
+                                                    job):
+    # only `boundary total` takes Z; the rank reports need a field
+    flag = write_json(tmp_path, "F.json", {"n": 2, "members": [[[1], [0]]]})
+    code, out = invoke(capsys, "boundary", mode, "-n", "2", "--group", "sl",
+                       "--coeff", "Z", "--flag", flag)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": f"ValueError: {job} need field coefficients"}
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     bad = write_json(tmp_path, "bad.json",
                      {"n": 2, "rows": [["1", "2"], ["2", "1"]]})

@@ -11,9 +11,10 @@ import gauss_jordan as gj
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
     Echelon, NotPositiveDefinite, PrimeField, RatMatrix, f_kernel, f_rank,
-    f_solve, format_rational, hnf, int_adjugate, int_det, int_identity,
-    int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix, int_matvec,
-    int_scaled, int_transpose, lp, parse_rational, saturation, snf,
+    f_rank_modulo, f_solve, format_rational, hnf, int_adjugate, int_det,
+    int_identity, int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix,
+    int_matvec, int_scaled, int_transpose, lp, parse_rational, saturation,
+    snf, sparse_matmul, sparse_rows,
 )
 
 
@@ -417,6 +418,44 @@ def test_solve_and_span_test_match_gauss_jordan(data):
         for v in vecs:
             assert basis.spans(v) == (gj.rank(p, a + [v]) == rank)
         assert basis.rows == rows and basis.pivots == pivots
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_modulo_matches_rank_difference(data):
+    base = data.draw(int_matrices())
+    n = len(base[0]) if base else data.draw(st.integers(1, 6))
+    cands = data.draw(int_matrices(ncols=n))
+    for field, p in _FIELDS[:3]:
+        # over Q the vectors carry denominators, like images of cocycles
+        vecs = [[Fraction(x, i + 2) for x in row]
+                for i, row in enumerate(cands)] if p is None else cands
+        assert f_rank_modulo(field, base, vecs) == \
+            f_rank(field, base + vecs) - f_rank(field, base)
+
+
+@st.composite
+def sparse_int_matrices(draw, nrows, ncols):
+    """nrows x ncols integer matrices, mostly zeros, like boundary
+    matrices."""
+    entries = st.one_of(st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2]),
+                        st.integers(-1000, 1000))
+    return int_matrix(draw(st.lists(entries, min_size=ncols, max_size=ncols))
+                      for _ in range(nrows))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_matmul_matches_int_matmul(data):
+    # empty shapes included: a product with no rows, no inner dimension
+    # (all zero) or no columns
+    r, m, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = data.draw(sparse_int_matrices(r, m))
+    b = data.draw(sparse_int_matrices(m, c))
+    product = sparse_matmul(sparse_rows(a), sparse_rows(b))
+    assert product == sparse_rows(int_matmul(a, b))
+    assert len(product) == r
+    assert all(0 <= j < c for row in product for j, _ in row)
 
 
 @given(int_matrices())
