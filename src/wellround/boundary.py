@@ -27,8 +27,8 @@ from .flags import (
 )
 from .lattice import GroupSpec
 from .quotient import (
-    ChainMap, QuotientComplex, barycentric_quotient, cohomology, homology,
-    homology_at, induced_map, parse_coeff,
+    ChainMap, QuotientComplex, barycentric_quotient, betti_at, cohomology,
+    homology, homology_at, induced_map, parse_coeff,
 )
 
 
@@ -220,9 +220,9 @@ def total_cohomology(dc: DoubleComplex, coeff="Q"):
     coeff = parse_coeff(coeff)
     out = []
     for k in range(len(dc.dims) - 1):
-        h = homology_at(coeff, total_differential(dc, k),
-                        total_differential(dc, k - 1), dc.dims[k])
-        out.append({"degree": k, "betti": h.betti, "torsion": h.torsion})
+        betti, torsion = betti_at(coeff, total_differential(dc, k),
+                                  total_differential(dc, k - 1), dc.dims[k])
+        out.append({"degree": k, "betti": betti, "torsion": torsion})
     while out and out[-1]["betti"] == 0 and not out[-1]["torsion"]:
         out.pop()
     return out
@@ -337,8 +337,8 @@ def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None
                 raise CertificateError("page differential into zero is nonzero")
         pages.append(SpectralPage(r, entries, diffs))
     # abutment over the field
-    abutment = [homology_at(field, total_differential(dc, k),
-                            total_differential(dc, k - 1), dc.dims[k]).betti
+    abutment = [betti_at(field, total_differential(dc, k),
+                         total_differential(dc, k - 1), dc.dims[k])[0]
                 for k in range(len(dc.dims) - 1)]
     while abutment and abutment[-1] == 0:
         abutment.pop()
@@ -400,7 +400,7 @@ def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
         imgs = [_matvec(field, restrict_rows, rep) for rep in reps]
         dtot = total_differential(dc, q)
         dtot_prev = total_differential(dc, q - 1)
-        dim_total = homology_at(field, dtot, dtot_prev, dc.dims[q]).betti
+        dim_total = betti_at(field, dtot, dtot_prev, dc.dims[q])[0]
         if dtot:  # restriction of a cocycle is a total cocycle
             for v in imgs:
                 if any(_matvec(field, dc.sparse[q], v)):

@@ -5,7 +5,11 @@ chains of cells; the group permutes chains, and a chain is anchored at
 the orbit representative of its top cell, with the residual ambiguity
 killed by the top cell's finite stabilizer.  The top cell's orbit and
 the element carrying it onto the representative come from the orbit
-complex's own index (`OrbitComplex.locate`).  An element stabilizing a
+complex's own index (`OrbitComplex.locate`).  The chains run through
+cell closures, which are carried over from the orbit representatives:
+the faces of g.s are g.(faces of s), so only a representative's faces
+are computed, and `enumerate_complex` has already computed them; the
+quotient solves no LP of its own.  An element stabilizing a
 chain fixes each member (their dimensions differ), so it fixes the
 simplex pointwise: simplices never fold onto themselves, and this one
 subdivision computes the homology of the quotient space with any
@@ -22,8 +26,8 @@ from typing import Optional, Sequence
 
 from .cells import OrbitComplex, cell_faces
 from .exactla import (
-    CertificateError, Echelon, IntMatrix, PrimeField, QQ, int_matvec,
-    int_transpose, snf, sparse_matmul, sparse_rows,
+    CertificateError, Echelon, IntMatrix, PrimeField, QQ, int_inverse,
+    int_matvec, int_transpose, snf, sparse_matmul, sparse_rows,
 )
 from .flags import RationalFlag
 from .lattice import VectorConfig, canonical_config, config_stabilizer
@@ -111,17 +115,37 @@ class _ChainIndexer:
         return self.ids[self.canonical_chain(oid, moved)]
 
 
-def _closure_configs(complex: OrbitComplex, oid: int) -> list[VectorConfig]:
+def _closure(complex: OrbitComplex, oid: int,
+             memo: dict[int, dict[VectorConfig, int]]) -> dict[VectorConfig, int]:
+    """The closure of orbit representative oid, config -> dimension.
+
+    The faces of g.s are g.(faces of s), so the closure is carried over
+    from the representatives: a face f of the representative lies in the
+    complex, `locate` gives (fid, u) with u.f = rep_fid, and the closure of
+    f is u^-1.closure(rep_fid).  Only representatives reach `cell_faces`,
+    whose faces `enumerate_complex` has already computed.  A closed cell is
+    a ball, so the alternating count of its cells must be 1."""
+    if oid in memo:
+        return memo[oid]
     rep = complex.cell_by_id(oid)
-    seen = {rep.config: rep}
-    frontier = [rep]
-    while frontier:
-        cur = frontier.pop()
-        for f in cell_faces(cur):
-            if f.config not in seen:
-                seen[f.config] = f
-                frontier.append(f)
-    return sorted(seen)
+    closure = {rep.config: rep.dim}
+    for f in cell_faces(rep):
+        fid, u = complex.locate(f.config)
+        back = int_inverse(u)
+        for config, dim in _closure(complex, fid, memo).items():
+            closure[_apply(back, config)] = dim
+    if sum((-1) ** dim for dim in closure.values()) != 1:
+        raise CertificateError("cell closure has Euler characteristic != 1")
+    memo[oid] = closure
+    return closure
+
+
+def _closure_configs(complex: OrbitComplex, oid: int,
+                     memo: Optional[dict[int, dict[VectorConfig, int]]] = None
+                     ) -> list[VectorConfig]:
+    """The configs of the closure of orbit representative oid, sorted;
+    memo holds the closures of one complex across calls."""
+    return sorted(_closure(complex, oid, {} if memo is None else memo))
 
 
 def _enumerate_chains(poset: Sequence[VectorConfig], top: VectorConfig):
@@ -147,8 +171,9 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
     indexer = _ChainIndexer(complex)
     by_dim: dict[int, list[SimplexOrbit]] = {}
     seen: set[Chain] = set()
+    closures: dict[int, dict[VectorConfig, int]] = {}
     for oc in complex.cells:
-        closure = _closure_configs(complex, oc.id)
+        closure = _closure_configs(complex, oc.id, closures)
         for chain in _enumerate_chains(closure, oc.cell.config):
             canon = indexer.canonical_chain(oc.id, chain)
             if canon in seen:
@@ -230,24 +255,37 @@ def _nonempty(m: IntMatrix) -> bool:
     return bool(m) and bool(m[0])
 
 
-def homology_at(coeff, d_out: IntMatrix, d_in: IntMatrix,
-                dim: int) -> DegreeHomology:
-    """Homology at a chain group of dimension dim, between the map d_in
-    into it (dim rows) and the map d_out out of it (dim columns); a
-    cochain complex passes its coboundaries the same way.
-
-    The betti number is dim - rank d_out - rank d_in; over Z the torsion
-    is read from the Smith invariants of d_in (ranks over Z are ranks over
-    Q).  The representatives are the kernel vectors of d_out that are
-    independent modulo the image of d_in and of the kernel vectors before
-    them; the two echelon bases that give the ranks give them too."""
+def _ranked(coeff, d_out: IntMatrix, d_in: IntMatrix, dim: int):
+    """(betti, torsion, out, image): the echelon bases of the rows of d_out
+    and of the columns of d_in, and the betti number and torsion read from
+    them."""
     field = QQ if coeff == "Z" else coeff
     out = Echelon(field, d_out)
     image = Echelon(field, zip(*d_in))
-    betti = dim - len(out) - len(image)
     torsion: tuple[int, ...] = ()
     if coeff == "Z" and _nonempty(d_in):
         torsion = tuple(d for d in snf(d_in) if d > 1)
+    return dim - len(out) - len(image), torsion, out, image
+
+
+def betti_at(coeff, d_out: IntMatrix, d_in: IntMatrix,
+             dim: int) -> tuple[int, tuple[int, ...]]:
+    """(betti, torsion) of the homology at a chain group of dimension dim,
+    between the map d_in into it (dim rows) and the map d_out out of it
+    (dim columns); a cochain complex passes its coboundaries the same way.
+
+    The betti number is dim - rank d_out - rank d_in; over Z the torsion
+    is read from the Smith invariants of d_in (ranks over Z are ranks over
+    Q)."""
+    return _ranked(coeff, d_out, d_in, dim)[:2]
+
+
+def homology_at(coeff, d_out: IntMatrix, d_in: IntMatrix,
+                dim: int) -> DegreeHomology:
+    """`betti_at` with representatives: the kernel vectors of d_out that
+    are independent modulo the image of d_in and of the kernel vectors
+    before them; the two echelon bases that give the ranks give them too."""
+    betti, torsion, out, image = _ranked(coeff, d_out, d_in, dim)
     reps = tuple(tuple(v) for v in out.kernel(dim) if image.add(v))
     return DegreeHomology(betti, torsion, reps)
 

@@ -119,3 +119,26 @@ def test_total_certificate_raised_under_optimize():
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line) == {
         "error": "CertificateError: total differential fails D*D=0"}
+
+
+# `cell_faces` as the quotient sees it drops the last face of every cell,
+# so the closure of an edge of the n = 2 complex keeps one of its two
+# vertices and has Euler characteristic 0.
+CLOSURE_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.quotient as quotient
+    from wellround.cli import run
+
+    real = quotient.cell_faces
+    quotient.cell_faces = lambda cell: real(cell)[:-1]
+    code = run(["homology", "--complex", sys.argv[1]])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_closure_certificate_raised_under_optimize():
+    cx = GOLDEN / "cells_enumerate_gamma0_11.json"
+    cli_line, result_line = _run_optimized(CLOSURE_SCRIPT, str(cx))[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: cell closure has Euler characteristic != 1"}

@@ -146,6 +146,18 @@ def test_complex_homology_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+def test_complex_homology_without_incidences(tmp_path, capsys):
+    # the quotient reads the faces of each representative from the LP,
+    # not from the file's incidences, which a complex file may omit
+    data = json.loads((GOLDEN / "cells_enumerate_sl_3.json").read_text())
+    del data["incidences"]
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(data))
+    assert run(["homology", "--complex", str(cx), "--coeff", "Z"]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "homology_sl_3_z.json").read_text()
+
+
 def test_representatives_match_golden():
     # the CLI prints no representatives, so they are compared here: the
     # quotient W/Gamma_0(11) (index 0) and its two cusp subcomplexes

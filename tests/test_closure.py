@@ -1,0 +1,59 @@
+"""Cell closures carried over from the orbit representatives, against
+the walk over `cell_faces` that computed them before (`closure_walk`),
+and the mechanism: a quotient reads faces of representatives only, so it
+solves no LP of its own."""
+
+import pytest
+
+from closure_walk import closure_configs
+from test_orbit_locate import COMPLEXES, _wf
+
+import wellround.cells as cells
+import wellround.quotient as quotient
+from wellround.cells import _seed_shift, cell_from_config, enumerate_W
+from wellround.exactla import int_matvec
+from wellround.lattice import GroupSpec, canonical_config
+from wellround.quotient import _closure_configs, barycentric_quotient
+
+
+def _moved(u, config):
+    return canonical_config(tuple(int_matvec(u, v)) for v in config)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_closure_matches_walk(name):
+    complex = COMPLEXES[name]()
+    # I + level e_1 e_n^T lies in every test group and fixes the line e_1
+    shift = _seed_shift(complex.group)
+    memo: dict = {}
+    for oc in complex.cells:
+        closure = _closure_configs(complex, oc.id, memo)
+        assert closure == _closure_configs(complex, oc.id)
+        assert closure == closure_configs(oc.cell)
+        moved = cell_from_config(_moved(shift, oc.cell.config))
+        assert closure_configs(moved) == sorted(_moved(shift, c)
+                                                for c in closure)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("W SL_3", lambda: enumerate_W(GroupSpec(3, "sl"))),
+    ("W_F SL_3 line", lambda: _wf(3, GroupSpec(3, "sl"))),
+])
+def test_quotient_reads_faces_of_representatives_only(name, build,
+                                                      monkeypatch):
+    complex = build()
+    reps = {oc.cell.config for oc in complex.cells}
+    asked = []
+    real_faces = quotient.cell_faces
+
+    def faces(cell):
+        asked.append(cell.config)
+        return real_faces(cell)
+
+    def no_lp(*args):
+        raise AssertionError("the quotient solved an LP")
+
+    monkeypatch.setattr(quotient, "cell_faces", faces)
+    monkeypatch.setattr(cells, "lp", no_lp)
+    barycentric_quotient(complex)
+    assert asked and set(asked) <= reps
