@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .exactla import (
@@ -80,12 +80,9 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _value_coeffs(pairs, v: Sequence[int]) -> list[Fraction]:
+def _value_coeffs(pairs, v: Sequence[int]) -> list[int]:
     """Row of the linear functional A -> A[v] in upper-triangle coordinates."""
-    out = []
-    for (i, j) in pairs:
-        out.append(Fraction(v[i] * v[j] if i == j else 2 * v[i] * v[j]))
-    return out
+    return [v[i] * v[j] if i == j else 2 * v[i] * v[j] for (i, j) in pairs]
 
 
 def _gram_from_point(n: int, pairs, point) -> RatMatrix:
@@ -141,10 +138,11 @@ def _initial_candidates(config: VectorConfig, n: int) -> set[IntVector]:
 
 class _Chart:
     """Affine parameterization of {A symmetric : A[v] = 1 for v in eqs}:
-    A = origin + sum t_i dirs_i.  Shrinks every LP to the cell dimension
-    plus a slack variable.  The origin (free coordinates 0) and the
-    directions (the free-column kernel basis) come from one elimination
-    of the augmented system."""
+    A = (origin + sum t_i dirs_i) / den, with integer vectors origin and
+    dirs_i over one denominator den > 0.  Shrinks every LP to the cell
+    dimension plus a slack variable, with integer coefficients.  The
+    origin (free coordinates 0) and the directions (the free-column
+    kernel basis) come from one elimination of the augmented system."""
 
     def __init__(self, eqs: VectorConfig, n: int):
         self.n = n
@@ -155,11 +153,15 @@ class _Chart:
         self.ok = sol is not None
         if not self.ok:
             return
-        self.origin = sol
-        self.dirs = system.kernel(k)
+        dirs = system.kernel(k)
+        den = lcm(*(x.denominator for v in (sol, *dirs) for x in v))
+        self.den = den
+        self.origin = [x.numerator * (den // x.denominator) for x in sol]
+        self.dirs = [[x.numerator * (den // x.denominator) for x in d]
+                     for d in dirs]
 
-    def functional(self, w) -> tuple[Fraction, list[Fraction]]:
-        """A[w] = const + row . t on the chart."""
+    def functional(self, w) -> tuple[int, list[int]]:
+        """den * A[w] = const + row . t on the chart, in integers."""
         c = _value_coeffs(self.pairs, w)
         const = sum(a * b for a, b in zip(c, self.origin))
         row = [sum(a * b for a, b in zip(c, d)) for d in self.dirs]
@@ -170,16 +172,19 @@ class _Chart:
         for x, d in zip(t, self.dirs):
             if x:
                 point = [p + x * y for p, y in zip(point, d)]
-        return _gram_from_point(self.n, self.pairs, point)
+        return _gram_from_point(self.n, self.pairs,
+                                [Fraction(p) / self.den for p in point])
 
     def max_slack(self, cands: Sequence[IntVector]):
         """Maximize delta with A[w] >= 1 + delta on the chart; returns
-        (delta, gram) or None when even the closed constraints fail."""
+        (delta, gram) or None when even the closed constraints fail.
+        Every row is den times the one in A, so the LP's coefficients are
+        integers."""
         k = len(self.dirs)
+        den = self.den
         if k == 0:
-            delta = min((self.functional(w)[0] - 1 for w in cands),
-                        default=Fraction(1))
-            delta = min(delta, Fraction(1))
+            low = min((self.functional(w)[0] for w in cands), default=2 * den)
+            delta = min(Fraction(low - den, den), Fraction(1))
             if delta < 0:
                 return None
             return delta, self.gram_at(())
@@ -187,14 +192,14 @@ class _Chart:
         ge_rhs = []
         for w in cands:
             const, row = self.functional(w)
-            ge_lhs.append(row + [Fraction(-1)])
-            ge_rhs.append(Fraction(1) - const)
-        zero = [Fraction(0)] * k
-        ge_lhs.append(zero + [Fraction(-1)])
-        ge_rhs.append(Fraction(-1))      # delta <= 1
-        ge_lhs.append(zero + [Fraction(1)])
-        ge_rhs.append(Fraction(-1))      # delta >= -1
-        res = lp(zero + [Fraction(1)], (), (), ge_lhs, ge_rhs)
+            ge_lhs.append(row + [-den])
+            ge_rhs.append(den - const)
+        zero = [0] * k
+        ge_lhs.append(zero + [-den])
+        ge_rhs.append(-den)      # delta <= 1
+        ge_lhs.append(zero + [den])
+        ge_rhs.append(-den)      # delta >= -1
+        res = lp(zero + [1], (), (), ge_lhs, ge_rhs)
         if res.status != OPTIMAL:
             return None
         if res.point[-1] < 0:
@@ -204,23 +209,24 @@ class _Chart:
     def max_value(self, w: IntVector, cands: Sequence[IntVector]) -> Optional[Fraction]:
         """Maximum of A[w] over the closed chart polytope, or None if empty."""
         k = len(self.dirs)
+        den = self.den
         const, row = self.functional(w)
         if k == 0:
-            if any(self.functional(u)[0] < 1 for u in cands):
+            if any(self.functional(u)[0] < den for u in cands):
                 return None
-            return const
+            return Fraction(const, den)
         ge_lhs = []
         ge_rhs = []
         for u in cands:
             c2, r2 = self.functional(u)
             ge_lhs.append(r2)
-            ge_rhs.append(Fraction(1) - c2)
+            ge_rhs.append(den - c2)
         res = lp(row, (), (), ge_lhs, ge_rhs)
         if res.status == UNBOUNDED:
             raise CertificateError("chart polytope is unbounded")
         if res.status != OPTIMAL:
             return None
-        return const + res.objective
+        return (const + res.objective) / den
 
 
 def cell_from_config(config: VectorConfig, tighten: bool = False) -> Cell:

@@ -14,7 +14,10 @@ Python ints.  Provided here:
   unimodular transform (`_row_hnf`), from which the column HNF, the
   saturated integer kernel, saturation and the Smith invariants (for
   homology over Z) are all derived,
-* a two-phase simplex solver with Bland's rule over the rationals,
+* a two-phase simplex solver with Bland's rule for rational LPs, on an
+  integer tableau over one common denominator with fraction-free
+  (Bareiss) pivots, whose every optimal answer is checked by a primal
+  and a dual certificate; Fractions are made only for its answer,
 * `Echelon`, an incrementally built echelon basis over Q or F_p that
   keeps integer rows over Q, and the one elimination kernel outside the
   simplex: rank and independence (`add`, `f_rank`, `f_rank_modulo`),
@@ -414,7 +417,7 @@ def saturation(m: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Rational simplex with Bland's rule
+# Integer-preserving simplex with Bland's rule
 # ---------------------------------------------------------------------------
 
 OPTIMAL = "optimal"
@@ -429,126 +432,182 @@ class LPResult:
     objective: Optional[Fraction] = None
 
 
-def _simplex(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
-    """Maximize cost over the tableau (rhs in the last column), Bland's rule.
+def _pivot(tab: list[list[int]], d: int, leaving: int, entering: int) -> int:
+    """Fraction-free pivot of the integer tableau tab = d * (rational
+    tableau) on p = tab[leaving][entering] (Edmonds 1967; Bareiss, Math.
+    Comp. 1968): every other row y becomes (y*p - y[entering]*r) // d for
+    the pivot row r, which divides exactly, and p is the new denominator.
+    When p < 0 every row is negated, so that the returned denominator is
+    positive."""
+    r = tab[leaving]
+    p = r[entering]
+    for i, row in enumerate(tab):
+        if i == leaving:
+            continue
+        f = row[entering]
+        if f:
+            tab[i] = [(x * p - f * y) // d for x, y in zip(row, r)]
+        elif p != d:
+            tab[i] = [x * p // d for x in row]
+    if p < 0:
+        tab[:] = [[-x for x in row] for row in tab]
+        p = -p
+    return p
 
-    Mutates tab/basis; returns OPTIMAL or UNBOUNDED.  The reduced-cost
-    row is maintained incrementally through the pivots.
+
+def _simplex(tab: list[list[int]], basis: list[int], cost: list[int],
+             d: int) -> tuple[str, int, list[int]]:
+    """Maximize cost over the integer tableau tab = d * (rational tableau),
+    rhs in the last column, by Bland's rule; cost is an integer row (any
+    positive multiple of the cost gives the same pivots).
+
+    Mutates tab/basis; returns the status (OPTIMAL or UNBOUNDED), the
+    final denominator and the reduced-cost row, d times the rational one.
+    The ratio test compares b_i * a_k with b_k * a_i, with no division.
     """
     nrows = len(tab)
-    ncols = len(tab[0]) - 1
-    zero = Fraction(0)
-    obj = list(cost) + [zero]
+    ncols = len(cost)
+    obj = [d * x for x in cost] + [0]
     for i in range(nrows):
         cb = cost[basis[i]]
-        if cb != 0:
+        if cb:
             obj = [x - cb * y for x, y in zip(obj, tab[i])]
+    tab.append(obj)  # pivots update the reduced costs as one more row
     while True:
-        entering = -1
-        for j in range(ncols):
-            if obj[j] > 0:
-                entering = j
-                break
+        obj = tab[-1]
+        entering = next((j for j in range(ncols) if obj[j] > 0), -1)
         if entering < 0:
-            return OPTIMAL
+            return OPTIMAL, d, tab.pop()
         leaving = -1
-        best = None
         for i in range(nrows):
-            if tab[i][entering] > 0:
-                ratio = tab[i][-1] / tab[i][entering]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+            a = tab[i][entering]
+            if a > 0:
+                b = tab[i][-1]
+                if leaving < 0:
+                    best_a, best_b, leaving = a, b, i
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    best_a, best_b, leaving = a, b, i
         if leaving < 0:
-            return UNBOUNDED
-        piv = tab[leaving][entering]
-        if piv != 1:
-            tab[leaving] = [x / piv for x in tab[leaving]]
-        pivot_row = tab[leaving]
-        for i in range(nrows):
-            if i != leaving:
-                f = tab[i][entering]
-                if f != 0:
-                    tab[i] = [x - f * y for x, y in zip(tab[i], pivot_row)]
-        f = obj[entering]
-        if f != 0:
-            obj = [x - f * y for x, y in zip(obj, pivot_row)]
+            return UNBOUNDED, d, tab.pop()
+        d = _pivot(tab, d, leaving, entering)
         basis[leaving] = entering
+
+
+def _scaled(v: Sequence, scale: int) -> list[int]:
+    """scale * v as integers, for rationals v whose denominators divide
+    scale."""
+    return [x.numerator * (scale // x.denominator) for x in v]
+
+
+def _certify(c: list[int], eq: list[list[int]], eq_b: list[int],
+             ge: list[list[int]], ge_b: list[int], scale: int,
+             x: list[int], d: int, obj: list[int]) -> None:
+    """Check an OPTIMAL answer against the LP, with integer arithmetic and
+    independently of the pivots.  The rows and right-hand sides are scale
+    times the LP's, c is a positive multiple of its cost, the point is
+    x / d and obj is the final reduced-cost row, d times the rational one.
+
+    Primal: the point satisfies every row exactly, and c.x equals
+    -obj[-1], the objective the pivots reached (both d * cost scale
+    times the LP's).  Dual, when there are
+    no equality rows: y_k = -obj[slack_k] / (d * cost scale) is >= 0 and
+    solves A^T y = -c, and -b.y equals the objective, so the point is
+    optimal."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+    if any(dot(row, x) != b * d for row, b in zip(eq, eq_b)) or \
+            any(dot(row, x) < b * d for row, b in zip(ge, ge_b)):
+        raise CertificateError("LP point violates a constraint")
+    if dot(c, x) != -obj[-1]:
+        raise CertificateError("LP objective disagrees with its point")
+    if eq:
+        return
+    nx = len(c)
+    s = obj[2 * nx:2 * nx + len(ge)]  # -y * d * cost scale
+    if any(v > 0 for v in s) or \
+            any(dot(col, s) != scale * d * cj for col, cj in zip(zip(*ge), c)) or \
+            dot(ge_b, s) != -scale * obj[-1]:
+        raise CertificateError("LP dual certificate fails")
 
 
 def lp(c: Sequence, eq_lhs: Sequence[Sequence] = (), eq_rhs: Sequence = (),
        ge_lhs: Sequence[Sequence] = (), ge_rhs: Sequence = ()) -> LPResult:
     """Maximize c.x subject to eq_lhs.x = eq_rhs and ge_lhs.x >= ge_rhs.
 
-    Variables are free rationals.  Exact two-phase simplex; Bland's rule
-    guarantees termination.  When the status is OPTIMAL the returned point
-    satisfies every constraint exactly.
+    Variables are free rationals; coefficients are integers or rationals.
+    Exact two-phase simplex on an integer tableau over one common
+    denominator; Bland's rule guarantees termination.  Every OPTIMAL
+    answer is certified (`_certify`): the point satisfies every
+    constraint exactly, and, without equality rows, a dual solution
+    proves it optimal.  ValueError when a row's length differs from c's
+    or the numbers of rows and right-hand sides differ.
     """
-    c = [Fraction(x) for x in c]
+    def rational(v):
+        return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+
+    c = rational(c)
     nx = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    nge = len(ge_lhs)
-    for row, b in zip(eq_lhs, eq_rhs):
-        rows.append([Fraction(x) for x in row] + [Fraction(0)] * nge)
-        rhs.append(Fraction(b))
-    for k, (row, b) in enumerate(zip(ge_lhs, ge_rhs)):
-        slack = [Fraction(0)] * nge
-        slack[k] = Fraction(-1)
-        rows.append([Fraction(x) for x in row] + slack)
-        rhs.append(Fraction(b))
-    nrows = len(rows)
+    if len(eq_lhs) != len(eq_rhs) or len(ge_lhs) != len(ge_rhs):
+        raise ValueError("lp: the numbers of rows and right-hand sides differ")
+    if any(len(row) != nx for row in (*eq_lhs, *ge_lhs)):
+        raise ValueError(f"lp: a constraint row does not have {nx} entries")
+    lhs = [rational(row) for row in (*eq_lhs, *ge_lhs)]
+    rhs = rational((*eq_rhs, *ge_rhs))
+    # one scale for every row keeps the pivots of the rational tableau:
+    # the artificial columns stay identity columns, which only scales the
+    # phase-1 cost by 1 / scale
+    scale = lcm(*(x.denominator for row in lhs for x in row),
+                *(x.denominator for x in rhs))
+    lhs = [_scaled(row, scale) for row in lhs]
+    rhs = _scaled(rhs, scale)
+    neq, nge = len(eq_lhs), len(ge_lhs)
+    nrows = neq + nge
 
     # x = u - w with u, w >= 0; then slack columns
-    def structural(row: list[Fraction]) -> list[Fraction]:
-        xpart = row[:nx]
-        return xpart + [-x for x in xpart] + row[nx:]
-
     ncols = 2 * nx + nge
-    tab: list[list[Fraction]] = []
-    for i in range(nrows):
-        r = structural(rows[i])
-        b = rhs[i]
+    tab: list[list[int]] = []
+    for i, (a, b) in enumerate(zip(lhs, rhs)):
+        slack = [0] * nge
+        if i >= neq:
+            slack[i - neq] = -scale
+        r = a + [-x for x in a] + slack
         if b < 0:
             r = [-x for x in r]
             b = -b
-        art = [Fraction(int(j == i)) for j in range(nrows)]
+        art = [int(j == i) for j in range(nrows)]
         tab.append(r + art + [b])
     basis = [ncols + i for i in range(nrows)]
 
-    cost1 = [Fraction(0)] * ncols + [Fraction(-1)] * nrows
-    _simplex(tab, basis, cost1)
+    _, d, _ = _simplex(tab, basis, [0] * ncols + [-1] * nrows, 1)
     if any(tab[i][-1] != 0 and basis[i] >= ncols for i in range(nrows)):
         return LPResult(INFEASIBLE)
     # drive artificials out of the basis, dropping redundant rows
     keep = []
-    for i in range(len(tab)):
+    for i in range(nrows):
         if basis[i] >= ncols:
             j = next((j for j in range(ncols) if tab[i][j] != 0), None)
             if j is None:
                 continue  # redundant row
-            piv = tab[i][j]
-            tab[i] = [x / piv for x in tab[i]]
-            for k in range(len(tab)):
-                if k != i and tab[k][j] != 0:
-                    f = tab[k][j]
-                    tab[k] = [x - f * y for x, y in zip(tab[k], tab[i])]
+            d = _pivot(tab, d, i, j)
             basis[i] = j
         keep.append(i)
     tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    cost2 = c + [-x for x in c] + [Fraction(0)] * nge
-    status = _simplex(tab, basis, cost2)
+    cost_scale = lcm(*(x.denominator for x in c))
+    cost = _scaled(c, cost_scale)
+    status, d, obj = _simplex(tab, basis, cost + [-x for x in cost] + [0] * nge, d)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    vals = [Fraction(0)] * ncols
+    vals = [0] * ncols
     for i, b in enumerate(basis):
         vals[b] = tab[i][-1]
-    x = tuple(vals[j] - vals[nx + j] for j in range(nx))
-    obj = sum(ci * xi for ci, xi in zip(c, x))
-    return LPResult(OPTIMAL, x, obj)
+    x = [vals[j] - vals[nx + j] for j in range(nx)]
+    _certify(cost, lhs[:neq], rhs[:neq], lhs[neq:], rhs[neq:], scale, x, d, obj)
+    return LPResult(OPTIMAL, tuple(Fraction(v, d) for v in x),
+                    Fraction(-obj[-1], d * cost_scale))
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,31 @@ def test_incidences_consistent():
     for inc in cx.incidences:
         assert cx.cell_by_id(inc.cell).dim == cx.cell_by_id(inc.face).dim + 1
         assert cx.group.contains(inc.via)
+
+
+@pytest.mark.parametrize("n, group", [(2, "gl"), (3, "sl")])
+def test_cell_lps_are_integral(n, group, monkeypatch):
+    """The cell LPs get integer coefficients only (the chart keeps one
+    denominator), and answer as the Fraction simplex does on them."""
+    import fraction_simplex
+
+    import wellround.cells as cells
+    from wellround.exactla import lp
+
+    for cache in ("_CELL_CACHE", "_FACES_CACHE", "_COFACES_CACHE"):
+        monkeypatch.setattr(cells, cache, {})
+    calls = []
+
+    def logged(*args):
+        res = lp(*args)
+        calls.append((args, res))
+        return res
+
+    monkeypatch.setattr(cells, "lp", logged)
+    subcomplex_WF(enumerate_W(GroupSpec(n, group)), standard_flag(n, (1,)))
+    assert calls
+    for args, res in calls:
+        c, eq_lhs, eq_rhs, ge_lhs, ge_rhs = args
+        assert not eq_lhs and not eq_rhs
+        assert all(type(x) is int for row in (c, ge_rhs, *ge_lhs) for x in row)
+        assert fraction_simplex.lp(*args) == res

@@ -142,3 +142,42 @@ def test_closure_certificate_raised_under_optimize():
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line) == {
         "error": "CertificateError: cell closure has Euler characteristic != 1"}
+
+
+# Every pivot of the integer simplex raises the last entry of the last
+# row of the tableau by 1.  In the simplex that row holds the reduced
+# costs, and its last entry the objective, which no pivot choice reads:
+# the pivots are unchanged and only the final objective is wrong, so the
+# certificate of an OPTIMAL answer must catch it, in `lp` and in the
+# cell LPs behind the CLI.
+LP_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.exactla as exactla
+    from wellround.cli import run
+
+    real = exactla._pivot
+
+    def corrupted(tab, d, leaving, entering):
+        d = real(tab, d, leaving, entering)
+        tab[-1][-1] += 1
+        return d
+
+    exactla._pivot = corrupted
+    try:
+        exactla.lp([1], ge_lhs=[[-1], [1]], ge_rhs=[-1, 0])
+        raised = None
+    except exactla.CertificateError as exc:
+        raised = str(exc)
+    code = run(["cells", "enumerate", "-n", "2", "--group", "gl"])
+    print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
+                      "code": code}))
+""")
+
+
+def test_lp_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(LP_SCRIPT)[-2:]
+    assert json.loads(result_line) == {
+        "optimize": 1, "raised": "LP objective disagrees with its point",
+        "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: LP objective disagrees with its point"}

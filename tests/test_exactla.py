@@ -2,15 +2,18 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_simplex
 import gauss_jordan as gj
+import wellround.exactla as exactla
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
-    Echelon, NotPositiveDefinite, PrimeField, RatMatrix, f_kernel, f_rank,
+    Echelon, LPResult, NotPositiveDefinite, PrimeField, RatMatrix, f_kernel, f_rank,
     f_rank_modulo, f_solve, format_rational, hnf, int_adjugate, int_det,
     int_identity, int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix,
     int_matvec, int_scaled, int_transpose, lp, parse_rational, saturation,
@@ -532,3 +535,121 @@ def test_lp_random_exactness():
             for row, b in zip(ge, gb):
                 assert sum(a * x for a, x in zip(row, res.point)) >= b
             assert sum(ci * xi for ci, xi in zip(c, res.point)) == res.objective
+
+
+def test_lp_without_rows():
+    # no constraint: any nonzero cost is unbounded, a zero cost is 0 at 0
+    assert lp([1]).status == UNBOUNDED
+    assert lp([0, Fraction(-1, 2)]).status == UNBOUNDED
+    res = lp([0, 0])
+    assert res.status == OPTIMAL
+    assert res.point == (0, 0)
+    assert res.objective == 0
+
+
+def test_lp_rejects_rows_without_rhs():
+    with pytest.raises(ValueError):
+        lp([1], [[1], [1]], [2])
+    with pytest.raises(ValueError):
+        lp([1], (), (), [[1], [-1]], [0])
+
+
+def test_lp_rejects_row_wider_than_cost():
+    with pytest.raises(ValueError):
+        lp([1], (), (), [[1, 2]], [0])
+
+
+def _pivots_logged(module, *args):
+    """module.lp(*args) and its (leaving row, entering column) pivots."""
+    log = []
+    real = module._pivot
+
+    def pivot(tab, *rest):
+        log.append(rest[-2:])
+        return real(tab, *rest)
+
+    with mock.patch.object(module, "_pivot", pivot):
+        return module.lp(*args), log
+
+
+_NUMBERS = st.one_of(st.integers(-2, 2),
+                     st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def lp_instances(draw):
+    """(c, eq_lhs, eq_rhs, ge_lhs, ge_rhs) with at least one row: random
+    rows, zero rows and repeated (scaled) rows with their right-hand
+    sides, and sometimes a box that bounds the region.  Small integers
+    make ties in the ratio test common."""
+    nx = draw(st.integers(1, 3))
+
+    def rows(count):
+        out = []
+        for _ in range(count):
+            kind = draw(st.sampled_from(("random", "zero", "repeat")))
+            if kind == "repeat" and out:
+                row, b = draw(st.sampled_from(out))
+                k = draw(st.sampled_from((1, 2, Fraction(1, 2))))
+                out.append(([k * x for x in row], k * b))
+            else:
+                row = [0] * nx if kind == "zero" else \
+                    [draw(_NUMBERS) for _ in range(nx)]
+                out.append((row, draw(_NUMBERS)))
+        return out
+
+    eq = rows(draw(st.integers(0, 2)))
+    ge = rows(draw(st.integers(0 if eq else 1, 4)))
+    if draw(st.booleans()):
+        for i in range(nx):
+            for sign in (1, -1):
+                ge.append(([sign * int(j == i) for j in range(nx)], -3))
+    c = [draw(_NUMBERS) for _ in range(nx)]
+    return (c, [r for r, _ in eq], [b for _, b in eq],
+            [r for r, _ in ge], [b for _, b in ge])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_instances())
+@example(([1], [], [], [[-1], [1]], [-1, 0]))                 # optimal
+@example(([1], [], [], [[1], [-1]], [1, 0]))                  # infeasible
+@example(([1, 0], [], [], [[1, 0]], [0]))                     # unbounded
+@example(([1, 1], [[1, 1], [2, 2]], [1, 2], [[1, 0], [0, 1]], [0, 0]))
+@example(([1], [[0], [0]], [0, 0], [], []))                   # 0 = 0 only
+@example(([0, 1], [], [], [[1, 1], [1, -1], [-1, 0], [0, -1], [1, 0]],
+          [0, 0, -1, -1, 0]))                                  # ratio ties
+@example(([1, 1, 0], [[1, 1, 1]], [2],
+          [[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [-1, Fraction(-1, 2), 0]))
+def test_lp_matches_fraction_simplex(instance):
+    res, pivots = _pivots_logged(exactla, *instance)
+    c, eq_lhs, eq_rhs, ge_lhs, _ = instance
+    if not ge_lhs and not any(any(row) for row in eq_lhs) and not any(eq_rhs):
+        # every row reads 0 = 0, which leaves the Fraction simplex no row
+        # for phase 2 (IndexError); the LP is the one without rows
+        want = LPResult(UNBOUNDED) if any(c) else \
+            LPResult(OPTIMAL, (Fraction(0),) * len(c), Fraction(0))
+        want_pivots = []
+    else:
+        want, want_pivots = _pivots_logged(fraction_simplex, *instance)
+    assert res == want
+    assert pivots == want_pivots
+    if res.status == OPTIMAL:
+        assert all(type(x) is Fraction for x in res.point)
+        assert type(res.objective) is Fraction
+
+
+def test_lp_certificate_parts():
+    # max x subject to -x >= -1 and x >= 0; the reduced-cost row is laid
+    # out as (u, w, slack 1, slack 2, value), d = 1 and no scaling
+    args = ([1], [], [], [[-1], [1]], [-1, 0], 1)
+    optimal = [0, 0, -1, 0, -1]  # y = (1, 0): A^T y = -1, -b.y = 1
+    exactla._certify(*args, [1], 1, optimal)
+    with pytest.raises(exactla.CertificateError, match="violates"):
+        exactla._certify(*args, [2], 1, [0, 0, -1, 0, -2])
+    with pytest.raises(exactla.CertificateError, match="objective"):
+        exactla._certify(*args, [1], 1, [0, 0, -1, 0, -2])
+    # x = 0 is feasible, but no y >= 0 proves it optimal
+    with pytest.raises(exactla.CertificateError, match="dual"):
+        exactla._certify(*args, [0], 1, [0, 0, 0, 0, 0])
+    with pytest.raises(exactla.CertificateError, match="dual"):
+        exactla._certify(*args, [1], 1, [0, 0, 1, 0, -1])
