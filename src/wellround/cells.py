@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 from .exactla import (
     OPTIMAL, QQ, UNBOUNDED, CertificateError, Echelon, IntMatrix, IntVector,
-    NotPositiveDefinite, RatMatrix, f_rank, int_adjugate, int_ldlt,
-    int_matvec, int_scaled, int_transpose, lp, saturation,
+    NotPositiveDefinite, f_rank, int_adjugate, int_matvec, int_transpose, lp,
+    saturation,
 )
 from .flags import (
     RationalFlag, _subspace_contained, flag_equivalent, respects_flag,
@@ -33,7 +33,9 @@ from .lattice import (
     canonical_vector, config_equiv, config_rank, config_spans,
     minimal_vectors, normalize, vectors_below,
 )
-from .retraction import ScalingVector, orthant_bound, retract, scale_along_flag
+from .retraction import (
+    ScalingVector, _qf, orthant_bound, retract, scale_along_flag,
+)
 
 
 class NotSpanning(ValueError):
@@ -85,31 +87,18 @@ def _value_coeffs(pairs, v: Sequence[int]) -> list[int]:
     return [v[i] * v[j] if i == j else 2 * v[i] * v[j] for (i, j) in pairs]
 
 
-def _gram_from_point(n: int, pairs, point) -> RatMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), x in zip(pairs, point):
-        rows[i][j] = x
-        rows[j][i] = x
-    return RatMatrix.from_rows(rows)
+def _pd_violation(m: IntMatrix, index: int) -> IntVector:
+    """An integer vector with nonpositive squared length under the
+    symmetric integer matrix m, whose fraction-free LDL^T stopped at the
+    first nonpositive pivot, of 1-based position `index`.
 
-
-def _pd_violation(a: RatMatrix) -> Optional[IntVector]:
-    """An integer vector with nonpositive squared length, if one exists.
-
-    At the first nonpositive pivot j of the fraction-free LDL^T, the
-    vector x = L^-T e_j solves A_j x = d_j e_j on the leading block A_j of
-    order j + 1, so it lies on the line of the last column of adj(A_j);
-    that column, made primitive, is returned."""
-    m, _ = int_scaled(a)
-    try:
-        int_ldlt(m)
-    except NotPositiveDefinite as exc:
-        k = exc.index
-        adj = int_adjugate(tuple(row[:k] for row in m[:k]))
-        x = [row[k - 1] for row in adj] + [0] * (len(m) - k)
-        g = gcd(*x)
-        return canonical_vector(tuple(c // g for c in x))
-    return None
+    At that pivot j, the vector x = L^-T e_j solves A_j x = d_j e_j on
+    the leading block A_j of order j + 1, so it lies on the line of the
+    last column of adj(A_j); that column, made primitive, is returned."""
+    adj = int_adjugate(tuple(row[:index] for row in m[:index]))
+    x = [row[index - 1] for row in adj] + [0] * (len(m) - index)
+    g = gcd(*x)
+    return canonical_vector(tuple(c // g for c in x))
 
 
 def _config_sym_rank(config: VectorConfig) -> int:
@@ -167,17 +156,25 @@ class _Chart:
         row = [sum(a * b for a, b in zip(c, d)) for d in self.dirs]
         return const, row
 
-    def gram_at(self, t: Sequence[Fraction]) -> RatMatrix:
-        point = list(self.origin)
+    def gram_at(self, t: Sequence[Fraction]) -> tuple[IntMatrix, int]:
+        """(M, D) with M / D the form at chart coordinates t: the point
+        origin + sum t_i dirs_i over the lcm of den and t's denominators."""
+        scale = lcm(*(x.denominator for x in t))
+        point = [scale * p for p in self.origin]
         for x, d in zip(t, self.dirs):
             if x:
-                point = [p + x * y for p, y in zip(point, d)]
-        return _gram_from_point(self.n, self.pairs,
-                                [Fraction(p) / self.den for p in point])
+                w = x.numerator * (scale // x.denominator)
+                point = [p + w * y for p, y in zip(point, d)]
+        n = self.n
+        m = [[0] * n for _ in range(n)]
+        for (i, j), p in zip(self.pairs, point):
+            m[i][j] = m[j][i] = p
+        return tuple(map(tuple, m)), scale * self.den
 
     def max_slack(self, cands: Sequence[IntVector]):
         """Maximize delta with A[w] >= 1 + delta on the chart; returns
-        (delta, gram) or None when even the closed constraints fail.
+        (delta, (M, D)) with the optimal form M / D, or None when even the
+        closed constraints fail.
         Every row is den times the one in A, so the LP's coefficients are
         integers."""
         k = len(self.dirs)
@@ -280,14 +277,15 @@ def _cell_from_config_uncached(config: VectorConfig, tighten: bool) -> Cell:
             if not chart.ok:
                 raise Infeasible("tightness equations are inconsistent")
             continue
-        delta, gram = sol
-        bad = _pd_violation(gram)
-        if bad is not None:
+        m, d = sol[1]
+        try:
+            witness = GramForm(m, d)
+        except NotPositiveDefinite as exc:
+            bad = _pd_violation(m, exc.index)
             if bad in config:
                 raise Infeasible("configuration vector forced nonpositive")
             cands.add(bad)
             continue
-        witness = GramForm(gram)
         viol = [w for w in vectors_below(witness, 1) if w not in config]
         if viol:
             cands.update(viol)
@@ -339,12 +337,8 @@ def cell_faces(cell: Cell) -> list[Cell]:
                 break
             # slack 0: some candidate is tight on the whole face; the
             # forced ones are among those tight at this optimum
-            gram = sol[1]
-            tight_here = []
-            for u in others:
-                vrow = gram.matvec(u)
-                if sum(a * x for a, x in zip(vrow, u)) == 1:
-                    tight_here.append(u)
+            m, d = sol[1]
+            tight_here = [u for u in others if _qf(m, u) == d]
             forced = _forced_tight(chart, others, test=tight_here)
             new = [u for u in forced if u not in tight]
             if not new:

@@ -9,9 +9,11 @@ equivalence / stabilizer searches for vector configurations under
 GL_n(Z), SL_n(Z) and congruence subgroups.
 
 Squared lengths everywhere: every stored quantity is the value v^T A v,
-never a square root, so all arithmetic stays in Q.  A form keeps its
-matrix as A = M / D with M integral, and the exact work on it (values,
-enumeration, the positive-definiteness check) is integer arithmetic on M.
+never a square root, so all arithmetic stays in Q.  A form is the pair
+(M, D) with A = M / D, M a symmetric integer matrix and D > 0 reduced
+against it, and the exact work on it (values, enumeration, the
+positive-definiteness check, scaling and change of basis) is integer
+arithmetic on M; Fractions are made only to read or show a form.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 from .exactla import (
     QQ, Echelon, IntMatrix, IntVector, RatMatrix, f_rank, format_rational,
-    int_adjugate, int_det, int_ldlt, int_matmul, int_matrix, int_matvec,
-    int_scaled, int_transpose, parse_rational,
+    int_adjugate, int_det, int_identity, int_ldlt, int_matmul, int_matrix,
+    int_matvec, int_transpose, parse_rational,
 )
 
 Vector = IntVector
@@ -73,40 +75,59 @@ def config_spans(config: Sequence[Sequence[int]], n: int) -> bool:
 
 @dataclass(frozen=True)
 class GramForm:
-    """Symmetric positive-definite rational matrix; v -> v^T A v is the
-    squared length of the lattice vector v.
+    """Symmetric positive-definite rational matrix A = numer / denom;
+    v -> v^T A v is the squared length of the lattice vector v.
 
-    Derived on construction: A = numer / denom with numer integral and
-    denom the lcm of the denominators, and the fraction-free LDL^T
-    factorization `ldl` = (rows, minors) of numer (see `int_ldlt`), whose
-    failure is the positive-definiteness check."""
+    numer is a symmetric integer matrix and denom > 0, reduced on
+    construction so that gcd(denom, all entries) = 1: denom is then the
+    lcm of the denominators of A, and equal forms have equal pairs.  Also
+    derived on construction: the fraction-free LDL^T factorization `ldl`
+    = (rows, minors) of numer (see `int_ldlt`), whose failure is the
+    positive-definiteness check."""
 
-    matrix: RatMatrix
-    numer: IntMatrix = field(init=False, repr=False, compare=False)
-    denom: int = field(init=False, repr=False, compare=False)
+    numer: IntMatrix
+    denom: int
     ldl: tuple[IntMatrix, IntVector] = field(init=False, repr=False,
                                              compare=False)
 
     def __post_init__(self):
-        if not self.matrix.is_symmetric():
+        numer, denom = self.numer, self.denom
+        n = len(numer)
+        if n < 1:
+            raise ValueError("Gram matrix must have at least one row")
+        if any(len(row) != n for row in numer):
+            raise ValueError("Gram matrix must be square")
+        if denom <= 0:
+            raise ValueError("denominator must be positive")
+        if any(numer[i][j] != numer[j][i] for i in range(n) for j in range(i)):
             raise ValueError("Gram matrix must be symmetric")
-        numer, denom = int_scaled(self.matrix)
-        object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "denom", denom)
+        g = gcd(denom, *(x for row in numer for x in row))
+        object.__setattr__(self, "numer",
+                           tuple(tuple(x // g for x in row) for row in numer))
+        object.__setattr__(self, "denom", denom // g)
         # raises NotPositiveDefinite otherwise
-        object.__setattr__(self, "ldl", int_ldlt(numer))
+        object.__setattr__(self, "ldl", int_ldlt(self.numer))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "GramForm":
-        return GramForm(RatMatrix.from_rows(rows))
+        rows = [[Fraction(x) for x in row] for row in rows]
+        den = lcm(*(x.denominator for row in rows for x in row))
+        return GramForm(tuple(tuple(x.numerator * (den // x.denominator)
+                                    for x in row) for row in rows), den)
 
     @staticmethod
     def identity(n: int) -> "GramForm":
-        return GramForm(RatMatrix.identity(n))
+        return GramForm(int_identity(n), 1)
 
     @property
     def n(self) -> int:
-        return self.matrix.rows
+        return len(self.numer)
+
+    @property
+    def matrix(self) -> RatMatrix:
+        """A as a matrix of Fractions, built on each read."""
+        return RatMatrix(tuple(tuple(Fraction(x, self.denom) for x in row)
+                               for row in self.numer))
 
     def value(self, v: Sequence[int]) -> Fraction:
         """The squared length v^T A v."""
@@ -120,17 +141,19 @@ class GramForm:
         c = Fraction(c)
         if c <= 0:
             raise ValueError("scaling must be positive")
-        return GramForm(self.matrix.scale(c))
+        return GramForm(tuple(tuple(c.numerator * x for x in row)
+                              for row in self.numer),
+                        c.denominator * self.denom)
 
     def transform(self, u: IntMatrix) -> "GramForm":
         """Change of basis: the form with matrix U^T A U."""
-        um = RatMatrix.from_rows(u)
-        return GramForm(um.transpose() @ self.matrix @ um)
+        return GramForm(int_matmul(int_matmul(int_transpose(u), self.numer), u),
+                        self.denom)
 
     def to_json(self) -> dict:
         return {"n": self.n,
-                "rows": [[format_rational(x) for x in row]
-                         for row in self.matrix.entries]}
+                "rows": [[format_rational(Fraction(x, self.denom)) for x in row]
+                         for row in self.numer]}
 
     @staticmethod
     def from_json(data: dict) -> "GramForm":
@@ -226,7 +249,7 @@ def vectors_below(a: GramForm, bound, raw: bool = False) -> VectorConfig:
 
 def minimal_vectors(a: GramForm) -> MinimaResult:
     """Arithmetic minimum (squared) and the set of minimal vectors."""
-    start = min(a.matrix[i, i] for i in range(a.n))
+    start = Fraction(min(a.numer[i][i] for i in range(a.n)), a.denom)
     items = _enumerate_values(a, start)
     least = min(val for _, val in items)
     vecs = tuple(v for v, val in items if val == least)
@@ -464,7 +487,6 @@ def config_equiv(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
 @dataclass(frozen=True)
 class StabilizerResult:
     elements: tuple[IntMatrix, ...]
-    generators: tuple[IntMatrix, ...]
 
     @property
     def order(self) -> int:
@@ -477,27 +499,7 @@ def config_stabilizer(config: VectorConfig, group: GroupSpec,
     optionally intersected with a flag stabilizer."""
     config = canonical_config(config)
     elements = _equiv_search(config, config, group, flag=flag, find_all=True)
-    elements = tuple(sorted(elements))
-    # greedy generating subset
-    gens: list[IntMatrix] = []
-    identity = tuple(tuple(int(i == j) for j in range(group.n))
-                     for i in range(group.n))
-    closure = {identity}
-    for e in elements:
-        if e in closure:
-            continue
-        gens.append(e)
-        frontier = list(closure)
-        closure.add(e)
-        queue = [e]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                for y in (int_matmul(x, g), int_matmul(g, x)):
-                    if y not in closure:
-                        closure.add(y)
-                        queue.append(y)
-    return StabilizerResult(elements, tuple(gens))
+    return StabilizerResult(tuple(sorted(elements)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ A-orthogonal projector P onto span B has A P = S / E with the integer
 matrix S = (MB) adj(G) (MB)^T, so the parallel part of w is
 p = y^T adj(G) y / E with y = (MB)^T w.  Candidates are compared by
 integer numerators over E, a stage form is mu^2 A + (1 - mu^2) S / E,
-and block scalings telescope pi_j^T A pi_j = A P_j - A P_{j-1}.
+and block scalings telescope pi_j^T A pi_j = A P_j - A P_{j-1}.  Every
+form built here, stage forms and path points included, is handed to
+`GramForm` as an integer matrix and one denominator; Fractions are made
+only for the answer (stage factors, and the projectors of `flag_split`).
 
 Block scalings along a flag realize the geodesic action on Gram
 matrices; the scaling vector stores the squared block factors a_j^2,
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 
 from .exactla import (
     CertificateError, IntMatrix, RatMatrix, int_adjugate, int_det,
-    int_matmul, int_matvec, int_transpose, saturation,
+    int_identity, int_matmul, int_matvec, int_transpose, saturation,
 )
 from .flags import (
     RationalFlag, _subspace_contained, complete_saturated, flag_from_members,
@@ -51,15 +54,6 @@ def _qf(m: IntMatrix, v: Sequence[int]) -> int:
                for x, row in zip(v, m) if x)
 
 
-def _rat(num: IntMatrix, den: int) -> RatMatrix:
-    """The rational matrix num / den."""
-    return RatMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in num))
-
-
-def _form(num: IntMatrix, den: int) -> GramForm:
-    return GramForm(_rat(num, den))
-
-
 class _Split:
     """The A-orthogonal split along the span of a member B, for A = M/D
     (see the module docstring): mbt = (MB)^T, gram = G = B^T M B,
@@ -76,12 +70,16 @@ class _Split:
         self.e = a.denom * self.g
         self.s = int_matmul(int_matmul(mb, self.adj), self.mbt)
 
+    def perp(self) -> IntMatrix:
+        """g M - S: E times the form A (I - P) on the perpendicular parts."""
+        return tuple(tuple(self.g * x - y for x, y in zip(rm, rs))
+                     for rm, rs in zip(self.m, self.s))
+
     def perp_gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
         """E times the Gram matrix, under A, of the perpendicular parts of
         the vectors: C (g M - S) C^T for the matrix C with these rows."""
-        gm_s = tuple(tuple(self.g * x - y for x, y in zip(rm, rs))
-                     for rm, rs in zip(self.m, self.s))
-        return int_matmul(int_matmul(vectors, gm_s), int_transpose(vectors))
+        return int_matmul(int_matmul(vectors, self.perp()),
+                          int_transpose(vectors))
 
     def parts(self, w: Sequence[int]) -> tuple[int, int]:
         """(P, Q) with P/E and Q/E the squared parallel and perpendicular
@@ -90,10 +88,9 @@ class _Split:
         par = sum(a * b for a, b in zip(y, int_matvec(self.adj, y)))
         return par, self.g * _qf(self.m, w) - par
 
-    def projector(self) -> RatMatrix:
-        """P = B adj(G) (MB)^T / det G."""
-        return _rat(int_matmul(int_matmul(self.member, self.adj), self.mbt),
-                    self.g)
+    def projector(self) -> tuple[IntMatrix, int]:
+        """(N, g) with P = N / g: N = B adj(G) (MB)^T and g = det G."""
+        return int_matmul(int_matmul(self.member, self.adj), self.mbt), self.g
 
 
 @dataclass(frozen=True)
@@ -111,15 +108,22 @@ class FlagSplitting:
 
 
 def flag_split(a: GramForm, flag: RationalFlag) -> FlagSplitting:
+    """The blocks pi_j = P_j - P_{j-1} (P_0 = 0, P_l = I), each difference
+    taken in integers over the lcm of the two projectors' denominators."""
     if flag.n != a.n:
         raise ValueError("flag dimension mismatch")
+    n = a.n
     nested = [_Split(a, m).projector() for m in flag.members]
-    nested.append(RatMatrix.identity(a.n))
+    nested.append((int_identity(n), 1))
     projectors = []
-    prev = RatMatrix.zeros(a.n, a.n)
-    for p in nested:
-        projectors.append(p - prev)
-        prev = p
+    prev, prev_den = ((0,) * n,) * n, 1
+    for num, den in nested:
+        common = lcm(den, prev_den)
+        f, f_prev = common // den, common // prev_den
+        projectors.append(RatMatrix(tuple(
+            tuple(Fraction(f * x - f_prev * y, common) for x, y in zip(r, rp))
+            for r, rp in zip(num, prev))))
+        prev, prev_den = num, den
     return FlagSplitting(a, flag, tuple(projectors))
 
 
@@ -184,8 +188,8 @@ def scale_along_flag(a: GramForm, flag: RationalFlag,
     den = lcm(*(c.denominator for c, _ in terms))
     weights = [(c.numerator * (den // c.denominator), mat) for c, mat in terms]
     n = a.n
-    return _form(tuple(tuple(sum(w * mat[i][k] for w, mat in weights)
-                             for k in range(n)) for i in range(n)), den)
+    return GramForm(tuple(tuple(sum(w * mat[i][k] for w, mat in weights)
+                                for k in range(n)) for i in range(n)), den)
 
 
 def _scale_at_member(a: GramForm, split: _Split, mu_sq: Fraction) -> GramForm:
@@ -193,9 +197,9 @@ def _scale_at_member(a: GramForm, split: _Split, mu_sq: Fraction) -> GramForm:
     the form mu^2 A + (1 - mu^2) S / E."""
     u, v = mu_sq.numerator, mu_sq.denominator
     ug = u * split.g
-    return _form(tuple(tuple(ug * x + (v - u) * y for x, y in zip(rm, rs))
-                       for rm, rs in zip(a.numer, split.s)),
-                 v * split.e)
+    return GramForm(tuple(tuple(ug * x + (v - u) * y for x, y in zip(rm, rs))
+                          for rm, rs in zip(a.numer, split.s)),
+                    v * split.e)
 
 
 def _stopping(a: GramForm, member: IntMatrix) -> tuple[Fraction, tuple, GramForm]:
@@ -362,14 +366,17 @@ def retract_path(a: GramForm, t, precision=Fraction(1, 10 ** 9)) -> GramForm:
     st = trace.stages[stage_idx - 1]
     if st.mu_sq == 1:
         return cur
+    # cur = (S + (g M - S)) / E, parallel plus perpendicular part; the
+    # point scales the second by c^2 = a/b: (b S + a (g M - S)) / (b E)
     split = _Split(cur, st.member)
-    par = _rat(split.s, split.e)
-    perp = cur.matrix - par
-    biggest = max(abs(x) for row in perp.entries for x in row)
+    perp = split.perp()
+    biggest = Fraction(max(abs(x) for row in perp for x in row), split.e)
     delta = precision / (3 * (1 + biggest))
     mu = sqrt_approx(st.mu_sq, delta)
-    c = 1 + (mu - 1) * tau
-    return GramForm(par + perp.scale(c * c))
+    c_sq = (1 + (mu - 1) * tau) ** 2
+    a_c, b_c = c_sq.numerator, c_sq.denominator
+    return GramForm(tuple(tuple(b_c * x + a_c * y for x, y in zip(rs, rp))
+                          for rs, rp in zip(split.s, perp)), b_c * split.e)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +415,7 @@ def orthant_bound(a: GramForm, flag: RationalFlag) -> OrthantBound:
         d = len(member[0])
         split = _Split(base, member)
         # retraction inside the member (scale-invariant stage factors)
-        sub = _form(split.gram, base.denom)
+        sub = GramForm(split.gram, base.denom)
         beta = Fraction(1)
         if d > 1:
             for st in retract(sub).stages:
@@ -419,7 +426,7 @@ def orthant_bound(a: GramForm, flag: RationalFlag) -> OrthantBound:
         # Gram entries c^T A c' - c^T S c' / E
         sub_min = minimal_vectors(sub).min_sq
         comp_cols = int_transpose(complete_saturated(member))[d:]
-        gram = _form(split.perp_gram(comp_cols), split.e)
+        gram = GramForm(split.perp_gram(comp_cols), split.e)
         alpha = minimal_vectors(gram).min_sq / sub_min
         alpha_list.append(alpha)
         t_j = min(Fraction(1), alpha * beta / (4 * running))

@@ -3,19 +3,20 @@ ranks, determinants, inverses and solutions before `exactla.Echelon`
 became its one elimination kernel.  Kept only here, as the oracle that
 the tests compare the package with.
 
-Matrices are sequences of rows (or a `RatMatrix`); p is None for the
-rationals, where entries become Fractions, and a prime for F_p, where
-they become residues in [0, p).
+Matrices are sequences of rows, or matrices with `.entries` (the oracle
+`RatMatrix` or a package view); p is None for the rationals, where
+entries become Fractions, and a prime for F_p, where they become
+residues in [0, p).
 """
 
 from fractions import Fraction
 from typing import Optional
 
-from wellround.exactla import RatMatrix
+from rational_matrix import RatMatrix
 
 
 def _rows(m):
-    return m.entries if isinstance(m, RatMatrix) else m
+    return getattr(m, "entries", m)
 
 
 def rref(p, a):

@@ -127,6 +127,19 @@ def test_zero_denominator_in_form_is_json_error(tmp_path, capsys):
     assert "zero denominator" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"n": 0, "rows": []}, "Gram matrix must have at least one row"),
+    ({"n": 2, "rows": [["1", "0", "0"], ["0", "1", "0"]]},
+     "Gram matrix must be square"),
+], ids=["empty", "2x3"])
+def test_degenerate_form_is_json_error(tmp_path, capsys, data, message):
+    form = write_json(tmp_path, "f.json", data)
+    for command in ("retract", "minvec"):
+        code, out = invoke(capsys, command, "--form", form)
+        assert code == 1
+        assert json.loads(out) == {"error": f"bad Gram form: {message}"}
+
+
 @pytest.mark.parametrize("level", ["0", "-3"])
 def test_nonpositive_level_is_json_error(capsys, level):
     code, out = invoke(capsys, "flags", "orbits", "-n", "2", "--group",

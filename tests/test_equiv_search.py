@@ -16,10 +16,9 @@ from typing import Optional, Sequence
 import pytest
 
 import gauss_jordan as gj
+from rational_matrix import RatMatrix
 from wellround.cells import _orbit_key
-from wellround.exactla import (
-    RatMatrix, int_det, int_matmul, int_matvec, int_transpose,
-)
+from wellround.exactla import int_det, int_matmul, int_matvec, int_transpose
 from wellround.flags import in_parabolic, standard_flag
 from wellround.lattice import (
     GroupSpec, canonical_config, canonical_vector, config_equiv, config_rank,

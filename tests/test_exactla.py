@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 import fraction_simplex
 import gauss_jordan as gj
 import wellround.exactla as exactla
+from rational_matrix import RatMatrix, int_scaled
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
-    Echelon, LPResult, NotPositiveDefinite, PrimeField, RatMatrix, f_kernel, f_rank,
+    Echelon, LPResult, NotPositiveDefinite, PrimeField, f_kernel, f_rank,
     f_rank_modulo, f_solve, format_rational, hnf, int_adjugate, int_det,
     int_identity, int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix,
-    int_matvec, int_scaled, int_transpose, lp, parse_rational, saturation,
+    int_matvec, int_transpose, lp, parse_rational, saturation,
     snf, sparse_matmul, sparse_rows,
 )
 

@@ -22,10 +22,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gauss_jordan as gj
+from rational_matrix import RatMatrix, int_scaled
 from wellround.cells import _pd_violation
 from wellround.exactla import (
-    NotPositiveDefinite, RatMatrix, int_ldlt, int_matmul, int_scaled,
-    int_transpose, saturation,
+    NotPositiveDefinite, int_ldlt, int_matmul, int_transpose, saturation,
 )
 from wellround.flags import standard_flag
 from wellround.lattice import (
@@ -38,6 +38,16 @@ from wellround.retraction import (
 
 
 # --- the former Fraction implementations ------------------------------------
+
+def mat(a):
+    """The matrix of a form as an oracle RatMatrix."""
+    return RatMatrix(a.matrix.entries)
+
+
+def ref_form(m):
+    """The GramForm with the oracle matrix m."""
+    return GramForm(*int_scaled(m))
+
 
 def ref_ldlt(a):
     """Fraction LDL^T: (L as lists, pivots); NotPositiveDefinite at the
@@ -73,7 +83,7 @@ def ref_enumerate(a, bound):
     """Fraction Fincke-Pohst: sorted (canonical vector, value) pairs with
     value <= bound, and the leaves in the order visited."""
     n = a.n
-    lmat, d = ref_ldlt(a.matrix)
+    lmat, d = ref_ldlt(mat(a))
     bound = Fraction(bound)
     if bound <= 0:
         return [], []
@@ -114,23 +124,23 @@ def ref_minimal(a):
 
 def ref_span_projector(a, member):
     b = RatMatrix.from_rows(member)
-    gram = b.transpose() @ a.matrix @ b
-    return b @ gj.inverse(gram) @ b.transpose() @ a.matrix
+    gram = b.transpose() @ mat(a) @ b
+    return b @ gj.inverse(gram) @ b.transpose() @ mat(a)
 
 
 def ref_parts(a, proj, w):
     pw = proj.matvec(w)
     qw = tuple(Fraction(x) - y for x, y in zip(w, pw))
-    p = sum(x * y for x, y in zip(a.matrix.matvec(pw), pw))
-    q = sum(x * y for x, y in zip(a.matrix.matvec(qw), qw))
+    p = sum(x * y for x, y in zip(mat(a).matvec(pw), pw))
+    q = sum(x * y for x, y in zip(mat(a).matvec(qw), qw))
     return p, q
 
 
 def ref_scale_at_member(a, member, mu_sq):
     p = ref_span_projector(a, member)
     q = RatMatrix.identity(a.n) - p
-    return GramForm((p.transpose() @ a.matrix @ p)
-                    + (q.transpose() @ a.matrix @ q).scale(mu_sq))
+    return ref_form((p.transpose() @ mat(a) @ p)
+                    + (q.transpose() @ mat(a) @ q).scale(mu_sq))
 
 
 def ref_vectors_below(a, bound):
@@ -195,9 +205,9 @@ def ref_scale_along_flag(a, flag, s):
     prev = RatMatrix.zeros(a.n, a.n)
     for factor, p in zip(s.s_sq, nested):
         proj = p - prev
-        out = out + (proj.transpose() @ a.matrix @ proj).scale(factor)
+        out = out + (proj.transpose() @ mat(a) @ proj).scale(factor)
         prev = p
-    return GramForm(out)
+    return ref_form(out)
 
 
 # --- random forms -------------------------------------------------------------
@@ -297,12 +307,13 @@ def test_ldlt_and_pd_check_match_fraction_elimination(a):
             int_ldlt_factors(a)
         assert got.value.index == exc.index
         with pytest.raises(NotPositiveDefinite) as got:
-            GramForm(a)
+            ref_form(a)
         assert got.value.index == exc.index
+        assert _pd_violation(int_scaled(a)[0], exc.index) == ref_pd_violation(a)
     else:
         assert int_ldlt_factors(a) == want
-        GramForm(a)
-    assert _pd_violation(a) == ref_pd_violation(a)
+        ref_form(a)
+        assert ref_pd_violation(a) is None
 
 
 # --- enumeration ----------------------------------------------------------------
@@ -370,7 +381,8 @@ def test_scale_along_flag_and_split_match_projectors(a, data):
     nested = [ref_span_projector(a, m) for m in flag.members]
     nested.append(RatMatrix.identity(n))
     want = [p - q for p, q in zip(nested, [RatMatrix.zeros(n, n)] + nested)]
-    assert list(flag_split(a, flag).projectors) == want
+    assert [p.entries for p in flag_split(a, flag).projectors] == \
+        [p.entries for p in want]
 
 
 def test_scale_along_flag_rejects_wrong_dimension():
