@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 from .cells import OrbitComplex, enumerate_W, subcomplex_WF
 from .exactla import (
-    CertificateError, Echelon, IntMatrix, SparseRows, f_rank_modulo, f_solve,
-    int_transpose, sparse_matmul, sparse_rows,
+    CertificateError, Echelon, IntMatrix, SparseRows, dense_view,
+    f_rank_modulo, f_solve, sparse_matmul, sparse_transpose,
 )
 from .flags import (
     RationalFlag, flag_equivalent, flag_orbits, flag_types,
@@ -27,8 +27,8 @@ from .flags import (
 )
 from .lattice import GroupSpec
 from .quotient import (
-    ChainMap, QuotientComplex, barycentric_quotient, betti_at, cohomology,
-    homology, homology_at, induced_map, parse_coeff,
+    ChainMap, QuotientComplex, barycentric_quotient, betti_at, coboundary,
+    cohomology, homology, homology_at, induced_map, parse_coeff,
 )
 
 
@@ -54,7 +54,7 @@ class DoubleComplex:
     Total degree k lists the blocks (p, s, q) with p + q = k, by column p
     and then by summand s; block (p, s, q) holds the q-cochains of summand
     s of column p from coordinate offsets[p, s, q] on.  differentials[k]
-    is D^k from degree k to k + 1, and sparse[k] its nonzero rows."""
+    is D^k from degree k to k + 1: dims[k + 1] sparse rows of width dims[k]."""
 
     group: GroupSpec
     columns: tuple[tuple[Summand, ...], ...]
@@ -64,8 +64,7 @@ class DoubleComplex:
     inclusions: tuple[ChainMap, ...]  # column-0 summands into W/Gamma
     offsets: dict[tuple[int, int, int], int]
     dims: tuple[int, ...]
-    differentials: tuple[IntMatrix, ...]
-    sparse: tuple[SparseRows, ...]
+    differentials: tuple[SparseRows, ...]
 
     @property
     def num_columns(self) -> int:
@@ -120,8 +119,7 @@ def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
     differentials = tuple(_assemble(columns, pieces, offsets, dims, k)
                           for k in range(len(dims) - 1))
     dc = DoubleComplex(group, tuple(columns), tuple(pieces), w_complex, w_qc,
-                       inclusions, offsets, dims, differentials,
-                       tuple(sparse_rows(d) for d in differentials))
+                       inclusions, offsets, dims, differentials)
     _check_total_differential_squares_to_zero(dc)
     return dc
 
@@ -161,19 +159,20 @@ def _layout(columns):
     return offsets, tuple(dims)
 
 
-def _assemble(columns, pieces, offsets, dims, k: int) -> IntMatrix:
-    """D^k = vertical + horizontal, from total degree k to k + 1.  Each
-    block is a transposed integer matrix: the vertical block of a summand
-    in column p is (-1)^p times its coboundary, the transposed boundary,
-    and the horizontal block of a piece is its sign times its transposed
-    chain map, which restricts cochains of the source to the target."""
-    mat = [[0] * dims[k] for _ in range(dims[k + 1])]
+def _assemble(columns, pieces, offsets, dims, k: int) -> SparseRows:
+    """D^k = vertical + horizontal, from total degree k to k + 1, as
+    sparse rows.  Each block is a transposed integer matrix: the vertical
+    block of a summand in column p is (-1)^p times its coboundary, the
+    transposed boundary, and the horizontal block of a piece is its sign
+    times its transposed chain map, which restricts cochains of the source
+    to the target."""
+    rows: list[dict[int, int]] = [{} for _ in range(dims[k + 1])]
 
-    def add_transposed(row0: int, col0: int, sign: int, m: IntMatrix):
-        for j, row in enumerate(m):
-            for i, x in enumerate(row):
-                if x:
-                    mat[row0 + i][col0 + j] += sign * x
+    def add_transposed(row0: int, col0: int, sign: int, m: SparseRows):
+        for j, entries in enumerate(m):
+            for i, x in entries:
+                row = rows[row0 + i]
+                row[col0 + j] = row.get(col0 + j, 0) + sign * x
 
     for p, column in enumerate(columns):
         q = k - p
@@ -186,7 +185,7 @@ def _assemble(columns, pieces, offsets, dims, k: int) -> IntMatrix:
                 add_transposed(offsets[p + 1, piece.target, q],
                                offsets[p, piece.source, q], piece.sign,
                                piece.chain_map.matrix(q))
-    return tuple(tuple(r) for r in mat)
+    return tuple(tuple(sorted((j, x) for j, x in r.items() if x)) for r in rows)
 
 
 def total_dims(dc: DoubleComplex) -> list[int]:
@@ -195,15 +194,22 @@ def total_dims(dc: DoubleComplex) -> list[int]:
     return list(dc.dims)
 
 
-def total_differential(dc: DoubleComplex, k: int) -> IntMatrix:
-    """D = vertical + horizontal from total degree k to k+1; empty outside
-    the degrees of the complex."""
+def total_differential(dc: DoubleComplex, k: int) -> SparseRows:
+    """D = vertical + horizontal from total degree k to k+1, as sparse
+    rows of width dims[k]; no rows outside the degrees of the complex."""
     return dc.differentials[k] if 0 <= k < len(dc.differentials) else ()
 
 
+def _total_columns(dc: DoubleComplex, k: int) -> SparseRows:
+    """The columns of D^k, as sparse rows of width dims[k + 1]."""
+    if not 0 <= k < len(dc.differentials):
+        return ()
+    return sparse_transpose(dc.differentials[k], dc.dims[k])
+
+
 def _check_total_differential_squares_to_zero(dc: DoubleComplex):
-    for k in range(len(dc.sparse) - 1):
-        if any(sparse_matmul(dc.sparse[k + 1], dc.sparse[k])):
+    for k in range(len(dc.differentials) - 1):
+        if any(sparse_matmul(dc.differentials[k + 1], dc.differentials[k])):
             raise CertificateError("total differential fails D*D=0")
 
 
@@ -221,7 +227,7 @@ def total_cohomology(dc: DoubleComplex, coeff="Q"):
     out = []
     for k in range(len(dc.dims) - 1):
         betti, torsion = betti_at(coeff, total_differential(dc, k),
-                                  total_differential(dc, k - 1), dc.dims[k])
+                                  _total_columns(dc, k - 1), dc.dims[k])
         out.append({"degree": k, "betti": betti, "torsion": torsion})
     while out and out[-1]["betti"] == 0 and not out[-1]["torsion"]:
         out.pop()
@@ -268,15 +274,12 @@ class _Filtered:
         n = self.dc.dims[k]
         if lo == n:
             return []
-        d = total_differential(self.dc, k)
-        rows = [row[lo:] for row in d[:self.dc.filtration_start(k + 1, p + r)]]
-        full = []
-        for v in Echelon(self.field, rows).kernel(n - lo):
-            full.append([self.field.of(0)] * lo + v)
-        return full
+        d = total_differential(self.dc, k)[:self.dc.filtration_start(k + 1, p + r)]
+        basis = Echelon(self.field, (row[lo:] for row in dense_view(d, n)))
+        return [[self.field.of(0)] * lo + v for v in basis.kernel(n - lo)]
 
     def apply_d(self, k: int, vec: list) -> list:
-        return _matvec(self.field, self.dc.sparse[k], vec)
+        return _matvec(self.field, self.dc.differentials[k], vec)
 
     def page_entry(self, r: int, p: int, q: int):
         """(numerator basis, denominator basis, lifts spanning E_r)."""
@@ -336,13 +339,8 @@ def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None
             elif any(rows):
                 raise CertificateError("page differential into zero is nonzero")
         pages.append(SpectralPage(r, entries, diffs))
-    # abutment over the field
-    abutment = [betti_at(field, total_differential(dc, k),
-                         total_differential(dc, k - 1), dc.dims[k])[0]
-                for k in range(len(dc.dims) - 1)]
-    while abutment and abutment[-1] == 0:
-        abutment.pop()
-    return pages, abutment
+    # the abutment: the total cohomology over the field
+    return pages, [d["betti"] for d in total_cohomology(dc, field)]
 
 
 def e1_page(dc: DoubleComplex, coeff="Q") -> SpectralPage:
@@ -377,7 +375,7 @@ def _inclusion_rows(dc: DoubleComplex, q: int) -> list[list[tuple[int, int]]]:
     for s, cm in enumerate(dc.inclusions):
         if (0, s, q) in dc.offsets:
             off = dc.offsets[0, s, q]
-            for row, entries in zip(rows, sparse_rows(cm.matrix(q))):
+            for row, entries in zip(rows, cm.matrix(q)):
                 row += [(off + t, x) for t, x in entries]
     return rows
 
@@ -392,20 +390,15 @@ def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
         reps = cocycles[q].representatives if q <= dc.w_qc.dim else ()
         # the restriction is the transposed inclusion: total coordinate c
         # collects the cocycle's values on the simplices that c includes to
-        restrict_rows: list[list[tuple[int, int]]] = \
-            [[] for _ in range(dc.dims[q])]
-        for w, entries in enumerate(_inclusion_rows(dc, q)):
-            for c, x in entries:
-                restrict_rows[c].append((w, x))
+        restrict_rows = sparse_transpose(_inclusion_rows(dc, q), dc.dims[q])
         imgs = [_matvec(field, restrict_rows, rep) for rep in reps]
         dtot = total_differential(dc, q)
-        dtot_prev = total_differential(dc, q - 1)
-        dim_total = betti_at(field, dtot, dtot_prev, dc.dims[q])[0]
-        if dtot:  # restriction of a cocycle is a total cocycle
-            for v in imgs:
-                if any(_matvec(field, dc.sparse[q], v)):
-                    raise CertificateError("restricted cocycle is not a total cocycle")
-        rank = f_rank_modulo(field, zip(*dtot_prev), imgs)  # modulo coboundaries
+        coboundaries = _total_columns(dc, q - 1)
+        dim_total = betti_at(field, dtot, coboundaries, dc.dims[q])[0]
+        for v in imgs:  # restriction of a cocycle is a total cocycle
+            if any(_matvec(field, dtot, v)):
+                raise CertificateError("restricted cocycle is not a total cocycle")
+        rank = f_rank_modulo(field, dense_view(coboundaries, dc.dims[q]), imgs)
         degrees.append(RestrictionDegree(q, len(reps), dim_total, rank,
                                          len(reps) - rank))
     return RestrictionReport(field.name, tuple(degrees))
@@ -428,8 +421,8 @@ class BoundaryHomologyReport:
 def _rank_in_homology(field, qc: QuotientComplex, q: int, cycles) -> int:
     """Rank of the classes of q-cycles of qc in H_q(qc): their rank modulo
     the boundaries, the columns of boundaries[q + 1]."""
-    return f_rank_modulo(field, zip(*qc.boundaries[q + 1]) if q < qc.dim else (),
-                         cycles)
+    base = dense_view(coboundary(qc, q), len(qc.simplices[q])) if q < qc.dim else ()
+    return f_rank_modulo(field, base, cycles)
 
 
 def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
@@ -446,9 +439,8 @@ def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
     for q in range(max(len(dc.dims) - 2, dc.w_qc.dim) + 1):
         # dual boundary out of degree q: transpose(D^{q-1});
         # dual boundary into degree q: transpose(D^q)
-        h = homology_at(field, int_transpose(total_differential(dc, q - 1)),
-                        int_transpose(total_differential(dc, q)),
-                        dc.dims[q])
+        h = homology_at(field, _total_columns(dc, q - 1),
+                        total_differential(dc, q), dc.dims[q])
         # push a cycle into the chains of the retract quotient: column 0
         # components flow along the inclusion chain maps
         include_rows = _inclusion_rows(dc, q)
@@ -472,7 +464,7 @@ class FaceMapReport:
     coeff: str
     homology_ranks: tuple[int, ...]     # H_q(W_F/..) -> H_q(W/Gamma)
     cohomology_ranks: tuple[int, ...]   # H^q(W/Gamma) -> H^q(W_F/..)
-    matrices: tuple[IntMatrix, ...]     # chain-level inclusion per degree
+    matrices: tuple[SparseRows, ...]    # chain-level inclusion per degree
 
 
 def face_map(dc: DoubleComplex, flag: RationalFlag,
@@ -489,8 +481,7 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
     hom_ranks = []
     for q in range(dc.w_qc.dim + 1):
         reps = sub_h.degrees[q].representatives if q <= summand.qc.dim else ()
-        rows = sparse_rows(cm.matrix(q))
-        imgs = [_matvec(field, rows, rep) for rep in reps]
+        imgs = [_matvec(field, cm.matrix(q), rep) for rep in reps]
         hom_ranks.append(_rank_in_homology(field, dc.w_qc, q, imgs))
     # adjoint maps have equal rank
     return FaceMapReport(summand.flag, field.name, tuple(hom_ranks),

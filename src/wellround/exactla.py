@@ -9,8 +9,8 @@ Python ints.  Provided here:
 * fraction-free LDL^T factorization (Bareiss) with positive-definiteness
   certification,
 * Bareiss determinants, adjugates and inverses of integer matrices,
-* a product of integer matrices given by their nonzero entries per row
-  (`sparse_matmul`), which checks the chain-level certificates,
+* `SparseRows`, the format of chain matrices: their product, which checks
+  the chain-level certificates (`sparse_matmul`), transpose and dense view,
 * one integer normal form, the row Hermite normal form with its
   unimodular transform (`_row_hnf`), from which the column HNF, the
   saturated integer kernel, saturation and the Smith invariants (for
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
 
@@ -52,9 +52,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
-def format_rational(value: Fraction) -> str:
-    """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
+def format_rational(value: Fraction | int) -> str:
+    """Serialize a Fraction or an int as "p/q", or "p" when it is whole."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -153,10 +152,23 @@ def int_matvec(a: IntMatrix, v: Sequence[int]) -> IntVector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def sparse_rows(m: IntMatrix) -> SparseRows:
-    """The nonzero entries (column, value) of each row of an integer
-    matrix, columns ascending."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+def sparse_transpose(m: SparseRows, width: int) -> SparseRows:
+    """The transpose of a matrix of `width` columns, in sparse rows."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    for i, row in enumerate(m):
+        for j, x in row:
+            cols[j].append((i, x))
+    return tuple(map(tuple, cols))
+
+
+def dense_view(m: SparseRows, width: int) -> Iterator[list[int]]:
+    """The rows of a matrix of `width` columns as dense lists, made one at
+    a time: an echelon basis, which keeps few, never holds them all."""
+    for row in m:
+        dense = [0] * width
+        for j, x in row:
+            dense[j] = x
+        yield dense
 
 
 def sparse_matmul(a: SparseRows, b: SparseRows) -> SparseRows:

@@ -110,7 +110,8 @@ class GramForm:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "GramForm":
-        rows = [[Fraction(x) for x in row] for row in rows]
+        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+                for row in rows]
         den = lcm(*(x.denominator for row in rows for x in row))
         return GramForm(tuple(tuple(x.numerator * (den // x.denominator)
                                     for x in row) for row in rows), den)
@@ -174,10 +175,10 @@ class MinimaResult:
 # Exact Fincke-Pohst enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_values(a: GramForm, bound: Fraction) -> list[tuple[IntVector, int]]:
-    """All sign-canonical nonzero integer vectors v with v^T A v <= bound,
-    each with the integer v^T M v for A = M / D (so its value is that over
-    a.denom), sorted.
+def _enumerate_values(a: GramForm, bound: Fraction | int) -> list[tuple[IntVector, int]]:
+    """All sign-canonical nonzero integer vectors v with v^T A v <= bound
+    (an int or a Fraction), each with the integer v^T M v for A = M / D
+    (so its value is that over a.denom), sorted.
 
     Fincke-Pohst on the fraction-free LDL^T of M: level i contributes
     (Delta_{i+1} v_i + N_i)^2 / (Delta_i Delta_{i+1}), so with T the lcm
@@ -188,7 +189,6 @@ def _enumerate_values(a: GramForm, bound: Fraction) -> list[tuple[IntVector, int
     left; no square roots and no Fractions are needed."""
     n = a.n
     rows, minors = a.ldl
-    bound = Fraction(bound)
     if bound <= 0:
         return []
     dens = [p * q for p, q in zip((1,) + minors, minors)]
@@ -235,12 +235,11 @@ def _enumerate_values(a: GramForm, bound: Fraction) -> list[tuple[IntVector, int
 
 
 def vectors_below(a: GramForm, bound, raw: bool = False) -> VectorConfig:
-    """All +- classes of nonzero vectors with value <= bound.
+    """All +- classes of nonzero vectors with value <= bound (int or Fraction).
 
     With raw=True, imprimitive vectors are kept; the default keeps only
     primitive vectors (the configuration convention).
     """
-    bound = Fraction(bound)
     items = _enumerate_values(a, bound)
     if raw:
         return tuple(v for v, _ in items)

@@ -13,10 +13,11 @@ quotient solves no LP of its own.  An element stabilizing a
 chain fixes each member (their dimensions differ), so it fixes the
 simplex pointwise: simplices never fold onto themselves, and this one
 subdivision computes the homology of the quotient space with any
-coefficients.  Boundary matrices are integer matrices; homology is
-exact: torsion over Z is read from the Smith invariants that
-`exactla.snf` computes by alternating Hermite forms, and ranks and
-representatives come from the fraction-free `exactla.Echelon`.
+coefficients.  Boundary matrices and chain maps are integer matrices in
+sparse rows (`exactla.SparseRows`); homology is exact: torsion over Z
+is read from the Smith invariants that `exactla.snf` computes by
+alternating Hermite forms, and ranks and representatives come from the
+fraction-free `exactla.Echelon`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Optional, Sequence
 
 from .cells import OrbitComplex, cell_faces
 from .exactla import (
-    CertificateError, Echelon, IntMatrix, PrimeField, QQ, int_inverse,
-    int_matvec, int_transpose, snf, sparse_matmul, sparse_rows,
+    CertificateError, Echelon, IntMatrix, PrimeField, QQ, SparseRows,
+    dense_view, int_inverse, int_matvec, snf, sparse_matmul, sparse_transpose,
 )
 from .flags import RationalFlag
 from .lattice import VectorConfig, canonical_config, config_stabilizer
@@ -52,10 +53,11 @@ class SimplexOrbit:
 
 @dataclass(frozen=True)
 class QuotientComplex:
-    """Simplex orbits per dimension with integer boundary matrices.
+    """Simplex orbits per dimension with sparse integer boundary matrices.
 
-    boundaries[k] maps k-chains to (k-1)-chains; rows are indexed by the
-    (k-1)-simplices.  boundaries[0] is the empty matrix.  A quotient of
+    boundaries[k] maps k-chains to (k-1)-chains, as sparse rows indexed by
+    the (k-1)-simplices, of width len(simplices[k]).  boundaries[0] has no
+    rows.  A quotient of
     an orbit complex keeps the indexer of its chains, which `locate`
     reads; complexes built from matrices alone have none.
     """
@@ -63,7 +65,7 @@ class QuotientComplex:
     group: object
     constraint: Optional[RationalFlag]
     simplices: tuple[tuple[SimplexOrbit, ...], ...]
-    boundaries: tuple[IntMatrix, ...]
+    boundaries: tuple[SparseRows, ...]
     chains: Optional[_ChainIndexer] = field(default=None, compare=False,
                                             repr=False)
 
@@ -73,9 +75,6 @@ class QuotientComplex:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.simplices)
-
-    def boundary(self, k: int) -> IntMatrix:
-        return self.boundaries[k]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(s) for k, s in enumerate(self.simplices))
@@ -189,17 +188,17 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
         for i, s in enumerate(level):
             indexer.ids[s.chain] = (k, i)
 
-    boundaries: list[IntMatrix] = [()]
+    boundaries: list[SparseRows] = [()]
     for k in range(1, max_dim + 1):
-        rows = len(simplices[k - 1])
-        mat = [[0] * len(simplices[k]) for _ in range(rows)]
-        for j, s in enumerate(simplices[k]):
+        rows: list[dict[int, int]] = [{} for _ in simplices[k - 1]]
+        for j, s in enumerate(simplices[k]):  # columns ascending in each row
             for i in range(k + 1):
                 kk, idx = indexer.locate(s.chain[:i] + s.chain[i + 1:])
                 if kk != k - 1:
                     raise CertificateError("face chain has the wrong dimension")
-                mat[idx][j] += (-1) ** i
-        boundaries.append(tuple(tuple(r) for r in mat))
+                rows[idx][j] = rows[idx].get(j, 0) + (-1) ** i
+        boundaries.append(tuple(tuple((j, x) for j, x in row.items() if x)
+                                for row in rows))
     qc = QuotientComplex(complex.group, complex.constraint,
                          simplices, tuple(boundaries), indexer)
     _check_boundary_squares_to_zero(qc)
@@ -207,9 +206,8 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
 
 
 def _check_boundary_squares_to_zero(qc: QuotientComplex):
-    rows = [sparse_rows(b) for b in qc.boundaries]
     for k in range(2, qc.dim + 1):
-        if any(sparse_matmul(rows[k - 1], rows[k])):
+        if any(sparse_matmul(qc.boundaries[k - 1], qc.boundaries[k])):
             raise CertificateError("boundary squared is nonzero")
 
 
@@ -251,53 +249,53 @@ def parse_coeff(text):
     raise ValueError(f"unknown coefficients {text!r}")
 
 
-def _nonempty(m: IntMatrix) -> bool:
-    return bool(m) and bool(m[0])
-
-
-def _ranked(coeff, d_out: IntMatrix, d_in: IntMatrix, dim: int):
+def _ranked(coeff, d_out: SparseRows, d_in_cols: SparseRows, dim: int):
     """(betti, torsion, out, image): the echelon bases of the rows of d_out
     and of the columns of d_in, and the betti number and torsion read from
     them."""
     field = QQ if coeff == "Z" else coeff
-    out = Echelon(field, d_out)
-    image = Echelon(field, zip(*d_in))
-    torsion: tuple[int, ...] = ()
-    if coeff == "Z" and _nonempty(d_in):
-        torsion = tuple(d for d in snf(d_in) if d > 1)
+    out = Echelon(field, dense_view(d_out, dim))
+    image = Echelon(field, dense_view(d_in_cols, dim))
+    torsion = tuple(d for d in snf(dense_view(d_in_cols, dim)) if d > 1) \
+        if coeff == "Z" else ()
     return dim - len(out) - len(image), torsion, out, image
 
 
-def betti_at(coeff, d_out: IntMatrix, d_in: IntMatrix,
+def betti_at(coeff, d_out: SparseRows, d_in_cols: SparseRows,
              dim: int) -> tuple[int, tuple[int, ...]]:
     """(betti, torsion) of the homology at a chain group of dimension dim,
-    between the map d_in into it (dim rows) and the map d_out out of it
-    (dim columns); a cochain complex passes its coboundaries the same way.
+    given the rows of the map d_out out of it and the columns of the map
+    d_in into it, both sparse rows of width dim; a cochain complex passes
+    its coboundaries the same way.
 
     The betti number is dim - rank d_out - rank d_in; over Z the torsion
     is read from the Smith invariants of d_in (ranks over Z are ranks over
     Q)."""
-    return _ranked(coeff, d_out, d_in, dim)[:2]
+    return _ranked(coeff, d_out, d_in_cols, dim)[:2]
 
 
-def homology_at(coeff, d_out: IntMatrix, d_in: IntMatrix,
+def homology_at(coeff, d_out: SparseRows, d_in_cols: SparseRows,
                 dim: int) -> DegreeHomology:
     """`betti_at` with representatives: the kernel vectors of d_out that
     are independent modulo the image of d_in and of the kernel vectors
     before them; the two echelon bases that give the ranks give them too."""
-    betti, torsion, out, image = _ranked(coeff, d_out, d_in, dim)
+    betti, torsion, out, image = _ranked(coeff, d_out, d_in_cols, dim)
     reps = tuple(tuple(v) for v in out.kernel(dim) if image.add(v))
     return DegreeHomology(betti, torsion, reps)
 
 
-def _boundary(qc: QuotientComplex, k: int) -> IntMatrix:
-    return qc.boundaries[k] if 1 <= k <= qc.dim else ()
+def coboundary(qc: QuotientComplex, q: int) -> SparseRows:
+    """The coboundary d^q from q- to (q+1)-cochains, the transpose of
+    boundaries[q + 1]: its rows are the columns of that boundary."""
+    if not 0 <= q < qc.dim:
+        return ()
+    return sparse_transpose(qc.boundaries[q + 1], len(qc.simplices[q + 1]))
 
 
 def homology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
     """Homology of the quotient complex over Z, Q or F_p."""
     coeff = parse_coeff(coeff)
-    degrees = tuple(homology_at(coeff, _boundary(qc, k), _boundary(qc, k + 1),
+    degrees = tuple(homology_at(coeff, qc.boundaries[k], coboundary(qc, k),
                                 len(level))
                     for k, level in enumerate(qc.simplices))
     return HomologyResult("Z" if coeff == "Z" else coeff.name, degrees)
@@ -308,8 +306,8 @@ def cohomology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
     between the coboundaries d^{q-1} and d^q, the transposed boundaries;
     representatives are cocycles in simplex coordinates."""
     coeff = parse_coeff(coeff)
-    degrees = tuple(homology_at(coeff, int_transpose(_boundary(qc, q + 1)),
-                                int_transpose(_boundary(qc, q)), len(level))
+    degrees = tuple(homology_at(coeff, coboundary(qc, q), qc.boundaries[q],
+                                len(level))
                     for q, level in enumerate(qc.simplices))
     return HomologyResult("Z" if coeff == "Z" else coeff.name, degrees)
 
@@ -326,9 +324,9 @@ class IncompatibleComplexes(ValueError):
 class ChainMap:
     source: QuotientComplex
     target: QuotientComplex
-    matrices: tuple[IntMatrix, ...]   # per dimension: target x source
+    matrices: tuple[SparseRows, ...]  # per dimension: target x source
 
-    def matrix(self, k: int) -> IntMatrix:
+    def matrix(self, k: int) -> SparseRows:
         if 0 <= k < len(self.matrices):
             return self.matrices[k]
         return ()
@@ -343,8 +341,7 @@ def induced_map(sub: QuotientComplex, sup: QuotientComplex,
         raise IncompatibleComplexes("source complex exceeds target dimension")
     mats = []
     for k in range(sub.dim + 1):
-        rows = len(sup.simplices[k])
-        mat = [[0] * len(sub.simplices[k]) for _ in range(rows)]
+        rows: list[list[tuple[int, int]]] = [[] for _ in sup.simplices[k]]
         for j, s in enumerate(sub.simplices[k]):
             chain = s.chain if twist is None else _apply_chain(twist, s.chain)
             try:
@@ -353,14 +350,12 @@ def induced_map(sub: QuotientComplex, sup: QuotientComplex,
                 raise IncompatibleComplexes(str(exc)) from exc
             if kk != k:
                 raise CertificateError("chain map changes the dimension")
-            mat[idx][j] += 1
-        mats.append(tuple(tuple(r) for r in mat))
+            rows[idx].append((j, 1))
+        mats.append(tuple(map(tuple, rows)))
     cm = ChainMap(sub, sup, tuple(mats))
     for k in range(1, sub.dim + 1):
-        left = sparse_matmul(sparse_rows(cm.matrix(k - 1)),
-                             sparse_rows(sub.boundaries[k]))
-        right = sparse_matmul(sparse_rows(sup.boundaries[k]),
-                              sparse_rows(cm.matrix(k)))
+        left = sparse_matmul(cm.matrix(k - 1), sub.boundaries[k])
+        right = sparse_matmul(sup.boundaries[k], cm.matrix(k))
         if left != right:
             raise CertificateError("chain map does not commute with boundaries")
     return cm

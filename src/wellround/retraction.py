@@ -39,8 +39,8 @@ from .flags import (
     respects_flag,
 )
 from .lattice import (
-    GramForm, canonical_config, config_spans, minimal_vectors, normalize,
-    vectors_below,
+    GramForm, MinimaResult, canonical_config, config_spans, minimal_vectors,
+    normalize, vectors_below,
 )
 
 
@@ -202,17 +202,17 @@ def _scale_at_member(a: GramForm, split: _Split, mu_sq: Fraction) -> GramForm:
                     v * split.e)
 
 
-def _stopping(a: GramForm, member: IntMatrix) -> tuple[Fraction, tuple, GramForm]:
-    """The critical squared scale mu^2, the vectors that reach the
-    minimum there and the rescaled form.  Candidates are ranked by the
-    integer numerators of (1 - p)/q = (E - P)/Q over the split's E.
-    Certified: under the rescaled form, a complete enumeration below 1
-    confirms no vector beats the minimum."""
+def _stopping(a: GramForm, member: IntMatrix,
+              mins: MinimaResult) -> tuple[Fraction, tuple, GramForm]:
+    """mu^2, the vectors that reach the minimum there and the rescaled
+    form, given the minima of a.  Candidates are ranked by the integer
+    numerators of (1 - p)/q = (E - P)/Q over the split's E.  Certified: a
+    complete enumeration below 1 under the rescaled form confirms that
+    its minima are the tight vectors and those of a, whose values stay."""
     n = a.n
     d = len(member[0]) if member else 0
     if d >= n:
         raise AlreadyFull("sublattice spans the whole space")
-    mins = minimal_vectors(a)
     if mins.min_sq != 1:
         raise ValueError("form must be normalized to minimum 1")
     split = _Split(a, member)
@@ -262,7 +262,7 @@ def _stopping(a: GramForm, member: IntMatrix) -> tuple[Fraction, tuple, GramForm
 def stopping_mu(a: GramForm, member: IntMatrix) -> Fraction:
     """Largest mu^2 in (0,1) keeping the arithmetic minimum at 1 when the
     directions orthogonal to the member span are scaled by mu."""
-    return _stopping(a, saturation(member))[0]
+    return _stopping(a, saturation(member), minimal_vectors(a))[0]
 
 
 @dataclass(frozen=True)
@@ -285,20 +285,22 @@ def retract(a: GramForm) -> RetractionTrace:
 
     The input is normalized to minimum 1; each stage shrinks the
     directions orthogonal to the span of the current minimal vectors by
-    the critical factor, until the minimal vectors span Q^n.  The
+    the critical factor, until the minimal vectors span Q^n; they are
+    enumerated once, and each stage adds its tight vectors.  The
     composite is verified against a single block scaling along the
     irredundant flag of successive minima before returning.
     """
     n = a.n
-    start = normalize(a)
-    cur = start
+    mins = minimal_vectors(a)
+    cur = start = a if mins.min_sq == 1 else a.scale(1 / mins.min_sq)
+    mins = MinimaResult(Fraction(1), mins.vectors)
     stages: list[RetractionStage] = []
     for i in range(1, n):
-        mins = minimal_vectors(cur)
         member = saturation(int_transpose(mins.vectors))
         rank = len(member[0])
         if rank == i and rank < n:
-            mu_sq, tight, cur = _stopping(cur, member)
+            mu_sq, tight, cur = _stopping(cur, member, mins)
+            mins = MinimaResult(mins.min_sq, canonical_config(mins.vectors + tight))
             stages.append(RetractionStage(member, mu_sq, tight))
         else:
             stages.append(RetractionStage(member, Fraction(1), ()))

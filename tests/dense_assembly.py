@@ -1,12 +1,63 @@
-"""Dense block assembly of the total complex, as the package built each
-total differential before `boundary.build_double_complex` laid the total
-complex out once.  Kept only here, as the oracle that the tests compare
-the stored differentials with.
+"""Dense chain matrices, as the package stored them before every chain
+matrix became sparse rows, and the dense block assembly of the total
+complex, as the package built each total differential before
+`boundary.build_double_complex` laid the total complex out once.  Kept
+only here, as the oracles that the tests compare the stored matrices
+with.
 
-Every function reads only the summands and the horizontal pieces of a
-`DoubleComplex`: each block of D is filled entry by entry from a dense
-boundary or chain-map matrix.
+`dense` and `sparse_rows` convert between the two formats without the
+package's own conversions.  `boundary_matrix` and `chain_map_matrix`
+rebuild a quotient boundary and a chain map densely from the simplices,
+through `QuotientComplex.locate`.  The assembly functions read only the
+summands and the horizontal pieces of a `DoubleComplex`: each block of D
+is filled entry by entry from a dense view of a boundary or chain-map
+matrix.
 """
+
+from wellround.exactla import int_matvec
+from wellround.lattice import canonical_config
+
+
+def dense(rows, width):
+    """The dense matrix of the given width with these nonzero rows."""
+    out = []
+    for row in rows:
+        full = [0] * width
+        for j, x in row:
+            full[j] += x
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def sparse_rows(m):
+    """The nonzero entries (column, value) of each row, columns ascending."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+
+
+def _twisted(u, chain):
+    return tuple(canonical_config(tuple(int_matvec(u, v)) for v in c)
+                 for c in chain)
+
+
+def boundary_matrix(qc, k):
+    """boundaries[k] of a quotient, dense: column j sums (-1)^i over the
+    faces i of k-simplex j, each at the row of its orbit."""
+    mat = [[0] * len(qc.simplices[k]) for _ in qc.simplices[k - 1]]
+    for j, s in enumerate(qc.simplices[k]):
+        for i in range(k + 1):
+            _, idx = qc.locate(s.chain[:i] + s.chain[i + 1:])
+            mat[idx][j] += (-1) ** i
+    return tuple(tuple(r) for r in mat)
+
+
+def chain_map_matrix(sub, sup, k, twist=None):
+    """The k-th matrix of `quotient.induced_map(sub, sup, twist)`, dense:
+    a 1 at the orbit in sup of each (twisted) k-simplex of sub."""
+    mat = [[0] * len(sub.simplices[k]) for _ in sup.simplices[k]]
+    for j, s in enumerate(sub.simplices[k]):
+        chain = s.chain if twist is None else _twisted(twist, s.chain)
+        mat[sup.locate(chain)[1]][j] += 1
+    return tuple(tuple(r) for r in mat)
 
 
 def cochain_dim(dc, p, q):
@@ -34,7 +85,8 @@ def vertical_matrix(dc, p, q):
     for idx, s in enumerate(dc.columns[p]):
         if q + 1 > s.qc.dim:
             continue
-        bnd = s.qc.boundaries[q + 1]  # (q-simplices) x (q+1-simplices)
+        # (q-simplices) x (q+1-simplices)
+        bnd = dense(s.qc.boundaries[q + 1], len(s.qc.simplices[q + 1]))
         for i in range(len(s.qc.simplices[q + 1])):
             for j in range(len(s.qc.simplices[q])):
                 if bnd and bnd[j][i]:
@@ -54,7 +106,8 @@ def horizontal_matrix(dc, p, q):
         src = dc.columns[p][piece.source]
         if q > tgt.qc.dim or q > src.qc.dim:
             continue
-        cmat = piece.chain_map.matrix(q)  # src-simplices x tgt-simplices
+        # src-simplices x tgt-simplices
+        cmat = dense(piece.chain_map.matrix(q), len(tgt.qc.simplices[q]))
         for i in range(len(tgt.qc.simplices[q])):
             for j in range(len(src.qc.simplices[q])):
                 if cmat and cmat[j][i]:

@@ -10,8 +10,8 @@ from wellround.boundary import (
     spectral_sequence, total_cohomology, total_differential, total_dims,
 )
 from wellround.cells import enumerate_W
-from wellround.exactla import int_det, sparse_rows
-from wellround.flags import flag_orbits
+from wellround.exactla import int_det
+from wellround.flags import flag_orbits, subflags_with_signs
 from wellround.lattice import GroupSpec
 from wellround.quotient import barycentric_quotient, homology
 
@@ -88,7 +88,7 @@ def test_small_enough_quotient_is_regular():
     cx = enumerate_W(GroupSpec(2, "gamma", 3))
     qc = barycentric_quotient(cx)
     for k in range(1, qc.dim + 1):
-        mat = qc.boundaries[k]
+        mat = dense_assembly.dense(qc.boundaries[k], len(qc.simplices[k]))
         for j in range(len(qc.simplices[k])):
             col = [mat[i][j] for i in range(len(mat))]
             assert all(x in (-1, 0, 1) for x in col)
@@ -162,12 +162,62 @@ def test_sl3_euler_consistency(sl3_dc):
     assert chi_e1 == chi_tot
 
 
+def _assert_sparse_rows(m, rows, width):
+    """m has the given number of rows, and each row lists nonzero integer
+    entries at columns in [0, width), strictly ascending."""
+    assert isinstance(m, tuple) and len(m) == rows
+    for row in m:
+        assert isinstance(row, tuple)
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= j < width for j in cols)
+        assert all(isinstance(x, int) and x for _, x in row)
+
+
+def _chain_maps_with_twists(dc):
+    """Every stored chain map with its source, target and twist: the
+    inclusions into W/Gamma, untwisted, and the horizontal pieces, with
+    the witnesses that `build_double_complex` locates in the same order."""
+    out = [(cm, s.qc, dc.w_qc, None)
+           for cm, s in zip(dc.inclusions, dc.columns[0])]
+    for p, col_pieces in enumerate(dc.pieces[:-1]):
+        twists = [boundary._locate_flag(dc.columns[p], deleted, dc.group)[1]
+                  for tgt in dc.columns[p + 1]
+                  for deleted, _ in subflags_with_signs(tgt.flag)]
+        assert len(twists) == len(col_pieces)
+        for piece, twist in zip(col_pieces, twists):
+            out.append((piece.chain_map, dc.columns[p + 1][piece.target].qc,
+                        dc.columns[p][piece.source].qc, twist))
+    return out
+
+
 def _assert_matches_dense_assembly(dc):
+    """Every stored boundary, chain map and D^k is in `SparseRows` form
+    with its shape, and its dense view equals the dense oracle."""
+    quotients = [dc.w_qc] + [s.qc for col in dc.columns for s in col]
+    for qc in quotients:
+        assert qc.boundaries[0] == ()
+        for k in range(1, qc.dim + 1):
+            width = len(qc.simplices[k])
+            _assert_sparse_rows(qc.boundaries[k], len(qc.simplices[k - 1]), width)
+            assert dense_assembly.dense(qc.boundaries[k], width) == \
+                dense_assembly.boundary_matrix(qc, k)
+    for cm, sub, sup, twist in _chain_maps_with_twists(dc):
+        assert cm.source is sub and cm.target is sup
+        assert len(cm.matrices) == sub.dim + 1
+        for k, m in enumerate(cm.matrices):
+            width = len(sub.simplices[k])
+            _assert_sparse_rows(m, len(sup.simplices[k]), width)
+            assert dense_assembly.dense(m, width) == \
+                dense_assembly.chain_map_matrix(sub, sup, k, twist)
+    assert len(dc.differentials) == len(dc.dims) - 1
+    for k, d in enumerate(dc.differentials):
+        _assert_sparse_rows(d, dc.dims[k + 1], dc.dims[k])
     assert total_dims(dc) == dense_assembly.total_dims(dc)
     for k in range(len(dc.dims) + 1):
-        assert total_differential(dc, k) == \
+        width = dc.dims[k] if k < len(dc.dims) else 0
+        assert dense_assembly.dense(total_differential(dc, k), width) == \
             dense_assembly.total_differential(dc, k), k
-    assert dc.sparse == tuple(sparse_rows(d) for d in dc.differentials)
 
 
 @pytest.mark.parametrize("spec", [

@@ -57,10 +57,20 @@ def test_certificate_raised_under_optimize(tmp_path):
         "error": "CertificateError: composite disagrees with block scaling"}
 
 
-# One entry of the top boundary matrix of the quotient is raised by 1
+# Raise entry (i, j) of a matrix stored as sparse rows by 1, keeping the
+# format: nonzero values, columns ascending.
+RAISE_ENTRY = """
+def raised(m, i, j):
+    row = dict(m[i])
+    row[j] = row.get(j, 0) + 1
+    row = tuple(sorted((c, x) for c, x in row.items() if x))
+    return m[:i] + (row,) + m[i + 1:]
+"""
+
+# Entry (0, 0) of the top boundary matrix of the quotient is raised by 1
 # before the D^2 = 0 check sees it; the SL_3 quotient has dimension 3, so
 # the check has a product to test.
-QUOTIENT_SCRIPT = textwrap.dedent("""
+QUOTIENT_SCRIPT = RAISE_ENTRY + textwrap.dedent("""
     import dataclasses, json, sys
     import wellround.quotient as quotient
     from wellround.cli import run
@@ -68,9 +78,7 @@ QUOTIENT_SCRIPT = textwrap.dedent("""
     real = quotient._check_boundary_squares_to_zero
 
     def corrupted(qc):
-        top = [list(row) for row in qc.boundaries[-1]]
-        top[0][0] += 1
-        bnds = qc.boundaries[:-1] + (tuple(tuple(r) for r in top),)
+        bnds = qc.boundaries[:-1] + (raised(qc.boundaries[-1], 0, 0),)
         real(dataclasses.replace(qc, boundaries=bnds))
 
     quotient._check_boundary_squares_to_zero = corrupted
@@ -87,26 +95,22 @@ def test_quotient_certificate_raised_under_optimize():
         "error": "CertificateError: boundary squared is nonzero"}
 
 
-# One entry of the stored D^0 is raised by 1, in both its dense and its
-# sparse form, before the D^2 = 0 check sees it.  The entry lies in a row
-# that D^1 reads (a nonzero column of D^1), so D^1 D^0 gains that column
-# of D^1.  SL_3 has two columns, so its total complex has a D^1 to test.
-TOTAL_SCRIPT = textwrap.dedent("""
+# Entry (i, 0) of the stored D^0 is raised by 1 before the D^2 = 0 check
+# sees it.  Row i is one that D^1 reads (a nonzero column of D^1), so
+# D^1 D^0 gains that column of D^1.  SL_3 has two columns, so its total
+# complex has a D^1 to test.
+TOTAL_SCRIPT = RAISE_ENTRY + textwrap.dedent("""
     import dataclasses, json, sys
     import wellround.boundary as boundary
     from wellround.cli import run
-    from wellround.exactla import sparse_rows
 
     real = boundary._check_total_differential_squares_to_zero
 
     def corrupted(dc):
-        i = next(row[0][0] for row in dc.sparse[1] if row)
-        d0 = [list(row) for row in dc.differentials[0]]
-        d0[i][0] += 1
-        d0 = tuple(tuple(r) for r in d0)
+        d0, d1 = dc.differentials[:2]
+        i = next(row[0][0] for row in d1 if row)
         real(dataclasses.replace(
-            dc, differentials=(d0,) + dc.differentials[1:],
-            sparse=(sparse_rows(d0),) + dc.sparse[1:]))
+            dc, differentials=(raised(d0, i, 0),) + dc.differentials[1:]))
 
     boundary._check_total_differential_squares_to_zero = corrupted
     code = run(["boundary", "total", "-n", "3", "--group", "sl"])

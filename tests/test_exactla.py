@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fraction_simplex
 import gauss_jordan as gj
 import wellround.exactla as exactla
+from dense_assembly import dense, sparse_rows
 from rational_matrix import RatMatrix, int_scaled
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
@@ -18,7 +19,7 @@ from wellround.exactla import (
     f_rank_modulo, f_solve, format_rational, hnf, int_adjugate, int_det,
     int_identity, int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix,
     int_matvec, int_transpose, lp, parse_rational, saturation,
-    snf, sparse_matmul, sparse_rows,
+    dense_view, snf, sparse_matmul, sparse_transpose,
 )
 
 
@@ -28,6 +29,7 @@ def test_rational_roundtrip():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(5, 1)) == "5"
     assert format_rational(Fraction(-2, 6)) == "-1/3"
+    assert format_rational(7) == "7"
 
 
 def ldlt(a):
@@ -460,6 +462,20 @@ def test_sparse_matmul_matches_int_matmul(data):
     assert product == sparse_rows(int_matmul(a, b))
     assert len(product) == r
     assert all(0 <= j < c for row in product for j, _ in row)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_transpose_and_dense_view_match_dense_matrices(data):
+    # empty shapes included: no rows, or no columns
+    r, c = (data.draw(st.integers(0, 6)) for _ in range(2))
+    a = data.draw(sparse_int_matrices(r, c))
+    rows = sparse_rows(a)
+    assert tuple(map(tuple, dense_view(rows, c))) == a == dense(rows, c)
+    at = sparse_transpose(rows, c)
+    # int_transpose has no rows for a matrix without rows
+    assert at == (sparse_rows(int_transpose(a)) if r else ((),) * c)
+    assert sparse_transpose(at, r) == rows
 
 
 @given(int_matrices())

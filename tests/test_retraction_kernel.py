@@ -368,6 +368,32 @@ def test_stopping_mu_matches_fraction_projectors(a):
     assert stopping_mu(a, member) == ref_stopping(a, member)[0]
 
 
+@given(rational_forms())
+@settings(max_examples=80, deadline=None)
+def test_carried_minima_match_a_fresh_enumeration_at_each_stage(a):
+    # retract enumerates the minimal vectors once and carries them: every
+    # stage gets the minima of its input form, and its output form has
+    # the minima it was given together with the tight vectors
+    import wellround.retraction as retraction
+    real = retraction._stopping
+    stages = []
+
+    def checked(form, member, mins):
+        assert mins == minimal_vectors(form)
+        mu_sq, tight, scaled = real(form, member, mins)
+        assert minimal_vectors(scaled).vectors == \
+            canonical_config(mins.vectors + tight)
+        stages.append(mu_sq)
+        return mu_sq, tight, scaled
+
+    retraction._stopping = checked
+    try:
+        trace = retract(a)
+    finally:
+        retraction._stopping = real
+    assert stages == [st.mu_sq for st in trace.stages if st.mu_sq != 1]
+
+
 @given(rational_forms(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_scale_along_flag_and_split_match_projectors(a, data):
