@@ -5,16 +5,18 @@ chains of cells; the group permutes chains, and a chain is anchored at
 the orbit representative of its top cell, with the residual ambiguity
 killed by the top cell's finite stabilizer.  The top cell's orbit and
 the element carrying it onto the representative come from the orbit
-complex's own index (`OrbitComplex.locate`).  The chains run through
-cell closures, which are carried over from the orbit representatives:
-the faces of g.s are g.(faces of s), so only a representative's faces
-are computed, and `enumerate_complex` has already computed them; the
-quotient solves no LP of its own.  An element stabilizing a
-chain fixes each member (their dimensions differ), so it fixes the
-simplex pointwise: simplices never fold onto themselves, and this one
-subdivision computes the homology of the quotient space with any
-coefficients.  Boundary matrices and chain maps are integer matrices in
-sparse rows (`exactla.SparseRows`); homology is exact: torsion over Z
+complex's own index (`OrbitComplex.locate`).  Chains are moved through
+image tables, one per group element, so a configuration is canonicalised
+once per element that moves it, however many chains it lies in.  The
+chains run through cell closures, which are carried over from the orbit
+representatives: the faces of g.s are g.(faces of s), so only a
+representative's faces are computed, and `enumerate_complex` has already
+computed them; the quotient solves no LP of its own.  An element
+stabilizing a chain fixes each member (their dimensions differ), so it
+fixes the simplex pointwise: simplices never fold onto themselves, and
+this one subdivision computes the homology of the quotient space with
+any coefficients.  Boundary matrices and chain maps are integer matrices
+in sparse rows (`exactla.SparseRows`); homology is exact: torsion over Z
 is read from the Smith invariants that `exactla.snf` computes by
 alternating Hermite forms, and ranks and representatives come from the
 fraction-free `exactla.Echelon`.
@@ -36,12 +38,8 @@ from .lattice import VectorConfig, canonical_config, config_stabilizer
 Chain = tuple[VectorConfig, ...]  # cell configs, dimension-increasing
 
 
-def _apply(u: IntMatrix, config: VectorConfig) -> VectorConfig:
-    return canonical_config(tuple(int_matvec(u, v)) for v in config)
-
-
-def _apply_chain(u: IntMatrix, chain: Chain) -> Chain:
-    return tuple(_apply(u, c) for c in chain)
+class IncompatibleComplexes(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -79,22 +77,36 @@ class QuotientComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(s) for k, s in enumerate(self.simplices))
 
-    def locate(self, chain: Chain) -> tuple[int, int]:
-        """(dimension, index) of the simplex orbit containing the chain."""
-        return self.chains.locate(chain)
+    def locate(self, chain: Chain,
+               twist: Optional[IntMatrix] = None) -> tuple[int, int]:
+        """(dimension, index) of the simplex orbit containing the chain,
+        moved first by twist if one is given."""
+        if self.chains is None:
+            raise IncompatibleComplexes("the quotient complex has no chain "
+                                        "index (it was built from matrices)")
+        return self.chains.locate(chain, twist)
 
 
 class _ChainIndexer:
     """Canonical chains under the group action, and the simplex orbit of
     a chain: its top cell is located through the orbit complex's index,
     the chain is moved so that the top cell is the representative, and
-    the top cell's stabilizer picks the least image."""
+    the top cell's stabilizer picks the least image.
+
+    Every move reads an image table: per group element u, configuration
+    -> canonical image of the configuration under u, filled on first
+    use.  A stabilizer only permutes its representative's closure, and
+    the orbit index remembers the element u of each located
+    configuration, so the same few images serve every chain; the tables
+    share one copy of each distinct image."""
 
     def __init__(self, complex: OrbitComplex):
         self.complex = complex
         self.group = complex.group
         self.constraint = complex.constraint
         self._stab: dict[int, tuple[IntMatrix, ...]] = {}
+        self._images: dict[IntMatrix, dict[VectorConfig, VectorConfig]] = {}
+        self._configs: dict[VectorConfig, VectorConfig] = {}
         self.ids: dict[Chain, tuple[int, int]] = {}
 
     def stabilizer(self, oid: int) -> tuple[IntMatrix, ...]:
@@ -104,12 +116,30 @@ class _ChainIndexer:
                 rep.config, self.group, flag=self.constraint).elements
         return self._stab[oid]
 
-    def canonical_chain(self, oid: int, chain: Chain) -> Chain:
-        return min(_apply_chain(g, chain) for g in self.stabilizer(oid))
+    def move(self, u: IntMatrix, chain: Chain) -> Chain:
+        """The chain moved by u, each member through u's image table."""
+        table = self._images.get(u)
+        if table is None:
+            table = self._images[u] = {}
+        moved = []
+        for config in chain:
+            image = table.get(config)
+            if image is None:
+                image = canonical_config(
+                    tuple(int_matvec(u, v)) for v in config)
+                image = table[config] = self._configs.setdefault(image, image)
+            moved.append(image)
+        return tuple(moved)
 
-    def locate(self, chain: Chain) -> tuple[int, int]:
+    def canonical_chain(self, oid: int, chain: Chain) -> Chain:
+        return min(self.move(g, chain) for g in self.stabilizer(oid))
+
+    def locate(self, chain: Chain,
+               twist: Optional[IntMatrix] = None) -> tuple[int, int]:
+        if twist is not None:
+            chain = self.move(twist, chain)
         oid, u = self.complex.locate(chain[-1])
-        moved = _apply_chain(u, chain[:-1]) + \
+        moved = self.move(u, chain[:-1]) + \
             (self.complex.cell_by_id(oid).config,)
         return self.ids[self.canonical_chain(oid, moved)]
 
@@ -132,7 +162,8 @@ def _closure(complex: OrbitComplex, oid: int,
         fid, u = complex.locate(f.config)
         back = int_inverse(u)
         for config, dim in _closure(complex, fid, memo).items():
-            closure[_apply(back, config)] = dim
+            closure[canonical_config(tuple(int_matvec(back, v))
+                                     for v in config)] = dim
     if sum((-1) ** dim for dim in closure.values()) != 1:
         raise CertificateError("cell closure has Euler characteristic != 1")
     memo[oid] = closure
@@ -151,17 +182,18 @@ def _enumerate_chains(poset: Sequence[VectorConfig], top: VectorConfig):
     """All strictly nested chains of configs ending at `top`; a face
     carries a strictly larger configuration than its cofaces."""
     chains: list[Chain] = [(top,)]
-    pool = [c for c in poset if c != top and set(c) > set(top)]
+    below = frozenset(top)
+    pool = [(c, frozenset(c)) for c in poset]
+    pool = [(c, vectors) for c, vectors in pool if vectors > below]
 
-    def grow(prefix: Chain):
-        first = prefix[0]
-        for c in pool:
-            if set(c) > set(first):
+    def grow(prefix: Chain, first: frozenset):
+        for c, vectors in pool:
+            if vectors > first:
                 chain = (c,) + prefix
                 chains.append(chain)
-                grow(chain)
+                grow(chain, vectors)
 
-    grow((top,))
+    grow((top,), below)
     return chains
 
 
@@ -316,10 +348,6 @@ def cohomology(qc: QuotientComplex, coeff="Z") -> HomologyResult:
 # Chain maps
 # ---------------------------------------------------------------------------
 
-class IncompatibleComplexes(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ChainMap:
     source: QuotientComplex
@@ -343,9 +371,8 @@ def induced_map(sub: QuotientComplex, sup: QuotientComplex,
     for k in range(sub.dim + 1):
         rows: list[list[tuple[int, int]]] = [[] for _ in sup.simplices[k]]
         for j, s in enumerate(sub.simplices[k]):
-            chain = s.chain if twist is None else _apply_chain(twist, s.chain)
             try:
-                kk, idx = sup.locate(chain)
+                kk, idx = sup.locate(s.chain, twist)
             except KeyError as exc:
                 raise IncompatibleComplexes(str(exc)) from exc
             if kk != k:

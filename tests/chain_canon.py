@@ -1,0 +1,65 @@
+"""Chain canonical forms as quotients computed them before they read
+image tables: every stabilizer element is applied to every member of the
+chain, and each image is canonicalised again.  Also the chain
+enumeration as it was, with the vector sets rebuilt at every
+comparison.  Kept only here, as the oracles that the tests compare
+`quotient._ChainIndexer` and `quotient._enumerate_chains` with.
+
+The stabilizers come from `config_stabilizer` and the simplex ids from
+the quotient's simplices, so nothing here reads the indexer."""
+
+from wellround.exactla import int_matvec
+from wellround.lattice import canonical_config, config_stabilizer
+
+
+def apply_config(u, config):
+    return canonical_config(tuple(int_matvec(u, v)) for v in config)
+
+
+def apply_chain(u, chain):
+    return tuple(apply_config(u, c) for c in chain)
+
+
+def stabilizers(complex):
+    """The stabilizer elements of each orbit representative, by orbit id."""
+    return [config_stabilizer(oc.cell.config, complex.group,
+                              flag=complex.constraint).elements
+            for oc in complex.cells]
+
+
+def canonical_chain(stab, chain):
+    """The least image of the chain under the stabilizer elements."""
+    return min(apply_chain(g, chain) for g in stab)
+
+
+def simplex_ids(qc):
+    """Canonical chain -> (dimension, index) over the quotient's simplices."""
+    return {s.chain: (k, i) for k, level in enumerate(qc.simplices)
+            for i, s in enumerate(level)}
+
+
+def locate(complex, stabs, ids, chain):
+    """(dimension, index) of the simplex orbit of the chain: the top cell
+    is located through the orbit complex, the chain is moved so that the
+    top is the representative, and its stabilizer picks the least image."""
+    oid, u = complex.locate(chain[-1])
+    moved = apply_chain(u, chain[:-1]) + (complex.cell_by_id(oid).config,)
+    return ids[canonical_chain(stabs[oid], moved)]
+
+
+def enumerate_chains(poset, top):
+    """All strictly nested chains of configs ending at `top`, in the order
+    the quotient enumerates them."""
+    chains = [(top,)]
+    pool = [c for c in poset if c != top and set(c) > set(top)]
+
+    def grow(prefix):
+        first = prefix[0]
+        for c in pool:
+            if set(c) > set(first):
+                chain = (c,) + prefix
+                chains.append(chain)
+                grow(chain)
+
+    grow((top,))
+    return chains

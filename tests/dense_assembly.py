@@ -14,8 +14,7 @@ is filled entry by entry from a dense view of a boundary or chain-map
 matrix.
 """
 
-from wellround.exactla import int_matvec
-from wellround.lattice import canonical_config
+from chain_canon import apply_chain
 
 
 def dense(rows, width):
@@ -34,11 +33,6 @@ def sparse_rows(m):
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
 
 
-def _twisted(u, chain):
-    return tuple(canonical_config(tuple(int_matvec(u, v)) for v in c)
-                 for c in chain)
-
-
 def boundary_matrix(qc, k):
     """boundaries[k] of a quotient, dense: column j sums (-1)^i over the
     faces i of k-simplex j, each at the row of its orbit."""
@@ -55,7 +49,7 @@ def chain_map_matrix(sub, sup, k, twist=None):
     a 1 at the orbit in sup of each (twisted) k-simplex of sub."""
     mat = [[0] * len(sub.simplices[k]) for _ in sup.simplices[k]]
     for j, s in enumerate(sub.simplices[k]):
-        chain = s.chain if twist is None else _twisted(twist, s.chain)
+        chain = s.chain if twist is None else apply_chain(twist, s.chain)
         mat[sup.locate(chain)[1]][j] += 1
     return tuple(tuple(r) for r in mat)
 

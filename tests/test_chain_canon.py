@@ -1,0 +1,77 @@
+"""Chain canonical forms and simplex lookups read from image tables,
+against the old path that applied every stabilizer element to every
+member of a chain (`chain_canon`), and the mechanism: a quotient
+canonicalises each configuration under each element once."""
+
+from itertools import combinations
+
+import pytest
+
+import chain_canon as old
+from test_orbit_locate import COMPLEXES
+
+import wellround.quotient as quotient
+from wellround.cells import _seed_shift, enumerate_W
+from wellround.lattice import GroupSpec
+from wellround.quotient import (
+    _closure_configs, _enumerate_chains, barycentric_quotient,
+)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_canonical_chains_match_old_path(name):
+    complex = COMPLEXES[name]()
+    qc = barycentric_quotient(complex)
+    stabs = old.stabilizers(complex)
+    canonical = set()
+    for oc in complex.cells:
+        closure = _closure_configs(complex, oc.id)
+        chains = _enumerate_chains(closure, oc.cell.config)
+        assert chains == old.enumerate_chains(closure, oc.cell.config)
+        for chain in chains:
+            want = old.canonical_chain(stabs[oc.id], chain)
+            assert qc.chains.canonical_chain(oc.id, chain) == want
+            canonical.add(want)
+    assert canonical == set(old.simplex_ids(qc))
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_locate_matches_old_path(name):
+    complex = COMPLEXES[name]()
+    qc = barycentric_quotient(complex)
+    stabs = old.stabilizers(complex)
+    ids = old.simplex_ids(qc)
+    # I + level e_1 e_n^T lies in every test group and fixes the line e_1
+    shift = _seed_shift(complex.group)
+    checked = 0
+    for k, level in enumerate(qc.simplices):
+        for i, s in enumerate(level):
+            for size in range(1, k + 2):
+                for face in combinations(s.chain, size):
+                    assert qc.locate(face) == old.locate(complex, stabs,
+                                                         ids, face)
+                    checked += 1
+            moved = old.apply_chain(shift, s.chain)
+            assert qc.locate(moved) == (k, i)
+            assert old.locate(complex, stabs, ids, moved) == (k, i)
+            assert qc.locate(s.chain, shift) == (k, i)
+    assert checked >= sum(qc.counts())
+
+
+def test_sl3_quotient_canonicalises_few_configurations(monkeypatch):
+    # each configuration is canonicalised once per group element that
+    # moves it: 1,646 calls, where re-canonicalising every image of every
+    # chain took 26,484
+    complex = enumerate_W(GroupSpec(3, "sl"))
+    calls = 0
+    real = quotient.canonical_config
+
+    def counting(vectors):
+        nonlocal calls
+        calls += 1
+        return real(vectors)
+
+    monkeypatch.setattr(quotient, "canonical_config", counting)
+    qc = barycentric_quotient(complex)
+    assert qc.counts() == (5, 11, 11, 4)
+    assert calls < 5000

@@ -7,8 +7,8 @@ from wellround.cells import enumerate_W, subcomplex_WF
 from wellround.flags import flag_orbits, standard_flag
 from wellround.lattice import GroupSpec
 from wellround.quotient import (
-    QuotientComplex, SimplexOrbit, barycentric_quotient, cohomology,
-    homology, induced_map, parse_coeff,
+    IncompatibleComplexes, QuotientComplex, SimplexOrbit,
+    barycentric_quotient, cohomology, homology, induced_map, parse_coeff,
 )
 
 
@@ -193,3 +193,12 @@ def test_parse_coeff():
         parse_coeff("Fp:2147483659")  # the least prime above 2^31
     with pytest.raises(ValueError, match=r"bound 2\^31"):
         parse_coeff("Fp:1" + "0" * 399)
+
+
+def test_induced_map_needs_a_chain_index():
+    # a quotient built from matrices alone has simplices but no chains
+    qc = _fake_complex((1, 1, 1), [(), ((),), (((0, 2),),)])
+    with pytest.raises(IncompatibleComplexes, match="no chain index"):
+        induced_map(qc, qc)
+    with pytest.raises(IncompatibleComplexes, match="no chain index"):
+        qc.locate(qc.simplices[0][0].chain)
