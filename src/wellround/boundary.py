@@ -84,9 +84,11 @@ def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
     """Assemble the flag-subcomplex double complex for the group.
 
     Column p holds one summand per orbit of flags with p+1 proper
-    members; the horizontal maps pair each flag with its one-member
-    deletions, located among the representatives by an exact equivalence
-    search whose witness twists the restriction.
+    members, its flag subcomplex derived from the orbit data of W
+    (`subcomplex_WF`, no walk of its own); the horizontal maps pair each
+    flag with its one-member deletions, located among the representatives
+    by an exact equivalence search whose witness twists the restriction.
+    `variant` reseeds the enumeration of W.
     """
     n = group.n
     w_complex = enumerate_W(group, variant=variant)
@@ -97,7 +99,7 @@ def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
         for dims in flag_types(n, p + 2):
             orbits = flag_orbits(group, dims)
             for flag in orbits.reps:
-                sub = subcomplex_WF(w_complex, flag, variant=variant)
+                sub = subcomplex_WF(w_complex, flag)
                 summands.append(Summand(flag, sub, barycentric_quotient(sub)))
         columns.append(tuple(summands))
     pieces: list[tuple[HorizontalPiece, ...]] = []

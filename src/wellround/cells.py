@@ -6,10 +6,14 @@ vector.  Feasibility and interior witnesses come from exact LPs over the
 symmetric-matrix coordinates, with the infinite constraint family
 certified by a cutting-plane loop (enumerate below the current witness,
 add violators, repeat).  Faces carry larger configurations, cofaces
-smaller ones; orbit enumeration walks the face/coface graph and
-canonicalizes with the configuration-equivalence search.  The orbit
-index the walk builds stays with the complex: `OrbitComplex.locate` is
-the one answer to "which orbit is this cell in, and by which element".
+smaller ones.  The orbits of W are enumerated by a walk over the
+face/coface graph that canonicalizes with the configuration-equivalence
+search; each representative then carries its located faces and its
+stabilizer.  A flag subcomplex W_F is derived from that orbit data: its
+representatives are translates g.s of W's, whose faces, stabilizers and
+witnesses are W's moved by g, so it needs no LP and no search.  The
+orbit index a complex was built with stays with it: `OrbitComplex.locate`
+is the one answer to "which orbit is this cell in, and by which element".
 """
 
 from __future__ import annotations
@@ -22,20 +26,18 @@ from typing import Optional, Sequence
 
 from .exactla import (
     OPTIMAL, QQ, UNBOUNDED, CertificateError, Echelon, IntMatrix, IntVector,
-    NotPositiveDefinite, f_rank, int_adjugate, int_matvec, int_transpose, lp,
-    saturation,
+    NotPositiveDefinite, f_rank, int_adjugate, int_identity, int_inverse,
+    int_matmul, int_matvec, int_transpose, lp,
 )
 from .flags import (
-    RationalFlag, _subspace_contained, flag_equivalent, respects_flag,
+    RationalFlag, flag_equivalent, flag_from_members, respects_flag,
 )
 from .lattice import (
     GramForm, GroupSpec, VectorConfig, _char_pairings, canonical_config,
-    canonical_vector, config_equiv, config_rank, config_spans,
+    canonical_vector, config_equiv, config_spans, config_stabilizer,
     minimal_vectors, normalize, vectors_below,
 )
-from .retraction import (
-    ScalingVector, _qf, orthant_bound, retract, scale_along_flag,
-)
+from .retraction import _qf
 
 
 class NotSpanning(ValueError):
@@ -418,15 +420,31 @@ class Incidence:
 
 
 @dataclass(frozen=True)
+class Face:
+    """A face of an orbit representative, located in the complex."""
+
+    config: VectorConfig
+    dim: int
+    orbit: int          # orbit id of the face
+    via: IntMatrix      # group element with via(+-config) = +-rep config
+
+
+@dataclass(frozen=True)
 class OrbitComplex:
-    """Orbit representatives, their codimension-1 incidences, and the
-    index that found them, which `locate` reuses."""
+    """Orbit representatives, their codimension-1 incidences, the index
+    that `locate` reads, and for each representative its located faces
+    and its stabilizer in the group (in Gamma_F for a flag subcomplex)."""
 
     group: GroupSpec
     cells: tuple[OrbitCell, ...]
     incidences: tuple[Incidence, ...]
     constraint: Optional[RationalFlag]
     index: _OrbitIndex = field(compare=False, repr=False)
+    faces: tuple[tuple[Face, ...], ...] = field(compare=False, repr=False)
+    stabilizers: tuple[tuple[IntMatrix, ...], ...] = field(compare=False,
+                                                          repr=False)
+    _closures: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     def by_dim(self) -> dict[int, list[OrbitCell]]:
         out: dict[int, list[OrbitCell]] = {}
@@ -448,6 +466,32 @@ class OrbitComplex:
         if hit is None:
             raise KeyError(f"cell not found in complex: {config}")
         return hit
+
+    def closure(self, oid: int) -> dict[VectorConfig,
+                                        tuple[int, int, IntMatrix]]:
+        """The closure of representative oid, located: config -> (dim,
+        orbit id, u) with u carrying the config onto the representative.
+
+        The faces of g.s are g.(faces of s), so the closure is carried
+        over from the representatives: a face located as (fid, via) has
+        the closure via^-1.closure(rep_fid).  A closed cell is a ball, so
+        the alternating count of its cells must be 1."""
+        if oid in self._closures:
+            return self._closures[oid]
+        rep = self.cells[oid].cell
+        closure = {rep.config: (rep.dim, oid, int_identity(self.group.n))}
+        for face in self.faces[oid]:
+            back = int_inverse(face.via)
+            for config, (dim, cid, u) in self.closure(face.orbit).items():
+                moved = canonical_config(tuple(int_matvec(back, v))
+                                         for v in config)
+                if moved not in closure:
+                    closure[moved] = (dim, cid, int_matmul(u, face.via))
+        if sum((-1) ** dim for dim, _, _ in closure.values()) != 1:
+            raise CertificateError(
+                "cell closure has Euler characteristic != 1")
+        self._closures[oid] = closure
+        return closure
 
     def to_json(self) -> dict:
         data = {
@@ -480,7 +524,8 @@ class _OrbitIndex:
     """Orbit representatives bucketed by dimension and `_orbit_key`.  A
     configuration is located by the equivalence search against the
     representatives in its bucket only; hits are remembered by
-    configuration (misses are not, since the walk adds orbits later)."""
+    configuration (misses are not, since the walk adds orbits later).  A
+    derived flag subcomplex fills the hits in advance."""
 
     def __init__(self, group: GroupSpec, constraint: Optional[RationalFlag]):
         self.group = group
@@ -513,6 +558,33 @@ class _OrbitIndex:
         return oid
 
 
+def _orbit_complex(index: _OrbitIndex,
+                   incidences: Optional[Sequence[Incidence]] = None
+                   ) -> OrbitComplex:
+    """The complex of the orbits in the index.  Each representative
+    carries its faces (`cell_faces`), located through the index, and its
+    stabilizer (`config_stabilizer`); the incidences default to the
+    faces of codimension 1."""
+    faces = []
+    for oc in index.orbits:
+        located = []
+        for f in cell_faces(oc.cell):
+            hit = index.locate(f.config, f.dim)
+            if hit is None:
+                raise KeyError(f"cell not found in complex: {f.config}")
+            located.append(Face(f.config, f.dim, *hit))
+        faces.append(tuple(located))
+    if incidences is None:
+        incidences = [Incidence(oid, f.orbit, f.via)
+                      for oid, located in enumerate(faces) for f in located
+                      if f.dim == index.orbits[oid].cell.dim - 1]
+    stabilizers = tuple(config_stabilizer(oc.cell.config, index.group,
+                                          flag=index.constraint).elements
+                        for oc in index.orbits)
+    return OrbitComplex(index.group, tuple(index.orbits), tuple(incidences),
+                        index.constraint, index, tuple(faces), stabilizers)
+
+
 def _seed_shift(group: GroupSpec) -> IntMatrix:
     """A nontrivial group element used by the reseeded enumeration."""
     n = group.n
@@ -523,44 +595,26 @@ def _seed_shift(group: GroupSpec) -> IntMatrix:
 
 
 def enumerate_complex(group: GroupSpec, seed: Cell,
-                      constraint: Optional[RationalFlag] = None,
                       variant: int = 0) -> OrbitComplex:
     """BFS over the face/coface graph from a seed cell, canonicalizing
-    orbits; complete because the retract (or a flag subcomplex) is
-    connected and the walk descends to the orbit graph."""
-    index = _OrbitIndex(group, constraint)
+    orbits; complete because the retract is connected and the walk
+    descends to the orbit graph."""
+    index = _OrbitIndex(group, None)
     if variant:
         shift = _seed_shift(group)
-        moved = canonical_config(tuple(int_matvec(shift, v))
-                                 for v in seed.config)
-        if constraint is None or respects_flag(moved, constraint):
-            seed = cell_from_config(moved)
+        seed = cell_from_config(canonical_config(
+            tuple(int_matvec(shift, v)) for v in seed.config))
     index.add(seed)
     queue = [0]
-    incidences: list[Incidence] = []
     while queue:
-        oid = queue.pop(0)
-        rep = index.orbits[oid].cell
-        faces = cell_faces(rep)
-        cofaces = cell_cofaces(rep)
-        if constraint is not None:
-            for f in faces:
-                if not respects_flag(f.config, constraint):
-                    raise CertificateError("face left the flag subcomplex")
-            cofaces = [c for c in cofaces
-                       if respects_flag(c.config, constraint)]
-        neighbors = faces + cofaces
+        rep = index.orbits[queue.pop(0)].cell
+        neighbors = cell_faces(rep) + cell_cofaces(rep)
         if variant:
             neighbors = list(reversed(neighbors))
         for nb in neighbors:
             if index.locate(nb.config, nb.dim) is None:
                 queue.append(index.add(nb))
-        for f in faces:
-            if f.dim == rep.dim - 1:
-                fid, via = index.locate(f.config, f.dim)
-                incidences.append(Incidence(oid, fid, via))
-    return OrbitComplex(group, tuple(index.orbits), tuple(incidences),
-                        constraint, index)
+    return _orbit_complex(index)
 
 
 def enumerate_W(group: GroupSpec, experimental_n4: bool = False,
@@ -574,7 +628,7 @@ def enumerate_W(group: GroupSpec, experimental_n4: bool = False,
     seed = cell_from_config(minimal_vectors(seed_form).vectors)
     if seed.dim != 0:
         raise CertificateError("seed configuration is not a 0-cell")
-    return enumerate_complex(group, seed, None, variant)
+    return enumerate_complex(group, seed, variant)
 
 
 def expected_top_dim(n: int) -> int:
@@ -586,59 +640,175 @@ def expected_top_dim(n: int) -> int:
 # Flags respected by cells; flag subcomplexes
 # ---------------------------------------------------------------------------
 
+Flats = dict[int, list[frozenset[int]]]
+FlatFlag = tuple[frozenset[int], ...]
+
+
+def _flats(config: VectorConfig) -> Flats:
+    """The proper subspaces spanned by vectors of the configuration, by
+    dimension k = 1, ..., n-1: each as its flat, the set of indices of
+    the configuration vectors inside it.  One flat contains another
+    exactly when its subspace does."""
+    n = len(config[0])
+    out: Flats = {}
+    for k in range(1, n):
+        found: list[frozenset[int]] = []
+        for sub in combinations(range(len(config)), k):
+            if any(flat.issuperset(sub) for flat in found):
+                continue
+            span = Echelon(QQ)
+            if all(span.add(config[i]) for i in sub):
+                found.append(frozenset(j for j, v in enumerate(config)
+                                       if span.spans(v)))
+        out[k] = sorted(found, key=sorted)
+    return out
+
+
+def _flat_flags(flats: Flats, dims: Sequence[int]) -> list[FlatFlag]:
+    """The flags of the given dimension type made of flats."""
+    chains: list[FlatFlag] = [()]
+    for d in dims:
+        chains = [c + (x,) for c in chains for x in flats[d]
+                  if not c or c[-1] < x]
+    return chains
+
+
+def _rational_flag(config: VectorConfig, chain: FlatFlag) -> RationalFlag:
+    return flag_from_members(len(config[0]), [
+        int_transpose(tuple(config[i] for i in sorted(x))) for x in chain])
+
+
 def flags_respected_by(cell: Cell) -> list[RationalFlag]:
     """Every flag assembled from proper subspaces spanned by subsets of
     the configuration (each such span is automatically respected)."""
     n = cell.n
-    spans: set[IntMatrix] = set()
-    for k in range(1, n):
-        for sub in combinations(cell.config, k):
-            if config_rank(sub) == k:
-                spans.add(saturation(int_transpose(sub)))
-    members = sorted(spans, key=lambda m: (len(m[0]), m))
-    contains: dict[tuple[IntMatrix, IntMatrix], bool] = {}
-
-    def contained(a: IntMatrix, b: IntMatrix) -> bool:
-        if (a, b) not in contains:
-            contains[(a, b)] = _subspace_contained(a, b)
-        return contains[(a, b)]
-
-    flags: list[RationalFlag] = []
-
-    def grow(chain: list[IntMatrix], rest: list[IntMatrix]):
-        if chain:
-            flags.append(RationalFlag(n, tuple(chain)))
-        for i, m in enumerate(rest):
-            if not chain or (len(m[0]) > len(chain[-1][0])
-                             and contained(chain[-1], m)):
-                grow(chain + [m], rest[i + 1:])
-
-    grow([], members)
+    flats = _flats(cell.config)
+    flags = [_rational_flag(cell.config, chain)
+             for r in range(1, n) for dims in combinations(range(1, n), r)
+             for chain in _flat_flags(flats, dims)]
     flags.sort(key=lambda f: f.sort_key())
     return flags
 
 
-def wf_seed(group: GroupSpec, flag: RationalFlag) -> Cell:
-    """A cell of the flag subcomplex: push the identity form deep into
-    the orthant given by the flag's bound and retract."""
-    n = group.n
-    base = GramForm.identity(n)
-    ob = orthant_bound(base, flag)
-    s = ScalingVector.from_rho_sq(ob.t_sq)
-    moved = scale_along_flag(normalize(base), flag, s)
-    final = retract(moved).final_form
-    seed = cell_from_config(minimal_vectors(final).vectors)
-    if not respects_flag(seed.config, flag):
-        raise CertificateError("seed cell does not respect the flag")
-    return seed
+def _moved_cell(cell: Cell, g: IntMatrix) -> Cell:
+    """The cell g.cell: configuration and contacts moved by g, witness
+    A o g^-1, which takes the same values on the moved vectors."""
+    def moved(vectors):
+        return tuple(sorted(canonical_vector(int_matvec(g, v))
+                            for v in vectors))
+    return Cell(moved(cell.config), cell.dim,
+                cell.witness.transform(int_inverse(g)), cell.cert_bound,
+                moved(cell.contacts))
 
 
-def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag,
-                  variant: int = 0) -> OrbitComplex:
-    """Orbit cells of the flag subcomplex under the flag-preserving part
-    of the group: same walk, equivalence constrained to preserve the flag."""
-    seed = wf_seed(complex.group, flag)
-    return enumerate_complex(complex.group, seed, flag, variant)
+def _positions(u: IntMatrix, config: VectorConfig,
+               target: VectorConfig) -> list[int]:
+    """The index in target of the image under u of each vector of config."""
+    pos = {v: i for i, v in enumerate(target)}
+    return [pos[canonical_vector(int_matvec(u, v))] for v in config]
+
+
+def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
+    """The flag subcomplex W_F mod Gamma_F, derived from the orbit data
+    of W mod Gamma, with no LP and no equivalence search.
+
+    A cell g.s (s a representative of W) lies in W_F exactly when s
+    respects F' = g^-1.F, and every flag s respects is made of flats of
+    s.  So the orbits of W_F are the pairs (s, F'), with F' a flag of
+    flats of s that is Gamma-equivalent to F, taken up to the stabilizer
+    S of s, which permutes the flats.  For a pair, `flag_equivalent`
+    gives g with g.F' = F; the representative is g.s, its stabilizer
+    g (S cap Stab F') g^-1, and its faces are g.(faces of s): a face f
+    located in W as u.f = s_f lies in the orbit of the pair (s_f, u.F'),
+    by the element g_f t u g^-1, where t in S_f carries u.F' onto the
+    flag of that pair and g_f is its witness.  The index is filled with
+    the located closures of the representatives; any other cell is
+    located by the flag-constrained equivalence search."""
+    group = complex.group
+    flats = [_flats(oc.cell.config) for oc in complex.cells]
+    # per pair: (orbit id in W, flag of flats, g with g.F' = F, g^-1)
+    pairs: list[tuple[int, FlatFlag, IntMatrix, IntMatrix]] = []
+    stabilizers: list[tuple[IntMatrix, ...]] = []
+    # per orbit of W: flag of flats -> (pair id, t) with t in S carrying
+    # the flag onto the pair's; only flags equivalent to F are present
+    where: list[dict[FlatFlag, tuple[int, IntMatrix]]] = []
+    # the flags of neighboring representatives often share their vectors
+    witnesses: dict[tuple[frozenset[IntVector], ...], Optional[IntMatrix]] = {}
+    for oc, cell_flats in zip(complex.cells, flats):
+        config = oc.cell.config
+        perms = [(s, _positions(s, config, config))
+                 for s in complex.stabilizers[oc.id]]
+        done: set[FlatFlag] = set()
+        located: dict[FlatFlag, tuple[int, IntMatrix]] = {}
+        for chain in _flat_flags(cell_flats, flag.dims):
+            if chain in done:
+                continue
+            images = [(s, tuple(frozenset(perm[i] for i in x)
+                                for x in chain)) for s, perm in perms]
+            orbit: dict[FlatFlag, IntMatrix] = {}
+            for s, image in images:
+                orbit.setdefault(image, s)
+            done.update(orbit)
+            key = tuple(frozenset(config[i] for i in x) for x in chain)
+            if key not in witnesses:
+                witnesses[key] = flag_equivalent(_rational_flag(config, chain),
+                                                 flag, group)
+            g = witnesses[key]
+            if g is None:
+                continue
+            for image, s in orbit.items():
+                located[image] = (len(pairs), int_inverse(s))
+            g_inv = int_inverse(g)
+            stabilizers.append(tuple(sorted(
+                int_matmul(int_matmul(g, s), g_inv)
+                for s, image in images if image == chain)))
+            pairs.append((oc.id, chain, g, g_inv))
+        where.append(located)
+
+    cells = []
+    for oid, _, g, _ in pairs:
+        cell = _moved_cell(complex.cells[oid].cell, g)
+        if not respects_flag(cell.config, flag):
+            raise CertificateError("derived cell does not respect the flag")
+        cells.append(cell)
+    faces = []
+    incidences = []
+    for pid, (oid, chain, g, g_inv) in enumerate(pairs):
+        config = complex.cells[oid].cell.config
+        located_faces = []
+        for face in complex.faces[oid]:
+            perm = _positions(face.via, config,
+                              complex.cells[face.orbit].cell.config)
+            # u.F' in flats of s_f: for each member, the flat of its
+            # dimension that holds the images of the member's vectors
+            image = tuple(next(y for y in flats[face.orbit][d]
+                               if y.issuperset(perm[i] for i in x))
+                          for d, x in zip(flag.dims, chain))
+            hit = where[face.orbit].get(image)
+            if hit is None:
+                raise CertificateError("face of a W_F cell leaves W_F")
+            qid, t = hit
+            via = int_matmul(int_matmul(int_matmul(pairs[qid][2], t),
+                                        face.via), g_inv)
+            moved = canonical_config(tuple(int_matvec(g, v))
+                                     for v in face.config)
+            if canonical_config(tuple(int_matvec(via, v))
+                                for v in moved) != cells[qid].config:
+                raise CertificateError("derived face is located wrongly")
+            located_faces.append(Face(moved, face.dim, qid, via))
+            if face.dim == cells[pid].dim - 1:
+                incidences.append(Incidence(pid, qid, via))
+        faces.append(tuple(located_faces))
+
+    index = _OrbitIndex(group, flag)
+    for cell in cells:
+        index.add(cell)
+    wf = OrbitComplex(group, tuple(index.orbits), tuple(incidences), flag,
+                      index, tuple(faces), tuple(stabilizers))
+    for oid in range(len(cells)):
+        for config, (_, cid, u) in wf.closure(oid).items():
+            index._hits.setdefault(config, (cid, u))
+    return wf
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .boundary import (
     spectral_sequence, total_cohomology,
 )
 from .cells import (
-    Incidence, OrbitComplex, _OrbitIndex, cell_from_config, enumerate_W,
-    is_small_enough, subcomplex_WF,
+    Incidence, OrbitComplex, _OrbitIndex, _orbit_complex, cell_from_config,
+    enumerate_W, is_small_enough, subcomplex_WF,
 )
 from .exactla import CertificateError, format_rational, parse_rational
 from .flags import RationalFlag, flag_orbits
@@ -101,7 +101,8 @@ def complex_from_json(data: dict) -> OrbitComplex:
     constraint flag must live in the group's dimension, and no two cells
     may lie in one orbit; an incidence must join two of the cells, the
     face one dimension lower, by an element of the group.  The orbit
-    index is rebuilt by adding the cells in id order."""
+    index is rebuilt by adding the cells in id order, and each cell's
+    faces and stabilizer are computed again."""
     group = GroupSpec.from_json(data["group"])
     constraint = None
     if "constraint" in data:
@@ -141,8 +142,7 @@ def complex_from_json(data: dict) -> OrbitComplex:
             raise ValueError(f"incidence {inc.cell} -> {inc.face} has a "
                              "via that is not in the group")
         incidences.append(inc)
-    return OrbitComplex(group, tuple(index.orbits), tuple(incidences),
-                        constraint, index)
+    return _orbit_complex(index, incidences)
 
 
 # ---------------------------------------------------------------------------

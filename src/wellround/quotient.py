@@ -8,10 +8,12 @@ the element carrying it onto the representative come from the orbit
 complex's own index (`OrbitComplex.locate`).  Chains are moved through
 image tables, one per group element, so a configuration is canonicalised
 once per element that moves it, however many chains it lies in.  The
-chains run through cell closures, which are carried over from the orbit
-representatives: the faces of g.s are g.(faces of s), so only a
-representative's faces are computed, and `enumerate_complex` has already
-computed them; the quotient solves no LP of its own.  An element
+chains run through cell closures, which the orbit complex carries over
+from its representatives (`OrbitComplex.closure`), and the stabilizers
+are the complex's too: the quotient computes no face, solves no LP and
+searches no stabilizer of its own.  Those stabilizers are checked by
+Gauss-Bonnet: the orbifold Euler characteristic of the quotient must be
+that of the group (0 for a flag subcomplex).  An element
 stabilizing a chain fixes each member (their dimensions differ), so it
 fixes the simplex pointwise: simplices never fold onto themselves, and
 this one subdivision computes the homology of the quotient space with
@@ -25,15 +27,16 @@ fraction-free `exactla.Echelon`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cells import OrbitComplex, cell_faces
+from .cells import OrbitComplex
 from .exactla import (
     CertificateError, Echelon, IntMatrix, PrimeField, QQ, SparseRows,
-    dense_view, int_inverse, int_matvec, snf, sparse_matmul, sparse_transpose,
+    dense_view, int_matvec, snf, sparse_matmul, sparse_transpose,
 )
-from .flags import RationalFlag
-from .lattice import VectorConfig, canonical_config, config_stabilizer
+from .flags import RationalFlag, _prime_factors, congruence_image_elements
+from .lattice import GroupSpec, VectorConfig, canonical_config
 
 Chain = tuple[VectorConfig, ...]  # cell configs, dimension-increasing
 
@@ -91,7 +94,8 @@ class _ChainIndexer:
     """Canonical chains under the group action, and the simplex orbit of
     a chain: its top cell is located through the orbit complex's index,
     the chain is moved so that the top cell is the representative, and
-    the top cell's stabilizer picks the least image.
+    the top cell's stabilizer, which the complex carries, picks the least
+    image.
 
     Every move reads an image table: per group element u, configuration
     -> canonical image of the configuration under u, filled on first
@@ -102,19 +106,9 @@ class _ChainIndexer:
 
     def __init__(self, complex: OrbitComplex):
         self.complex = complex
-        self.group = complex.group
-        self.constraint = complex.constraint
-        self._stab: dict[int, tuple[IntMatrix, ...]] = {}
         self._images: dict[IntMatrix, dict[VectorConfig, VectorConfig]] = {}
         self._configs: dict[VectorConfig, VectorConfig] = {}
         self.ids: dict[Chain, tuple[int, int]] = {}
-
-    def stabilizer(self, oid: int) -> tuple[IntMatrix, ...]:
-        if oid not in self._stab:
-            rep = self.complex.cell_by_id(oid)
-            self._stab[oid] = config_stabilizer(
-                rep.config, self.group, flag=self.constraint).elements
-        return self._stab[oid]
 
     def move(self, u: IntMatrix, chain: Chain) -> Chain:
         """The chain moved by u, each member through u's image table."""
@@ -132,7 +126,8 @@ class _ChainIndexer:
         return tuple(moved)
 
     def canonical_chain(self, oid: int, chain: Chain) -> Chain:
-        return min(self.move(g, chain) for g in self.stabilizer(oid))
+        return min(self.move(g, chain)
+                   for g in self.complex.stabilizers[oid])
 
     def locate(self, chain: Chain,
                twist: Optional[IntMatrix] = None) -> tuple[int, int]:
@@ -144,38 +139,9 @@ class _ChainIndexer:
         return self.ids[self.canonical_chain(oid, moved)]
 
 
-def _closure(complex: OrbitComplex, oid: int,
-             memo: dict[int, dict[VectorConfig, int]]) -> dict[VectorConfig, int]:
-    """The closure of orbit representative oid, config -> dimension.
-
-    The faces of g.s are g.(faces of s), so the closure is carried over
-    from the representatives: a face f of the representative lies in the
-    complex, `locate` gives (fid, u) with u.f = rep_fid, and the closure of
-    f is u^-1.closure(rep_fid).  Only representatives reach `cell_faces`,
-    whose faces `enumerate_complex` has already computed.  A closed cell is
-    a ball, so the alternating count of its cells must be 1."""
-    if oid in memo:
-        return memo[oid]
-    rep = complex.cell_by_id(oid)
-    closure = {rep.config: rep.dim}
-    for f in cell_faces(rep):
-        fid, u = complex.locate(f.config)
-        back = int_inverse(u)
-        for config, dim in _closure(complex, fid, memo).items():
-            closure[canonical_config(tuple(int_matvec(back, v))
-                                     for v in config)] = dim
-    if sum((-1) ** dim for dim in closure.values()) != 1:
-        raise CertificateError("cell closure has Euler characteristic != 1")
-    memo[oid] = closure
-    return closure
-
-
-def _closure_configs(complex: OrbitComplex, oid: int,
-                     memo: Optional[dict[int, dict[VectorConfig, int]]] = None
-                     ) -> list[VectorConfig]:
-    """The configs of the closure of orbit representative oid, sorted;
-    memo holds the closures of one complex across calls."""
-    return sorted(_closure(complex, oid, {} if memo is None else memo))
+def _closure_configs(complex: OrbitComplex, oid: int) -> list[VectorConfig]:
+    """The configs of the closure of orbit representative oid, sorted."""
+    return sorted(complex.closure(oid))
 
 
 def _enumerate_chains(poset: Sequence[VectorConfig], top: VectorConfig):
@@ -199,12 +165,12 @@ def _enumerate_chains(poset: Sequence[VectorConfig], top: VectorConfig):
 
 def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
     """The quotient of the first barycentric subdivision by the group."""
+    _check_gauss_bonnet(complex)
     indexer = _ChainIndexer(complex)
     by_dim: dict[int, list[SimplexOrbit]] = {}
     seen: set[Chain] = set()
-    closures: dict[int, dict[VectorConfig, int]] = {}
     for oc in complex.cells:
-        closure = _closure_configs(complex, oc.id, closures)
+        closure = _closure_configs(complex, oc.id)
         for chain in _enumerate_chains(closure, oc.cell.config):
             canon = indexer.canonical_chain(oc.id, chain)
             if canon in seen:
@@ -235,6 +201,42 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
                          simplices, tuple(boundaries), indexer)
     _check_boundary_squares_to_zero(qc)
     return qc
+
+
+def group_euler_characteristic(group: GroupSpec) -> Fraction:
+    """chi(Gamma) = [SL_n(Z) : Gamma cap SL_n(Z)] chi(SL_n(Z)), halved
+    for GL_n(Z), with chi(SL_2(Z)) = -1/12 and chi(SL_n(Z)) = 0 for
+    n >= 3 (Harder).  The index of a congruence group of level N is
+    |SL_n(Z/N)| over the order of its image there."""
+    n = group.n
+    chi = Fraction(-1, 12) if n == 2 else Fraction(0)
+    if group.family == "gl":
+        return chi / 2
+    if group.is_congruence:
+        level = group.level
+        order = Fraction(level ** (n * n - 1))
+        for p in _prime_factors(level):
+            for k in range(2, n + 1):
+                order *= 1 - Fraction(1, p ** k)
+        chi *= order / len(congruence_image_elements(group))
+    return chi
+
+
+def orbifold_euler_characteristic(complex: OrbitComplex) -> Fraction:
+    """The sum over orbit cells of (-1)^dim / |stabilizer|."""
+    return sum((Fraction((-1) ** oc.cell.dim, len(complex.stabilizers[oc.id]))
+                for oc in complex.cells), Fraction(0))
+
+
+def _check_gauss_bonnet(complex: OrbitComplex):
+    """Gauss-Bonnet: the orbifold Euler characteristic of the quotient is
+    chi(Gamma) for W, and 0 for a flag subcomplex W_F (Gamma_F has a
+    normal unipotent subgroup of infinite order)."""
+    total = orbifold_euler_characteristic(complex)
+    want = (Fraction(0) if complex.constraint is not None
+            else group_euler_characteristic(complex.group))
+    if total != want:
+        raise CertificateError(f"Gauss-Bonnet sum {total} != {want}")
 
 
 def _check_boundary_squares_to_zero(qc: QuotientComplex):

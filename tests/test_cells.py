@@ -6,7 +6,7 @@ import pytest
 from wellround.cells import (
     DimensionUnsupported, Infeasible, NotSpanning, cell_cofaces, cell_faces,
     cell_from_config, enumerate_W, expected_top_dim, flags_respected_by,
-    is_small_enough, respects_flag, root_form, subcomplex_WF, wf_seed,
+    is_small_enough, respects_flag, root_form, subcomplex_WF,
 )
 from wellround.flags import flag_from_members, standard_flag
 from wellround.lattice import (
@@ -166,11 +166,6 @@ def test_flags_respected_by_edge_and_vertex():
     assert any(len(f.members) == 2 for f in fls3)
     assert any(f.dims == (1,) for f in fls3)
     assert any(f.dims == (2,) for f in fls3)
-
-
-def test_wf_seed_respects():
-    seed = wf_seed(GroupSpec(2, "sl"), standard_flag(2, (1,)))
-    assert respects_flag(seed.config, standard_flag(2, (1,)))
 
 
 def test_subcomplex_wf_sl2_circle_counts():

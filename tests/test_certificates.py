@@ -9,6 +9,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import wellround
 
 SRC = str(Path(wellround.__file__).resolve().parent.parent)
@@ -125,16 +127,16 @@ def test_total_certificate_raised_under_optimize():
         "error": "CertificateError: total differential fails D*D=0"}
 
 
-# `cell_faces` as the quotient sees it drops the last face of every cell,
-# so the closure of an edge of the n = 2 complex keeps one of its two
-# vertices and has Euler characteristic 0.
+# `cell_faces` as the complex loader sees it drops the last face of every
+# cell, so the closure of an edge of the n = 2 complex keeps one of its
+# two vertices and has Euler characteristic 0.
 CLOSURE_SCRIPT = textwrap.dedent("""
     import json, sys
-    import wellround.quotient as quotient
+    import wellround.cells as cells
     from wellround.cli import run
 
-    real = quotient.cell_faces
-    quotient.cell_faces = lambda cell: real(cell)[:-1]
+    real = cells.cell_faces
+    cells.cell_faces = lambda cell: real(cell)[:-1]
     code = run(["homology", "--complex", sys.argv[1]])
     print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
 """)
@@ -146,6 +148,43 @@ def test_closure_certificate_raised_under_optimize():
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line) == {
         "error": "CertificateError: cell closure has Euler characteristic != 1"}
+
+
+# The Gauss-Bonnet check sees the complex with its last orbit cell
+# dropped, or with the stabilizer of its first representative counted
+# twice, so the sum of (-1)^dim / |stabilizer| over the orbit cells moves
+# off the Euler characteristic of the group (of W) or off 0 (of W_F).
+GAUSS_BONNET_SCRIPT = textwrap.dedent("""
+    import dataclasses, json, sys
+    import wellround.quotient as quotient
+    from wellround.cli import run
+
+    real = quotient._check_gauss_bonnet
+
+    def corrupted(cx):
+        if sys.argv[2] == "drop-orbit":
+            cx = dataclasses.replace(cx, cells=cx.cells[:-1])
+        else:
+            stabs = (cx.stabilizers[0] * 2,) + cx.stabilizers[1:]
+            cx = dataclasses.replace(cx, stabilizers=stabs)
+        real(cx)
+
+    quotient._check_gauss_bonnet = corrupted
+    code = run(["homology", "--complex", sys.argv[1]])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+@pytest.mark.parametrize("mutant", ["drop-orbit", "double-stabilizer"])
+@pytest.mark.parametrize("fixture", ["cells_enumerate_gamma0_11.json",
+                                     "cells_wf_sl_3_line.json"])
+def test_gauss_bonnet_certificate_raised_under_optimize(fixture, mutant):
+    cx = GOLDEN / fixture
+    cli_line, result_line = _run_optimized(GAUSS_BONNET_SCRIPT, str(cx),
+                                           mutant)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line)["error"].startswith(
+        "CertificateError: Gauss-Bonnet sum ")
 
 
 # Every pivot of the integer simplex raises the last entry of the last

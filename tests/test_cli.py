@@ -303,6 +303,14 @@ def _add_cell_n3(data):
                           "config": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]})
 
 
+def _drop_vertex(data):
+    # a vertex orbit is missing, so the faces of the edges miss it too
+    cells = [c for c in data["cells"] if c["dim"] == 1] + \
+        [c for c in data["cells"] if c["dim"] == 0][1:]
+    data["cells"] = [dict(c, id=i) for i, c in enumerate(cells)]
+    del data["incidences"]
+
+
 def _set_dim(data):
     data["cells"][0]["dim"] = 5
 
@@ -325,14 +333,15 @@ def _reverse_incidence(data):
     (_add_translate, "cells 1 and 4 lie in one orbit"),
     (_constrain_n3, "constraint flag has n = 3"),
     (_add_cell_n3, "cell 4 has n = 3"),
+    (_drop_vertex, "cell not found in complex"),
     (_set_dim, "cell 0 has dim 5, its config spans a 0-cell"),
     (_set_incidence("cell", 99), "names a cell outside 0, ..., 3"),
     (_set_incidence("face", -5), "names a cell outside 0, ..., 3"),
     (_reverse_incidence, "joins dims 0 and 1"),
     (_set_incidence("via", [[7, 0], [0, 7]]), "via that is not in the group"),
 ], ids=["id-gap", "id-negative", "id-repeated", "orbit-repeated",
-        "constraint-n", "cell-n", "cell-dim", "incidence-cell",
-        "incidence-face", "incidence-dims", "incidence-via"])
+        "constraint-n", "cell-n", "orbit-missing", "cell-dim",
+        "incidence-cell", "incidence-face", "incidence-dims", "incidence-via"])
 def test_inconsistent_complex_is_json_error(tmp_path, capsys, edit, message):
     data = _gamma0_3_complex()
     edit(data)

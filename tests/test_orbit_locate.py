@@ -2,8 +2,13 @@
 same dimension.  The scan is the lookup quotients used before they read
 the complex's own bucketed index, kept here only as the oracle: for
 every configuration in the closure of every orbit cell, and for its
-translate by a group element, both must give the same orbit and the
-same witness, also on a second (remembered) lookup."""
+translate by a group element, both must give the same orbit, also on a
+second (remembered) lookup.  The witness must lie in the group, keep
+the flag of a flag subcomplex and carry the configuration onto the
+representative.  Where the index found it by the same search (W, whose
+index the walk fills), it is the scan's witness; a derived W_F's index
+is filled with the located closures of its representatives instead,
+whose witnesses are products along the faces."""
 
 import pytest
 
@@ -11,7 +16,7 @@ from wellround.cells import (
     _seed_shift, cell_dimension, enumerate_W, subcomplex_WF,
 )
 from wellround.exactla import int_matvec
-from wellround.flags import standard_flag
+from wellround.flags import in_parabolic, standard_flag
 from wellround.lattice import GroupSpec, canonical_config, config_equiv
 from wellround.quotient import _closure_configs
 
@@ -55,8 +60,17 @@ def test_locate_matches_linear_scan(name):
                                      for v in config)
             for c in (config, moved):
                 want = _scan(complex, c)
-                assert complex.locate(c) == want
-                assert complex.locate(c) == want
+                got = complex.locate(c)
+                assert got[0] == want[0]
+                assert complex.locate(c) == got
+                oid, u = got
+                assert complex.group.contains(u)
+                assert complex.constraint is None or \
+                    in_parabolic(u, complex.constraint)
+                assert canonical_config(tuple(int_matvec(u, v)) for v in c) \
+                    == complex.cell_by_id(oid).config
+                if complex.constraint is None:
+                    assert got == want
                 checked += 1
     assert checked >= 2 * len(complex.cells)
 

@@ -4,11 +4,12 @@ import pytest
 
 from dense_assembly import dense
 from wellround.cells import enumerate_W, subcomplex_WF
-from wellround.flags import flag_orbits, standard_flag
+from wellround.flags import flag_orbits, flag_types, standard_flag
 from wellround.lattice import GroupSpec
 from wellround.quotient import (
     IncompatibleComplexes, QuotientComplex, SimplexOrbit,
-    barycentric_quotient, cohomology, homology, induced_map, parse_coeff,
+    barycentric_quotient, cohomology, group_euler_characteristic, homology,
+    induced_map, orbifold_euler_characteristic, parse_coeff,
 )
 
 
@@ -202,3 +203,27 @@ def test_induced_map_needs_a_chain_index():
         induced_map(qc, qc)
     with pytest.raises(IncompatibleComplexes, match="no chain index"):
         qc.locate(qc.simplices[0][0].chain)
+
+
+@pytest.mark.parametrize("group, chi", [
+    (GroupSpec(2, "sl"), Fraction(-1, 12)),
+    (GroupSpec(2, "gl"), Fraction(-1, 24)),
+    (GroupSpec(3, "sl"), 0),
+    (GroupSpec(2, "gamma0", 11), -1),
+    (GroupSpec(2, "gamma0", 6), -1),
+    (GroupSpec(2, "gamma", 3), -2),
+], ids=["SL_2", "GL_2", "SL_3", "Gamma_0(11)", "Gamma_0(6)", "Gamma(3)"])
+def test_gauss_bonnet_sums(group, chi):
+    # the sum of (-1)^dim / |stabilizer| over the orbit cells is
+    # [SL_n(Z) : Gamma] chi(SL_n(Z)) on W (halved for GL), and 0 on every
+    # flag subcomplex; the index of Gamma(3) is |SL_2(Z/3)| = 24 and it
+    # does not contain -I, which Gamma_0(N) does
+    cx = enumerate_W(group)
+    assert group_euler_characteristic(group) == chi
+    assert orbifold_euler_characteristic(cx) == chi
+    n = group.n
+    for p in range(n - 1):
+        for dims in flag_types(n, p + 2):
+            for flag in flag_orbits(group, dims).reps:
+                wf = subcomplex_WF(cx, flag)
+                assert orbifold_euler_characteristic(wf) == 0
