@@ -90,8 +90,12 @@ class RationalFlag:
     @staticmethod
     def from_json(data: dict) -> "RationalFlag":
         n = int(data["n"])
-        return flag_from_members(
-            n, [int_matrix(m) for m in data["members"]])
+        members = [int_matrix(m) for m in data["members"]]
+        if not members:
+            raise ValueError("a flag needs at least one proper member")
+        if any(not any(x for row in m for x in row) for m in members):
+            raise ValueError("members must be proper nonzero subspaces")
+        return flag_from_members(n, members)
 
 
 def _subspace_contained(small: IntMatrix, big: IntMatrix) -> bool:

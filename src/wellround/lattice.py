@@ -3,7 +3,8 @@
 A point of the symmetric space is a rational symmetric positive-definite
 Gram matrix up to positive scaling.  This module provides exact
 shortest-vector enumeration (Fincke-Pohst driven by the fraction-free
-LDL^T factorization, walking integer budgets), the arithmetic minimum
+LDL^T factorization, walking integer budgets over half the ellipsoid,
+one vector of each pair +-v), the arithmetic minimum
 and minimal vectors, well-roundedness, homothety normalization, and
 equivalence / stabilizer searches for vector configurations under
 GL_n(Z), SL_n(Z) and congruence subgroups.
@@ -186,7 +187,12 @@ def _enumerate_values(a: GramForm, bound: Fraction | int) -> list[tuple[IntVecto
     the search walks an integer budget, floor(bound D T).  At each level
     the scan starts at the integer nearest the centre -N_i / Delta_{i+1}
     and goes up, then down, each until the contribution exceeds what is
-    left; no square roots and no Fractions are needed."""
+    left; no square roots and no Fractions are needed.
+
+    The walk covers half the ellipsoid, one vector of each pair +-v:
+    while every coordinate above level i is 0 the centre there is 0, and
+    only v_i >= 0 is scanned.  So each leaf has its last nonzero entry
+    positive, and is flipped once by `canonical_vector`."""
     n = a.n
     rows, minors = a.ldl
     if bound <= 0:
@@ -198,11 +204,11 @@ def _enumerate_values(a: GramForm, bound: Fraction | int) -> list[tuple[IntVecto
     out: list[tuple[IntVector, int]] = []
     v = [0] * n
 
-    def descend(i: int, remaining: int):
+    def descend(i: int, remaining: int, half: bool):
+        # half: every coordinate above level i is 0
         if i < 0:
-            vec = tuple(v)
-            if any(vec):
-                out.append((canonical_vector(vec), (budget - remaining) // t))
+            if not half:
+                out.append((canonical_vector(v), (budget - remaining) // t))
             return
         row = rows[i]
         piv = minors[i]
@@ -217,21 +223,23 @@ def _enumerate_values(a: GramForm, bound: Fraction | int) -> list[tuple[IntVecto
             if cost > remaining:
                 break
             v[i] = m
-            descend(i - 1, remaining - cost)
+            descend(i - 1, remaining - cost, half and m == 0)
             m += 1
-        m = m0 - 1
-        while True:
-            x = piv * m + s
-            cost = w * x * x
-            if cost > remaining:
-                break
-            v[i] = m
-            descend(i - 1, remaining - cost)
-            m -= 1
+        if not half:
+            m = m0 - 1
+            while True:
+                x = piv * m + s
+                cost = w * x * x
+                if cost > remaining:
+                    break
+                v[i] = m
+                descend(i - 1, remaining - cost, False)
+                m -= 1
         v[i] = 0
 
-    descend(n - 1, budget)
-    return sorted(dict(out).items())
+    descend(n - 1, budget, True)
+    out.sort()
+    return out
 
 
 def vectors_below(a: GramForm, bound, raw: bool = False) -> VectorConfig:

@@ -10,13 +10,15 @@ computation stays in Q even though mu itself is irrational.
 Everything is computed from one integer split per member: for A = M/D
 with M integral and a member B, let G = B^T M B and E = D det G.  The
 A-orthogonal projector P onto span B has A P = S / E with the integer
-matrix S = (MB) adj(G) (MB)^T, so the parallel part of w is
-p = y^T adj(G) y / E with y = (MB)^T w.  Candidates are compared by
-integer numerators over E, a stage form is mu^2 A + (1 - mu^2) S / E,
-and block scalings telescope pi_j^T A pi_j = A P_j - A P_{j-1}.  Every
-form built here, stage forms and path points included, is handed to
-`GramForm` as an integer matrix and one denominator; Fractions are made
-only for the answer (stage factors, and the projectors of `flag_split`).
+matrix S = (MB) adj(G) (MB)^T, so w has the squared parallel and
+perpendicular parts p = P / E and q = Q / E, with the two integer
+quadratic forms P = w^T S w and Q = g w^T M w - P (g = det G).
+Candidates are compared by integer numerators over E, a stage form is
+mu^2 A + (1 - mu^2) S / E, and block scalings telescope
+pi_j^T A pi_j = A P_j - A P_{j-1}.  Every form built here, stage forms
+and path points included, is handed to `GramForm` as an integer matrix
+and one denominator; Fractions are made only for the answer (stage
+factors, and the projectors of `flag_split`).
 
 Block scalings along a flag realize the geodesic action on Gram
 matrices; the scaling vector stores the squared block factors a_j^2,
@@ -32,11 +34,10 @@ from typing import Optional, Sequence
 
 from .exactla import (
     CertificateError, IntMatrix, RatMatrix, int_adjugate, int_det,
-    int_identity, int_matmul, int_matvec, int_transpose, saturation,
+    int_identity, int_matmul, int_transpose, saturation,
 )
 from .flags import (
-    RationalFlag, _subspace_contained, complete_saturated, flag_from_members,
-    respects_flag,
+    RationalFlag, _subspace_contained, complete_saturated, respects_flag,
 )
 from .lattice import (
     GramForm, MinimaResult, canonical_config, config_spans, minimal_vectors,
@@ -80,13 +81,6 @@ class _Split:
         the vectors: C (g M - S) C^T for the matrix C with these rows."""
         return int_matmul(int_matmul(vectors, self.perp()),
                           int_transpose(vectors))
-
-    def parts(self, w: Sequence[int]) -> tuple[int, int]:
-        """(P, Q) with P/E and Q/E the squared parallel and perpendicular
-        parts of w."""
-        y = int_matvec(self.mbt, w)
-        par = sum(a * b for a, b in zip(y, int_matvec(self.adj, y)))
-        return par, self.g * _qf(self.m, w) - par
 
     def projector(self) -> tuple[IntMatrix, int]:
         """(N, g) with P = N / g: N = B adj(G) (MB)^T and g = det G."""
@@ -205,10 +199,15 @@ def _scale_at_member(a: GramForm, split: _Split, mu_sq: Fraction) -> GramForm:
 def _stopping(a: GramForm, member: IntMatrix,
               mins: MinimaResult) -> tuple[Fraction, tuple, GramForm]:
     """mu^2, the vectors that reach the minimum there and the rescaled
-    form, given the minima of a.  Candidates are ranked by the integer
-    numerators of (1 - p)/q = (E - P)/Q over the split's E.  Certified: a
-    complete enumeration below 1 under the rescaled form confirms that
-    its minima are the tight vectors and those of a, whose values stay."""
+    form, given the minima of a.  A vector w is scored by two integer
+    quadratic forms, P = w^T S w and Q = g w^T M w - P, its squared
+    parallel and perpendicular parts over the split's E; candidates are
+    ranked by the integer numerators of (1 - p)/q = (E - P)/Q.  The first
+    pass looks below 2, doubling until a candidate exists.  Certified: a
+    complete enumeration below 1 under the rescaled form, where w has
+    value (P + mu^2 Q)/E, confirms that its minima are the tight vectors
+    and those of a, whose values stay; so the answer does not depend on
+    the first pass's radius."""
     n = a.n
     d = len(member[0]) if member else 0
     if d >= n:
@@ -216,7 +215,11 @@ def _stopping(a: GramForm, member: IntMatrix,
     if mins.min_sq != 1:
         raise ValueError("form must be normalized to minimum 1")
     split = _Split(a, member)
-    e = split.e
+    e, g, m, s = split.e, split.g, split.m, split.s
+
+    def parts(w) -> tuple[int, int]:
+        par = _qf(s, w)
+        return par, g * _qf(m, w) - par
 
     def ratio(par: int, perp: int) -> Optional[tuple[int, int]]:
         if perp == 0 or par >= e:
@@ -227,10 +230,10 @@ def _stopping(a: GramForm, member: IntMatrix,
         return best is None or r[0] * best[1] > best[0] * r[1]
 
     best = None
-    radius = Fraction(4)
+    radius = Fraction(2)
     while best is None:
         for w in vectors_below(a, radius):
-            r = ratio(*split.parts(w))
+            r = ratio(*parts(w))
             if r is not None and beats(r, best):
                 best = r
         radius *= 2
@@ -238,20 +241,22 @@ def _stopping(a: GramForm, member: IntMatrix,
             raise CertificateError("no stopping scale found")
     while True:
         mu_sq = Fraction(*best)
+        u, v = mu_sq.numerator, mu_sq.denominator
         scaled = _scale_at_member(a, split, mu_sq)
         tight = []
         violated = False
         for w in vectors_below(scaled, 1):
-            par, perp = split.parts(w)
+            par, perp = parts(w)
             if perp == 0:
                 continue
-            val = _qf(scaled.numer, w)
-            if val < scaled.denom:
+            # v E times the value (P + mu^2 Q)/E, against v E
+            val = v * par + u * perp
+            if val < v * e:
                 r = ratio(par, perp)
                 if r is not None and beats(r, best):
                     best = r
                     violated = True
-            elif val == scaled.denom:
+            elif val == v * e:
                 tight.append(w)
         if not violated:
             if not tight:
@@ -316,7 +321,8 @@ def retract(a: GramForm) -> RetractionTrace:
         if st.mu_sq != 1:
             proper.append(st.member)
             scale_factors.append(scale_factors[-1] * st.mu_sq)
-    irred = flag_from_members(n, proper) if proper else None
+    # the stage members are saturated, column-HNF and ordered by dimension
+    irred = RationalFlag(n, tuple(proper)) if proper else None
     if irred is not None:
         rebuilt = scale_along_flag(start, irred, ScalingVector.of(scale_factors))
         if rebuilt != final:

@@ -59,6 +59,34 @@ def test_certificate_raised_under_optimize(tmp_path):
         "error": "CertificateError: composite disagrees with block scaling"}
 
 
+# The certified enumeration of a stopping scale (the one below 1, under
+# the rescaled form) is made to find nothing, so no vector is tight there
+# and the stopping certificate must fire.
+STOPPING_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.retraction as retraction
+    from wellround.cli import run
+
+    real = retraction.vectors_below
+
+    def blind(a, bound):
+        return () if bound == 1 else real(a, bound)
+
+    retraction.vectors_below = blind
+    code = run(["retract", "--form", sys.argv[1]])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_stopping_certificate_raised_under_optimize(tmp_path):
+    form = tmp_path / "f.json"
+    form.write_text(json.dumps({"n": 2, "rows": [["1", "0"], ["0", "2"]]}))
+    cli_line, result_line = _run_optimized(STOPPING_SCRIPT, str(form))[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: stopping scale certification failed"}
+
+
 # Raise entry (i, j) of a matrix stored as sparse rows by 1, keeping the
 # format: nonzero values, columns ascending.
 RAISE_ENTRY = """

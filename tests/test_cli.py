@@ -161,6 +161,31 @@ def test_bound_dimension_mismatch_is_json_error(tmp_path, capsys, form_n,
     assert json.loads(out) == {"error": "ValueError: flag dimension mismatch"}
 
 
+@pytest.mark.parametrize("members, message", [
+    ([], "a flag needs at least one proper member"),
+    ([[[0], [0]]], "members must be proper nonzero subspaces"),
+    ([[[0, 0], [0, 0]]], "members must be proper nonzero subspaces"),
+    ([[[1], [0]], [[0], [0]]], "members must be proper nonzero subspaces"),
+], ids=["empty", "zero", "zero-2-columns", "zero-second"])
+@pytest.mark.parametrize("command", ["bound", "cells wf",
+                                     "boundary facemap"])
+def test_bad_flag_members_are_json_errors(tmp_path, capsys, members,
+                                          message, command):
+    # a flag without members, or with a zero member, is bad input: it is
+    # refused where the flag is loaded, not reported as a fault of the
+    # program's answer or answered with empty bounds
+    form = write_json(tmp_path, "f.json",
+                      {"n": 2, "rows": [["1", "0"], ["0", "2"]]})
+    flag = write_json(tmp_path, "F.json", {"n": 2, "members": members})
+    argv = {"bound": ["bound", "--form", form],
+            "cells wf": ["cells", "wf", "-n", "2", "--group", "sl"],
+            "boundary facemap": ["boundary", "facemap", "-n", "2",
+                                 "--group", "sl"]}[command]
+    code, out = invoke(capsys, *argv, "--flag", flag)
+    assert code == 1
+    assert json.loads(out) == {"error": f"bad flag: {message}"}
+
+
 def test_missing_input_is_domain_error(capsys):
     code, out = invoke(capsys, "retract", "--form", "/nonexistent/f.json")
     assert code == 1

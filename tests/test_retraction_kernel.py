@@ -29,11 +29,13 @@ from wellround.exactla import (
 )
 from wellround.flags import standard_flag
 from wellround.lattice import (
-    GramForm, canonical_config, canonical_vector, config_spans,
-    is_primitive, minimal_vectors, normalize, vectors_below,
+    GramForm, _enumerate_values, canonical_config, canonical_vector,
+    config_rank, config_spans, is_primitive, minimal_vectors, normalize,
+    vectors_below,
 )
 from wellround.retraction import (
-    ScalingVector, flag_split, retract, scale_along_flag, stopping_mu,
+    ScalingVector, _qf, _Split, flag_split, retract, scale_along_flag,
+    stopping_mu,
 )
 
 
@@ -332,6 +334,10 @@ def leaves_visited(a, bound):
     return seen
 
 
+def last_nonzero_positive(v):
+    return [x for x in v if x][-1] > 0
+
+
 @given(rational_forms(), st.sampled_from((Fraction(1), Fraction(3, 2),
                                           Fraction(5, 2), Fraction(7, 3))))
 @settings(max_examples=120, deadline=None)
@@ -340,7 +346,14 @@ def test_vectors_below_matches_fraction_fincke_pohst(a, factor):
     want, order = ref_enumerate(a, bound)
     brute = brute_force(a, bound)
     assert dict(want) == brute
-    assert leaves_visited(a, bound) == order
+    # the walk covers half the ellipsoid: exactly the rational search's
+    # leaves whose last nonzero entry is positive, in its order
+    assert leaves_visited(a, bound) == \
+        [v for v in order if last_nonzero_positive(v)]
+    # so it yields each +- class once, with the box scan's values
+    items = _enumerate_values(a, bound)
+    assert len({v for v, _ in items}) == len(items)
+    assert {v: Fraction(val, a.denom) for v, val in items} == brute
     assert vectors_below(a, bound, raw=True) == tuple(brute)
     assert vectors_below(a, bound) == tuple(v for v in brute if is_primitive(v))
     res = minimal_vectors(a)
@@ -392,6 +405,98 @@ def test_carried_minima_match_a_fresh_enumeration_at_each_stage(a):
     finally:
         retraction._stopping = real
     assert stages == [st.mu_sq for st in trace.stages if st.mu_sq != 1]
+
+
+@st.composite
+def saturated_members(draw, n):
+    """The saturation of d < n random independent integer columns."""
+    d = draw(st.integers(1, n - 1))
+    cols = [tuple(draw(st.integers(-2, 2)) for _ in range(n))
+            for _ in range(d)]
+    assume(config_rank(cols) == d)
+    return saturation(int_transpose(cols))
+
+
+@given(rational_forms(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_stopping_scores_match_fraction_parts(a, data):
+    # a stopping candidate w is scored by P = w^T S w and
+    # Q = g w^T M w - P, its squared parallel and perpendicular parts
+    # over E
+    member = data.draw(saturated_members(a.n))
+    split = _Split(a, member)
+    proj = ref_span_projector(a, member)
+    for w in vectors_below(a, 4):
+        par = _qf(split.s, w)
+        perp = split.g * _qf(a.numer, w) - par
+        assert (Fraction(par, split.e), Fraction(perp, split.e)) == \
+            ref_parts(a, proj, w)
+
+
+def test_cold_retract_scores_and_enumerates_without_waste(monkeypatch):
+    # a fixed n = 4 form with three proper stages, in a basis where the
+    # members are not coordinate subspaces
+    import wellround.exactla as exactla
+    import wellround.flags as flags
+    import wellround.lattice as lattice
+    import wellround.retraction as retraction
+    rows = [[2, 1, 0, 0], [1, 3, Fraction(1, 2), 0],
+            [0, Fraction(1, 2), 5, 1], [0, 0, 1, 7]]
+    u = ((1, 1, 0, 0), (0, 1, -1, 0), (0, 0, 1, 2), (0, 0, 0, 1))
+    a = GramForm.from_rows(rows).transform(u)
+    calls = {"int_matvec": 0, "flag_from_members": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name, modules in (("int_matvec", (exactla, lattice, retraction)),
+                          ("flag_from_members", (flags, retraction))):
+        wrapper = counted(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    # int_matvec calls made inside each _stopping call
+    in_stopping = []
+    real_stopping = retraction._stopping
+
+    def stopping(*args):
+        before = calls["int_matvec"]
+        try:
+            return real_stopping(*args)
+        finally:
+            in_stopping.append(calls["int_matvec"] - before)
+
+    monkeypatch.setattr(retraction, "_stopping", stopping)
+
+    # each enumeration visits one leaf per +- class it returns
+    leaves = []
+    enumerations = []
+    real_canonical = lattice.canonical_vector
+    real_enumerate = lattice._enumerate_values
+
+    def canonical(v):
+        if leaves:
+            leaves[-1] += 1
+        return real_canonical(v)
+
+    def enumerate_values(*args):
+        leaves.append(0)
+        items = real_enumerate(*args)
+        enumerations.append((leaves.pop(), len(items)))
+        return items
+
+    monkeypatch.setattr(lattice, "canonical_vector", canonical)
+    monkeypatch.setattr(lattice, "_enumerate_values", enumerate_values)
+    trace = retract(a)
+    assert [st.mu_sq for st in trace.stages] == \
+        [Fraction(3, 5), Fraction(97, 147), Fraction(2560, 3589)]
+    assert len(trace.irredundant.members) == 3
+    assert in_stopping == [0, 0, 0]
+    assert calls["flag_from_members"] == 0
+    assert enumerations and all(x == y for x, y in enumerations)
 
 
 @given(rational_forms(), st.data())
