@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 
 from .cells import OrbitComplex, enumerate_W, subcomplex_WF
 from .exactla import (
-    CertificateError, Echelon, IntMatrix, SparseRows, dense_view,
+    QQ, CertificateError, Echelon, IntMatrix, SparseRows, dense_view,
     f_rank_modulo, f_solve, sparse_matmul, sparse_transpose,
 )
 from .flags import (
-    RationalFlag, flag_equivalent, flag_orbits, flag_types,
+    RationalFlag, check_dimension, flag_equivalent, flag_orbits, flag_types,
     subflags_with_signs,
 )
 from .lattice import GroupSpec
@@ -403,7 +403,22 @@ def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
         rank = f_rank_modulo(field, dense_view(coboundaries, dc.dims[q]), imgs)
         degrees.append(RestrictionDegree(q, len(reps), dim_total, rank,
                                          len(reps) - rank))
+    if field == QQ and dc.group.family != "gl":
+        _check_boundary_duality(dc.group.n, degrees)
     return RestrictionReport(field.name, tuple(degrees))
+
+
+def _check_boundary_duality(n: int, degrees: Sequence[RestrictionDegree]):
+    """Over Q and for Gamma in SL_n(Z), the Borel-Serre boundary is an
+    orientable orbifold of dimension d - 1, d = n(n+1)/2 - 1 the dimension
+    of the symmetric space: dim H^k(boundary) = dim H^{d-1-k}(boundary),
+    and the image of the restriction is half of H^*(boundary)."""
+    d = n * (n + 1) // 2 - 1
+    dims = [deg.dim_total for deg in degrees] + [0] * d
+    ranks = sum(deg.rank for deg in degrees)
+    if any(dims[d:]) or dims[:d] != dims[d - 1::-1] or 2 * ranks != sum(dims):
+        raise CertificateError(f"boundary cohomology {dims[:d]} and "
+                               f"restriction rank {ranks} break duality")
 
 
 @dataclass(frozen=True)
@@ -474,6 +489,7 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
     """Maps induced by one flag subcomplex inclusion, no spectral
     machinery: chain level in homology, transposed in cohomology."""
     field = _field(coeff, "face maps")
+    check_dimension(flag, dc.group)
     hit = _locate_flag(dc.columns[0], flag, dc.group)
     if hit is None:
         raise ValueError("flag is not equivalent to a column-0 representative")

@@ -30,7 +30,8 @@ from .exactla import (
     int_matmul, int_matvec, int_transpose, lp,
 )
 from .flags import (
-    RationalFlag, flag_equivalent, flag_from_members, respects_flag,
+    RationalFlag, check_dimension, flag_equivalent, flag_from_members,
+    respects_flag,
 )
 from .lattice import (
     GramForm, GroupSpec, VectorConfig, _char_pairings, canonical_config,
@@ -725,6 +726,7 @@ def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
     the located closures of the representatives; any other cell is
     located by the flag-constrained equivalence search."""
     group = complex.group
+    check_dimension(flag, group)
     flats = [_flats(oc.cell.config) for oc in complex.cells]
     # per pair: (orbit id in W, flag of flats, g with g.F' = F, g^-1)
     pairs: list[tuple[int, FlatFlag, IntMatrix, IntMatrix]] = []

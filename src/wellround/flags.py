@@ -4,12 +4,12 @@ arithmetic groups.
 A flag is a strictly nested chain of nonzero proper Q-subspaces of Q^n,
 stored as saturated sublattice bases in column Hermite normal form (the
 full space is an implicit final member).  Flags of a fixed dimension
-type form a single GL_n(Z)/SL_n(Z)-orbit; for a congruence subgroup of
-level N the orbits are computed exactly as double cosets
-Gamma_mod \\ SL_n(Z/N) / P_mod, where P_mod is the image mod N of the
-integral stabilizer of the standard flag.  Witnesses are produced by
-lifting SL_n(Z/N) elements to SL_n(Z) through an elementary-matrix
-factorization.
+type are SL_n(Z)/P(Z), P(Z) the stabilizer of the standard flag, so
+their orbits under a group Gamma are the double cosets
+Gamma \\ SL_n(Z) / P(Z): the P(Z)-orbits on the finite coset space
+Omega = Gamma \\ SL_n(Z), which is read off h mod N (`Omega`).  Orbit
+representatives and equivalence witnesses come from integral spanning
+trees of the BFS over the generators of SL_n(Z) and of P(Z).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exactla import (
     QQ, CertificateError, Echelon, IntMatrix, IntVector, f_rank, f_solve,
-    hnf_transform, int_adjugate, int_det, int_identity, int_inverse,
+    hnf_transform, int_det, int_identity, int_inverse,
     int_matmul, int_matrix, int_transpose, saturation,
 )
 from .lattice import GroupSpec
@@ -218,329 +218,173 @@ def adapted_basis(flag: RationalFlag) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over Z/N
+# The coset space Omega = Gamma \ SL_n(Z)
 # ---------------------------------------------------------------------------
 
-ModMatrix = tuple[tuple[int, ...], ...]
+Point = tuple[tuple[int, ...], ...]
 
 
-def mod_mat(m: IntMatrix, n_mod: int) -> ModMatrix:
-    return tuple(tuple(x % n_mod for x in row) for row in m)
+def _matrix(n: int, entries: dict[tuple[int, int], int]) -> IntMatrix:
+    """The identity with the given entries replaced."""
+    return tuple(tuple(entries.get((r, s), int(r == s)) for s in range(n))
+                 for r in range(n))
 
 
-def mod_mul(a: ModMatrix, b: ModMatrix, n_mod: int) -> ModMatrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % n_mod
-                       for col in bt) for row in a)
-
-
-def mod_inverse(a: ModMatrix, n_mod: int) -> ModMatrix:
-    """Inverse mod N of a matrix with det a unit (via integer adjugate)."""
-    dinv = pow(int_det(a) % n_mod, -1, n_mod)
-    return tuple(tuple((x * dinv) % n_mod for x in row)
-                 for row in int_adjugate(a))
-
-
-def _elementary(n: int, i: int, j: int, c: int) -> IntMatrix:
-    rows = [[int(r == s) for s in range(n)] for r in range(n)]
-    rows[i][j] = c
-    return tuple(tuple(r) for r in rows)
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def sl_lift(mbar: ModMatrix, n_mod: int) -> IntMatrix:
-    """Lift an SL_k(Z/N) matrix to SL_k(Z) via elementary factorization.
-
-    The lift reduces to the input mod N and has determinant exactly 1.
-    """
-    k = len(mbar)
-    if int_det(mbar) % n_mod != 1 % n_mod:
-        raise ValueError("matrix is not in SL mod N")
-    a = [[x % n_mod for x in row] for row in mbar]
-    ops: list[tuple[int, int, int]] = []  # (i, j, c): row_i += c * row_j
-    primes = _prime_factors(n_mod)
-
-    def apply_op(i, j, c):
-        c %= n_mod
-        if c == 0:
-            return
-        a[i] = [(x + c * y) % n_mod for x, y in zip(a[i], a[j])]
-        ops.append((i, j, c))
-
-    for t in range(k):
-        if gcd(a[t][t], n_mod) != 1:
-            # choose rows below t contributing a unit pivot, prime by prime
-            coeff = {}
-            for p in primes:
-                if a[t][t] % p != 0:
-                    continue
-                src = next((i for i in range(t + 1, k) if a[i][t] % p != 0),
-                           None)
-                if src is None:
-                    raise CertificateError("column not unimodular")
-                coeff.setdefault(src, []).append(p)
-            for src, ps in sorted(coeff.items()):
-                # c = 1 mod the assigned primes, 0 mod the other prime factors
-                c = 1
-                modulus = 1
-                for p in primes:
-                    want = 1 if p in ps else 0
-                    # CRT combine
-                    while c % p != want:
-                        c += modulus
-                    modulus *= p
-                apply_op(t, src, c)
-        inv = pow(a[t][t], -1, n_mod)
-        for i in range(t + 1, k):
-            if a[i][t] % n_mod:
-                apply_op(i, t, (-a[i][t] * inv) % n_mod)
-    for t in reversed(range(k)):
-        inv = pow(a[t][t], -1, n_mod)
-        for i in range(t):
-            if a[i][t] % n_mod:
-                apply_op(i, t, (-a[i][t] * inv) % n_mod)
-    # diagonal of units with product 1: six row operations (Whitehead's
-    # lemma) turn each block diag(u, w) into diag(1, uw), so the last
-    # entry ends up 1
-    for t in range(k - 1):
-        u = a[t][t]
-        if u == 1:
-            continue
-        uinv = pow(u, -1, n_mod)
-        apply_op(t + 1, t, uinv)            # rows (u,0),(1,w)
-        apply_op(t, t + 1, (-u) % n_mod)    # rows (0,-uw),(1,w)
-        apply_op(t + 1, t, uinv)            # rows (0,-uw),(1,0)
-        apply_op(t, t + 1, 1)               # rows (1,-uw),(1,0)
-        apply_op(t + 1, t, n_mod - 1)       # rows (1,-uw),(0,uw)
-        apply_op(t, t + 1, 1)               # rows (1,0),(0,uw)
-    if any(a[i][j] != int(i == j) % n_mod for i in range(k) for j in range(k)):
-        raise CertificateError("reduction to the identity mod N failed")
-    # E_r ... E_1 mbar = I, so mbar = E_1^{-1} ... E_r^{-1} mod N
-    lift = int_identity(k)
-    for (i, j, c) in ops:
-        ci = c if c <= n_mod // 2 else c - n_mod
-        lift = int_matmul(lift, _elementary(k, i, j, -ci))
-    if int_det(lift) != 1 or mod_mat(lift, n_mod) != mod_mat(mbar, n_mod):
-        raise CertificateError("SL lift does not reduce to its residue class")
-    return lift
-
-
-# ---------------------------------------------------------------------------
-# The standard parabolic image mod N and congruence-group images
-# ---------------------------------------------------------------------------
-
-def _blocks_of(n: int, dims: Sequence[int]) -> list[int]:
-    """block index of each coordinate for proper dims d_1 < ... < d_r < n."""
-    out = []
-    b = 0
-    bounds = list(dims) + [n]
-    for i in range(n):
-        while i >= bounds[b]:
-            b += 1
-        out.append(b)
-    return out
-
-
-def parabolic_image_membership(n: int, dims: Sequence[int], n_mod: int):
-    """Membership test for the image mod N of the integral stabilizer of
-    the standard flag of the given type: block upper-triangular with
-    every diagonal block of determinant +-1 mod N and product +1."""
-    blocks = _blocks_of(n, dims)
-    bounds = [0] + list(dims) + [n]
-    one = 1 % n_mod
-    minus = (-1) % n_mod
-
-    def member(p: ModMatrix) -> bool:
-        for i in range(n):
-            for j in range(n):
-                if blocks[i] > blocks[j] and p[i][j] % n_mod != 0:
-                    return False
-        prod = 1
-        for b in range(len(bounds) - 1):
-            lo, hi = bounds[b], bounds[b + 1]
-            block = tuple(tuple(p[i][j] for j in range(lo, hi))
-                          for i in range(lo, hi))
-            d = int_det(block) % n_mod
-            if d not in (one, minus):
-                return False
-            prod = (prod * d) % n_mod
-        return prod == one
-
-    return member
-
-
-@lru_cache(maxsize=None)
-def parabolic_image_elements(n: int, dims: tuple[int, ...], n_mod: int) -> tuple[ModMatrix, ...]:
-    """BFS closure of the generators of the standard-flag stabilizer
-    image mod N."""
-    blocks = _blocks_of(n, dims)
-    bounds = [0] + list(dims) + [n]
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and blocks[i] <= blocks[j]:
-                gens.append(mod_mat(_elementary(n, i, j, 1), n_mod))
-    for b in range(len(bounds) - 2):
-        d = [[int(i == j) for j in range(n)] for i in range(n)]
-        d[bounds[b]][bounds[b]] = (-1) % n_mod
-        d[bounds[b + 1]][bounds[b + 1]] = (-1) % n_mod
-        gens.append(tuple(tuple(r) for r in d))
-    return _closure(gens, n_mod)
-
-
-def _closure(gens: Sequence[ModMatrix], n_mod: int) -> tuple[ModMatrix, ...]:
-    n = len(gens[0]) if gens else 0
-    ident = mod_mat(int_identity(n), n_mod)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        x = queue.pop()
+def _spanning_tree(omega: "Omega", root: Point, gens: Sequence[IntMatrix],
+                   paths: dict[Point, IntMatrix]) -> list[Point]:
+    """The points reachable from root under gens, in BFS order, each
+    entered into paths with an integral p such that root . p = point."""
+    paths[root] = int_identity(omega.n)
+    order = [root]
+    for w in order:
         for g in gens:
-            y = mod_mul(x, g, n_mod)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return tuple(sorted(seen))
+            v = omega.act(w, g)
+            if v not in paths:
+                paths[v] = int_matmul(paths[w], g)
+                order.append(v)
+    return order
 
 
-def congruence_image_generators(group: GroupSpec) -> list[ModMatrix]:
-    """Generators mod N of the image of a congruence family in SL_n(Z/N)."""
-    n, n_mod = group.n, group.level
-    gens: list[ModMatrix] = []
-    if group.family == "gamma":
-        return gens
-    allowed = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if i == n - 1 and j < n - 1:
-                continue  # bottom-row positions are frozen mod N
-            allowed.append((i, j))
-    for (i, j) in allowed:
-        gens.append(mod_mat(_elementary(n, i, j, 1), n_mod))
-    if group.family == "gamma0":
-        units = [u for u in range(1, n_mod) if gcd(u, n_mod) == 1]
-        for u in units:
-            d = [[int(i == j) for j in range(n)] for i in range(n)]
-            d[0][0] = u
-            d[n - 1][n - 1] = pow(u, -1, n_mod)
-            gens.append(tuple(tuple(r) for r in d))
-    elif group.family == "gamma1" and n >= 3:
-        units = [u for u in range(1, n_mod) if gcd(u, n_mod) == 1]
-        for u in units:
-            d = [[int(i == j) for j in range(n)] for i in range(n)]
-            d[0][0] = u
-            d[1][1] = pow(u, -1, n_mod)
-            gens.append(tuple(tuple(r) for r in d))
-    return gens
+class Omega:
+    """The coset space Gamma \\ SL_n(Z), with SL_n(Z) acting on the right.
+
+    A point is the data of h mod N that Gamma h determines: for Gamma_0(N)
+    the bottom row up to a unit (a point of P^{n-1}(Z/N)), for Gamma_1(N)
+    the bottom row, for Gamma(N) the whole matrix.  A group of level 1
+    (GL_n(Z) included, whose flag orbits are those of SL_n(Z)) has the
+    single point ().  The base point w0 = Gamma has stabilizer
+    Gamma cap SL_n(Z), and `transversal` maps each point w, in BFS order
+    from w0 under the signed transpositions and the elementary matrices,
+    to t(w) in SL_n(Z) with w0 . t(w) = w.  The flags of a type are
+    SL_n(Z)/P(Z), h.F_std <-> h P(Z), so their group orbits are the
+    P(Z)-orbits on Omega: a flag with adapted basis b lies over w0 . b.
+    """
+
+    def __init__(self, group: GroupSpec):
+        n = self.n = group.n
+        self.level = group.level if group.is_congruence else 1
+        self.rows = {"gamma": n}.get(group.family, 1) if self.level > 1 else 0
+        # Gamma_0(N): per residue x, the units u minimizing u x mod N
+        self._scalers: list[list[int]] = []
+        if self.level > 1 and group.family == "gamma0":
+            mod = self.level
+            units = [u for u in range(1, mod) if gcd(u, mod) == 1]
+            self._scalers = [[u for u in units
+                              if u * x % mod == gcd(x, mod) % mod]
+                             for x in range(mod)]
+        self.base = self.point(int_identity(n))
+        # the signed transpositions come first, so that an orbit holding
+        # a coordinate flag one transposition away, as the cusp 0 of
+        # Gamma_0(N) in SL_2(Z), is represented by that flag
+        swaps = [_matrix(n, {(i, i + 1): -1, (i + 1, i): 1, (i, i): 0,
+                             (i + 1, i + 1): 0}) for i in range(n - 1)]
+        self.transversal: dict[Point, IntMatrix] = {}
+        _spanning_tree(self, self.base,
+                       swaps + [_matrix(n, {(i, j): c}) for i in range(n)
+                                for j in range(n) for c in (1, -1) if i != j],
+                       self.transversal)
+        self._parabolic: dict[tuple[int, ...], tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self.transversal)
+
+    def _normal(self, rows: Point) -> Point:
+        """For Gamma_0(N), the least multiple of the row by a unit."""
+        if not self._scalers:
+            return rows
+        mod = self.level
+        (row,) = rows
+        units = None
+        for x in row:
+            if units is None:
+                if x:
+                    units = self._scalers[x]
+            elif len(units) > 1:
+                least = min(u * x % mod for u in units)
+                units = [u for u in units if u * x % mod == least]
+        return (tuple(units[0] * x % mod for x in row),)
+
+    def point(self, h: IntMatrix) -> Point:
+        """w0 . h: the bottom rows of h mod N."""
+        return self._normal(tuple(tuple(x % self.level for x in row)
+                                  for row in h[self.n - self.rows:]))
+
+    def act(self, w: Point, h: IntMatrix) -> Point:
+        """w . h, row by row mod N."""
+        cols = int_transpose(h)
+        return self._normal(tuple(tuple(sum(x * y for x, y in zip(row, col))
+                                        % self.level for col in cols)
+                                  for row in w))
+
+    def parabolic_orbits(self, dims: tuple[int, ...]):
+        """(roots, orbit, paths) for the orbits on Omega of the stabilizer
+        P(Z) of the standard flag of type dims: orbit[w] is the orbit of
+        w, roots[k] the root of orbit k, and paths[w] an integral s(w) in
+        P(Z) with roots[orbit[w]] . s(w) = w.  A BFS over the generators
+        of P(Z): e_ij for block(i) <= block(j), and the sign changes of
+        the first coordinates of consecutive blocks.  Roots are taken in
+        the order of the transversal, so w0 is the root of orbit 0."""
+        if dims not in self._parabolic:
+            n = self.n
+            block = [sum(1 for d in dims if d <= i) for i in range(n)]
+            gens = [_matrix(n, {(i, j): c}) for i in range(n) for j in range(n)
+                    for c in (1, -1) if i != j and block[i] <= block[j]]
+            gens += [_matrix(n, {(a, a): -1, (b, b): -1})
+                     for a, b in zip((0, *dims), dims)]
+            roots, orbit, paths = [], {}, {}
+            for w in self.transversal:
+                if w not in paths:
+                    for v in _spanning_tree(self, w, gens, paths):
+                        orbit[v] = len(roots)
+                    roots.append(w)
+            self._parabolic[dims] = roots, orbit, paths
+        return self._parabolic[dims]
 
 
-@lru_cache(maxsize=None)
-def congruence_image_elements(group: GroupSpec) -> tuple[ModMatrix, ...]:
-    gens = congruence_image_generators(group)
-    if not gens:
-        return (mod_mat(int_identity(group.n), group.level),)
-    return _closure(gens, group.level)
+@lru_cache(maxsize=8)
+def coset_space(group: GroupSpec) -> Omega:
+    """The coset space Gamma \\ SL_n(Z) of the group, kept for the few
+    groups used last."""
+    return Omega(group)
+
+
+def check_dimension(flag: RationalFlag, group: GroupSpec):
+    """Refuse a flag of another dimension than the group's."""
+    if flag.n != group.n:
+        raise ValueError(f"flag has n = {flag.n}, the group has n = {group.n}")
 
 
 # ---------------------------------------------------------------------------
 # Flag equivalence and orbit enumeration
 # ---------------------------------------------------------------------------
 
-def _lift_parabolic(pbar: ModMatrix, n: int, dims: Sequence[int],
-                    n_mod: int) -> IntMatrix:
-    """Integral lift of an element of the parabolic image: block upper
-    triangular, determinant 1, reducing to pbar mod N."""
-    bounds = [0] + list(dims) + [n]
-    cols = [[0] * n for _ in range(n)]
-    lift = [[0] * n for _ in range(n)]
-    minus = (-1) % n_mod
-    for b in range(len(bounds) - 1):
-        lo, hi = bounds[b], bounds[b + 1]
-        block = tuple(tuple(pbar[i][j] % n_mod for j in range(lo, hi))
-                      for i in range(lo, hi))
-        d = int_det(block) % n_mod
-        sign = 1 if d == 1 % n_mod else -1
-        if sign == -1 and minus == 1 % n_mod:
-            sign = 1  # N <= 2: signs coincide
-        k = hi - lo
-        dmat = tuple(tuple((sign if (r == s == 0) else int(r == s))
-                           for s in range(k)) for r in range(k))
-        sbar = mod_mul(mod_inverse(mod_mat(dmat, n_mod), n_mod), block, n_mod)
-        sblock = int_matmul(dmat, sl_lift(sbar, n_mod))
-        for r in range(k):
-            for s in range(k):
-                lift[lo + r][lo + s] = sblock[r][s]
-    for i in range(n):
-        for j in range(n):
-            bi = next(b for b in range(len(bounds) - 1)
-                      if bounds[b] <= i < bounds[b + 1])
-            bj = next(b for b in range(len(bounds) - 1)
-                      if bounds[b] <= j < bounds[b + 1])
-            if bi < bj:
-                c = pbar[i][j] % n_mod
-                lift[i][j] = c if c <= n_mod // 2 else c - n_mod
-    out = tuple(tuple(r) for r in lift)
-    if int_det(out) != 1 or mod_mat(out, n_mod) != mod_mat(pbar, n_mod):
-        raise CertificateError("parabolic lift does not reduce to its residue class")
-    return out
-
-
 def flag_equivalent(f1: RationalFlag, f2: RationalFlag,
                     group: GroupSpec) -> Optional[IntMatrix]:
     """A witness g in the group with g * f1 = f2, or None.
 
-    At level 1 flags of equal type are always equivalent (Hermite-basis
-    transitivity).  At level N the search runs over the finite image of
-    the group in SL_n(Z/N), so None is a proof of inequivalence.
+    With b_i an adapted basis of f_i and w_i = w0 . b_i, the flags are
+    equivalent exactly when w_1 and w_2 lie in one P(Z)-orbit of Omega;
+    then g = b_2 s(w_2)^-1 s(w_1) b_1^-1, so None is a proof of
+    inequivalence.  A flag of another dimension than the group's is
+    refused with a ValueError.
     """
-    if f1.n != f2.n or f1.dims != f2.dims:
+    check_dimension(f1, group)
+    check_dimension(f2, group)
+    if f1.dims != f2.dims:
         return None
-    n = group.n
-    b1 = adapted_basis(f1)
-    b2 = adapted_basis(f2)
-    if not group.is_congruence:
-        g = int_matmul(b2, int_inverse(b1))
-        # det(b2)/det(b1) = +1 by construction, so g lies in SL already
-        if not group.contains(g):
-            raise CertificateError("flag witness is not in the group")
-        return g
-    n_mod = group.level
-    dims = f1.dims
-    member = parabolic_image_membership(n, dims, n_mod)
-    b1m = mod_mat(b1, n_mod)
-    b2m_inv = mod_inverse(mod_mat(b2, n_mod), n_mod)
-    for gbar in congruence_image_elements(group):
-        pbar = mod_mul(mod_mul(b2m_inv, gbar, n_mod), b1m, n_mod)
-        if member(pbar):
-            p = _lift_parabolic(pbar, n, dims, n_mod)
-            g = int_matmul(int_matmul(b2, p), int_inverse(b1))
-            if not group.contains(g):
-                raise CertificateError("flag witness is not in the group")
-            if f1.transform(g) != flag_canonical(f2):
-                raise CertificateError("flag witness does not carry f1 to f2")
-            return g
-    return None
-
-
-# flag_orbits caches the images of each row of a coset label under the
-# parabolic image; it stops adding rows at this many cached images (about
-# 64 bytes each), so large levels stay bounded in memory
-_ROW_IMAGES_MAX = 1 << 20
+    omega = coset_space(group)
+    _, orbit, paths = omega.parabolic_orbits(f1.dims)
+    b1, b2 = adapted_basis(f1), adapted_basis(f2)
+    w1, w2 = omega.point(b1), omega.point(b2)
+    if orbit[w1] != orbit[w2]:
+        return None
+    g = int_matmul(int_matmul(b2, int_inverse(paths[w2])),
+                   int_matmul(paths[w1], int_inverse(b1)))
+    if not group.contains(g):
+        raise CertificateError("flag witness is not in the group")
+    if f1.transform(g) != flag_canonical(f2):
+        raise CertificateError("flag witness does not carry f1 to f2")
+    return g
 
 
 @dataclass(frozen=True)
@@ -558,72 +402,17 @@ class FlagOrbitSet:
 def flag_orbits(group: GroupSpec, dims: Sequence[int]) -> FlagOrbitSet:
     """Representatives of the group-orbits of flags of the given type.
 
-    Level 1: one orbit (the standard flag).  Level N: orbits correspond
-    to double cosets of the group image and the standard-parabolic image
-    in SL_n(Z/N); each is enumerated over cosets of the parabolic image
-    and lifted to a rational representative.
+    The orbits are the double cosets Gamma \\ SL_n(Z) / P(Z), that is the
+    P(Z)-orbits on Omega; the orbit with root w is represented by
+    t(w) . F_std, so the orbit of w0 (the only one at level 1) by the
+    standard flag F_std itself.
     """
     n = group.n
     dims = tuple(int(d) for d in dims)
     std = standard_flag(n, dims)
-    if not group.is_congruence:
-        return FlagOrbitSet(n, group, dims, (std,))
-    n_mod = group.level
-    pbar_cols = [tuple(zip(*p))
-                 for p in parabolic_image_elements(n, dims, n_mod)]
-    row_images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def canon(m: ModMatrix) -> ModMatrix:
-        """min over the parabolic image of m p.  Row i of m p is row i of
-        m times p, so each distinct row's images are computed once."""
-        rows = []
-        for row in m:
-            images = row_images.get(row)
-            if images is None:
-                images = [tuple(sum(x * y for x, y in zip(row, col)) % n_mod
-                                for col in cols)
-                          for cols in pbar_cols]
-                if len(row_images) * len(pbar_cols) < _ROW_IMAGES_MAX:
-                    row_images[row] = images
-            rows.append(images)
-        return min(zip(*rows))
-
-    # BFS of the coset space SL_n(Z/N) / P_mod under elementary generators
-    gens = [mod_mat(_elementary(n, i, j, 1), n_mod)
-            for i in range(n) for j in range(n) if i != j]
-    start = canon(mod_mat(int_identity(n), n_mod))
-    cosets = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = canon(mod_mul(g, x, n_mod))
-            if y not in cosets:
-                cosets.add(y)
-                queue.append(y)
-    # group orbits on the coset space
-    ggens = congruence_image_generators(group)
-    unseen = set(cosets)
-    reps = []
-    for label in sorted(unseen):
-        if label not in unseen:
-            continue
-        orbit = {label}
-        queue = [label]
-        while queue:
-            x = queue.pop()
-            for g in ggens:
-                y = canon(mod_mul(g, x, n_mod))
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        unseen -= orbit
-        reps.append(min(orbit))
-    flags = []
-    for label in reps:
-        lifted = sl_lift(label, n_mod)
-        members = [tuple(tuple(row[:d]) for row in lifted) for d in dims]
-        flags.append(flag_from_members(n, members))
+    omega = coset_space(group)
+    roots, _, _ = omega.parabolic_orbits(dims)
+    flags = [std.transform(omega.transversal[w]) for w in roots]
     flags.sort(key=lambda f: f.sort_key())
     return FlagOrbitSet(n, group, dims, tuple(flags))
 

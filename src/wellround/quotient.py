@@ -35,7 +35,7 @@ from .exactla import (
     CertificateError, Echelon, IntMatrix, PrimeField, QQ, SparseRows,
     dense_view, int_matvec, snf, sparse_matmul, sparse_transpose,
 )
-from .flags import RationalFlag, _prime_factors, congruence_image_elements
+from .flags import RationalFlag, coset_space
 from .lattice import GroupSpec, VectorConfig, canonical_config
 
 Chain = tuple[VectorConfig, ...]  # cell configs, dimension-increasing
@@ -206,20 +206,11 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
 def group_euler_characteristic(group: GroupSpec) -> Fraction:
     """chi(Gamma) = [SL_n(Z) : Gamma cap SL_n(Z)] chi(SL_n(Z)), halved
     for GL_n(Z), with chi(SL_2(Z)) = -1/12 and chi(SL_n(Z)) = 0 for
-    n >= 3 (Harder).  The index of a congruence group of level N is
-    |SL_n(Z/N)| over the order of its image there."""
-    n = group.n
-    chi = Fraction(-1, 12) if n == 2 else Fraction(0)
-    if group.family == "gl":
-        return chi / 2
-    if group.is_congruence:
-        level = group.level
-        order = Fraction(level ** (n * n - 1))
-        for p in _prime_factors(level):
-            for k in range(2, n + 1):
-                order *= 1 - Fraction(1, p ** k)
-        chi *= order / len(congruence_image_elements(group))
-    return chi
+    n >= 3 (Harder).  The index is the size of the coset space
+    Gamma \\ SL_n(Z)."""
+    chi = Fraction(-1, 12) if group.n == 2 else Fraction(0)
+    chi *= len(coset_space(group))
+    return chi / 2 if group.family == "gl" else chi
 
 
 def orbifold_euler_characteristic(complex: OrbitComplex) -> Fraction:

@@ -61,6 +61,36 @@ def test_duality_identity_over_q():
         assert d_ho.rank == d_co.rank  # adjoint maps, equal rank
 
 
+@pytest.mark.parametrize("spec", [
+    GroupSpec(2, "sl"), GroupSpec(2, "gamma0", 11), GroupSpec(2, "gamma0", 6),
+    GroupSpec(2, "gamma", 3), GroupSpec(2, "gamma1", 5)])
+def test_boundary_cohomology_is_self_dual(spec):
+    # restriction certifies dim H^k = dim H^{d-1-k} of the boundary
+    # (d = 2 at n = 2) and rank sum = half the boundary's cohomology;
+    # the same holds over F_5, which divides no stabilizer order here
+    for coeff in ("Q", "Fp:5"):
+        rep = restriction(build_double_complex(spec), coeff)
+        dims = [d.dim_total for d in rep.degrees]
+        assert dims == dims[::-1]
+        assert 2 * sum(d.rank for d in rep.degrees) == sum(dims)
+
+
+def test_boundary_duality_certificate():
+    degree = boundary.RestrictionDegree
+    # SL_3(Z): H^*(boundary) = (1, 0, 0, 0, 1), restriction rank 1 in degree 0
+    boundary._check_boundary_duality(
+        3, [degree(0, 1, 1, 1, 0)] + [degree(q, 0, 0, 0, 0) for q in (1, 2, 3)]
+        + [degree(4, 0, 1, 0, 0)])
+    with pytest.raises(boundary.CertificateError,
+                       match=r"\[1, 2\] and restriction rank 2 break"):
+        boundary._check_boundary_duality(2, [degree(0, 1, 1, 1, 0),
+                                             degree(1, 1, 2, 1, 0)])
+    with pytest.raises(boundary.CertificateError,
+                       match=r"\[1, 1\] and restriction rank 2 break"):
+        boundary._check_boundary_duality(2, [degree(0, 1, 1, 1, 0),
+                                             degree(1, 1, 1, 1, 0)])
+
+
 def test_face_map_sl2_h1_vanishes():
     dc = build_double_complex(GroupSpec(2, "sl"))
     flag = flag_orbits(GroupSpec(2, "sl"), (1,)).reps[0]

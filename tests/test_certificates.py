@@ -252,3 +252,33 @@ def test_lp_certificate_raised_under_optimize():
         "code": 1}
     assert json.loads(cli_line) == {
         "error": "CertificateError: LP objective disagrees with its point"}
+
+
+# The first restriction rank is raised by 1.  The ranks are then more
+# than half of the boundary's cohomology, which Borel-Serre duality
+# forbids, so the duality certificate of `restriction` must fire.
+DUALITY_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.boundary as boundary
+    from wellround.cli import run
+
+    real = boundary.f_rank_modulo
+    calls = []
+
+    def corrupted(field, base, vectors):
+        calls.append(1)
+        return real(field, base, vectors) + (len(calls) == 1)
+
+    boundary.f_rank_modulo = corrupted
+    code = run(["boundary", "restrict", "-n", "2", "--group", "gamma0",
+                "--level", "11"])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_boundary_duality_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(DUALITY_SCRIPT)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: boundary cohomology [2, 2] and "
+                 "restriction rank 3 break duality"}

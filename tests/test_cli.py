@@ -186,6 +186,26 @@ def test_bad_flag_members_are_json_errors(tmp_path, capsys, members,
     assert json.loads(out) == {"error": f"bad flag: {message}"}
 
 
+@pytest.mark.parametrize("group_n,flag_n,command", [
+    (2, 3, "cells wf"), (3, 2, "cells wf"), (2, 3, "boundary facemap")])
+def test_flag_of_another_dimension_is_json_error(tmp_path, capsys, group_n,
+                                                 flag_n, command):
+    # the flag meets the group's coset space, which refuses it, instead of
+    # an empty complex or a failed search for an equivalent flag
+    flag = write_json(tmp_path, "F.json", {"n": flag_n, "members": [
+        [[int(i == 0)] for i in range(flag_n)]]})
+    group = {2: ["--group", "gamma0", "--level", "11"],
+             3: ["--group", "sl"]}[group_n]
+    code, out = invoke(capsys, *command.split(), "-n", str(group_n), *group,
+                       "--flag", flag)
+    assert code == 1
+    # `boundary facemap` reports its ValueErrors with their type, as it
+    # does for coefficients that are not a field
+    prefix = "ValueError: " if command == "boundary facemap" else ""
+    assert json.loads(out) == {
+        "error": f"{prefix}flag has n = {flag_n}, the group has n = {group_n}"}
+
+
 def test_missing_input_is_domain_error(capsys):
     code, out = invoke(capsys, "retract", "--form", "/nonexistent/f.json")
     assert code == 1

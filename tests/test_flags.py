@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -6,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gauss_jordan as gj
-from wellround.exactla import int_det, int_matmul, int_matrix
+from flag_scan import (
+    mod_inverse, mod_mat, mod_mul, scan_flag_equivalent, scan_flag_orbits,
+    scan_index, sl_lift,
+)
+from wellround.exactla import int_det, int_identity, int_matmul, int_matrix
 from wellround.flags import (
-    SingleMemberFlag, adapted_basis, complete_saturated, flag_canonical,
-    flag_equivalent,
-    flag_from_members, flag_orbits, flag_types, in_parabolic, mod_inverse,
-    mod_mat, mod_mul, sl_lift, standard_flag, subflags_with_signs,
+    SingleMemberFlag, adapted_basis, complete_saturated, coset_space,
+    flag_canonical, flag_equivalent, flag_from_members, flag_orbits,
+    flag_types, in_parabolic, standard_flag, subflags_with_signs,
 )
 from wellround.lattice import GroupSpec
 
@@ -261,3 +265,140 @@ def test_mod_inverse_random():
         ident = mod_mat([[int(i == j) for j in range(k)] for i in range(k)],
                         n_mod)
         assert mod_mul(a, mod_inverse(a, n_mod), n_mod) == ident
+
+
+# ---------------------------------------------------------------------------
+# The coset space against the scan of SL_n(Z/N) (tests/flag_scan.py)
+# ---------------------------------------------------------------------------
+
+ORACLE_GROUPS = [
+    GroupSpec(2, "sl"), GroupSpec(2, "gl"), GroupSpec(2, "gamma0", 11),
+    GroupSpec(2, "gamma0", 6), GroupSpec(2, "gamma0", 4),
+    GroupSpec(2, "gamma", 3), GroupSpec(2, "gamma1", 5),
+    GroupSpec(3, "gamma0", 2), GroupSpec(3, "gamma0", 3),
+    GroupSpec(3, "gamma1", 3), GroupSpec(3, "gamma", 2),
+]
+ORACLE_CASES = [(group, dims) for group in ORACLE_GROUPS
+                for k in range(2, group.n + 1)
+                for dims in flag_types(group.n, k)]
+
+
+def _check_witness(f1, f2, group, w):
+    assert group.contains(w)
+    assert f1.transform(w) == flag_canonical(f2)
+
+
+@pytest.mark.parametrize("group,dims", ORACLE_CASES,
+                         ids=[f"{g.family}{g.level}-n{g.n}-{d}"
+                              for g, d in ORACLE_CASES])
+def test_flag_orbits_match_the_scan(group, dims):
+    new = flag_orbits(group, dims).reps
+    old = scan_flag_orbits(group, dims).reps
+    assert len(new) == len(old)
+    # each new representative is equivalent to exactly one old one, and
+    # the orbit of the base point is represented by the standard flag
+    assert standard_flag(group.n, dims) in new
+    matched = set()
+    for f in new:
+        hits = [i for i, g in enumerate(old)
+                if scan_flag_equivalent(f, g, group) is not None]
+        assert len(hits) == 1
+        matched.update(hits)
+        w = flag_equivalent(f, old[hits[0]], group)
+        assert w is not None
+        _check_witness(f, old[hits[0]], group, w)
+    assert matched == set(range(len(old)))
+
+
+@st.composite
+def sl_elements(draw, n):
+    """Products of up to six elementary matrices of SL_n(Z)."""
+    u = int_identity(n)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        e = [[int(r == s) for s in range(n)] for r in range(n)]
+        e[i][j] = draw(st.integers(-3, 3))
+        u = int_matmul(u, int_matrix(e))
+    return u
+
+
+@st.composite
+def flag_pairs(draw):
+    group, dims = draw(st.sampled_from(ORACLE_CASES))
+    reps = flag_orbits(group, dims).reps
+    f1, f2 = (draw(st.sampled_from(reps)).transform(draw(sl_elements(group.n)))
+              for _ in range(2))
+    return group, f1, f2
+
+
+@given(flag_pairs())
+@settings(max_examples=120, deadline=None)
+def test_flag_equivalent_agrees_with_the_scan(case):
+    group, f1, f2 = case
+    w = flag_equivalent(f1, f2, group)
+    assert (w is None) == (scan_flag_equivalent(f1, f2, group) is None)
+    if w is not None:
+        _check_witness(f1, f2, group, w)
+
+
+def test_flag_equivalent_refuses_another_dimension():
+    group = GroupSpec(2, "gamma0", 11)
+    f = standard_flag(3, (1,))
+    with pytest.raises(ValueError,
+                       match="flag has n = 3, the group has n = 2"):
+        flag_equivalent(f, f, group)
+
+
+def test_gamma0_7_in_sl3_flag_orbits():
+    # the scan took about 755 s here: it canonicalized every coset by a
+    # minimum over the 32,928 elements of a maximal parabolic mod 7
+    group = GroupSpec(3, "gamma0", 7)
+    assert [flag_orbits(group, dims).count
+            for dims in ((1,), (2,), (1, 2))] == [2, 2, 3]
+
+
+def _primes(level):
+    return [p for p in range(2, level + 1)
+            if level % p == 0 and all(p % q for q in range(2, p))]
+
+
+def closed_index(family, n, level):
+    """[SL_n(Z) : Gamma] from the classical product formulas."""
+    primes = _primes(level)
+    if family == "gamma":
+        index = Fraction(level ** (n * n - 1))
+        for p in primes:
+            for k in range(2, n + 1):
+                index *= 1 - Fraction(1, p ** k)
+        return index
+    index = Fraction(level ** n)
+    for p in primes:
+        index *= 1 - Fraction(1, p ** n)
+    if family == "gamma0":
+        index /= sum(1 for u in range(1, level + 1) if gcd(u, level) == 1)
+    return index
+
+
+# Gamma(N) in SL_3(Z) stops at N = 3: Omega is SL_3(Z/N), 43,008 points
+# at N = 4 and 372,000 at N = 5
+INDEX_CASES = [(family, n, level) for family in ("gamma0", "gamma1", "gamma")
+               for n in (2, 3) for level in range(2, 13)
+               if not (family == "gamma" and n == 3 and level > 3)]
+
+
+@pytest.mark.parametrize("family,n,level", INDEX_CASES)
+def test_coset_space_size_is_the_index(family, n, level):
+    group = GroupSpec(n, family, level)
+    size = len(coset_space(group))
+    assert size == closed_index(family, n, level)
+    if n == 2 or level <= 3:
+        assert size == scan_index(group)
+
+
+def test_coset_space_transversal():
+    for group in ORACLE_GROUPS + [GroupSpec(3, "gamma0", 7)]:
+        omega = coset_space(group)
+        assert next(iter(omega.transversal)) == omega.base
+        for w, t in omega.transversal.items():
+            assert int_det(t) == 1
+            assert omega.point(t) == w
