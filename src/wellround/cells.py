@@ -7,13 +7,18 @@ symmetric-matrix coordinates, with the infinite constraint family
 certified by a cutting-plane loop (enumerate below the current witness,
 add violators, repeat).  Faces carry larger configurations, cofaces
 smaller ones.  The orbits of W are enumerated by a walk over the
-face/coface graph that canonicalizes with the configuration-equivalence
-search; each representative then carries its located faces and its
-stabilizer.  A flag subcomplex W_F is derived from that orbit data: its
-representatives are translates g.s of W's, whose faces, stabilizers and
-witnesses are W's moved by g, so it needs no LP and no search.  The
-orbit index a complex was built with stays with it: `OrbitComplex.locate`
-is the one answer to "which orbit is this cell in, and by which element".
+face/coface graph that locates each neighbor in the orbit index; each
+representative then carries its located faces and its stabilizer.  At
+level 1 the index searches for configuration equivalences; for a
+congruence group Gamma it looks the orbit up in the coset space
+Gamma \\ SL_n(Z), as an orbit of the level-1 stabilizer, and derives the
+stabilizer there too.  A flag subcomplex W_F is derived from that orbit
+data: its representatives are translates g.s of W's, whose faces,
+stabilizers and witnesses are W's moved by g, so it needs no LP, and
+its index locates a cell through W's.  The orbit index a complex was
+built with stays with it: `OrbitComplex.locate` is the one answer to
+"which orbit is this cell in, and by which element", and a lookup gives
+the element the search would have found first.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from .exactla import (
     int_matmul, int_matvec, int_transpose, lp,
 )
 from .flags import (
-    RationalFlag, check_dimension, flag_equivalent, flag_from_members,
-    respects_flag,
+    RationalFlag, check_dimension, coset_space, flag_equivalent,
+    flag_from_members, in_parabolic, respects_flag,
 )
 from .lattice import (
-    GramForm, GroupSpec, VectorConfig, _char_pairings, canonical_config,
-    canonical_vector, config_equiv, config_spans, config_stabilizer,
-    minimal_vectors, normalize, vectors_below,
+    GramForm, GroupSpec, VectorConfig, _char_pairings, _first_witness,
+    canonical_config, canonical_vector, config_equiv, config_spans,
+    config_stabilizer, minimal_vectors, normalize, vectors_below,
 )
 from .retraction import _qf
 
@@ -522,18 +527,32 @@ def _orbit_key(config: VectorConfig):
 
 
 class _OrbitIndex:
-    """Orbit representatives bucketed by dimension and `_orbit_key`.  A
-    configuration is located by the equivalence search against the
-    representatives in its bucket only; hits are remembered by
-    configuration (misses are not, since the walk adds orbits later).  A
-    derived flag subcomplex fills the hits in advance."""
+    """Orbit representatives, and the lookup that locates a configuration
+    among them: (orbit id, u) with u in the group (in Gamma_F under a
+    constraint) carrying it onto the representative.  Hits are remembered
+    by configuration (misses are not, since the walk adds orbits later).
 
-    def __init__(self, group: GroupSpec, constraint: Optional[RationalFlag]):
+    A group of level 1, or a complex read with a constraint, is searched:
+    the equivalence search runs against the representatives of the same
+    dimension and `_orbit_key` only.  Two cases are looked up instead,
+    with no search under the congruence condition or the flag: the orbits
+    of W for a congruence group (`_CosetLookup`), and a flag subcomplex
+    derived from W (`_FlagLookup`).  A lookup yields every element
+    carrying the configuration onto its representative, the
+    representative's stabilizer times one of them; the index keeps the
+    one the search would have found first (`_first_witness`), so both
+    paths give the same answers, and checks it."""
+
+    def __init__(self, group: GroupSpec, constraint: Optional[RationalFlag],
+                 lookup=None):
         self.group = group
         self.constraint = constraint
         self.orbits: list[OrbitCell] = []
         self.buckets: dict = {}
         self._hits: dict[VectorConfig, tuple[int, IntMatrix]] = {}
+        if lookup is None and constraint is None and group.is_congruence:
+            lookup = _CosetLookup(group)
+        self.lookup = lookup
 
     def locate(self, config: VectorConfig, dim: Optional[int] = None):
         """(orbit id, u) with u carrying the configuration onto the
@@ -543,20 +562,121 @@ class _OrbitIndex:
             return hit
         if dim is None:
             dim = cell_dimension(config)
+        if self.lookup is None:
+            hit = self._search(config, dim)
+        else:
+            hit = self._looked_up(config, self.lookup.locate(config, dim))
+        if hit is not None:
+            self._hits[config] = hit
+        return hit
+
+    def _search(self, config: VectorConfig, dim: int):
         for oid in self.buckets.get((dim, _orbit_key(config)), ()):
             u = config_equiv(config, self.orbits[oid].cell.config,
                              self.group, flag=self.constraint)
             if u is not None:
-                self._hits[config] = (oid, u)
                 return oid, u
         return None
+
+    def _looked_up(self, config: VectorConfig, found):
+        """The first of the witnesses a lookup found, checked: it lies in
+        the group, keeps the constraint and carries config onto the
+        representative."""
+        if found is None:
+            return None
+        oid, witnesses = found
+        rep = self.orbits[oid].cell.config
+        u = _first_witness(config, rep, witnesses)
+        if not self.group.contains(u) or (
+                self.constraint is not None
+                and not in_parabolic(u, self.constraint)):
+            raise CertificateError("orbit witness is not in the group")
+        if canonical_config(int_matvec(u, v) for v in config) != rep:
+            raise CertificateError(
+                "orbit witness does not carry the cell onto its orbit's "
+                "representative")
+        return oid, u
 
     def add(self, cell: Cell) -> int:
         oid = len(self.orbits)
         self.orbits.append(OrbitCell(oid, cell))
         key = (cell.dim, _orbit_key(cell.config))
         self.buckets.setdefault(key, []).append(oid)
+        if self.lookup is not None:
+            self.lookup.add(oid, cell)
         return oid
+
+    def stabilizer(self, oid: int) -> tuple[IntMatrix, ...]:
+        """The stabilizer of representative oid in the group, in Gamma_F
+        under a constraint, sorted."""
+        if self.lookup is not None:
+            return self.lookup.stabilizers[oid]
+        return config_stabilizer(self.orbits[oid].cell.config, self.group,
+                                 flag=self.constraint).elements
+
+
+class _CosetLookup:
+    """The orbits of W for a congruence group Gamma, through the coset
+    space Omega = Gamma \\ SL_n(Z) (Ash's induction from level 1).
+
+    The cell h.sigma lies over the point w0 . h, and h.sigma, h'.sigma
+    are Gamma-equivalent exactly when h' in Gamma h S, S the stabilizer
+    of sigma in SL_n(Z); so the Gamma-orbits inside the SL_n(Z)-orbit of
+    sigma are the S-orbits on Omega.  The SL_n(Z)-orbits and their
+    stabilizers S come from a level-1 index, whose searches all hit.  A
+    representative r with h_r.r = sigma is filed under sigma with the
+    S-orbit of its point w_r = w0 . h_r^-1; a configuration c with
+    h_c.c = sigma lies in r's orbit exactly when w0 . h_c^-1 = w_r . s
+    for some s in S, and the elements carrying c onto r are
+    h_r^-1 s h_c over all such s.  The stabilizer of r in Gamma is
+    h_r^-1 {s in S : w_r . s = w_r} h_r, so no search runs under the
+    congruence condition."""
+
+    def __init__(self, group: GroupSpec):
+        self.group = group
+        self.omega = coset_space(group)
+        self.level1 = _OrbitIndex(GroupSpec(group.n, "sl"), None)
+        # per level-1 orbit: its stabilizer S in SL_n(Z), and per point
+        # w_r . s -> (orbit id of r, s), s in S
+        self.level1_stabilizers: list[tuple[IntMatrix, ...]] = []
+        self.over: list[dict] = []
+        # per orbit: h_r^-1, which carries sigma onto the representative
+        self.lifts: list[IntMatrix] = []
+        self.stabilizers: list[tuple[IntMatrix, ...]] = []
+
+    def add(self, oid: int, cell: Cell):
+        hit = self.level1.locate(cell.config, cell.dim)
+        if hit is None:
+            sid, h = self.level1.add(cell), int_identity(self.group.n)
+            self.level1_stabilizers.append(self.level1.stabilizer(sid))
+            self.over.append({})
+        else:
+            sid, h = hit
+        lift = int_inverse(h)
+        point = self.omega.point(lift)
+        over = self.over[sid]
+        fixing = []
+        for s in self.level1_stabilizers[sid]:
+            image = self.omega.act(point, s)
+            over.setdefault(image, (oid, s))
+            if image == point:
+                fixing.append(int_matmul(int_matmul(lift, s), h))
+        if not all(self.group.contains(t) for t in fixing):
+            raise CertificateError("derived stabilizer leaves the group")
+        self.lifts.append(lift)
+        self.stabilizers.append(tuple(sorted(fixing)))
+
+    def locate(self, config: VectorConfig, dim: int):
+        hit = self.level1.locate(config, dim)
+        if hit is None:
+            return None
+        sid, h = hit
+        found = self.over[sid].get(self.omega.point(int_inverse(h)))
+        if found is None:
+            return None
+        oid, s = found
+        u = int_matmul(int_matmul(self.lifts[oid], s), h)
+        return oid, [int_matmul(t, u) for t in self.stabilizers[oid]]
 
 
 def _orbit_complex(index: _OrbitIndex,
@@ -564,8 +684,8 @@ def _orbit_complex(index: _OrbitIndex,
                    ) -> OrbitComplex:
     """The complex of the orbits in the index.  Each representative
     carries its faces (`cell_faces`), located through the index, and its
-    stabilizer (`config_stabilizer`); the incidences default to the
-    faces of codimension 1."""
+    stabilizer, from the index too; the incidences default to the faces
+    of codimension 1."""
     faces = []
     for oc in index.orbits:
         located = []
@@ -579,9 +699,7 @@ def _orbit_complex(index: _OrbitIndex,
         incidences = [Incidence(oid, f.orbit, f.via)
                       for oid, located in enumerate(faces) for f in located
                       if f.dim == index.orbits[oid].cell.dim - 1]
-    stabilizers = tuple(config_stabilizer(oc.cell.config, index.group,
-                                          flag=index.constraint).elements
-                        for oc in index.orbits)
+    stabilizers = tuple(index.stabilizer(oc.id) for oc in index.orbits)
     return OrbitComplex(index.group, tuple(index.orbits), tuple(incidences),
                         index.constraint, index, tuple(faces), stabilizers)
 
@@ -724,7 +842,7 @@ def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
     by the element g_f t u g^-1, where t in S_f carries u.F' onto the
     flag of that pair and g_f is its witness.  The index is filled with
     the located closures of the representatives; any other cell is
-    located by the flag-constrained equivalence search."""
+    located in W and read as a pair the same way (`_FlagLookup`)."""
     group = complex.group
     check_dimension(flag, group)
     flats = [_flats(oc.cell.config) for oc in complex.cells]
@@ -802,7 +920,9 @@ def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
                 incidences.append(Incidence(pid, qid, via))
         faces.append(tuple(located_faces))
 
-    index = _OrbitIndex(group, flag)
+    lookup = _FlagLookup(complex, flag, [g for _, _, g, _ in pairs], where,
+                         stabilizers)
+    index = _OrbitIndex(group, flag, lookup)
     for cell in cells:
         index.add(cell)
     wf = OrbitComplex(group, tuple(index.orbits), tuple(incidences), flag,
@@ -811,6 +931,44 @@ def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
         for config, (_, cid, u) in wf.closure(oid).items():
             index._hits.setdefault(config, (cid, u))
     return wf
+
+
+class _FlagLookup:
+    """The orbits of a flag subcomplex W_F derived from W (see
+    `subcomplex_WF`), through W's orbit data.  A configuration c is
+    located in W as u.c = s; if c respects F, then u.F is a flag of flats
+    of s, which `where` files under the pair (s, F') in its orbit, with t
+    in the stabilizer of s carrying u.F onto F'.  The elements of Gamma_F
+    carrying c onto the pair's representative g.s are then the
+    representative's stabilizer times g t u.  A configuration that does
+    not respect F finds no flag of flats there."""
+
+    def __init__(self, complex: OrbitComplex, flag: RationalFlag,
+                 witnesses: Sequence[IntMatrix], where, stabilizers):
+        self.complex = complex
+        self.spans = [Echelon(QQ, int_transpose(m)) for m in flag.members]
+        # per pair: g with g.F' = F
+        self.witnesses = witnesses
+        self.where = where
+        self.stabilizers = stabilizers
+
+    def add(self, oid: int, cell: Cell):
+        """The pairs and their stabilizers are known in advance."""
+
+    def locate(self, config: VectorConfig, dim: int):
+        hit = self.complex.index.locate(config, dim)
+        if hit is None:
+            return None
+        oid, u = hit
+        perm = _positions(u, config, self.complex.cells[oid].cell.config)
+        image = tuple(frozenset(perm[i] for i, v in enumerate(config)
+                                if span.spans(v)) for span in self.spans)
+        found = self.where[oid].get(image)
+        if found is None:
+            return None
+        pid, t = found
+        w = int_matmul(int_matmul(self.witnesses[pid], t), u)
+        return pid, [int_matmul(s, w) for s in self.stabilizers[pid]]
 
 
 # ---------------------------------------------------------------------------

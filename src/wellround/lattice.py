@@ -388,6 +388,27 @@ def _flag_preserved(u: IntMatrix, flag) -> bool:
     return in_parabolic(u, flag)
 
 
+def _image_candidates(dst: VectorConfig) -> list[tuple[int, int]]:
+    """The images a basis vector may take, as (index, sign), in the order
+    the equivalence search tries them: dst, then -dst."""
+    return [(j, 1) for j in range(len(dst))] + \
+        [(j, -1) for j in range(len(dst))]
+
+
+def _first_witness(src: VectorConfig, dst: VectorConfig,
+                   witnesses: Iterable[IntMatrix]) -> IntMatrix:
+    """Of the elements U with U(+-src) = +-dst given, the one that
+    `_equiv_search` meets first: the least tuple of the positions, among
+    `_image_candidates`, of the images of src's basis vectors.  Anything
+    else given sorts last."""
+    src = canonical_config(src)
+    rank = {tuple(s * x for x in dst[j]): r
+            for r, (j, s) in enumerate(_image_candidates(dst))}
+    basis = [src[i] for i in _independent_basis(src, len(src[0]))]
+    return min(witnesses, key=lambda u: tuple(
+        rank.get(int_matvec(u, b), len(rank)) for b in basis))
+
+
 def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
                   flag=None, find_all: bool = False) -> list[IntMatrix]:
     """Backtracking search for U in the group with U(+-src) = +-dst,
@@ -423,9 +444,7 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
     bmat = int_transpose(tuple(src[i] for i in basis_idx))
     det_b = int_det(bmat)
     adj_b = int_adjugate(bmat)
-    # candidate images in the order dst, then -dst, as (index, sign)
-    candidates = [(j, 1) for j in range(len(dst))] + \
-        [(j, -1) for j in range(len(dst))]
+    candidates = _image_candidates(dst)
     # per depth: the candidates with the right norm, and the pairings of
     # that basis vector with the earlier ones
     level_cands = []

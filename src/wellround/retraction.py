@@ -462,11 +462,18 @@ def _certify_orthant(base: GramForm, flag: RationalFlag,
     corner the flag of successive minima dominates the flag memberwise,
     the image lands in the subcomplex, and halving any single coordinate
     (or all of them) reproduces the same image exactly.
+
+    Each distinct moved form is retracted once: the all-halved probe of a
+    failed round is the next corner, and with one member it is also the
+    single-coordinate probe.
     """
+    images: dict[GramForm, RetractionTrace] = {}
 
     def image_at(tv: list[Fraction]):
         moved = scale_along_flag(base, flag, ScalingVector.from_rho_sq(tv))
-        return retract(moved)
+        if moved not in images:
+            images[moved] = retract(moved)
+        return images[moved]
 
     for _ in range(80):
         trace = image_at(t_list)

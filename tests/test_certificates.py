@@ -282,3 +282,29 @@ def test_boundary_duality_certificate_raised_under_optimize():
     assert json.loads(cli_line) == {
         "error": "CertificateError: boundary cohomology [2, 2] and "
                  "restriction rank 3 break duality"}
+
+
+# The coset space reads every matrix as lying over the base point, so the
+# orbit lookup of W for Gamma_0(11) files every cell of an SL_2(Z)-orbit
+# under one representative.  The element it then offers is not in the
+# group, and the witness check must fire rather than let a complex with
+# too few orbits through.
+OMEGA_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.flags as flags
+    from wellround.cli import run
+    from wellround.exactla import int_identity
+
+    real = flags.Omega.point
+    flags.Omega.point = lambda self, h: real(self, int_identity(self.n))
+    code = run(["cells", "enumerate", "-n", "2", "--group", "gamma0",
+                "--level", "11"])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_orbit_lookup_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(OMEGA_SCRIPT)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: orbit witness is not in the group"}

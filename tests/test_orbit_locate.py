@@ -5,10 +5,11 @@ every configuration in the closure of every orbit cell, and for its
 translate by a group element, both must give the same orbit, also on a
 second (remembered) lookup.  The witness must lie in the group, keep
 the flag of a flag subcomplex and carry the configuration onto the
-representative.  Where the index found it by the same search (W, whose
-index the walk fills), it is the scan's witness; a derived W_F's index
-is filled with the located closures of its representatives instead,
-whose witnesses are products along the faces."""
+representative.  For W it is the scan's witness, whether the index
+found it by the same search (level 1) or looked it up in the coset
+space (a congruence group); a derived W_F's index is filled with the
+located closures of its representatives instead, whose witnesses are
+products along the faces."""
 
 import pytest
 
@@ -42,9 +43,13 @@ COMPLEXES = {
     "W SL_2": lambda: enumerate_W(GroupSpec(2, "sl")),
     "W Gamma_0(11)": lambda: enumerate_W(GroupSpec(2, "gamma0", 11)),
     "W Gamma(3)": lambda: enumerate_W(GroupSpec(2, "gamma", 3)),
+    "W Gamma_1(5)": lambda: enumerate_W(GroupSpec(2, "gamma1", 5)),
     "W SL_3": lambda: enumerate_W(GroupSpec(3, "sl")),
+    "W Gamma_0(2) SL_3": lambda: enumerate_W(GroupSpec(3, "gamma0", 2)),
     "W_F SL_2 line": lambda: _wf(2, GroupSpec(2, "sl")),
     "W_F SL_3 line": lambda: _wf(3, GroupSpec(3, "sl")),
+    "W_F Gamma_0(11) line": lambda: _wf(2, GroupSpec(2, "gamma0", 11)),
+    "W_F Gamma_0(2) SL_3 line": lambda: _wf(3, GroupSpec(3, "gamma0", 2)),
 }
 
 

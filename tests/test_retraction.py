@@ -232,6 +232,30 @@ def test_orthant_bound_common_image_respects_flag():
         assert len(images) == 1
 
 
+def test_orthant_bound_retracts_each_form_once(monkeypatch):
+    # the all-halved probe of a failed round is the next corner, and with
+    # one member it is also the single-coordinate probe
+    import wellround.retraction as retraction
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return retract(a)
+
+    monkeypatch.setattr(retraction, "retract", counted)
+    rng = random.Random(45)
+    retracted = 0
+    for _ in range(12):
+        n = rng.choice((2, 3))
+        a = rand_spd(rng, n)
+        dims = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        calls.clear()
+        orthant_bound(a, standard_flag(n, dims))
+        assert len(set(calls)) == len(calls)
+        retracted += len(calls)
+    assert retracted > 12
+
+
 def test_sqrt_approx():
     val = sqrt_approx(Fraction(2), Fraction(1, 10 ** 6))
     assert abs(val * val - 2) < Fraction(3, 10 ** 6)
