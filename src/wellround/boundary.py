@@ -7,19 +7,21 @@ Cech-signed restrictions twisted by group elements carrying a deleted
 flag onto its orbit representative.  The total complex computes the
 cohomology of the boundary of the bordified quotient; the restriction
 map from the cohomology of the whole retract quotient is realized at the
-cochain level.  Spectral pages of the column filtration are computed
-over a field by exact subquotient linear algebra.
+cochain level.  Over a field every answer (spectral pages, betti
+numbers, restriction and face-map ranks) is read off one persistence
+pairing (`exactla.f_pairs`) of a mapping cone of the restriction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cells import OrbitComplex, enumerate_W, subcomplex_WF
 from .exactla import (
-    QQ, CertificateError, Echelon, IntMatrix, SparseRows, dense_view,
-    f_rank_modulo, f_solve, sparse_matmul, sparse_transpose,
+    QQ, CertificateError, IntMatrix, SparseRows, f_pairs, sparse_matmul,
+    sparse_transpose,
 )
 from .flags import (
     RationalFlag, check_dimension, flag_equivalent, flag_orbits, flag_types,
@@ -27,8 +29,8 @@ from .flags import (
 )
 from .lattice import GroupSpec
 from .quotient import (
-    ChainMap, QuotientComplex, barycentric_quotient, betti_at, coboundary,
-    cohomology, homology, homology_at, induced_map, parse_coeff,
+    ChainMap, QuotientComplex, barycentric_quotient, betti_at, induced_map,
+    parse_coeff,
 )
 
 
@@ -69,15 +71,6 @@ class DoubleComplex:
     @property
     def num_columns(self) -> int:
         return len(self.columns)
-
-    def max_q(self) -> int:
-        return max((s.qc.dim for col in self.columns for s in col), default=0)
-
-    def filtration_start(self, k: int, p: int) -> int:
-        """The first coordinate of total degree k in column p or later:
-        the coordinates from there on span F^p of degree k."""
-        return min((off for (pp, _, q), off in self.offsets.items()
-                    if pp >= p and pp + q == k), default=self.dims[k])
 
 
 def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
@@ -222,15 +215,85 @@ def _field(coeff, job: str):
     return field
 
 
+def _total_cochains(dc: DoubleComplex):
+    """Tot's generators (column p, degree k, coordinate) in cone order, by
+    column and then degree descending, so every prefix is a subcomplex
+    and F^p a prefix; and per degree k the columns of D^k."""
+    gens = [(p, k, dc.offsets[p, s, k - p] + i)
+            for p in reversed(range(dc.num_columns))
+            for k in reversed(range(len(dc.dims)))
+            for s, summand in enumerate(dc.columns[p])
+            if (p, s, k - p) in dc.offsets
+            for i in range(len(summand.qc.simplices[k - p]))]
+    return gens, [_total_columns(dc, k) for k in range(len(dc.dims))]
+
+
+def _quotient_cochains(qc: QuotientComplex):
+    """A quotient's cochains (0, k, i) in cone order, degree descending;
+    the columns of its coboundary are the rows of its boundaries."""
+    return ([(0, k, i) for k in reversed(range(qc.dim + 1))
+             for i in range(len(qc.simplices[k]))],
+            [qc.boundaries[k + 1] if k < qc.dim
+             else ((),) * len(qc.simplices[k]) for k in range(qc.dim + 1)])
+
+
+def _pair(field, target, source=None, maps: Sequence[SparseRows] = ()):
+    """(labels, pairs): one `f_pairs` reduction and each generator's
+    label (part, column p, degree k).  Reduced is the target (part 0)
+    alone, or the mapping cone of the restriction R from the source
+    (part 1) into it: the target's generators, then the source's, each
+    source c of degree k with the column (-δc, R^k c), R^k c = maps[k][c].
+    The target is a subcomplex, and the pairs inside the source are
+    those of δ alone.  First D∘R = R∘δ is checked: row c of each product
+    is the image of c."""
+    gens, cols = target
+    pos = {(k, c): i for i, (_, k, c) in enumerate(gens)}
+    labels = [(0, p, k) for p, k, _ in gens]
+    columns = [[(pos[k + 1, r], x) for r, x in cols[k][c]] for _, k, c in gens]
+    if source is not None:
+        sgens, scols = source
+        for k, m in enumerate(maps):
+            if sparse_matmul(m, cols[k] if k < len(cols) else ()) != \
+                    sparse_matmul(scols[k], maps[k + 1] if k + 1 < len(maps) else ()):
+                raise CertificateError("restriction fails D*R=R*delta")
+        spos = {(k, c): len(gens) + i for i, (_, k, c) in enumerate(sgens)}
+        labels += [(1, p, k) for p, k, _ in sgens]
+        columns += [[(spos[k + 1, r], -x) for r, x in scols[k][c]]
+                    + [(pos[k, t], y) for t, y in maps[k][c]]
+                    for _, k, c in sgens]
+    return labels, f_pairs(field, columns)
+
+
+def _betti(labels, pairs, part: int) -> Counter:
+    """dim H^k of one part, per degree k: its generators in no pair
+    within the part."""
+    paired = {i for low, col in pairs.items()
+              if labels[low][0] == labels[col][0] for i in (low, col)}
+    return Counter(k for i, (s, _, k) in enumerate(labels)
+                   if s == part and i not in paired)
+
+
+def _ranks(labels, pairs) -> Counter:
+    """The rank of the restriction in cohomology, per degree: the pairs
+    from a source column into the target, each a target class R hits."""
+    return Counter(labels[col][2] for low, col in pairs.items()
+                   if labels[low][0] != labels[col][0])
+
+
 def total_cohomology(dc: DoubleComplex, coeff="Q"):
-    """Cohomology of the total complex: over a field the dimensions, over
-    Z also the torsion (the Smith invariants of `exactla.snf`)."""
+    """Cohomology of the total complex: over a field the dimensions, read
+    off the reduction of Tot; over Z also the torsion (the Smith
+    invariants of `exactla.snf`)."""
     coeff = parse_coeff(coeff)
-    out = []
-    for k in range(len(dc.dims) - 1):
-        betti, torsion = betti_at(coeff, total_differential(dc, k),
-                                  _total_columns(dc, k - 1), dc.dims[k])
-        out.append({"degree": k, "betti": betti, "torsion": torsion})
+    if coeff == "Z":
+        degrees = [betti_at(coeff, total_differential(dc, k),
+                            _total_columns(dc, k - 1), dc.dims[k])
+                   for k in range(len(dc.dims) - 1)]
+    else:
+        betti = _betti(*_pair(coeff, _total_cochains(dc)), 0)
+        degrees = [(betti[k], ()) for k in range(len(dc.dims) - 1)]
+    out = [{"degree": k, "betti": betti, "torsion": torsion}
+           for k, (betti, torsion) in enumerate(degrees)]
     while out and out[-1]["betti"] == 0 and not out[-1]["torsion"]:
         out.pop()
     return out
@@ -244,105 +307,40 @@ def total_cohomology(dc: DoubleComplex, coeff="Q"):
 class SpectralPage:
     r: int
     entries: dict
-    differentials: dict
+    differentials: dict  # (p, q) -> d_r out of E_r^{p,q}, pairing basis
 
     def dim(self, p: int, q: int) -> int:
         return self.entries.get((p, q), 0)
 
 
-def _matvec(field, rows: Sequence[Sequence[tuple[int, int]]], vec) -> list:
-    """An integer matrix, given by its nonzero entries per row, applied to
-    a vector over the field.  Entries come out canonical (residues in
-    [0, p) over F_p), so a zero vector is one with ``not any(v)``."""
-    return [field.of(sum(x * vec[j] for j, x in row)) for row in rows]
-
-
-class _Filtered:
-    """Exact subquotient linear algebra for the column filtration."""
-
-    def __init__(self, dc: DoubleComplex, field):
-        self.dc = dc
-        self.field = field
-        self.pmax = dc.num_columns - 1
-
-    def z_space(self, r: int, p: int, q: int) -> list[list]:
-        """Basis of {x in F^p T^{p+q} : D x in F^{p+r}}.  Columns come in
-        order, so F^p is a tail of the coordinates, and D x lies in
-        F^{p+r} when the rows of D before F^{p+r} vanish on x."""
-        k = p + q
-        if not 0 <= k < len(self.dc.dims):
-            return []
-        lo = self.dc.filtration_start(k, p)
-        n = self.dc.dims[k]
-        if lo == n:
-            return []
-        d = total_differential(self.dc, k)[:self.dc.filtration_start(k + 1, p + r)]
-        basis = Echelon(self.field, (row[lo:] for row in dense_view(d, n)))
-        return [[self.field.of(0)] * lo + v for v in basis.kernel(n - lo)]
-
-    def apply_d(self, k: int, vec: list) -> list:
-        return _matvec(self.field, self.dc.differentials[k], vec)
-
-    def page_entry(self, r: int, p: int, q: int):
-        """(numerator basis, denominator basis, lifts spanning E_r)."""
-        z = self.z_space(r, p, q)
-        den = self.z_space(r - 1, p + 1, q - 1) + \
-            [self.apply_d(p + q - 1, v)
-             for v in self.z_space(r - 1, p - r + 1, q + r - 2)]
-        den = [v for v in den if any(v)]
-        basis = Echelon(self.field, den)
-        return z, den, [v for v in z if basis.add(v)]
-
-    def express(self, vec, lifts, den):
-        """Coordinates of vec in the lift basis modulo the denominator."""
-        cols = list(lifts) + list(den)
-        a = [[c[i] for c in cols] for i in range(len(vec))]
-        sol = f_solve(self.field, a, vec, len(cols))
-        if sol is None:
-            raise CertificateError("vector not in the span")
-        return sol[:len(lifts)]
-
-
 def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None):
     """Pages E_1, E_2, ... of the column filtration, with differentials,
-    until stabilization; returns (pages, abutment dims per degree)."""
+    until stabilization; returns (pages, abutment dims per degree).
+
+    Read off the reduction of Tot (Basu and Parida, "Spectral sequences,
+    exact couples and persistent homology of filtrations", 2017): a pair
+    across a column gap g lies on E_1, ..., E_g and is one rank of d_g,
+    from its column to its lowest row; an unpaired generator lies on
+    every page.  On the basis of its generators in cone order, each d_r
+    is a 0/1 partial identity."""
     field = _field(coeff, "spectral pages")
-    work = _Filtered(dc, field)
-    pmax = work.pmax
-    if r_stop is None:
-        r_stop = pmax + 2
+    labels, pairs = _pair(field, _total_cochains(dc))
+    gap = {i: labels[low][1] - labels[col][1]
+           for low, col in pairs.items() for i in (low, col)}
+    partner = {col: low for low, col in pairs.items()}
     pages = []
-    for r in range(1, r_stop + 1):
-        entries = {}
-        lifts_at = {}
-        dens_at = {}
-        for p in range(pmax + 1):
-            for q in range(dc.max_q() + 1):
-                z, den, lifts = work.page_entry(r, p, q)
-                if lifts:
-                    entries[(p, q)] = len(lifts)
-                    lifts_at[(p, q)] = lifts
-                    dens_at[(p, q)] = den
-        diffs = {}
-        for (p, q), lifts in lifts_at.items():
-            tp, tq = p + r, q - r + 1
-            timg = lifts_at.get((tp, tq), [])
-            tden = dens_at.get((tp, tq), [])
-            if not timg and not tden:
-                tz, tden2, timg2 = work.page_entry(r, tp, tq)
-                timg, tden = timg2, tden2
-            rows = []
-            for v in lifts:
-                img = work.apply_d(p + q, v)
-                rows.append(work.express(img, timg, tden))
-            if timg:
-                diffs[(p, q)] = tuple(tuple(r_) for r_ in
-                                      zip(*rows)) if rows else ()
-            elif any(rows):
-                raise CertificateError("page differential into zero is nonzero")
-        pages.append(SpectralPage(r, entries, diffs))
-    # the abutment: the total cohomology over the field
-    return pages, [d["betti"] for d in total_cohomology(dc, field)]
+    for r in range(1, (dc.num_columns + 1 if r_stop is None else r_stop) + 1):
+        basis: dict[tuple[int, int], list[int]] = {}
+        for i, (_, p, k) in enumerate(labels):
+            if gap.get(i, r) >= r:
+                basis.setdefault((p, k - p), []).append(i)
+        diffs = {(p, q): tuple(tuple(int(partner.get(j) == i) for j in src)
+                               for i in basis[p + r, q - r + 1])
+                 for (p, q), src in basis.items() if (p + r, q - r + 1) in basis}
+        pages.append(SpectralPage(r, dict(sorted((pq, len(v)) for pq, v
+                                                 in basis.items())), diffs))
+    betti = _betti(labels, pairs, 0)
+    return pages, [betti[k] for k in range(max(betti, default=-1) + 1)]
 
 
 def e1_page(dc: DoubleComplex, coeff="Q") -> SpectralPage:
@@ -371,7 +369,7 @@ class RestrictionReport:
 def _inclusion_rows(dc: DoubleComplex, q: int) -> list[list[tuple[int, int]]]:
     """The chain-level map from total degree q to the q-chains of W/Gamma,
     by nonzero entries per row: column-0 blocks include along their chain
-    maps, the other columns map to 0."""
+    maps, the other columns map to 0.  Row c is R^q c, c a cochain."""
     rows: list[list[tuple[int, int]]] = \
         [[] for _ in range(len(dc.w_qc.simplices[q]) if q <= dc.w_qc.dim else 0)]
     for s, cm in enumerate(dc.inclusions):
@@ -382,27 +380,22 @@ def _inclusion_rows(dc: DoubleComplex, q: int) -> list[list[tuple[int, int]]]:
     return rows
 
 
+def _restriction_degrees(dc: DoubleComplex, field) -> list[RestrictionDegree]:
+    """Every degree of the restriction C*(W/Gamma) -> Tot, the transposed
+    column-0 inclusion, read off the reduction of its cone."""
+    maps = [_inclusion_rows(dc, q) for q in range(dc.w_qc.dim + 1)]
+    cone = _pair(field, _total_cochains(dc), _quotient_cochains(dc.w_qc), maps)
+    total, retract, ranks = _betti(*cone, 0), _betti(*cone, 1), _ranks(*cone)
+    return [RestrictionDegree(q, retract[q], total[q], ranks[q],
+                              retract[q] - ranks[q])
+            for q in range(max(dc.w_qc.dim, len(dc.dims) - 2) + 1)]
+
+
 def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
     """Cochain-level restriction from the retract quotient into column 0,
     composed into total cohomology; ranks and interior dimensions."""
     field = _field(coeff, "restriction ranks")
-    cocycles = cohomology(dc.w_qc, field).degrees
-    degrees = []
-    for q in range(max(dc.w_qc.dim, len(dc.dims) - 2) + 1):
-        reps = cocycles[q].representatives if q <= dc.w_qc.dim else ()
-        # the restriction is the transposed inclusion: total coordinate c
-        # collects the cocycle's values on the simplices that c includes to
-        restrict_rows = sparse_transpose(_inclusion_rows(dc, q), dc.dims[q])
-        imgs = [_matvec(field, restrict_rows, rep) for rep in reps]
-        dtot = total_differential(dc, q)
-        coboundaries = _total_columns(dc, q - 1)
-        dim_total = betti_at(field, dtot, coboundaries, dc.dims[q])[0]
-        for v in imgs:  # restriction of a cocycle is a total cocycle
-            if any(_matvec(field, dtot, v)):
-                raise CertificateError("restricted cocycle is not a total cocycle")
-        rank = f_rank_modulo(field, dense_view(coboundaries, dc.dims[q]), imgs)
-        degrees.append(RestrictionDegree(q, len(reps), dim_total, rank,
-                                         len(reps) - rank))
+    degrees = _restriction_degrees(dc, field)
     if field == QQ and dc.group.family != "gl":
         _check_boundary_duality(dc.group.n, degrees)
     return RestrictionReport(field.name, tuple(degrees))
@@ -435,36 +428,15 @@ class BoundaryHomologyReport:
     degrees: tuple[BoundaryHomologyDegree, ...]
 
 
-def _rank_in_homology(field, qc: QuotientComplex, q: int, cycles) -> int:
-    """Rank of the classes of q-cycles of qc in H_q(qc): their rank modulo
-    the boundaries, the columns of boundaries[q + 1]."""
-    base = dense_view(coboundary(qc, q), len(qc.simplices[q])) if q < qc.dim else ()
-    return f_rank_modulo(field, base, cycles)
-
-
 def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
     """Homology of the dual total complex and the rank of its map into
-    the homology of the retract quotient.
-
-    The dual boundary in degree q is the transpose of D^{q-1}; chains
-    project to their column-0 components and include along the flag
-    subcomplexes (the signed column-1 contributions cancel pairwise, so
-    this is a chain map; asserted in the test suite)."""
+    the homology of the retract quotient: over a field, the degrees of
+    `restriction` (the inclusion of chains is the adjoint of the
+    restriction, of equal rank), trailing empty ones dropped."""
     field = _field(coeff, "boundary homology ranks")
-    w_hom = homology(dc.w_qc, field).degrees
-    degrees = []
-    for q in range(max(len(dc.dims) - 2, dc.w_qc.dim) + 1):
-        # dual boundary out of degree q: transpose(D^{q-1});
-        # dual boundary into degree q: transpose(D^q)
-        h = homology_at(field, _total_columns(dc, q - 1),
-                        total_differential(dc, q), dc.dims[q])
-        # push a cycle into the chains of the retract quotient: column 0
-        # components flow along the inclusion chain maps
-        include_rows = _inclusion_rows(dc, q)
-        imgs = [_matvec(field, include_rows, rep) for rep in h.representatives]
-        dim_w = w_hom[q].betti if q <= dc.w_qc.dim else 0
-        degrees.append(BoundaryHomologyDegree(
-            q, h.betti, dim_w, _rank_in_homology(field, dc.w_qc, q, imgs)))
+    degrees = [BoundaryHomologyDegree(d.degree, d.dim_total, d.dim_retract,
+                                      d.rank)
+               for d in _restriction_degrees(dc, field)]
     while degrees and degrees[-1].dim_boundary == 0 \
             and degrees[-1].dim_retract == 0:
         degrees.pop()
@@ -486,8 +458,8 @@ class FaceMapReport:
 
 def face_map(dc: DoubleComplex, flag: RationalFlag,
              coeff="Q") -> FaceMapReport:
-    """Maps induced by one flag subcomplex inclusion, no spectral
-    machinery: chain level in homology, transposed in cohomology."""
+    """Maps induced by one flag subcomplex inclusion: ranks read off the
+    cone of C*(W/Gamma) -> C*(W_F/Gamma_F), equal in homology."""
     field = _field(coeff, "face maps")
     check_dimension(flag, dc.group)
     hit = _locate_flag(dc.columns[0], flag, dc.group)
@@ -495,13 +467,10 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
         raise ValueError("flag is not equivalent to a column-0 representative")
     summand = dc.columns[0][hit[0]]
     cm = dc.inclusions[hit[0]]
-    sub_h = homology(summand.qc, field)
-    hom_ranks = []
-    for q in range(dc.w_qc.dim + 1):
-        reps = sub_h.degrees[q].representatives if q <= summand.qc.dim else ()
-        imgs = [_matvec(field, cm.matrix(q), rep) for rep in reps]
-        hom_ranks.append(_rank_in_homology(field, dc.w_qc, q, imgs))
-    # adjoint maps have equal rank
-    return FaceMapReport(summand.flag, field.name, tuple(hom_ranks),
-                         tuple(hom_ranks),
-                         tuple(cm.matrix(q) for q in range(dc.w_qc.dim + 1)))
+    w = dc.w_qc
+    maps = [cm.matrix(q) or ((),) * len(w.simplices[q]) for q in range(w.dim + 1)]
+    ranks = _ranks(*_pair(field, _quotient_cochains(summand.qc),
+                          _quotient_cochains(w), maps))
+    hom_ranks = tuple(ranks[q] for q in range(w.dim + 1))
+    return FaceMapReport(summand.flag, field.name, hom_ranks, hom_ranks,
+                         tuple(cm.matrix(q) for q in range(w.dim + 1)))

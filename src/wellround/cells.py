@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -759,17 +760,20 @@ def expected_top_dim(n: int) -> int:
 # Flags respected by cells; flag subcomplexes
 # ---------------------------------------------------------------------------
 
-Flats = dict[int, list[frozenset[int]]]
+Flats = tuple[tuple[frozenset[int], ...], ...]
 FlatFlag = tuple[frozenset[int], ...]
 
 
+@lru_cache(maxsize=4096)
 def _flats(config: VectorConfig) -> Flats:
     """The proper subspaces spanned by vectors of the configuration, by
-    dimension k = 1, ..., n-1: each as its flat, the set of indices of
-    the configuration vectors inside it.  One flat contains another
-    exactly when its subspace does."""
+    dimension k = 1, ..., n-1 (entry k; entry 0 is empty): each as its
+    flat, the set of indices of the configuration vectors inside it.  One
+    flat contains another exactly when its subspace does.  Cached, for
+    the configurations used last: every W_F of one W reads the flats of
+    W's cells."""
     n = len(config[0])
-    out: Flats = {}
+    out = [()]
     for k in range(1, n):
         found: list[frozenset[int]] = []
         for sub in combinations(range(len(config)), k):
@@ -779,8 +783,8 @@ def _flats(config: VectorConfig) -> Flats:
             if all(span.add(config[i]) for i in sub):
                 found.append(frozenset(j for j, v in enumerate(config)
                                        if span.spans(v)))
-        out[k] = sorted(found, key=sorted)
-    return out
+        out.append(tuple(sorted(found, key=sorted)))
+    return tuple(out)
 
 
 def _flat_flags(flats: Flats, dims: Sequence[int]) -> list[FlatFlag]:

@@ -20,11 +20,11 @@ Python ints.  Provided here:
   (Bareiss) pivots, whose every optimal answer is checked by a primal
   and a dual certificate; Fractions are made only for its answer,
 * `Echelon`, an incrementally built echelon basis over Q or F_p that
-  keeps integer rows over Q, and the one elimination kernel outside the
-  simplex: rank and independence (`add`, `f_rank`, `f_rank_modulo`),
-  span membership (`spans`), null spaces (`kernel`, `f_kernel`),
-  particular solutions (`solution`, `f_solve`) and reduced row echelon
-  forms all run on it.
+  keeps integer rows over Q, and the dense elimination kernel outside
+  the simplex: rank and independence (`add`, `f_rank`), span membership
+  (`spans`), null spaces (`kernel`), particular solutions (`solution`,
+  `f_solve`) and reduced row echelon forms all run on it,
+* `f_pairs`, the persistence pairs of a filtered complex over Q or F_p.
 
 All functions are pure; `Echelon` is the one mutable object.
 """
@@ -562,9 +562,6 @@ class RationalField:
 
     name = "Q"
 
-    def of(self, n) -> Fraction:
-        return Fraction(n)
-
 
 class PrimeField:
     """The integers mod a prime p < 2^31, as coefficients; elements are
@@ -578,9 +575,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
-
-    def of(self, n: int) -> int:
-        return n % self.p
 
 
 QQ = RationalField()
@@ -721,22 +715,49 @@ def f_rank(field, a: Sequence[Sequence]) -> int:
     return len(Echelon(field, a))
 
 
-def f_rank_modulo(field, base: Iterable[Sequence],
-                  vectors: Iterable[Sequence]) -> int:
-    """Rank over the field of the vectors modulo the span of base, that
-    is f_rank(base + vectors) - f_rank(base): the number of vectors that
-    an echelon basis of base accepts."""
-    span = Echelon(field, base)
-    return sum(span.add(v) for v in vectors)
-
-
-def f_kernel(field, a: Sequence[Sequence], ncols: int) -> list[list]:
-    """Basis of the null space {x : a x = 0} over the field."""
-    return Echelon(field, a).kernel(ncols)
-
-
 def f_solve(field, a: Sequence[Sequence], b: Sequence, ncols: int) -> Optional[list]:
     """The solution x of a x = b over the field whose free variables are
     0, or None when there is none; a has one row of ncols entries per
     entry of b."""
     return Echelon(field, [[*row, y] for row, y in zip(a, b)]).solution(ncols)
+
+
+def f_pairs(field, columns: Iterable[Sequence[tuple[int, int]]]) -> dict[int, int]:
+    """The persistence pairs {lowest row: column} of a filtered complex
+    (Edelsbrunner, Letscher and Zomorodian, "Topological persistence and
+    simplification", 2002): columns[j] lists the integer entries (row,
+    value) of the differential of generator j, generators in filtration
+    order.  Left to right, while a column's lowest row (its last nonzero)
+    is that of an earlier reduced column, a multiple of that column is
+    subtracted; a column left nonzero pairs its lowest row with it.  Over
+    Q columns stay integers: fraction-free steps as in `Echelon`, and a
+    kept column divided by the gcd of its entries; over F_p residues."""
+    p: Optional[int] = getattr(field, "p", None)  # None over Q
+    reduced: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
+    pairs: dict[int, int] = {}
+    for j, entries in enumerate(columns):
+        col = {i: y for i, x in entries if (y := x if p is None else x % p)}
+        while col and (other := reduced.get(low := max(col))) is not None:
+            x, a = col[low], other[low]
+            if p is not None:
+                x = x * pow(a, -1, p) % p
+            elif x % a:
+                g = gcd(a, x)
+                col = {i: a // g * v for i, v in col.items()}
+                x //= g
+            else:
+                x //= a
+            for i, v in other.items():
+                w = col.get(i, 0) - x * v
+                if p is not None:
+                    w %= p
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+        if col:
+            if p is None and (g := gcd(*col.values())) != 1:
+                col = {i: v // g for i, v in col.items()}
+            low = max(col)
+            reduced[low], pairs[low] = col, j
+    return pairs

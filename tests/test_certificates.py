@@ -254,22 +254,25 @@ def test_lp_certificate_raised_under_optimize():
         "error": "CertificateError: LP objective disagrees with its point"}
 
 
-# The first restriction rank is raised by 1.  The ranks are then more
-# than half of the boundary's cohomology, which Borel-Serre duality
-# forbids, so the duality certificate of `restriction` must fire.
+# The first restriction rank is raised by 1: the degree-0 rank of the
+# first cone reduction read.  The ranks are then more than half of the
+# boundary's cohomology, which Borel-Serre duality forbids, so the
+# duality certificate of `restriction` must fire.
 DUALITY_SCRIPT = textwrap.dedent("""
     import json, sys
     import wellround.boundary as boundary
     from wellround.cli import run
 
-    real = boundary.f_rank_modulo
+    real = boundary._ranks
     calls = []
 
-    def corrupted(field, base, vectors):
+    def corrupted(labels, pairs):
         calls.append(1)
-        return real(field, base, vectors) + (len(calls) == 1)
+        ranks = real(labels, pairs)
+        ranks[0] += len(calls) == 1
+        return ranks
 
-    boundary.f_rank_modulo = corrupted
+    boundary._ranks = corrupted
     code = run(["boundary", "restrict", "-n", "2", "--group", "gamma0",
                 "--level", "11"])
     print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
@@ -282,6 +285,44 @@ def test_boundary_duality_certificate_raised_under_optimize():
     assert json.loads(cli_line) == {
         "error": "CertificateError: boundary cohomology [2, 2] and "
                  "restriction rank 3 break duality"}
+
+
+# The first entry of the degree-0 inclusion matrix of the first column-0
+# summand is negated after the build has checked that inclusion, so the
+# restriction from W/Gamma into the total complex is no cochain map, and
+# the D*R = R*delta certificate of the restriction cone must fire.
+COCHAIN_MAP_SCRIPT = textwrap.dedent("""
+    import dataclasses, json, sys
+    import wellround.boundary as boundary
+    import wellround.cli as cli
+    from wellround.cli import run
+
+    real = boundary.build_double_complex
+
+    def corrupted(group, variant=0):
+        dc = real(group, variant)
+        cm = dc.inclusions[0]
+        m0 = [list(row) for row in cm.matrices[0]]
+        i = next(i for i, row in enumerate(m0) if row)
+        j, x = m0[i][0]
+        m0[i][0] = (j, -x)
+        flipped = dataclasses.replace(
+            cm, matrices=(tuple(map(tuple, m0)),) + cm.matrices[1:])
+        return dataclasses.replace(
+            dc, inclusions=(flipped,) + dc.inclusions[1:])
+
+    cli.build_double_complex = corrupted
+    code = run(["boundary", "restrict", "-n", "2", "--group", "gamma0",
+                "--level", "11"])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_cochain_map_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(COCHAIN_MAP_SCRIPT)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: restriction fails D*R=R*delta"}
 
 
 # The coset space reads every matrix as lying over the base point, so the

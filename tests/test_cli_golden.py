@@ -1,8 +1,11 @@
 """Byte-for-byte comparison of CLI output with fixtures in tests/golden/.
 
-The boundary fixtures were written by the Gauss-Jordan elimination that
-the echelon basis replaced, so any change in ranks, representatives or
-page differentials shows up here.  The retract and bound fixtures were
+The Gamma_0(11) boundary fixtures were written by the Gauss-Jordan
+elimination that the echelon basis replaced, so any change in ranks,
+representatives or page differentials shows up here.  The SL_3 spectral
+fixture was written when the pages came to be read off one persistence
+pairing; it pins the differentials in the pairing basis, where each d_r
+is a 0/1 partial identity.  The retract and bound fixtures were
 written by the Fraction projector retraction that the integer split
 kernel replaced, so any change in a stage factor, tight vector, final
 form or orthant bound shows up here.  To rewrite a fixture after an
@@ -42,6 +45,9 @@ CASES = {
     for mode in ("total", "e1", "ss", "restrict", "facemap")
     for coeff, tag in (("Q", "q"), ("Fp:3", "fp3"))
 }
+# two columns, so a nonzero d_1, printed in the pairing basis
+CASES["boundary_ss_sl_3_q.json"] = ["boundary", "ss", "-n", "3", "--group",
+                                    "sl", "--coeff", "Q"]
 
 LINE3 = {"n": 3, "members": [[[1], [0], [0]]]}  # the line spanned by e_1
 

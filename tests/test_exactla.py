@@ -15,8 +15,8 @@ from dense_assembly import dense, sparse_rows
 from rational_matrix import RatMatrix, int_scaled
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
-    Echelon, LPResult, NotPositiveDefinite, PrimeField, f_kernel, f_rank,
-    f_rank_modulo, f_solve, format_rational, hnf, int_adjugate, int_det,
+    Echelon, LPResult, NotPositiveDefinite, PrimeField, f_rank,
+    f_solve, format_rational, hnf, int_adjugate, int_det,
     int_identity, int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix,
     int_matvec, int_transpose, lp, parse_rational, saturation,
     dense_view, snf, sparse_matmul, sparse_transpose,
@@ -387,7 +387,7 @@ def test_echelon_matches_gauss_jordan(data):
         vecs = [[Fraction(x, d) for x in row] for row, d in zip(cands, dens)] \
             if p is None else cands
         assert f_rank(field, m) == len(gj.rref(p, m)[1])
-        assert f_kernel(field, m, n) == _ref_kernel(p, m, n)
+        assert Echelon(field, m).kernel(n) == _ref_kernel(p, m, n)
         assert Echelon(field, vecs).reduced() == gj.rref(p, vecs)
         basis = Echelon(field, m)
         kept = [i for i, v in enumerate(vecs) if basis.add(v)]
@@ -436,7 +436,10 @@ def test_rank_modulo_matches_rank_difference(data):
         # over Q the vectors carry denominators, like images of cocycles
         vecs = [[Fraction(x, i + 2) for x in row]
                 for i, row in enumerate(cands)] if p is None else cands
-        assert f_rank_modulo(field, base, vecs) == \
+        # an echelon basis of the base accepts as many vectors as they
+        # raise its rank
+        span = Echelon(field, base)
+        assert sum(span.add(v) for v in vecs) == \
             f_rank(field, base + vecs) - f_rank(field, base)
 
 
@@ -490,11 +493,11 @@ def test_rank_matches_smith_invariants(m):
 
 
 def test_kernel_types_and_empty_matrix():
-    assert f_kernel(QQ, [], 2) == [[1, 0], [0, 1]]
-    assert all(isinstance(x, Fraction) for v in f_kernel(QQ, [[2, 4]], 2)
-               for x in v)
-    assert f_kernel(QQ, [[2, 4]], 2) == [[Fraction(-2), Fraction(1)]]
-    assert f_kernel(PrimeField(3), [[2, 4]], 2) == [[1, 1]]
+    assert Echelon(QQ, []).kernel(2) == [[1, 0], [0, 1]]
+    assert all(isinstance(x, Fraction)
+               for v in Echelon(QQ, [[2, 4]]).kernel(2) for x in v)
+    assert Echelon(QQ, [[2, 4]]).kernel(2) == [[Fraction(-2), Fraction(1)]]
+    assert Echelon(PrimeField(3), [[2, 4]]).kernel(2) == [[1, 1]]
     assert f_rank(QQ, []) == 0
     assert f_rank(QQ, [[], []]) == 0
 

@@ -132,3 +132,18 @@ def test_sl3_build_derives_flag_subcomplexes(monkeypatch):
     assert calls["lp"] <= 82
     assert calls["config_stabilizer"] <= 10
     assert calls["late cofaces"] == 0
+
+
+def test_flats_computed_once_per_configuration_of_W():
+    # every subcomplex_WF of one build reads the flats of all of W's
+    # representatives; they are computed once per configuration
+    import wellround.boundary as boundary
+    import wellround.cells as cells
+
+    cells._flats.cache_clear()
+    dc = boundary.build_double_complex(GroupSpec(3, "sl"))
+    configs = {oc.cell.config for oc in dc.w_complex.cells}
+    calls = sum(len(column) for column in dc.columns)  # one per W_F
+    info = cells._flats.cache_info()
+    assert info.misses <= len(configs)
+    assert info.hits >= (calls - 1) * len(configs)
