@@ -365,6 +365,17 @@ class RestrictionReport:
     coeff: str
     degrees: tuple[RestrictionDegree, ...]
 
+    def homology(self) -> BoundaryHomologyReport:
+        """The `boundary_homology` report of the same cone: these degrees,
+        trailing empty ones dropped (the adjoint map has equal rank)."""
+        degrees = [BoundaryHomologyDegree(d.degree, d.dim_total,
+                                          d.dim_retract, d.rank)
+                   for d in self.degrees]
+        while degrees and degrees[-1].dim_boundary == 0 \
+                and degrees[-1].dim_retract == 0:
+            degrees.pop()
+        return BoundaryHomologyReport(self.coeff, tuple(degrees))
+
 
 def _inclusion_rows(dc: DoubleComplex, q: int) -> list[list[tuple[int, int]]]:
     """The chain-level map from total degree q to the q-chains of W/Gamma,
@@ -430,17 +441,11 @@ class BoundaryHomologyReport:
 
 def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
     """Homology of the dual total complex and the rank of its map into
-    the homology of the retract quotient: over a field, the degrees of
-    `restriction` (the inclusion of chains is the adjoint of the
-    restriction, of equal rank), trailing empty ones dropped."""
+    the homology of the retract quotient, read off the cone that
+    `restriction` reduces (`RestrictionReport.homology`)."""
     field = _field(coeff, "boundary homology ranks")
-    degrees = [BoundaryHomologyDegree(d.degree, d.dim_total, d.dim_retract,
-                                      d.rank)
-               for d in _restriction_degrees(dc, field)]
-    while degrees and degrees[-1].dim_boundary == 0 \
-            and degrees[-1].dim_retract == 0:
-        degrees.pop()
-    return BoundaryHomologyReport(field.name, tuple(degrees))
+    return RestrictionReport(field.name,
+                             tuple(_restriction_degrees(dc, field))).homology()
 
 
 # ---------------------------------------------------------------------------

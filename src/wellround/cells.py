@@ -41,8 +41,9 @@ from .flags import (
 )
 from .lattice import (
     GramForm, GroupSpec, VectorConfig, _char_pairings, _first_witness,
-    canonical_config, canonical_vector, config_equiv, config_spans,
-    config_stabilizer, minimal_vectors, normalize, vectors_below,
+    canonical_config, canonical_vector, config_equiv, config_from_json,
+    config_spans, config_stabilizer, minimal_vectors, normalize,
+    vectors_below,
 )
 from .retraction import _qf
 
@@ -514,6 +515,56 @@ class OrbitComplex:
         if self.constraint is not None:
             data["constraint"] = self.constraint.to_json()
         return data
+
+    @classmethod
+    def from_json(cls, data: dict) -> OrbitComplex:
+        """An orbit complex from its `to_json` form.  Cell ids must be 0,
+        ..., m-1, each cell's dim must be that of the cell its config
+        spans, a constraint flag must live in the group's dimension, and
+        no two cells may lie in one orbit; an incidence must join two of
+        the cells, the face one dimension lower, by an element of the
+        group.  The orbit index is rebuilt by adding the cells in id
+        order, and each cell's faces and stabilizer are computed again."""
+        group = GroupSpec.from_json(data["group"])
+        constraint = None
+        if "constraint" in data:
+            constraint = RationalFlag.from_json(data["constraint"])
+            if constraint.n != group.n:
+                raise ValueError(f"constraint flag has n = {constraint.n}, "
+                                 f"the group has n = {group.n}")
+        items = sorted(data["cells"], key=lambda c: int(c["id"]))
+        if [int(item["id"]) for item in items] != list(range(len(items))):
+            raise ValueError("cell ids must be 0, ..., m-1, each once")
+        index = _OrbitIndex(group, constraint)
+        for item in items:
+            cell = cell_from_config(config_from_json(item["config"]))
+            if cell.n != group.n:
+                raise ValueError(f"cell {item['id']} has n = {cell.n}, "
+                                 f"the group has n = {group.n}")
+            if int(item["dim"]) != cell.dim:
+                raise ValueError(f"cell {item['id']} has dim {item['dim']}, "
+                                 f"its config spans a {cell.dim}-cell")
+            hit = index.locate(cell.config, cell.dim)
+            if hit is not None:
+                raise ValueError(f"cells {hit[0]} and {item['id']} lie in "
+                                 "one orbit")
+            index.add(cell)
+        dims = [oc.cell.dim for oc in index.orbits]
+        incidences = []
+        for i in data.get("incidences", ()):
+            inc = Incidence(int(i["cell"]), int(i["face"]),
+                            tuple(tuple(int(x) for x in row) for row in i["via"]))
+            if not (0 <= inc.cell < len(dims) and 0 <= inc.face < len(dims)):
+                raise ValueError(f"incidence {inc.cell} -> {inc.face} names a "
+                                 f"cell outside 0, ..., {len(dims) - 1}")
+            if dims[inc.face] != dims[inc.cell] - 1:
+                raise ValueError(f"incidence {inc.cell} -> {inc.face} joins "
+                                 f"dims {dims[inc.cell]} and {dims[inc.face]}")
+            if not group.contains(inc.via):
+                raise ValueError(f"incidence {inc.cell} -> {inc.face} has a "
+                                 "via that is not in the group")
+            incidences.append(inc)
+        return _orbit_complex(index, incidences)
 
 
 def _orbit_key(config: VectorConfig):

@@ -16,18 +16,14 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .boundary import (
-    boundary_homology, build_double_complex, e1_page, face_map, restriction,
-    spectral_sequence, total_cohomology,
+    build_double_complex, e1_page, face_map, restriction, spectral_sequence,
+    total_cohomology,
 )
-from .cells import (
-    Incidence, OrbitComplex, _OrbitIndex, _orbit_complex, cell_from_config,
-    enumerate_W, is_small_enough, subcomplex_WF,
-)
+from .cells import OrbitComplex, enumerate_W, is_small_enough, subcomplex_WF
 from .exactla import CertificateError, format_rational, parse_rational
 from .flags import RationalFlag, flag_orbits
 from .lattice import (
-    GramForm, GroupSpec, config_from_json, config_to_json, minimal_vectors,
-    vectors_below,
+    GramForm, GroupSpec, config_to_json, minimal_vectors, vectors_below,
 )
 from .quotient import barycentric_quotient, cohomology, homology
 from .retraction import orthant_bound, retract
@@ -84,65 +80,11 @@ def _flag_from_file(path: str) -> RationalFlag:
 def _complex_from_file(path: str) -> OrbitComplex:
     data = _load_json(path)
     try:
-        return complex_from_json(data)
+        return OrbitComplex.from_json(data)
     except CertificateError:
         raise
     except Exception as exc:
         raise DomainError(f"bad complex: {exc}") from exc
-
-
-def complex_to_json(cx: OrbitComplex) -> dict:
-    return cx.to_json()
-
-
-def complex_from_json(data: dict) -> OrbitComplex:
-    """An orbit complex from its JSON form.  Cell ids must be 0, ..., m-1,
-    each cell's dim must be that of the cell its config spans, a
-    constraint flag must live in the group's dimension, and no two cells
-    may lie in one orbit; an incidence must join two of the cells, the
-    face one dimension lower, by an element of the group.  The orbit
-    index is rebuilt by adding the cells in id order, and each cell's
-    faces and stabilizer are computed again."""
-    group = GroupSpec.from_json(data["group"])
-    constraint = None
-    if "constraint" in data:
-        constraint = RationalFlag.from_json(data["constraint"])
-        if constraint.n != group.n:
-            raise ValueError(f"constraint flag has n = {constraint.n}, "
-                             f"the group has n = {group.n}")
-    items = sorted(data["cells"], key=lambda c: int(c["id"]))
-    if [int(item["id"]) for item in items] != list(range(len(items))):
-        raise ValueError("cell ids must be 0, ..., m-1, each once")
-    index = _OrbitIndex(group, constraint)
-    for item in items:
-        cell = cell_from_config(config_from_json(item["config"]))
-        if cell.n != group.n:
-            raise ValueError(f"cell {item['id']} has n = {cell.n}, "
-                             f"the group has n = {group.n}")
-        if int(item["dim"]) != cell.dim:
-            raise ValueError(f"cell {item['id']} has dim {item['dim']}, "
-                             f"its config spans a {cell.dim}-cell")
-        hit = index.locate(cell.config, cell.dim)
-        if hit is not None:
-            raise ValueError(f"cells {hit[0]} and {item['id']} lie in "
-                             "one orbit")
-        index.add(cell)
-    dims = [oc.cell.dim for oc in index.orbits]
-    incidences = []
-    for i in data.get("incidences", ()):
-        inc = Incidence(int(i["cell"]), int(i["face"]),
-                        tuple(tuple(int(x) for x in row) for row in i["via"]))
-        if not (0 <= inc.cell < len(dims) and 0 <= inc.face < len(dims)):
-            raise ValueError(f"incidence {inc.cell} -> {inc.face} names a "
-                             f"cell outside 0, ..., {len(dims) - 1}")
-        if dims[inc.face] != dims[inc.cell] - 1:
-            raise ValueError(f"incidence {inc.cell} -> {inc.face} joins "
-                             f"dims {dims[inc.cell]} and {dims[inc.face]}")
-        if not group.contains(inc.via):
-            raise ValueError(f"incidence {inc.cell} -> {inc.face} has a "
-                             "via that is not in the group")
-        incidences.append(inc)
-    return _orbit_complex(index, incidences)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +151,7 @@ def _cmd_cells_enumerate(args) -> dict:
                          variant=args.variant)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
-    return complex_to_json(cx)
+    return cx.to_json()
 
 
 def _cmd_cells_wf(args) -> dict:
@@ -220,7 +162,7 @@ def _cmd_cells_wf(args) -> dict:
         wf = subcomplex_WF(cx, flag)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
-    return complex_to_json(wf)
+    return wf.to_json()
 
 
 def _cmd_homology(args) -> dict:
@@ -272,7 +214,7 @@ def _cmd_boundary(args) -> dict:
         return {"cohomology": total_cohomology(dc, args.coeff)}
     if mode == "restrict":
         rep = restriction(dc, args.coeff)
-        hom = boundary_homology(dc, args.coeff)
+        hom = rep.homology()
         return {
             "coeff": rep.coeff,
             "restriction": [{

@@ -19,12 +19,12 @@ Python ints.  Provided here:
   integer tableau over one common denominator with fraction-free
   (Bareiss) pivots, whose every optimal answer is checked by a primal
   and a dual certificate; Fractions are made only for its answer,
-* `Echelon`, an incrementally built echelon basis over Q or F_p that
-  keeps integer rows over Q, and the dense elimination kernel outside
+* `Echelon`, an incrementally built sparse echelon basis over Q or F_p
+  that keeps integer rows over Q, and the one elimination kernel outside
   the simplex: rank and independence (`add`, `f_rank`), span membership
   (`spans`), null spaces (`kernel`), particular solutions (`solution`,
-  `f_solve`) and reduced row echelon forms all run on it,
-* `f_pairs`, the persistence pairs of a filtered complex over Q or F_p.
+  `f_solve`), reduced row echelon forms and the persistence pairs of a
+  filtered complex (`f_pairs`) all run on it.
 
 All functions are pure; `Echelon` is the one mutable object.
 """
@@ -163,7 +163,7 @@ def sparse_transpose(m: SparseRows, width: int) -> SparseRows:
 
 def dense_view(m: SparseRows, width: int) -> Iterator[list[int]]:
     """The rows of a matrix of `width` columns as dense lists, made one at
-    a time: an echelon basis, which keeps few, never holds them all."""
+    a time, for `snf`."""
     for row in m:
         dense = [0] * width
         for j, x in row:
@@ -581,99 +581,129 @@ QQ = RationalField()
 
 
 class Echelon:
-    """An incrementally built semi-echelon basis of a row space over Q or
-    F_p: ``add(v)`` keeps v and returns True exactly when v is independent
-    of the rows added before it.
+    """An incrementally built echelon basis of a row space over Q or F_p:
+    ``add(v)`` keeps v and returns True exactly when v is independent of
+    the rows added before it.  A row comes dense, as a sequence of
+    entries, or sparse, as the (column, value) entries of a `SparseRows`
+    row.
 
-    Every kept row is reduced against the rows kept before it and is
-    labelled by its pivot, its first nonzero column, so one pass over the
-    basis reduces a new vector.  Over Q the rows are integers: a vector
-    is scaled once by the lcm of its denominators, eliminated fraction-free
-    (v <- a v - x r for a basis row r with pivot entry a and x = v[pivot],
-    both divided by gcd(a, x); Bareiss, Math. Comp. 1968) and divided by
-    the gcd of its entries, so no Fraction arithmetic happens.  Over F_p
-    the rows are residues with pivot entry 1.
+    ``rows`` files each kept row, as {column: entry}, under its pivot,
+    its least column; a vector is reduced by looking up the pivot of its
+    least column until that column is no pivot or nothing is left.  Over
+    Q the rows are integers: a vector is scaled once by the lcm of its
+    denominators, and a kept row is divided by the gcd of its entries,
+    signed to make its pivot entry positive.  Over F_p the rows are
+    residues with pivot entry 1.
     """
 
     def __init__(self, field, rows: Iterable[Sequence] = ()):
         self.p: Optional[int] = getattr(field, "p", None)  # None over Q
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, int]] = {}
+        self.width = 0  # the longest dense vector's length
         for row in rows:
             self.add(row)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Sequence) -> list[int]:
-        """v reduced against the basis: integer over Q, residues over F_p;
-        all zero exactly when v lies in the span."""
+    def _reduce(self, v: Sequence) -> dict[int, int]:
+        """The nonzero entries of v, integers over Q and residues over
+        F_p, reduced while the least column is a pivot: empty exactly when
+        v lies in the span."""
         p = self.p
-        if p is None:
-            d = lcm(*(x.denominator for x in v))
-            row = [x.numerator * (d // x.denominator) for x in v]
+        if v and isinstance(v[0], tuple):  # sparse rows are integers
+            row = dict(v) if p is None else {j: y for j, x in v if (y := x % p)}
         else:
-            row = [x % p for x in v]
-        for c, r in zip(self.pivots, self.rows):
-            if row[c]:
-                row = self._clear(row, c, r)
+            self.width = max(self.width, len(v))
+            if p is not None:
+                row = {j: y for j, x in enumerate(v) if (y := x % p)}
+            else:
+                d = lcm(*(x.denominator for x in v))
+                row = {j: x.numerator * (d // x.denominator)
+                       for j, x in enumerate(v) if x}
+        while row:
+            c = min(row)
+            r = self.rows.get(c)
+            if r is None:
+                break
+            row = self._clear(row, c, r)
         return row
 
-    def spans(self, v: Sequence) -> bool:
-        """True when v lies in the span of the basis; the basis is left
-        unchanged."""
-        return not any(self._reduce(v))
+    def _clear(self, row: dict[int, int], c: int,
+               r: dict[int, int]) -> dict[int, int]:
+        """The one elimination step: row minus a multiple of the basis row
+        r with pivot c, so that row[c] becomes 0; over Q the fraction-free
+        (a/g) row - (x/g) r for a = r[c], x = row[c] and g = gcd(a, x)
+        (Bareiss, Math. Comp. 1968).  row changes in place unless scaled."""
+        x = row[c]
+        p = self.p
+        if p is None:
+            a = r[c]
+            g = gcd(a, x)
+            if a != g:
+                a //= g
+                row = {j: a * s for j, s in row.items()}
+            x //= g
+        for j, t in r.items():
+            s = row.get(j, 0) - x * t
+            if p is not None:
+                s %= p
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+        return row
+
+    def _add(self, v: Sequence) -> Optional[int]:
+        """`add`, returning the pivot of the kept row, or None."""
+        row = self._reduce(v)
+        if not row:
+            return None
+        c = min(row)
+        if self.p is None:
+            g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+        elif (inv := pow(row[c], -1, self.p)) != 1:
+            row = {j: x * inv % self.p for j, x in row.items()}
+        self.rows[c] = row
+        return c
 
     def add(self, v: Sequence) -> bool:
         """Reduce v against the basis; keep it and return True if it is
         independent of the basis, else return False."""
-        row = self._reduce(v)
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
-        p = self.p
-        if p is None:
-            g = gcd(*row)
-            if g != 1:
-                row = [x // g for x in row]
-        else:
-            inv = pow(row[lead], -1, p)
-            row = [x * inv % p for x in row]
-        self.rows.append(row)
-        self.pivots.append(lead)
-        return True
+        return self._add(v) is not None
 
-    def _clear(self, row: list[int], c: int, r: list[int]) -> list[int]:
-        """row minus a multiple of the basis row r, whose pivot is c, so
-        that the entry in column c becomes 0; over Q row is first scaled
-        by a / gcd(a, row[c]) for the pivot entry a, keeping integers."""
-        x = row[c]
-        if self.p is not None:
-            return [(s - x * t) % self.p for s, t in zip(row, r)]
-        a = r[c]
-        g = gcd(a, x)
-        a, x = a // g, x // g
-        return [a * s - x * t for s, t in zip(row, r)]
+    def spans(self, v: Sequence) -> bool:
+        """True when v lies in the span of the basis; the basis is left
+        unchanged."""
+        return not self._reduce(v)
+
+    def _reduced(self) -> dict[int, dict]:
+        """pivot -> row of the reduced row echelon form, pivots descending:
+        pivot entry 1, 0 in the other pivot columns, Fractions over Q.  A
+        row's entries in pivot columns lie in rows already done, and
+        clearing them adds none."""
+        done: dict[int, dict] = {}
+        for c in sorted(self.rows, reverse=True):
+            row = dict(self.rows[c])
+            for c2 in [j for j in row if j in done]:
+                row = self._clear(row, c2, done[c2])
+            done[c] = row
+        if self.p is None:
+            done = {c: {j: Fraction(x, row[c]) for j, x in row.items()}
+                    for c, row in done.items()}
+        return done
 
     def reduced(self) -> tuple[list[list], list[int]]:
         """(rows, pivots) of the reduced row echelon form of the span:
-        rows sorted by pivot, pivot entries 1 and every other entry in a
-        pivot column 0; Fractions over Q, residues over F_p.  The form is
-        determined by the span alone."""
-        done: list[tuple[int, list[int]]] = []  # fully reduced, pivots descending
-        for c, row in sorted(zip(self.pivots, self.rows), reverse=True):
-            for c2, r2 in done:
-                if row[c2]:
-                    row = self._clear(row, c2, r2)
-            done.append((c, row))
-        done.reverse()
-        if self.p is None:
-            zero = Fraction(0)
-            rows = [[Fraction(x, row[c]) if x else zero for x in row]
-                    for c, row in done]
-        else:
-            rows = [row for _, row in done]
-        return rows, [c for c, _ in done]
+        rows as long as the longest dense row given, sorted by pivot, pivot
+        entries 1 and every other entry in a pivot column 0; Fractions
+        over Q, residues over F_p.  It is determined by the span alone."""
+        done = self._reduced()
+        zero = Fraction(0) if self.p is None else 0
+        return ([[done[c].get(j, zero) for j in range(self.width)]
+                 for c in sorted(done)], sorted(done))
 
     def kernel(self, ncols: int) -> list[list]:
         """Basis of the vectors x with r . x = 0 for every row r, taken
@@ -681,32 +711,28 @@ class Echelon:
         with x_f = 1 and 0 at the other non-pivot columns.  For the rows
         [a | b] of a consistent system in ncols unknowns this is the
         kernel of a."""
-        rows, pivots = self.reduced()
+        done = self._reduced()
         p = self.p
         zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
-        taken = set(pivots)
-        basis = []
-        for f in range(ncols):
-            if f in taken:
-                continue
-            v = [zero] * ncols
+        basis = {f: [zero] * ncols for f in range(ncols) if f not in done}
+        for f, v in basis.items():
             v[f] = one
-            for row, c in zip(rows, pivots):
-                v[c] = -row[f] if p is None else -row[f] % p
-            basis.append(v)
-        return basis
+        for c, row in done.items():
+            for f, x in row.items():
+                if f in basis:
+                    basis[f][c] = -x if p is None else -x % p
+        return list(basis.values())
 
     def solution(self, ncols: int) -> Optional[list]:
         """For the rows [a | b] of a system a x = b in ncols unknowns: the
         solution with every free variable 0, or None when a pivot lies in
         the column of b, so that the system is inconsistent."""
-        rows, pivots = self.reduced()
-        if pivots and pivots[-1] == ncols:
+        done = self._reduced()
+        if ncols in done:
             return None
-        x = [Fraction(0) if self.p is None else 0] * ncols
-        for row, c in zip(rows, pivots):
-            x[c] = row[ncols]
-        return x
+        zero = Fraction(0) if self.p is None else 0
+        return [done[c].get(ncols, zero) if c in done else zero
+                for c in range(ncols)]
 
 
 def f_rank(field, a: Sequence[Sequence]) -> int:
@@ -727,37 +753,13 @@ def f_pairs(field, columns: Iterable[Sequence[tuple[int, int]]]) -> dict[int, in
     (Edelsbrunner, Letscher and Zomorodian, "Topological persistence and
     simplification", 2002): columns[j] lists the integer entries (row,
     value) of the differential of generator j, generators in filtration
-    order.  Left to right, while a column's lowest row (its last nonzero)
-    is that of an earlier reduced column, a multiple of that column is
-    subtracted; a column left nonzero pairs its lowest row with it.  Over
-    Q columns stay integers: fraction-free steps as in `Echelon`, and a
-    kept column divided by the gcd of its entries; over F_p residues."""
-    p: Optional[int] = getattr(field, "p", None)  # None over Q
-    reduced: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
+    order.  The columns go left to right into one `Echelon` that reads
+    row i as column -i, so a pivot is a lowest row, and a kept column
+    pairs its lowest row with it."""
+    basis = Echelon(field)
     pairs: dict[int, int] = {}
     for j, entries in enumerate(columns):
-        col = {i: y for i, x in entries if (y := x if p is None else x % p)}
-        while col and (other := reduced.get(low := max(col))) is not None:
-            x, a = col[low], other[low]
-            if p is not None:
-                x = x * pow(a, -1, p) % p
-            elif x % a:
-                g = gcd(a, x)
-                col = {i: a // g * v for i, v in col.items()}
-                x //= g
-            else:
-                x //= a
-            for i, v in other.items():
-                w = col.get(i, 0) - x * v
-                if p is not None:
-                    w %= p
-                if w:
-                    col[i] = w
-                else:
-                    del col[i]
-        if col:
-            if p is None and (g := gcd(*col.values())) != 1:
-                col = {i: v // g for i, v in col.items()}
-            low = max(col)
-            reduced[low], pairs[low] = col, j
+        low = basis._add([(-i, x) for i, x in entries])
+        if low is not None:
+            pairs[-low] = j
     return pairs

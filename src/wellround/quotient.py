@@ -20,8 +20,8 @@ this one subdivision computes the homology of the quotient space with
 any coefficients.  Boundary matrices and chain maps are integer matrices
 in sparse rows (`exactla.SparseRows`); homology is exact: torsion over Z
 is read from the Smith invariants that `exactla.snf` computes by
-alternating Hermite forms, and ranks and representatives come from the
-fraction-free `exactla.Echelon`.
+alternating Hermite forms, and ranks and representatives from the sparse
+rows themselves, by the fraction-free `exactla.Echelon`.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ def _ranked(coeff, d_out: SparseRows, d_in_cols: SparseRows, dim: int):
     and of the columns of d_in, and the betti number and torsion read from
     them."""
     field = QQ if coeff == "Z" else coeff
-    out = Echelon(field, dense_view(d_out, dim))
-    image = Echelon(field, dense_view(d_in_cols, dim))
+    out = Echelon(field, d_out)
+    image = Echelon(field, d_in_cols)
     torsion = tuple(d for d in snf(dense_view(d_in_cols, dim)) if d > 1) \
         if coeff == "Z" else ()
     return dim - len(out) - len(image), torsion, out, image

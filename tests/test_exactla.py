@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dense_echelon
 import fraction_simplex
 import gauss_jordan as gj
 import wellround.exactla as exactla
@@ -15,7 +16,7 @@ from dense_assembly import dense, sparse_rows
 from rational_matrix import RatMatrix, int_scaled
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
-    Echelon, LPResult, NotPositiveDefinite, PrimeField, f_rank,
+    Echelon, LPResult, NotPositiveDefinite, PrimeField, f_pairs, f_rank,
     f_solve, format_rational, hnf, int_adjugate, int_det,
     int_identity, int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix,
     int_matvec, int_transpose, lp, parse_rational, saturation,
@@ -419,11 +420,11 @@ def test_solve_and_span_test_match_gauss_jordan(data):
             assert f_solve(field, a, b, n) == gj.solve(a, b, p, n)
         # the span test answers like a rank comparison and keeps the basis
         basis = Echelon(field, a)
-        rows, pivots = [list(r) for r in basis.rows], list(basis.pivots)
+        rows = {c: dict(r) for c, r in basis.rows.items()}
         rank = gj.rank(p, a)
         for v in vecs:
             assert basis.spans(v) == (gj.rank(p, a + [v]) == rank)
-        assert basis.rows == rows and basis.pivots == pivots
+        assert basis.rows == rows
 
 
 @given(st.data())
@@ -441,6 +442,55 @@ def test_rank_modulo_matches_rank_difference(data):
         span = Echelon(field, base)
         assert sum(span.add(v) for v in vecs) == \
             f_rank(field, base + vecs) - f_rank(field, base)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_dense_oracle(data):
+    m = data.draw(int_matrices())
+    n = len(m[0]) if m else data.draw(st.integers(1, 6))
+    cands = data.draw(int_matrices(ncols=n))
+    dens = data.draw(st.lists(st.integers(1, 6), min_size=len(m) + len(cands),
+                              max_size=len(m) + len(cands)))
+    for field, p in _FIELDS[:3]:
+        # over Q the rows carry denominators
+        rows = [[Fraction(x, d) for x in row] for row, d in zip(m + cands, dens)] \
+            if p is None else m + cands
+        base, vecs = rows[:len(m)], rows[len(m):]
+        new, old = Echelon(field, base), dense_echelon.Echelon(field, base)
+        assert [new.add(v) for v in vecs] == [old.add(v) for v in vecs]
+        assert [new.spans(v) for v in rows] == [old.spans(v) for v in rows]
+        assert new.reduced() == old.reduced()
+        assert new.kernel(n) == old.kernel(n)
+        # the last column as the right-hand side of a system
+        assert new.solution(n - 1) == old.solution(n - 1)
+        # the same integer rows given as sparse entries
+        sparse = Echelon(field, [[(j, x) for j, x in enumerate(row) if x]
+                                 for row in m])
+        assert sparse.kernel(n) == dense_echelon.Echelon(field, m).kernel(n)
+
+
+@st.composite
+def sparse_columns(draw):
+    """Up to 10 sparse integer columns over up to 12 rows, some a sum of
+    two earlier ones, as the columns of a filtered differential."""
+    cols = []
+    for _ in range(draw(st.integers(0, 10))):
+        rows = draw(st.lists(st.integers(0, 11), max_size=4, unique=True))
+        col = {i: draw(_entries) for i in rows}
+        if cols and draw(st.booleans()):
+            a, b = (draw(st.sampled_from(cols)) for _ in range(2))
+            for i, x in (*a, *b):
+                col[i] = col.get(i, 0) + x
+        cols.append(tuple(sorted((i, x) for i, x in col.items() if x)))
+    return cols
+
+
+@given(sparse_columns())
+@settings(max_examples=200, deadline=None)
+def test_f_pairs_matches_column_reduction_oracle(cols):
+    for field, _ in _FIELDS[:3]:
+        assert f_pairs(field, cols) == dense_echelon.f_pairs(field, cols)
 
 
 @st.composite

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import wellround.exactla as exactla
+import wellround.quotient as quotient
 from dense_assembly import dense
 from wellround.cells import enumerate_W, subcomplex_WF
 from wellround.flags import flag_orbits, flag_types, standard_flag
@@ -56,6 +58,20 @@ def test_gamma0_11_graph_and_h1():
     assert res.betti_numbers() == (1, 3)
     co = cohomology(qc, "Q")
     assert co.betti_numbers() == (1, 3)
+
+
+def test_field_homology_never_densifies(monkeypatch):
+    # over a field the chain matrices' sparse rows go to the echelon
+    # basis as they are; only the Smith form over Z reads dense rows
+    qc = barycentric_quotient(enumerate_W(GroupSpec(2, "gamma0", 11)))
+
+    def refuse(*args):
+        raise AssertionError("a field path densified a chain matrix")
+
+    monkeypatch.setattr(exactla, "dense_view", refuse)
+    monkeypatch.setattr(quotient, "dense_view", refuse)
+    assert cohomology(qc, "Q").betti_numbers() == (1, 3)
+    assert homology(qc, "Fp:3").betti_numbers() == (1, 3)
 
 
 def test_gamma0_11_cusp_circles():
