@@ -6,19 +6,17 @@ vector.  Feasibility and interior witnesses come from exact LPs over the
 symmetric-matrix coordinates, with the infinite constraint family
 certified by a cutting-plane loop (enumerate below the current witness,
 add violators, repeat).  Faces carry larger configurations, cofaces
-smaller ones.  The orbits of W are enumerated by a walk over the
-face/coface graph that locates each neighbor in the orbit index; each
-representative then carries its located faces and its stabilizer.  At
-level 1 the index searches for configuration equivalences; for a
-congruence group Gamma it looks the orbit up in the coset space
-Gamma \\ SL_n(Z), as an orbit of the level-1 stabilizer, and derives the
-stabilizer there too.  A flag subcomplex W_F is derived from that orbit
-data: its representatives are translates g.s of W's, whose faces,
-stabilizers and witnesses are W's moved by g, so it needs no LP, and
-its index locates a cell through W's.  The orbit index a complex was
-built with stays with it: `OrbitComplex.locate` is the one answer to
-"which orbit is this cell in, and by which element", and a lookup gives
-the element the search would have found first.
+smaller ones.  The orbits of W mod a group of level 1 are enumerated
+by a walk over the face/coface graph, whose orbit index searches for
+configuration equivalences.  Every other complex is derived from a
+parent's orbit data, with no LP and no search: W mod a congruence group
+Gamma from W mod SL_n(Z) on the coset space Gamma \\ SL_n(Z), and a
+flag subcomplex W_F from W.  A derived representative is a translate
+g.s of a parent's, whose faces, stabilizer and witness are s's moved by
+g, and its index locates a cell through the parent's.  The orbit index
+a complex was built with stays with it: `OrbitComplex.locate` is the
+one answer to "which orbit is this cell in, and by which element", and
+a lookup gives the element the search would have found first.
 """
 
 from __future__ import annotations
@@ -584,26 +582,21 @@ class _OrbitIndex:
     constraint) carrying it onto the representative.  Hits are remembered
     by configuration (misses are not, since the walk adds orbits later).
 
-    A group of level 1, or a complex read with a constraint, is searched:
-    the equivalence search runs against the representatives of the same
-    dimension and `_orbit_key` only.  Two cases are looked up instead,
-    with no search under the congruence condition or the flag: the orbits
-    of W for a congruence group (`_CosetLookup`), and a flag subcomplex
-    derived from W (`_FlagLookup`).  A lookup yields every element
-    carrying the configuration onto its representative, the
-    representative's stabilizer times one of them; the index keeps the
-    one the search would have found first (`_first_witness`), so both
-    paths give the same answers, and checks it."""
+    The index of a level-1 walk or of a complex read from a file is
+    searched, against the representatives of the same dimension and
+    `_orbit_key` only.  A derived complex (`_derive`) looks the orbit up
+    through its parent instead.  A lookup yields every element carrying
+    the configuration onto its representative; the index keeps the one
+    the search would have found first (`_first_witness`), so both paths
+    give the same answers, and checks it."""
 
     def __init__(self, group: GroupSpec, constraint: Optional[RationalFlag],
-                 lookup=None):
+                 lookup: Optional[_DerivedLookup] = None):
         self.group = group
         self.constraint = constraint
         self.orbits: list[OrbitCell] = []
         self.buckets: dict = {}
         self._hits: dict[VectorConfig, tuple[int, IntMatrix]] = {}
-        if lookup is None and constraint is None and group.is_congruence:
-            lookup = _CosetLookup(group)
         self.lookup = lookup
 
     def locate(self, config: VectorConfig, dim: Optional[int] = None):
@@ -654,81 +647,13 @@ class _OrbitIndex:
         self.orbits.append(OrbitCell(oid, cell))
         key = (cell.dim, _orbit_key(cell.config))
         self.buckets.setdefault(key, []).append(oid)
-        if self.lookup is not None:
-            self.lookup.add(oid, cell)
         return oid
 
     def stabilizer(self, oid: int) -> tuple[IntMatrix, ...]:
         """The stabilizer of representative oid in the group, in Gamma_F
         under a constraint, sorted."""
-        if self.lookup is not None:
-            return self.lookup.stabilizers[oid]
         return config_stabilizer(self.orbits[oid].cell.config, self.group,
                                  flag=self.constraint).elements
-
-
-class _CosetLookup:
-    """The orbits of W for a congruence group Gamma, through the coset
-    space Omega = Gamma \\ SL_n(Z) (Ash's induction from level 1).
-
-    The cell h.sigma lies over the point w0 . h, and h.sigma, h'.sigma
-    are Gamma-equivalent exactly when h' in Gamma h S, S the stabilizer
-    of sigma in SL_n(Z); so the Gamma-orbits inside the SL_n(Z)-orbit of
-    sigma are the S-orbits on Omega.  The SL_n(Z)-orbits and their
-    stabilizers S come from a level-1 index, whose searches all hit.  A
-    representative r with h_r.r = sigma is filed under sigma with the
-    S-orbit of its point w_r = w0 . h_r^-1; a configuration c with
-    h_c.c = sigma lies in r's orbit exactly when w0 . h_c^-1 = w_r . s
-    for some s in S, and the elements carrying c onto r are
-    h_r^-1 s h_c over all such s.  The stabilizer of r in Gamma is
-    h_r^-1 {s in S : w_r . s = w_r} h_r, so no search runs under the
-    congruence condition."""
-
-    def __init__(self, group: GroupSpec):
-        self.group = group
-        self.omega = coset_space(group)
-        self.level1 = _OrbitIndex(GroupSpec(group.n, "sl"), None)
-        # per level-1 orbit: its stabilizer S in SL_n(Z), and per point
-        # w_r . s -> (orbit id of r, s), s in S
-        self.level1_stabilizers: list[tuple[IntMatrix, ...]] = []
-        self.over: list[dict] = []
-        # per orbit: h_r^-1, which carries sigma onto the representative
-        self.lifts: list[IntMatrix] = []
-        self.stabilizers: list[tuple[IntMatrix, ...]] = []
-
-    def add(self, oid: int, cell: Cell):
-        hit = self.level1.locate(cell.config, cell.dim)
-        if hit is None:
-            sid, h = self.level1.add(cell), int_identity(self.group.n)
-            self.level1_stabilizers.append(self.level1.stabilizer(sid))
-            self.over.append({})
-        else:
-            sid, h = hit
-        lift = int_inverse(h)
-        point = self.omega.point(lift)
-        over = self.over[sid]
-        fixing = []
-        for s in self.level1_stabilizers[sid]:
-            image = self.omega.act(point, s)
-            over.setdefault(image, (oid, s))
-            if image == point:
-                fixing.append(int_matmul(int_matmul(lift, s), h))
-        if not all(self.group.contains(t) for t in fixing):
-            raise CertificateError("derived stabilizer leaves the group")
-        self.lifts.append(lift)
-        self.stabilizers.append(tuple(sorted(fixing)))
-
-    def locate(self, config: VectorConfig, dim: int):
-        hit = self.level1.locate(config, dim)
-        if hit is None:
-            return None
-        sid, h = hit
-        found = self.over[sid].get(self.omega.point(int_inverse(h)))
-        if found is None:
-            return None
-        oid, s = found
-        u = int_matmul(int_matmul(self.lifts[oid], s), h)
-        return oid, [int_matmul(t, u) for t in self.stabilizers[oid]]
 
 
 def _orbit_complex(index: _OrbitIndex,
@@ -768,8 +693,8 @@ def _seed_shift(group: GroupSpec) -> IntMatrix:
 def enumerate_complex(group: GroupSpec, seed: Cell,
                       variant: int = 0) -> OrbitComplex:
     """BFS over the face/coface graph from a seed cell, canonicalizing
-    orbits; complete because the retract is connected and the walk
-    descends to the orbit graph."""
+    orbits by the equivalence search; complete because the retract is
+    connected and the walk descends to the orbit graph."""
     index = _OrbitIndex(group, None)
     if variant:
         shift = _seed_shift(group)
@@ -790,11 +715,18 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
 
 def enumerate_W(group: GroupSpec, experimental_n4: bool = False,
                 variant: int = 0) -> OrbitComplex:
-    """Orbit cells and incidences of the whole retract mod the group."""
+    """Orbit cells and incidences of the whole retract mod the group,
+    walked at level 1 (from a translate of the seed for variant 1) and
+    derived from there for a congruence group (`_CosetDecoration`)."""
     n = group.n
+    if variant not in (0, 1):
+        raise ValueError(f"variant must be 0 or 1, not {variant!r}")
     if n > 4 or (n == 4 and not experimental_n4):
         raise DimensionUnsupported(
             "n = 4 needs the experimental flag; n > 4 is unsupported")
+    if group.is_congruence:
+        return _derive(enumerate_W(GroupSpec(n, "sl"), experimental_n4,
+                                   variant), _CosetDecoration(group))
     seed_form = normalize(root_form(n))
     seed = cell_from_config(minimal_vectors(seed_form).vectors)
     if seed.dim != 0:
@@ -808,7 +740,7 @@ def expected_top_dim(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Flags respected by cells; flag subcomplexes
+# Flags respected by cells; complexes derived from a parent
 # ---------------------------------------------------------------------------
 
 Flats = tuple[tuple[frozenset[int], ...], ...]
@@ -847,6 +779,7 @@ def _flat_flags(flats: Flats, dims: Sequence[int]) -> list[FlatFlag]:
     return chains
 
 
+@lru_cache(maxsize=4096)
 def _rational_flag(config: VectorConfig, chain: FlatFlag) -> RationalFlag:
     return flag_from_members(len(config[0]), [
         int_transpose(tuple(config[i] for i in sorted(x))) for x in chain])
@@ -882,91 +815,66 @@ def _positions(u: IntMatrix, config: VectorConfig,
     return [pos[canonical_vector(int_matvec(u, v))] for v in config]
 
 
-def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
-    """The flag subcomplex W_F mod Gamma_F, derived from the orbit data
-    of W mod Gamma, with no LP and no equivalence search.
+def _derive(parent: OrbitComplex, decoration) -> OrbitComplex:
+    """The orbit complex of a subgroup, or of a subcomplex, derived from
+    the parent's orbit data with no LP and no equivalence search.
 
-    A cell g.s (s a representative of W) lies in W_F exactly when s
-    respects F' = g^-1.F, and every flag s respects is made of flats of
-    s.  So the orbits of W_F are the pairs (s, F'), with F' a flag of
-    flats of s that is Gamma-equivalent to F, taken up to the stabilizer
-    S of s, which permutes the flats.  For a pair, `flag_equivalent`
-    gives g with g.F' = F; the representative is g.s, its stabilizer
-    g (S cap Stab F') g^-1, and its faces are g.(faces of s): a face f
-    located in W as u.f = s_f lies in the orbit of the pair (s_f, u.F'),
-    by the element g_f t u g^-1, where t in S_f carries u.F' onto the
-    flag of that pair and g_f is its witness.  The index is filled with
-    the located closures of the representatives; any other cell is
-    located in W and read as a pair the same way (`_FlagLookup`)."""
-    group = complex.group
-    check_dimension(flag, group)
-    flats = [_flats(oc.cell.config) for oc in complex.cells]
-    # per pair: (orbit id in W, flag of flats, g with g.F' = F, g^-1)
-    pairs: list[tuple[int, FlatFlag, IntMatrix, IntMatrix]] = []
-    stabilizers: list[tuple[IntMatrix, ...]] = []
-    # per orbit of W: flag of flats -> (pair id, t) with t in S carrying
-    # the flag onto the pair's; only flags equivalent to F are present
-    where: list[dict[FlatFlag, tuple[int, IntMatrix]]] = []
-    # the flags of neighboring representatives often share their vectors
-    witnesses: dict[tuple[frozenset[IntVector], ...], Optional[IntMatrix]] = {}
-    for oc, cell_flats in zip(complex.cells, flats):
-        config = oc.cell.config
-        perms = [(s, _positions(s, config, config))
-                 for s in complex.stabilizers[oc.id]]
-        done: set[FlatFlag] = set()
-        located: dict[FlatFlag, tuple[int, IntMatrix]] = {}
-        for chain in _flat_flags(cell_flats, flag.dims):
-            if chain in done:
+    Each representative sigma of the parent carries a finite set of
+    decorations (`points`), which its stabilizer S permutes (`action`);
+    the cell g.sigma carries g^-1.x0, for the base decoration x0.  So the
+    derived orbits are the S-orbits whose root x has a witness g with
+    g.x = x0 (`witness`): the representative is g.sigma, its stabilizer
+    g Stab_S(x) g^-1, and its faces g.(faces of sigma).  A face g.f with
+    via.f = sigma_f is located like any other configuration
+    (`_DerivedLookup`), by u = via g^-1.  Derived stabilizers and face
+    witnesses are checked to lie in the group."""
+    lookup = _DerivedLookup(parent, decoration)
+    pairs, stabilizers, where = lookup.pairs, lookup.stabilizers, lookup.where
+    index = _OrbitIndex(decoration.group, decoration.constraint, lookup)
+    for oc in parent.cells:
+        stabilizer = parent.stabilizers[oc.id]
+        act = decoration.action(oc.id, stabilizer)
+        done: set = set()
+        located: dict = {}
+        for x in decoration.points(oc.id):
+            if x in done:
                 continue
-            images = [(s, tuple(frozenset(perm[i] for i in x)
-                                for x in chain)) for s, perm in perms]
-            orbit: dict[FlatFlag, IntMatrix] = {}
-            for s, image in images:
+            images = act(x)
+            orbit: dict = {}
+            for s, image in zip(stabilizer, images):
                 orbit.setdefault(image, s)
             done.update(orbit)
-            key = tuple(frozenset(config[i] for i in x) for x in chain)
-            if key not in witnesses:
-                witnesses[key] = flag_equivalent(_rational_flag(config, chain),
-                                                 flag, group)
-            g = witnesses[key]
+            g = decoration.witness(oc.id, x)
             if g is None:
                 continue
             for image, s in orbit.items():
                 located[image] = (len(pairs), int_inverse(s))
             g_inv = int_inverse(g)
-            stabilizers.append(tuple(sorted(
-                int_matmul(int_matmul(g, s), g_inv)
-                for s, image in images if image == chain)))
-            pairs.append((oc.id, chain, g, g_inv))
+            fixing = tuple(sorted(int_matmul(int_matmul(g, s), g_inv)
+                                  for s, image in zip(stabilizer, images)
+                                  if image == x))
+            if not all(index.group.contains(u) for u in fixing):
+                raise CertificateError("derived stabilizer leaves the group")
+            stabilizers.append(fixing)
+            pairs.append((oc.id, g, g_inv))
         where.append(located)
 
-    cells = []
-    for oid, _, g, _ in pairs:
-        cell = _moved_cell(complex.cells[oid].cell, g)
-        if not respects_flag(cell.config, flag):
-            raise CertificateError("derived cell does not respect the flag")
-        cells.append(cell)
+    cells = [_moved_cell(parent.cells[oid].cell, g) for oid, g, _ in pairs]
     faces = []
     incidences = []
-    for pid, (oid, chain, g, g_inv) in enumerate(pairs):
-        config = complex.cells[oid].cell.config
+    for pid, (oid, g, g_inv) in enumerate(pairs):
         located_faces = []
-        for face in complex.faces[oid]:
-            perm = _positions(face.via, config,
-                              complex.cells[face.orbit].cell.config)
-            # u.F' in flats of s_f: for each member, the flat of its
-            # dimension that holds the images of the member's vectors
-            image = tuple(next(y for y in flats[face.orbit][d]
-                               if y.issuperset(perm[i] for i in x))
-                          for d, x in zip(flag.dims, chain))
-            hit = where[face.orbit].get(image)
-            if hit is None:
-                raise CertificateError("face of a W_F cell leaves W_F")
-            qid, t = hit
-            via = int_matmul(int_matmul(int_matmul(pairs[qid][2], t),
-                                        face.via), g_inv)
+        for face in parent.faces[oid]:
             moved = canonical_config(tuple(int_matvec(g, v))
                                      for v in face.config)
+            u = int_matmul(face.via, g_inv)
+            hit = where[face.orbit].get(decoration.read(face.orbit, moved, u))
+            if hit is None:
+                raise CertificateError("a face leaves the derived complex")
+            qid, t = hit
+            via = int_matmul(int_matmul(pairs[qid][1], t), u)
+            if not index.group.contains(via):
+                raise CertificateError("orbit witness is not in the group")
             if canonical_config(tuple(int_matvec(via, v))
                                 for v in moved) != cells[qid].config:
                 raise CertificateError("derived face is located wrongly")
@@ -974,56 +882,124 @@ def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
             if face.dim == cells[pid].dim - 1:
                 incidences.append(Incidence(pid, qid, via))
         faces.append(tuple(located_faces))
-
-    lookup = _FlagLookup(complex, flag, [g for _, _, g, _ in pairs], where,
-                         stabilizers)
-    index = _OrbitIndex(group, flag, lookup)
     for cell in cells:
         index.add(cell)
-    wf = OrbitComplex(group, tuple(index.orbits), tuple(incidences), flag,
-                      index, tuple(faces), tuple(stabilizers))
-    for oid in range(len(cells)):
-        for config, (_, cid, u) in wf.closure(oid).items():
-            index._hits.setdefault(config, (cid, u))
-    return wf
+    return OrbitComplex(index.group, tuple(index.orbits), tuple(incidences),
+                        index.constraint, index, tuple(faces),
+                        tuple(stabilizers))
 
 
-class _FlagLookup:
-    """The orbits of a flag subcomplex W_F derived from W (see
-    `subcomplex_WF`), through W's orbit data.  A configuration c is
-    located in W as u.c = s; if c respects F, then u.F is a flag of flats
-    of s, which `where` files under the pair (s, F') in its orbit, with t
-    in the stabilizer of s carrying u.F onto F'.  The elements of Gamma_F
-    carrying c onto the pair's representative g.s are then the
-    representative's stabilizer times g t u.  A configuration that does
-    not respect F finds no flag of flats there."""
+class _DerivedLookup:
+    """The orbits of a derived complex, through the parent's index: a
+    configuration c located there as u.c = sigma carries x0 to u.x0
+    (`decoration.read`), which `where` files, if a derived cell g.sigma
+    has it, with t in S carrying it onto the root.  The elements carrying
+    c onto g.sigma are then its stabilizer times g t u."""
 
-    def __init__(self, complex: OrbitComplex, flag: RationalFlag,
-                 witnesses: Sequence[IntMatrix], where, stabilizers):
-        self.complex = complex
-        self.spans = [Echelon(QQ, int_transpose(m)) for m in flag.members]
-        # per pair: g with g.F' = F
-        self.witnesses = witnesses
-        self.where = where
-        self.stabilizers = stabilizers
-
-    def add(self, oid: int, cell: Cell):
-        """The pairs and their stabilizers are known in advance."""
+    def __init__(self, parent: OrbitComplex, decoration):
+        self.parent = parent
+        self.decoration = decoration
+        # per derived cell: (parent orbit id, g with g.root = x0, g^-1)
+        self.pairs: list[tuple[int, IntMatrix, IntMatrix]] = []
+        self.stabilizers: list[tuple[IntMatrix, ...]] = []
+        # per parent orbit: decoration -> (derived cell id, t)
+        self.where: list[dict] = []
 
     def locate(self, config: VectorConfig, dim: int):
-        hit = self.complex.index.locate(config, dim)
+        hit = self.parent.index.locate(config, dim)
         if hit is None:
             return None
         oid, u = hit
-        perm = _positions(u, config, self.complex.cells[oid].cell.config)
-        image = tuple(frozenset(perm[i] for i, v in enumerate(config)
-                                if span.spans(v)) for span in self.spans)
-        found = self.where[oid].get(image)
+        found = self.where[oid].get(self.decoration.read(oid, config, u))
         if found is None:
             return None
         pid, t = found
-        w = int_matmul(int_matmul(self.witnesses[pid], t), u)
+        w = int_matmul(int_matmul(self.pairs[pid][1], t), u)
         return pid, [int_matmul(s, w) for s in self.stabilizers[pid]]
+
+
+class _CosetDecoration:
+    """The decoration of W mod a congruence group Gamma, Ash's induction
+    from level 1: the points of Omega = Gamma \\ SL_n(Z).  The cell
+    h.sigma lies over w0 . h, and h.sigma, h'.sigma are Gamma-equivalent
+    exactly when h' in Gamma h S; so the Gamma-orbits inside the
+    SL_n(Z)-orbit of sigma are the S-orbits on Omega, s acting by
+    w -> w . s^-1, each kept with the witness t(w) of the transversal.
+    A configuration c with u.c = sigma lies over w0 . u^-1."""
+
+    constraint = None
+
+    def __init__(self, group: GroupSpec):
+        self.group = group
+        self.omega = coset_space(group)
+
+    def points(self, oid: int):
+        return self.omega.transversal
+
+    def action(self, oid: int, stabilizer):
+        act = self.omega.act
+        inverses = [int_inverse(s) for s in stabilizer]
+        return lambda w: [act(w, s_inv) for s_inv in inverses]
+
+    def witness(self, oid: int, w) -> IntMatrix:
+        return self.omega.transversal[w]
+
+    def read(self, oid: int, config: VectorConfig, u: IntMatrix):
+        return self.omega.point(int_inverse(u))
+
+
+class _FlagDecoration:
+    """The decoration of W_F mod Gamma_F: a flag of flats of sigma of F's
+    type, the flag F' = g^-1.F that sigma respects when g.sigma lies in
+    W_F, kept when `flag_equivalent` carries it onto F.  A configuration
+    c located as u.c = sigma reads as the sets of sigma's vectors that are
+    images of c's vectors inside F's members."""
+
+    def __init__(self, complex: OrbitComplex, flag: RationalFlag):
+        self.complex = complex
+        self.group = complex.group
+        self.constraint = flag
+        self.flats = [_flats(oc.cell.config) for oc in complex.cells]
+        self.spans = [Echelon(QQ, int_transpose(m)) for m in flag.members]
+        # flags of flats of different cells are often one flag
+        self.witnesses: dict[RationalFlag, Optional[IntMatrix]] = {}
+
+    def points(self, oid: int) -> list[FlatFlag]:
+        return _flat_flags(self.flats[oid], self.constraint.dims)
+
+    def action(self, oid: int, stabilizer):
+        config = self.complex.cells[oid].cell.config
+        perms = [_positions(s, config, config) for s in stabilizer]
+        return lambda chain: [tuple(frozenset(perm[i] for i in x)
+                                    for x in chain) for perm in perms]
+
+    def witness(self, oid: int, chain: FlatFlag) -> Optional[IntMatrix]:
+        flag = _rational_flag(self.complex.cells[oid].cell.config, chain)
+        if flag not in self.witnesses:
+            self.witnesses[flag] = flag_equivalent(flag, self.constraint,
+                                                   self.group)
+        return self.witnesses[flag]
+
+    def read(self, oid: int, config: VectorConfig, u: IntMatrix):
+        perm = _positions(u, config, self.complex.cells[oid].cell.config)
+        return tuple(frozenset(perm[i] for i, v in enumerate(config)
+                               if span.spans(v)) for span in self.spans)
+
+
+def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
+    """The flag subcomplex W_F mod Gamma_F, derived from W mod Gamma: a
+    cell g.s lies in W_F exactly when s respects F' = g^-1.F, and every
+    flag s respects is made of flats of s.  The index is filled with the
+    located closures of the representatives."""
+    check_dimension(flag, complex.group)
+    wf = _derive(complex, _FlagDecoration(complex, flag))
+    for oc in wf.cells:
+        if not respects_flag(oc.cell.config, flag):
+            raise CertificateError("derived cell does not respect the flag")
+    for oid in range(len(wf.cells)):
+        for config, (_, cid, u) in wf.closure(oid).items():
+            wf.index._hits.setdefault(config, (cid, u))
+    return wf
 
 
 # ---------------------------------------------------------------------------

@@ -584,8 +584,8 @@ class Echelon:
     """An incrementally built echelon basis of a row space over Q or F_p:
     ``add(v)`` keeps v and returns True exactly when v is independent of
     the rows added before it.  A row comes dense, as a sequence of
-    entries, or sparse, as the (column, value) entries of a `SparseRows`
-    row.
+    entries, or sparse, as its nonzero (column, value) entries: integers,
+    as in a `SparseRows` row, or Fractions over Q, as in `kernel_entries`.
 
     ``rows`` files each kept row, as {column: entry}, under its pivot,
     its least column; a vector is reduced by looking up the pivot of its
@@ -611,8 +611,14 @@ class Echelon:
         F_p, reduced while the least column is a pivot: empty exactly when
         v lies in the span."""
         p = self.p
-        if v and isinstance(v[0], tuple):  # sparse rows are integers
-            row = dict(v) if p is None else {j: y for j, x in v if (y := x % p)}
+        if v and isinstance(v[0], tuple):
+            if p is not None:
+                row = {j: y for j, x in v if (y := x % p)}
+            elif isinstance(v[0][1], int):
+                row = dict(v)
+            else:
+                d = lcm(*(x.denominator for _, x in v))
+                row = {j: x.numerator * (d // x.denominator) for j, x in v}
         else:
             self.width = max(self.width, len(v))
             if p is not None:
@@ -711,17 +717,22 @@ class Echelon:
         with x_f = 1 and 0 at the other non-pivot columns.  For the rows
         [a | b] of a consistent system in ncols unknowns this is the
         kernel of a."""
+        zero = Fraction(0) if self.p is None else 0
+        return [[dict(v).get(j, zero) for j in range(ncols)]
+                for v in self.kernel_entries(ncols)]
+
+    def kernel_entries(self, ncols: int) -> list[list[tuple]]:
+        """`kernel` as the nonzero (column, value) entries of each basis
+        vector, columns ascending."""
         done = self._reduced()
         p = self.p
-        zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
-        basis = {f: [zero] * ncols for f in range(ncols) if f not in done}
-        for f, v in basis.items():
-            v[f] = one
+        one = Fraction(1) if p is None else 1
+        basis = {f: {f: one} for f in range(ncols) if f not in done}
         for c, row in done.items():
             for f, x in row.items():
                 if f in basis:
                     basis[f][c] = -x if p is None else -x % p
-        return list(basis.values())
+        return [sorted(v.items()) for v in basis.values()]
 
     def solution(self, ncols: int) -> Optional[list]:
         """For the rows [a | b] of a system a x = b in ncols unknowns: the

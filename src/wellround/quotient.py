@@ -303,9 +303,13 @@ def homology_at(coeff, d_out: SparseRows, d_in_cols: SparseRows,
                 dim: int) -> DegreeHomology:
     """`betti_at` with representatives: the kernel vectors of d_out that
     are independent modulo the image of d_in and of the kernel vectors
-    before them; the two echelon bases that give the ranks give them too."""
+    before them; the two echelon bases that give the ranks give them too.
+    The kernel vectors are reduced by their nonzero entries, and only the
+    representatives are made dense."""
     betti, torsion, out, image = _ranked(coeff, d_out, d_in_cols, dim)
-    reps = tuple(tuple(v) for v in out.kernel(dim) if image.add(v))
+    zero = Fraction(0) if out.p is None else 0
+    reps = tuple(tuple(dict(v).get(j, zero) for j in range(dim))
+                 for v in out.kernel_entries(dim) if image.add(v))
     return DegreeHomology(betti, torsion, reps)
 
 

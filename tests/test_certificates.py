@@ -325,11 +325,11 @@ def test_cochain_map_certificate_raised_under_optimize():
         "error": "CertificateError: restriction fails D*R=R*delta"}
 
 
-# The coset space reads every matrix as lying over the base point, so the
-# orbit lookup of W for Gamma_0(11) files every cell of an SL_2(Z)-orbit
-# under one representative.  The element it then offers is not in the
-# group, and the witness check must fire rather than let a complex with
-# too few orbits through.
+# The coset space reads every matrix as lying over the base point, so W
+# for Gamma_0(11), derived from W mod SL_2(Z), reads every face of a
+# derived cell as lying over the base point.  The element it then offers
+# to locate the face is not in the group, and the witness check must
+# fire rather than let a complex with wrong incidences through.
 OMEGA_SCRIPT = textwrap.dedent("""
     import json, sys
     import wellround.flags as flags
@@ -346,6 +346,31 @@ OMEGA_SCRIPT = textwrap.dedent("""
 
 def test_orbit_lookup_certificate_raised_under_optimize():
     cli_line, result_line = _run_optimized(OMEGA_SCRIPT)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: orbit witness is not in the group"}
+
+
+# One convention of the coset-space decoration of W for Gamma_0(11) is
+# turned: a configuration that u carries onto a cell sigma of W mod
+# SL_2(Z) is read as lying over the point w0 . u instead of w0 . u^-1.
+# The element then offered to locate a face of a derived cell, by way of
+# u = via g^-1, is not in the group, and the witness check must fire.
+DECORATION_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.cells as cells
+    from wellround.cli import run
+
+    cells._CosetDecoration.read = lambda self, oid, config, u: \\
+        self.omega.point(u)
+    code = run(["cells", "enumerate", "-n", "2", "--group", "gamma0",
+                "--level", "11"])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_derivation_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(DECORATION_SCRIPT)[-2:]
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line) == {
         "error": "CertificateError: orbit witness is not in the group"}

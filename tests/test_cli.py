@@ -81,6 +81,16 @@ def test_cells_enumerate_and_homology(tmp_path, capsys):
     assert [d["betti"] for d in data["degrees"]] == [1, 0]
 
 
+@pytest.mark.parametrize("variant", ["2", "-3"])
+def test_cells_enumerate_refuses_other_variants(capsys, variant):
+    # the walk knows two seeds, variant 0 and its translate, variant 1
+    code, out = invoke(capsys, "cells", "enumerate", "-n", "2", "--group",
+                       "gamma0", "--level", "11", "--variant", variant)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": f"variant must be 0 or 1, not {variant}"}
+
+
 def test_boundary_restrict_gamma0_11(capsys):
     # both tables are read off one reduction of the restriction's cone
     with mock.patch.object(boundary, "f_pairs", wraps=boundary.f_pairs) as pairs:
@@ -337,7 +347,8 @@ def _renumber(old, new):
 
 
 def _add_translate(data):
-    # the first 1-cell moved by [[1, 1], [0, 1]], an element of Gamma_0(3)
+    # the first 1-cell, cell 2 after the two vertex orbits, moved by
+    # [[1, 1], [0, 1]], an element of Gamma_0(3)
     cell = next(c for c in data["cells"] if c["dim"] == 1)
     moved = [[v[0] + v[1], v[1]] for v in cell["config"]]
     data["cells"].append(dict(cell, id=len(data["cells"]), config=moved))
@@ -379,7 +390,7 @@ def _reverse_incidence(data):
     (_renumber(3, 7), "cell ids must be 0, ..., m-1"),
     (_renumber(0, -1), "cell ids must be 0, ..., m-1"),
     (_renumber(1, 0), "cell ids must be 0, ..., m-1"),
-    (_add_translate, "cells 1 and 4 lie in one orbit"),
+    (_add_translate, "cells 2 and 4 lie in one orbit"),
     (_constrain_n3, "constraint flag has n = 3"),
     (_add_cell_n3, "cell 4 has n = 3"),
     (_drop_vertex, "cell not found in complex"),

@@ -74,6 +74,44 @@ def test_field_homology_never_densifies(monkeypatch):
     assert homology(qc, "Fp:3").betti_numbers() == (1, 3)
 
 
+def _dense_representatives(coeff, d_out, d_in_cols, dim):
+    """The representatives as `homology_at` found them before it reduced
+    kernel vectors by their nonzero entries: every kernel vector was built
+    dense and went to the image's echelon basis dense."""
+    out = exactla.Echelon(coeff, d_out)
+    image = exactla.Echelon(coeff, d_in_cols)
+    done = out._reduced()
+    zero, one = (Fraction(0), Fraction(1)) if out.p is None else (0, 1)
+    basis = {f: [zero] * dim for f in range(dim) if f not in done}
+    for f, v in basis.items():
+        v[f] = one
+    for c, row in done.items():
+        for f, x in row.items():
+            if f in basis:
+                basis[f][c] = -x if out.p is None else -x % out.p
+    return tuple(tuple(v) for v in basis.values() if image.add(v))
+
+
+def test_representatives_match_dense_kernel_path():
+    group = GroupSpec(3, "sl")
+    w = enumerate_W(group)
+    complexes = [w] + [subcomplex_WF(w, standard_flag(3, dims))
+                       for dims in flag_types(3, 2) + flag_types(3, 3)]
+    reps = 0
+    for cx in complexes:
+        qc = barycentric_quotient(cx)
+        for field in (parse_coeff("Q"), parse_coeff("Fp:3")):
+            for k, level in enumerate(qc.simplices):
+                bnd, cobnd = qc.boundaries[k], quotient.coboundary(qc, k)
+                for d_out, d_in in ((bnd, cobnd), (cobnd, bnd)):
+                    got = quotient.homology_at(field, d_out, d_in, len(level))
+                    want = _dense_representatives(field, d_out, d_in,
+                                                  len(level))
+                    assert repr(got.representatives) == repr(want)
+                    reps += len(want)
+    assert reps >= 2 * 2 * len(complexes)
+
+
 def test_gamma0_11_cusp_circles():
     group = GroupSpec(2, "gamma0", 11)
     cx = enumerate_W(group)
