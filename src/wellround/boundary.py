@@ -5,11 +5,14 @@ subcomplexes W_F for flags with p+2 members (the full space included);
 vertical differentials are signed coboundaries, horizontal ones are
 Cech-signed restrictions twisted by group elements carrying a deleted
 flag onto its orbit representative.  The total complex computes the
-cohomology of the boundary of the bordified quotient; the restriction
-map from the cohomology of the whole retract quotient is realized at the
-cochain level.  Over a field every answer (spectral pages, betti
-numbers, restriction and face-map ranks) is read off one persistence
-pairing (`exactla.f_pairs`) of a mapping cone of the restriction.
+cohomology of the boundary of the bordified quotient.  With the cochains
+of the whole retract quotient as column -1, joined to column 0 by the
+inclusions, the augmented double complex is the mapping cone of the
+restriction into the total complex; it is laid out, assembled and
+certified (D^2 = 0) once.  Over a field every answer (spectral pages,
+betti numbers, restriction and face-map ranks) is read off one
+persistence pairing (`exactla.f_pairs`) of it or of the total complex,
+its prefix.
 """
 
 from __future__ import annotations
@@ -51,12 +54,16 @@ class HorizontalPiece:
 
 @dataclass(frozen=True)
 class DoubleComplex:
-    """The double complex and its total complex, assembled once.
+    """The augmented double complex, laid out and assembled once.
 
-    Total degree k lists the blocks (p, s, q) with p + q = k, by column p
-    and then by summand s; block (p, s, q) holds the q-cochains of summand
-    s of column p from coordinate offsets[p, s, q] on.  differentials[k]
-    is D^k from degree k to k + 1: dims[k + 1] sparse rows of width dims[k]."""
+    Column -1 is C*(W/Gamma), its one summand w_qc, joined to column 0 by
+    the inclusions; columns p >= 0 are Tot.  Total degree k of Tot lists
+    the blocks (p, s, q) with p + q = k, by column p and then by summand
+    s; block (p, s, q) holds the q-cochains of summand s of column p from
+    coordinate offsets[p, s, q] on.  generators lists every generator as
+    (column p, total degree k, coordinate) in cone order, and cone[g] is
+    its column: the entries (generator, value) of its image under D
+    (`_layout`).  Tot is the prefix of the first sum(dims) generators."""
 
     group: GroupSpec
     columns: tuple[tuple[Summand, ...], ...]
@@ -66,7 +73,8 @@ class DoubleComplex:
     inclusions: tuple[ChainMap, ...]  # column-0 summands into W/Gamma
     offsets: dict[tuple[int, int, int], int]
     dims: tuple[int, ...]
-    differentials: tuple[SparseRows, ...]
+    generators: tuple[tuple[int, int, int], ...]
+    cone: SparseRows
 
     @property
     def num_columns(self) -> int:
@@ -110,13 +118,10 @@ def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
         pieces.append(tuple(col_pieces))
     pieces.append(())
     inclusions = tuple(induced_map(s.qc, w_qc) for s in columns[0])
-    offsets, dims = _layout(columns)
-    differentials = tuple(_assemble(columns, pieces, offsets, dims, k)
-                          for k in range(len(dims) - 1))
-    dc = DoubleComplex(group, tuple(columns), tuple(pieces), w_complex, w_qc,
-                       inclusions, offsets, dims, differentials)
-    _check_total_differential_squares_to_zero(dc)
-    return dc
+    layout = _layout([(w_qc,)] + [tuple(s.qc for s in col) for col in columns],
+                     [_including(inclusions)] + pieces)
+    return DoubleComplex(group, tuple(columns), tuple(pieces), w_complex, w_qc,
+                         inclusions, *layout)
 
 
 def _locate_flag(column: Sequence[Summand], flag: RationalFlag,
@@ -133,54 +138,81 @@ def _locate_flag(column: Sequence[Summand], flag: RationalFlag,
 
 
 # ---------------------------------------------------------------------------
-# Total complex
+# The augmented double complex
 # ---------------------------------------------------------------------------
 
-def _layout(columns):
-    """The first coordinate of every block (p, s, q) and the dimension of
-    every total degree, up to the first degree above the top, which is 0."""
-    top = len(columns) - 1 + max((s.qc.dim for col in columns for s in col),
+def _including(inclusions: Sequence[ChainMap]) -> tuple[HorizontalPiece, ...]:
+    """The horizontal pieces from column -1, its one summand, into the
+    column-0 summands, each along its inclusion with sign +1."""
+    return tuple(HorizontalPiece(0, s, 1, cm) for s, cm in enumerate(inclusions))
+
+
+def _layout(columns: Sequence[Sequence[QuotientComplex]],
+            pieces: Sequence[Sequence[HorizontalPiece]]):
+    """(offsets, dims, generators, cone) of the augmented double complex
+    with the quotients columns[p + 1] in column p, from p = -1 on, and
+    the horizontal pieces pieces[p + 1] out of column p.
+
+    offsets and dims lay out Tot, the columns p >= 0 (see `DoubleComplex`),
+    up to the first degree above the top, which is 0; column -1 has one
+    summand, coordinate i its i-th simplex.  The generators (p, k,
+    coordinate), k = p + q, run in cone order: columns descending, then
+    degree descending, then summand, then coordinate, so Tot and every
+    F^p are prefixes and every prefix is a subcomplex.  The column of a
+    q-cochain i of summand s of column p is read off rows i of its
+    boundary and of its chain maps: (-1)^p times its coboundary (so -δ in
+    column -1), plus each piece out of s, signed, restricting it to the
+    piece's target.  Every block a column hits comes before it, and
+    D^2 = 0 is checked over the whole complex: for column -1 that says
+    the restriction into Tot is a cochain map, D∘R = R∘δ."""
+    top = len(columns) - 2 + max((qc.dim for col in columns[1:] for qc in col),
                                  default=0)
     offsets: dict[tuple[int, int, int], int] = {}
     dims = []
     for k in range(top + 2):
         size = 0
-        for p, column in enumerate(columns):
-            for s, summand in enumerate(column):
-                if 0 <= k - p <= summand.qc.dim:
+        for p, column in enumerate(columns[1:]):
+            for s, qc in enumerate(column):
+                if 0 <= k - p <= qc.dim:
                     offsets[p, s, k - p] = size
-                    size += len(summand.qc.simplices[k - p])
+                    size += len(qc.simplices[k - p])
         dims.append(size)
-    return offsets, tuple(dims)
+    start: dict[tuple[int, int, int], int] = {}
+    generators: list[tuple[int, int, int]] = []
+    cone: list[tuple[tuple[int, int], ...]] = []
+    for p in reversed(range(-1, len(columns) - 1)):
+        sign = -1 if p % 2 else 1
+        for q in reversed(range(max((qc.dim for qc in columns[p + 1]),
+                                    default=-1) + 1)):
+            for s, qc in enumerate(columns[p + 1]):
+                if q > qc.dim:
+                    continue
+                start[p, s, q] = len(generators)
+                off = offsets.get((p, s, q), 0)
+                maps = [(piece.sign, start[p + 1, piece.target, q],
+                         piece.chain_map.matrix(q))
+                        for piece in pieces[p + 1] if piece.source == s
+                        and (p + 1, piece.target, q) in start]
+                up = start.get((p, s, q + 1))
+                for i in range(len(qc.simplices[q])):
+                    generators.append((p, p + q, off + i))
+                    col: dict[int, int] = {}
+                    if up is not None:
+                        for j, x in qc.boundaries[q + 1][i]:
+                            col[up + j] = sign * x
+                    for y, row0, m in maps:
+                        for j, x in m[i]:
+                            col[row0 + j] = col.get(row0 + j, 0) + y * x
+                    cone.append(tuple(sorted((r, x) for r, x in col.items() if x)))
+    cone = tuple(cone)
+    _check_total_differential_squares_to_zero(cone)
+    return offsets, tuple(dims), tuple(generators), cone
 
 
-def _assemble(columns, pieces, offsets, dims, k: int) -> SparseRows:
-    """D^k = vertical + horizontal, from total degree k to k + 1, as
-    sparse rows.  Each block is a transposed integer matrix: the vertical
-    block of a summand in column p is (-1)^p times its coboundary, the
-    transposed boundary, and the horizontal block of a piece is its sign
-    times its transposed chain map, which restricts cochains of the source
-    to the target."""
-    rows: list[dict[int, int]] = [{} for _ in range(dims[k + 1])]
-
-    def add_transposed(row0: int, col0: int, sign: int, m: SparseRows):
-        for j, entries in enumerate(m):
-            for i, x in entries:
-                row = rows[row0 + i]
-                row[col0 + j] = row.get(col0 + j, 0) + sign * x
-
-    for p, column in enumerate(columns):
-        q = k - p
-        for s, summand in enumerate(column):
-            if 0 <= q < summand.qc.dim:
-                add_transposed(offsets[p, s, q + 1], offsets[p, s, q],
-                               -1 if p % 2 else 1, summand.qc.boundaries[q + 1])
-        for piece in pieces[p]:
-            if (p + 1, piece.target, q) in offsets:
-                add_transposed(offsets[p + 1, piece.target, q],
-                               offsets[p, piece.source, q], piece.sign,
-                               piece.chain_map.matrix(q))
-    return tuple(tuple(sorted((j, x) for j, x in r.items() if x)) for r in rows)
+def _check_total_differential_squares_to_zero(cone: SparseRows):
+    # row g of cone·cone, the columns read as rows, is the column D(Dg)
+    if any(sparse_matmul(cone, cone)):
+        raise CertificateError("total differential fails D*D=0")
 
 
 def total_dims(dc: DoubleComplex) -> list[int]:
@@ -189,23 +221,24 @@ def total_dims(dc: DoubleComplex) -> list[int]:
     return list(dc.dims)
 
 
+def _tot_columns(dc: DoubleComplex) -> list[list[tuple[tuple[int, int], ...]]]:
+    """Per total degree k of Tot, the columns of D^k by coordinate, their
+    rows the coordinates of degree k + 1."""
+    cols = [[()] * d for d in dc.dims]
+    gens = dc.generators
+    for (p, k, c), col in zip(gens, dc.cone):
+        if p >= 0:
+            cols[k][c] = tuple((gens[r][2], x) for r, x in col)
+    return cols
+
+
 def total_differential(dc: DoubleComplex, k: int) -> SparseRows:
     """D = vertical + horizontal from total degree k to k+1, as sparse
-    rows of width dims[k]; no rows outside the degrees of the complex."""
-    return dc.differentials[k] if 0 <= k < len(dc.differentials) else ()
-
-
-def _total_columns(dc: DoubleComplex, k: int) -> SparseRows:
-    """The columns of D^k, as sparse rows of width dims[k + 1]."""
-    if not 0 <= k < len(dc.differentials):
+    rows of width dims[k], transposed from the stored columns; no rows
+    outside the degrees of the complex."""
+    if not 0 <= k < len(dc.dims) - 1:
         return ()
-    return sparse_transpose(dc.differentials[k], dc.dims[k])
-
-
-def _check_total_differential_squares_to_zero(dc: DoubleComplex):
-    for k in range(len(dc.differentials) - 1):
-        if any(sparse_matmul(dc.differentials[k + 1], dc.differentials[k])):
-            raise CertificateError("total differential fails D*D=0")
+    return sparse_transpose(_tot_columns(dc)[k], dc.dims[k + 1])
 
 
 def _field(coeff, job: str):
@@ -215,82 +248,49 @@ def _field(coeff, job: str):
     return field
 
 
-def _total_cochains(dc: DoubleComplex):
-    """Tot's generators (column p, degree k, coordinate) in cone order, by
-    column and then degree descending, so every prefix is a subcomplex
-    and F^p a prefix; and per degree k the columns of D^k."""
-    gens = [(p, k, dc.offsets[p, s, k - p] + i)
-            for p in reversed(range(dc.num_columns))
-            for k in reversed(range(len(dc.dims)))
-            for s, summand in enumerate(dc.columns[p])
-            if (p, s, k - p) in dc.offsets
-            for i in range(len(summand.qc.simplices[k - p]))]
-    return gens, [_total_columns(dc, k) for k in range(len(dc.dims))]
+def _pairs(field, generators, cone) -> dict[int, int]:
+    """The persistence pairs of a prefix of an augmented complex, cleared
+    by total degree (`exactla.f_pairs`)."""
+    return f_pairs(field, cone, [k for _, k, _ in generators])
 
 
-def _quotient_cochains(qc: QuotientComplex):
-    """A quotient's cochains (0, k, i) in cone order, degree descending;
-    the columns of its coboundary are the rows of its boundaries."""
-    return ([(0, k, i) for k in reversed(range(qc.dim + 1))
-             for i in range(len(qc.simplices[k]))],
-            [qc.boundaries[k + 1] if k < qc.dim
-             else ((),) * len(qc.simplices[k]) for k in range(qc.dim + 1)])
+def _tot_pairs(dc: DoubleComplex, field):
+    """(labels, pairs): Tot's generators and the pairs of its reduction."""
+    n = sum(dc.dims)
+    labels = dc.generators[:n]
+    return labels, _pairs(field, labels, dc.cone[:n])
 
 
-def _pair(field, target, source=None, maps: Sequence[SparseRows] = ()):
-    """(labels, pairs): one `f_pairs` reduction and each generator's
-    label (part, column p, degree k).  Reduced is the target (part 0)
-    alone, or the mapping cone of the restriction R from the source
-    (part 1) into it: the target's generators, then the source's, each
-    source c of degree k with the column (-δc, R^k c), R^k c = maps[k][c].
-    The target is a subcomplex, and the pairs inside the source are
-    those of δ alone.  First D∘R = R∘δ is checked: row c of each product
-    is the image of c."""
-    gens, cols = target
-    pos = {(k, c): i for i, (_, k, c) in enumerate(gens)}
-    labels = [(0, p, k) for p, k, _ in gens]
-    columns = [[(pos[k + 1, r], x) for r, x in cols[k][c]] for _, k, c in gens]
-    if source is not None:
-        sgens, scols = source
-        for k, m in enumerate(maps):
-            if sparse_matmul(m, cols[k] if k < len(cols) else ()) != \
-                    sparse_matmul(scols[k], maps[k + 1] if k + 1 < len(maps) else ()):
-                raise CertificateError("restriction fails D*R=R*delta")
-        spos = {(k, c): len(gens) + i for i, (_, k, c) in enumerate(sgens)}
-        labels += [(1, p, k) for p, k, _ in sgens]
-        columns += [[(spos[k + 1, r], -x) for r, x in scols[k][c]]
-                    + [(pos[k, t], y) for t, y in maps[k][c]]
-                    for _, k, c in sgens]
-    return labels, f_pairs(field, columns)
-
-
-def _betti(labels, pairs, part: int) -> Counter:
-    """dim H^k of one part, per degree k: its generators in no pair
-    within the part."""
+def _betti(labels, pairs, retract: bool) -> Counter:
+    """dim H^q per degree q of Tot, or with `retract` of column -1 in its
+    own degrees q = k + 1: the generators of that part in no pair within
+    the part."""
     paired = {i for low, col in pairs.items()
-              if labels[low][0] == labels[col][0] for i in (low, col)}
-    return Counter(k for i, (s, _, k) in enumerate(labels)
-                   if s == part and i not in paired)
+              if (labels[low][0] < 0) == (labels[col][0] < 0) for i in (low, col)}
+    return Counter(k - min(p, 0) for i, (p, k, _) in enumerate(labels)
+                   if (p < 0) == retract and i not in paired)
 
 
 def _ranks(labels, pairs) -> Counter:
     """The rank of the restriction in cohomology, per degree: the pairs
-    from a source column into the target, each a target class R hits."""
-    return Counter(labels[col][2] for low, col in pairs.items()
-                   if labels[low][0] != labels[col][0])
+    from a column -1 generator into Tot, each a class of Tot that the
+    restriction hits, in the degree of its lowest row."""
+    return Counter(labels[low][1] for low, col in pairs.items()
+                   if labels[col][0] < 0 <= labels[low][0])
 
 
 def total_cohomology(dc: DoubleComplex, coeff="Q"):
     """Cohomology of the total complex: over a field the dimensions, read
     off the reduction of Tot; over Z also the torsion (the Smith
-    invariants of `exactla.snf`)."""
+    invariants of `exactla.snf`), from the columns of D^k and D^{k-1}:
+    neither the rank nor the Smith invariants change under transposition."""
     coeff = parse_coeff(coeff)
     if coeff == "Z":
-        degrees = [betti_at(coeff, total_differential(dc, k),
-                            _total_columns(dc, k - 1), dc.dims[k])
+        cols = _tot_columns(dc)
+        degrees = [betti_at(coeff, cols[k], cols[k - 1] if k else (), dc.dims[k])
                    for k in range(len(dc.dims) - 1)]
     else:
-        betti = _betti(*_pair(coeff, _total_cochains(dc)), 0)
+        betti = _betti(*_tot_pairs(dc, coeff), False)
         degrees = [(betti[k], ()) for k in range(len(dc.dims) - 1)]
     out = [{"degree": k, "betti": betti, "torsion": torsion}
            for k, (betti, torsion) in enumerate(degrees)]
@@ -324,14 +324,14 @@ def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None
     every page.  On the basis of its generators in cone order, each d_r
     is a 0/1 partial identity."""
     field = _field(coeff, "spectral pages")
-    labels, pairs = _pair(field, _total_cochains(dc))
-    gap = {i: labels[low][1] - labels[col][1]
+    labels, pairs = _tot_pairs(dc, field)
+    gap = {i: labels[low][0] - labels[col][0]
            for low, col in pairs.items() for i in (low, col)}
     partner = {col: low for low, col in pairs.items()}
     pages = []
     for r in range(1, (dc.num_columns + 1 if r_stop is None else r_stop) + 1):
         basis: dict[tuple[int, int], list[int]] = {}
-        for i, (_, p, k) in enumerate(labels):
+        for i, (p, k, _) in enumerate(labels):
             if gap.get(i, r) >= r:
                 basis.setdefault((p, k - p), []).append(i)
         diffs = {(p, q): tuple(tuple(int(partner.get(j) == i) for j in src)
@@ -339,7 +339,7 @@ def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None
                  for (p, q), src in basis.items() if (p + r, q - r + 1) in basis}
         pages.append(SpectralPage(r, dict(sorted((pq, len(v)) for pq, v
                                                  in basis.items())), diffs))
-    betti = _betti(labels, pairs, 0)
+    betti = _betti(labels, pairs, False)
     return pages, [betti[k] for k in range(max(betti, default=-1) + 1)]
 
 
@@ -377,36 +377,18 @@ class RestrictionReport:
         return BoundaryHomologyReport(self.coeff, tuple(degrees))
 
 
-def _inclusion_rows(dc: DoubleComplex, q: int) -> list[list[tuple[int, int]]]:
-    """The chain-level map from total degree q to the q-chains of W/Gamma,
-    by nonzero entries per row: column-0 blocks include along their chain
-    maps, the other columns map to 0.  Row c is R^q c, c a cochain."""
-    rows: list[list[tuple[int, int]]] = \
-        [[] for _ in range(len(dc.w_qc.simplices[q]) if q <= dc.w_qc.dim else 0)]
-    for s, cm in enumerate(dc.inclusions):
-        if (0, s, q) in dc.offsets:
-            off = dc.offsets[0, s, q]
-            for row, entries in zip(rows, cm.matrix(q)):
-                row += [(off + t, x) for t, x in entries]
-    return rows
-
-
-def _restriction_degrees(dc: DoubleComplex, field) -> list[RestrictionDegree]:
-    """Every degree of the restriction C*(W/Gamma) -> Tot, the transposed
-    column-0 inclusion, read off the reduction of its cone."""
-    maps = [_inclusion_rows(dc, q) for q in range(dc.w_qc.dim + 1)]
-    cone = _pair(field, _total_cochains(dc), _quotient_cochains(dc.w_qc), maps)
-    total, retract, ranks = _betti(*cone, 0), _betti(*cone, 1), _ranks(*cone)
-    return [RestrictionDegree(q, retract[q], total[q], ranks[q],
-                              retract[q] - ranks[q])
-            for q in range(max(dc.w_qc.dim, len(dc.dims) - 2) + 1)]
-
-
 def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
     """Cochain-level restriction from the retract quotient into column 0,
-    composed into total cohomology; ranks and interior dimensions."""
+    composed into total cohomology; ranks and interior dimensions, read
+    off the reduction of the whole augmented complex, its mapping cone."""
     field = _field(coeff, "restriction ranks")
-    degrees = _restriction_degrees(dc, field)
+    pairs = _pairs(field, dc.generators, dc.cone)
+    total = _betti(dc.generators, pairs, False)
+    retract = _betti(dc.generators, pairs, True)
+    ranks = _ranks(dc.generators, pairs)
+    degrees = [RestrictionDegree(q, retract[q], total[q], ranks[q],
+                                 retract[q] - ranks[q])
+               for q in range(max(dc.w_qc.dim, len(dc.dims) - 2) + 1)]
     if field == QQ and dc.group.family != "gl":
         _check_boundary_duality(dc.group.n, degrees)
     return RestrictionReport(field.name, tuple(degrees))
@@ -441,11 +423,9 @@ class BoundaryHomologyReport:
 
 def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
     """Homology of the dual total complex and the rank of its map into
-    the homology of the retract quotient, read off the cone that
-    `restriction` reduces (`RestrictionReport.homology`)."""
-    field = _field(coeff, "boundary homology ranks")
-    return RestrictionReport(field.name,
-                             tuple(_restriction_degrees(dc, field))).homology()
+    the homology of the retract quotient: the `restriction` report read
+    in homology (`RestrictionReport.homology`)."""
+    return restriction(dc, coeff).homology()
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +444,8 @@ class FaceMapReport:
 def face_map(dc: DoubleComplex, flag: RationalFlag,
              coeff="Q") -> FaceMapReport:
     """Maps induced by one flag subcomplex inclusion: ranks read off the
-    cone of C*(W/Gamma) -> C*(W_F/Gamma_F), equal in homology."""
+    cone of C*(W/Gamma) -> C*(W_F/Gamma_F), the augmented complex of W/Gamma
+    in column -1 and W_F/Gamma_F alone in column 0; equal in homology."""
     field = _field(coeff, "face maps")
     check_dimension(flag, dc.group)
     hit = _locate_flag(dc.columns[0], flag, dc.group)
@@ -473,9 +454,9 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
     summand = dc.columns[0][hit[0]]
     cm = dc.inclusions[hit[0]]
     w = dc.w_qc
-    maps = [cm.matrix(q) or ((),) * len(w.simplices[q]) for q in range(w.dim + 1)]
-    ranks = _ranks(*_pair(field, _quotient_cochains(summand.qc),
-                          _quotient_cochains(w), maps))
+    _, _, generators, cone = _layout([(w,), (summand.qc,)],
+                                     [_including([cm]), ()])
+    ranks = _ranks(generators, _pairs(field, generators, cone))
     hom_ranks = tuple(ranks[q] for q in range(w.dim + 1))
     return FaceMapReport(summand.flag, field.name, hom_ranks, hom_ranks,
                          tuple(cm.matrix(q) for q in range(w.dim + 1)))

@@ -78,7 +78,6 @@ class Cell:
     config: VectorConfig
     dim: int = field(compare=False)
     witness: GramForm = field(compare=False)
-    cert_bound: Fraction = field(compare=False)
     contacts: VectorConfig = field(compare=False, repr=False)
 
     @property
@@ -300,8 +299,7 @@ def _cell_from_config_uncached(config: VectorConfig, tighten: bool) -> Cell:
             continue
         contacts = tuple(w for w in vectors_below(witness, CONTACT_RADIUS)
                          if w not in config)
-        return Cell(config, cell_dimension(config), witness,
-                    CONTACT_RADIUS, contacts)
+        return Cell(config, cell_dimension(config), witness, contacts)
     raise CertificateError("cutting-plane loop did not converge")
 
 
@@ -804,8 +802,7 @@ def _moved_cell(cell: Cell, g: IntMatrix) -> Cell:
         return tuple(sorted(canonical_vector(int_matvec(g, v))
                             for v in vectors))
     return Cell(moved(cell.config), cell.dim,
-                cell.witness.transform(int_inverse(g)), cell.cert_bound,
-                moved(cell.contacts))
+                cell.witness.transform(int_inverse(g)), moved(cell.contacts))
 
 
 def _positions(u: IntMatrix, config: VectorConfig,

@@ -295,13 +295,10 @@ def _arc_in_window(w1, w2, window) -> bool:
             and max(ys) >= ymin and min(ys) <= ymax)
 
 
-def svg_tree(complex_n2: OrbitComplex, window=(-1.5, 1.5, 0.0, 1.5),
-             max_arcs: int = 4000) -> str:
+def svg_tree(window=(-1.5, 1.5, 0.0, 1.5), max_arcs: int = 4000) -> str:
     """Upper-half-plane picture of the retract for n = 2: the tree of
     geodesic arcs between translates of the hexagonal point, with the
     fundamental arc (square point to hexagonal point) highlighted."""
-    if complex_n2.group.n != 2:
-        raise DomainError("the tree picture exists only for n = 2")
     xmin, xmax, ymin, ymax = window
     if not (xmin < xmax and ymin < ymax):
         return _svg_document([], window)
@@ -375,15 +372,13 @@ def _svg_document(arcs, window) -> str:
 
 
 def _cmd_svg(args) -> str:
-    group = GroupSpec(2, "sl")
-    cx = enumerate_W(group)
     window = (-1.5, 1.5, 0.0, 1.5)
     if args.window:
         parts = [float(x) for x in args.window.split(",")]
         if len(parts) != 4:
             raise DomainError("--window needs xmin,xmax,ymin,ymax")
         window = tuple(parts)
-    return svg_tree(cx, window)
+    return svg_tree(window)
 
 
 # ---------------------------------------------------------------------------

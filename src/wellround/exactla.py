@@ -759,18 +759,26 @@ def f_solve(field, a: Sequence[Sequence], b: Sequence, ncols: int) -> Optional[l
     return Echelon(field, [[*row, y] for row, y in zip(a, b)]).solution(ncols)
 
 
-def f_pairs(field, columns: Iterable[Sequence[tuple[int, int]]]) -> dict[int, int]:
-    """The persistence pairs {lowest row: column} of a filtered complex
-    (Edelsbrunner, Letscher and Zomorodian, "Topological persistence and
-    simplification", 2002): columns[j] lists the integer entries (row,
-    value) of the differential of generator j, generators in filtration
-    order.  The columns go left to right into one `Echelon` that reads
-    row i as column -i, so a pivot is a lowest row, and a kept column
-    pairs its lowest row with it."""
+def f_pairs(field, columns: Sequence[Sequence[tuple[int, int]]],
+            degrees: Sequence[int]) -> dict[int, int]:
+    """The persistence pairs {lowest row: column} of a filtered cochain
+    complex (Edelsbrunner, Letscher and Zomorodian, "Topological
+    persistence and simplification", 2002): columns[j] lists the integer
+    entries (row, value) of the differential of generator j, generators
+    in filtration order, and degrees[j] is the degree of generator j, so
+    that its rows lie in degree degrees[j] + 1.  The columns go into one
+    `Echelon` that reads row i as column -i, so a pivot is a lowest row,
+    and a kept column pairs its lowest row with it.  They go in by degree
+    ascending, in filtration order within a degree, and a column whose
+    generator is already a lowest row is skipped, as D^2 = 0 reduces it
+    to zero (clearing: Chen and Kerber, "Persistent homology computation
+    with a twist", 2011)."""
     basis = Echelon(field)
     pairs: dict[int, int] = {}
-    for j, entries in enumerate(columns):
-        low = basis._add([(-i, x) for i, x in entries])
+    for j in sorted(range(len(columns)), key=degrees.__getitem__):
+        if j in pairs:
+            continue
+        low = basis._add([(-i, x) for i, x in columns[j]])
         if low is not None:
             pairs[-low] = j
     return pairs

@@ -15,11 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from cone_assembly import inclusion_rows
 from wellround.boundary import (
     BoundaryHomologyDegree, BoundaryHomologyReport, DoubleComplex,
     FaceMapReport, RestrictionDegree, RestrictionReport, SpectralPage,
-    _check_boundary_duality, _field, _inclusion_rows, _locate_flag,
-    _total_columns, total_differential,
+    _check_boundary_duality, _field, _locate_flag, total_differential,
 )
 from wellround.exactla import (
     QQ, CertificateError, Echelon, dense_view, f_solve, sparse_transpose,
@@ -81,7 +81,7 @@ class Filtered:
         return [[of(self.field, 0)] * lo + v for v in basis.kernel(n - lo)]
 
     def apply_d(self, k: int, vec: list) -> list:
-        return matvec(self.field, self.dc.differentials[k], vec)
+        return matvec(self.field, total_differential(self.dc, k), vec)
 
     def page_entry(self, r: int, p: int, q: int):
         """(numerator basis, denominator basis, lifts spanning E_r)."""
@@ -101,6 +101,13 @@ class Filtered:
         if sol is None:
             raise CertificateError("vector not in the span")
         return sol[:len(lifts)]
+
+
+def total_columns(dc: DoubleComplex, k: int):
+    """The columns of D^k, as sparse rows of width dims[k + 1]."""
+    if not 0 <= k < len(dc.dims) - 1:
+        return ()
+    return sparse_transpose(total_differential(dc, k), dc.dims[k])
 
 
 def spectral_sequence(dc: DoubleComplex, coeff="Q", r_stop: Optional[int] = None):
@@ -142,7 +149,7 @@ def total_betti(dc: DoubleComplex, field) -> list[int]:
     """dim H^k(Tot) by two eliminations per degree, trailing zeros
     dropped."""
     betti = [betti_at(field, total_differential(dc, k),
-                      _total_columns(dc, k - 1), dc.dims[k])[0]
+                      total_columns(dc, k - 1), dc.dims[k])[0]
              for k in range(len(dc.dims) - 1)]
     while betti and not betti[-1]:
         betti.pop()
@@ -157,10 +164,10 @@ def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
     degrees = []
     for q in range(max(dc.w_qc.dim, len(dc.dims) - 2) + 1):
         reps = cocycles[q].representatives if q <= dc.w_qc.dim else ()
-        restrict_rows = sparse_transpose(_inclusion_rows(dc, q), dc.dims[q])
+        restrict_rows = sparse_transpose(inclusion_rows(dc, q), dc.dims[q])
         imgs = [matvec(field, restrict_rows, rep) for rep in reps]
         dtot = total_differential(dc, q)
-        coboundaries = _total_columns(dc, q - 1)
+        coboundaries = total_columns(dc, q - 1)
         dim_total = betti_at(field, dtot, coboundaries, dc.dims[q])[0]
         for v in imgs:
             if any(matvec(field, dtot, v)):
@@ -186,9 +193,9 @@ def boundary_homology(dc: DoubleComplex, coeff="Q") -> BoundaryHomologyReport:
     w_hom = homology(dc.w_qc, field).degrees
     degrees = []
     for q in range(max(len(dc.dims) - 2, dc.w_qc.dim) + 1):
-        h = homology_at(field, _total_columns(dc, q - 1),
+        h = homology_at(field, total_columns(dc, q - 1),
                         total_differential(dc, q), dc.dims[q])
-        include_rows = _inclusion_rows(dc, q)
+        include_rows = inclusion_rows(dc, q)
         imgs = [matvec(field, include_rows, rep) for rep in h.representatives]
         dim_w = w_hom[q].betti if q <= dc.w_qc.dim else 0
         degrees.append(BoundaryHomologyDegree(

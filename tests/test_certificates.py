@@ -125,22 +125,20 @@ def test_quotient_certificate_raised_under_optimize():
         "error": "CertificateError: boundary squared is nonzero"}
 
 
-# Entry (i, 0) of the stored D^0 is raised by 1 before the D^2 = 0 check
-# sees it.  Row i is one that D^1 reads (a nonzero column of D^1), so
-# D^1 D^0 gains that column of D^1.  SL_3 has two columns, so its total
-# complex has a D^1 to test.
+# One entry (r, x) of a stored column of the augmented complex, whose row
+# r has a nonzero column itself, is raised to (r, x + 1) before the
+# D^2 = 0 check sees it, so D^2 of that column gains the column of r.
 TOTAL_SCRIPT = RAISE_ENTRY + textwrap.dedent("""
-    import dataclasses, json, sys
+    import json, sys
     import wellround.boundary as boundary
     from wellround.cli import run
 
     real = boundary._check_total_differential_squares_to_zero
 
-    def corrupted(dc):
-        d0, d1 = dc.differentials[:2]
-        i = next(row[0][0] for row in d1 if row)
-        real(dataclasses.replace(
-            dc, differentials=(raised(d0, i, 0),) + dc.differentials[1:]))
+    def corrupted(cone):
+        g, r = next((g, r) for g, col in enumerate(cone) for r, _ in col
+                    if cone[r])
+        real(raised(cone, g, r))
 
     boundary._check_total_differential_squares_to_zero = corrupted
     code = run(["boundary", "total", "-n", "3", "--group", "sl"])
@@ -288,30 +286,31 @@ def test_boundary_duality_certificate_raised_under_optimize():
 
 
 # The first entry of the degree-0 inclusion matrix of the first column-0
-# summand is negated after the build has checked that inclusion, so the
+# summand, the first untwisted chain map the build makes, is negated
+# after `induced_map` has checked it and before the layout, so the
 # restriction from W/Gamma into the total complex is no cochain map, and
-# the D*R = R*delta certificate of the restriction cone must fire.
+# D^2 = 0 over the augmented complex, column -1 included, must fail.
 COCHAIN_MAP_SCRIPT = textwrap.dedent("""
     import dataclasses, json, sys
     import wellround.boundary as boundary
-    import wellround.cli as cli
     from wellround.cli import run
 
-    real = boundary.build_double_complex
+    real = boundary.induced_map
+    flips = []
 
-    def corrupted(group, variant=0):
-        dc = real(group, variant)
-        cm = dc.inclusions[0]
+    def corrupted(sub, sup, twist=None):
+        cm = real(sub, sup, twist)
+        if twist is not None or flips:
+            return cm
+        flips.append(1)
         m0 = [list(row) for row in cm.matrices[0]]
         i = next(i for i, row in enumerate(m0) if row)
         j, x = m0[i][0]
         m0[i][0] = (j, -x)
-        flipped = dataclasses.replace(
-            cm, matrices=(tuple(map(tuple, m0)),) + cm.matrices[1:])
         return dataclasses.replace(
-            dc, inclusions=(flipped,) + dc.inclusions[1:])
+            cm, matrices=(tuple(map(tuple, m0)),) + cm.matrices[1:])
 
-    cli.build_double_complex = corrupted
+    boundary.induced_map = corrupted
     code = run(["boundary", "restrict", "-n", "2", "--group", "gamma0",
                 "--level", "11"])
     print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
@@ -322,7 +321,7 @@ def test_cochain_map_certificate_raised_under_optimize():
     cli_line, result_line = _run_optimized(COCHAIN_MAP_SCRIPT)[-2:]
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line) == {
-        "error": "CertificateError: restriction fails D*R=R*delta"}
+        "error": "CertificateError: total differential fails D*D=0"}
 
 
 # The coset space reads every matrix as lying over the base point, so W

@@ -255,6 +255,29 @@ def test_svg_default_window(capsys):
     assert 'class="fundamental"' in out
 
 
+SVG_LP_SCRIPT = """
+import wellround.cells as cells
+from wellround.cli import run
+
+real = cells.lp
+calls = []
+cells.lp = lambda *args: calls.append(1) or real(*args)
+code = run(["svg"])
+print(code, len(calls))
+"""
+
+
+def test_svg_solves_no_lp():
+    # the picture is drawn from the tree's rotations alone; a fresh
+    # interpreter, so that no cell cache hides a walk of W
+    src = str(Path(wellround.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", SVG_LP_SCRIPT],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 0"
+
+
 def test_svg_empty_window(capsys):
     code, out = invoke(capsys, "svg", "--window", "1,1,0,0")
     assert code == 0

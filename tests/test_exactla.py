@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cone_assembly
 import dense_echelon
 import fraction_simplex
 import gauss_jordan as gj
@@ -16,7 +17,7 @@ from dense_assembly import dense, sparse_rows
 from rational_matrix import RatMatrix, int_scaled
 from wellround.exactla import (
     INFEASIBLE, OPTIMAL, QQ, UNBOUNDED,
-    Echelon, LPResult, NotPositiveDefinite, PrimeField, f_pairs, f_rank,
+    Echelon, LPResult, NotPositiveDefinite, PrimeField, f_rank,
     f_solve, format_rational, hnf, int_adjugate, int_det,
     int_identity, int_inverse, int_kernel, int_ldlt, int_matmul, int_matrix,
     int_matvec, int_transpose, lp, parse_rational, saturation,
@@ -488,9 +489,13 @@ def sparse_columns(draw):
 
 @given(sparse_columns())
 @settings(max_examples=200, deadline=None)
-def test_f_pairs_matches_column_reduction_oracle(cols):
+def test_sparse_column_reduction_matches_dense_oracle(cols):
+    # every column reduced, none cleared: the columns need not square to
+    # zero (`f_pairs` clears, and is checked against this reduction on
+    # complexes with D^2 = 0 in test_pairing and test_augmented_layout)
     for field, _ in _FIELDS[:3]:
-        assert f_pairs(field, cols) == dense_echelon.f_pairs(field, cols)
+        assert cone_assembly.f_pairs(field, cols) == \
+            dense_echelon.f_pairs(field, cols)
 
 
 @st.composite

@@ -31,7 +31,8 @@ def _snapshot(dc):
         "complexes": [cx.to_json() for cx in complexes],
         "stabilizers": [cx.stabilizers for cx in complexes],
         "faces": [cx.faces for cx in complexes],
-        "differentials": dc.differentials,
+        "generators": dc.generators,
+        "cone": dc.cone,
         "inclusions": [cm.matrices for cm in dc.inclusions],
     }
 

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cone_assembly
 import filtered_pages as oracle
+import wellround.boundary as boundary
 from wellround.boundary import (
     DoubleComplex, boundary_homology, build_double_complex, face_map,
     restriction, spectral_sequence, total_cohomology,
 )
 from wellround.exactla import (
-    CertificateError, PrimeField, QQ, f_pairs, f_rank,
+    CertificateError, PrimeField, QQ, f_pairs, f_rank, sparse_transpose,
 )
 from wellround.lattice import GroupSpec
 from wellround.quotient import parse_coeff
@@ -83,19 +85,37 @@ def test_sl3_d1_has_rank_and_pages_degenerate():
     assert abutment == [1, 0, 0, 0, 1]
 
 
-def test_restriction_certificate_fires_on_a_flipped_inclusion():
-    # the build checked every inclusion; one entry negated afterwards
-    dc = _dc(GroupSpec(2, "gamma0", 11))
-    cm = dc.inclusions[0]
+def _flipped(cm):
+    """The chain map with the first entry of its degree-0 matrix negated."""
     m0 = [list(row) for row in cm.matrices[0]]
     i = next(i for i, row in enumerate(m0) if row)
     m0[i][0] = (m0[i][0][0], -m0[i][0][1])
-    flipped = replace(cm, matrices=(tuple(map(tuple, m0)),) + cm.matrices[1:])
-    broken = replace(dc, inclusions=(flipped,) + dc.inclusions[1:])
-    with pytest.raises(CertificateError, match="D\\*R=R\\*delta"):
-        restriction(broken, "Q")
-    # the face map of that summand reads the same inclusion
-    with pytest.raises(CertificateError, match="D\\*R=R\\*delta"):
+    return replace(cm, matrices=(tuple(map(tuple, m0)),) + cm.matrices[1:])
+
+
+def test_restriction_certificate_fires_on_a_flipped_inclusion(monkeypatch):
+    # the first inclusion into W/Gamma, an untwisted chain map, has one
+    # entry negated after its own check and before the layout: D^2 = 0
+    # over the augmented complex is then the certificate that fires
+    real = boundary.induced_map
+    flips = []
+
+    def flipping(sub, sup, twist=None):
+        cm = real(sub, sup, twist)
+        if twist is None and not flips:
+            flips.append(cm)
+            return _flipped(cm)
+        return cm
+
+    monkeypatch.setattr(boundary, "induced_map", flipping)
+    with pytest.raises(CertificateError, match="D\\*D=0"):
+        build_double_complex(GroupSpec(2, "gamma0", 11))
+    assert flips
+    # the face map lays out its own cone from the inclusion it reads
+    dc = _dc(GroupSpec(2, "gamma0", 11))
+    broken = replace(dc, inclusions=(_flipped(dc.inclusions[0]),)
+                     + dc.inclusions[1:])
+    with pytest.raises(CertificateError, match="D\\*D=0"):
         face_map(broken, broken.columns[0][0].flag, "Q")
     face_map(broken, broken.columns[0][1].flag, "Q")
 
@@ -107,12 +127,12 @@ def test_f_pairs_small_cases():
     cols = [(), (), (), ((0, -1), (1, 1)), ((0, -1), (2, 1)),
             ((1, -1), (2, 1)), ((3, 1), (4, -1), (5, 1))]
     for field in (QQ, PrimeField(2), PrimeField(3)):
-        assert f_pairs(field, cols) == {1: 3, 2: 4, 5: 6}
+        assert f_pairs(field, cols, [0, 0, 0, -1, -1, -1, -2]) == {1: 3, 2: 4, 5: 6}
     # a column 2 times another: a pair over Q and F_3, none over F_2
-    assert f_pairs(QQ, [(), ((0, 2),)]) == {0: 1}
-    assert f_pairs(PrimeField(2), [(), ((0, 2),)]) == {}
-    assert f_pairs(PrimeField(3), [(), ((0, 2),)]) == {0: 1}
-    assert f_pairs(QQ, []) == {}
+    assert f_pairs(QQ, [(), ((0, 2),)], [1, 0]) == {0: 1}
+    assert f_pairs(PrimeField(2), [(), ((0, 2),)], [1, 0]) == {}
+    assert f_pairs(PrimeField(3), [(), ((0, 2),)], [1, 0]) == {0: 1}
+    assert f_pairs(QQ, [], []) == {}
 
 
 # --- random filtered cochain complexes with known elementary pieces -------
@@ -180,8 +200,10 @@ def _matmul(a, b, ncols):
 
 
 def _fake_double_complex(ncols, qmax, coords, diffs):
-    """A `DoubleComplex` with one summand per column, carrying only what
-    the page readers and the oracle read: the layout and the D^k."""
+    """A `DoubleComplex` with one summand per column and no column -1,
+    carrying only what the page readers and the oracle read: the layout,
+    and Tot's generators in cone order with their columns, read off the
+    D^k."""
     columns = []
     for p in range(ncols):
         sizes = [sum(1 for pp, _ in coords[p + q] if pp == p)
@@ -194,8 +216,33 @@ def _fake_double_complex(ncols, qmax, coords, diffs):
             if 0 <= k - p <= qmax:
                 offsets[p, 0, k - p] = sum(1 for pp, _ in level if pp < p)
     dims = tuple(len(level) for level in coords)
+    generators = [(p, k, offsets[p, 0, k - p] + i)
+                  for p in reversed(range(ncols))
+                  for k in reversed(range(p, p + qmax + 1))
+                  for i in range(len(columns[p][0].qc.simplices[k - p]))]
+    position = {(k, c): g for g, (_, k, c) in enumerate(generators)}
+    by_column = [sparse_transpose(d, n) for d, n in zip(diffs, dims)]
+    cone = tuple(tuple(sorted((position[k + 1, r], x)
+                              for r, x in by_column[k][c]))
+                 if k < len(by_column) else () for _, k, c in generators)
     return DoubleComplex(GroupSpec(2, "sl"), tuple(columns), (), None, None,
-                         (), offsets, dims, tuple(diffs))
+                         (), offsets, dims, tuple(generators), cone)
+
+
+def _conjugated_differentials(coords, pieces, where, changes):
+    """The D^k as sparse rows: elementary, then conjugated,
+    D'_k = g_{k+1} D_k g_k^-1."""
+    diffs = []
+    for k in range(len(coords) - 1):
+        d = [[0] * len(coords[k]) for _ in coords[k + 1]]
+        for i, (src, tgt, unit) in enumerate(pieces):
+            if tgt is not None and tgt[1] == k + 1:
+                d[where[i, 1][1]][where[i, 0][1]] = unit
+        n = len(coords[k])
+        d = _matmul(_matmul(changes[k + 1][0], d, n), changes[k][1], n)
+        diffs.append(tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                           for row in d))
+    return diffs
 
 
 def _expected(pieces, r_stop):
@@ -222,18 +269,8 @@ def _expected(pieces, r_stop):
 @settings(max_examples=120, deadline=None)
 def test_pages_of_random_filtered_complexes(data):
     ncols, qmax, pieces, coords, where, changes = data
-    # elementary D, then conjugated: D'_k = g_{k+1} D_k g_k^-1
-    diffs = []
-    for k in range(len(coords) - 1):
-        d = [[0] * len(coords[k]) for _ in coords[k + 1]]
-        for i, (src, tgt, unit) in enumerate(pieces):
-            if tgt is not None and tgt[1] == k + 1:
-                d[where[i, 1][1]][where[i, 0][1]] = unit
-        n = len(coords[k])
-        d = _matmul(_matmul(changes[k + 1][0], d, n), changes[k][1], n)
-        diffs.append(tuple(tuple((j, x) for j, x in enumerate(row) if x)
-                           for row in d))
-    dc = _fake_double_complex(ncols, qmax, coords, diffs)
+    dc = _fake_double_complex(ncols, qmax, coords, _conjugated_differentials(
+        coords, pieces, where, changes))
     pages_want, abutment_want = _expected(pieces, ncols + 1)
     for coeff in COEFFS:
         field = parse_coeff(coeff)
@@ -249,11 +286,27 @@ def test_pages_of_random_filtered_complexes(data):
             abutment_want
 
 
+@given(filtered_complexes())
+@settings(max_examples=120, deadline=None)
+def test_cleared_pairs_match_the_oracle_on_random_complexes(data):
+    # the same random complexes, D^2 = 0 and cone order: clearing by
+    # degree leaves the pairs of the reduction without clearing
+    ncols, qmax, pieces, coords, where, changes = data
+    dc = _fake_double_complex(ncols, qmax, coords, _conjugated_differentials(
+        coords, pieces, where, changes))
+    degrees = [k for _, k, _ in dc.generators]
+    for coeff in COEFFS:
+        field = parse_coeff(coeff)
+        assert f_pairs(field, dc.cone, degrees) == \
+            cone_assembly.f_pairs(field, dc.cone)
+
+
 def test_fraction_free_reduction_cancels_parallel_columns():
     # (4, 6) is 2/3 of (6, 9): one fraction-free step clears it over Q;
     # over F_2 the first column is (0, 1) and the second 0, over F_3 the
     # first is 0 and the second (1, 0)
     cols = [(), (), ((0, 6), (1, 9)), ((0, 4), (1, 6))]
-    assert f_pairs(QQ, cols) == {1: 2}
-    assert f_pairs(PrimeField(2), cols) == {1: 2}
-    assert f_pairs(PrimeField(3), cols) == {0: 3}
+    degrees = [1, 1, 0, 0]
+    assert f_pairs(QQ, cols, degrees) == {1: 2}
+    assert f_pairs(PrimeField(2), cols, degrees) == {1: 2}
+    assert f_pairs(PrimeField(3), cols, degrees) == {0: 3}
