@@ -3,13 +3,16 @@
 Column p collects the simplicial cochains of the quotients of the flag
 subcomplexes W_F for flags with p+2 members (the full space included);
 vertical differentials are signed coboundaries, horizontal ones are
-Cech-signed restrictions twisted by group elements carrying a deleted
-flag onto its orbit representative.  The total complex computes the
+Cech-signed restrictions to the subcomplexes of the one-member
+deletions.  The total complex computes the
 cohomology of the boundary of the bordified quotient.  With the cochains
 of the whole retract quotient as column -1, joined to column 0 by the
 inclusions, the augmented double complex is the mapping cone of the
 restriction into the total complex; it is laid out, assembled and
-certified (D^2 = 0) once.  Over a field every answer (spectral pages,
+certified (D^2 = 0) once.  Its quotients and chain maps are those of the
+level-1 group lifted through the coset space Omega = Gamma \\ SL_n(Z)
+(`quotient.CosetLift`), so W, the flag subcomplexes and the chain maps
+are built once, at level 1.  Over a field every answer (spectral pages,
 betti numbers, restriction and face-map ranks) is read off one
 persistence pairing (`exactla.f_pairs`) of it or of the total complex,
 its prefix.
@@ -19,28 +22,29 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 from .cells import OrbitComplex, enumerate_W, subcomplex_WF
 from .exactla import (
-    QQ, CertificateError, IntMatrix, SparseRows, f_pairs, sparse_matmul,
+    QQ, CertificateError, SparseRows, f_pairs, sparse_matmul,
     sparse_transpose,
 )
 from .flags import (
-    RationalFlag, check_dimension, flag_equivalent, flag_orbits, flag_types,
-    subflags_with_signs,
+    Point, RationalFlag, adapted_basis, check_dimension, coset_space,
+    flag_orbits, flag_types, standard_flag,
 )
 from .lattice import GroupSpec
 from .quotient import (
-    ChainMap, QuotientComplex, barycentric_quotient, betti_at, induced_map,
-    parse_coeff,
+    ChainMap, CosetLift, QuotientComplex, barycentric_quotient, betti_at,
+    induced_map, parse_coeff,
 )
 
 
 @dataclass(frozen=True)
 class Summand:
     flag: RationalFlag
-    complex: OrbitComplex
+    point: Point         # the root of the flag's P(Z)-orbit on Omega
     qc: QuotientComplex
 
 
@@ -63,7 +67,9 @@ class DoubleComplex:
     coordinate offsets[p, s, q] on.  generators lists every generator as
     (column p, total degree k, coordinate) in cone order, and cone[g] is
     its column: the entries (generator, value) of its image under D
-    (`_layout`).  Tot is the prefix of the first sum(dims) generators."""
+    (`_layout`).  Tot is the prefix of the first sum(dims) generators.
+    w_complex is W mod the level-1 group that the quotients are lifted
+    from."""
 
     group: GroupSpec
     columns: tuple[tuple[Summand, ...], ...]
@@ -81,60 +87,94 @@ class DoubleComplex:
         return len(self.columns)
 
 
+class _LevelOne(NamedTuple):
+    """The level-1 double complex: W mod the level-1 group, the quotients
+    of W (type None) and of the flag subcomplex of the standard flag of
+    every type (by its P(Z)), and per type the chain maps out of it, one
+    per member deleted, as (deleted type, sign, chain map).  Deleting the
+    only member of a flag gives W, along the inclusion with sign +1."""
+
+    w_complex: OrbitComplex
+    quotients: dict[Optional[tuple[int, ...]], QuotientComplex]
+    deletions: dict[tuple[int, ...], tuple[tuple[Optional[tuple[int, ...]],
+                                                 int, ChainMap], ...]]
+
+
+def _level_group(group: GroupSpec) -> GroupSpec:
+    """GL_n(Z) for a group of the gl family, SL_n(Z) for every other."""
+    return GroupSpec(group.n, "gl" if group.family == "gl" else "sl")
+
+
+@lru_cache(maxsize=4)
+def _level_one(group: GroupSpec, variant: int) -> _LevelOne:
+    """The level-1 double complex of a level-1 group, kept for the few
+    used last.  At level 1 every deletion of a standard flag is the
+    standard flag of the smaller type, so no chain map is twisted."""
+    n = group.n
+    w_complex = enumerate_W(group, variant=variant)
+    quotients = {None: barycentric_quotient(w_complex)}
+    for p in range(n - 1):
+        for dims in flag_types(n, p + 2):
+            quotients[dims] = barycentric_quotient(
+                subcomplex_WF(w_complex, standard_flag(n, dims)))
+    deletions = {}
+    for dims, qc in quotients.items():
+        if dims is not None:
+            deleted = [dims[:i] + dims[i + 1:] or None for i in range(len(dims))]
+            deletions[dims] = tuple(
+                (d, -1 if i % 2 else 1, induced_map(qc, quotients[d]))
+                for i, d in enumerate(deleted))
+    return _LevelOne(w_complex, quotients, deletions)
+
+
 def build_double_complex(group: GroupSpec, variant: int = 0) -> DoubleComplex:
     """Assemble the flag-subcomplex double complex for the group.
 
+    Every quotient and chain map is lifted from the level-1 double
+    complex, built once (`_level_one`), through the coset space Omega
+    (`quotient.CosetLift`); a level-1 group is the case of one point.
     Column p holds one summand per orbit of flags with p+1 proper
-    members, its flag subcomplex derived from the orbit data of W
-    (`subcomplex_WF`, no walk of its own); the horizontal maps pair each
-    flag with its one-member deletions, located among the representatives
-    by an exact equivalence search whose witness twists the restriction.
-    `variant` reseeds the enumeration of W.
+    members, in the order of `flag_orbits`: per type, the P(Z)-orbits on
+    Omega.  The piece out of a summand's deletion goes to the summand of
+    the deleted type whose orbit holds the same points, with the sign
+    (-1)^i of the deleted member i; for column 0, to W/Gamma in column -1.
+    `variant` reseeds the enumeration of W at level 1.
     """
     n = group.n
-    w_complex = enumerate_W(group, variant=variant)
-    w_qc = barycentric_quotient(w_complex)
-    columns = []
+    level = _level_one(_level_group(group), variant)
+    omega = coset_space(group)
+    lift = CosetLift(omega)
+    (w_qc,) = lift.quotients(None, level.quotients[None], group)
+    starts: dict[Optional[tuple[int, ...]], int] = {None: 0}
+    columns: list[tuple[Summand, ...]] = []
+    pieces: list[tuple[HorizontalPiece, ...]] = []  # pieces[p + 1] out of p
     for p in range(n - 1):
-        summands = []
+        summands: list[Summand] = []
+        into: list[HorizontalPiece] = []
         for dims in flag_types(n, p + 2):
             orbits = flag_orbits(group, dims)
-            for flag in orbits.reps:
-                sub = subcomplex_WF(w_complex, flag)
-                summands.append(Summand(flag, sub, barycentric_quotient(sub)))
+            _, orbit, _ = omega.parabolic_orbits(dims)
+            part = {orbit[w]: s for s, w in enumerate(orbits.roots)}
+            qcs = lift.quotients(dims, level.quotients[dims], group,
+                                 orbits.reps, [part[orbit[w]]
+                                               for w in lift.points])
+            starts[dims] = len(summands)
+            for s, summand in enumerate(map(Summand, orbits.reps,
+                                            orbits.roots, qcs)):
+                for deleted, sign, cm in level.deletions[dims]:
+                    b, lifted = lift.chain_map(cm, dims, s, deleted)
+                    into.append(HorizontalPiece(starts[deleted] + b,
+                                                len(summands), sign, lifted))
+                summands.append(summand)
         columns.append(tuple(summands))
-    pieces: list[tuple[HorizontalPiece, ...]] = []
-    for p in range(len(columns) - 1):
-        col_pieces = []
-        for t_idx, tgt in enumerate(columns[p + 1]):
-            for deleted, sign in subflags_with_signs(tgt.flag):
-                hit = _locate_flag(columns[p], deleted, group)
-                if hit is None:
-                    raise CertificateError(
-                        "deleted flag matches no representative")
-                s_idx, witness = hit
-                cm = induced_map(tgt.qc, columns[p][s_idx].qc, twist=witness)
-                col_pieces.append(HorizontalPiece(s_idx, t_idx, sign, cm))
-        pieces.append(tuple(col_pieces))
+        pieces.append(tuple(into))
     pieces.append(())
-    inclusions = tuple(induced_map(s.qc, w_qc) for s in columns[0])
     layout = _layout([(w_qc,)] + [tuple(s.qc for s in col) for col in columns],
-                     [_including(inclusions)] + pieces)
-    return DoubleComplex(group, tuple(columns), tuple(pieces), w_complex, w_qc,
-                         inclusions, *layout)
-
-
-def _locate_flag(column: Sequence[Summand], flag: RationalFlag,
-                 group: GroupSpec) -> Optional[tuple[int, IntMatrix]]:
-    """The summand whose flag is equivalent to `flag` and a witness
-    carrying `flag` onto it, or None."""
-    for idx, s in enumerate(column):
-        if s.flag.dims != flag.dims:
-            continue
-        w = flag_equivalent(flag, s.flag, group)
-        if w is not None:
-            return idx, w
-    return None
+                     pieces)
+    return DoubleComplex(group, tuple(columns), tuple(pieces[1:]),
+                         level.w_complex, w_qc,
+                         tuple(piece.chain_map for piece in pieces[0]),
+                         *layout)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +431,29 @@ def restriction(dc: DoubleComplex, coeff="Q") -> RestrictionReport:
                for q in range(max(dc.w_qc.dim, len(dc.dims) - 2) + 1)]
     if field == QQ and dc.group.family != "gl":
         _check_boundary_duality(dc.group.n, degrees)
+    if field == QQ and dc.group.is_congruence:
+        _check_transfer(degrees, _level_one_restriction(_level_group(dc.group)))
     return RestrictionReport(field.name, tuple(degrees))
+
+
+@lru_cache(maxsize=4)
+def _level_one_restriction(group: GroupSpec) -> tuple[RestrictionDegree, ...]:
+    return restriction(build_double_complex(group), QQ).degrees
+
+
+def _check_transfer(degrees: Sequence[RestrictionDegree],
+                    level_one: Sequence[RestrictionDegree]):
+    """The transfer certificate: over Q, Q[Omega] holds the trivial module
+    as a direct summand, so in every degree H^q(W/Gamma), H^q(Tot), the
+    restriction's rank and the interior are at least those of level 1."""
+    for got, least in zip(degrees, level_one):
+        if any(x < y for x, y in zip(
+                (got.dim_retract, got.dim_total, got.rank, got.interior),
+                (least.dim_retract, least.dim_total, least.rank,
+                 least.interior))):
+            raise CertificateError(
+                f"transfer certificate fails in degree {got.degree}: "
+                f"{got} below level 1's {least}")
 
 
 def _check_boundary_duality(n: int, degrees: Sequence[RestrictionDegree]):
@@ -445,14 +507,20 @@ def face_map(dc: DoubleComplex, flag: RationalFlag,
              coeff="Q") -> FaceMapReport:
     """Maps induced by one flag subcomplex inclusion: ranks read off the
     cone of C*(W/Gamma) -> C*(W_F/Gamma_F), the augmented complex of W/Gamma
-    in column -1 and W_F/Gamma_F alone in column 0; equal in homology."""
+    in column -1 and W_F/Gamma_F alone in column 0; equal in homology.
+    The summand is found by one lookup in Omega: the flag's orbit is the
+    P(Z)-orbit of w0 . b, b an adapted basis (as in `flag_equivalent`)."""
     field = _field(coeff, "face maps")
     check_dimension(flag, dc.group)
-    hit = _locate_flag(dc.columns[0], flag, dc.group)
+    omega = coset_space(dc.group)
+    roots, orbit, _ = omega.parabolic_orbits(flag.dims)
+    root = roots[orbit[omega.point(adapted_basis(flag))]]
+    hit = next((i for i, s in enumerate(dc.columns[0])
+                if s.flag.dims == flag.dims and s.point == root), None)
     if hit is None:
         raise ValueError("flag is not equivalent to a column-0 representative")
-    summand = dc.columns[0][hit[0]]
-    cm = dc.inclusions[hit[0]]
+    summand = dc.columns[0][hit]
+    cm = dc.inclusions[hit]
     w = dc.w_qc
     _, _, generators, cone = _layout([(w,), (summand.qc,)],
                                      [_including([cm]), ()])

@@ -218,13 +218,21 @@ def int_det(m: IntMatrix) -> int:
 
 def int_adjugate(m: IntMatrix) -> IntMatrix:
     """The adjugate adj(m), with m @ adj(m) = det(m) I: in closed form up
-    to 2 x 2, from cofactors beyond."""
+    to 3 x 3 (the cofactors of a 3 x 3 matrix are 2 x 2 determinants),
+    from cofactors beyond."""
     n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("det of non-square matrix")
     if n <= 1:
         return ((1,),) if n else ()
     if n == 2:
         (a, b), (c, d) = m
         return ((d, -b), (-c, a))
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return ((e * i - f * h, c * h - b * i, b * f - c * e),
+                (f * g - d * i, a * i - c * g, c * d - a * f),
+                (d * h - e * g, b * g - a * h, a * e - b * d))
     return tuple(
         tuple((-1) ** (i + j) * int_det([[x for c, x in enumerate(row) if c != i]
                                          for r, row in enumerate(m) if r != j])
@@ -233,10 +241,12 @@ def int_adjugate(m: IntMatrix) -> IntMatrix:
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:
-    det = int_det(m)
+    """m^-1 = adj(m) / det(m), with det(m) read off the adjugate: row 0 of
+    m times column 0 of adj(m)."""
+    adj = int_adjugate(m)
+    det = sum(x * row[0] for x, row in zip(m[0], adj)) if m else 1
     if det == 0:
         raise ValueError("matrix is singular")
-    adj = int_adjugate(m)
     if any(x % det for row in adj for x in row):
         raise ValueError("matrix is not integral")
     return tuple(tuple(x // det for x in row) for row in adj)

@@ -393,6 +393,7 @@ class FlagOrbitSet:
     group: GroupSpec
     type: tuple[int, ...]
     reps: tuple[RationalFlag, ...]
+    roots: tuple[Point, ...] = ()  # each rep's P(Z)-orbit root on Omega
 
     @property
     def count(self) -> int:
@@ -412,9 +413,10 @@ def flag_orbits(group: GroupSpec, dims: Sequence[int]) -> FlagOrbitSet:
     std = standard_flag(n, dims)
     omega = coset_space(group)
     roots, _, _ = omega.parabolic_orbits(dims)
-    flags = [std.transform(omega.transversal[w]) for w in roots]
-    flags.sort(key=lambda f: f.sort_key())
-    return FlagOrbitSet(n, group, dims, tuple(flags))
+    pairs = sorted(((std.transform(omega.transversal[w]), w) for w in roots),
+                   key=lambda pair: pair[0].sort_key())
+    return FlagOrbitSet(n, group, dims, tuple(f for f, _ in pairs),
+                        tuple(w for _, w in pairs))
 
 
 def flag_types(n: int, num_members: int) -> list[tuple[int, ...]]:

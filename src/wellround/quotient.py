@@ -21,19 +21,24 @@ any coefficients.  Boundary matrices and chain maps are integer matrices
 in sparse rows (`exactla.SparseRows`); homology is exact: torsion over Z
 is read from the Smith invariants that `exactla.snf` computes by
 alternating Hermite forms, and ranks and representatives from the sparse
-rows themselves, by the fraction-free `exactla.Echelon`.
+rows themselves, by the fraction-free `exactla.Echelon`.  The quotients
+by a congruence group, and the chain maps between them, are also read off
+the level-1 ones and the coset space, with no chain of their own
+(`CosetLift`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cells import OrbitComplex
 from .exactla import (
     CertificateError, Echelon, IntMatrix, PrimeField, QQ, SparseRows,
-    dense_view, int_matvec, snf, sparse_matmul, sparse_transpose,
+    dense_view, int_inverse, int_matmul, int_matvec, snf, sparse_matmul,
+    sparse_transpose,
 )
 from .flags import RationalFlag, coset_space
 from .lattice import GroupSpec, VectorConfig, canonical_config
@@ -80,14 +85,43 @@ class QuotientComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(s) for k, s in enumerate(self.simplices))
 
-    def locate(self, chain: Chain,
-               twist: Optional[IntMatrix] = None) -> tuple[int, int]:
-        """(dimension, index) of the simplex orbit containing the chain,
-        moved first by twist if one is given."""
+    def locate(self, chain: Chain) -> tuple[int, int]:
+        """(dimension, index) of the simplex orbit containing the chain."""
+        return self._index().locate(chain)
+
+    def carry(self, chain: Chain) -> tuple[tuple[int, int], IntMatrix]:
+        """`locate`, with an element e of the group carrying the chain onto
+        the representative chain of its orbit."""
+        return self._index().carry(chain)
+
+    @cached_property
+    def located_faces(self) -> tuple[tuple[tuple[tuple[int, IntMatrix], ...],
+                                           ...], ...]:
+        """Per dimension k and k-simplex, its faces i = 0, ..., k (the
+        chain without member i) as (index among the (k-1)-simplices,
+        element carrying the face onto that representative)."""
+        def located(face: Chain) -> tuple[int, IntMatrix]:
+            (_, idx), e = self.carry(face)
+            return idx, e
+
+        return tuple(tuple(tuple(located(s.chain[:i] + s.chain[i + 1:])
+                                 for i in range(k + 1 if k else 0))
+                           for s in level)
+                     for k, level in enumerate(self.simplices))
+
+    @cached_property
+    def stabilizers(self) -> tuple[tuple[tuple[IntMatrix, ...], ...], ...]:
+        """Per dimension and simplex, the elements of the group fixing its
+        representative chain, which fix it pointwise."""
+        index = self._index()
+        return tuple(tuple(index.stabilizer(s) for s in level)
+                     for level in self.simplices)
+
+    def _index(self) -> _ChainIndexer:
         if self.chains is None:
             raise IncompatibleComplexes("the quotient complex has no chain "
                                         "index (it was built from matrices)")
-        return self.chains.locate(chain, twist)
+        return self.chains
 
 
 class _ChainIndexer:
@@ -129,14 +163,29 @@ class _ChainIndexer:
         return min(self.move(g, chain)
                    for g in self.complex.stabilizers[oid])
 
-    def locate(self, chain: Chain,
-               twist: Optional[IntMatrix] = None) -> tuple[int, int]:
-        if twist is not None:
-            chain = self.move(twist, chain)
+    def _anchored(self, chain: Chain):
+        """(oid, u, moved): the chain moved by u so that its top cell is
+        the representative oid."""
         oid, u = self.complex.locate(chain[-1])
-        moved = self.move(u, chain[:-1]) + \
+        return oid, u, self.move(u, chain[:-1]) + \
             (self.complex.cell_by_id(oid).config,)
+
+    def locate(self, chain: Chain) -> tuple[int, int]:
+        oid, _, moved = self._anchored(chain)
         return self.ids[self.canonical_chain(oid, moved)]
+
+    def carry(self, chain: Chain):
+        """(ids, g u): g the first stabilizer element giving the least
+        image."""
+        oid, u, moved = self._anchored(chain)
+        g = min(self.complex.stabilizers[oid],
+                key=lambda g: self.move(g, moved))
+        return self.ids[self.move(g, moved)], int_matmul(g, u)
+
+    def stabilizer(self, simplex: SimplexOrbit) -> tuple[IntMatrix, ...]:
+        """The top cell's stabilizer elements that fix the chain."""
+        return tuple(g for g in self.complex.stabilizers[simplex.top_orbit]
+                     if self.move(g, simplex.chain) == simplex.chain)
 
 
 def _closure_configs(complex: OrbitComplex, oid: int) -> list[VectorConfig]:
@@ -350,6 +399,9 @@ class ChainMap:
     source: QuotientComplex
     target: QuotientComplex
     matrices: tuple[SparseRows, ...]  # per dimension: target x source
+    # per dimension and source simplex, the element carrying its chain
+    # onto its image's representative chain; none when lifted
+    elements: tuple[tuple[IntMatrix, ...], ...] = ()
 
     def matrix(self, k: int) -> SparseRows:
         if 0 <= k < len(self.matrices):
@@ -357,29 +409,160 @@ class ChainMap:
         return ()
 
 
-def induced_map(sub: QuotientComplex, sup: QuotientComplex,
-                twist: Optional[IntMatrix] = None) -> ChainMap:
+def induced_map(sub: QuotientComplex, sup: QuotientComplex) -> ChainMap:
     """The chain map sending a simplex orbit of `sub` to the orbit of
-    its (optionally twisted) representative chain in `sup`; commutes
-    with the boundaries exactly (checked)."""
+    its representative chain in `sup`, with the elements that carry the
+    chains there; commutes with the boundaries exactly (checked)."""
     if sub.dim > sup.dim:
         raise IncompatibleComplexes("source complex exceeds target dimension")
     mats = []
+    elements = []
     for k in range(sub.dim + 1):
         rows: list[list[tuple[int, int]]] = [[] for _ in sup.simplices[k]]
+        carried = []
         for j, s in enumerate(sub.simplices[k]):
             try:
-                kk, idx = sup.locate(s.chain, twist)
+                (kk, idx), e = sup.carry(s.chain)
             except KeyError as exc:
                 raise IncompatibleComplexes(str(exc)) from exc
             if kk != k:
                 raise CertificateError("chain map changes the dimension")
             rows[idx].append((j, 1))
+            carried.append(e)
         mats.append(tuple(map(tuple, rows)))
-    cm = ChainMap(sub, sup, tuple(mats))
+        elements.append(tuple(carried))
+    cm = ChainMap(sub, sup, tuple(mats), tuple(elements))
     for k in range(1, sub.dim + 1):
         left = sparse_matmul(cm.matrix(k - 1), sub.boundaries[k])
         right = sparse_matmul(sup.boundaries[k], cm.matrix(k))
         if left != right:
             raise CertificateError("chain map does not commute with boundaries")
     return cm
+
+
+# ---------------------------------------------------------------------------
+# Quotients by a congruence group, lifted from level 1
+# ---------------------------------------------------------------------------
+
+class CosetLift:
+    """The quotients of level-1 complexes by a subgroup Gamma of finite
+    index, and the chain maps between them, read off level 1 and the
+    coset space Omega = Gamma \\ SL_n(Z) alone: the level-1 chains with
+    coefficients in Z[Omega] (Shapiro's lemma on the chains; Brown,
+    Cohomology of Groups, III.5).
+
+    A simplex of the subdivision is g.tau for a level-1 representative
+    chain tau, and lies over the point w0 . g; g.tau and g'.tau are
+    Gamma-equivalent exactly when w0 . g' lies in (w0 . g) . S, S the
+    stabilizer of tau (`QuotientComplex.stabilizers`).  So the simplex
+    orbits of Gamma are the pairs of tau and an S-orbit on Omega, listed
+    as (tau, w), w the orbit's first point, tau by tau.  A face (or an
+    image) of tau that e carries onto the representative tau' is
+    e^-1.tau' (`QuotientComplex.carry`), so that of (tau, w) is the orbit
+    of (tau', w . e^-1), with the level-1 sign.  The level-1 complex of a
+    flag type, W_F mod P(Z) for the standard flag F, lifts to the flag
+    subcomplexes of all the flags of that type at once: the points of one
+    P(Z)-orbit on Omega, a part, give the summand of that orbit's flag,
+    and faces and images of flag subcomplexes stay in their part
+    (checked).  The orbit counts are checked by Gauss-Bonnet: each part's
+    orbifold Euler characteristic, the sum of (-1)^q |orbit| / |S|, is
+    that of the group for W and 0 for a W_F."""
+
+    def __init__(self, omega):
+        self.omega = omega
+        self.points = tuple(omega.transversal)
+        self.index = {w: i for i, w in enumerate(self.points)}
+        self._moves: dict[IntMatrix, list[int]] = {}
+        # per lifted level-1 complex: (labels, parts, generators, quotients)
+        self._lifts: dict = {}
+
+    def _move(self, e: IntMatrix) -> list[int]:
+        """The permutation w -> w . e^-1 of the points, by index."""
+        perm = self._moves.get(e)
+        if perm is None:
+            act, index, inverse = self.omega.act, self.index, int_inverse(e)
+            perm = self._moves[e] = [index[act(w, inverse)]
+                                     for w in self.points]
+        return perm
+
+    def quotients(self, key, qc: QuotientComplex, group: GroupSpec,
+                  flags: Sequence[Optional[RationalFlag]] = (None,),
+                  parts: Optional[Sequence[int]] = None
+                  ) -> list[QuotientComplex]:
+        """The quotients by the group lifted from the level-1 quotient qc,
+        one per part, filed under key: part s is constrained by flags[s],
+        and point i lies in part parts[i] (all in part 0 by default).  A
+        simplex is listed as (level-1 simplex orbit, point)."""
+        parts = parts or [0] * len(self.points)
+        generators = [[[] for _ in qc.simplices] for _ in flags]
+        euler = [Fraction(0)] * len(flags)
+        labels = []
+        for q, level in enumerate(qc.stabilizers):
+            per_simplex = []
+            for t, stabilizer in enumerate(level):
+                moves = [self._move(s) for s in stabilizer]
+                label = [-1] * len(self.points)
+                for w, part in enumerate(parts):
+                    if label[w] < 0:
+                        listed = generators[part][q]
+                        orbit = {move[w] for move in moves}
+                        for v in orbit:
+                            label[v] = len(listed)
+                        listed.append((t, w))
+                        euler[part] += Fraction((-1) ** q * len(orbit),
+                                                len(stabilizer))
+                per_simplex.append(label)
+            labels.append(per_simplex)
+        for flag, total in zip(flags, euler):
+            want = group_euler_characteristic(group) if flag is None \
+                else Fraction(0)
+            if total != want:
+                raise CertificateError(f"Gauss-Bonnet sum {total} != {want}")
+        faces = qc.located_faces
+        out = []
+        for s, flag in enumerate(flags):
+            boundaries: list[SparseRows] = [()]
+            for q in range(1, len(qc.simplices)):
+                rows: list[dict[int, int]] = [{} for _ in generators[s][q - 1]]
+                for j, (t, w) in enumerate(generators[s][q]):
+                    for i, (f, e) in enumerate(faces[q][t]):
+                        v = self._move(e)[w]
+                        if parts[v] != s:
+                            raise CertificateError(
+                                "a face leaves its flag subcomplex")
+                        row = rows[labels[q - 1][f][v]]
+                        row[j] = row.get(j, 0) + (-1) ** i
+                boundaries.append(tuple(tuple((j, x) for j, x in row.items()
+                                              if x) for row in rows))
+            simplices = tuple(tuple((qc.simplices[q][t], self.points[w])
+                                    for t, w in level)
+                              for q, level in enumerate(generators[s]))
+            out.append(QuotientComplex(group, flag, simplices,
+                                       tuple(boundaries)))
+        self._lifts[key] = (labels, parts, generators, out)
+        return out
+
+    def chain_map(self, cm: ChainMap, source, part: int,
+                  target) -> tuple[int, ChainMap]:
+        """(b, lifted): the level-1 chain map cm lifted to part `part` of
+        the lift filed under source, into part b of the lift filed under
+        target, the part of its first vertex's image."""
+        _, _, generators, sources = self._lifts[source]
+        labels, parts, _, targets = self._lifts[target]
+        generators = generators[part]
+        b = parts[self._move(cm.elements[0][generators[0][0][0]])
+                  [generators[0][0][1]]]
+        mats = []
+        for k, m in enumerate(cm.matrices):
+            image = {j: (r, x) for r, row in enumerate(m) for j, x in row}
+            rows: list[list[tuple[int, int]]] = \
+                [[] for _ in targets[b].simplices[k]]
+            for j, (t, w) in enumerate(generators[k]):
+                r, x = image[t]
+                v = self._move(cm.elements[k][t])[w]
+                if parts[v] != b:
+                    raise CertificateError(
+                        "a chain map leaves its flag subcomplex")
+                rows[labels[k][r][v]].append((j, x))
+            mats.append(tuple(map(tuple, rows)))
+        return b, ChainMap(sources[part], targets[b], tuple(mats))

@@ -16,10 +16,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from cone_assembly import inclusion_rows
+from derived_build import locate_flag
 from wellround.boundary import (
     BoundaryHomologyDegree, BoundaryHomologyReport, DoubleComplex,
     FaceMapReport, RestrictionDegree, RestrictionReport, SpectralPage,
-    _check_boundary_duality, _field, _locate_flag, total_differential,
+    _check_boundary_duality, _field, total_differential,
 )
 from wellround.exactla import (
     QQ, CertificateError, Echelon, dense_view, f_solve, sparse_transpose,
@@ -211,7 +212,7 @@ def face_map(dc: DoubleComplex, flag: RationalFlag, coeff="Q") -> FaceMapReport:
     ranked modulo its boundaries."""
     field = _field(coeff, "face maps")
     check_dimension(flag, dc.group)
-    hit = _locate_flag(dc.columns[0], flag, dc.group)
+    hit = locate_flag(dc.columns[0], flag, dc.group)
     if hit is None:
         raise ValueError("flag is not equivalent to a column-0 representative")
     summand = dc.columns[0][hit[0]]

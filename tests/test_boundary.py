@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import dense_assembly
+import derived_build
 import wellround.boundary as boundary
 from wellround.boundary import (
     boundary_homology, build_double_complex, e1_page, face_map, restriction,
@@ -204,42 +205,55 @@ def _assert_sparse_rows(m, rows, width):
         assert all(isinstance(x, int) and x for _, x in row)
 
 
-def _chain_maps_with_twists(dc):
-    """Every stored chain map with its source, target and twist: the
-    inclusions into W/Gamma, untwisted, and the horizontal pieces, with
-    the witnesses that `build_double_complex` locates in the same order."""
-    out = [(cm, s.qc, dc.w_qc, None)
-           for cm, s in zip(dc.inclusions, dc.columns[0])]
+def _chain_maps(dc):
+    """Every stored chain map with its source and target: the inclusions
+    into W/Gamma, then the horizontal pieces."""
+    out = [(cm, s.qc, dc.w_qc) for cm, s in zip(dc.inclusions, dc.columns[0])]
     for p, col_pieces in enumerate(dc.pieces[:-1]):
-        twists = [boundary._locate_flag(dc.columns[p], deleted, dc.group)[1]
-                  for tgt in dc.columns[p + 1]
-                  for deleted, _ in subflags_with_signs(tgt.flag)]
-        assert len(twists) == len(col_pieces)
-        for piece, twist in zip(col_pieces, twists):
-            out.append((piece.chain_map, dc.columns[p + 1][piece.target].qc,
-                        dc.columns[p][piece.source].qc, twist))
+        out += [(piece.chain_map, dc.columns[p + 1][piece.target].qc,
+                 dc.columns[p][piece.source].qc) for piece in col_pieces]
     return out
 
 
-def _assert_matches_dense_assembly(dc):
+def _twists(dc):
+    """The twist of each chain map of `_chain_maps` in a build from derived
+    orbit complexes: none for the inclusions, and for each piece the
+    witness that `derived_build.locate_flag` finds, in the same order."""
+    twists = [None] * len(dc.inclusions)
+    for p, col_pieces in enumerate(dc.pieces[:-1]):
+        found = [derived_build.locate_flag(dc.columns[p], deleted, dc.group)[1]
+                 for tgt in dc.columns[p + 1]
+                 for deleted, _ in subflags_with_signs(tgt.flag)]
+        assert len(found) == len(col_pieces)
+        twists += found
+    return twists
+
+
+def _assert_matches_dense_assembly(dc, located=False):
     """Every stored boundary, chain map and D^k is in `SparseRows` form
-    with its shape, and its dense view equals the dense oracle."""
+    with its shape, and every D^k equals the dense assembly.  With
+    located, for quotients that locate their chains, every boundary and
+    chain map also equals the dense oracle rebuilt from the chains."""
     quotients = [dc.w_qc] + [s.qc for col in dc.columns for s in col]
     for qc in quotients:
         assert qc.boundaries[0] == ()
         for k in range(1, qc.dim + 1):
             width = len(qc.simplices[k])
             _assert_sparse_rows(qc.boundaries[k], len(qc.simplices[k - 1]), width)
-            assert dense_assembly.dense(qc.boundaries[k], width) == \
-                dense_assembly.boundary_matrix(qc, k)
-    for cm, sub, sup, twist in _chain_maps_with_twists(dc):
+            if located:
+                assert dense_assembly.dense(qc.boundaries[k], width) == \
+                    dense_assembly.boundary_matrix(qc, k)
+    maps = _chain_maps(dc)
+    twists = _twists(dc) if located else [None] * len(maps)
+    for (cm, sub, sup), twist in zip(maps, twists):
         assert cm.source is sub and cm.target is sup
         assert len(cm.matrices) == sub.dim + 1
         for k, m in enumerate(cm.matrices):
             width = len(sub.simplices[k])
             _assert_sparse_rows(m, len(sup.simplices[k]), width)
-            assert dense_assembly.dense(m, width) == \
-                dense_assembly.chain_map_matrix(sub, sup, k, twist)
+            if located:
+                assert dense_assembly.dense(m, width) == \
+                    dense_assembly.chain_map_matrix(sub, sup, k, twist)
     for k in range(len(dc.dims) - 1):
         _assert_sparse_rows(total_differential(dc, k), dc.dims[k + 1],
                             dc.dims[k])
@@ -255,13 +269,18 @@ def _assert_matches_dense_assembly(dc):
     GroupSpec(2, "gamma0", 6), GroupSpec(2, "gamma", 3),
     GroupSpec(2, "gamma1", 5)], ids=str)
 def test_differentials_match_dense_assembly(spec):
+    # the lifted quotients locate no chains; the quotients of the derived
+    # orbit complexes, which do, are checked chain by chain
     _assert_matches_dense_assembly(build_double_complex(spec))
+    _assert_matches_dense_assembly(derived_build.build(spec)[0], located=True)
 
 
 def test_sl3_differentials_match_dense_assembly(sl3_dc):
     # two columns: the horizontal blocks and their signs are exercised
     assert sl3_dc.num_columns == 2
     _assert_matches_dense_assembly(sl3_dc)
+    _assert_matches_dense_assembly(derived_build.build(GroupSpec(3, "sl"))[0],
+                                   located=True)
 
 
 def test_answers_read_the_stored_columns_untransposed(monkeypatch):

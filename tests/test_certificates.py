@@ -285,11 +285,12 @@ def test_boundary_duality_certificate_raised_under_optimize():
                  "restriction rank 3 break duality"}
 
 
-# The first entry of the degree-0 inclusion matrix of the first column-0
-# summand, the first untwisted chain map the build makes, is negated
-# after `induced_map` has checked it and before the layout, so the
-# restriction from W/Gamma into the total complex is no cochain map, and
-# D^2 = 0 over the augmented complex, column -1 included, must fail.
+# The first entry of the degree-0 inclusion matrix of the line
+# subcomplex into W mod SL_2(Z), the first chain map the level-1 build
+# makes, is negated after `induced_map` has checked it and before the
+# lift, so the restriction from W/Gamma_0(11) into the total complex is
+# no cochain map, and D^2 = 0 over the augmented complex, column -1
+# included, must fail.
 COCHAIN_MAP_SCRIPT = textwrap.dedent("""
     import dataclasses, json, sys
     import wellround.boundary as boundary
@@ -298,9 +299,9 @@ COCHAIN_MAP_SCRIPT = textwrap.dedent("""
     real = boundary.induced_map
     flips = []
 
-    def corrupted(sub, sup, twist=None):
-        cm = real(sub, sup, twist)
-        if twist is not None or flips:
+    def corrupted(sub, sup):
+        cm = real(sub, sup)
+        if flips:
             return cm
         flips.append(1)
         m0 = [list(row) for row in cm.matrices[0]]
@@ -373,3 +374,38 @@ def test_derivation_certificate_raised_under_optimize():
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line) == {
         "error": "CertificateError: orbit witness is not in the group"}
+
+
+# The first cohomology count of W/Gamma that the restriction reads, its
+# degree 0, is lowered by 1 for Gamma_0(11) alone: the count of level 1,
+# which the transfer certificate reads next, is left as it is.  Over Q the
+# trivial module is a direct summand of Q[Omega], so H^0(W/Gamma) cannot
+# fall below H^0(W/SL_2(Z)), and the transfer certificate must fire;
+# duality, which reads the boundary and the ranks only, still holds.
+TRANSFER_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.boundary as boundary
+    from wellround.cli import run
+
+    real = boundary._betti
+    calls = []
+
+    def corrupted(labels, pairs, retract):
+        betti = real(labels, pairs, retract)
+        if retract:
+            calls.append(1)
+            betti[0] -= len(calls) == 1
+        return betti
+
+    boundary._betti = corrupted
+    code = run(["boundary", "restrict", "-n", "2", "--group", "gamma0",
+                "--level", "11"])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+def test_transfer_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(TRANSFER_SCRIPT)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line)["error"].startswith(
+        "CertificateError: transfer certificate fails in degree 0")

@@ -30,10 +30,11 @@ from pathlib import Path
 
 import pytest
 
-from wellround.boundary import build_double_complex
+from wellround.cells import enumerate_W, subcomplex_WF
 from wellround.cli import run
+from wellround.flags import flag_orbits
 from wellround.lattice import GroupSpec
-from wellround.quotient import cohomology, homology
+from wellround.quotient import barycentric_quotient, cohomology, homology
 
 GOLDEN = Path(__file__).parent / "golden"
 GAMMA0_11 = ["-n", "2", "--group", "gamma0", "--level", "11"]
@@ -166,10 +167,17 @@ def test_complex_homology_without_incidences(tmp_path, capsys):
 
 def test_representatives_match_golden():
     # the CLI prints no representatives, so they are compared here: the
-    # quotient W/Gamma_0(11) (index 0) and its two cusp subcomplexes
-    dc = build_double_complex(GroupSpec(2, "gamma0", 11))
+    # quotient W/Gamma_0(11) (index 0) and its two cusp subcomplexes, each
+    # the quotient of its derived orbit complex, as `homology --complex`
+    # reads it (the double complex lifts its quotients from level 1 and
+    # lists their simplices in another order)
+    group = GroupSpec(2, "gamma0", 11)
+    w = enumerate_W(group)
+    quotients = [barycentric_quotient(w)] + [
+        barycentric_quotient(subcomplex_WF(w, flag))
+        for flag in flag_orbits(group, (1,)).reps]
     want = json.loads((GOLDEN / "representatives_gamma0_11.json").read_text())
-    for i, qc in enumerate([dc.w_qc] + [s.qc for s in dc.columns[0]]):
+    for i, qc in enumerate(quotients):
         for coeff in ("Z", "Q", "Fp:3"):
             for fn in (homology, cohomology):
                 res = fn(qc, coeff)

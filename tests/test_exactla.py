@@ -318,6 +318,45 @@ def test_int_det_zero_pivot_and_inverse():
         int_inverse(((1, 2), (2, 4)))
 
 
+@st.composite
+def unimodular(draw):
+    """A random n x n integer matrix of det +-1, n <= 4: a signed
+    permutation times elementary row operations."""
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    rows = [[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 8))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            c = draw(st.integers(-3, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
+@given(unimodular(), st.integers(0, 3), st.integers(-2, 2))
+@settings(max_examples=150, deadline=None)
+def test_int_inverse_of_unimodular_and_refusals(m, row, scale):
+    # the determinant is read off the adjugate; m m^-1 = I on det +-1, and
+    # a singular matrix or one whose inverse is not integral is refused
+    n = len(m)
+    assert int_matmul(m, int_inverse(m)) == int_identity(n)
+    assert int_matmul(int_inverse(m), m) == int_identity(n)
+    row %= n
+    if n > 1:
+        other = (row + 1) % n
+        singular = list(m)
+        singular[row] = tuple(scale * x for x in m[other])
+        with pytest.raises(ValueError, match="matrix is singular"):
+            int_inverse(tuple(singular))
+    if abs(scale) > 1:
+        scaled = list(m)
+        scaled[row] = tuple(scale * x for x in m[row])
+        with pytest.raises(ValueError, match="matrix is not integral"):
+            int_inverse(tuple(scaled))
+
+
 # --- the echelon basis against the Gauss-Jordan elimination it replaced ----
 # (`gauss_jordan.rref`, kept in the tests as the oracle)
 

@@ -1,12 +1,14 @@
 """Orbit lookup through the coset space (W of a congruence group) and
 through W's orbit data (a derived W_F) against the equivalence search
-they replace (`search_index`): the whole double complex must come out
-byte-identical, every complex, stabilizer, differential and inclusion,
-because a lookup returns the witness the search would find first.  And
-a build of a congruence group searches only at level 1, with no flag."""
+they replace (`search_index`): the whole double complex that the derived
+complexes give (`derived_build`) must come out byte-identical, every
+complex, stabilizer, differential and inclusion, because a lookup
+returns the witness the search would find first.  And a build of a
+congruence group searches only at level 1, with no flag."""
 
 import pytest
 
+import derived_build
 from search_index import searching
 
 import wellround.lattice as lattice
@@ -24,9 +26,8 @@ GROUPS = {
 }
 
 
-def _snapshot(dc):
-    complexes = [dc.w_complex] + [s.complex for col in dc.columns
-                                  for s in col]
+def _snapshot(group):
+    dc, complexes = derived_build.build(group)
     return {
         "complexes": [cx.to_json() for cx in complexes],
         "stabilizers": [cx.stabilizers for cx in complexes],
@@ -39,14 +40,14 @@ def _snapshot(dc):
 
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_lookup_matches_search(name):
-    looked_up = _snapshot(build_double_complex(GROUPS[name]))
+    looked_up = _snapshot(GROUPS[name])
     with searching():
-        searched = _snapshot(build_double_complex(GROUPS[name]))
+        searched = _snapshot(GROUPS[name])
     assert looked_up == searched
 
 
 @pytest.mark.parametrize("name", ["Gamma_0(11)", "Gamma_0(2) in SL_3"])
-def test_build_searches_at_level_one_only(name, monkeypatch):
+def test_build_searches_at_level_one_only(name, monkeypatch, cold_level_one):
     calls = []
     real = lattice._equiv_search
 

@@ -93,16 +93,18 @@ def _flipped(cm):
     return replace(cm, matrices=(tuple(map(tuple, m0)),) + cm.matrices[1:])
 
 
-def test_restriction_certificate_fires_on_a_flipped_inclusion(monkeypatch):
-    # the first inclusion into W/Gamma, an untwisted chain map, has one
-    # entry negated after its own check and before the layout: D^2 = 0
-    # over the augmented complex is then the certificate that fires
+def test_restriction_certificate_fires_on_a_flipped_inclusion(
+        monkeypatch, cold_level_one):
+    # the first inclusion into W/Gamma, an untwisted chain map of the
+    # level-1 build, has one entry negated after its own check and before
+    # the lift: D^2 = 0 over the augmented complex is then the
+    # certificate that fires
     real = boundary.induced_map
     flips = []
 
-    def flipping(sub, sup, twist=None):
-        cm = real(sub, sup, twist)
-        if twist is None and not flips:
+    def flipping(sub, sup):
+        cm = real(sub, sup)
+        if not flips:
             flips.append(cm)
             return _flipped(cm)
         return cm

@@ -95,7 +95,7 @@ def test_wf_seed_respects():
     assert respects_flag(seed.config, standard_flag(2, (1,)))
 
 
-def test_sl3_build_derives_flag_subcomplexes(monkeypatch):
+def test_sl3_build_derives_flag_subcomplexes(monkeypatch, cold_level_one):
     # cold caches: the SL_3 double complex solves W's 82 LPs (214 when
     # the flag subcomplexes were walked), searches W's 5 stabilizers
     # (30), and asks for no coface once W is enumerated
@@ -134,7 +134,7 @@ def test_sl3_build_derives_flag_subcomplexes(monkeypatch):
     assert calls["late cofaces"] == 0
 
 
-def test_flats_computed_once_per_configuration_of_W():
+def test_flats_computed_once_per_configuration_of_W(cold_level_one):
     # every subcomplex_WF of one build reads the flats of all of W's
     # representatives; they are computed once per configuration
     import wellround.boundary as boundary
