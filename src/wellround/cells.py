@@ -26,12 +26,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactla import (
     OPTIMAL, QQ, UNBOUNDED, CertificateError, Echelon, IntMatrix, IntVector,
     NotPositiveDefinite, f_rank, int_adjugate, int_identity, int_inverse,
-    int_matmul, int_matvec, int_transpose, lp,
+    int_matmul, int_transpose, lp,
 )
 from .flags import (
     RationalFlag, check_dimension, coset_space, flag_equivalent,
@@ -40,8 +41,8 @@ from .flags import (
 from .lattice import (
     GramForm, GroupSpec, VectorConfig, _char_pairings, _first_witness,
     canonical_config, canonical_vector, config_equiv, config_from_json,
-    config_spans, config_stabilizer, minimal_vectors, normalize,
-    vectors_below,
+    config_spans, config_stabilizer, minimal_vectors, move_config,
+    move_each, normalize, vectors_below,
 )
 from .retraction import _qf
 
@@ -159,8 +160,8 @@ class _Chart:
     def functional(self, w) -> tuple[int, list[int]]:
         """den * A[w] = const + row . t on the chart, in integers."""
         c = _value_coeffs(self.pairs, w)
-        const = sum(a * b for a, b in zip(c, self.origin))
-        row = [sum(a * b for a, b in zip(c, d)) for d in self.dirs]
+        const = sum(map(mul, c, self.origin))
+        row = [sum(map(mul, c, d)) for d in self.dirs]
         return const, row
 
     def gram_at(self, t: Sequence[Fraction]) -> tuple[IntMatrix, int]:
@@ -487,8 +488,7 @@ class OrbitComplex:
         for face in self.faces[oid]:
             back = int_inverse(face.via)
             for config, (dim, cid, u) in self.closure(face.orbit).items():
-                moved = canonical_config(tuple(int_matvec(back, v))
-                                         for v in config)
+                moved = move_config(back, config)
                 if moved not in closure:
                     closure[moved] = (dim, cid, int_matmul(u, face.via))
         if sum((-1) ** dim for dim, _, _ in closure.values()) != 1:
@@ -634,7 +634,7 @@ class _OrbitIndex:
                 self.constraint is not None
                 and not in_parabolic(u, self.constraint)):
             raise CertificateError("orbit witness is not in the group")
-        if canonical_config(int_matvec(u, v) for v in config) != rep:
+        if move_config(u, config) != rep:
             raise CertificateError(
                 "orbit witness does not carry the cell onto its orbit's "
                 "representative")
@@ -696,8 +696,7 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
     index = _OrbitIndex(group, None)
     if variant:
         shift = _seed_shift(group)
-        seed = cell_from_config(canonical_config(
-            tuple(int_matvec(shift, v)) for v in seed.config))
+        seed = cell_from_config(move_config(shift, seed.config))
     index.add(seed)
     queue = [0]
     while queue:
@@ -798,18 +797,16 @@ def flags_respected_by(cell: Cell) -> list[RationalFlag]:
 def _moved_cell(cell: Cell, g: IntMatrix) -> Cell:
     """The cell g.cell: configuration and contacts moved by g, witness
     A o g^-1, which takes the same values on the moved vectors."""
-    def moved(vectors):
-        return tuple(sorted(canonical_vector(int_matvec(g, v))
-                            for v in vectors))
-    return Cell(moved(cell.config), cell.dim,
-                cell.witness.transform(int_inverse(g)), moved(cell.contacts))
+    return Cell(move_config(g, cell.config), cell.dim,
+                cell.witness.transform(int_inverse(g)),
+                move_config(g, cell.contacts))
 
 
 def _positions(u: IntMatrix, config: VectorConfig,
                target: VectorConfig) -> list[int]:
     """The index in target of the image under u of each vector of config."""
     pos = {v: i for i, v in enumerate(target)}
-    return [pos[canonical_vector(int_matvec(u, v))] for v in config]
+    return [pos[w] for w in move_each(u, config)]
 
 
 def _derive(parent: OrbitComplex, decoration) -> OrbitComplex:
@@ -862,8 +859,7 @@ def _derive(parent: OrbitComplex, decoration) -> OrbitComplex:
     for pid, (oid, g, g_inv) in enumerate(pairs):
         located_faces = []
         for face in parent.faces[oid]:
-            moved = canonical_config(tuple(int_matvec(g, v))
-                                     for v in face.config)
+            moved = move_config(g, face.config)
             u = int_matmul(face.via, g_inv)
             hit = where[face.orbit].get(decoration.read(face.orbit, moved, u))
             if hit is None:
@@ -872,8 +868,7 @@ def _derive(parent: OrbitComplex, decoration) -> OrbitComplex:
             via = int_matmul(int_matmul(pairs[qid][1], t), u)
             if not index.group.contains(via):
                 raise CertificateError("orbit witness is not in the group")
-            if canonical_config(tuple(int_matvec(via, v))
-                                for v in moved) != cells[qid].config:
+            if move_config(via, moved) != cells[qid].config:
                 raise CertificateError("derived face is located wrongly")
             located_faces.append(Face(moved, face.dim, qid, via))
             if face.dim == cells[pid].dim - 1:

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
@@ -144,12 +145,11 @@ def int_identity(n: int) -> IntMatrix:
 
 def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = int_transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def int_matvec(a: IntMatrix, v: Sequence[int]) -> IntVector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def sparse_transpose(m: SparseRows, width: int) -> SparseRows:
@@ -469,7 +469,7 @@ def _certify(c: list[int], eq: list[list[int]], eq_b: list[int],
     solves A^T y = -c, and -b.y equals the objective, so the point is
     optimal."""
     def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
+        return sum(map(mul, u, v))
     if any(dot(row, x) != b * d for row, b in zip(eq, eq_b)) or \
             any(dot(row, x) < b * d for row, b in zip(ge, ge_b)):
         raise CertificateError("LP point violates a constraint")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
@@ -312,9 +313,8 @@ class Omega:
     def act(self, w: Point, h: IntMatrix) -> Point:
         """w . h, row by row mod N."""
         cols = int_transpose(h)
-        return self._normal(tuple(tuple(sum(x * y for x, y in zip(row, col))
-                                        % self.level for col in cols)
-                                  for row in w))
+        return self._normal(tuple(tuple(sum(map(mul, row, col)) % self.level
+                                        for col in cols) for row in w))
 
     def parabolic_orbits(self, dims: tuple[int, ...]):
         """(roots, orbit, paths) for the orbits on Omega of the stabilizer

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
@@ -60,6 +62,42 @@ def is_primitive(v: Sequence[int]) -> bool:
 def canonical_config(vectors: Iterable[Sequence[int]]) -> VectorConfig:
     """Deduplicated, sign-canonical, lexicographically sorted configuration."""
     return tuple(sorted({canonical_vector(v) for v in vectors}))
+
+
+class _ImageTable(dict):
+    """The images under a unimodular u: a vector (a key whose entries are
+    integers) maps to the sign-canonical image of u v, a canonical
+    configuration to the images of its vectors, sorted (vectors distinct
+    up to sign have distinct images, so nothing is deduplicated); each is
+    computed on its first read."""
+
+    def __init__(self, u: IntMatrix):
+        self.u = u
+
+    def __missing__(self, key):
+        if key and type(key[0]) is int:
+            image = canonical_vector(int_matvec(self.u, key))
+        else:
+            image = tuple(sorted(map(self.__getitem__, key)))
+        self[key] = image
+        return image
+
+
+@lru_cache(maxsize=1024)
+def _image_table(u: IntMatrix) -> _ImageTable:
+    """The image table of u, kept for the elements used last."""
+    return _ImageTable(u)
+
+
+def move_config(u: IntMatrix, config: VectorConfig) -> VectorConfig:
+    """u.config, for u unimodular and config canonical, from u's table."""
+    return _image_table(u)[config]
+
+
+def move_each(u: IntMatrix, items: Sequence) -> tuple:
+    """The images under u of vectors or canonical configurations (the
+    members of a chain), in their order, from u's table."""
+    return tuple(map(_image_table(u).__getitem__, items))
 
 
 def config_rank(config: Sequence[Sequence[int]]) -> int:
@@ -137,7 +175,7 @@ class GramForm:
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> Fraction:
         row = int_matvec(self.numer, w)
-        return Fraction(sum(x * y for x, y in zip(v, row)), self.denom)
+        return Fraction(sum(map(mul, v, row)), self.denom)
 
     def scale(self, c) -> "GramForm":
         c = Fraction(c)
@@ -366,8 +404,8 @@ def _char_pairings(config: VectorConfig, n: int) -> tuple[int, IntMatrix]:
                     q[i][j] += v[i] * v[j]
     adj = int_adjugate(q)
     rows = [int_matvec(adj, v) for v in config]
-    return int_det(q), tuple(tuple(sum(a * x for a, x in zip(row, v))
-                                   for v in config) for row in rows)
+    return int_det(q), tuple(tuple(sum(map(mul, row, v)) for v in config)
+                             for row in rows)
 
 
 def _independent_basis(config: VectorConfig, n: int) -> tuple[int, ...]:

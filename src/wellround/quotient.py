@@ -6,8 +6,8 @@ the orbit representative of its top cell, with the residual ambiguity
 killed by the top cell's finite stabilizer.  The top cell's orbit and
 the element carrying it onto the representative come from the orbit
 complex's own index (`OrbitComplex.locate`).  Chains are moved through
-image tables, one per group element, so a configuration is canonicalised
-once per element that moves it, however many chains it lies in.  The
+per-element image tables (`lattice.move_each`), so each configuration
+is moved once per element that moves it, however many chains it lies in.  The
 chains run through cell closures, which the orbit complex carries over
 from its representatives (`OrbitComplex.closure`), and the stabilizers
 are the complex's too: the quotient computes no face, solves no LP and
@@ -37,11 +37,11 @@ from typing import Optional, Sequence
 from .cells import OrbitComplex
 from .exactla import (
     CertificateError, Echelon, IntMatrix, PrimeField, QQ, SparseRows,
-    dense_view, int_inverse, int_matmul, int_matvec, snf, sparse_matmul,
+    dense_view, int_inverse, int_matmul, snf, sparse_matmul,
     sparse_transpose,
 )
 from .flags import RationalFlag, coset_space
-from .lattice import GroupSpec, VectorConfig, canonical_config
+from .lattice import GroupSpec, VectorConfig, move_each
 
 Chain = tuple[VectorConfig, ...]  # cell configs, dimension-increasing
 
@@ -87,27 +87,21 @@ class QuotientComplex:
 
     def locate(self, chain: Chain) -> tuple[int, int]:
         """(dimension, index) of the simplex orbit containing the chain."""
-        return self._index().locate(chain)
+        return self.carry(chain)[0]
 
     def carry(self, chain: Chain) -> tuple[tuple[int, int], IntMatrix]:
         """`locate`, with an element e of the group carrying the chain onto
         the representative chain of its orbit."""
         return self._index().carry(chain)
 
-    @cached_property
+    @property
     def located_faces(self) -> tuple[tuple[tuple[tuple[int, IntMatrix], ...],
                                            ...], ...]:
         """Per dimension k and k-simplex, its faces i = 0, ..., k (the
         chain without member i) as (index among the (k-1)-simplices,
-        element carrying the face onto that representative)."""
-        def located(face: Chain) -> tuple[int, IntMatrix]:
-            (_, idx), e = self.carry(face)
-            return idx, e
-
-        return tuple(tuple(tuple(located(s.chain[:i] + s.chain[i + 1:])
-                                 for i in range(k + 1 if k else 0))
-                           for s in level)
-                     for k, level in enumerate(self.simplices))
+        element carrying the face onto that representative), as the
+        boundary pass carried them."""
+        return self._index().faces
 
     @cached_property
     def stabilizers(self) -> tuple[tuple[tuple[IntMatrix, ...], ...], ...]:
@@ -131,61 +125,41 @@ class _ChainIndexer:
     the top cell's stabilizer, which the complex carries, picks the least
     image.
 
-    Every move reads an image table: per group element u, configuration
-    -> canonical image of the configuration under u, filled on first
-    use.  A stabilizer only permutes its representative's closure, and
-    the orbit index remembers the element u of each located
-    configuration, so the same few images serve every chain; the tables
-    share one copy of each distinct image."""
+    Every member is moved by `lattice.move_each`.  A stabilizer only
+    permutes its representative's closure, and the orbit index remembers
+    the element u of each located configuration, so the same few images
+    serve every chain.  `faces` keeps the faces of each simplex as the
+    boundary pass carried them."""
 
     def __init__(self, complex: OrbitComplex):
         self.complex = complex
-        self._images: dict[IntMatrix, dict[VectorConfig, VectorConfig]] = {}
-        self._configs: dict[VectorConfig, VectorConfig] = {}
         self.ids: dict[Chain, tuple[int, int]] = {}
-
-    def move(self, u: IntMatrix, chain: Chain) -> Chain:
-        """The chain moved by u, each member through u's image table."""
-        table = self._images.get(u)
-        if table is None:
-            table = self._images[u] = {}
-        moved = []
-        for config in chain:
-            image = table.get(config)
-            if image is None:
-                image = canonical_config(
-                    tuple(int_matvec(u, v)) for v in config)
-                image = table[config] = self._configs.setdefault(image, image)
-            moved.append(image)
-        return tuple(moved)
+        self.faces: tuple = ()
 
     def canonical_chain(self, oid: int, chain: Chain) -> Chain:
-        return min(self.move(g, chain)
+        return min(move_each(g, chain)
                    for g in self.complex.stabilizers[oid])
 
     def _anchored(self, chain: Chain):
         """(oid, u, moved): the chain moved by u so that its top cell is
         the representative oid."""
         oid, u = self.complex.locate(chain[-1])
-        return oid, u, self.move(u, chain[:-1]) + \
+        return oid, u, move_each(u, chain[:-1]) + \
             (self.complex.cell_by_id(oid).config,)
-
-    def locate(self, chain: Chain) -> tuple[int, int]:
-        oid, _, moved = self._anchored(chain)
-        return self.ids[self.canonical_chain(oid, moved)]
 
     def carry(self, chain: Chain):
         """(ids, g u): g the first stabilizer element giving the least
         image."""
         oid, u, moved = self._anchored(chain)
-        g = min(self.complex.stabilizers[oid],
-                key=lambda g: self.move(g, moved))
-        return self.ids[self.move(g, moved)], int_matmul(g, u)
+        stabilizer = self.complex.stabilizers[oid]
+        image, i = min((move_each(g, moved), i)
+                       for i, g in enumerate(stabilizer))
+        return self.ids[image], int_matmul(stabilizer[i], u)
 
     def stabilizer(self, simplex: SimplexOrbit) -> tuple[IntMatrix, ...]:
         """The top cell's stabilizer elements that fix the chain."""
         return tuple(g for g in self.complex.stabilizers[simplex.top_orbit]
-                     if self.move(g, simplex.chain) == simplex.chain)
+                     if move_each(g, simplex.chain) == simplex.chain)
 
 
 def _closure_configs(complex: OrbitComplex, oid: int) -> list[VectorConfig]:
@@ -236,16 +210,23 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
             indexer.ids[s.chain] = (k, i)
 
     boundaries: list[SparseRows] = [()]
+    faces = [tuple(() for _ in simplices[0])]
     for k in range(1, max_dim + 1):
         rows: list[dict[int, int]] = [{} for _ in simplices[k - 1]]
+        located = []
         for j, s in enumerate(simplices[k]):  # columns ascending in each row
+            carried = []
             for i in range(k + 1):
-                kk, idx = indexer.locate(s.chain[:i] + s.chain[i + 1:])
+                (kk, idx), e = indexer.carry(s.chain[:i] + s.chain[i + 1:])
                 if kk != k - 1:
                     raise CertificateError("face chain has the wrong dimension")
                 rows[idx][j] = rows[idx].get(j, 0) + (-1) ** i
+                carried.append((idx, e))
+            located.append(tuple(carried))
+        faces.append(tuple(located))
         boundaries.append(tuple(tuple((j, x) for j, x in row.items() if x)
                                 for row in rows))
+    indexer.faces = tuple(faces)
     qc = QuotientComplex(complex.group, complex.constraint,
                          simplices, tuple(boundaries), indexer)
     _check_boundary_squares_to_zero(qc)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactla import (
@@ -51,8 +52,7 @@ class AlreadyFull(ValueError):
 
 def _qf(m: IntMatrix, v: Sequence[int]) -> int:
     """v^T m v for an integer matrix m."""
-    return sum(x * sum(a * y for a, y in zip(row, v))
-               for x, row in zip(v, m) if x)
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(v, m) if x)
 
 
 class _Split:

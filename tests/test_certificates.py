@@ -409,3 +409,41 @@ def test_transfer_certificate_raised_under_optimize():
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line)["error"].startswith(
         "CertificateError: transfer certificate fails in degree 0")
+
+
+# The kernel that moves a configuration by a group element
+# (`lattice.move_config`) is broken inside one function alone: the image
+# it gives there comes back in reverse order, so it is not canonical.
+# Inside `_derive`, the face located through Omega for Gamma_0(11) then
+# no longer lands on its representative; inside `_OrbitIndex._looked_up`,
+# the witness of a W_F cell located by a chain map of the SL_3 build no
+# longer carries it.  Each check must fire under -O.
+MOVE_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.cells as cells
+    from wellround.cli import run
+
+    real = cells.move_config
+
+    def broken(u, config):
+        inside = sys._getframe(1).f_code.co_name == sys.argv[1]
+        return real(u, config)[::-1] if inside else real(u, config)
+
+    cells.move_config = broken
+    code = run(sys.argv[2:])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+@pytest.mark.parametrize("function, argv, error", [
+    ("_derive", ["cells", "enumerate", "-n", "2", "--group", "gamma0",
+                 "--level", "11"], "derived face is located wrongly"),
+    ("_looked_up", ["boundary", "total", "-n", "3", "--group", "sl"],
+     "orbit witness does not carry the cell onto its orbit's "
+     "representative"),
+], ids=["derive", "looked_up"])
+def test_move_certificates_raised_under_optimize(function, argv, error):
+    cli_line, result_line = _run_optimized(MOVE_SCRIPT, function,
+                                           *argv)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line) == {"error": f"CertificateError: {error}"}

@@ -3,6 +3,7 @@ against the old path that applied every stabilizer element to every
 member of a chain (`chain_canon`), and the mechanism: a quotient
 canonicalises each configuration under each element once."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import chain_canon as old
 from test_orbit_locate import COMPLEXES
 
-import wellround.quotient as quotient
+import wellround.lattice as lattice
 from wellround.cells import _seed_shift, enumerate_W
 from wellround.lattice import GroupSpec
 from wellround.quotient import (
@@ -58,19 +59,20 @@ def test_locate_matches_old_path(name):
 
 
 def test_sl3_quotient_canonicalises_few_configurations(monkeypatch):
-    # each configuration is canonicalised once per group element that
-    # moves it: 1,646 calls, where re-canonicalising every image of every
-    # chain took 26,484
+    # each configuration is moved once per group element that moves it
+    # (`lattice.move_each`): under 5,000 images, where re-canonicalising
+    # every image of every chain took 26,484
     complex = enumerate_W(GroupSpec(3, "sl"))
-    calls = 0
-    real = quotient.canonical_config
+    lattice._image_table.cache_clear()
+    moved = Counter()
+    real = lattice._ImageTable.__missing__
 
-    def counting(vectors):
-        nonlocal calls
-        calls += 1
-        return real(vectors)
+    def counting(table, key):
+        moved[table.u, key] += 1
+        return real(table, key)
 
-    monkeypatch.setattr(quotient, "canonical_config", counting)
+    monkeypatch.setattr(lattice._ImageTable, "__missing__", counting)
     qc = barycentric_quotient(complex)
     assert qc.counts() == (5, 11, 11, 4)
-    assert calls < 5000
+    assert set(moved.values()) == {1}
+    assert sum(type(key[0]) is not int for _, key in moved) < 5000
