@@ -8,15 +8,18 @@ certified by a cutting-plane loop (enumerate below the current witness,
 add violators, repeat).  Faces carry larger configurations, cofaces
 smaller ones.  The orbits of W mod a group of level 1 are enumerated
 by a walk over the face/coface graph, whose orbit index searches for
-configuration equivalences.  Every other complex is derived from a
-parent's orbit data, with no LP and no search: W mod a congruence group
-Gamma from W mod SL_n(Z) on the coset space Gamma \\ SL_n(Z), and a
-flag subcomplex W_F from W.  A derived representative is a translate
-g.s of a parent's, whose faces, stabilizer and witness are s's moved by
-g, and its index locates a cell through the parent's.  The orbit index
-a complex was built with stays with it: `OrbitComplex.locate` is the
-one answer to "which orbit is this cell in, and by which element", and
-a lookup gives the element the search would have found first.
+configuration equivalences.  The walk computes each representative's
+faces once and hands them to its complex; no cell is remembered by
+configuration, so nothing outlives the walk.  Every other complex is
+derived from a parent's orbit data, with no LP and no search: W mod a
+congruence group Gamma from W mod SL_n(Z) on the coset space
+Gamma \\ SL_n(Z), and a flag subcomplex W_F from W.  A derived
+representative is a translate g.s of a parent's, whose faces,
+stabilizer and witness are s's moved by g, and its index locates a cell
+through the parent's.  The orbit index a complex was built with stays
+with it: `OrbitComplex.locate` is the one answer to "which orbit is
+this cell in, and by which element", and a lookup gives the element the
+search would have found first.
 """
 
 from __future__ import annotations
@@ -65,13 +68,6 @@ class DimensionUnsupported(ValueError):
 CONTACT_RADIUS = Fraction(4)
 
 _MAX_CUTTING_ROUNDS = 200
-
-# cells and their faces depend only on the configuration, and closures are
-# re-explored constantly (orbit walks, subdivisions, flag subcomplexes), so
-# the LP-heavy computations are memoized by configuration
-_CELL_CACHE: dict = {}
-_FACES_CACHE: dict = {}
-_COFACES_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -244,22 +240,6 @@ def cell_from_config(config: VectorConfig, tighten: bool = False) -> Cell:
     enumeration below the contact radius confirms the configuration.
     """
     config = canonical_config(config)
-    key = (config, tighten)
-    cached = _CELL_CACHE.get(key)
-    if cached is not None:
-        if isinstance(cached, Exception):
-            raise cached
-        return cached
-    try:
-        cell = _cell_from_config_uncached(config, tighten)
-    except (Infeasible, NotSpanning) as exc:
-        _CELL_CACHE[key] = exc
-        raise
-    _CELL_CACHE[key] = cell
-    return cell
-
-
-def _cell_from_config_uncached(config: VectorConfig, tighten: bool) -> Cell:
     if not config:
         raise NotSpanning("empty configuration")
     n = len(config[0])
@@ -321,8 +301,6 @@ def cell_faces(cell: Cell) -> list[Cell]:
     closing up: includes every face of codimension 1."""
     if cell.dim == 0:
         return []
-    if cell.config in _FACES_CACHE:
-        return list(_FACES_CACHE[cell.config])
     n = cell.n
     base_config = cell.config
     cands = list(cell.contacts)
@@ -362,21 +340,16 @@ def cell_faces(cell: Cell) -> list[Cell]:
         except (Infeasible, NotSpanning):
             continue
         found[face.config] = face
-    out = [found[k] for k in sorted(found)]
-    _FACES_CACHE[cell.config] = tuple(out)
-    return out
+    return [found[k] for k in sorted(found)]
 
 
 def cell_cofaces(cell: Cell) -> list[Cell]:
     """Cells of one dimension higher whose closure contains this cell:
     spanning subconfigurations whose symmetric rank drops by exactly 1."""
     config = cell.config
-    if config in _COFACES_CACHE:
-        return list(_COFACES_CACHE[config])
     n = cell.n
     target = _config_sym_rank(config) - 1
     if target < n:
-        _COFACES_CACHE[config] = ()
         return []
     found: dict[VectorConfig, Cell] = {}
     max_drop = len(config) - 1
@@ -395,9 +368,7 @@ def cell_cofaces(cell: Cell) -> list[Cell]:
                 continue
             if cof.config == sub:
                 found[sub] = cof
-    out = [found[k] for k in sorted(found)]
-    _COFACES_CACHE[config] = tuple(out)
-    return out
+    return [found[k] for k in sorted(found)]
 
 
 def root_form(n: int) -> GramForm:
@@ -532,6 +503,7 @@ class OrbitComplex:
         if [int(item["id"]) for item in items] != list(range(len(items))):
             raise ValueError("cell ids must be 0, ..., m-1, each once")
         index = _OrbitIndex(group, constraint)
+        faces = []
         for item in items:
             cell = cell_from_config(config_from_json(item["config"]))
             if cell.n != group.n:
@@ -545,6 +517,7 @@ class OrbitComplex:
                 raise ValueError(f"cells {hit[0]} and {item['id']} lie in "
                                  "one orbit")
             index.add(cell)
+            faces.append(cell_faces(cell))
         dims = [oc.cell.dim for oc in index.orbits]
         incidences = []
         for i in data.get("incidences", ()):
@@ -560,7 +533,7 @@ class OrbitComplex:
                 raise ValueError(f"incidence {inc.cell} -> {inc.face} has a "
                                  "via that is not in the group")
             incidences.append(inc)
-        return _orbit_complex(index, incidences)
+        return _orbit_complex(index, faces, incidences)
 
 
 def _orbit_key(config: VectorConfig):
@@ -654,17 +627,18 @@ class _OrbitIndex:
                                  flag=self.constraint).elements
 
 
-def _orbit_complex(index: _OrbitIndex,
+def _orbit_complex(index: _OrbitIndex, rep_faces: Sequence[Sequence[Cell]],
                    incidences: Optional[Sequence[Incidence]] = None
                    ) -> OrbitComplex:
     """The complex of the orbits in the index.  Each representative
-    carries its faces (`cell_faces`), located through the index, and its
-    stabilizer, from the index too; the incidences default to the faces
-    of codimension 1."""
+    carries its faces, given by the caller in the order of the
+    representatives and located through the index, and its stabilizer,
+    from the index too; the incidences default to the faces of
+    codimension 1."""
     faces = []
-    for oc in index.orbits:
+    for found in rep_faces:
         located = []
-        for f in cell_faces(oc.cell):
+        for f in found:
             hit = index.locate(f.config, f.dim)
             if hit is None:
                 raise KeyError(f"cell not found in complex: {f.config}")
@@ -692,22 +666,24 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
                       variant: int = 0) -> OrbitComplex:
     """BFS over the face/coface graph from a seed cell, canonicalizing
     orbits by the equivalence search; complete because the retract is
-    connected and the walk descends to the orbit graph."""
+    connected and the walk descends to the orbit graph.  The faces of
+    each representative are computed once, here, and handed on."""
     index = _OrbitIndex(group, None)
     if variant:
         shift = _seed_shift(group)
         seed = cell_from_config(move_config(shift, seed.config))
     index.add(seed)
-    queue = [0]
-    while queue:
-        rep = index.orbits[queue.pop(0)].cell
-        neighbors = cell_faces(rep) + cell_cofaces(rep)
+    faces: list[list[Cell]] = []
+    while len(faces) < len(index.orbits):    # in id order, breadth first
+        rep = index.orbits[len(faces)].cell
+        faces.append(cell_faces(rep))
+        neighbors = faces[-1] + cell_cofaces(rep)
         if variant:
             neighbors = list(reversed(neighbors))
         for nb in neighbors:
             if index.locate(nb.config, nb.dim) is None:
-                queue.append(index.add(nb))
-    return _orbit_complex(index)
+                index.add(nb)
+    return _orbit_complex(index, faces)
 
 
 def enumerate_W(group: GroupSpec, experimental_n4: bool = False,

@@ -377,6 +377,11 @@ def _cmd_svg(args) -> str:
         parts = [float(x) for x in args.window.split(",")]
         if len(parts) != 4:
             raise DomainError("--window needs xmin,xmax,ymin,ymax")
+        if not all(map(math.isfinite, parts)):
+            raise DomainError("--window bounds must be finite")
+        xmin, xmax, ymin, ymax = parts
+        if xmin > xmax or ymin > ymax:
+            raise DomainError("--window needs xmin <= xmax and ymin <= ymax")
         window = tuple(parts)
     return svg_tree(window)
 

@@ -1,4 +1,5 @@
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -204,8 +205,6 @@ def test_cell_lps_are_integral(n, group, monkeypatch):
     import wellround.cells as cells
     from wellround.exactla import lp
 
-    for cache in ("_CELL_CACHE", "_FACES_CACHE", "_COFACES_CACHE"):
-        monkeypatch.setattr(cells, cache, {})
     calls = []
 
     def logged(*args):
@@ -221,3 +220,32 @@ def test_cell_lps_are_integral(n, group, monkeypatch):
         assert not eq_lhs and not eq_rhs
         assert all(type(x) is int for row in (c, ge_rhs, *ge_lhs) for x in row)
         assert fraction_simplex.lp(*args) == res
+
+
+def test_infeasible_traceback_does_not_grow():
+    # a raised exception is made afresh on every call, so its traceback
+    # holds the frames of one call only
+    config = ((0, 1), (1, -1), (1, 0), (1, 1))
+    depths = []
+    for _ in range(100):
+        with pytest.raises(Infeasible) as info:
+            cell_from_config(config)
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    assert depths[-1] == depths[0]
+
+
+@pytest.mark.parametrize("n, reps", [(2, 2), (3, 5)])
+def test_walk_computes_faces_once_per_representative(n, reps, monkeypatch):
+    import wellround.cells as cells
+
+    asked = []
+    real = cells.cell_faces
+
+    def faces(cell):
+        asked.append(cell.config)
+        return real(cell)
+
+    monkeypatch.setattr(cells, "cell_faces", faces)
+    complex = enumerate_W(GroupSpec(n, "sl"))
+    assert len(complex.cells) == reps
+    assert sorted(asked) == sorted(oc.cell.config for oc in complex.cells)

@@ -273,7 +273,8 @@ print(code, len(calls))
 
 def test_svg_solves_no_lp():
     # the picture is drawn from the tree's rotations alone; a fresh
-    # interpreter, so that no cell cache hides a walk of W
+    # interpreter, so that no level-1 build memoised by another test
+    # hides a walk of W
     src = str(Path(wellround.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -286,6 +287,19 @@ def test_svg_empty_window(capsys):
     code, out = invoke(capsys, "svg", "--window", "1,1,0,0")
     assert code == 0
     assert "path" not in out
+
+
+@pytest.mark.parametrize("window, message", [
+    ("nan,1,0,1", "--window bounds must be finite"),
+    ("0,inf,0,1", "--window bounds must be finite"),
+    ("0,1,-inf,1", "--window bounds must be finite"),
+    ("1,0,0,1", "--window needs xmin <= xmax and ymin <= ymax"),
+    ("0,1,1,0", "--window needs xmin <= xmax and ymin <= ymax"),
+])
+def test_svg_bad_window_is_json_error(capsys, window, message):
+    code, out = invoke(capsys, "svg", "--window", window)
+    assert code == 1
+    assert json.loads(out) == {"error": message}
 
 
 def test_svg_window_excluding_tree(capsys):

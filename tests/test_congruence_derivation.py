@@ -7,7 +7,7 @@ Gamma_0(11): the same orbits, matched one to one by that search, with
 the same stabilizers, the faces the LP finds, witnesses with the
 representative as minimal vectors, and quotients with the same simplex
 counts and Z homology.  And a build after the level-1 walk solves no LP
-and adds no cell, face or coface to the caches."""
+and asks for no cell, face or coface."""
 
 import pytest
 
@@ -32,8 +32,6 @@ GROUPS = {
 }
 
 CASES = [(name, 0) for name in GROUPS] + [("Gamma_0(11)", 1)]
-
-CACHES = ("_CELL_CACHE", "_FACES_CACHE", "_COFACES_CACHE")
 
 
 def _walk(group, variant):
@@ -80,21 +78,19 @@ def test_derivation_matches_walk(name, variant):
 
 @pytest.mark.parametrize("name", ["Gamma_0(11)", "Gamma_0(2) in SL_3"])
 def test_build_solves_no_lp_after_level_one(name, monkeypatch):
-    # the congruence walk solved 6 and 120 LPs here, and cached 11 and
-    # 51 more cells than the level-1 walk
+    # the congruence walk solved 6 and 120 LPs here; the build lifts the
+    # level-1 double complex, so it computes no cell at all
     group = GROUPS[name]
-    for memo in CACHES:
-        monkeypatch.setattr(cells, memo, {})
-    enumerate_W(GroupSpec(group.n, "sl"))
-    sizes = [len(getattr(cells, memo)) for memo in CACHES]
+    build_double_complex(GroupSpec(group.n, "sl"))
     calls = []
-    real = cells.lp
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cells, "lp", counted)
+    for fn in ("lp", "cell_from_config", "cell_faces", "cell_cofaces"):
+        monkeypatch.setattr(cells, fn, counted(getattr(cells, fn)))
     build_double_complex(group)
     assert calls == []
-    assert [len(getattr(cells, memo)) for memo in CACHES] == sizes

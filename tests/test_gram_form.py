@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wellround.cells as cells
 import wellround.exactla as exactla
 from rational_matrix import RatMatrix, int_scaled
 from wellround.cells import enumerate_W, subcomplex_WF
@@ -79,8 +78,6 @@ def test_constructor_rejects_malformed_pairs(numer, denom, message):
 def test_exact_work_builds_no_rat_matrix(monkeypatch):
     """Retraction, orthant bounds, a retraction path and the cell LPs
     with their witnesses run with `RatMatrix` construction refused."""
-    for cache in ("_CELL_CACHE", "_FACES_CACHE", "_COFACES_CACHE"):
-        monkeypatch.setattr(cells, cache, {})
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a RatMatrix was built")

@@ -37,16 +37,16 @@ def walk_WF(group: GroupSpec, flag: RationalFlag):
     """The orbit complex of W_F mod Gamma_F, found by the walk."""
     index = _OrbitIndex(group, flag)
     index.add(wf_seed(group, flag))
-    queue = [0]
-    while queue:
-        rep = index.orbits[queue.pop(0)].cell
-        faces = cell_faces(rep)
-        for f in faces:
+    faces = []
+    while len(faces) < len(index.orbits):
+        rep = index.orbits[len(faces)].cell
+        faces.append(cell_faces(rep))
+        for f in faces[-1]:
             if not respects_flag(f.config, flag):
                 raise CertificateError("face left the flag subcomplex")
         cofaces = [c for c in cell_cofaces(rep)
                    if respects_flag(c.config, flag)]
-        for nb in faces + cofaces:
+        for nb in faces[-1] + cofaces:
             if index.locate(nb.config, nb.dim) is None:
-                queue.append(index.add(nb))
-    return _orbit_complex(index)
+                index.add(nb)
+    return _orbit_complex(index, faces)
