@@ -180,7 +180,10 @@ class _Chart:
         (delta, (M, D)) with the optimal form M / D, or None when even the
         closed constraints fail.
         Every row is den times the one in A, so the LP's coefficients are
-        integers."""
+        integers.  The LP's last variable is delta + 1, so that each row
+        den A[w] >= den (delta + 1) has the right-hand side -den A_origin[w]:
+        the chart origin with delta = -1 is the LP's starting vertex
+        whenever no candidate is negative there."""
         k = len(self.dirs)
         den = self.den
         if k == 0:
@@ -194,18 +197,19 @@ class _Chart:
         for w in cands:
             const, row = self.functional(w)
             ge_lhs.append(row + [-den])
-            ge_rhs.append(den - const)
+            ge_rhs.append(-const)
         zero = [0] * k
         ge_lhs.append(zero + [-den])
-        ge_rhs.append(-den)      # delta <= 1
+        ge_rhs.append(-2 * den)  # delta <= 1
         ge_lhs.append(zero + [den])
-        ge_rhs.append(-den)      # delta >= -1
+        ge_rhs.append(0)         # delta >= -1
         res = lp(zero + [1], (), (), ge_lhs, ge_rhs)
         if res.status != OPTIMAL:
             return None
-        if res.point[-1] < 0:
+        delta = res.point[-1] - 1
+        if delta < 0:
             return None
-        return res.point[-1], self.gram_at(res.point[:-1])
+        return delta, self.gram_at(res.point[:-1])
 
     def max_value(self, w: IntVector, cands: Sequence[IntVector]) -> Optional[Fraction]:
         """Maximum of A[w] over the closed chart polytope, or None if empty."""

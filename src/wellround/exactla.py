@@ -455,18 +455,19 @@ def _scaled(v: Sequence, scale: int) -> list[int]:
 
 
 def _certify(c: list[int], eq: list[list[int]], eq_b: list[int],
-             ge: list[list[int]], ge_b: list[int], scale: int,
+             ge: list[list[int]], ge_b: list[int],
              x: list[int], d: int, obj: list[int]) -> None:
     """Check an OPTIMAL answer against the LP, with integer arithmetic and
-    independently of the pivots.  The rows and right-hand sides are scale
-    times the LP's, c is a positive multiple of its cost, the point is
-    x / d and obj is the final reduced-cost row, d times the rational one.
+    independently of the pivots.  The rows and right-hand sides are the
+    LP's over one common scale, c is a positive multiple of its cost, the
+    point is x / d and obj is the final reduced-cost row, d times the
+    rational one.
 
     Primal: the point satisfies every row exactly, and c.x equals
-    -obj[-1], the objective the pivots reached (both d * cost scale
-    times the LP's).  Dual, when there are
-    no equality rows: y_k = -obj[slack_k] / (d * cost scale) is >= 0 and
-    solves A^T y = -c, and -b.y equals the objective, so the point is
+    -obj[-1], the objective the pivots reached.  Dual, when there are no
+    equality rows: the slack entries s of obj, one per >= row, are <= 0,
+    ge^T s = d c and ge_b.s = -obj[-1].  Then every feasible x' has
+    c.x' = s.(ge x') / d <= s.ge_b / d = c.x / d, so the point is
     optimal."""
     def dot(u, v):
         return sum(map(mul, u, v))
@@ -478,10 +479,10 @@ def _certify(c: list[int], eq: list[list[int]], eq_b: list[int],
     if eq:
         return
     nx = len(c)
-    s = obj[2 * nx:2 * nx + len(ge)]  # -y * d * cost scale
+    s = obj[2 * nx:2 * nx + len(ge)]
     if any(v > 0 for v in s) or \
-            any(dot(col, s) != scale * d * cj for col, cj in zip(zip(*ge), c)) or \
-            dot(ge_b, s) != -scale * obj[-1]:
+            any(dot(col, s) != d * cj for col, cj in zip(zip(*ge), c)) or \
+            dot(ge_b, s) != -obj[-1]:
         raise CertificateError("LP dual certificate fails")
 
 
@@ -491,9 +492,12 @@ def lp(c: Sequence, eq_lhs: Sequence[Sequence] = (), eq_rhs: Sequence = (),
 
     Variables are free rationals; coefficients are integers or rationals.
     Exact two-phase simplex on an integer tableau over one common
-    denominator; Bland's rule guarantees termination.  Every OPTIMAL
-    answer is certified (`_certify`): the point satisfies every
-    constraint exactly, and, without equality rows, a dual solution
+    denominator; Bland's rule guarantees termination.  A >= row whose
+    right-hand side is <= 0 starts with its slack in the basis; only
+    equality rows and rows with a positive right-hand side get an
+    artificial variable, and phase 1 runs only when some row has one.
+    Every OPTIMAL answer is certified (`_certify`): the point satisfies
+    every constraint exactly, and, without equality rows, a dual solution
     proves it optimal.  ValueError when a row's length differs from c's
     or the numbers of rows and right-hand sides differ.
     """
@@ -509,45 +513,50 @@ def lp(c: Sequence, eq_lhs: Sequence[Sequence] = (), eq_rhs: Sequence = (),
     lhs = [rational(row) for row in (*eq_lhs, *ge_lhs)]
     rhs = rational((*eq_rhs, *ge_rhs))
     # one scale for every row keeps the pivots of the rational tableau:
-    # the artificial columns stay identity columns, which only scales the
-    # phase-1 cost by 1 / scale
+    # the slack columns stay -1, which only measures each slack in units
+    # of 1 / scale
     scale = lcm(*(x.denominator for row in lhs for x in row),
                 *(x.denominator for x in rhs))
     lhs = [_scaled(row, scale) for row in lhs]
     rhs = _scaled(rhs, scale)
     neq, nge = len(eq_lhs), len(ge_lhs)
-    nrows = neq + nge
 
-    # x = u - w with u, w >= 0; then slack columns
+    # x = u - w with u, w >= 0; then slack columns.  Each row is oriented
+    # so that its right-hand side is >= 0, and a >= row with b <= 0 so
+    # that its slack has coefficient +1: that slack is basic at the start
     ncols = 2 * nx + nge
+    arts = [i for i, b in enumerate(rhs) if i < neq or b > 0]
+    start = {i: ncols + k for k, i in enumerate(arts)}
     tab: list[list[int]] = []
+    basis = []
     for i, (a, b) in enumerate(zip(lhs, rhs)):
         slack = [0] * nge
         if i >= neq:
-            slack[i - neq] = -scale
+            slack[i - neq] = -1
         r = a + [-x for x in a] + slack
-        if b < 0:
+        if b < 0 or (i >= neq and b == 0):
             r = [-x for x in r]
             b = -b
-        art = [int(j == i) for j in range(nrows)]
-        tab.append(r + art + [b])
-    basis = [ncols + i for i in range(nrows)]
+        basis.append(start.get(i, 2 * nx + i - neq))
+        tab.append(r + [int(i == j) for j in arts] + [b])
 
-    _, d, _ = _simplex(tab, basis, [0] * ncols + [-1] * nrows, 1)
-    if any(tab[i][-1] != 0 and basis[i] >= ncols for i in range(nrows)):
-        return LPResult(INFEASIBLE)
-    # drive artificials out of the basis, dropping redundant rows
-    keep = []
-    for i in range(nrows):
-        if basis[i] >= ncols:
-            j = next((j for j in range(ncols) if tab[i][j] != 0), None)
-            if j is None:
-                continue  # redundant row
-            d = _pivot(tab, d, i, j)
-            basis[i] = j
-        keep.append(i)
-    tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+    d = 1
+    if arts:
+        _, d, _ = _simplex(tab, basis, [0] * ncols + [-1] * len(arts), d)
+        if any(tab[i][-1] != 0 and basis[i] >= ncols for i in range(len(tab))):
+            return LPResult(INFEASIBLE)
+        # drive artificials out of the basis, dropping redundant rows
+        keep = []
+        for i in range(len(tab)):
+            if basis[i] >= ncols:
+                j = next((j for j in range(ncols) if tab[i][j] != 0), None)
+                if j is None:
+                    continue  # redundant row
+                d = _pivot(tab, d, i, j)
+                basis[i] = j
+            keep.append(i)
+        tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
 
     cost_scale = lcm(*(x.denominator for x in c))
     cost = _scaled(c, cost_scale)
@@ -558,7 +567,7 @@ def lp(c: Sequence, eq_lhs: Sequence[Sequence] = (), eq_rhs: Sequence = (),
     for i, b in enumerate(basis):
         vals[b] = tab[i][-1]
     x = [vals[j] - vals[nx + j] for j in range(nx)]
-    _certify(cost, lhs[:neq], rhs[:neq], lhs[neq:], rhs[neq:], scale, x, d, obj)
+    _certify(cost, lhs[:neq], rhs[:neq], lhs[neq:], rhs[neq:], x, d, obj)
     return LPResult(OPTIMAL, tuple(Fraction(v, d) for v in x),
                     Fraction(-obj[-1], d * cost_scale))
 

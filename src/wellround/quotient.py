@@ -7,7 +7,9 @@ killed by the top cell's finite stabilizer.  The top cell's orbit and
 the element carrying it onto the representative come from the orbit
 complex's own index (`OrbitComplex.locate`).  Chains are moved through
 per-element image tables (`lattice.move_each`), so each configuration
-is moved once per element that moves it, however many chains it lies in.  The
+is moved once per element that moves it, however many chains it lies in,
+and each orbit of chains is moved once: its least image is the
+representative, and its other chains are not moved again.  The
 chains run through cell closures, which the orbit complex carries over
 from its representatives (`OrbitComplex.closure`), and the stabilizers
 are the complex's too: the quotient computes no face, solves no LP and
@@ -119,11 +121,10 @@ class QuotientComplex:
 
 
 class _ChainIndexer:
-    """Canonical chains under the group action, and the simplex orbit of
-    a chain: its top cell is located through the orbit complex's index,
-    the chain is moved so that the top cell is the representative, and
-    the top cell's stabilizer, which the complex carries, picks the least
-    image.
+    """The simplex orbit of a chain: its top cell is located through the
+    orbit complex's index, the chain is moved so that the top cell is the
+    representative, and the top cell's stabilizer, which the complex
+    carries, picks the least image.
 
     Every member is moved by `lattice.move_each`.  A stabilizer only
     permutes its representative's closure, and the orbit index remembers
@@ -135,10 +136,6 @@ class _ChainIndexer:
         self.complex = complex
         self.ids: dict[Chain, tuple[int, int]] = {}
         self.faces: tuple = ()
-
-    def canonical_chain(self, oid: int, chain: Chain) -> Chain:
-        return min(move_each(g, chain)
-                   for g in self.complex.stabilizers[oid])
 
     def _anchored(self, chain: Chain):
         """(oid, u, moved): the chain moved by u so that its top cell is
@@ -191,14 +188,18 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
     _check_gauss_bonnet(complex)
     indexer = _ChainIndexer(complex)
     by_dim: dict[int, list[SimplexOrbit]] = {}
-    seen: set[Chain] = set()
     for oc in complex.cells:
+        # the stabilizer permutes the chains of this top cell, so each
+        # orbit is moved once, from the first of its chains met
+        stabilizer = complex.stabilizers[oc.id]
+        met: set[Chain] = set()
         closure = _closure_configs(complex, oc.id)
         for chain in _enumerate_chains(closure, oc.cell.config):
-            canon = indexer.canonical_chain(oc.id, chain)
-            if canon in seen:
+            if chain in met:
                 continue
-            seen.add(canon)
+            orbit = {move_each(g, chain) for g in stabilizer}
+            met |= orbit
+            canon = min(orbit)
             k = len(canon) - 1
             by_dim.setdefault(k, []).append(SimplexOrbit(k, canon, oc.id))
 

@@ -203,7 +203,12 @@ def _stopping(a: GramForm, member: IntMatrix,
     quadratic forms, P = w^T S w and Q = g w^T M w - P, its squared
     parallel and perpendicular parts over the split's E; candidates are
     ranked by the integer numerators of (1 - p)/q = (E - P)/Q.  The first
-    pass looks below 2, doubling until a candidate exists.  Certified: a
+    pass looks below 2.  If no vector there has p < 1, it looks below 1
+    under the form rescaled at mu^2 = 1/4, 1/8, ..., which holds every
+    vector scored at least mu^2, until a candidate exists: until then it
+    meets only the span's vectors below 1, however long the form is
+    across the span.  It stops at the score of a vector with p = 0 read
+    off the split, which exists, so it ends.  Certified: a
     complete enumeration below 1 under the rescaled form, where w has
     value (P + mu^2 Q)/E, confirms that its minima are the tight vectors
     and those of a, whose values stay; so the answer does not depend on
@@ -229,16 +234,25 @@ def _stopping(a: GramForm, member: IntMatrix,
     def beats(r, best) -> bool:
         return best is None or r[0] * best[1] > best[0] * r[1]
 
-    best = None
-    radius = Fraction(2)
-    while best is None:
-        for w in vectors_below(a, radius):
+    def best_of(vectors, best=None):
+        for w in vectors:
             r = ratio(*parts(w))
             if r is not None and beats(r, best):
                 best = r
-        radius *= 2
-        if radius > 2 ** 40:
-            raise CertificateError("no stopping scale found")
+        return best
+
+    best = best_of(vectors_below(a, 2))
+    if best is None:
+        # g e_j - N e_j (P = N / g) lies off the span with parallel part
+        # 0, so the least positive Q(e_j) gives the score e / (g^2 Q(e_j))
+        across = split.perp()
+        floor = (e, g * g * min(across[j][j] for j in range(n)
+                                if across[j][j]))
+        trial = Fraction(1, 4)
+        while best is None and trial * floor[1] >= floor[0]:
+            best = best_of(vectors_below(_scale_at_member(a, split, trial), 1))
+            trial /= 2
+        best = best or floor
     while True:
         mu_sq = Fraction(*best)
         u, v = mu_sq.numerator, mu_sq.denominator

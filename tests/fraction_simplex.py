@@ -2,10 +2,14 @@
 before `exactla.lp` kept an integer tableau over one denominator.  Kept
 only here, as the oracle that the tests compare `exactla.lp` with.
 
-The code is the package's old `_simplex` and `lp`, except that the pivot
-step is the one helper `_pivot`, shared by both phases and by the step
-that drives artificials out of the basis, so that a test can log the
-pivot sequence (leaving row, entering column) by wrapping it.
+The code is the package's old `_simplex` and `lp`, except in two
+points.  The pivot step is the one helper `_pivot`, shared by both
+phases and by the step that drives artificials out of the basis, so that
+a test can log the pivot sequence (leaving row, entering column) by
+wrapping it.  And it starts from the basis `exactla.lp` starts from: a
+>= row whose right-hand side is <= 0 is negated so that its slack has
+coefficient +1 and is basic; only the other rows get an artificial
+column, and phase 1 runs only when some row has one.
 """
 
 from fractions import Fraction
@@ -97,33 +101,40 @@ def lp(c: Sequence, eq_lhs: Sequence[Sequence] = (), eq_rhs: Sequence = (),
         return xpart + [-x for x in xpart] + row[nx:]
 
     ncols = 2 * nx + nge
+    neq = len(eq_lhs)
+    arts = [i for i in range(nrows) if i < neq or rhs[i] > 0]
     tab: list[list[Fraction]] = []
+    basis = []
     for i in range(nrows):
         r = structural(rows[i])
         b = rhs[i]
-        if b < 0:
+        if i in arts:
+            basis.append(ncols + arts.index(i))
+        else:  # a >= row with b <= 0: its slack starts basic
+            basis.append(2 * nx + i - neq)
+        if b < 0 or i not in arts:
             r = [-x for x in r]
             b = -b
-        art = [Fraction(int(j == i)) for j in range(nrows)]
+        art = [Fraction(int(j == i)) for j in arts]
         tab.append(r + art + [b])
-    basis = [ncols + i for i in range(nrows)]
 
-    cost1 = [Fraction(0)] * ncols + [Fraction(-1)] * nrows
-    _simplex(tab, basis, cost1)
-    if any(tab[i][-1] != 0 and basis[i] >= ncols for i in range(nrows)):
-        return LPResult(INFEASIBLE)
-    # drive artificials out of the basis, dropping redundant rows
-    keep = []
-    for i in range(len(tab)):
-        if basis[i] >= ncols:
-            j = next((j for j in range(ncols) if tab[i][j] != 0), None)
-            if j is None:
-                continue  # redundant row
-            _pivot(tab, i, j)
-            basis[i] = j
-        keep.append(i)
-    tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+    if arts:
+        cost1 = [Fraction(0)] * ncols + [Fraction(-1)] * len(arts)
+        _simplex(tab, basis, cost1)
+        if any(tab[i][-1] != 0 and basis[i] >= ncols for i in range(nrows)):
+            return LPResult(INFEASIBLE)
+        # drive artificials out of the basis, dropping redundant rows
+        keep = []
+        for i in range(len(tab)):
+            if basis[i] >= ncols:
+                j = next((j for j in range(ncols) if tab[i][j] != 0), None)
+                if j is None:
+                    continue  # redundant row
+                _pivot(tab, i, j)
+                basis[i] = j
+            keep.append(i)
+        tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
 
     cost2 = c + [-x for x in c] + [Fraction(0)] * nge
     status = _simplex(tab, basis, cost2)

@@ -252,6 +252,44 @@ def test_lp_certificate_raised_under_optimize():
         "error": "CertificateError: LP objective disagrees with its point"}
 
 
+# The start basis of `lp` is mutated in its source: every >= row starts
+# with its slack marked basic, also a row with a positive right-hand
+# side, whose slack column is -1 there, so the basis reads a negative
+# slack as positive.  On min x subject to x >= 1, x <= 5 and x >= -10
+# the pivots then stop at x = -10, and the certificate of the answer
+# must catch it, in `lp` and in the cell LPs behind the CLI.
+START_SCRIPT = textwrap.dedent("""
+    import inspect, json, sys
+    import wellround.cells as cells
+    import wellround.exactla as exactla
+    from wellround.cli import run
+
+    source = inspect.getsource(exactla.lp)
+    site = "if i < neq or b > 0]"
+    if source.count(site) != 1:
+        raise SystemExit("the start basis is not where the mutant expects")
+    exec(source.replace(site, "if i < neq]"), vars(exactla))
+    cells.lp = exactla.lp
+    try:
+        exactla.lp([-1], ge_lhs=[[1], [-1], [1]], ge_rhs=[1, -5, -10])
+        raised = None
+    except exactla.CertificateError as exc:
+        raised = str(exc)
+    code = run(["cells", "enumerate", "-n", "3", "--group", "sl"])
+    print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
+                      "code": code}))
+""")
+
+
+def test_lp_start_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(START_SCRIPT)[-2:]
+    assert json.loads(result_line) == {
+        "optimize": 1, "raised": "LP point violates a constraint",
+        "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: LP point violates a constraint"}
+
+
 # The first restriction rank is raised by 1: the degree-0 rank of the
 # first cone reduction read.  The ranks are then more than half of the
 # boundary's cohomology, which Borel-Serre duality forbids, so the

@@ -21,19 +21,22 @@ from wellround.quotient import (
 
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
 def test_canonical_chains_match_old_path(name):
+    # the quotient's representatives are the old path's canonical chains,
+    # each listed once and under its top cell's orbit
     complex = COMPLEXES[name]()
     qc = barycentric_quotient(complex)
     stabs = old.stabilizers(complex)
-    canonical = set()
+    canonical = {}
     for oc in complex.cells:
         closure = _closure_configs(complex, oc.id)
         chains = _enumerate_chains(closure, oc.cell.config)
         assert chains == old.enumerate_chains(closure, oc.cell.config)
         for chain in chains:
-            want = old.canonical_chain(stabs[oc.id], chain)
-            assert qc.chains.canonical_chain(oc.id, chain) == want
-            canonical.add(want)
-    assert canonical == set(old.simplex_ids(qc))
+            canonical[old.canonical_chain(stabs[oc.id], chain)] = oc.id
+    listed = [(s.chain, s.top_orbit) for level in qc.simplices for s in level]
+    assert sorted(listed) == sorted(canonical.items())
+    assert all(len(s.chain) == k + 1 for k, level in enumerate(qc.simplices)
+               for s in level)
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEXES))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -40,6 +41,27 @@ def test_retract_trace(tmp_path, capsys):
     data = json.loads(out)
     assert code == 0
     assert data["stages"][0]["muSq"] == "3/7"
+
+
+@pytest.mark.parametrize("n, entry", [(2, 2 ** 41), (3, 2 ** 41),
+                                      (4, 2 ** 41), (2, 2 ** 41 + 1)])
+def test_retract_long_diagonal(tmp_path, capsys, n, entry):
+    # the minimal vectors span a hyperplane, and e_1 across it has length
+    # entry: the stopping search walked the hyperplane's vectors below
+    # radii up to 2^40 and then raised "no stopping scale found".  At
+    # 2^41 + 1 the search ends at the score read off the split
+    rows = [[str(entry if i == j == 0 else int(i == j)) for j in range(n)]
+            for i in range(n)]
+    form = write_json(tmp_path, "f.json", {"n": n, "rows": rows})
+    start = time.perf_counter()
+    code, out = invoke(capsys, "retract", "--form", form, "--trace")
+    elapsed = time.perf_counter() - start
+    data = json.loads(out)
+    assert code == 0
+    assert data["finalForm"] == {"n": n, "rows": [
+        [str(int(i == j)) for j in range(n)] for i in range(n)]}
+    assert data["stages"][-1]["muSq"] == f"1/{entry}"
+    assert elapsed < 1
 
 
 def test_minvec(tmp_path, capsys):

@@ -734,6 +734,16 @@ def lp_instances(draw):
           [0, 0, -1, -1, 0]))                                  # ratio ties
 @example(([1, 1, 0], [[1, 1, 1]], [2],
           [[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [-1, Fraction(-1, 2), 0]))
+@example(([1, 1], [], [], [[-1, 0], [0, -1], [1, 0], [0, 1]],
+          [-1, -2, 0, 0]))                     # every slack starts basic
+@example(([0, 1], [], [], [[1, -1], [-1, 0], [0, 1]], [0, -3, 0]))  # b = 0
+@example(([-1, -1], [], [], [[1, 0], [0, 1], [1, 1]], [1, 0, 3]))  # mixed
+@example(([1, 0], [[1, 1], [1, -1]], [2, -1], [[0, 1], [-1, 0]], [0, -5]))
+@example(([1, 0], [], [],
+          [[Fraction(-1, 2), Fraction(1, 3)], [0, 1], [0, -1], [1, 0]],
+          [Fraction(-1, 2), 0, Fraction(-2, 3), Fraction(1, 3)]))  # scale 6
+@example(([0, 0], [[1, 1], [1, 1]], [1, 2], [], []))        # infeasible
+@example(([1, 1], [], [], [[1, 1], [0, 1]], [2, 0]))        # unbounded
 def test_lp_matches_fraction_simplex(instance):
     res, pivots = _pivots_logged(exactla, *instance)
     c, eq_lhs, eq_rhs, ge_lhs, _ = instance
@@ -752,10 +762,41 @@ def test_lp_matches_fraction_simplex(instance):
         assert type(res.objective) is Fraction
 
 
+@pytest.mark.parametrize("instance, phases, status", [
+    (([1, 1], [], [], [[-1, 0], [0, -1], [1, 0], [0, 1]], [-1, -2, 0, 0]),
+     1, OPTIMAL),
+    (([0, 1], [], [], [[1, -1], [-1, 0], [0, 1]], [0, -3, 0]), 1, OPTIMAL),
+    (([1, 0], [], [], [[1, 0]], [0]), 1, UNBOUNDED),
+    (([Fraction(1, 2)], [], [], [[Fraction(-2, 3)], [Fraction(1, 5)]],
+      [Fraction(-1, 7), 0]), 1, OPTIMAL),
+    (([-1, -1], [], [], [[1, 0], [0, 1], [1, 1]], [1, 0, 3]), 2, OPTIMAL),
+    (([1], [[1]], [0], [[-1]], [-1]), 2, OPTIMAL),
+    (([1], [], [], [[1], [-1]], [1, 0]), 1, INFEASIBLE),
+    (([1, 1], [], [], [[1, 1], [0, 1]], [2, 0]), 2, UNBOUNDED),
+], ids=["box", "zero-rhs", "unbounded-at-start", "fractions", "mixed",
+        "equality", "infeasible", "unbounded-after-phase-1"])
+def test_lp_runs_phase_one_only_for_artificials(instance, phases, status):
+    # a >= row with right-hand side <= 0 starts with its slack basic, so
+    # an LP of such rows alone runs phase 2 only; an equality row or a
+    # positive right-hand side needs phase 1 (an infeasible LP stops
+    # after it)
+    calls = []
+    real = exactla._simplex
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mock.patch.object(exactla, "_simplex", counting):
+        res = exactla.lp(*instance)
+    assert (len(calls), res.status) == (phases, status)
+    assert res == fraction_simplex.lp(*instance)
+
+
 def test_lp_certificate_parts():
     # max x subject to -x >= -1 and x >= 0; the reduced-cost row is laid
     # out as (u, w, slack 1, slack 2, value), d = 1 and no scaling
-    args = ([1], [], [], [[-1], [1]], [-1, 0], 1)
+    args = ([1], [], [], [[-1], [1]], [-1, 0])
     optimal = [0, 0, -1, 0, -1]  # y = (1, 0): A^T y = -1, -b.y = 1
     exactla._certify(*args, [1], 1, optimal)
     with pytest.raises(exactla.CertificateError, match="violates"):
@@ -767,3 +808,11 @@ def test_lp_certificate_parts():
         exactla._certify(*args, [0], 1, [0, 0, 0, 0, 0])
     with pytest.raises(exactla.CertificateError, match="dual"):
         exactla._certify(*args, [1], 1, [0, 0, 1, 0, -1])
+    # max x subject to -x >= -1/2 and x >= 0, over the scale 2: the rows
+    # are [-2], [2] with right-hand sides -1, 0, the point is 1 / d for
+    # d = 2, and the slacks are scale times the LP's, so their reduced
+    # costs are read as they are
+    scaled = ([1], [], [], [[-2], [2]], [-1, 0])
+    exactla._certify(*scaled, [1], 2, [0, 0, -1, 0, -1])
+    with pytest.raises(exactla.CertificateError, match="dual"):
+        exactla._certify(*scaled, [1], 2, [0, 0, -2, 0, -1])

@@ -132,6 +132,25 @@ def test_sl3_build_derives_flag_subcomplexes(monkeypatch, cold_level_one):
     assert calls["late cofaces"] == 0
 
 
+def test_sl3_build_pivot_count(monkeypatch, cold_level_one):
+    # the cell LPs start from the slack basis, posed in delta + 1 so that
+    # the chart origin is feasible: 247 simplex pivots, where an
+    # artificial variable on every row took 1,449
+    import wellround.boundary as boundary
+    import wellround.exactla as exactla
+
+    pivots = []
+    real = exactla._pivot
+
+    def counted(tab, d, leaving, entering):
+        pivots.append((leaving, entering))
+        return real(tab, d, leaving, entering)
+
+    monkeypatch.setattr(exactla, "_pivot", counted)
+    boundary.build_double_complex(GroupSpec(3, "sl"))
+    assert len(pivots) == 247
+
+
 def test_flats_computed_once_per_configuration_of_W(cold_level_one):
     # every subcomplex_WF of one build reads the flats of all of W's
     # representatives; they are computed once per configuration
