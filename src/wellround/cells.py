@@ -8,9 +8,13 @@ certified by a cutting-plane loop (enumerate below the current witness,
 add violators, repeat).  Faces carry larger configurations, cofaces
 smaller ones.  The orbits of W mod a group of level 1 are enumerated
 by a walk over the face/coface graph, whose orbit index searches for
-configuration equivalences.  The walk computes each representative's
-faces once and hands them to its complex; no cell is remembered by
-configuration, so nothing outlives the walk.  Every other complex is
+configuration equivalences.  The walk goes one stabilizer orbit at a
+time: a representative's stabilizer S comes with its orbit, its faces
+and cofaces are solved once per S-orbit and moved onto the rest, and
+the S-images of a located neighbour are located from its witness, with
+no search.  It computes each representative's faces once and hands
+them to its complex; no cell is remembered by configuration, so
+nothing outlives the walk.  Every other complex is
 derived from a parent's orbit data, with no LP and no search: W mod a
 congruence group Gamma from W mod SL_n(Z) on the coset space
 Gamma \\ SL_n(Z), and a flag subcomplex W_F from W.  A derived
@@ -192,18 +196,12 @@ class _Chart:
             if delta < 0:
                 return None
             return delta, self.gram_at(())
-        ge_lhs = []
-        ge_rhs = []
-        for w in cands:
-            const, row = self.functional(w)
-            ge_lhs.append(row + [-den])
-            ge_rhs.append(-const)
+        rows = [self.functional(w) for w in cands]
         zero = [0] * k
-        ge_lhs.append(zero + [-den])
-        ge_rhs.append(-2 * den)  # delta <= 1
-        ge_lhs.append(zero + [den])
-        ge_rhs.append(0)         # delta >= -1
-        res = lp(zero + [1], (), (), ge_lhs, ge_rhs)
+        # the last two rows are delta <= 1 and delta >= -1
+        res = lp(zero + [1], (), (),
+                 [row + [-den] for _, row in rows] + [zero + [-den], zero + [den]],
+                 [-const for const, _ in rows] + [-2 * den, 0])
         if res.status != OPTIMAL:
             return None
         delta = res.point[-1] - 1
@@ -220,13 +218,8 @@ class _Chart:
             if any(self.functional(u)[0] < den for u in cands):
                 return None
             return Fraction(const, den)
-        ge_lhs = []
-        ge_rhs = []
-        for u in cands:
-            c2, r2 = self.functional(u)
-            ge_lhs.append(r2)
-            ge_rhs.append(den - c2)
-        res = lp(row, (), (), ge_lhs, ge_rhs)
+        rows = [self.functional(u) for u in cands]
+        res = lp(row, (), (), [r for _, r in rows], [den - c for c, _ in rows])
         if res.status == UNBOUNDED:
             raise CertificateError("chart polytope is unbounded")
         if res.status != OPTIMAL:
@@ -292,86 +285,123 @@ def _forced_tight(chart: _Chart, cands: Sequence[IntVector],
                   test: Optional[Sequence[IntVector]] = None) -> tuple[IntVector, ...]:
     """Candidates whose value is 1 on the whole closed chart polytope.
     Only the vectors in `test` (default: all candidates) are examined."""
-    forced = []
-    for w in (cands if test is None else test):
-        top = chart.max_value(w, cands)
-        if top is not None and top == 1:
-            forced.append(w)
-    return tuple(forced)
+    return tuple(w for w in (cands if test is None else test)
+                 if chart.max_value(w, cands) == 1)
 
 
-def cell_faces(cell: Cell) -> list[Cell]:
+def _fixing(cell: Cell, stabilizer: Sequence[IntMatrix]) -> Sequence[IntMatrix]:
+    """The given stabilizer elements of the cell, checked to fix its
+    configuration; the identity alone when none are given."""
+    if any(move_config(s, cell.config) != cell.config for s in stabilizer):
+        raise CertificateError("a stabilizer element moves the cell")
+    return stabilizer or (int_identity(cell.n),)
+
+
+def _close_up(base_config: VectorConfig, w: IntVector,
+              cands: Sequence[IntVector], n: int) -> list[IntVector]:
+    """The vectors tight on the face reached by making w tight: w, then
+    the candidates forced tight, until the face has an interior point;
+    empty when it has none."""
+    tight: list[IntVector] = [w]
+    while True:
+        others = [u for u in cands if u not in tight]
+        chart = _Chart(base_config + tuple(tight), n)
+        if not chart.ok:
+            return []
+        sol = chart.max_slack(others)
+        if sol is None:
+            return []
+        if sol[0] > 0:
+            return tight
+        # slack 0: some candidate is tight on the whole face; the
+        # forced ones are among those tight at this optimum
+        m, d = sol[1]
+        forced = _forced_tight(chart, others,
+                               test=[u for u in others if _qf(m, u) == d])
+        if not forced:
+            return []
+        tight.extend(forced)
+
+
+def _add_orbit(found: dict[VectorConfig, Cell], cell: Cell,
+               moves: Sequence[IntMatrix]):
+    """File the cell and its moved cells s.cell, one per configuration."""
+    for s in moves:
+        image = move_config(s, cell.config)
+        if image not in found:
+            found[image] = cell if image == cell.config else _moved_cell(cell, s)
+
+
+def cell_faces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
     """Proper faces reachable by making one contact vector tight and
-    closing up: includes every face of codimension 1."""
+    closing up: includes every face of codimension 1.
+
+    The search runs once per orbit of the given stabilizer S (default:
+    the identity) on the contacts closed up under S: s in S fixes the
+    cell and permutes the candidates (checked), so s.w closes up to s
+    times what w closes up to.  The least face of each S-orbit is built
+    by `cell_from_config`, as the search from every contact builds it;
+    the others are its moved cells."""
     if cell.dim == 0:
         return []
     n = cell.n
-    base_config = cell.config
-    cands = list(cell.contacts)
+    moves = _fixing(cell, stabilizer)
+    cands = sorted({v for s in moves for v in move_each(s, cell.contacts)})
+    images = [move_each(s, cands) for s in moves]
+    if any(set(image) != set(cands) for image in images):
+        raise CertificateError(
+            "the stabilizer does not permute the face candidates")
     found: dict[VectorConfig, Cell] = {}
-    for w in cands:
-        tight: list[IntVector] = [w]
-        while True:
-            eqs = base_config + tuple(tight)
-            others = [u for u in cands if u not in tight]
-            chart = _Chart(eqs, n)
-            if not chart.ok:
-                tight = []
-                break
-            sol = chart.max_slack(others)
-            if sol is None:
-                tight = []
-                break
-            if sol[0] > 0:
-                break
-            # slack 0: some candidate is tight on the whole face; the
-            # forced ones are among those tight at this optimum
-            m, d = sol[1]
-            tight_here = [u for u in others if _qf(m, u) == d]
-            forced = _forced_tight(chart, others, test=tight_here)
-            new = [u for u in forced if u not in tight]
-            if not new:
-                tight = []
-                break
-            tight.extend(new)
+    searched: set[IntVector] = set()
+    for i, w in enumerate(cands):
+        if w in searched:
+            continue
+        searched.update(image[i] for image in images)
+        tight = _close_up(cell.config, w, cands, n)
         if not tight:
             continue
-        face_config = canonical_config(base_config + tuple(tight))
-        if face_config in found:
+        face_config = canonical_config(cell.config + tuple(tight))
+        least = min(move_config(s, face_config) for s in moves)
+        if least in found:
             continue
         try:
-            face = cell_from_config(face_config, tighten=True)
+            face = cell_from_config(least, tighten=True)
         except (Infeasible, NotSpanning):
             continue
-        found[face.config] = face
+        _add_orbit(found, face, moves)
     return [found[k] for k in sorted(found)]
 
 
-def cell_cofaces(cell: Cell) -> list[Cell]:
+def cell_cofaces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
     """Cells of one dimension higher whose closure contains this cell:
-    spanning subconfigurations whose symmetric rank drops by exactly 1."""
+    spanning subconfigurations whose symmetric rank drops by exactly 1.
+    Each orbit of them under the given stabilizer (default: the identity)
+    is decided by its least member, built by `cell_from_config`; the
+    others are its moved cells."""
     config = cell.config
     n = cell.n
     target = _config_sym_rank(config) - 1
     if target < n:
         return []
+    moves = _fixing(cell, stabilizer)
     found: dict[VectorConfig, Cell] = {}
-    max_drop = len(config) - 1
-    for k in range(1, max_drop + 1):
+    decided: set[VectorConfig] = set()
+    for k in range(1, len(config)):
         for cut in combinations(range(len(config)), k):
             sub = tuple(v for i, v in enumerate(config) if i not in cut)
+            if sub in decided:
+                continue
             if len(sub) < n or not config_spans(sub, n):
                 continue
             if _config_sym_rank(sub) != target:
                 continue
-            if sub in found:
-                continue
+            orbit = {move_config(s, sub) for s in moves}
+            decided |= orbit
+            least = min(orbit)
             try:
-                cof = cell_from_config(sub)
+                _add_orbit(found, cell_from_config(least), moves)
             except (Infeasible, NotSpanning):
                 continue
-            if cof.config == sub:
-                found[sub] = cof
     return [found[k] for k in sorted(found)]
 
 
@@ -495,7 +525,8 @@ class OrbitComplex:
         no two cells may lie in one orbit; an incidence must join two of
         the cells, the face one dimension lower, by an element of the
         group.  The orbit index is rebuilt by adding the cells in id
-        order, and each cell's faces and stabilizer are computed again."""
+        order, and each cell's stabilizer and then its faces are computed
+        again."""
         group = GroupSpec.from_json(data["group"])
         constraint = None
         if "constraint" in data:
@@ -520,8 +551,8 @@ class OrbitComplex:
             if hit is not None:
                 raise ValueError(f"cells {hit[0]} and {item['id']} lie in "
                                  "one orbit")
-            index.add(cell)
-            faces.append(cell_faces(cell))
+            oid = index.add(cell)
+            faces.append(cell_faces(cell, index.stabilizers[oid]))
         dims = [oc.cell.dim for oc in index.orbits]
         incidences = []
         for i in data.get("incidences", ()):
@@ -573,6 +604,8 @@ class _OrbitIndex:
         self.buckets: dict = {}
         self._hits: dict[VectorConfig, tuple[int, IntMatrix]] = {}
         self.lookup = lookup
+        self.stabilizers: list[tuple[IntMatrix, ...]] = \
+            [] if lookup is None else lookup.stabilizers
 
     def locate(self, config: VectorConfig, dim: Optional[int] = None):
         """(orbit id, u) with u carrying the configuration onto the
@@ -599,14 +632,15 @@ class _OrbitIndex:
         return None
 
     def _looked_up(self, config: VectorConfig, found):
-        """The first of the witnesses a lookup found, checked: it lies in
-        the group, keeps the constraint and carries config onto the
+        """The first of the witnesses a lookup found, S w for the
+        representative's stabilizer S and one witness w, checked: it lies
+        in the group, keeps the constraint and carries config onto the
         representative."""
         if found is None:
             return None
-        oid, witnesses = found
+        oid, w = found
         rep = self.orbits[oid].cell.config
-        u = _first_witness(config, rep, witnesses)
+        u = _first_witness(config, rep, self.stabilizers[oid], w)
         if not self.group.contains(u) or (
                 self.constraint is not None
                 and not in_parabolic(u, self.constraint)):
@@ -618,17 +652,34 @@ class _OrbitIndex:
         return oid, u
 
     def add(self, cell: Cell) -> int:
+        """A new orbit, represented by the cell.  A searched index computes
+        its stabilizer in the group (in Gamma_F under a constraint),
+        sorted, and files the representative; a derived one has both."""
         oid = len(self.orbits)
         self.orbits.append(OrbitCell(oid, cell))
         key = (cell.dim, _orbit_key(cell.config))
         self.buckets.setdefault(key, []).append(oid)
+        if self.lookup is None:
+            self.stabilizers.append(config_stabilizer(
+                cell.config, self.group, flag=self.constraint).elements)
+            self.file(cell.config, oid, int_identity(self.group.n))
         return oid
 
-    def stabilizer(self, oid: int) -> tuple[IntMatrix, ...]:
-        """The stabilizer of representative oid in the group, in Gamma_F
-        under a constraint, sorted."""
-        return config_stabilizer(self.orbits[oid].cell.config, self.group,
-                                 flag=self.constraint).elements
+    def file(self, config: VectorConfig, oid: int, w: IntMatrix):
+        """Locate the configuration in orbit oid with no search, given an
+        element w carrying it onto the representative: of all such, S w
+        for its stabilizer S, keep the first, checked (`_looked_up`)."""
+        if config not in self._hits:
+            self._hits[config] = self._looked_up(config, (oid, w))
+
+    def file_images(self, config: VectorConfig, moves: Sequence[IntMatrix]):
+        """File the images s.config of a located configuration, which
+        u s^-1 carries onto the representative if u carries config."""
+        oid, u = self._hits[config]
+        for s in moves:
+            image = move_config(s, config)
+            if image not in self._hits:
+                self.file(image, oid, int_matmul(u, int_inverse(s)))
 
 
 def _orbit_complex(index: _OrbitIndex, rep_faces: Sequence[Sequence[Cell]],
@@ -637,8 +688,8 @@ def _orbit_complex(index: _OrbitIndex, rep_faces: Sequence[Sequence[Cell]],
     """The complex of the orbits in the index.  Each representative
     carries its faces, given by the caller in the order of the
     representatives and located through the index, and its stabilizer,
-    from the index too; the incidences default to the faces of
-    codimension 1."""
+    which the index computed when it added the orbit; the incidences
+    default to the faces of codimension 1."""
     faces = []
     for found in rep_faces:
         located = []
@@ -652,9 +703,9 @@ def _orbit_complex(index: _OrbitIndex, rep_faces: Sequence[Sequence[Cell]],
         incidences = [Incidence(oid, f.orbit, f.via)
                       for oid, located in enumerate(faces) for f in located
                       if f.dim == index.orbits[oid].cell.dim - 1]
-    stabilizers = tuple(index.stabilizer(oc.id) for oc in index.orbits)
     return OrbitComplex(index.group, tuple(index.orbits), tuple(incidences),
-                        index.constraint, index, tuple(faces), stabilizers)
+                        index.constraint, index, tuple(faces),
+                        tuple(index.stabilizers))
 
 
 def _seed_shift(group: GroupSpec) -> IntMatrix:
@@ -670,8 +721,12 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
                       variant: int = 0) -> OrbitComplex:
     """BFS over the face/coface graph from a seed cell, canonicalizing
     orbits by the equivalence search; complete because the retract is
-    connected and the walk descends to the orbit graph.  The faces of
-    each representative are computed once, here, and handed on."""
+    connected and the walk descends to the orbit graph.  A
+    representative's stabilizer S comes with its orbit; its faces and
+    cofaces are found once per S-orbit, and the faces are handed on.  The
+    first neighbour met of each S-orbit is searched, or starts an orbit,
+    built as `cell_faces` and `cell_cofaces` build the least one, and
+    its S-images are located from its witness (`file_images`)."""
     index = _OrbitIndex(group, None)
     if variant:
         shift = _seed_shift(group)
@@ -680,13 +735,20 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
     faces: list[list[Cell]] = []
     while len(faces) < len(index.orbits):    # in id order, breadth first
         rep = index.orbits[len(faces)].cell
-        faces.append(cell_faces(rep))
-        neighbors = faces[-1] + cell_cofaces(rep)
+        stabilizer = index.stabilizers[len(faces)]
+        faces.append(cell_faces(rep, stabilizer))
+        neighbors = faces[-1] + cell_cofaces(rep, stabilizer)
         if variant:
             neighbors = list(reversed(neighbors))
         for nb in neighbors:
+            if nb.config in index._hits:
+                continue
             if index.locate(nb.config, nb.dim) is None:
+                if nb.config != min(move_config(s, nb.config)
+                                    for s in stabilizer):
+                    nb = cell_from_config(nb.config, tighten=nb.dim < rep.dim)
                 index.add(nb)
+            index.file_images(nb.config, stabilizer)
     return _orbit_complex(index, faces)
 
 
@@ -865,8 +927,8 @@ class _DerivedLookup:
     """The orbits of a derived complex, through the parent's index: a
     configuration c located there as u.c = sigma carries x0 to u.x0
     (`decoration.read`), which `where` files, if a derived cell g.sigma
-    has it, with t in S carrying it onto the root.  The elements carrying
-    c onto g.sigma are then its stabilizer times g t u."""
+    has it, with t in S carrying it onto the root.  Then g t u carries c
+    onto g.sigma, and so do its stabilizer's elements times g t u."""
 
     def __init__(self, parent: OrbitComplex, decoration):
         self.parent = parent
@@ -886,8 +948,7 @@ class _DerivedLookup:
         if found is None:
             return None
         pid, t = found
-        w = int_matmul(int_matmul(self.pairs[pid][1], t), u)
-        return pid, [int_matmul(s, w) for s in self.stabilizers[pid]]
+        return pid, int_matmul(int_matmul(self.pairs[pid][1], t), u)
 
 
 class _CosetDecoration:
@@ -962,7 +1023,9 @@ def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
     """The flag subcomplex W_F mod Gamma_F, derived from W mod Gamma: a
     cell g.s lies in W_F exactly when s respects F' = g^-1.F, and every
     flag s respects is made of flats of s.  The index is filled with the
-    located closures of the representatives."""
+    located closures of the representatives, and W's with the
+    representatives g.s, which g^-1 carries onto s, so that W's quotient
+    locates the chains of W_F with no search."""
     check_dimension(flag, complex.group)
     wf = _derive(complex, _FlagDecoration(complex, flag))
     for oc in wf.cells:
@@ -971,6 +1034,8 @@ def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
     for oid in range(len(wf.cells)):
         for config, (_, cid, u) in wf.closure(oid).items():
             wf.index._hits.setdefault(config, (cid, u))
+    for oc, (oid, _, g_inv) in zip(wf.cells, wf.index.lookup.pairs):
+        complex.index.file(oc.cell.config, oid, g_inv)
     return wf
 
 

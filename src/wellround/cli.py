@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .boundary import (
@@ -43,8 +44,28 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _dumps(data, indent: str = "\n") -> str:
+    """The text of json.dumps(data, indent=2, sort_keys=True), written
+    here: the json module indents by its pure-Python encoder only."""
+    kind = type(data)
+    if kind is str:
+        return encode_basestring_ascii(data)
+    if kind is int:
+        return int.__repr__(data)
+    inner = indent + "  "
+    if isinstance(data, dict) and data:
+        return "{" + ",".join(
+            f"{inner}{_dumps(k if type(k) is str else json.dumps(k))}: "
+            f"{_dumps(v, inner)}" for k, v in sorted(data.items())) \
+            + indent + "}"
+    if isinstance(data, (list, tuple)) and data:
+        return "[" + ",".join(inner + _dumps(v, inner) for v in data) \
+            + indent + "]"
+    return json.dumps(data)
+
+
 def _emit(data, output: Optional[str]):
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = _dumps(data)
     if output:
         with open(output, "w") as handle:
             handle.write(text + "\n")

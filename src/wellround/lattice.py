@@ -434,17 +434,21 @@ def _image_candidates(dst: VectorConfig) -> list[tuple[int, int]]:
 
 
 def _first_witness(src: VectorConfig, dst: VectorConfig,
-                   witnesses: Iterable[IntMatrix]) -> IntMatrix:
-    """Of the elements U with U(+-src) = +-dst given, the one that
+                   stabilizer: Sequence[IntMatrix], w: IntMatrix) -> IntMatrix:
+    """Of the elements t w, t in the stabilizer of dst, which are all the
+    elements with U(+-src) = +-dst when w is one, the one that
     `_equiv_search` meets first: the least tuple of the positions, among
-    `_image_candidates`, of the images of src's basis vectors.  Anything
-    else given sorts last."""
+    `_image_candidates`, of the images of src's basis vectors.  Only the
+    images of that basis under w are moved by each t, and only the first
+    element is multiplied out.  Anything else given sorts last."""
     src = canonical_config(src)
     rank = {tuple(s * x for x in dst[j]): r
             for r, (j, s) in enumerate(_image_candidates(dst))}
-    basis = [src[i] for i in _independent_basis(src, len(src[0]))]
-    return min(witnesses, key=lambda u: tuple(
-        rank.get(int_matvec(u, b), len(rank)) for b in basis))
+    basis = [int_matvec(w, src[i])
+             for i in _independent_basis(src, len(src[0]))]
+    t = min(stabilizer, key=lambda t: tuple(
+        rank.get(int_matvec(t, b), len(rank)) for b in basis))
+    return int_matmul(t, w)
 
 
 def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,

@@ -9,7 +9,9 @@ complex's own index (`OrbitComplex.locate`).  Chains are moved through
 per-element image tables (`lattice.move_each`), so each configuration
 is moved once per element that moves it, however many chains it lies in,
 and each orbit of chains is moved once: its least image is the
-representative, and its other chains are not moved again.  The
+representative, and its other chains are not moved again.  The least
+image of a chain anchored at its top cell's representative is found
+once per quotient, however many chains anchor to it.  The
 chains run through cell closures, which the orbit complex carries over
 from its representatives (`OrbitComplex.closure`), and the stabilizers
 are the complex's too: the quotient computes no face, solves no LP and
@@ -39,7 +41,7 @@ from typing import Optional, Sequence
 from .cells import OrbitComplex
 from .exactla import (
     CertificateError, Echelon, IntMatrix, PrimeField, QQ, SparseRows,
-    dense_view, int_inverse, int_matmul, snf, sparse_matmul,
+    dense_view, int_identity, int_inverse, int_matmul, snf, sparse_matmul,
     sparse_transpose,
 )
 from .flags import RationalFlag, coset_space
@@ -129,12 +131,16 @@ class _ChainIndexer:
     Every member is moved by `lattice.move_each`.  A stabilizer only
     permutes its representative's closure, and the orbit index remembers
     the element u of each located configuration, so the same few images
-    serve every chain.  `faces` keeps the faces of each simplex as the
-    boundary pass carried them."""
+    serve every chain.  The least image of an anchored chain is found
+    once: many chains anchor to one, and `least` keeps its simplex id and
+    the index of the stabilizer element giving it.  `faces` keeps the
+    faces of each simplex as the boundary pass carried them."""
 
     def __init__(self, complex: OrbitComplex):
         self.complex = complex
         self.ids: dict[Chain, tuple[int, int]] = {}
+        self.least: dict[Chain, tuple[tuple[int, int], int]] = {}
+        self.identity = int_identity(complex.group.n)
         self.faces: tuple = ()
 
     def _anchored(self, chain: Chain):
@@ -149,9 +155,15 @@ class _ChainIndexer:
         image."""
         oid, u, moved = self._anchored(chain)
         stabilizer = self.complex.stabilizers[oid]
-        image, i = min((move_each(g, moved), i)
-                       for i, g in enumerate(stabilizer))
-        return self.ids[image], int_matmul(stabilizer[i], u)
+        hit = self.least.get(moved)
+        if hit is None:
+            image, i = min((move_each(g, moved), i)
+                           for i, g in enumerate(stabilizer))
+            hit = self.least[moved] = self.ids[image], i
+        ids, i = hit
+        if u == self.identity:
+            return ids, stabilizer[i]
+        return ids, int_matmul(stabilizer[i], u)
 
     def stabilizer(self, simplex: SimplexOrbit) -> tuple[IntMatrix, ...]:
         """The top cell's stabilizer elements that fix the chain."""

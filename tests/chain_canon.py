@@ -1,14 +1,16 @@
 """Chain canonical forms as quotients computed them before they read
 image tables: every stabilizer element is applied to every member of the
-chain, and each image is canonicalised again.  Also the chain
-enumeration as it was, with the vector sets rebuilt at every
-comparison.  Kept only here, as the oracles that the tests compare
-`quotient._ChainIndexer` and `quotient._enumerate_chains` with.
+chain, and each image is canonicalised again; and the carry of a chain
+as it was before the quotient kept the least image of each anchored
+chain.  Also the chain enumeration as it was, with the vector sets
+rebuilt at every comparison.  Kept only here, as the oracles that the
+tests compare `quotient._ChainIndexer` and `quotient._enumerate_chains`
+with.
 
 The stabilizers come from `config_stabilizer` and the simplex ids from
 the quotient's simplices, so nothing here reads the indexer."""
 
-from wellround.exactla import int_matvec
+from wellround.exactla import int_matmul, int_matvec
 from wellround.lattice import canonical_config, config_stabilizer
 
 
@@ -45,6 +47,17 @@ def locate(complex, stabs, ids, chain):
     oid, u = complex.locate(chain[-1])
     moved = apply_chain(u, chain[:-1]) + (complex.cell_by_id(oid).config,)
     return ids[canonical_chain(stabs[oid], moved)]
+
+
+def carry(complex, stabs, ids, chain):
+    """((dimension, index), g u): `locate`, with the element carrying the
+    chain onto its representative, g the first stabilizer element giving
+    the least image of the chain anchored by u."""
+    oid, u = complex.locate(chain[-1])
+    moved = apply_chain(u, chain[:-1]) + (complex.cell_by_id(oid).config,)
+    image, i = min((apply_chain(g, moved), i)
+                   for i, g in enumerate(stabs[oid]))
+    return ids[image], int_matmul(stabs[oid][i], u)
 
 
 def enumerate_chains(poset, top):

@@ -9,10 +9,11 @@ from wellround.cells import (
     cell_from_config, enumerate_W, expected_top_dim, flags_respected_by,
     is_small_enough, respects_flag, root_form, subcomplex_WF,
 )
+from wellround.exactla import int_matvec
 from wellround.flags import flag_from_members, standard_flag
 from wellround.lattice import (
-    GramForm, GroupSpec, canonical_config, config_equiv, minimal_vectors,
-    normalize,
+    GramForm, GroupSpec, canonical_config, canonical_vector, config_equiv,
+    minimal_vectors, normalize,
 )
 from wellround.retraction import retract
 
@@ -234,18 +235,44 @@ def test_infeasible_traceback_does_not_grow():
     assert depths[-1] == depths[0]
 
 
-@pytest.mark.parametrize("n, reps", [(2, 2), (3, 5)])
-def test_walk_computes_faces_once_per_representative(n, reps, monkeypatch):
+@pytest.mark.parametrize("n, reps, lps", [(2, 2, 1), (3, 5, 16)])
+def test_walk_computes_faces_once_per_representative(n, reps, lps,
+                                                      monkeypatch):
+    # the walk asks for each representative's faces once, with its
+    # stabilizer S, and the face search starts once per S-orbit of the
+    # candidates: the SL_3 walk solves 16 LPs, where the search from
+    # every contact and the cell of every neighbour took 84
     import wellround.cells as cells
 
     asked = []
-    real = cells.cell_faces
+    starts = []
+    solved = []
+    real_faces, real_close_up, real_lp = \
+        cells.cell_faces, cells._close_up, cells.lp
 
-    def faces(cell):
-        asked.append(cell.config)
-        return real(cell)
+    def faces(cell, stabilizer):
+        asked.append((cell, stabilizer))
+        return real_faces(cell, stabilizer)
+
+    def close_up(base_config, w, cands, n):
+        starts.append((base_config, w))
+        return real_close_up(base_config, w, cands, n)
 
     monkeypatch.setattr(cells, "cell_faces", faces)
+    monkeypatch.setattr(cells, "_close_up", close_up)
+    monkeypatch.setattr(cells, "lp", lambda *args: solved.append(1) or
+                        real_lp(*args))
     complex = enumerate_W(GroupSpec(n, "sl"))
     assert len(complex.cells) == reps
-    assert sorted(asked) == sorted(oc.cell.config for oc in complex.cells)
+    assert sorted(cell.config for cell, _ in asked) == \
+        sorted(oc.cell.config for oc in complex.cells)
+    assert len(solved) == lps
+    for cell, stabilizer in asked:
+        assert stabilizer == complex.stabilizers[complex.locate(cell.config)[0]]
+        if cell.dim == 0:
+            continue
+        orbits = {frozenset(canonical_vector(int_matvec(s, w))
+                            for s in stabilizer) for w in cell.contacts}
+        started = [w for base, w in starts if base == cell.config]
+        assert sorted(len([w for w in started if w in orbit])
+                      for orbit in orbits) == [1] * len(orbits)

@@ -155,14 +155,15 @@ def test_total_certificate_raised_under_optimize():
 
 # `cell_faces` as the complex loader sees it drops the last face of every
 # cell, so the closure of an edge of the n = 2 complex keeps one of its
-# two vertices and has Euler characteristic 0.
+# two vertices and has Euler characteristic 0.  The loader passes each
+# cell's stabilizer, which the mutant hands on.
 CLOSURE_SCRIPT = textwrap.dedent("""
     import json, sys
     import wellround.cells as cells
     from wellround.cli import run
 
     real = cells.cell_faces
-    cells.cell_faces = lambda cell: real(cell)[:-1]
+    cells.cell_faces = lambda cell, stabilizer: real(cell, stabilizer)[:-1]
     code = run(["homology", "--complex", sys.argv[1]])
     print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
 """)
@@ -256,8 +257,10 @@ def test_lp_certificate_raised_under_optimize():
 # with its slack marked basic, also a row with a positive right-hand
 # side, whose slack column is -1 there, so the basis reads a negative
 # slack as positive.  On min x subject to x >= 1, x <= 5 and x >= -10
-# the pivots then stop at x = -10, and the certificate of the answer
-# must catch it, in `lp` and in the cell LPs behind the CLI.
+# the pivots then stop at x = -10, reported OPTIMAL; without x >= -10
+# they find no bound and report UNBOUNDED, at the point x = 0.  The
+# certificate of either answer must catch it, in `lp` and in the cell
+# LPs behind the CLI.
 START_SCRIPT = textwrap.dedent("""
     import inspect, json, sys
     import wellround.cells as cells
@@ -270,11 +273,12 @@ START_SCRIPT = textwrap.dedent("""
         raise SystemExit("the start basis is not where the mutant expects")
     exec(source.replace(site, "if i < neq]"), vars(exactla))
     cells.lp = exactla.lp
-    try:
-        exactla.lp([-1], ge_lhs=[[1], [-1], [1]], ge_rhs=[1, -5, -10])
-        raised = None
-    except exactla.CertificateError as exc:
-        raised = str(exc)
+    raised = []
+    for rows, rhs in (([[1], [-1], [1]], [1, -5, -10]), ([[1], [-1]], [1, -5])):
+        try:
+            raised.append(exactla.lp([-1], ge_lhs=rows, ge_rhs=rhs).status)
+        except exactla.CertificateError as exc:
+            raised.append(str(exc))
     code = run(["cells", "enumerate", "-n", "3", "--group", "sl"])
     print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
                       "code": code}))
@@ -284,10 +288,50 @@ START_SCRIPT = textwrap.dedent("""
 def test_lp_start_certificate_raised_under_optimize():
     cli_line, result_line = _run_optimized(START_SCRIPT)[-2:]
     assert json.loads(result_line) == {
-        "optimize": 1, "raised": "LP point violates a constraint",
+        "optimize": 1, "raised": ["LP point violates a constraint"] * 2,
         "code": 1}
     assert json.loads(cli_line) == {
         "error": "CertificateError: LP point violates a constraint"}
+
+
+# Phase 1 of `lp` is cut short: the simplex it runs stops at its start
+# basis, as if that were optimal.  An LP whose start basis holds an
+# artificial at a positive value, x >= 1 with x <= 5, is then reported
+# INFEASIBLE, and the Farkas certificate read off that tableau must fail,
+# in `lp` and in the cell LPs behind the CLI.
+FARKAS_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.exactla as exactla
+    from wellround.cli import run
+
+    real = exactla._simplex
+
+    def lazy(tab, basis, cost, d):
+        if max(cost) > 0 or min(cost) == 0:  # phase 2 costs c and -c
+            return real(tab, basis, cost, d)
+        obj = [d * x for x in cost] + [0]
+        for i, b in enumerate(basis):
+            obj = [x - cost[b] * y for x, y in zip(obj, tab[i])]
+        return exactla.OPTIMAL, d, obj
+
+    exactla._simplex = lazy
+    try:
+        exactla.lp([1], ge_lhs=[[1], [-1]], ge_rhs=[1, -5])
+        raised = None
+    except exactla.CertificateError as exc:
+        raised = str(exc)
+    code = run(["cells", "enumerate", "-n", "3", "--group", "sl"])
+    print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
+                      "code": code}))
+""")
+
+
+def test_lp_farkas_certificate_raised_under_optimize():
+    cli_line, result_line = _run_optimized(FARKAS_SCRIPT)[-2:]
+    assert json.loads(result_line) == {
+        "optimize": 1, "raised": "LP Farkas certificate fails", "code": 1}
+    assert json.loads(cli_line) == {
+        "error": "CertificateError: LP Farkas certificate fails"}
 
 
 # The first restriction rank is raised by 1: the degree-0 rank of the

@@ -7,10 +7,37 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wellround
 import wellround.boundary as boundary
-from wellround.cli import run
+from wellround.cli import _dumps, run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() |
+    st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=4) |
+    st.tuples(inner, inner) |
+    st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_emitted_text_is_the_json_modules(data):
+    # the CLI writes json.dumps(indent=2, sort_keys=True) by its own
+    # writer, byte for byte
+    assert _dumps(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_emitted_goldens_are_the_json_modules(path):
+    data = json.loads(path.read_text())
+    assert _dumps(data) == json.dumps(data, indent=2, sort_keys=True)
 
 
 def invoke(capsys, *argv):

@@ -762,6 +762,61 @@ def test_lp_matches_fraction_simplex(instance):
         assert type(res.objective) is Fraction
 
 
+@settings(max_examples=300, deadline=None)
+@given(lp_instances())
+@example(([1], [], [], [[1], [-1]], [1, 0]))                  # infeasible
+@example(([1, 0], [], [], [[1, 0]], [0]))                     # unbounded
+@example(([0, 0], [[1, 1], [1, 1]], [1, 2], [], []))        # infeasible
+@example(([1, 1], [], [], [[1, 1], [0, 1]], [2, 0]))        # unbounded
+@example(([1], [], [], [], []))                             # no rows
+@example(([1, 0], [[1, 1], [1, -1]], [2, -1], [[0, 1], [-1, 0]], [0, -5]))
+def test_lp_status_certificates_verify(instance):
+    # every status but OPTIMAL carries a certificate, checked here in
+    # Fractions against the LP as posed: Farkas multipliers for
+    # INFEASIBLE, a feasible point and a ray for UNBOUNDED
+    c, eq_lhs, eq_rhs, ge_lhs, ge_rhs = instance
+    res = exactla.lp(*instance)
+    if ge_lhs or any(any(row) for row in eq_lhs) or any(eq_rhs):
+        assert res.status == fraction_simplex.lp(*instance).status
+    rows, b, neq = [*eq_lhs, *ge_lhs], [*eq_rhs, *ge_rhs], len(eq_lhs)
+
+    def dot(u, v):
+        return sum(Fraction(x) * y for x, y in zip(u, v))
+
+    if res.status == INFEASIBLE:
+        y = res.certificate
+        assert len(y) == len(rows) and all(v >= 0 for v in y[neq:])
+        assert all(dot(col, y) == 0 for col in zip(*rows))
+        assert dot(b, y) > 0
+    elif res.status == UNBOUNDED:
+        point, ray = res.certificate
+        assert all(dot(row, point) == r for row, r in zip(eq_lhs, eq_rhs))
+        assert all(dot(row, point) >= r for row, r in zip(ge_lhs, ge_rhs))
+        assert all(dot(row, ray) == 0 for row in eq_lhs)
+        assert all(dot(row, ray) >= 0 for row in ge_lhs)
+        assert dot(c, ray) > 0
+    else:
+        assert res.certificate is None
+
+
+def test_lp_status_certificate_parts():
+    # x >= 1 and -x >= 0: y = (1, 1) sums the rows to 0 >= 1
+    rows, b = [[1], [-1]], [1, 0]
+    exactla._certify_infeasible(rows, b, 0, [1, 1])
+    for y in ([1, 0], [0, 0], [-1, -1]):
+        with pytest.raises(exactla.CertificateError, match="Farkas"):
+            exactla._certify_infeasible(rows, b, 0, y)
+    # an equality row's multiplier is free: x = 1 and x = 2
+    exactla._certify_infeasible([[1], [1]], [1, 2], 2, [-1, 1])
+    # max x subject to x >= 0: the ray 1 raises the cost, -1 leaves x >= 0
+    exactla._certify_ray([1], [[1]], 0, [1])
+    for ray in ([-1], [0]):
+        with pytest.raises(exactla.CertificateError, match="ray"):
+            exactla._certify_ray([1], [[1]], 0, ray)
+    with pytest.raises(exactla.CertificateError, match="ray"):
+        exactla._certify_ray([1, 0], [[0, 1], [1, 0]], 1, [1, 1])
+
+
 @pytest.mark.parametrize("instance, phases, status", [
     (([1, 1], [], [], [[-1, 0], [0, -1], [1, 0], [0, 1]], [-1, -2, 0, 0]),
      1, OPTIMAL),

@@ -96,9 +96,10 @@ def test_wf_seed_respects():
 
 
 def test_sl3_build_derives_flag_subcomplexes(monkeypatch, cold_level_one):
-    # the SL_3 double complex solves W's 84 LPs (214 when the flag
-    # subcomplexes were walked), searches W's 5 stabilizers (30), and
-    # asks for no coface once W is enumerated
+    # the SL_3 double complex solves W's 16 LPs (84 when the walk solved
+    # every neighbour, 214 when the flag subcomplexes were walked too),
+    # searches W's 5 stabilizers (30), and asks for no coface once W is
+    # enumerated
     import wellround.boundary as boundary
     import wellround.cells as cells
 
@@ -111,9 +112,9 @@ def test_sl3_build_derives_flag_subcomplexes(monkeypatch, cold_level_one):
             return fn(*args, **kwargs)
         return wrapper
 
-    def cofaces(cell, real=cells.cell_cofaces):
+    def cofaces(cell, stabilizer, real=cells.cell_cofaces):
         calls["late cofaces"] += bool(w_done)
-        return real(cell)
+        return real(cell, stabilizer)
 
     def enumerate_w(*args, real=boundary.enumerate_W, **kwargs):
         complex = real(*args, **kwargs)
@@ -127,15 +128,16 @@ def test_sl3_build_derives_flag_subcomplexes(monkeypatch, cold_level_one):
     monkeypatch.setattr(boundary, "enumerate_W", enumerate_w)
     dc = boundary.build_double_complex(GroupSpec(3, "sl"))
     assert w_done and dc.dims == (15, 53, 88, 72, 24, 0)
-    assert calls["lp"] <= 84
+    assert calls["lp"] <= 16
     assert calls["config_stabilizer"] <= 10
     assert calls["late cofaces"] == 0
 
 
 def test_sl3_build_pivot_count(monkeypatch, cold_level_one):
     # the cell LPs start from the slack basis, posed in delta + 1 so that
-    # the chart origin is feasible: 247 simplex pivots, where an
-    # artificial variable on every row took 1,449
+    # the chart origin is feasible, and the walk solves them once per
+    # stabilizer orbit: 45 simplex pivots, where solving every neighbour
+    # took 247, and an artificial variable on every row 1,449
     import wellround.boundary as boundary
     import wellround.exactla as exactla
 
@@ -148,7 +150,7 @@ def test_sl3_build_pivot_count(monkeypatch, cold_level_one):
 
     monkeypatch.setattr(exactla, "_pivot", counted)
     boundary.build_double_complex(GroupSpec(3, "sl"))
-    assert len(pivots) == 247
+    assert len(pivots) == 45
 
 
 def test_flats_computed_once_per_configuration_of_W(cold_level_one):
