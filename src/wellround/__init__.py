@@ -24,7 +24,7 @@ from .cells import (
 )
 from .quotient import (
     ChainMap, HomologyResult, QuotientComplex, barycentric_quotient,
-    cohomology, homology, induced_map,
+    cohomology, homology,
 )
 from .boundary import (
     DoubleComplex, RestrictionReport, SpectralPage, boundary_homology,

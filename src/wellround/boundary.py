@@ -9,10 +9,12 @@ cohomology of the boundary of the bordified quotient.  With the cochains
 of the whole retract quotient as column -1, joined to column 0 by the
 inclusions, the augmented double complex is the mapping cone of the
 restriction into the total complex; it is laid out, assembled and
-certified (D^2 = 0) once.  Its quotients and chain maps are those of the
-level-1 group lifted through the coset space Omega = Gamma \\ SL_n(Z)
-(`quotient.CosetLift`), so W, the flag subcomplexes and the chain maps
-are built once, at level 1.  Over a field every answer (spectral pages,
+certified (D^2 = 0) once.  At level 1, W is walked and subdivided once,
+and the quotients of the flag subcomplexes and their chain maps are
+lifted off W's simplex orbits (`quotient.FlagLift`); every block of a
+congruence group Gamma is then lifted from level 1 through the coset
+space Omega = Gamma \\ SL_n(Z) (`quotient.CosetLift`).  Over a field
+every answer (spectral pages,
 betti numbers, restriction and face-map ranks) is read off one
 persistence pairing (`exactla.f_pairs`) of it or of the total complex,
 its prefix.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .cells import OrbitComplex, enumerate_W, subcomplex_WF
+from .cells import OrbitComplex, enumerate_W
 from .exactla import (
     QQ, CertificateError, SparseRows, f_pairs, sparse_matmul,
     sparse_transpose,
@@ -36,8 +38,8 @@ from .flags import (
 )
 from .lattice import GroupSpec
 from .quotient import (
-    ChainMap, CosetLift, QuotientComplex, barycentric_quotient, betti_at,
-    induced_map, parse_coeff,
+    ChainMap, CosetLift, FlagLift, QuotientComplex, barycentric_quotient,
+    betti_at, parse_coeff,
 )
 
 
@@ -92,7 +94,8 @@ class _LevelOne(NamedTuple):
     of W (type None) and of the flag subcomplex of the standard flag of
     every type (by its P(Z)), and per type the chain maps out of it, one
     per member deleted, as (deleted type, sign, chain map).  Deleting the
-    only member of a flag gives W, along the inclusion with sign +1."""
+    only member of a flag gives W, along the inclusion with sign +1.  The
+    flag quotients and the maps are lifted off W's (`FlagLift`)."""
 
     w_complex: OrbitComplex
     quotients: dict[Optional[tuple[int, ...]], QuotientComplex]
@@ -112,18 +115,15 @@ def _level_one(group: GroupSpec, variant: int) -> _LevelOne:
     standard flag of the smaller type, so no chain map is twisted."""
     n = group.n
     w_complex = enumerate_W(group, variant=variant)
-    quotients = {None: barycentric_quotient(w_complex)}
+    lift = FlagLift(barycentric_quotient(w_complex))
+    quotients = {None: lift.w_qc}
     for p in range(n - 1):
         for dims in flag_types(n, p + 2):
-            quotients[dims] = barycentric_quotient(
-                subcomplex_WF(w_complex, standard_flag(n, dims)))
-    deletions = {}
-    for dims, qc in quotients.items():
-        if dims is not None:
-            deleted = [dims[:i] + dims[i + 1:] or None for i in range(len(dims))]
-            deletions[dims] = tuple(
-                (d, -1 if i % 2 else 1, induced_map(qc, quotients[d]))
-                for i, d in enumerate(deleted))
+            quotients[dims] = lift.quotient(standard_flag(n, dims))
+    deletions = {dims: tuple((dims[:i] + dims[i + 1:] or None,
+                              -1 if i % 2 else 1, lift.deletion(dims, i))
+                             for i in range(len(dims)))
+                 for dims in quotients if dims is not None}
     return _LevelOne(w_complex, quotients, deletions)
 
 

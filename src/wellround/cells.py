@@ -792,8 +792,8 @@ def _flats(config: VectorConfig) -> Flats:
     dimension k = 1, ..., n-1 (entry k; entry 0 is empty): each as its
     flat, the set of indices of the configuration vectors inside it.  One
     flat contains another exactly when its subspace does.  Cached, for
-    the configurations used last: every W_F of one W reads the flats of
-    W's cells."""
+    the configurations used last: the lift of every flag type of one W
+    reads the flats of W's cells."""
     n = len(config[0])
     out = [()]
     for k in range(1, n):
@@ -986,7 +986,8 @@ class _FlagDecoration:
     type, the flag F' = g^-1.F that sigma respects when g.sigma lies in
     W_F, kept when `flag_equivalent` carries it onto F.  A configuration
     c located as u.c = sigma reads as the sets of sigma's vectors that are
-    images of c's vectors inside F's members."""
+    images of c's vectors inside F's members.  `quotient.FlagLift`
+    decorates the simplex orbits of W's quotient with it too."""
 
     def __init__(self, complex: OrbitComplex, flag: RationalFlag):
         self.complex = complex
@@ -1022,20 +1023,12 @@ class _FlagDecoration:
 def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:
     """The flag subcomplex W_F mod Gamma_F, derived from W mod Gamma: a
     cell g.s lies in W_F exactly when s respects F' = g^-1.F, and every
-    flag s respects is made of flats of s.  The index is filled with the
-    located closures of the representatives, and W's with the
-    representatives g.s, which g^-1 carries onto s, so that W's quotient
-    locates the chains of W_F with no search."""
+    flag s respects is made of flats of s."""
     check_dimension(flag, complex.group)
     wf = _derive(complex, _FlagDecoration(complex, flag))
     for oc in wf.cells:
         if not respects_flag(oc.cell.config, flag):
             raise CertificateError("derived cell does not respect the flag")
-    for oid in range(len(wf.cells)):
-        for config, (_, cid, u) in wf.closure(oid).items():
-            wf.index._hits.setdefault(config, (cid, u))
-    for oc, (oid, _, g_inv) in zip(wf.cells, wf.index.lookup.pairs):
-        complex.index.file(oc.cell.config, oid, g_inv)
     return wf
 
 

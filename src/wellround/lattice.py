@@ -83,9 +83,11 @@ class _ImageTable(dict):
         return image
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=2048)
 def _image_table(u: IntMatrix) -> _ImageTable:
-    """The image table of u, kept for the elements used last."""
+    """The image table of u, kept for the elements used last: as many as
+    the largest stabilizer of W at n = 4 (1,152 elements, of GL_4) and
+    more, so that a walk moving by each of them in turn evicts none."""
     return _ImageTable(u)
 
 

@@ -13,7 +13,9 @@ representative, and its other chains are not moved again.  The least
 image of a chain anchored at its top cell's representative is found
 once per quotient, however many chains anchor to it.  The
 chains run through cell closures, which the orbit complex carries over
-from its representatives (`OrbitComplex.closure`), and the stabilizers
+from its representatives (`OrbitComplex.closure`); the member below a
+chain's top, the top cell of its last face, is filed in the index from
+the top cell's closure, so no cell is searched for.  The stabilizers
 are the complex's too: the quotient computes no face, solves no LP and
 searches no stabilizer of its own.  Those stabilizers are checked by
 Gauss-Bonnet: the orbifold Euler characteristic of the quotient must be
@@ -28,7 +30,9 @@ alternating Hermite forms, and ranks and representatives from the sparse
 rows themselves, by the fraction-free `exactla.Echelon`.  The quotients
 by a congruence group, and the chain maps between them, are also read off
 the level-1 ones and the coset space, with no chain of their own
-(`CosetLift`).
+(`CosetLift`); so are the quotients of the flag subcomplexes W_F and
+their chain maps, off W's simplex orbits and the flags of flats of their
+top cells (`FlagLift`).
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .cells import OrbitComplex
+from .cells import FlatFlag, OrbitComplex, _FlagDecoration, _positions
 from .exactla import (
     CertificateError, Echelon, IntMatrix, PrimeField, QQ, SparseRows,
     dense_view, int_identity, int_inverse, int_matmul, snf, sparse_matmul,
@@ -69,7 +73,8 @@ class QuotientComplex:
     the (k-1)-simplices, of width len(simplices[k]).  boundaries[0] has no
     rows.  A quotient of
     an orbit complex keeps the indexer of its chains, which `locate`
-    reads; complexes built from matrices alone have none.
+    reads, and a flag lift its own chain data, which locates no chain;
+    complexes built from matrices alone have none.
     """
 
     group: object
@@ -221,6 +226,9 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
     for k, level in enumerate(simplices):
         for i, s in enumerate(level):
             indexer.ids[s.chain] = (k, i)
+            if k:   # the top of the last face, which the closure locates
+                _, cid, u = complex.closure(s.top_orbit)[s.chain[-2]]
+                complex.index.file(s.chain[-2], cid, u)
 
     boundaries: list[SparseRows] = [()]
     faces = [tuple(() for _ in simplices[0])]
@@ -393,45 +401,243 @@ class ChainMap:
     source: QuotientComplex
     target: QuotientComplex
     matrices: tuple[SparseRows, ...]  # per dimension: target x source
-    # per dimension and source simplex, the element carrying its chain
-    # onto its image's representative chain; none when lifted
-    elements: tuple[tuple[IntMatrix, ...], ...] = ()
+    # carry(k, j): the element carrying source simplex j of dimension k
+    # onto its image's representative chain; none when lifted over Omega
+    carry: Optional[Callable[[int, int], IntMatrix]] = field(
+        default=None, compare=False, repr=False)
 
     def matrix(self, k: int) -> SparseRows:
         if 0 <= k < len(self.matrices):
             return self.matrices[k]
         return ()
 
+    @cached_property
+    def elements(self) -> tuple[tuple[IntMatrix, ...], ...]:
+        """Per dimension and source simplex, the element `carry` gives,
+        multiplied out on the first read."""
+        if self.carry is None:
+            return ()
+        return tuple(tuple(map(self.carry, [k] * len(level), range(len(level))))
+                     for k, level in enumerate(self.source.simplices[
+                         :len(self.matrices)]))
 
-def induced_map(sub: QuotientComplex, sup: QuotientComplex) -> ChainMap:
-    """The chain map sending a simplex orbit of `sub` to the orbit of
-    its representative chain in `sup`, with the elements that carry the
-    chains there; commutes with the boundaries exactly (checked)."""
-    if sub.dim > sup.dim:
-        raise IncompatibleComplexes("source complex exceeds target dimension")
-    mats = []
-    elements = []
-    for k in range(sub.dim + 1):
-        rows: list[list[tuple[int, int]]] = [[] for _ in sup.simplices[k]]
-        carried = []
-        for j, s in enumerate(sub.simplices[k]):
-            try:
-                (kk, idx), e = sup.carry(s.chain)
-            except KeyError as exc:
-                raise IncompatibleComplexes(str(exc)) from exc
-            if kk != k:
-                raise CertificateError("chain map changes the dimension")
-            rows[idx].append((j, 1))
-            carried.append(e)
-        mats.append(tuple(map(tuple, rows)))
-        elements.append(tuple(carried))
-    cm = ChainMap(sub, sup, tuple(mats), tuple(elements))
-    for k in range(1, sub.dim + 1):
-        left = sparse_matmul(cm.matrix(k - 1), sub.boundaries[k])
-        right = sparse_matmul(sup.boundaries[k], cm.matrix(k))
-        if left != right:
-            raise CertificateError("chain map does not commute with boundaries")
-    return cm
+
+# ---------------------------------------------------------------------------
+# Quotients of flag subcomplexes, lifted from W's chain orbits
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FlagSimplex:
+    """The simplex orbit of W_F mod Gamma_F of the chain g.tau: tau a
+    simplex orbit of W, y a flag of flats of its top cell, g = w s^-1 for
+    the witness w carrying the root s^-1.y of y's orbit onto F, and
+    `fixing` = Stab(tau) cap Stab(y).  The element g and the stabilizer
+    g fixing g^-1 are multiplied out on the first read."""
+
+    tau: SimplexOrbit
+    flag: FlatFlag
+    root: tuple[IntMatrix, IntMatrix]       # (w, s)
+    fixing: tuple[IntMatrix, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.tau.dim
+
+    @property
+    def chain(self) -> Chain:
+        return move_each(self.element, self.tau.chain)
+
+    @cached_property
+    def element(self) -> IntMatrix:
+        return int_matmul(self.root[0], int_inverse(self.root[1]))
+
+    @cached_property
+    def inverse(self) -> IntMatrix:
+        return int_inverse(self.element)
+
+    @cached_property
+    def stabilizer(self) -> tuple[IntMatrix, ...]:
+        return tuple(int_matmul(int_matmul(self.element, r), self.inverse)
+                     for r in self.fixing)
+
+
+def _carried(target: FlagSimplex, r: IntMatrix, e: IntMatrix,
+             source: FlagSimplex) -> IntMatrix:
+    """g' r^-1 e g^-1: it carries source's chain g.tau (or its face) onto
+    target's g'.tau' if e carries tau (or its face) onto tau' and r
+    carries target's flag onto the image of source's."""
+    return int_matmul(int_matmul(target.element, int_inverse(r)),
+                      int_matmul(e, source.inverse))
+
+
+class _FlagChains:
+    """The chain data of a lifted W_F: per dimension, the simplex t of W
+    under each simplex, the labels of W's simplices (flag -> (index, r),
+    r carrying the simplex's flag onto it), and the faces as (index, r,
+    e), multiplied out (`_carried`) on the first read.  It locates no
+    chain."""
+
+    def __init__(self, simplices, owners, labels, raw):
+        self.simplices, self.owners, self.labels = simplices, owners, labels
+        self.raw = raw
+
+    def stabilizer(self, simplex: FlagSimplex) -> tuple[IntMatrix, ...]:
+        return simplex.stabilizer
+
+    @cached_property
+    def faces(self):
+        return tuple(tuple(tuple((f, _carried(self.simplices[q - 1][f], r, e, s))
+                                 for f, r, e in faces)
+                           for s, faces in zip(self.simplices[q], level))
+                     for q, level in enumerate(self.raw))
+
+    def carry(self, chain: Chain):
+        raise IncompatibleComplexes("a flag lift locates no chain")
+
+
+def _carried_flag(perm: Sequence[int], flag: FlatFlag, flats,
+                  dims: Sequence[int]) -> tuple:
+    """The flag of flats of a cell holding the images of a top cell's
+    vectors, vector i at perm[i]: per member, the flat of its dimension
+    holding its image (None if none does)."""
+    return tuple(next((z for z in flats[d]
+                       if z.issuperset(map(perm.__getitem__, x))), None)
+                 for x, d in zip(flag, dims))
+
+
+class FlagLift:
+    """The quotients of the flag subcomplexes W_F mod Gamma_F and their
+    deletion maps, read off W mod Gamma's simplex orbits: induction over
+    flags, as `CosetLift` is over cosets.  No chain of W_F is enumerated,
+    moved or located.
+
+    A chain h.tau of W_F, tau a representative chain of W, has its top
+    cell in W_F, so tau's top cell sigma respects h^-1.F, a flag y of
+    flats of sigma (`cells._FlagDecoration`); h.tau and h'.tau are
+    Gamma_F-equivalent exactly when their flags lie in one
+    Stab(tau)-orbit.  So the simplex orbits of W_F are the pairs (tau,
+    Stab(tau)-orbit of y), y Gamma-equivalent to F (`FlagSimplex`).  Face
+    i of (tau, y) is (tau', e.y) for W's face tau' of tau and e carrying
+    the face onto it, with W's sign; a deletion map drops member i of y,
+    and the inclusion into W forgets y.  Stabilizers and elements are
+    those of the chains g.tau, so `CosetLift` lifts the quotients over
+    Omega.  Checked: every face and image keeps its flag type, and each
+    W_F's orbifold Euler characteristic is 0 (Gauss-Bonnet); D^2 = 0 of
+    the double complex certifies the boundaries and the maps."""
+
+    def __init__(self, w_qc: QuotientComplex):
+        self.w_qc = w_qc
+        self.complex = w_qc._index().complex
+        self.quotients: dict[tuple[int, ...], QuotientComplex] = {}
+        tops = [[s.top_orbit for s in level] for level in w_qc.simplices]
+        configs = [oc.cell.config for oc in self.complex.cells]
+        # per simplex of W and face: where its top cell's vectors go
+        self.perms = [[[_positions(e, configs[tops[q][t]],
+                                   configs[tops[q - 1][f]]) for f, e in faces]
+                       for t, faces in enumerate(level)]
+                      for q, level in enumerate(w_qc.located_faces)]
+
+    def _witnesses(self, decoration: _FlagDecoration, oid: int) -> dict:
+        """The flags of flats y of representative oid that an element
+        carries onto F, as y -> (w, s): y = s.x for the root x of its
+        Stab(sigma)-orbit, which w carries onto F."""
+        stabilizer = self.complex.stabilizers[oid]
+        act = decoration.action(oid, stabilizer)
+        out: dict = {}
+        done: set = set()
+        for x in decoration.points(oid):
+            if x not in done:
+                images = act(x)
+                done.update(images)
+                w = decoration.witness(oid, x)
+                if w is not None:
+                    for s, image in zip(stabilizer, images):
+                        out.setdefault(image, (w, s))
+        return out
+
+    def quotient(self, flag: RationalFlag) -> QuotientComplex:
+        """W_F mod Gamma_F for the flag F, lifted from W mod Gamma."""
+        w_qc, dims = self.w_qc, flag.dims
+        decoration = _FlagDecoration(self.complex, flag)
+        witnesses: dict[int, dict] = {}
+        simplices, owners, labels = [], [], []
+        euler = Fraction(0)
+        for q, level in enumerate(w_qc.simplices):
+            simplices.append([])
+            owners.append([])
+            labels.append([])
+            for t, (tau, stabilizer) in enumerate(zip(level,
+                                                      w_qc.stabilizers[q])):
+                oid = tau.top_orbit
+                if oid not in witnesses:
+                    witnesses[oid] = self._witnesses(decoration, oid)
+                act = decoration.action(oid, stabilizer)
+                label: dict = {}
+                for y, root in witnesses[oid].items():
+                    if y not in label:
+                        images = act(y)
+                        for r, image in zip(stabilizer, images):
+                            label.setdefault(image, (len(simplices[q]), r))
+                        fixing = tuple(r for r, image in zip(stabilizer, images)
+                                       if image == y)
+                        euler += Fraction((-1) ** q, len(fixing))
+                        simplices[q].append(FlagSimplex(tau, y, root, fixing))
+                        owners[q].append(t)
+                labels[q].append(label)
+        if euler:
+            raise CertificateError(f"Gauss-Bonnet sum {euler} != 0")
+        boundaries: list[SparseRows] = [()]
+        raw = [tuple(() for _ in simplices[0])]
+        for q in range(1, len(simplices)):
+            rows: list[dict[int, int]] = [{} for _ in simplices[q - 1]]
+            located = []
+            for j, (s, t) in enumerate(zip(simplices[q], owners[q])):
+                located.append([])
+                for i, ((f, e), perm) in enumerate(zip(
+                        w_qc.located_faces[q][t], self.perms[q][t])):
+                    top = w_qc.simplices[q - 1][f].top_orbit
+                    hit = labels[q - 1][f].get(_carried_flag(
+                        perm, s.flag, decoration.flats[top], dims))
+                    if hit is None:
+                        raise CertificateError("a face leaves its flag type")
+                    rows[hit[0]][j] = rows[hit[0]].get(j, 0) + (-1) ** i
+                    located[-1].append(hit + (e,))
+            raw.append(located)
+            boundaries.append(tuple(tuple((j, x) for j, x in row.items() if x)
+                                    for row in rows))
+        simplices = tuple(map(tuple, simplices))
+        qc = self.quotients[dims] = QuotientComplex(
+            w_qc.group, flag, simplices, tuple(boundaries),
+            _FlagChains(simplices, owners, labels, raw))
+        return qc
+
+    def deletion(self, dims: tuple[int, ...], i: int) -> ChainMap:
+        """The chain map of the lifted W_F of type dims into that of the
+        type without member i, or into W if none is left: (tau, y) goes to
+        (tau, y without member i)."""
+        source = self.quotients[dims]
+        short = dims[:i] + dims[i + 1:]
+        target = self.quotients[short] if short else self.w_qc
+        mats, hits = [], []
+        for q, level in enumerate(source.simplices):
+            hits.append([target.chains.labels[q][t].get(s.flag[:i] +
+                                                        s.flag[i + 1:])
+                         if short else (t, None)
+                         for s, t in zip(level, source.chains.owners[q])])
+            if None in hits[q]:
+                raise CertificateError("a chain map leaves its flag type")
+            rows: list[list[tuple[int, int]]] = \
+                [[] for _ in target.simplices[q]]
+            for j, (idx, _) in enumerate(hits[q]):
+                rows[idx].append((j, 1))
+            mats.append(tuple(map(tuple, rows)))
+
+        def carry(k: int, j: int) -> IntMatrix:
+            s, (idx, r) = source.simplices[k][j], hits[k][j]
+            return _carried(target.simplices[k][idx], r, int_identity(
+                len(r)), s) if short else s.inverse
+
+        return ChainMap(source, target, tuple(mats), carry)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +693,12 @@ class CosetLift:
         one per part, filed under key: part s is constrained by flags[s],
         and point i lies in part parts[i] (all in part 0 by default).  A
         simplex is listed as (level-1 simplex orbit, point)."""
+        if len(self.points) == 1:   # level 1: the lift is the identity
+            out = [QuotientComplex(group, flags[0], tuple(
+                tuple((s, self.points[0]) for s in level)
+                for level in qc.simplices), qc.boundaries)]
+            self._lifts[key] = (None, [0], None, out)
+            return out
         parts = parts or [0] * len(self.points)
         generators = [[[] for _ in qc.simplices] for _ in flags]
         euler = [Fraction(0)] * len(flags)
@@ -543,6 +755,8 @@ class CosetLift:
         target, the part of its first vertex's image."""
         _, _, generators, sources = self._lifts[source]
         labels, parts, _, targets = self._lifts[target]
+        if len(self.points) == 1:
+            return 0, ChainMap(sources[0], targets[0], cm.matrices)
         generators = generators[part]
         b = parts[self._move(cm.elements[0][generators[0][0][0]])
                   [generators[0][0][1]]]

@@ -3,15 +3,19 @@ image tables: every stabilizer element is applied to every member of the
 chain, and each image is canonicalised again; and the carry of a chain
 as it was before the quotient kept the least image of each anchored
 chain.  Also the chain enumeration as it was, with the vector sets
-rebuilt at every comparison.  Kept only here, as the oracles that the
-tests compare `quotient._ChainIndexer` and `quotient._enumerate_chains`
-with.
+rebuilt at every comparison, and the chain maps as the build located
+them before it lifted them (`induced_map`).  Kept only here, as the
+oracles that the tests compare `quotient._ChainIndexer`,
+`quotient._enumerate_chains` and `quotient.FlagLift` with.
 
 The stabilizers come from `config_stabilizer` and the simplex ids from
 the quotient's simplices, so nothing here reads the indexer."""
 
-from wellround.exactla import int_matmul, int_matvec
+from wellround.exactla import (
+    CertificateError, int_matmul, int_matvec, sparse_matmul,
+)
 from wellround.lattice import canonical_config, config_stabilizer
+from wellround.quotient import ChainMap, IncompatibleComplexes
 
 
 def apply_config(u, config):
@@ -76,3 +80,35 @@ def enumerate_chains(poset, top):
 
     grow((top,))
     return chains
+
+
+def induced_map(sub, sup):
+    """The chain map sending a simplex orbit of `sub` to the orbit of its
+    representative chain in `sup`, located by `sup`'s own chain index,
+    with the elements that carry the chains there; checked to commute
+    with the boundaries.  The build read its chain maps so before it
+    lifted them off W's chain orbits (`quotient.FlagLift`)."""
+    if sub.dim > sup.dim:
+        raise IncompatibleComplexes("source complex exceeds target dimension")
+    mats = []
+    elements = []
+    for k in range(sub.dim + 1):
+        rows = [[] for _ in sup.simplices[k]]
+        carried = []
+        for j, s in enumerate(sub.simplices[k]):
+            try:
+                (kk, idx), e = sup.carry(s.chain)
+            except KeyError as exc:
+                raise IncompatibleComplexes(str(exc)) from exc
+            if kk != k:
+                raise CertificateError("chain map changes the dimension")
+            rows[idx].append((j, 1))
+            carried.append(e)
+        mats.append(tuple(map(tuple, rows)))
+        elements.append(tuple(carried))
+    cm = ChainMap(sub, sup, tuple(mats), lambda k, j: elements[k][j])
+    for k in range(1, sub.dim + 1):
+        if sparse_matmul(cm.matrix(k - 1), sub.boundaries[k]) != \
+                sparse_matmul(sup.boundaries[k], cm.matrix(k)):
+            raise CertificateError("chain map does not commute with boundaries")
+    return cm

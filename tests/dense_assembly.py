@@ -45,7 +45,7 @@ def boundary_matrix(qc, k):
 
 
 def chain_map_matrix(sub, sup, k, twist=None):
-    """The k-th matrix of `quotient.induced_map(sub, sup)` (or of
+    """The k-th matrix of `chain_canon.induced_map(sub, sup)` (or of
     `derived_build.twisted_map(sub, sup, twist)`), dense: a 1 at the orbit
     in sup of each (twisted) k-simplex of sub."""
     mat = [[0] * len(sub.simplices[k]) for _ in sup.simplices[k]]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from chain_canon import apply_chain
+from chain_canon import apply_chain, induced_map
 from wellround.boundary import (
     DoubleComplex, FaceMapReport, HorizontalPiece, Summand, _field,
     _including, _layout, _pairs, _ranks,
@@ -30,7 +30,7 @@ from wellround.flags import (
 )
 from wellround.lattice import GroupSpec
 from wellround.quotient import (
-    ChainMap, QuotientComplex, barycentric_quotient, induced_map,
+    ChainMap, QuotientComplex, barycentric_quotient,
 )
 
 

@@ -214,6 +214,53 @@ def test_gauss_bonnet_certificate_raised_under_optimize(fixture, mutant):
         "CertificateError: Gauss-Bonnet sum ")
 
 
+# The flag lift of the SL_3 build loses one orbit of decorations: the
+# first root whose witness it asks for is answered with None, so the
+# simplices of that Stab(sigma)-orbit of flags of flats are never listed,
+# and the sum of (-1)^q / |stabilizer| over the lifted W_F moves off 0.
+# Or one lifted face is given a wrong decoration, its flag with the last
+# member dropped, which is no flag of F's type, so no orbit of the lift
+# holds it.  Each check must fire under -O.
+FLAG_LIFT_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import wellround.cells as cells
+    import wellround.quotient as quotient
+    from wellround.cli import run
+
+    asked = []
+    if sys.argv[1] == "drop-orbit":
+        real = cells._FlagDecoration.witness
+
+        def dropping(self, oid, chain):
+            asked.append(chain)
+            return None if len(asked) == 1 else real(self, oid, chain)
+
+        cells._FlagDecoration.witness = dropping
+    else:
+        real = quotient._carried_flag
+
+        def wrong(perm, flag, flats, dims):
+            asked.append(flag)
+            carried = real(perm, flag, flats, dims)
+            return carried[:-1] if len(asked) == 1 else carried
+
+        quotient._carried_flag = wrong
+    code = run(["boundary", "total", "-n", "3", "--group", "sl"])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+@pytest.mark.parametrize("mutant, error", [
+    ("drop-orbit", "Gauss-Bonnet sum "),
+    ("wrong-decoration", "a face leaves its flag type"),
+])
+def test_flag_lift_certificates_raised_under_optimize(mutant, error):
+    cli_line, result_line = _run_optimized(FLAG_LIFT_SCRIPT, mutant)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line)["error"].startswith(
+        f"CertificateError: {error}")
+
+
 # Every pivot of the integer simplex raises the last entry of the last
 # row of the tableau by 1.  In the simplex that row holds the reduced
 # costs, and its last entry the objective, which no pivot choice reads:
@@ -369,20 +416,20 @@ def test_boundary_duality_certificate_raised_under_optimize():
 
 # The first entry of the degree-0 inclusion matrix of the line
 # subcomplex into W mod SL_2(Z), the first chain map the level-1 build
-# makes, is negated after `induced_map` has checked it and before the
-# lift, so the restriction from W/Gamma_0(11) into the total complex is
-# no cochain map, and D^2 = 0 over the augmented complex, column -1
-# included, must fail.
+# makes, is negated after the flag lift has checked it and before the
+# lift through Omega, so the restriction from W/Gamma_0(11) into the
+# total complex is no cochain map, and D^2 = 0 over the augmented
+# complex, column -1 included, must fail.
 COCHAIN_MAP_SCRIPT = textwrap.dedent("""
     import dataclasses, json, sys
-    import wellround.boundary as boundary
+    import wellround.quotient as quotient
     from wellround.cli import run
 
-    real = boundary.induced_map
+    real = quotient.FlagLift.deletion
     flips = []
 
-    def corrupted(sub, sup):
-        cm = real(sub, sup)
+    def corrupted(lift, dims, i):
+        cm = real(lift, dims, i)
         if flips:
             return cm
         flips.append(1)
@@ -393,7 +440,7 @@ COCHAIN_MAP_SCRIPT = textwrap.dedent("""
         return dataclasses.replace(
             cm, matrices=(tuple(map(tuple, m0)),) + cm.matrices[1:])
 
-    boundary.induced_map = corrupted
+    quotient.FlagLift.deletion = corrupted
     code = run(["boundary", "restrict", "-n", "2", "--group", "gamma0",
                 "--level", "11"])
     print(json.dumps({"optimize": sys.flags.optimize, "code": code}))

@@ -126,14 +126,13 @@ def test_lift_with_the_other_convention_fails_its_certificates(monkeypatch):
 
 
 def test_congruence_build_lifts_without_deriving(monkeypatch):
-    # the level-1 build derives, subdivides and locates; after it, a
-    # congruence build calls none of these (at the parent it made 13
+    # the level-1 build walks, subdivides and lifts the flag quotients;
+    # after it, a congruence build calls none of these (it once made 13
     # barycentric quotients and 74 flag equivalences in one n = 2 sweep)
     build_double_complex(GroupSpec(3, "sl"))
     calls = []
     for module, name in [(boundary, "barycentric_quotient"),
-                         (boundary, "induced_map"),
-                         (boundary, "subcomplex_WF"),
+                         (boundary, "FlagLift"),
                          (boundary, "enumerate_W"), (cells, "_derive"),
                          (cells, "flag_equivalent"),
                          (flags, "flag_equivalent")]:

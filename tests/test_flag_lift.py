@@ -1,0 +1,245 @@
+"""The flag quotients lifted off W's chain orbits (`quotient.FlagLift`)
+against the quotients of the derived flag subcomplexes that the build
+read before, `barycentric_quotient(subcomplex_WF(W, F))`, with their
+chain maps located chain by chain (`chain_canon.induced_map`).
+
+On SL_2, GL_2, SL_3 and GL_3, both enumeration variants and every flag
+type, one bijection of the simplex orbits matches: a lifted simplex g.tau
+goes to the orbit of its chain, located in W_F as it was before (the
+least image of the chain moved onto its top cell's representative).
+Through it the counts, the boundaries, the stabilizers (as sets) and
+every chain map agree, and every located-face and chain-map element
+carries its chain onto the representative it names.  The double
+complexes built from the lift give the digests of the build from derived
+subcomplexes (`golden/double_complex_digests.json`): dims, restriction,
+total cohomology and spectral pages over Q and F_3.  And the SL_3
+level-1 build derives no W_F, subdivides W alone, carries no chain
+outside W's quotient and searches only in the walk."""
+
+import json
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+import chain_canon
+import wellround.boundary as boundary
+import wellround.cells as cells
+import wellround.quotient as quotient
+from chain_canon import apply_chain, induced_map
+from wellround.boundary import (
+    build_double_complex, restriction, spectral_sequence, total_cohomology,
+)
+from wellround.cells import enumerate_W, subcomplex_WF
+from wellround.exactla import int_inverse, int_matmul
+from wellround.flags import flag_types, in_parabolic, standard_flag
+from wellround.lattice import GroupSpec
+from wellround.quotient import FlagLift, barycentric_quotient
+
+LEVEL_ONE = {"SL_2": GroupSpec(2, "sl"), "GL_2": GroupSpec(2, "gl"),
+             "SL_3": GroupSpec(3, "sl"), "GL_3": GroupSpec(3, "gl")}
+CONGRUENCE = {
+    "Gamma_0(11)": GroupSpec(2, "gamma0", 11),
+    "Gamma_0(6)": GroupSpec(2, "gamma0", 6),
+    "Gamma(3)": GroupSpec(2, "gamma", 3),
+    "Gamma_0(2) in SL_3": GroupSpec(3, "gamma0", 2),
+    "Gamma_0(3) in SL_3": GroupSpec(3, "gamma0", 3),
+    "Gamma(2) in SL_3": GroupSpec(3, "gamma", 2),
+}
+DIGESTS = Path(__file__).parent / "golden" / "double_complex_digests.json"
+
+
+def _types(n):
+    return [dims for p in range(n - 1) for dims in flag_types(n, p + 2)]
+
+
+@cache
+def _both(name, variant):
+    """(w_qc, per flag type: (lifted, derived quotient, bijection), lifted
+    deletion maps): the bijection sends each lifted simplex, by dimension,
+    to the index of its chain's orbit among the derived simplices."""
+    group = LEVEL_ONE[name]
+    w = enumerate_W(group, variant=variant)
+    w_qc = barycentric_quotient(w)
+    lift = FlagLift(w_qc)
+    pairs = {None: (w_qc, w_qc, [list(range(len(level)))
+                                 for level in w_qc.simplices])}
+    for dims in _types(group.n):
+        flag = standard_flag(group.n, dims)
+        lifted = lift.quotient(flag)
+        wf = subcomplex_WF(w, flag)
+        old = barycentric_quotient(wf)
+        stabs = chain_canon.stabilizers(wf)
+        ids = chain_canon.simplex_ids(old)
+        bijection = []
+        for k, level in enumerate(lifted.simplices):
+            images = []
+            for s in level:
+                kk, idx = chain_canon.locate(wf, stabs, ids, s.chain)
+                assert kk == k
+                images.append(idx)
+            bijection.append(images)
+        pairs[dims] = (lifted, old, bijection, wf, stabs, ids)
+    maps = {(dims, i): lift.deletion(dims, i)
+            for dims in _types(group.n) for i in range(len(dims))}
+    return pairs, maps
+
+
+CASES = [(name, variant) for name in LEVEL_ONE for variant in (0, 1)]
+
+
+def _dense(rows, height, width):
+    mat = [[0] * width for _ in range(height)]
+    for r, row in enumerate(rows):
+        for c, x in row:
+            mat[r][c] = x
+    return mat
+
+
+def _permuted(rows, width, row_map, col_map, height):
+    """The sparse matrix with row r moved to row_map[r] and column c to
+    col_map[c], dense."""
+    mat = [[0] * width for _ in range(height)]
+    for r, row in enumerate(rows):
+        for c, x in row:
+            mat[row_map[r]][col_map[c]] = x
+    return mat
+
+
+@pytest.mark.parametrize("name, variant", CASES)
+def test_simplices_match_one_to_one(name, variant):
+    pairs, _ = _both(name, variant)
+    for dims in _types(LEVEL_ONE[name].n):
+        lifted, old, bijection = pairs[dims][:3]
+        assert lifted.counts() == old.counts()
+        for k, images in enumerate(bijection):
+            assert sorted(images) == list(range(len(old.simplices[k])))
+
+
+@pytest.mark.parametrize("name, variant", CASES)
+def test_boundaries_match(name, variant):
+    pairs, _ = _both(name, variant)
+    for dims in _types(LEVEL_ONE[name].n):
+        lifted, old, bijection = pairs[dims][:3]
+        for k in range(1, lifted.dim + 1):
+            height, width = len(old.simplices[k - 1]), len(old.simplices[k])
+            assert _permuted(lifted.boundaries[k], width, bijection[k - 1],
+                             bijection[k], height) == \
+                _dense(old.boundaries[k], height, width)
+
+
+@pytest.mark.parametrize("name, variant", CASES)
+def test_stabilizers_match_as_sets(name, variant):
+    # e carries the lifted chain onto the derived representative, so the
+    # lifted stabilizer is e^-1 (the derived one) e
+    pairs, _ = _both(name, variant)
+    for dims in _types(LEVEL_ONE[name].n):
+        lifted, old, bijection, wf, stabs, ids = pairs[dims]
+        for k, level in enumerate(lifted.simplices):
+            for s, stabilizer in zip(level, lifted.stabilizers[k]):
+                (_, idx), e = chain_canon.carry(wf, stabs, ids, s.chain)
+                e_inv = int_inverse(e)
+                assert set(stabilizer) == {
+                    int_matmul(int_matmul(e_inv, g), e)
+                    for g in old.stabilizers[k][idx]}
+
+
+@pytest.mark.parametrize("name, variant", CASES)
+def test_located_faces_carry_their_chains(name, variant):
+    pairs, _ = _both(name, variant)
+    group = LEVEL_ONE[name]
+    for dims in _types(group.n):
+        lifted = pairs[dims][0]
+        flag = standard_flag(group.n, dims)
+        for k, level in enumerate(lifted.located_faces):
+            for s, faces in zip(lifted.simplices[k], level):
+                assert len(faces) == (k + 1 if k else 0)
+                for i, (f, e) in enumerate(faces):
+                    assert group.contains(e) and in_parabolic(e, flag)
+                    assert apply_chain(e, s.chain[:i] + s.chain[i + 1:]) == \
+                        lifted.simplices[k - 1][f].chain
+
+
+@pytest.mark.parametrize("name, variant", CASES)
+def test_chain_maps_match_the_located_ones(name, variant):
+    pairs, maps = _both(name, variant)
+    for (dims, i), cm in maps.items():
+        short = dims[:i] + dims[i + 1:] or None
+        src, tgt = pairs[dims], pairs[short]
+        want = induced_map(src[1], tgt[1])
+        for k, m in enumerate(cm.matrices):
+            height, width = len(tgt[1].simplices[k]), len(src[1].simplices[k])
+            assert _permuted(m, width, tgt[2][k], src[2][k], height) == \
+                _dense(want.matrices[k], height, width)
+            image = {j: r for r, row in enumerate(m) for j, _ in row}
+            for j, (s, e) in enumerate(zip(cm.source.simplices[k],
+                                           cm.elements[k])):
+                assert apply_chain(e, s.chain) == \
+                    cm.target.simplices[k][image[j]].chain
+
+
+def _digest(dc):
+    """The answers of a double complex that do not depend on the order of
+    its generators."""
+    out = {"dims": list(dc.dims)}
+    for f in ("Q", "Fp:3"):
+        out["restriction " + f] = [
+            [d.degree, d.dim_retract, d.dim_total, d.rank, d.interior]
+            for d in restriction(dc, f).degrees]
+        out["total_cohomology " + f] = [[d["degree"], d["betti"]]
+                                        for d in total_cohomology(dc, f)]
+        pages, abutment = spectral_sequence(dc, f)
+        out["pages " + f] = [
+            [p.r, sorted([list(pq), n] for pq, n in p.entries.items()),
+             sorted([list(pq), sum(map(sum, m))]
+                    for pq, m in p.differentials.items())] for p in pages]
+        out["abutment " + f] = abutment
+    return out
+
+
+@pytest.mark.parametrize("name", list(CONGRUENCE))
+def test_double_complex_digests_are_the_derived_builds(name):
+    want = json.loads(DIGESTS.read_text())[name]
+    assert _digest(build_double_complex(CONGRUENCE[name])) == want
+
+
+def test_sl3_build_lifts_the_flag_quotients(monkeypatch, cold_level_one):
+    # the SL_3 level-1 build derives no W_F (3 derivations when it
+    # subdivided them), subdivides W alone (4 quotients), carries only
+    # the 71 faces of W's quotient (1,091 chains carried, into all four),
+    # and asks for one witness per root of a flag orbit (9)
+    calls = {"derive": 0, "barycentric_quotient": 0, "flag_equivalent": 0}
+    carried = []
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cells, "_derive", "derive")
+    counted(boundary, "barycentric_quotient", "barycentric_quotient")
+    counted(cells, "flag_equivalent", "flag_equivalent")
+    real_carry = quotient._ChainIndexer.carry
+    monkeypatch.setattr(quotient._ChainIndexer, "carry",
+                        lambda self, chain: carried.append(
+                            self.complex.constraint) or real_carry(self,
+                                                                   chain))
+    build_double_complex(GroupSpec(3, "sl"))
+    assert calls == {"derive": 0, "barycentric_quotient": 1,
+                     "flag_equivalent": 9}
+    assert carried == [None] * 71
+
+
+def test_sl3_build_searches_in_the_walk_only(monkeypatch, cold_level_one):
+    # W's quotient locates the top cell of every face through the
+    # closure of its coface, so the build makes the walk's 6 searches
+    # (11 when the quotient searched for 5 of those top cells)
+    calls = []
+    real = cells.config_equiv
+    monkeypatch.setattr(cells, "config_equiv", lambda *args, **kwargs:
+                        calls.append(args) or real(*args, **kwargs))
+    build_double_complex(GroupSpec(3, "sl"))
+    assert len(calls) == 6

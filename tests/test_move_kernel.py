@@ -103,7 +103,9 @@ def test_sl3_build_computes_each_image_once(monkeypatch):
     # moving every chain by its whole stabilizer computed 2,451 vector and
     # 3,449 configuration images.  The walk moves each representative's
     # face candidates, faces, cofaces and neighbours by its stabilizer,
-    # which adds images: 2,354 and 2,168 when it solved every neighbour
+    # which adds images: 2,354 and 2,168 when it solved every neighbour.
+    # The flag quotients are lifted off W's chain orbits and move no
+    # chain: deriving and subdividing the three W_F took 3,084 and 2,383
     boundary._level_one.cache_clear()
     lattice._image_table.cache_clear()
     computed = Counter()
@@ -117,13 +119,15 @@ def test_sl3_build_computes_each_image_once(monkeypatch):
     build_double_complex(GroupSpec(3, "sl"))
     assert set(computed.values()) == {1}
     vectors = sum(type(key[0]) is int for _, key in computed)
-    assert (vectors, len(computed) - vectors) == (3084, 2383)
+    assert (vectors, len(computed) - vectors) == (1498, 732)
 
 
 def test_sl3_build_locates_each_face_once(monkeypatch):
-    # the boundary pass carries each face once and keeps the elements:
-    # 723 faces and 368 chain-map images, 1,091 chain lookups where the
-    # faces were located twice (1,814)
+    # the boundary pass of W's quotient carries each of its 71 faces once
+    # and keeps the elements; the flag quotients read their 652 faces and
+    # the 368 chain-map images off W's, with no chain lookup.  Locating
+    # every face and image took 1,091 lookups, and 1,814 when the faces
+    # were located twice
     boundary._level_one.cache_clear()
     calls = []
     real = quotient._ChainIndexer._anchored
@@ -132,12 +136,12 @@ def test_sl3_build_locates_each_face_once(monkeypatch):
                         real(self, chain))
     build_double_complex(GroupSpec(3, "sl"))
     level = boundary._level_one(GroupSpec(3, "sl"), 0)
-    faces = sum(len(located) for qc in level.quotients.values()
-                for per_dim in qc.located_faces for located in per_dim)
+    faces = [sum(len(located) for per_dim in qc.located_faces
+                 for located in per_dim) for qc in level.quotients.values()]
     images = sum(len(cm.source.simplices[k])
                  for pieces in level.deletions.values()
                  for _, _, cm in pieces for k in range(len(cm.matrices)))
-    assert (len(calls), faces, images) == (1091, 723, 368)
+    assert (len(calls), faces[0], sum(faces), images) == (71, 71, 723, 368)
 
 
 def test_lifted_quotient_has_no_chain_index():

@@ -6,10 +6,10 @@ translate by a group element, both must give the same orbit, also on a
 second (remembered) lookup.  The witness must lie in the group, keep
 the flag of a flag subcomplex and carry the configuration onto the
 representative.  For W it is the scan's witness, whether the index
-found it by the same search (level 1) or looked it up in the coset
-space (a congruence group); a derived W_F's index is filled with the
-located closures of its representatives instead, whose witnesses are
-products along the faces."""
+found it by the same search (level 1), looked it up in the coset
+space (a congruence group) or filed it from a closure (the top cells of
+faces that a quotient locates); a derived W_F's lookup keeps the first
+witness of its own, which need not be the flag-constrained scan's."""
 
 import pytest
 

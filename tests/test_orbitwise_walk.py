@@ -18,6 +18,7 @@ import os
 import pytest
 
 import chain_canon as old
+from chain_canon import induced_map
 from test_certificates import _run_optimized
 from test_orbit_locate import COMPLEXES
 
@@ -26,7 +27,7 @@ from wellround.cells import (
 )
 from wellround.flags import standard_flag
 from wellround.lattice import GroupSpec, move_config
-from wellround.quotient import barycentric_quotient, induced_map
+from wellround.quotient import barycentric_quotient
 
 LEVEL_ONE = [(GroupSpec(n, family), variant) for n in (2, 3)
              for family in ("sl", "gl") for variant in (0, 1)]

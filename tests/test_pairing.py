@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cone_assembly
 import filtered_pages as oracle
-import wellround.boundary as boundary
+import wellround.quotient as quotient
 from wellround.boundary import (
     DoubleComplex, boundary_homology, build_double_complex, face_map,
     restriction, spectral_sequence, total_cohomology,
@@ -99,17 +99,17 @@ def test_restriction_certificate_fires_on_a_flipped_inclusion(
     # level-1 build, has one entry negated after its own check and before
     # the lift: D^2 = 0 over the augmented complex is then the
     # certificate that fires
-    real = boundary.induced_map
+    real = quotient.FlagLift.deletion
     flips = []
 
-    def flipping(sub, sup):
-        cm = real(sub, sup)
+    def flipping(lift, dims, i):
+        cm = real(lift, dims, i)
         if not flips:
             flips.append(cm)
             return _flipped(cm)
         return cm
 
-    monkeypatch.setattr(boundary, "induced_map", flipping)
+    monkeypatch.setattr(quotient.FlagLift, "deletion", flipping)
     with pytest.raises(CertificateError, match="D\\*D=0"):
         build_double_complex(GroupSpec(2, "gamma0", 11))
     assert flips

@@ -4,6 +4,7 @@ import pytest
 
 import wellround.exactla as exactla
 import wellround.quotient as quotient
+from chain_canon import induced_map
 from dense_assembly import dense
 from wellround.cells import enumerate_W, subcomplex_WF
 from wellround.flags import flag_orbits, flag_types, standard_flag
@@ -11,7 +12,7 @@ from wellround.lattice import GroupSpec
 from wellround.quotient import (
     IncompatibleComplexes, QuotientComplex, SimplexOrbit,
     barycentric_quotient, cohomology, group_euler_characteristic, homology,
-    induced_map, orbifold_euler_characteristic, parse_coeff,
+    orbifold_euler_characteristic, parse_coeff,
 )
 
 
