@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -49,7 +49,7 @@ from .lattice import (
     GramForm, GroupSpec, VectorConfig, _char_pairings, _first_witness,
     canonical_config, canonical_vector, config_equiv, config_from_json,
     config_spans, config_stabilizer, minimal_vectors, move_config,
-    move_each, normalize, vectors_below,
+    move_each, normalize, signed_permutation, vectors_below,
 )
 from .retraction import _qf
 
@@ -323,13 +323,22 @@ def _close_up(base_config: VectorConfig, w: IntVector,
         tight.extend(forced)
 
 
-def _add_orbit(found: dict[VectorConfig, Cell], cell: Cell,
-               moves: Sequence[IntMatrix]):
-    """File the cell and its moved cells s.cell, one per configuration."""
+# The neighbours of a cell that `_face_orbits` and `_coface_orbits` find:
+# config -> (c, s), c the cell built for its S-orbit and s.c = config.
+Found = dict[VectorConfig, tuple[Cell, IntMatrix]]
+
+
+def _add_orbit(found: Found, cell: Cell, moves: Sequence[IntMatrix]):
+    """File the configurations s.cell, each with the first s giving it."""
     for s in moves:
-        image = move_config(s, cell.config)
-        if image not in found:
-            found[image] = cell if image == cell.config else _moved_cell(cell, s)
+        found.setdefault(move_config(s, cell.config), (cell, s))
+
+
+def _moved_cells(found: Found) -> list[Cell]:
+    """The cells of the found configurations, sorted: each built cell,
+    and its moved cells s.c."""
+    return [c if config == c.config else _moved_cell(c, s)
+            for config, (c, s) in sorted(found.items())]
 
 
 def cell_faces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
@@ -342,16 +351,21 @@ def cell_faces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
     times what w closes up to.  The least face of each S-orbit is built
     by `cell_from_config`, as the search from every contact builds it;
     the others are its moved cells."""
+    return _moved_cells(_face_orbits(cell, _fixing(cell, stabilizer)))
+
+
+def _face_orbits(cell: Cell, moves: Sequence[IntMatrix]) -> Found:
+    """The faces of `cell_faces`, one cell built per orbit of the checked
+    stabilizer `moves`."""
     if cell.dim == 0:
-        return []
+        return {}
     n = cell.n
-    moves = _fixing(cell, stabilizer)
     cands = sorted({v for s in moves for v in move_each(s, cell.contacts)})
     images = [move_each(s, cands) for s in moves]
     if any(set(image) != set(cands) for image in images):
         raise CertificateError(
             "the stabilizer does not permute the face candidates")
-    found: dict[VectorConfig, Cell] = {}
+    found: Found = {}
     searched: set[IntVector] = set()
     for i, w in enumerate(cands):
         if w in searched:
@@ -369,7 +383,7 @@ def cell_faces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
         except (Infeasible, NotSpanning):
             continue
         _add_orbit(found, face, moves)
-    return [found[k] for k in sorted(found)]
+    return found
 
 
 def cell_cofaces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
@@ -378,13 +392,18 @@ def cell_cofaces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]
     Each orbit of them under the given stabilizer (default: the identity)
     is decided by its least member, built by `cell_from_config`; the
     others are its moved cells."""
+    return _moved_cells(_coface_orbits(cell, _fixing(cell, stabilizer)))
+
+
+def _coface_orbits(cell: Cell, moves: Sequence[IntMatrix]) -> Found:
+    """The cofaces of `cell_cofaces`, one cell built per orbit of the
+    checked stabilizer `moves`."""
     config = cell.config
     n = cell.n
     target = _config_sym_rank(config) - 1
     if target < n:
-        return []
-    moves = _fixing(cell, stabilizer)
-    found: dict[VectorConfig, Cell] = {}
+        return {}
+    found: Found = {}
     decided: set[VectorConfig] = set()
     for k in range(1, len(config)):
         for cut in combinations(range(len(config)), k):
@@ -402,7 +421,7 @@ def cell_cofaces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]
                 _add_orbit(found, cell_from_config(least), moves)
             except (Infeasible, NotSpanning):
                 continue
-    return [found[k] for k in sorted(found)]
+    return found
 
 
 def root_form(n: int) -> GramForm:
@@ -552,7 +571,8 @@ class OrbitComplex:
                 raise ValueError(f"cells {hit[0]} and {item['id']} lie in "
                                  "one orbit")
             oid = index.add(cell)
-            faces.append(cell_faces(cell, index.stabilizers[oid]))
+            faces.append([(f.config, f.dim)
+                          for f in cell_faces(cell, index.stabilizers[oid])])
         dims = [oc.cell.dim for oc in index.orbits]
         incidences = []
         for i in data.get("incidences", ()):
@@ -594,7 +614,9 @@ class _OrbitIndex:
     through its parent instead.  A lookup yields every element carrying
     the configuration onto its representative; the index keeps the one
     the search would have found first (`_first_witness`), so both paths
-    give the same answers, and checks it."""
+    give the same answers, and checks it.  Each representative's
+    stabilizer acts on its vectors as signed permutations (`tables`), made
+    once and read by lookup."""
 
     def __init__(self, group: GroupSpec, constraint: Optional[RationalFlag],
                  lookup: Optional[_DerivedLookup] = None):
@@ -606,6 +628,9 @@ class _OrbitIndex:
         self.lookup = lookup
         self.stabilizers: list[tuple[IntMatrix, ...]] = \
             [] if lookup is None else lookup.stabilizers
+        # per orbit: each stabilizer element s, in order, with
+        # signed_permutation(s, the representative's config)
+        self.tables: list[dict[IntMatrix, tuple[int, ...]]] = []
 
     def locate(self, config: VectorConfig, dim: Optional[int] = None):
         """(orbit id, u) with u carrying the configuration onto the
@@ -640,7 +665,7 @@ class _OrbitIndex:
             return None
         oid, w = found
         rep = self.orbits[oid].cell.config
-        u = _first_witness(config, rep, self.stabilizers[oid], w)
+        u = _first_witness(config, rep, self.tables[oid], w)
         if not self.group.contains(u) or (
                 self.constraint is not None
                 and not in_parabolic(u, self.constraint)):
@@ -654,7 +679,10 @@ class _OrbitIndex:
     def add(self, cell: Cell) -> int:
         """A new orbit, represented by the cell.  A searched index computes
         its stabilizer in the group (in Gamma_F under a constraint),
-        sorted, and files the representative; a derived one has both."""
+        sorted, and files the representative under the identity (the
+        first witness of its stabilizer); a derived one has both.  The
+        stabilizer is tabled as signed permutations of the cell's
+        vectors, which checks that each element fixes the cell."""
         oid = len(self.orbits)
         self.orbits.append(OrbitCell(oid, cell))
         key = (cell.dim, _orbit_key(cell.config))
@@ -662,7 +690,9 @@ class _OrbitIndex:
         if self.lookup is None:
             self.stabilizers.append(config_stabilizer(
                 cell.config, self.group, flag=self.constraint).elements)
-            self.file(cell.config, oid, int_identity(self.group.n))
+            self._hits[cell.config] = (oid, int_identity(self.group.n))
+        self.tables.append({s: signed_permutation(s, cell.config)
+                            for s in self.stabilizers[oid]})
         return oid
 
     def file(self, config: VectorConfig, oid: int, w: IntMatrix):
@@ -682,22 +712,23 @@ class _OrbitIndex:
                 self.file(image, oid, int_matmul(u, int_inverse(s)))
 
 
-def _orbit_complex(index: _OrbitIndex, rep_faces: Sequence[Sequence[Cell]],
+def _orbit_complex(index: _OrbitIndex,
+                   rep_faces: Sequence[Sequence[tuple[VectorConfig, int]]],
                    incidences: Optional[Sequence[Incidence]] = None
                    ) -> OrbitComplex:
     """The complex of the orbits in the index.  Each representative
     carries its faces, given by the caller in the order of the
-    representatives and located through the index, and its stabilizer,
-    which the index computed when it added the orbit; the incidences
-    default to the faces of codimension 1."""
+    representatives as (config, dim) and located through the index, and
+    its stabilizer, which the index computed when it added the orbit; the
+    incidences default to the faces of codimension 1."""
     faces = []
     for found in rep_faces:
         located = []
-        for f in found:
-            hit = index.locate(f.config, f.dim)
+        for config, dim in found:
+            hit = index.locate(config, dim)
             if hit is None:
-                raise KeyError(f"cell not found in complex: {f.config}")
-            located.append(Face(f.config, f.dim, *hit))
+                raise KeyError(f"cell not found in complex: {config}")
+            located.append(Face(config, dim, *hit))
         faces.append(tuple(located))
     if incidences is None:
         incidences = [Incidence(oid, f.orbit, f.via)
@@ -726,29 +757,33 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
     cofaces are found once per S-orbit, and the faces are handed on.  The
     first neighbour met of each S-orbit is searched, or starts an orbit,
     built as `cell_faces` and `cell_cofaces` build the least one, and
-    its S-images are located from its witness (`file_images`)."""
+    its S-images are located from its witness (`file_images`).  The walk
+    reads a neighbour's configuration and dimension only, so a moved one
+    is made a cell only if it starts an orbit."""
     index = _OrbitIndex(group, None)
     if variant:
         shift = _seed_shift(group)
         seed = cell_from_config(move_config(shift, seed.config))
     index.add(seed)
-    faces: list[list[Cell]] = []
+    faces: list[list[tuple[VectorConfig, int]]] = []
     while len(faces) < len(index.orbits):    # in id order, breadth first
         rep = index.orbits[len(faces)].cell
         stabilizer = index.stabilizers[len(faces)]
-        faces.append(cell_faces(rep, stabilizer))
-        neighbors = faces[-1] + cell_cofaces(rep, stabilizer)
+        neighbors = sorted(_face_orbits(rep, stabilizer).items())
+        faces.append([(config, nb.dim) for config, (nb, _) in neighbors])
+        neighbors += sorted(_coface_orbits(rep, stabilizer).items())
         if variant:
-            neighbors = list(reversed(neighbors))
-        for nb in neighbors:
-            if nb.config in index._hits:
+            neighbors.reverse()
+        for config, (nb, s) in neighbors:
+            if config in index._hits:
                 continue
-            if index.locate(nb.config, nb.dim) is None:
-                if nb.config != min(move_config(s, nb.config)
-                                    for s in stabilizer):
-                    nb = cell_from_config(nb.config, tighten=nb.dim < rep.dim)
+            if index.locate(config, nb.dim) is None:
+                if config != min(move_config(t, config) for t in stabilizer):
+                    nb = cell_from_config(config, tighten=nb.dim < rep.dim)
+                elif config != nb.config:
+                    nb = _moved_cell(nb, s)
                 index.add(nb)
-            index.file_images(nb.config, stabilizer)
+            index.file_images(config, stabilizer)
     return _orbit_complex(index, faces)
 
 
@@ -986,25 +1021,32 @@ class _FlagDecoration:
     type, the flag F' = g^-1.F that sigma respects when g.sigma lies in
     W_F, kept when `flag_equivalent` carries it onto F.  A configuration
     c located as u.c = sigma reads as the sets of sigma's vectors that are
-    images of c's vectors inside F's members.  `quotient.FlagLift`
-    decorates the simplex orbits of W's quotient with it too."""
+    images of c's vectors inside F's members.  A stabilizer acts through
+    its signed permutations of sigma's vectors (`_OrbitIndex.tables`).
+    `quotient.FlagLift` decorates the simplex orbits of W's quotient with
+    it too."""
 
     def __init__(self, complex: OrbitComplex, flag: RationalFlag):
         self.complex = complex
         self.group = complex.group
         self.constraint = flag
         self.flats = [_flats(oc.cell.config) for oc in complex.cells]
-        self.spans = [Echelon(QQ, int_transpose(m)) for m in flag.members]
         # flags of flats of different cells are often one flag
         self.witnesses: dict[RationalFlag, Optional[IntMatrix]] = {}
+
+    @cached_property
+    def spans(self) -> list[Echelon]:
+        """F's members, for `read`."""
+        return [Echelon(QQ, int_transpose(m)) for m in self.constraint.members]
 
     def points(self, oid: int) -> list[FlatFlag]:
         return _flat_flags(self.flats[oid], self.constraint.dims)
 
     def action(self, oid: int, stabilizer):
-        config = self.complex.cells[oid].cell.config
-        perms = [_positions(s, config, config) for s in stabilizer]
-        return lambda chain: [tuple(frozenset(perm[i] for i in x)
+        table = self.complex.index.tables[oid]
+        m = len(self.complex.cells[oid].cell.config)
+        perms = [table[s] for s in stabilizer]
+        return lambda chain: [tuple(frozenset(perm[i] % m for i in x)
                                     for x in chain) for perm in perms]
 
     def witness(self, oid: int, chain: FlatFlag) -> Optional[IntMatrix]:

@@ -189,15 +189,23 @@ def sparse_matmul(a: SparseRows, b: SparseRows) -> SparseRows:
 
 
 def int_det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination: every entry
-    stays an integer, and each division by the previous pivot is exact.
-    Zero pivots are replaced by a row swap, which flips the sign."""
-    a = [list(r) for r in m]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    """Determinant: up to 3 x 3 by cofactors along row 0 (column 0 of
+    `int_adjugate`'s closed form); beyond, by fraction-free (Bareiss)
+    elimination, where every entry stays an integer and each division by
+    the previous pivot is exact, and a zero pivot is replaced by a row
+    swap, which flips the sign."""
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("det of non-square matrix")
-    if n == 0:
-        return 1
+    if n <= 3:
+        if n < 2:
+            return m[0][0] if n else 1
+        if n == 2:
+            (a, b), (c, d) = m
+            return a * d - b * c
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+    a = [list(r) for r in m]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -27,9 +27,9 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
-    QQ, Echelon, IntMatrix, IntVector, RatMatrix, f_rank, format_rational,
-    int_adjugate, int_det, int_identity, int_ldlt, int_matmul, int_matrix,
-    int_matvec, int_transpose, parse_rational,
+    QQ, CertificateError, Echelon, IntMatrix, IntVector, RatMatrix, f_rank,
+    format_rational, int_adjugate, int_det, int_identity, int_ldlt,
+    int_matmul, int_matrix, int_matvec, int_transpose, parse_rational,
 )
 
 Vector = IntVector
@@ -42,8 +42,9 @@ VectorConfig = tuple[IntVector, ...]
 
 def canonical_vector(v: Sequence[int]) -> IntVector:
     """Sign-canonical representative of the pair {v, -v}: first nonzero
-    entry positive."""
-    v = tuple(int(x) for x in v)
+    entry positive.  A tuple of ints is taken as it is."""
+    if type(v) is not tuple or {*map(type, v)} != {int}:
+        v = tuple(map(int, v))
     for x in v:
         if x > 0:
             return v
@@ -352,8 +353,9 @@ class GroupSpec:
 
     def contains(self, u: IntMatrix, det: Optional[int] = None) -> bool:
         """Membership of an integer matrix; ``det``, when the caller has
-        it already, is det u."""
-        u = int_matrix(u)
+        it already, is det u.  Integer entries are taken as they are."""
+        if {type(x) for row in u for x in row} != {int}:
+            u = int_matrix(u)
         if len(u) != self.n or any(len(r) != self.n for r in u):
             return False
         if det is None:
@@ -435,21 +437,48 @@ def _image_candidates(dst: VectorConfig) -> list[tuple[int, int]]:
         [(j, -1) for j in range(len(dst))]
 
 
+def signed_permutation(u: IntMatrix, config: VectorConfig) -> tuple[int, ...]:
+    """u, which fixes +-config, as a signed permutation of the
+    configuration's m vectors: entry i is the position of u v_i among
+    `_image_candidates(config)`, j if u v_i = v_j and m + j if it is -v_j.
+    An element that does not fix the configuration is refused."""
+    pos = {v: j for j, v in enumerate(config)}
+    m = len(config)
+    out = []
+    for v in config:
+        w = int_matvec(u, v)
+        if w in pos:
+            out.append(pos[w])
+        elif (w := tuple(-x for x in w)) in pos:
+            out.append(m + pos[w])
+        else:
+            raise CertificateError("a stabilizer element moves the cell")
+    return tuple(out)
+
+
 def _first_witness(src: VectorConfig, dst: VectorConfig,
-                   stabilizer: Sequence[IntMatrix], w: IntMatrix) -> IntMatrix:
+                   table: dict[IntMatrix, tuple[int, ...]],
+                   w: IntMatrix) -> IntMatrix:
     """Of the elements t w, t in the stabilizer of dst, which are all the
     elements with U(+-src) = +-dst when w is one, the one that
     `_equiv_search` meets first: the least tuple of the positions, among
-    `_image_candidates`, of the images of src's basis vectors.  Only the
-    images of that basis under w are moved by each t, and only the first
-    element is multiplied out.  Anything else given sorts last."""
+    `_image_candidates`, of the images of src's basis vectors.  The
+    stabilizer is given as its table t -> `signed_permutation(t, dst)`,
+    so only the basis's images under w are computed, and each t moves
+    them by lookup; only the first element is multiplied out.  A w that
+    does not carry the basis into +-dst is returned as it is."""
     src = canonical_config(src)
+    m = len(dst)
     rank = {tuple(s * x for x in dst[j]): r
             for r, (j, s) in enumerate(_image_candidates(dst))}
-    basis = [int_matvec(w, src[i])
+    codes = [rank.get(int_matvec(w, src[i]))
              for i in _independent_basis(src, len(src[0]))]
-    t = min(stabilizer, key=lambda t: tuple(
-        rank.get(int_matvec(t, b), len(rank)) for b in basis))
+    if None in codes:
+        return w
+    # t(-v_j) is -(t v_j): the position shifts by m, modulo 2m
+    basis = [(c % m, c - c % m) for c in codes]
+    t, _ = min(table.items(), key=lambda item: tuple(
+        (item[1][j] + shift) % (2 * m) for j, shift in basis))
     return int_matmul(t, w)
 
 
@@ -469,8 +498,8 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
     tables, the norm of its basis vector and the pairings with the
     images already chosen.  A leaf forms U = W adj(B) / det B from the
     basis B and its images W and keeps it only if it is integral,
-    unimodular, maps src onto dst, lies in the group and preserves the
-    flag."""
+    unimodular and in the group (tested first: about half of SL_n's
+    leaves have det -1), maps src onto dst and preserves the flag."""
     n = group.n
     if len(src) != len(dst):
         return []
@@ -509,12 +538,10 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
             return None
         ui = tuple(tuple(x // det_b for x in row) for row in w_adj)
         det_u = int_det(ui)
-        if abs(det_u) != 1:
+        if abs(det_u) != 1 or not group.contains(ui, det_u):
             return None
         mapped = {canonical_vector(int_matvec(ui, v)) for v in src}
         if mapped != dst_set:
-            return None
-        if not group.contains(ui, det_u):
             return None
         if flag is not None and not _flag_preserved(ui, flag):
             return None

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .cells import FlatFlag, OrbitComplex, _FlagDecoration, _positions
@@ -431,12 +431,14 @@ class FlagSimplex:
     """The simplex orbit of W_F mod Gamma_F of the chain g.tau: tau a
     simplex orbit of W, y a flag of flats of its top cell, g = w s^-1 for
     the witness w carrying the root s^-1.y of y's orbit onto F, and
-    `fixing` = Stab(tau) cap Stab(y).  The element g and the stabilizer
-    g fixing g^-1 are multiplied out on the first read."""
+    `fixing` = Stab(tau) cap Stab(y).  The witness is found, and the
+    element g and the stabilizer g fixing g^-1 are multiplied out, on the
+    first read; a level-1 group carries every flag of F's type onto F, so
+    no witness is missing (checked)."""
 
     tau: SimplexOrbit
     flag: FlatFlag
-    root: tuple[IntMatrix, IntMatrix]       # (w, s)
+    root: tuple[Callable[[], Optional[IntMatrix]], IntMatrix]   # (w(), s)
     fixing: tuple[IntMatrix, ...]
 
     @property
@@ -449,7 +451,10 @@ class FlagSimplex:
 
     @cached_property
     def element(self) -> IntMatrix:
-        return int_matmul(self.root[0], int_inverse(self.root[1]))
+        w = self.root[0]()
+        if w is None:
+            raise CertificateError("no element carries a root flag onto F")
+        return int_matmul(w, int_inverse(self.root[1]))
 
     @cached_property
     def inverse(self) -> IntMatrix:
@@ -516,7 +521,11 @@ class FlagLift:
     flats of sigma (`cells._FlagDecoration`); h.tau and h'.tau are
     Gamma_F-equivalent exactly when their flags lie in one
     Stab(tau)-orbit.  So the simplex orbits of W_F are the pairs (tau,
-    Stab(tau)-orbit of y), y Gamma-equivalent to F (`FlagSimplex`).  Face
+    Stab(tau)-orbit of y), y Gamma-equivalent to F (`FlagSimplex`).  The
+    group is of level 1, where P(Z) is transitive on Omega: every flag of
+    F's type is Gamma-equivalent to F, so the orbits are those of the
+    flags of flats of that type, and the witness of an orbit's root is
+    found only when an element of its simplices is first read.  Face
     i of (tau, y) is (tau', e.y) for W's face tau' of tau and e carrying
     the face onto it, with W's sign; a deletion map drops member i of y,
     and the inclusion into W forgets y.  Stabilizers and elements are
@@ -528,6 +537,10 @@ class FlagLift:
     def __init__(self, w_qc: QuotientComplex):
         self.w_qc = w_qc
         self.complex = w_qc._index().complex
+        if self.complex.group.is_congruence or \
+                self.complex.constraint is not None:
+            raise IncompatibleComplexes("the flag lift reads W mod a group "
+                                        "of level 1")
         self.quotients: dict[tuple[int, ...], QuotientComplex] = {}
         tops = [[s.top_orbit for s in level] for level in w_qc.simplices]
         configs = [oc.cell.config for oc in self.complex.cells]
@@ -537,29 +550,25 @@ class FlagLift:
                        for t, faces in enumerate(level)]
                       for q, level in enumerate(w_qc.located_faces)]
 
-    def _witnesses(self, decoration: _FlagDecoration, oid: int) -> dict:
-        """The flags of flats y of representative oid that an element
-        carries onto F, as y -> (w, s): y = s.x for the root x of its
-        Stab(sigma)-orbit, which w carries onto F."""
+    def _roots(self, decoration: _FlagDecoration, oid: int) -> dict:
+        """The flags of flats y of F's type of representative oid, as y ->
+        (w, s): y = s.x for the root x of its Stab(sigma)-orbit, which w()
+        carries onto F."""
         stabilizer = self.complex.stabilizers[oid]
         act = decoration.action(oid, stabilizer)
         out: dict = {}
-        done: set = set()
         for x in decoration.points(oid):
-            if x not in done:
-                images = act(x)
-                done.update(images)
-                w = decoration.witness(oid, x)
-                if w is not None:
-                    for s, image in zip(stabilizer, images):
-                        out.setdefault(image, (w, s))
+            if x not in out:
+                witness = partial(decoration.witness, oid, x)
+                for s, image in zip(stabilizer, act(x)):
+                    out.setdefault(image, (witness, s))
         return out
 
     def quotient(self, flag: RationalFlag) -> QuotientComplex:
         """W_F mod Gamma_F for the flag F, lifted from W mod Gamma."""
         w_qc, dims = self.w_qc, flag.dims
         decoration = _FlagDecoration(self.complex, flag)
-        witnesses: dict[int, dict] = {}
+        roots: dict[int, dict] = {}
         simplices, owners, labels = [], [], []
         euler = Fraction(0)
         for q, level in enumerate(w_qc.simplices):
@@ -569,11 +578,11 @@ class FlagLift:
             for t, (tau, stabilizer) in enumerate(zip(level,
                                                       w_qc.stabilizers[q])):
                 oid = tau.top_orbit
-                if oid not in witnesses:
-                    witnesses[oid] = self._witnesses(decoration, oid)
+                if oid not in roots:
+                    roots[oid] = self._roots(decoration, oid)
                 act = decoration.action(oid, stabilizer)
                 label: dict = {}
-                for y, root in witnesses[oid].items():
+                for y, root in roots[oid].items():
                     if y not in label:
                         images = act(y)
                         for r, image in zip(stabilizer, images):

@@ -241,14 +241,16 @@ def test_walk_computes_faces_once_per_representative(n, reps, lps,
     # the walk asks for each representative's faces once, with its
     # stabilizer S, and the face search starts once per S-orbit of the
     # candidates: the SL_3 walk solves 16 LPs, where the search from
-    # every contact and the cell of every neighbour took 84
+    # every contact and the cell of every neighbour took 84.  The walk
+    # reads the faces as `_face_orbits` finds them, one built cell per
+    # S-orbit (`cell_faces` moves the built cells onto the others)
     import wellround.cells as cells
 
     asked = []
     starts = []
     solved = []
     real_faces, real_close_up, real_lp = \
-        cells.cell_faces, cells._close_up, cells.lp
+        cells._face_orbits, cells._close_up, cells.lp
 
     def faces(cell, stabilizer):
         asked.append((cell, stabilizer))
@@ -258,7 +260,7 @@ def test_walk_computes_faces_once_per_representative(n, reps, lps,
         starts.append((base_config, w))
         return real_close_up(base_config, w, cands, n)
 
-    monkeypatch.setattr(cells, "cell_faces", faces)
+    monkeypatch.setattr(cells, "_face_orbits", faces)
     monkeypatch.setattr(cells, "_close_up", close_up)
     monkeypatch.setattr(cells, "lp", lambda *args: solved.append(1) or
                         real_lp(*args))

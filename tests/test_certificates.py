@@ -214,13 +214,17 @@ def test_gauss_bonnet_certificate_raised_under_optimize(fixture, mutant):
         "CertificateError: Gauss-Bonnet sum ")
 
 
-# The flag lift of the SL_3 build loses one orbit of decorations: the
-# first root whose witness it asks for is answered with None, so the
-# simplices of that Stab(sigma)-orbit of flags of flats are never listed,
-# and the sum of (-1)^q / |stabilizer| over the lifted W_F moves off 0.
-# Or one lifted face is given a wrong decoration, its flag with the last
-# member dropped, which is no flag of F's type, so no orbit of the lift
-# holds it.  Each check must fire under -O.
+# The flag lift loses a witness: the first root of a Stab(sigma)-orbit of
+# flags of flats whose witness is read is answered with None.  The SL_3
+# build reads none (its one-point lift through Omega reads no element),
+# so the mutant runs on Gamma_0(2) in SL_3(Z), whose lift through Omega
+# reads the stabilizers and face elements of the lifted simplices.  Or
+# the lift loses a whole orbit: the first root listed on SL_3 is dropped
+# with its Stab(sigma)-orbit, so the simplices of that orbit are never
+# listed, and the sum of (-1)^q / |stabilizer| over the lifted W_F moves
+# off 0.  Or one lifted face is given a wrong decoration, its flag with
+# the last member dropped, which is no flag of F's type, so no orbit of
+# the lift holds it.  Each check must fire under -O.
 FLAG_LIFT_SCRIPT = textwrap.dedent("""
     import json, sys
     import wellround.cells as cells
@@ -228,6 +232,7 @@ FLAG_LIFT_SCRIPT = textwrap.dedent("""
     from wellround.cli import run
 
     asked = []
+    group = ["-n", "3", "--group", "sl"]
     if sys.argv[1] == "drop-orbit":
         real = cells._FlagDecoration.witness
 
@@ -236,6 +241,19 @@ FLAG_LIFT_SCRIPT = textwrap.dedent("""
             return None if len(asked) == 1 else real(self, oid, chain)
 
         cells._FlagDecoration.witness = dropping
+        group = ["-n", "3", "--group", "gamma0", "--level", "2"]
+    elif sys.argv[1] == "drop-root":
+        real = quotient.FlagLift._roots
+
+        def dropping(self, decoration, oid):
+            roots = real(self, decoration, oid)
+            asked.append(oid)
+            if len(asked) == 1:
+                first = next(iter(roots.values()))[0]
+                roots = {y: r for y, r in roots.items() if r[0] is not first}
+            return roots
+
+        quotient.FlagLift._roots = dropping
     else:
         real = quotient._carried_flag
 
@@ -245,13 +263,14 @@ FLAG_LIFT_SCRIPT = textwrap.dedent("""
             return carried[:-1] if len(asked) == 1 else carried
 
         quotient._carried_flag = wrong
-    code = run(["boundary", "total", "-n", "3", "--group", "sl"])
+    code = run(["boundary", "total"] + group)
     print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
 """)
 
 
 @pytest.mark.parametrize("mutant, error", [
-    ("drop-orbit", "Gauss-Bonnet sum "),
+    ("drop-orbit", "no element carries a root flag onto F"),
+    ("drop-root", "Gauss-Bonnet sum "),
     ("wrong-decoration", "a face leaves its flag type"),
 ])
 def test_flag_lift_certificates_raised_under_optimize(mutant, error):

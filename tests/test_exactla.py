@@ -304,6 +304,21 @@ def test_int_det_matches_rational_det(m):
         for i in range(n))
 
 
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=max(n - 1, 0), max_size=n + 1),
+    min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_int_det_of_lists_and_non_square_input(rows):
+    # the closed forms (n <= 3) and Bareiss (n >= 4) read lists of rows
+    # as they read tuples; a row of another length than the row count is
+    # refused with the one ValueError
+    if all(len(r) == len(rows) for r in rows):
+        assert int_det(rows) == gj.det(rows) == int_det(int_matrix(rows))
+    else:
+        with pytest.raises(ValueError, match="^det of non-square matrix$"):
+            int_det(rows)
+
+
 def test_int_det_zero_pivot_and_inverse():
     # zero leading pivots force row swaps, each flipping the sign
     assert int_det(((0, 1), (1, 0))) == -1

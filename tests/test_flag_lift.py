@@ -207,8 +207,11 @@ def test_sl3_build_lifts_the_flag_quotients(monkeypatch, cold_level_one):
     # the SL_3 level-1 build derives no W_F (3 derivations when it
     # subdivided them), subdivides W alone (4 quotients), carries only
     # the 71 faces of W's quotient (1,091 chains carried, into all four),
-    # and asks for one witness per root of a flag orbit (9)
-    calls = {"derive": 0, "barycentric_quotient": 0, "flag_equivalent": 0}
+    # and finds no witness of a root of a flag orbit: its one-point lift
+    # reads no element (9 witnesses, from 25 rational flags, when each
+    # root's witness was found as the root was listed)
+    calls = {"derive": 0, "barycentric_quotient": 0, "flag_equivalent": 0,
+             "rational_flag": 0}
     carried = []
 
     def counted(module, name, key):
@@ -222,6 +225,7 @@ def test_sl3_build_lifts_the_flag_quotients(monkeypatch, cold_level_one):
     counted(cells, "_derive", "derive")
     counted(boundary, "barycentric_quotient", "barycentric_quotient")
     counted(cells, "flag_equivalent", "flag_equivalent")
+    counted(cells, "_rational_flag", "rational_flag")
     real_carry = quotient._ChainIndexer.carry
     monkeypatch.setattr(quotient._ChainIndexer, "carry",
                         lambda self, chain: carried.append(
@@ -229,8 +233,39 @@ def test_sl3_build_lifts_the_flag_quotients(monkeypatch, cold_level_one):
                                                                    chain))
     build_double_complex(GroupSpec(3, "sl"))
     assert calls == {"derive": 0, "barycentric_quotient": 1,
-                     "flag_equivalent": 9}
+                     "flag_equivalent": 0, "rational_flag": 0}
     assert carried == [None] * 71
+
+
+def test_congruence_build_reads_the_witnesses_late(monkeypatch,
+                                                    cold_level_one):
+    # the lift of Gamma_0(2) in SL_3(Z) through Omega reads the lifted
+    # elements, so the witness of every root of a flag orbit is found
+    # then, once per distinct flag (9, as when they were found as the
+    # roots were listed), and the answers are those of the derived build
+    calls = []
+    real = cells.flag_equivalent
+    monkeypatch.setattr(cells, "flag_equivalent", lambda *args: calls.append(
+        args) or real(*args))
+    name = "Gamma_0(2) in SL_3"
+    dc = build_double_complex(CONGRUENCE[name])
+    assert len(calls) == 9
+    assert _digest(dc) == json.loads(DIGESTS.read_text())[name]
+
+
+@pytest.mark.parametrize("group", [GroupSpec(2, "gamma0", 11),
+                                   GroupSpec(3, "gamma0", 2)])
+def test_flag_lift_refuses_a_congruence_group(group):
+    # Gamma_F-orbits of flags of one type are not one orbit there, so the
+    # lift, which keeps every flag of flats as Gamma-equivalent to F,
+    # refuses W mod a congruence group, and a flag subcomplex's quotient
+    w = enumerate_W(group)
+    with pytest.raises(quotient.IncompatibleComplexes):
+        FlagLift(barycentric_quotient(w))
+    level = enumerate_W(GroupSpec(group.n, "sl"))
+    wf = subcomplex_WF(level, standard_flag(group.n, (1,)))
+    with pytest.raises(quotient.IncompatibleComplexes):
+        FlagLift(barycentric_quotient(wf))
 
 
 def test_sl3_build_searches_in_the_walk_only(monkeypatch, cold_level_one):

@@ -4,12 +4,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wellround.exactla import NotPositiveDefinite, int_matvec
+import gauss_jordan as gj
+from wellround.exactla import (
+    CertificateError, NotPositiveDefinite, int_inverse, int_matmul,
+    int_matvec,
+)
 from wellround.lattice import (
-    GramForm, GroupSpec, canonical_config, canonical_vector, config_equiv,
-    config_stabilizer, is_well_rounded, minimal_vectors, normalize,
-    vectors_below,
+    GramForm, GroupSpec, _first_witness, canonical_config, canonical_vector,
+    config_equiv, config_stabilizer, is_well_rounded, minimal_vectors,
+    move_config, normalize, signed_permutation, vectors_below,
 )
 
 
@@ -137,6 +143,131 @@ def test_group_membership():
     assert not gf.contains(((4, 3), (3, 7)))  # = I mod 3 but det 19
     assert not gf.contains(((0, -1), (1, 0)))
     assert not gf.contains(((-1, 0), (0, -1)))  # -I not congruent to I mod 3
+
+
+def _parent_canonical_vector(v):
+    """`canonical_vector` as it was, converting every entry with int."""
+    v = tuple(int(x) for x in v)
+    for x in v:
+        if x > 0:
+            return v
+        if x < 0:
+            return tuple(-y for y in v)
+    return v
+
+
+INTS = st.integers(-50, 50)
+
+
+@given(st.one_of(st.lists(INTS, max_size=5),
+                 st.lists(INTS, max_size=5).map(tuple),
+                 st.lists(st.fractions(-20, 20, max_denominator=4),
+                          max_size=5).map(tuple),
+                 st.lists(st.integers(-5, 5).map(Fraction),
+                          max_size=5).map(tuple)))
+@settings(max_examples=300, deadline=None)
+def test_canonical_vector_matches_converting_entries(v):
+    # an int tuple is taken as it is; lists and Fraction tuples are
+    # converted, entry by entry, as before
+    got = canonical_vector(v)
+    assert got == _parent_canonical_vector(v)
+    assert type(got) is tuple and all(type(x) is int for x in got)
+
+
+def _parent_contains(group, u, det=None):
+    """`GroupSpec.contains` as it was, every entry converted with int, the
+    determinant by Gauss-Jordan elimination, the congruence conditions
+    spelled out."""
+    u = tuple(tuple(int(x) for x in row) for row in u)
+    n, mod = group.n, group.level
+    if len(u) != n or any(len(r) != n for r in u):
+        return False
+    det = int(gj.det(u)) if det is None else det
+    if group.family == "gl":
+        return abs(det) == 1
+    if det != 1:
+        return False
+    last = u[n - 1]
+    if group.family in ("gamma0", "gamma1"):
+        return all(x % mod == 0 for x in last[:-1]) and (
+            group.family == "gamma0" or last[-1] % mod == 1 % mod)
+    if group.family == "gamma":
+        return all(u[i][j] % mod == int(i == j) % mod
+                   for i in range(n) for j in range(n))
+    return True
+
+
+@st.composite
+def memberships(draw):
+    """A group of n = 2 or 3, and a matrix whose shape is mostly n x n,
+    near the group (an elementary product, reduced mod the level or not)
+    or not, given as lists or as tuples."""
+    n = draw(st.integers(2, 3))
+    family = draw(st.sampled_from(("gl", "sl", "gamma0", "gamma1", "gamma")))
+    level = draw(st.integers(2, 5)) if family not in ("gl", "sl") else 1
+    group = GroupSpec(n, family, level)
+    rows = draw(st.integers(n - 1, n + 1)) if draw(st.booleans()) else n
+    cols = draw(st.integers(n - 1, n + 1)) if draw(st.booleans()) else n
+    if (rows, cols) == (n, n) and draw(st.booleans()):
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-3, 3)) * draw(st.sampled_from((1, level)))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        if draw(st.booleans()):
+            u[0] = [-x for x in u[0]]
+    else:
+        u = [[draw(INTS) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        u = tuple(map(tuple, u))
+    return group, u
+
+
+@given(memberships())
+@settings(max_examples=400, deadline=None)
+def test_group_membership_matches_converting_entries(case):
+    group, u = case
+    want = _parent_contains(group, u)
+    assert group.contains(u) == want
+    if len(u) == group.n and all(len(r) == group.n for r in u):
+        det = int(gj.det(u))
+        assert group.contains(u, det) == _parent_contains(group, u, det)
+
+
+@pytest.mark.parametrize("n, family", [(2, "sl"), (3, "sl"), (3, "gl")])
+def test_first_witness_from_the_table_is_the_search_first(n, family):
+    # a configuration g.rep, carried onto rep by any of its witnesses t g^-1
+    # (t in the stabilizer), gives the witness the search finds first;
+    # the stabilizer acts by its signed permutations of rep's vectors
+    from wellround.cells import enumerate_W
+    group = GroupSpec(n, family)
+    w = enumerate_W(group)
+    rng = random.Random(n)
+    for oc in w.cells:
+        rep, stabilizer = oc.cell.config, w.stabilizers[oc.id]
+        table = {s: signed_permutation(s, rep) for s in stabilizer}
+        for s, perm in table.items():
+            assert [canonical_vector(int_matvec(s, v)) for v in rep] == \
+                [rep[j % len(rep)] for j in perm]
+        for _ in range(3):
+            g = w.stabilizers[0][0]
+            for _ in range(4):
+                e = [[int(i == j) for j in range(n)] for i in range(n)]
+                i, j = rng.sample(range(n), 2)
+                e[i][j] = rng.choice((-1, 1))
+                g = int_matmul(g, tuple(map(tuple, e)))
+            config = move_config(g, rep)
+            t = rng.choice(stabilizer)
+            got = _first_witness(config, rep, table,
+                                 int_matmul(t, int_inverse(g)))
+            assert got == config_equiv(config, rep, group)
+
+
+def test_signed_permutation_refuses_a_moving_element():
+    config = canonical_config([(1, 0), (0, 1)])
+    assert signed_permutation(((0, -1), (1, 0)), config) == (3, 0)
+    with pytest.raises(CertificateError, match="moves the cell"):
+        signed_permutation(((1, 1), (0, 1)), config)
 
 
 def test_config_equiv_identity():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellround.boundary as boundary
+import wellround.cells as cells
 import wellround.lattice as lattice
 import wellround.quotient as quotient
 from wellround.boundary import build_double_complex
@@ -105,7 +106,9 @@ def test_sl3_build_computes_each_image_once(monkeypatch):
     # face candidates, faces, cofaces and neighbours by its stabilizer,
     # which adds images: 2,354 and 2,168 when it solved every neighbour.
     # The flag quotients are lifted off W's chain orbits and move no
-    # chain: deriving and subdividing the three W_F took 3,084 and 2,383
+    # chain: deriving and subdividing the three W_F took 3,084 and 2,383.
+    # The walk makes no moved face or coface a cell, and so moves no
+    # contact of one: 1,498 and 732 when it did
     boundary._level_one.cache_clear()
     lattice._image_table.cache_clear()
     computed = Counter()
@@ -119,7 +122,30 @@ def test_sl3_build_computes_each_image_once(monkeypatch):
     build_double_complex(GroupSpec(3, "sl"))
     assert set(computed.values()) == {1}
     vectors = sum(type(key[0]) is int for _, key in computed)
-    assert (vectors, len(computed) - vectors) == (1498, 732)
+    assert (vectors, len(computed) - vectors) == (1319, 703)
+
+
+def test_sl3_build_tables_each_stabilizer_once(monkeypatch, cold_level_one):
+    # each element of the stabilizers of W's five representatives is made
+    # a signed permutation of its representative's vectors once, 92 in
+    # all, and the build (the walk above all) makes no moved face or
+    # coface a cell
+    tabled, moved = Counter(), []
+    real_table, real_moved = cells.signed_permutation, cells._moved_cell
+
+    def table(u, config):
+        tabled[u, config] += 1
+        return real_table(u, config)
+
+    monkeypatch.setattr(cells, "signed_permutation", table)
+    monkeypatch.setattr(cells, "_moved_cell", lambda cell, g: moved.append(
+        cell) or real_moved(cell, g))
+    w = build_double_complex(GroupSpec(3, "sl")).w_complex
+    assert moved == []
+    assert set(tabled.values()) == {1}
+    assert sorted(tabled) == sorted((s, oc.cell.config) for oc in w.cells
+                                    for s in w.stabilizers[oc.id])
+    assert len(tabled) == 92
 
 
 def test_sl3_build_locates_each_face_once(monkeypatch):

@@ -59,7 +59,8 @@ def test_gl4_walk_builds_each_image_table_once(monkeypatch):
     # each in turn: with 1,024 tables kept it evicted every table before
     # its next use (12,944 misses against 23,659 hits, 2.5-3.2 s on a
     # 2-vCPU VM); with 2,048 it builds each of its 2,513 tables once
-    # (2.2 s)
+    # (2.2 s).  The walk reads 32,118 images from them: 34,090 when it
+    # also moved the contacts of every moved face and coface
     lattice._image_table.cache_clear()
     built = Counter()
     real = lattice._ImageTable.__init__
@@ -70,4 +71,4 @@ def test_gl4_walk_builds_each_image_table_once(monkeypatch):
     info = lattice._image_table.cache_info()
     print(f"[PASS] GL_4 walk ({time.time() - started:.1f}s, {info})")
     assert set(built.values()) == {1}
-    assert (info.misses, info.hits) == (len(built), 34090) == (2513, 34090)
+    assert (info.misses, info.hits) == (len(built), 32118) == (2513, 32118)

@@ -125,9 +125,10 @@ def test_foreign_stabilizer_raises_under_optimize():
         "error": "CertificateError: a stabilizer element moves the cell"}
 
 
-# The face search of `cell_faces` is mutated in its source to run on the
-# contacts as they are, not closed under the stabilizer, and the top cell
-# of W/SL_3(Z) is handed over with its last contact dropped, which its
+# The face search of `cell_faces` (`_face_orbits`, which the walk calls
+# too) is mutated in its source to run on the contacts as they are, not
+# closed under the stabilizer, and the top cell of W/SL_3(Z) is handed
+# over with its last contact dropped, which its
 # stabilizer then does not keep.  A face moved from one search would not
 # be what the search from its contact gives, so the check must fire
 # under -O.
@@ -137,7 +138,7 @@ import wellround.cells as cells
 from wellround.exactla import CertificateError
 from wellround.lattice import GroupSpec
 
-source = inspect.getsource(cells.cell_faces)
+source = inspect.getsource(cells._face_orbits)
 site = "sorted({v for s in moves for v in move_each(s, cell.contacts)})"
 if source.count(site) != 1:
     raise SystemExit("the candidates are not where the mutant expects")

@@ -49,4 +49,5 @@ def walk_WF(group: GroupSpec, flag: RationalFlag):
         for nb in faces[-1] + cofaces:
             if index.locate(nb.config, nb.dim) is None:
                 index.add(nb)
-    return _orbit_complex(index, faces)
+    return _orbit_complex(index, [[(f.config, f.dim) for f in found]
+                                  for found in faces])
