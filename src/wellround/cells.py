@@ -9,10 +9,12 @@ add violators, repeat).  Faces carry larger configurations, cofaces
 smaller ones.  The orbits of W mod a group of level 1 are enumerated
 by a walk over the face/coface graph, whose orbit index searches for
 configuration equivalences.  The walk goes one stabilizer orbit at a
-time: a representative's stabilizer S comes with its orbit, its faces
-and cofaces are solved once per S-orbit and moved onto the rest, and
-the S-images of a located neighbour are located from its witness, with
-no search.  It computes each representative's faces once and hands
+time: a representative's stabilizer S comes with its orbit and acts on
+its vectors and contacts by permutations, its faces and cofaces are
+found once per S-orbit as configurations, and each S-orbit is located
+once, from a member already filed or by one search, its S-images from
+the witness.  A cell is built only to start an orbit or to decide a
+coface.  The walk computes each representative's faces once and hands
 them to its complex; no cell is remembered by configuration, so
 nothing outlives the walk.  Every other complex is
 derived from a parent's orbit data, with no LP and no search: W mod a
@@ -46,10 +48,11 @@ from .flags import (
     flag_from_members, in_parabolic, respects_flag,
 )
 from .lattice import (
-    GramForm, GroupSpec, VectorConfig, _char_pairings, _first_witness,
-    canonical_config, canonical_vector, config_equiv, config_from_json,
-    config_spans, config_stabilizer, minimal_vectors, move_config,
-    move_each, normalize, signed_permutation, vectors_below,
+    GramForm, GroupSpec, VectorConfig, _char_pairings, _enumerate_values,
+    _Action, _closure, _first_witness, canonical_config, canonical_vector,
+    config_equiv, config_from_json, config_spans, config_stabilizer,
+    is_primitive, minimal_vectors, move_config, move_each, normalize,
+    signed_permutation,
 )
 from .retraction import _qf
 
@@ -136,26 +139,30 @@ def _initial_candidates(config: VectorConfig, n: int) -> set[IntVector]:
 class _Chart:
     """Affine parameterization of {A symmetric : A[v] = 1 for v in eqs}:
     A = (origin + sum t_i dirs_i) / den, with integer vectors origin and
-    dirs_i over one denominator den > 0.  Shrinks every LP to the cell
-    dimension plus a slack variable, with integer coefficients.  The
-    origin (free coordinates 0) and the directions (the free-column
-    kernel basis) come from one elimination of the augmented system."""
+    dirs_i over one denominator den > 0, the least.  Shrinks every LP to
+    the cell dimension plus a slack variable, with integer coefficients.
+    The origin (free coordinates 0) and the directions (the free-column
+    kernel basis) come from one elimination of the augmented system, in
+    integers: pivot column c of the reduced form's row r reads
+    x_c = (r[k] - sum over free f of r[f] t_f) / r[c]."""
 
     def __init__(self, eqs: VectorConfig, n: int):
         self.n = n
         self.pairs = _sym_pairs(n)
         k = len(self.pairs)
-        system = Echelon(QQ, [_value_coeffs(self.pairs, v) + [1] for v in eqs])
-        sol = system.solution(k)
-        self.ok = sol is not None
+        rows = Echelon(QQ, [_value_coeffs(self.pairs, v) + [1]
+                            for v in eqs])._reduced(integral=True)
+        self.ok = k not in rows
         if not self.ok:
             return
-        dirs = system.kernel(k)
-        den = lcm(*(x.denominator for v in (sol, *dirs) for x in v))
+        free = [f for f in range(k) if f not in rows]
+        den = lcm(*(r[c] // gcd(r[c], *(r.get(f, 0) for f in free + [k]))
+                    for c, r in rows.items()))
         self.den = den
-        self.origin = [x.numerator * (den // x.denominator) for x in sol]
-        self.dirs = [[x.numerator * (den // x.denominator) for x in d]
-                     for d in dirs]
+        self.origin = [rows[c].get(k, 0) * den // rows[c][c] if c in rows
+                       else 0 for c in range(k)]
+        self.dirs = [[-rows[c].get(f, 0) * den // rows[c][c] if c in rows
+                      else den * (c == f) for c in range(k)] for f in free]
 
     def functional(self, w) -> tuple[int, list[int]]:
         """den * A[w] = const + row . t on the chart, in integers."""
@@ -271,12 +278,16 @@ def cell_from_config(config: VectorConfig, tighten: bool = False) -> Cell:
                 raise Infeasible("configuration vector forced nonpositive")
             cands.add(bad)
             continue
-        viol = [w for w in vectors_below(witness, 1) if w not in config]
+        # one enumeration certifies the witness and lists its contacts: a
+        # vector of value at most 1 outside the configuration violates it
+        near = [(w, value) for w, value in
+                _enumerate_values(witness, CONTACT_RADIUS)
+                if w not in config and is_primitive(w)]
+        viol = [w for w, value in near if value <= witness.denom]
         if viol:
             cands.update(viol)
             continue
-        contacts = tuple(w for w in vectors_below(witness, CONTACT_RADIUS)
-                         if w not in config)
+        contacts = tuple(w for w, _ in near)
         return Cell(config, cell_dimension(config), witness, contacts)
     raise CertificateError("cutting-plane loop did not converge")
 
@@ -289,56 +300,126 @@ def _forced_tight(chart: _Chart, cands: Sequence[IntVector],
                  if chart.max_value(w, cands) == 1)
 
 
-def _fixing(cell: Cell, stabilizer: Sequence[IntMatrix]) -> Sequence[IntMatrix]:
-    """The given stabilizer elements of the cell, checked to fix its
-    configuration; the identity alone when none are given."""
-    if any(move_config(s, cell.config) != cell.config for s in stabilizer):
-        raise CertificateError("a stabilizer element moves the cell")
-    return stabilizer or (int_identity(cell.n),)
+def _fixing(cell: Cell, stabilizer: Sequence[IntMatrix]) -> _Action:
+    """The given stabilizer of the cell, the identity alone when none is
+    given, acting by its signed permutations of the cell's vectors, which
+    check that each element fixes it."""
+    moves = stabilizer or (int_identity(cell.n),)
+    return _Action(moves, [signed_permutation(s, cell.config) for s in moves])
 
 
 def _close_up(base_config: VectorConfig, w: IntVector,
-              cands: Sequence[IntVector], n: int) -> list[IntVector]:
-    """The vectors tight on the face reached by making w tight: w, then
-    the candidates forced tight, until the face has an interior point;
-    empty when it has none."""
+              cands: Sequence[IntVector], n: int):
+    """The vectors tight on the face reached by making w tight, w and
+    then the candidates forced tight, until the face has an interior
+    point, with the face's dimension; None when it has none."""
     tight: list[IntVector] = [w]
     while True:
         others = [u for u in cands if u not in tight]
         chart = _Chart(base_config + tuple(tight), n)
         if not chart.ok:
-            return []
+            return None
         sol = chart.max_slack(others)
         if sol is None:
-            return []
+            return None
         if sol[0] > 0:
-            return tight
+            return tight, len(chart.dirs)
         # slack 0: some candidate is tight on the whole face; the
         # forced ones are among those tight at this optimum
         m, d = sol[1]
         forced = _forced_tight(chart, others,
                                test=[u for u in others if _qf(m, u) == d])
         if not forced:
-            return []
+            return None
         tight.extend(forced)
 
 
-# The neighbours of a cell that `_face_orbits` and `_coface_orbits` find:
-# config -> (c, s), c the cell built for its S-orbit and s.c = config.
-Found = dict[VectorConfig, tuple[Cell, IntMatrix]]
+class _Star:
+    """A cell's neighbours, faces or cofaces, by orbits of its checked
+    stabilizer S.  S acts on a sorted list of vectors (the cell's, and
+    its face candidates for the faces) by permutations, one per element
+    in S's order, and a neighbour is the sorted tuple of its vectors'
+    positions there: S moves it by lookup, with no matrix product, and
+    position tuples compare as their configurations do."""
+
+    def __init__(self, vectors: Sequence[IntVector],
+                 moves: Sequence[IntMatrix], perms: Sequence[Sequence[int]]):
+        self.vectors = vectors
+        self.moves = moves
+        self.perms = perms
+        self.orbits: list[_Orbit] = []
+        self._found: set[tuple[int, ...]] = set()
+
+    def __contains__(self, positions: tuple[int, ...]) -> bool:
+        return positions in self._found
+
+    def config(self, positions: Sequence[int]) -> VectorConfig:
+        return tuple(map(self.vectors.__getitem__, positions))
+
+    def images(self, positions: Sequence[int]) -> list[tuple[int, ...]]:
+        """The neighbour moved by each element of S, in S's order."""
+        return [tuple(sorted(map(p.__getitem__, positions)))
+                for p in self.perms]
+
+    def add(self, positions: tuple[int, ...], dim: int):
+        """A new orbit, of the neighbour with these positions."""
+        orbit = _Orbit(self, dim, sorted(set(self.images(positions))))
+        self._found.update(orbit.members.values())
+        self.orbits.append(orbit)
+
+    def members(self) -> list[tuple[VectorConfig, _Orbit]]:
+        """Every neighbour found, with its orbit, sorted."""
+        return sorted((config, orbit) for orbit in self.orbits
+                      for config in orbit.members)
 
 
-def _add_orbit(found: Found, cell: Cell, moves: Sequence[IntMatrix]):
-    """File the configurations s.cell, each with the first s giving it."""
-    for s in moves:
-        found.setdefault(move_config(s, cell.config), (cell, s))
+class _Orbit:
+    """An S-orbit of neighbours of one dimension: each member's
+    configuration and positions, the least first."""
+
+    def __init__(self, star: _Star, dim: int,
+                 positions: Sequence[tuple[int, ...]]):
+        self.star = star
+        self.dim = dim
+        self.members = {star.config(p): p for p in positions}
+
+    @property
+    def least(self) -> VectorConfig:
+        return next(iter(self.members))
+
+    def images(self, config: VectorConfig) -> list[VectorConfig]:
+        """The member moved by each element of S, in S's order."""
+        star = self.star
+        return list(map(star.config, star.images(self.members[config])))
 
 
-def _moved_cells(found: Found) -> list[Cell]:
-    """The cells of the found configurations, sorted: each built cell,
-    and its moved cells s.c."""
-    return [c if config == c.config else _moved_cell(c, s)
-            for config, (c, s) in sorted(found.items())]
+def _face_cell(config: VectorConfig) -> Cell:
+    """The cell of a face that the search closed up to, built and checked
+    to have exactly that configuration."""
+    try:
+        cell = cell_from_config(config, tighten=True)
+    except (Infeasible, NotSpanning):
+        cell = None
+    if cell is None or cell.config != config:
+        raise CertificateError("a face closes up to another configuration")
+    return cell
+
+
+def _star_cells(star: _Star, build) -> list[Cell]:
+    """The cells of the neighbours, sorted: the least of each orbit built
+    (`build`; an orbit whose least is no cell is dropped), the others its
+    moved cells."""
+    found: dict[VectorConfig, Cell] = {}
+    for orbit in star.orbits:
+        try:
+            cell = build(orbit.least)
+        except (Infeasible, NotSpanning):
+            continue
+        for config, s in zip(orbit.images(orbit.least), star.moves):
+            if config not in found:
+                found[config] = cell if config == cell.config else \
+                    _moved_cell(cell, s)
+    return [found[config] for config in sorted(found)]
 
 
 def cell_faces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
@@ -349,41 +430,40 @@ def cell_faces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
     the identity) on the contacts closed up under S: s in S fixes the
     cell and permutes the candidates (checked), so s.w closes up to s
     times what w closes up to.  The least face of each S-orbit is built
-    by `cell_from_config`, as the search from every contact builds it;
-    the others are its moved cells."""
-    return _moved_cells(_face_orbits(cell, _fixing(cell, stabilizer)))
+    by `cell_from_config`, and must have the configuration it was closed
+    up to; the others are its moved cells."""
+    return _star_cells(_face_orbits(cell, _fixing(cell, stabilizer)),
+                       _face_cell)
 
 
-def _face_orbits(cell: Cell, moves: Sequence[IntMatrix]) -> Found:
-    """The faces of `cell_faces`, one cell built per orbit of the checked
-    stabilizer `moves`."""
+def _face_orbits(cell: Cell, action: _Action) -> _Star:
+    """The faces of `cell_faces`, one search per orbit of the checked
+    stabilizer; no face is built.  The candidates are the contacts closed
+    up under the stabilizer's generators."""
     if cell.dim == 0:
-        return {}
+        return _Star((), action.moves, [])
     n = cell.n
-    cands = sorted({v for s in moves for v in move_each(s, cell.contacts)})
-    images = [move_each(s, cands) for s in moves]
-    if any(set(image) != set(cands) for image in images):
-        raise CertificateError(
-            "the stabilizer does not permute the face candidates")
-    found: Found = {}
-    searched: set[IntVector] = set()
-    for i, w in enumerate(cands):
-        if w in searched:
+    config = cell.config
+    cands = _closure(cell.contacts, action.generators())
+    vectors = sorted(config + tuple(cands))
+    star = _Star(vectors, action.moves,
+                 action.permutations(vectors, "face candidates"))
+    pos = {v: i for i, v in enumerate(vectors)}
+    at = [pos[v] for v in config]
+    searched: set[int] = set()
+    for w in cands:
+        i = pos[w]
+        if i in searched:
             continue
-        searched.update(image[i] for image in images)
-        tight = _close_up(cell.config, w, cands, n)
-        if not tight:
+        searched.update(p[i] for p in star.perms)
+        face = _close_up(config, w, cands, n)
+        if face is None:
             continue
-        face_config = canonical_config(cell.config + tuple(tight))
-        least = min(move_config(s, face_config) for s in moves)
-        if least in found:
-            continue
-        try:
-            face = cell_from_config(least, tighten=True)
-        except (Infeasible, NotSpanning):
-            continue
-        _add_orbit(found, face, moves)
-    return found
+        tight, dim = face
+        positions = tuple(sorted(at + [pos[v] for v in tight]))
+        if positions not in star:
+            star.add(positions, dim)
+    return star
 
 
 def cell_cofaces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]:
@@ -392,36 +472,34 @@ def cell_cofaces(cell: Cell, stabilizer: Sequence[IntMatrix] = ()) -> list[Cell]
     Each orbit of them under the given stabilizer (default: the identity)
     is decided by its least member, built by `cell_from_config`; the
     others are its moved cells."""
-    return _moved_cells(_coface_orbits(cell, _fixing(cell, stabilizer)))
+    return _star_cells(_coface_orbits(cell, _fixing(cell, stabilizer)),
+                       cell_from_config)
 
 
-def _coface_orbits(cell: Cell, moves: Sequence[IntMatrix]) -> Found:
-    """The cofaces of `cell_cofaces`, one cell built per orbit of the
-    checked stabilizer `moves`."""
+def _coface_orbits(cell: Cell, action: _Action) -> _Star:
+    """The candidate cofaces of `cell_cofaces`, by orbits of the checked
+    stabilizer: each orbit of subconfigurations is tested once, and none
+    is decided by its LP."""
     config = cell.config
     n = cell.n
-    target = _config_sym_rank(config) - 1
-    if target < n:
-        return {}
-    found: Found = {}
-    decided: set[VectorConfig] = set()
-    for k in range(1, len(config)):
-        for cut in combinations(range(len(config)), k):
-            sub = tuple(v for i, v in enumerate(config) if i not in cut)
-            if sub in decided:
+    m = len(config)
+    star = _Star(config, action.moves,
+                 [[j % m for j in perm[:m]] for perm in action.doubled])
+    # the symmetric rank of the configuration, less 1
+    target = n * (n + 1) // 2 - cell.dim - 1
+    refuted: set[tuple[int, ...]] = set()
+    for k in range(1, m - n + 1):
+        for cut in combinations(range(m), k):
+            sub = tuple(i for i in range(m) if i not in cut)
+            if sub in star or sub in refuted:
                 continue
-            if len(sub) < n or not config_spans(sub, n):
-                continue
-            if _config_sym_rank(sub) != target:
-                continue
-            orbit = {move_config(s, sub) for s in moves}
-            decided |= orbit
-            least = min(orbit)
-            try:
-                _add_orbit(found, cell_from_config(least), moves)
-            except (Infeasible, NotSpanning):
-                continue
-    return found
+            vectors = star.config(sub)
+            if config_spans(vectors, n) and \
+                    _config_sym_rank(vectors) == target:
+                star.add(sub, cell.dim + 1)
+            else:
+                refuted.update(star.images(sub))
+    return star
 
 
 def root_form(n: int) -> GramForm:
@@ -702,12 +780,13 @@ class _OrbitIndex:
         if config not in self._hits:
             self._hits[config] = self._looked_up(config, (oid, w))
 
-    def file_images(self, config: VectorConfig, moves: Sequence[IntMatrix]):
-        """File the images s.config of a located configuration, which
-        u s^-1 carries onto the representative if u carries config."""
+    def file_images(self, config: VectorConfig, images: Sequence[VectorConfig],
+                    moves: Sequence[IntMatrix]):
+        """File the images s.config of a located configuration, given in
+        the order of `moves`, which u s^-1 carries onto the
+        representative if u carries config."""
         oid, u = self._hits[config]
-        for s in moves:
-            image = move_config(s, config)
+        for image, s in zip(images, moves):
             if image not in self._hits:
                 self.file(image, oid, int_matmul(u, int_inverse(s)))
 
@@ -754,12 +833,13 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
     orbits by the equivalence search; complete because the retract is
     connected and the walk descends to the orbit graph.  A
     representative's stabilizer S comes with its orbit; its faces and
-    cofaces are found once per S-orbit, and the faces are handed on.  The
-    first neighbour met of each S-orbit is searched, or starts an orbit,
-    built as `cell_faces` and `cell_cofaces` build the least one, and
-    its S-images are located from its witness (`file_images`).  The walk
-    reads a neighbour's configuration and dimension only, so a moved one
-    is made a cell only if it starts an orbit."""
+    cofaces are found once per S-orbit, as configurations, and the faces
+    are handed on.  Each S-orbit of neighbours is located once: from a
+    member already filed, or else by searching the first member met (a
+    coface is first decided by its LP), which starts an orbit if the
+    search fails; then its S-images are located from its witness
+    (`file_images`).  So a cell is built only for a configuration that
+    starts an orbit, or for a coface that is not yet filed."""
     index = _OrbitIndex(group, None)
     if variant:
         shift = _seed_shift(group)
@@ -767,23 +847,33 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
     index.add(seed)
     faces: list[list[tuple[VectorConfig, int]]] = []
     while len(faces) < len(index.orbits):    # in id order, breadth first
-        rep = index.orbits[len(faces)].cell
-        stabilizer = index.stabilizers[len(faces)]
-        neighbors = sorted(_face_orbits(rep, stabilizer).items())
-        faces.append([(config, nb.dim) for config, (nb, _) in neighbors])
-        neighbors += sorted(_coface_orbits(rep, stabilizer).items())
+        oid = len(faces)
+        rep = index.orbits[oid].cell
+        moves = index.stabilizers[oid]
+        action = _Action(moves, [index.tables[oid][s] for s in moves])
+        below = _face_orbits(rep, action).members()
+        faces.append([(config, orbit.dim) for config, orbit in below])
+        neighbors = below + _coface_orbits(rep, action).members()
         if variant:
             neighbors.reverse()
-        for config, (nb, s) in neighbors:
-            if config in index._hits:
+        refuted: set[_Orbit] = set()
+        for config, orbit in neighbors:
+            if config in index._hits or orbit in refuted:
                 continue
-            if index.locate(config, nb.dim) is None:
-                if config != min(move_config(t, config) for t in stabilizer):
-                    nb = cell_from_config(config, tighten=nb.dim < rep.dim)
-                elif config != nb.config:
-                    nb = _moved_cell(nb, s)
-                index.add(nb)
-            index.file_images(config, stabilizer)
+            anchor = next((c for c in orbit.members if c in index._hits),
+                          None)
+            if anchor is None:
+                anchor = config
+                cell = None
+                if orbit.dim > rep.dim:
+                    try:
+                        cell = cell_from_config(config)
+                    except (Infeasible, NotSpanning):
+                        refuted.add(orbit)
+                        continue
+                if index.locate(config, orbit.dim) is None:
+                    index.add(cell or _face_cell(config))
+            index.file_images(anchor, orbit.images(anchor), moves)
     return _orbit_complex(index, faces)
 
 
@@ -1045,8 +1135,8 @@ class _FlagDecoration:
     def action(self, oid: int, stabilizer):
         table = self.complex.index.tables[oid]
         m = len(self.complex.cells[oid].cell.config)
-        perms = [table[s] for s in stabilizer]
-        return lambda chain: [tuple(frozenset(perm[i] % m for i in x)
+        perms = [[j % m for j in table[s]] for s in stabilizer]
+        return lambda chain: [tuple(frozenset(map(perm.__getitem__, x))
                                     for x in chain) for perm in perms]
 
     def witness(self, oid: int, chain: FlatFlag) -> Optional[IntMatrix]:

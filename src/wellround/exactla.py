@@ -768,18 +768,19 @@ class Echelon:
         unchanged."""
         return not self._reduce(v)
 
-    def _reduced(self) -> dict[int, dict]:
+    def _reduced(self, integral: bool = False) -> dict[int, dict]:
         """pivot -> row of the reduced row echelon form, pivots descending:
-        pivot entry 1, 0 in the other pivot columns, Fractions over Q.  A
-        row's entries in pivot columns lie in rows already done, and
-        clearing them adds none."""
+        pivot entry 1, 0 in the other pivot columns, Fractions over Q; with
+        integral, over Q, each row is an integer multiple of that, with a
+        positive pivot entry.  A row's entries in pivot columns lie in rows
+        already done, and clearing them adds none."""
         done: dict[int, dict] = {}
         for c in sorted(self.rows, reverse=True):
             row = dict(self.rows[c])
             for c2 in [j for j in row if j in done]:
                 row = self._clear(row, c2, done[c2])
             done[c] = row
-        if self.p is None:
+        if self.p is None and not integral:
             done = {c: {j: Fraction(x, row[c]) for j, x in row.items()}
                     for c, row in done.items()}
         return done

@@ -86,9 +86,9 @@ class _ImageTable(dict):
 
 @lru_cache(maxsize=2048)
 def _image_table(u: IntMatrix) -> _ImageTable:
-    """The image table of u, kept for the elements used last: as many as
-    the largest stabilizer of W at n = 4 (1,152 elements, of GL_4) and
-    more, so that a walk moving by each of them in turn evicts none."""
+    """The image table of u, kept for the 2,048 elements used last: more
+    than the GL_4 walk builds (267, a stabilizer's generators and the
+    elements that locate configurations)."""
     return _ImageTable(u)
 
 
@@ -351,6 +351,11 @@ class GroupSpec:
     def is_congruence(self) -> bool:
         return self.family in ("gamma0", "gamma1", "gamma") and self.level > 1
 
+    @property
+    def dets(self) -> tuple[int, ...]:
+        """The determinants of the group's elements."""
+        return (1, -1) if self.family == "gl" else (1,)
+
     def contains(self, u: IntMatrix, det: Optional[int] = None) -> bool:
         """Membership of an integer matrix; ``det``, when the caller has
         it already, is det u.  Integer entries are taken as they are."""
@@ -360,9 +365,7 @@ class GroupSpec:
             return False
         if det is None:
             det = int_det(u)
-        if self.family == "gl":
-            return abs(det) == 1
-        if det != 1:
+        if det not in self.dets:
             return False
         if self.level == 1:
             return True
@@ -456,6 +459,78 @@ def signed_permutation(u: IntMatrix, config: VectorConfig) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Action:
+    """The stabilizer S of a spanning configuration, its elements `moves`
+    in order, acting on the 2m signed vectors of the configuration, v_j
+    at j and -v_j at m + j: each element's signed permutation
+    (`signed_permutation`) doubled, which determines it, so that a product
+    is a composition.  `gens` are the positions of elements that generate
+    S, each outside the subgroup of those before; a list that is not a
+    group is refused."""
+
+    def __init__(self, moves: Sequence[IntMatrix],
+                 perms: Sequence[Sequence[int]]):
+        m = len(perms[0])
+        self.moves = moves
+        self.m = m
+        self.doubled = [(*p, *((j + m) % (2 * m) for j in p)) for p in perms]
+        reached = {tuple(range(2 * m))}
+        self.gens: list[int] = []
+        for k, perm in enumerate(self.doubled):
+            if perm in reached:
+                continue
+            self.gens.append(k)
+            new = reached
+            while new:
+                new = {tuple(map(self.doubled[g].__getitem__, e))
+                       for e in new for g in self.gens} - reached
+                reached |= new
+        if len(reached) != len(set(self.doubled)):
+            raise CertificateError("the stabilizer is not a group")
+
+    def generators(self) -> list[IntMatrix]:
+        return [self.moves[g] for g in self.gens]
+
+    def permutations(self, items: Sequence, what: str) -> list[list[int]]:
+        """Each element's permutation of the items, vectors or canonical
+        configurations that S permutes, by position, in the order of the
+        elements.  Only the generators move the items by matrix
+        (`move_each`, checked to stay among them); each other element's
+        permutation is composed from theirs."""
+        pos = {x: i for i, x in enumerate(items)}
+        steps = []
+        for g in self.gens:
+            p = [pos.get(y) for y in move_each(self.moves[g], items)]
+            if None in p:
+                raise CertificateError(
+                    f"the stabilizer does not permute the {what}")
+            steps.append((self.doubled[g], p))
+        table = {tuple(range(2 * self.m)): list(range(len(items)))}
+        new = list(table)
+        while new:
+            found = []
+            for e in new:
+                pe = table[e]
+                for perm, p in steps:
+                    x = tuple(map(perm.__getitem__, e))
+                    if x not in table:
+                        table[x] = list(map(p.__getitem__, pe))
+                        found.append(x)
+            new = found
+        return [table[perm] for perm in self.doubled]
+
+
+def _closure(vectors: Sequence[IntVector],
+             moves: Sequence[IntMatrix]) -> list[IntVector]:
+    """The vectors closed up under the moves, sorted."""
+    out = set(vectors)
+    new = out
+    while new:
+        new = {w for s in moves for w in move_each(s, new)} - out
+        out |= new
+    return sorted(out)
+
+
 def _first_witness(src: VectorConfig, dst: VectorConfig,
                    table: dict[IntMatrix, tuple[int, ...]],
                    w: IntMatrix) -> IntMatrix:
@@ -469,12 +544,16 @@ def _first_witness(src: VectorConfig, dst: VectorConfig,
     does not carry the basis into +-dst is returned as it is."""
     src = canonical_config(src)
     m = len(dst)
-    rank = {tuple(s * x for x in dst[j]): r
-            for r, (j, s) in enumerate(_image_candidates(dst))}
-    codes = [rank.get(int_matvec(w, src[i]))
-             for i in _independent_basis(src, len(src[0]))]
-    if None in codes:
-        return w
+    pos = {v: j for j, v in enumerate(dst)}
+    codes = []
+    for i in _independent_basis(src, len(src[0])):
+        x = int_matvec(w, src[i])
+        if x in pos:
+            codes.append(pos[x])
+        elif (x := tuple(-y for y in x)) in pos:
+            codes.append(m + pos[x])
+        else:
+            return w
     # t(-v_j) is -(t v_j): the position shifts by m, modulo 2m
     basis = [(c % m, c - c % m) for c in codes]
     t, _ = min(table.items(), key=lambda item: tuple(
@@ -498,8 +577,16 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
     tables, the norm of its basis vector and the pairings with the
     images already chosen.  A leaf forms U = W adj(B) / det B from the
     basis B and its images W and keeps it only if it is integral,
-    unimodular and in the group (tested first: about half of SL_n's
-    leaves have det -1), maps src onto dst and preserves the flag."""
+    unimodular and in the group (tested first, by its determinant),
+    maps src onto dst and preserves the flag.
+
+    With find_all the search runs over +-classes: -U maps +-src onto
+    +-dst and keeps a flag exactly when U does, so the first basis
+    vector maps into +dst only, and each leaf gives U and -U, each kept
+    if it lies in the group.  For SL_n with n odd one of the two has det
+    -1, and it is not tested.  Without find_all the search meets the
+    leaves in the order above, the first basis vector into dst and then
+    -dst, and returns the first witness."""
     n = group.n
     if len(src) != len(dst):
         return []
@@ -523,37 +610,50 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
     level_cands = []
     level_pairs = []
     for depth, b in enumerate(basis_idx):
+        # over +-classes the first basis vector maps into +dst only
+        signs = (1,) if find_all and depth == 0 else (1, -1)
         level_cands.append([(j, s) for j, s in candidates
-                            if pd[j][j] == ps[b][b]])
+                            if pd[j][j] == ps[b][b] and s in signs])
         level_pairs.append([ps[basis_idx[k]][b] for k in range(depth)])
     dst_set = frozenset(dst)
+    dets = group.dets
+    # det(-U) = (-1)^n det U
+    flip = (-1) ** n
 
     results: list[IntMatrix] = []
     images: list[tuple[int, int]] = []
 
-    def accept() -> Optional[IntMatrix]:
+    def accept():
+        """Append the leaf's elements to the results."""
         w = int_transpose(tuple(tuple(s * x for x in dst[j]) for j, s in images))
         w_adj = int_matmul(w, adj_b)
         if any(x % det_b for row in w_adj for x in row):
-            return None
+            return
         ui = tuple(tuple(x // det_b for x in row) for row in w_adj)
         det_u = int_det(ui)
-        if abs(det_u) != 1 or not group.contains(ui, det_u):
-            return None
+        if abs(det_u) != 1:
+            return
+        kept = []
+        if det_u in dets and group.contains(ui, det_u):
+            kept.append(ui)
+        if find_all and flip * det_u in dets:
+            neg = tuple(tuple(-x for x in row) for row in ui)
+            if group.contains(neg, flip * det_u):
+                kept.append(neg)
+        if not kept:
+            return
         mapped = {canonical_vector(int_matvec(ui, v)) for v in src}
         if mapped != dst_set:
-            return None
+            return
         if flag is not None and not _flag_preserved(ui, flag):
-            return None
-        return ui
+            return
+        results.extend(kept)
 
     def backtrack(depth: int):
         if results and not find_all:
             return
         if depth == n:
-            u = accept()
-            if u is not None:
-                results.append(u)
+            accept()
             return
         targets = level_pairs[depth]
         for j, s in level_cands[depth]:

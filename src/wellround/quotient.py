@@ -5,11 +5,12 @@ chains of cells; the group permutes chains, and a chain is anchored at
 the orbit representative of its top cell, with the residual ambiguity
 killed by the top cell's finite stabilizer.  The top cell's orbit and
 the element carrying it onto the representative come from the orbit
-complex's own index (`OrbitComplex.locate`).  Chains are moved through
-per-element image tables (`lattice.move_each`), so each configuration
-is moved once per element that moves it, however many chains it lies in,
-and each orbit of chains is moved once: its least image is the
-representative, and its other chains are not moved again.  The least
+complex's own index (`OrbitComplex.locate`).  A chain is moved onto
+the representative through per-element image tables
+(`lattice.move_each`), and by the stabilizer through its permutations
+of the representative's closure, made once; each orbit of chains is
+moved once: its least image is the representative, and its other
+chains are not moved again.  The least
 image of a chain anchored at its top cell's representative is found
 once per quotient, however many chains anchor to it.  The
 chains run through cell closures, which the orbit complex carries over
@@ -37,6 +38,7 @@ top cells (`FlagLift`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -49,7 +51,7 @@ from .exactla import (
     sparse_transpose,
 )
 from .flags import RationalFlag, coset_space
-from .lattice import GroupSpec, VectorConfig, move_each
+from .lattice import GroupSpec, VectorConfig, _Action, move_each
 
 Chain = tuple[VectorConfig, ...]  # cell configs, dimension-increasing
 
@@ -133,13 +135,15 @@ class _ChainIndexer:
     representative, and the top cell's stabilizer, which the complex
     carries, picks the least image.
 
-    Every member is moved by `lattice.move_each`.  A stabilizer only
-    permutes its representative's closure, and the orbit index remembers
-    the element u of each located configuration, so the same few images
-    serve every chain.  The least image of an anchored chain is found
-    once: many chains anchor to one, and `least` keeps its simplex id and
-    the index of the stabilizer element giving it.  `faces` keeps the
-    faces of each simplex as the boundary pass carried them."""
+    A chain is moved onto the representative by `lattice.move_each`, and
+    the orbit index remembers the element u of each located
+    configuration.  A stabilizer only permutes its representative's
+    closure, so it moves an anchored chain by its permutations of the
+    closure (`closure`), made once per representative.  The least image
+    of an anchored chain is found once: many chains anchor to one, and
+    `least` keeps its simplex id and the index of the stabilizer element
+    giving it.  `faces` keeps the faces of each simplex as the boundary
+    pass carried them."""
 
     def __init__(self, complex: OrbitComplex):
         self.complex = complex
@@ -147,6 +151,24 @@ class _ChainIndexer:
         self.least: dict[Chain, tuple[tuple[int, int], int]] = {}
         self.identity = int_identity(complex.group.n)
         self.faces: tuple = ()
+        self._closures: dict[int, tuple] = {}
+
+    def closure(self, oid: int):
+        """(configs, positions, perms): the closure of representative oid,
+        sorted, the position of each of its configurations, and each
+        stabilizer element's permutation of them (`lattice._Action`),
+        in the stabilizer's order.  A chain anchored at oid is the tuple of
+        its members' positions, which compare as the chains do."""
+        if oid not in self._closures:
+            complex = self.complex
+            configs = _closure_configs(complex, oid)
+            stabilizer = complex.stabilizers[oid]
+            table = complex.index.tables[oid]
+            self._closures[oid] = configs, \
+                {c: i for i, c in enumerate(configs)}, \
+                _Action(stabilizer, [table[g] for g in stabilizer]) \
+                .permutations(configs, "closure")
+        return self._closures[oid]
 
     def _anchored(self, chain: Chain):
         """(oid, u, moved): the chain moved by u so that its top cell is
@@ -162,9 +184,12 @@ class _ChainIndexer:
         stabilizer = self.complex.stabilizers[oid]
         hit = self.least.get(moved)
         if hit is None:
-            image, i = min((move_each(g, moved), i)
-                           for i, g in enumerate(stabilizer))
-            hit = self.least[moved] = self.ids[image], i
+            configs, pos, perms = self.closure(oid)
+            chain = [pos[c] for c in moved]
+            image, i = min(([p[j] for j in chain], i)
+                           for i, p in enumerate(perms))
+            hit = self.least[moved] = \
+                self.ids[tuple(map(configs.__getitem__, image))], i
         ids, i = hit
         if u == self.identity:
             return ids, stabilizer[i]
@@ -172,8 +197,11 @@ class _ChainIndexer:
 
     def stabilizer(self, simplex: SimplexOrbit) -> tuple[IntMatrix, ...]:
         """The top cell's stabilizer elements that fix the chain."""
-        return tuple(g for g in self.complex.stabilizers[simplex.top_orbit]
-                     if move_each(g, simplex.chain) == simplex.chain)
+        _, pos, perms = self.closure(simplex.top_orbit)
+        chain = [pos[c] for c in simplex.chain]
+        return tuple(g for g, p in zip(
+            self.complex.stabilizers[simplex.top_orbit], perms)
+            if all(p[j] == j for j in chain))
 
 
 def _closure_configs(complex: OrbitComplex, oid: int) -> list[VectorConfig]:
@@ -208,15 +236,15 @@ def barycentric_quotient(complex: OrbitComplex) -> QuotientComplex:
     for oc in complex.cells:
         # the stabilizer permutes the chains of this top cell, so each
         # orbit is moved once, from the first of its chains met
-        stabilizer = complex.stabilizers[oc.id]
-        met: set[Chain] = set()
-        closure = _closure_configs(complex, oc.id)
+        closure, pos, perms = indexer.closure(oc.id)
+        met: set[tuple[int, ...]] = set()
         for chain in _enumerate_chains(closure, oc.cell.config):
+            chain = tuple(map(pos.__getitem__, chain))
             if chain in met:
                 continue
-            orbit = {move_each(g, chain) for g in stabilizer}
+            orbit = {tuple(map(p.__getitem__, chain)) for p in perms}
             met |= orbit
-            canon = min(orbit)
+            canon = tuple(map(closure.__getitem__, min(orbit)))
             k = len(canon) - 1
             by_dim.setdefault(k, []).append(SimplexOrbit(k, canon, oc.id))
 
@@ -570,7 +598,8 @@ class FlagLift:
         decoration = _FlagDecoration(self.complex, flag)
         roots: dict[int, dict] = {}
         simplices, owners, labels = [], [], []
-        euler = Fraction(0)
+        # Gauss-Bonnet: the sum of (-1)^q / |fixing|, as (-1)^q by |fixing|
+        euler: Counter[int] = Counter()
         for q, level in enumerate(w_qc.simplices):
             simplices.append([])
             owners.append([])
@@ -589,12 +618,13 @@ class FlagLift:
                             label.setdefault(image, (len(simplices[q]), r))
                         fixing = tuple(r for r, image in zip(stabilizer, images)
                                        if image == y)
-                        euler += Fraction((-1) ** q, len(fixing))
+                        euler[len(fixing)] += (-1) ** q
                         simplices[q].append(FlagSimplex(tau, y, root, fixing))
                         owners[q].append(t)
                 labels[q].append(label)
-        if euler:
-            raise CertificateError(f"Gauss-Bonnet sum {euler} != 0")
+        total = sum(Fraction(c, k) for k, c in euler.items())
+        if total:
+            raise CertificateError(f"Gauss-Bonnet sum {total} != 0")
         boundaries: list[SparseRows] = [()]
         raw = [tuple(() for _ in simplices[0])]
         for q in range(1, len(simplices)):

@@ -235,15 +235,16 @@ def test_infeasible_traceback_does_not_grow():
     assert depths[-1] == depths[0]
 
 
-@pytest.mark.parametrize("n, reps, lps", [(2, 2, 1), (3, 5, 16)])
+@pytest.mark.parametrize("n, reps, lps", [(2, 2, 1), (3, 5, 11)])
 def test_walk_computes_faces_once_per_representative(n, reps, lps,
                                                       monkeypatch):
     # the walk asks for each representative's faces once, with its
     # stabilizer S, and the face search starts once per S-orbit of the
-    # candidates: the SL_3 walk solves 16 LPs, where the search from
-    # every contact and the cell of every neighbour took 84.  The walk
-    # reads the faces as `_face_orbits` finds them, one built cell per
-    # S-orbit (`cell_faces` moves the built cells onto the others)
+    # candidates: the SL_3 walk solves 11 LPs, where the search from
+    # every contact and the cell of every neighbour took 84, and building
+    # the least face of each S-orbit 16.  The walk reads the faces as
+    # `_face_orbits` finds them, configurations by S-orbit, and builds
+    # none that is not a new orbit's representative
     import wellround.cells as cells
 
     asked = []
@@ -252,9 +253,9 @@ def test_walk_computes_faces_once_per_representative(n, reps, lps,
     real_faces, real_close_up, real_lp = \
         cells._face_orbits, cells._close_up, cells.lp
 
-    def faces(cell, stabilizer):
-        asked.append((cell, stabilizer))
-        return real_faces(cell, stabilizer)
+    def faces(cell, action):
+        asked.append((cell, action.moves))
+        return real_faces(cell, action)
 
     def close_up(base_config, w, cands, n):
         starts.append((base_config, w))
@@ -278,3 +279,41 @@ def test_walk_computes_faces_once_per_representative(n, reps, lps,
         started = [w for base, w in starts if base == cell.config]
         assert sorted(len([w for w in started if w in orbit])
                       for orbit in orbits) == [1] * len(orbits)
+
+
+def test_chart_matches_the_fraction_path():
+    # the chart reads its origin and directions off the integer reduced
+    # form; the Fraction path it replaced solved the system and took its
+    # kernel over Q, then scaled both by the lcm of their denominators
+    from math import lcm
+
+    from wellround.cells import _Chart, _sym_pairs, _value_coeffs
+    from wellround.exactla import QQ, Echelon
+    from wellround.quotient import _closure_configs
+
+    def fraction_chart(eqs, n):
+        pairs = _sym_pairs(n)
+        k = len(pairs)
+        system = Echelon(QQ, [_value_coeffs(pairs, v) + [1] for v in eqs])
+        sol = system.solution(k)
+        if sol is None:
+            return None
+        dirs = system.kernel(k)
+        den = lcm(*(x.denominator for v in (sol, *dirs) for x in v))
+        return den, [x * den for x in sol], [[x * den for x in d]
+                                             for d in dirs]
+
+    checked = 0
+    for group in (GroupSpec(2, "gl"), GroupSpec(3, "sl")):
+        w = enumerate_W(group)
+        for config in {c for oc in w.cells
+                       for c in _closure_configs(w, oc.id)}:
+            for eqs in [config] + [config[:i] + config[i + 1:]
+                                   for i in range(len(config))]:
+                chart = _Chart(eqs, group.n)
+                want = fraction_chart(eqs, group.n)
+                assert chart.ok == (want is not None)
+                if chart.ok:
+                    assert (chart.den, chart.origin, chart.dirs) == want
+                    checked += 1
+    assert checked > 50

@@ -108,7 +108,10 @@ def test_sl3_build_computes_each_image_once(monkeypatch):
     # The flag quotients are lifted off W's chain orbits and move no
     # chain: deriving and subdividing the three W_F took 3,084 and 2,383.
     # The walk makes no moved face or coface a cell, and so moves no
-    # contact of one: 1,498 and 732 when it did
+    # contact of one: 1,498 and 732 when it did.  A stabilizer now acts
+    # on its representative's contacts and closure by permutations
+    # composed from its generators', so only the generators move them by
+    # matrix: 1,319 and 703 when every element did
     boundary._level_one.cache_clear()
     lattice._image_table.cache_clear()
     computed = Counter()
@@ -122,7 +125,7 @@ def test_sl3_build_computes_each_image_once(monkeypatch):
     build_double_complex(GroupSpec(3, "sl"))
     assert set(computed.values()) == {1}
     vectors = sum(type(key[0]) is int for _, key in computed)
-    assert (vectors, len(computed) - vectors) == (1319, 703)
+    assert (vectors, len(computed) - vectors) == (401, 313)
 
 
 def test_sl3_build_tables_each_stabilizer_once(monkeypatch, cold_level_one):

@@ -1,15 +1,13 @@
-"""Experimental n = 4 checks: structural identities only, opt-in.
-
-The full enumeration is expensive; set WELLROUND_RUN_N4=1 to run it.
-The cheap seed-level checks always run.
+"""Experimental n = 4 checks: the seed, the structural identities of
+the SL_4 walk, and what the SL_4 and GL_4 walks build (about 2 s each on
+a 2-vCPU VM).  The comparison of the faces with the loops they replace
+is in `test_orbitwise_walk.py`, opt-in (WELLROUND_RUN_N4=1).
 """
 
-import os
 import time
 from collections import Counter
 
-import pytest
-
+import wellround.cells as cells
 import wellround.lattice as lattice
 from wellround.cells import (
     cell_cofaces, cell_faces, cell_from_config, enumerate_W,
@@ -31,12 +29,26 @@ def test_n4_seed_is_a_zero_cell():
         assert any(f.config == cell.config for f in cell_faces(c))
 
 
-@pytest.mark.skipif(not os.environ.get("WELLROUND_RUN_N4"),
-                    reason="set WELLROUND_RUN_N4=1 for the full n=4 walk (~12 min)")
-def test_n4_structural_identities():
+def _counting_builds(monkeypatch) -> list:
+    """The configurations `cell_from_config` is asked for, by the walk."""
+    built = []
+    real = cells.cell_from_config
+    monkeypatch.setattr(cells, "cell_from_config", lambda config, **kwargs:
+                        built.append(config) or real(config, **kwargs))
+    return built
+
+
+def test_n4_structural_identities(monkeypatch):
+    # the walk builds the seed, the representatives of the other 17
+    # orbits, and a cell to decide each of 6 more S-orbits of cofaces
+    # with no member filed: 4 lie in orbits already found and 2 are no
+    # cells (80 builds when it built the least face and coface of every
+    # S-orbit)
+    built = _counting_builds(monkeypatch)
     started = time.time()
     cx = enumerate_W(GroupSpec(4, "sl"), experimental_n4=True)
     assert cx.top_dim == expected_top_dim(4) == 6
+    assert (len(cx.cells), len(built)) == (18, 24)
     # structural identities at the complex level: incidences drop one
     # dimension, witnesses live in the group, witnesses reproduce the
     # representative configurations exactly
@@ -52,15 +64,18 @@ def test_n4_structural_identities():
           f"{dict((d, len(c)) for d, c in sorted(cx.by_dim().items()))})")
 
 
-@pytest.mark.skipif(not os.environ.get("WELLROUND_RUN_N4"),
-                    reason="set WELLROUND_RUN_N4=1 for the GL_4 walk")
 def test_gl4_walk_builds_each_image_table_once(monkeypatch):
-    # GL_4's largest stabilizer has 1,152 elements, and the walk moves by
-    # each in turn: with 1,024 tables kept it evicted every table before
-    # its next use (12,944 misses against 23,659 hits, 2.5-3.2 s on a
-    # 2-vCPU VM); with 2,048 it builds each of its 2,513 tables once
-    # (2.2 s).  The walk reads 32,118 images from them: 34,090 when it
-    # also moved the contacts of every moved face and coface
+    # GL_4's largest stabilizer has 1,152 elements.  The walk moves
+    # vectors and configurations by the generators of each stabilizer
+    # and by the elements that locate configurations; the rest of a
+    # stabilizer acts by permutations composed from its generators'.  It
+    # builds each of its 267 tables once and reads 174 images from them
+    # again, where moving by every stabilizer element took 2,513 tables
+    # and 29,028 reads.  It builds 23 cells: the 18 representatives, and
+    # one to decide each of 5 more S-orbits of cofaces with no member
+    # filed, 2 of them no cells (77 when it built the least face and
+    # coface of every S-orbit)
+    cells_built = _counting_builds(monkeypatch)
     lattice._image_table.cache_clear()
     built = Counter()
     real = lattice._ImageTable.__init__
@@ -71,4 +86,5 @@ def test_gl4_walk_builds_each_image_table_once(monkeypatch):
     info = lattice._image_table.cache_info()
     print(f"[PASS] GL_4 walk ({time.time() - started:.1f}s, {info})")
     assert set(built.values()) == {1}
-    assert (info.misses, info.hits) == (len(built), 32118) == (2513, 32118)
+    assert (info.misses, info.hits) == (len(built), 174) == (267, 174)
+    assert len(cells_built) == 23

@@ -127,8 +127,8 @@ def test_foreign_stabilizer_raises_under_optimize():
 
 # The face search of `cell_faces` (`_face_orbits`, which the walk calls
 # too) is mutated in its source to run on the contacts as they are, not
-# closed under the stabilizer, and the top cell of W/SL_3(Z) is handed
-# over with its last contact dropped, which its
+# closed under the stabilizer's generators, and the top cell of
+# W/SL_3(Z) is handed over with its last contact dropped, which its
 # stabilizer then does not keep.  A face moved from one search would not
 # be what the search from its contact gives, so the check must fire
 # under -O.
@@ -139,7 +139,7 @@ from wellround.exactla import CertificateError
 from wellround.lattice import GroupSpec
 
 source = inspect.getsource(cells._face_orbits)
-site = "sorted({v for s in moves for v in move_each(s, cell.contacts)})"
+site = "_closure(cell.contacts, action.generators())"
 if source.count(site) != 1:
     raise SystemExit("the candidates are not where the mutant expects")
 exec(source.replace(site, "list(cell.contacts)"), vars(cells))
@@ -160,3 +160,61 @@ def test_unclosed_candidates_raise_under_optimize():
     assert json.loads(result_line) == {
         "optimize": 1,
         "raised": "the stabilizer does not permute the face candidates"}
+
+
+@pytest.mark.parametrize("group, builds", [
+    (GroupSpec(2, "sl"), 2), (GroupSpec(3, "sl"), 5), (GroupSpec(3, "gl"), 5)])
+def test_walk_builds_a_cell_per_orbit(group, builds, monkeypatch):
+    # the walk finds faces and cofaces as configurations and builds a
+    # cell for the seed and for each neighbour that starts an orbit, or
+    # to decide an S-orbit of cofaces with no member filed; at n <= 3
+    # each of those starts an orbit.  Building the least face and coface
+    # of every S-orbit took 3, 11 and 11
+    import wellround.cells as cells
+
+    built = []
+    real = cells.cell_from_config
+    monkeypatch.setattr(cells, "cell_from_config", lambda config, **kwargs:
+                        built.append(config) or real(config, **kwargs))
+    complex = enumerate_W(group)
+    assert sorted(built) == sorted(oc.cell.config for oc in complex.cells)
+    assert len(built) == builds
+
+
+# A face that the search closed up to is built, when it starts an orbit
+# or by `cell_faces`, and must be a cell with exactly its configuration.
+# `cell_from_config` is mutated to close a face up to a configuration
+# without its first vector, or to find no interior point; building the
+# faces of the top cell of W/SL_3(Z) must raise under -O.
+FACE_SCRIPT = """
+import dataclasses, json, sys
+import wellround.cells as cells
+from wellround.exactla import CertificateError
+from wellround.lattice import GroupSpec
+
+complex = cells.enumerate_W(GroupSpec(3, "sl"))
+top = max(complex.cells, key=lambda oc: oc.cell.dim)
+real = cells.cell_from_config
+
+def mutant(config, tighten=False):
+    if sys.argv[1] == "infeasible":
+        raise cells.Infeasible("no interior point")
+    cell = real(config, tighten=tighten)
+    return dataclasses.replace(cell, config=cell.config[1:])
+
+cells.cell_from_config = mutant
+try:
+    cells.cell_faces(top.cell, complex.stabilizers[top.id])
+    raised = None
+except CertificateError as exc:
+    raised = str(exc)
+print(json.dumps({"optimize": sys.flags.optimize, "raised": raised}))
+"""
+
+
+@pytest.mark.parametrize("mutant", ["closed-further", "infeasible"])
+def test_faces_closing_up_elsewhere_raise_under_optimize(mutant):
+    result_line = _run_optimized(FACE_SCRIPT, mutant)[-1]
+    assert json.loads(result_line) == {
+        "optimize": 1,
+        "raised": "a face closes up to another configuration"}

@@ -96,8 +96,10 @@ def test_wf_seed_respects():
 
 
 def test_sl3_build_derives_flag_subcomplexes(monkeypatch, cold_level_one):
-    # the SL_3 double complex solves W's 16 LPs (84 when the walk solved
-    # every neighbour, 214 when the flag subcomplexes were walked too),
+    # the SL_3 double complex solves W's 11 LPs (16 when the walk built
+    # the least face and coface of every stabilizer orbit, 84 when it
+    # solved every neighbour, 214 when the flag subcomplexes were walked
+    # too),
     # searches W's 5 stabilizers (30), and asks for no coface once W is
     # enumerated: its flag quotients are lifted off W's chain orbits,
     # where they were derived from W with no LP and no search
@@ -129,14 +131,16 @@ def test_sl3_build_derives_flag_subcomplexes(monkeypatch, cold_level_one):
     monkeypatch.setattr(boundary, "enumerate_W", enumerate_w)
     dc = boundary.build_double_complex(GroupSpec(3, "sl"))
     assert w_done and dc.dims == (15, 53, 88, 72, 24, 0)
-    assert calls == {"lp": 16, "config_stabilizer": 5, "late cofaces": 0}
+    assert calls == {"lp": 11, "config_stabilizer": 5, "late cofaces": 0}
 
 
 def test_sl3_build_pivot_count(monkeypatch, cold_level_one):
     # the cell LPs start from the slack basis, posed in delta + 1 so that
     # the chart origin is feasible, and the walk solves them once per
-    # stabilizer orbit: 45 simplex pivots, where solving every neighbour
-    # took 247, and an artificial variable on every row 1,449
+    # stabilizer orbit and builds only the cells that start an orbit: 30
+    # simplex pivots, where building the least face and coface of every
+    # stabilizer orbit took 45, solving every neighbour 247, and an
+    # artificial variable on every row 1,449
     import wellround.boundary as boundary
     import wellround.exactla as exactla
 
@@ -149,7 +153,7 @@ def test_sl3_build_pivot_count(monkeypatch, cold_level_one):
 
     monkeypatch.setattr(exactla, "_pivot", counted)
     boundary.build_double_complex(GroupSpec(3, "sl"))
-    assert len(pivots) == 45
+    assert len(pivots) == 30
 
 
 def test_flats_computed_once_per_configuration_of_W(cold_level_one):
