@@ -40,8 +40,8 @@ from typing import Optional, Sequence
 
 from .exactla import (
     OPTIMAL, QQ, UNBOUNDED, CertificateError, Echelon, IntMatrix, IntVector,
-    NotPositiveDefinite, f_rank, int_adjugate, int_identity, int_inverse,
-    int_matmul, int_transpose, lp,
+    NotPositiveDefinite, f_rank, int_adjugate, int_det, int_identity,
+    int_inverse, int_matmul, int_transpose, lp,
 )
 from .flags import (
     RationalFlag, check_dimension, coset_space, flag_equivalent,
@@ -49,10 +49,10 @@ from .flags import (
 )
 from .lattice import (
     GramForm, GroupSpec, VectorConfig, _char_pairings, _enumerate_values,
-    _Action, _closure, _first_witness, canonical_config, canonical_vector,
+    _Action, _closure, _first_element, canonical_config, canonical_vector,
     config_equiv, config_from_json, config_spans, config_stabilizer,
     is_primitive, minimal_vectors, move_config, move_each, normalize,
-    signed_permutation,
+    signed_permutation, signed_positions,
 )
 from .retraction import _qf
 
@@ -581,15 +581,22 @@ class OrbitComplex:
 
         The faces of g.s are g.(faces of s), so the closure is carried
         over from the representatives: a face located as (fid, via) has
-        the closure via^-1.closure(rep_fid).  A closed cell is a ball, so
-        the alternating count of its cells must be 1."""
+        the closure via^-1.closure(rep_fid), and a face already in the
+        closure of a larger one adds nothing, so the faces are read from
+        the largest down.  A closed cell is a ball, so the alternating
+        count of its cells must be 1."""
         if oid in self._closures:
             return self._closures[oid]
         rep = self.cells[oid].cell
         closure = {rep.config: (rep.dim, oid, int_identity(self.group.n))}
-        for face in self.faces[oid]:
+        for face in sorted(self.faces[oid], key=lambda f: -f.dim):
+            if face.config in closure:
+                continue
+            closure[face.config] = (face.dim, face.orbit, face.via)
             back = int_inverse(face.via)
             for config, (dim, cid, u) in self.closure(face.orbit).items():
+                if dim == face.dim:
+                    continue    # the face's representative: the face
                 moved = move_config(back, config)
                 if moved not in closure:
                     closure[moved] = (dim, cid, int_matmul(u, face.via))
@@ -691,10 +698,12 @@ class _OrbitIndex:
     `_orbit_key` only.  A derived complex (`_derive`) looks the orbit up
     through its parent instead.  A lookup yields every element carrying
     the configuration onto its representative; the index keeps the one
-    the search would have found first (`_first_witness`), so both paths
-    give the same answers, and checks it.  Each representative's
-    stabilizer acts on its vectors as signed permutations (`tables`), made
-    once and read by lookup."""
+    the search would have found first, so both paths give the same
+    answers, and checks it.  Per representative the index keeps, made
+    once and read by lookup: its stabilizer's signed permutations of its
+    vectors (`tables`, from the search that found the stabilizer), the
+    stabilizer acting through them (`action`), and its flats, numbered,
+    with the stabilizer's permutations of the numbers (`flats`)."""
 
     def __init__(self, group: GroupSpec, constraint: Optional[RationalFlag],
                  lookup: Optional[_DerivedLookup] = None):
@@ -709,6 +718,23 @@ class _OrbitIndex:
         # per orbit: each stabilizer element s, in order, with
         # signed_permutation(s, the representative's config)
         self.tables: list[dict[IntMatrix, tuple[int, ...]]] = []
+        self._actions: dict[int, _Action] = {}
+        self._flat_tables: dict[int, _FlatTable] = {}
+
+    def action(self, oid: int) -> _Action:
+        """The stabilizer of representative oid, acting on its vectors."""
+        if oid not in self._actions:
+            moves = self.stabilizers[oid]
+            self._actions[oid] = _Action(moves, list(map(
+                self.tables[oid].__getitem__, moves)))
+        return self._actions[oid]
+
+    def flats(self, oid: int) -> _FlatTable:
+        """The numbered flats of representative oid."""
+        if oid not in self._flat_tables:
+            self._flat_tables[oid] = _FlatTable(
+                self.orbits[oid].cell.config, self.action(oid))
+        return self._flat_tables[oid]
 
     def locate(self, config: VectorConfig, dim: Optional[int] = None):
         """(orbit id, u) with u carrying the configuration onto the
@@ -735,48 +761,64 @@ class _OrbitIndex:
         return None
 
     def _looked_up(self, config: VectorConfig, found):
-        """The first of the witnesses a lookup found, S w for the
-        representative's stabilizer S and one witness w, checked: it lies
-        in the group, keeps the constraint and carries config onto the
-        representative."""
+        """The first of the witnesses a lookup found, t w for t in the
+        representative's stabilizer and one witness w, checked.  w must
+        carry each vector of the configuration onto one of the
+        representative's, up to sign (`signed_positions`); the positions
+        give the configuration's basis (`_FlatTable.basis`, with no
+        elimination) and, through the stabilizer's table, the t whose
+        images of it come first (`_first_element`).  t w must lie in the
+        group and keep the constraint."""
         if found is None:
             return None
         oid, w = found
         rep = self.orbits[oid].cell.config
-        u = _first_witness(config, rep, self.tables[oid], w)
+        m = len(rep)
+        codes = signed_positions(w, config, rep)
+        if codes is None or len(codes) != m:
+            raise CertificateError(
+                "orbit witness does not carry the cell onto its orbit's "
+                "representative")
+        basis = self.flats(oid).basis([c % m for c in codes])
+        u = int_matmul(_first_element(self.tables[oid],
+                                      [codes[j] for j in basis], m), w)
         if not self.group.contains(u) or (
                 self.constraint is not None
                 and not in_parabolic(u, self.constraint)):
             raise CertificateError("orbit witness is not in the group")
-        if move_config(u, config) != rep:
-            raise CertificateError(
-                "orbit witness does not carry the cell onto its orbit's "
-                "representative")
         return oid, u
 
     def add(self, cell: Cell) -> int:
         """A new orbit, represented by the cell.  A searched index computes
         its stabilizer in the group (in Gamma_F under a constraint),
-        sorted, and files the representative under the identity (the
-        first witness of its stabilizer); a derived one has both.  The
-        stabilizer is tabled as signed permutations of the cell's
-        vectors, which checks that each element fixes the cell."""
+        sorted, with each element's signed permutation of the cell's
+        vectors from the search, and files the representative under the
+        identity (the first witness of its stabilizer).  A derived index
+        has both the stabilizer and the witness, and tables the stabilizer
+        by `signed_permutation`, which checks that each element fixes the
+        cell; so does a searched one whose stabilizer came without its
+        permutations."""
         oid = len(self.orbits)
         self.orbits.append(OrbitCell(oid, cell))
         key = (cell.dim, _orbit_key(cell.config))
         self.buckets.setdefault(key, []).append(oid)
+        perms = None
         if self.lookup is None:
-            self.stabilizers.append(config_stabilizer(
-                cell.config, self.group, flag=self.constraint).elements)
+            found = config_stabilizer(cell.config, self.group,
+                                      flag=self.constraint)
+            self.stabilizers.append(found.elements)
+            perms = found.permutations
             self._hits[cell.config] = (oid, int_identity(self.group.n))
-        self.tables.append({s: signed_permutation(s, cell.config)
-                            for s in self.stabilizers[oid]})
+        elements = self.stabilizers[oid]
+        if perms is None:
+            perms = [signed_permutation(s, cell.config) for s in elements]
+        self.tables.append(dict(zip(elements, perms)))
         return oid
 
     def file(self, config: VectorConfig, oid: int, w: IntMatrix):
         """Locate the configuration in orbit oid with no search, given an
-        element w carrying it onto the representative: of all such, S w
-        for its stabilizer S, keep the first, checked (`_looked_up`)."""
+        element w carrying it onto the representative: of all such, t w
+        for t in its stabilizer, keep the first, checked (`_looked_up`)."""
         if config not in self._hits:
             self._hits[config] = self._looked_up(config, (oid, w))
 
@@ -850,7 +892,7 @@ def enumerate_complex(group: GroupSpec, seed: Cell,
         oid = len(faces)
         rep = index.orbits[oid].cell
         moves = index.stabilizers[oid]
-        action = _Action(moves, [index.tables[oid][s] for s in moves])
+        action = index.action(oid)
         below = _face_orbits(rep, action).members()
         faces.append([(config, orbit.dim) for config, orbit in below])
         neighbors = below + _coface_orbits(rep, action).members()
@@ -911,25 +953,54 @@ Flats = tuple[tuple[frozenset[int], ...], ...]
 FlatFlag = tuple[frozenset[int], ...]
 
 
+def _normals(rows: Sequence[IntVector], n: int) -> list[list[int]]:
+    """Integer functionals that vanish exactly on the span of the k rows:
+    for each k + 1 of the n columns, the expansion of the (k+1)-minor of
+    the rows with v below them along v's row.  v lies in the span exactly
+    when every such minor is 0; no functional is left (all are 0) exactly
+    when the rows are dependent."""
+    k = len(rows)
+    columns = list(zip(*rows))
+    out = []
+    for cols in combinations(range(n), k + 1):
+        w = [0] * n
+        for at, c in enumerate(cols):
+            # a minor is the determinant of its transpose, its columns
+            w[c] = (-1) ** (k + at) * int_det(
+                tuple(map(columns.__getitem__, cols[:at] + cols[at + 1:])))
+        if any(w):
+            out.append(w)
+    return out
+
+
 @lru_cache(maxsize=4096)
 def _flats(config: VectorConfig) -> Flats:
     """The proper subspaces spanned by vectors of the configuration, by
     dimension k = 1, ..., n-1 (entry k; entry 0 is empty): each as its
     flat, the set of indices of the configuration vectors inside it.  One
-    flat contains another exactly when its subspace does.  Cached, for
-    the configurations used last: the lift of every flag type of one W
-    reads the flats of W's cells."""
+    flat contains another exactly when its subspace does.  A line holds
+    the vectors of one primitive direction (the configuration's vectors
+    are sign-canonical), a larger flat is found from k independent
+    vectors by its `_normals`.  Cached, for the configurations used
+    last."""
     n = len(config[0])
-    out = [()]
-    for k in range(1, n):
+    lines: dict[IntVector, list[int]] = {}
+    for j, v in enumerate(config):
+        g = gcd(*v)
+        lines.setdefault(tuple(x // g for x in v), []).append(j)
+    out = [(), tuple(sorted(map(frozenset, lines.values()), key=sorted))]
+    for k in range(2, n):
         found: list[frozenset[int]] = []
+        covered: set[tuple[int, ...]] = set()
         for sub in combinations(range(len(config)), k):
-            if any(flat.issuperset(sub) for flat in found):
+            if sub in covered:
                 continue
-            span = Echelon(QQ)
-            if all(span.add(config[i]) for i in sub):
-                found.append(frozenset(j for j, v in enumerate(config)
-                                       if span.spans(v)))
+            normals = _normals([config[i] for i in sub], n)
+            if normals:
+                flat = [j for j, v in enumerate(config)
+                        if not any(sum(map(mul, w, v)) for w in normals)]
+                found.append(frozenset(flat))
+                covered.update(combinations(flat, k))
         out.append(tuple(sorted(found, key=sorted)))
     return tuple(out)
 
@@ -947,6 +1018,75 @@ def _flat_flags(flats: Flats, dims: Sequence[int]) -> list[FlatFlag]:
 def _rational_flag(config: VectorConfig, chain: FlatFlag) -> RationalFlag:
     return flag_from_members(len(config[0]), [
         int_transpose(tuple(config[i] for i in sorted(x))) for x in chain])
+
+
+class _FlatTable:
+    """The flats of an orbit representative sigma, numbered, and its
+    stabilizer acting on the numbers; made once per representative, by
+    its orbit index (`_OrbitIndex.flats`).
+
+    Flat i is the set `sets[i]` of the positions of sigma's vectors in a
+    proper subspace they span, of dimension `dims[i]`: the flats of
+    `_flats`, numbered by dimension and then in its order.  A numbered
+    flag is the tuple of its members' numbers (`flags`).  `perms` gives
+    each stabilizer element's permutation of the numbers: the
+    generators' are read off their signed permutations of sigma's
+    vectors, the others' composed from theirs (`_Action.compose`).
+    `basis` picks a basis from vectors given by their positions in sigma,
+    as `lattice._independent_basis` does, with no elimination."""
+
+    def __init__(self, config: VectorConfig, action: _Action):
+        self.n = len(config[0])
+        self.by_dim = _flats(config)
+        self.sets = [x for level in self.by_dim for x in level]
+        self.dims = [k for k, level in enumerate(self.by_dim) for _ in level]
+        self.number = {x: i for i, x in enumerate(self.sets)}
+        self.action = action
+
+    def flags(self, dims: Sequence[int]) -> list[tuple[int, ...]]:
+        """The numbered flags of the given dimension type."""
+        return [tuple(map(self.number.__getitem__, chain))
+                for chain in _flat_flags(self.by_dim, dims)]
+
+    @cached_property
+    def perms(self) -> dict[IntMatrix, tuple[int, ...]]:
+        """Stabilizer element -> its permutation of the flat numbers."""
+        action = self.action
+        m = action.m
+        steps = []
+        for g in action.gens:
+            p = action.doubled[g]
+            step = [self.number.get(frozenset(p[j] % m for j in x))
+                    for x in self.sets]
+            if None in step:
+                raise CertificateError(
+                    "the stabilizer does not permute the flats")
+            steps.append(step)
+        return dict(zip(action.moves, map(tuple, action.compose(
+            steps, len(self.sets)))))
+
+    def holding(self, dim: int, positions) -> Optional[int]:
+        """The number of the flat of the dimension that holds the
+        positions, or None."""
+        start = sum(map(len, self.by_dim[:dim]))
+        for i in range(start, start + len(self.by_dim[dim])):
+            if self.sets[i].issuperset(positions):
+                return i
+        return None
+
+    def basis(self, positions: Sequence[int]) -> list[int]:
+        """The indices of the positions whose vectors are independent of
+        the ones chosen before them, n in all: a position is independent
+        when it lies outside the flat the chosen ones span."""
+        chosen: list[int] = []
+        span: frozenset[int] = frozenset()
+        for j, x in enumerate(positions):
+            if x not in span:
+                chosen.append(j)
+                if len(chosen) == self.n:
+                    return chosen
+                span = self.sets[self.holding(len(chosen), span | {x})]
+        raise ValueError("configuration does not span")
 
 
 def flags_respected_by(cell: Cell) -> list[RationalFlag]:
@@ -1107,20 +1247,19 @@ class _CosetDecoration:
 
 
 class _FlagDecoration:
-    """The decoration of W_F mod Gamma_F: a flag of flats of sigma of F's
-    type, the flag F' = g^-1.F that sigma respects when g.sigma lies in
-    W_F, kept when `flag_equivalent` carries it onto F.  A configuration
-    c located as u.c = sigma reads as the sets of sigma's vectors that are
-    images of c's vectors inside F's members.  A stabilizer acts through
-    its signed permutations of sigma's vectors (`_OrbitIndex.tables`).
-    `quotient.FlagLift` decorates the simplex orbits of W's quotient with
-    it too."""
+    """The decoration of W_F mod Gamma_F: a numbered flag of flats of
+    sigma of F's type (`_FlatTable`), the flag F' = g^-1.F that sigma
+    respects when g.sigma lies in W_F, kept when `flag_equivalent` carries
+    it onto F.  A configuration c located as u.c = sigma reads as the flats
+    of sigma's vectors that are images of c's vectors inside F's members.
+    A stabilizer acts through its permutations of the flat numbers, which
+    the complex's index keeps (`_OrbitIndex.flats`).  `quotient.FlagLift`
+    decorates the simplex orbits of W's quotient with it too."""
 
     def __init__(self, complex: OrbitComplex, flag: RationalFlag):
         self.complex = complex
         self.group = complex.group
         self.constraint = flag
-        self.flats = [_flats(oc.cell.config) for oc in complex.cells]
         # flags of flats of different cells are often one flag
         self.witnesses: dict[RationalFlag, Optional[IntMatrix]] = {}
 
@@ -1129,18 +1268,19 @@ class _FlagDecoration:
         """F's members, for `read`."""
         return [Echelon(QQ, int_transpose(m)) for m in self.constraint.members]
 
-    def points(self, oid: int) -> list[FlatFlag]:
-        return _flat_flags(self.flats[oid], self.constraint.dims)
+    def points(self, oid: int) -> list[tuple[int, ...]]:
+        return self.complex.index.flats(oid).flags(self.constraint.dims)
 
     def action(self, oid: int, stabilizer):
-        table = self.complex.index.tables[oid]
-        m = len(self.complex.cells[oid].cell.config)
-        perms = [[j % m for j in table[s]] for s in stabilizer]
-        return lambda chain: [tuple(frozenset(map(perm.__getitem__, x))
-                                    for x in chain) for perm in perms]
+        perms = list(map(self.complex.index.flats(oid).perms.__getitem__,
+                         stabilizer))
+        return lambda chain: [tuple(map(p.__getitem__, chain))
+                              for p in perms]
 
-    def witness(self, oid: int, chain: FlatFlag) -> Optional[IntMatrix]:
-        flag = _rational_flag(self.complex.cells[oid].cell.config, chain)
+    def witness(self, oid: int, chain: tuple[int, ...]) -> Optional[IntMatrix]:
+        sets = self.complex.index.flats(oid).sets
+        flag = _rational_flag(self.complex.cells[oid].cell.config,
+                              tuple(map(sets.__getitem__, chain)))
         if flag not in self.witnesses:
             self.witnesses[flag] = flag_equivalent(flag, self.constraint,
                                                    self.group)
@@ -1148,8 +1288,10 @@ class _FlagDecoration:
 
     def read(self, oid: int, config: VectorConfig, u: IntMatrix):
         perm = _positions(u, config, self.complex.cells[oid].cell.config)
-        return tuple(frozenset(perm[i] for i, v in enumerate(config)
-                               if span.spans(v)) for span in self.spans)
+        number = self.complex.index.flats(oid).number
+        return tuple(number.get(frozenset(perm[i] for i, v in enumerate(config)
+                                          if span.spans(v)))
+                     for span in self.spans)
 
 
 def subcomplex_WF(complex: OrbitComplex, flag: RationalFlag) -> OrbitComplex:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .exactla import (
@@ -440,23 +440,36 @@ def _image_candidates(dst: VectorConfig) -> list[tuple[int, int]]:
         [(j, -1) for j in range(len(dst))]
 
 
-def signed_permutation(u: IntMatrix, config: VectorConfig) -> tuple[int, ...]:
-    """u, which fixes +-config, as a signed permutation of the
-    configuration's m vectors: entry i is the position of u v_i among
-    `_image_candidates(config)`, j if u v_i = v_j and m + j if it is -v_j.
-    An element that does not fix the configuration is refused."""
-    pos = {v: j for j, v in enumerate(config)}
-    m = len(config)
+def signed_positions(u: IntMatrix, config: VectorConfig,
+                     dst: VectorConfig) -> Optional[tuple[int, ...]]:
+    """The images under u of the configuration's vectors as positions
+    among `_image_candidates(dst)`: entry i is j if u v_i = dst_j and
+    m + j if it is -dst_j, for m = len(dst); None when an image leaves
+    +-dst."""
+    pos = {v: j for j, v in enumerate(dst)}
+    m = len(dst)
     out = []
     for v in config:
         w = int_matvec(u, v)
-        if w in pos:
-            out.append(pos[w])
-        elif (w := tuple(-x for x in w)) in pos:
-            out.append(m + pos[w])
-        else:
-            raise CertificateError("a stabilizer element moves the cell")
+        j = pos.get(w)
+        if j is None:
+            j = pos.get(tuple(-x for x in w))
+            if j is None:
+                return None
+            j += m
+        out.append(j)
     return tuple(out)
+
+
+def signed_permutation(u: IntMatrix, config: VectorConfig) -> tuple[int, ...]:
+    """u, which fixes +-config, as a signed permutation of the
+    configuration's vectors (`signed_positions` on the configuration
+    itself).  An element that does not fix the configuration is
+    refused."""
+    perm = signed_positions(u, config, config)
+    if perm is None:
+        raise CertificateError("a stabilizer element moves the cell")
+    return perm
 
 
 class _Action:
@@ -466,7 +479,8 @@ class _Action:
     (`signed_permutation`) doubled, which determines it, so that a product
     is a composition.  `gens` are the positions of elements that generate
     S, each outside the subgroup of those before; a list that is not a
-    group is refused."""
+    group is refused.  `steps` writes every other element as a generator
+    times an element met before it, breadth first from the identity."""
 
     def __init__(self, moves: Sequence[IntMatrix],
                  perms: Sequence[Sequence[int]]):
@@ -476,20 +490,38 @@ class _Action:
         self.doubled = [(*p, *((j + m) % (2 * m) for j in p)) for p in perms]
         reached = {tuple(range(2 * m))}
         self.gens: list[int] = []
+        # (x, e, i): the element x is generator i composed after e
+        self.steps: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
         for k, perm in enumerate(self.doubled):
             if perm in reached:
                 continue
             self.gens.append(k)
-            new = reached
+            new = list(reached)
             while new:
-                new = {tuple(map(self.doubled[g].__getitem__, e))
-                       for e in new for g in self.gens} - reached
-                reached |= new
+                found = []
+                for e in new:
+                    for i, g in enumerate(self.gens):
+                        x = tuple(map(self.doubled[g].__getitem__, e))
+                        if x not in reached:
+                            reached.add(x)
+                            found.append(x)
+                            self.steps.append((x, e, i))
+                new = found
         if len(reached) != len(set(self.doubled)):
             raise CertificateError("the stabilizer is not a group")
 
     def generators(self) -> list[IntMatrix]:
         return [self.moves[g] for g in self.gens]
+
+    def compose(self, gen_perms: Sequence[Sequence[int]],
+                count: int) -> list[list[int]]:
+        """Each element's permutation of `count` items, in the order of
+        the elements, composed along `steps` from the generators'
+        permutations of them, given in the order of `gens`."""
+        table = {tuple(range(2 * self.m)): list(range(count))}
+        for x, e, i in self.steps:
+            table[x] = list(map(gen_perms[i].__getitem__, table[e]))
+        return [table[perm] for perm in self.doubled]
 
     def permutations(self, items: Sequence, what: str) -> list[list[int]]:
         """Each element's permutation of the items, vectors or canonical
@@ -504,20 +536,8 @@ class _Action:
             if None in p:
                 raise CertificateError(
                     f"the stabilizer does not permute the {what}")
-            steps.append((self.doubled[g], p))
-        table = {tuple(range(2 * self.m)): list(range(len(items)))}
-        new = list(table)
-        while new:
-            found = []
-            for e in new:
-                pe = table[e]
-                for perm, p in steps:
-                    x = tuple(map(perm.__getitem__, e))
-                    if x not in table:
-                        table[x] = list(map(p.__getitem__, pe))
-                        found.append(x)
-            new = found
-        return [table[perm] for perm in self.doubled]
+            steps.append(p)
+        return self.compose(steps, len(items))
 
 
 def _closure(vectors: Sequence[IntVector],
@@ -531,38 +551,29 @@ def _closure(vectors: Sequence[IntVector],
     return sorted(out)
 
 
-def _first_witness(src: VectorConfig, dst: VectorConfig,
-                   table: dict[IntMatrix, tuple[int, ...]],
-                   w: IntMatrix) -> IntMatrix:
-    """Of the elements t w, t in the stabilizer of dst, which are all the
-    elements with U(+-src) = +-dst when w is one, the one that
-    `_equiv_search` meets first: the least tuple of the positions, among
-    `_image_candidates`, of the images of src's basis vectors.  The
-    stabilizer is given as its table t -> `signed_permutation(t, dst)`,
-    so only the basis's images under w are computed, and each t moves
-    them by lookup; only the first element is multiplied out.  A w that
-    does not carry the basis into +-dst is returned as it is."""
-    src = canonical_config(src)
-    m = len(dst)
-    pos = {v: j for j, v in enumerate(dst)}
-    codes = []
-    for i in _independent_basis(src, len(src[0])):
-        x = int_matvec(w, src[i])
-        if x in pos:
-            codes.append(pos[x])
-        elif (x := tuple(-y for y in x)) in pos:
-            codes.append(m + pos[x])
-        else:
-            return w
-    # t(-v_j) is -(t v_j): the position shifts by m, modulo 2m
-    basis = [(c % m, c - c % m) for c in codes]
-    t, _ = min(table.items(), key=lambda item: tuple(
-        (item[1][j] + shift) % (2 * m) for j, shift in basis))
-    return int_matmul(t, w)
+def _first_element(table: dict[IntMatrix, tuple[int, ...]],
+                   codes: Sequence[int], m: int) -> IntMatrix:
+    """Of the stabilizer of a configuration dst of m vectors, given as its
+    table t -> `signed_permutation(t, dst)`, the element t that moves the
+    signed positions `codes` (among `_image_candidates(dst)`) to the least
+    tuple.  With codes the images of src's basis (`_independent_basis`)
+    under some w with w(+-src) = +-dst, t w is the element of all those
+    that `_equiv_search` meets first.  Each t moves the codes by lookup,
+    one at a time, and only the elements giving the least position so far
+    are kept: a basis's images determine t."""
+    items = list(table.items())
+    for c in codes:
+        # t(-v_j) is -(t v_j): the position shifts by m, modulo 2m
+        j, shift = c % m, c - c % m
+        least = min((p[j] + shift) % (2 * m) for _, p in items)
+        items = [(t, p) for t, p in items
+                 if (p[j] + shift) % (2 * m) == least]
+    return items[0][0]
 
 
 def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
-                  flag=None, find_all: bool = False) -> list[IntMatrix]:
+                  flag=None, find_all: bool = False
+                  ) -> list[tuple[IntMatrix, tuple[int, ...]]]:
     """Backtracking search for U in the group with U(+-src) = +-dst,
     optionally preserving a flag.  Complete by exhaustion over images of
     a basis of src, in exact integer arithmetic.
@@ -578,7 +589,9 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
     images already chosen.  A leaf forms U = W adj(B) / det B from the
     basis B and its images W and keeps it only if it is integral,
     unimodular and in the group (tested first, by its determinant),
-    maps src onto dst and preserves the flag.
+    maps src onto dst and preserves the flag.  The leaf maps every vector
+    of src to find that, and each element is returned with those images,
+    its `signed_positions(U, src, dst)`.
 
     With find_all the search runs over +-classes: -U maps +-src onto
     +-dst and keeps a flag exactly when U does, so the first basis
@@ -615,21 +628,32 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
         level_cands.append([(j, s) for j, s in candidates
                             if pd[j][j] == ps[b][b] and s in signs])
         level_pairs.append([ps[basis_idx[k]][b] for k in range(depth)])
-    dst_set = frozenset(dst)
+    # per later depth: for each image of the first basis vector, the
+    # candidates whose pairing with it is right
+    paired = [{(j0, s0): [(j, s) for j, s in level_cands[depth]
+                          if s0 * s * pd[j][j0] == level_pairs[depth][0]]
+               for j0, s0 in level_cands[0]} for depth in range(1, n)]
+    # W adj(B) is the sum over the depths of each image times its row of
+    # adj(B): per depth and candidate, that product, its rows laid end to
+    # end, which a path of the search adds up as it goes
+    outer = [{(j, s): [s * x * y for x in dst[j] for y in adj_b[depth]]
+              for j, s in cands} for depth, cands in enumerate(level_cands)]
+    m = len(dst)
+    # the vectors outside the basis, which a leaf maps by matrix
+    rest = [i for i in range(m) if i not in basis_idx]
     dets = group.dets
     # det(-U) = (-1)^n det U
     flip = (-1) ** n
 
-    results: list[IntMatrix] = []
+    results: list[tuple[IntMatrix, tuple[int, ...]]] = []
     images: list[tuple[int, int]] = []
 
-    def accept():
-        """Append the leaf's elements to the results."""
-        w = int_transpose(tuple(tuple(s * x for x in dst[j]) for j, s in images))
-        w_adj = int_matmul(w, adj_b)
-        if any(x % det_b for row in w_adj for x in row):
+    def accept(w_adj: list[int]):
+        """Append the leaf's elements to the results, given W adj(B)."""
+        if any(x % det_b for x in w_adj):
             return
-        ui = tuple(tuple(x // det_b for x in row) for row in w_adj)
+        ui = tuple(tuple(x // det_b for x in w_adj[r:r + n])
+                   for r in range(0, n * n, n))
         det_u = int_det(ui)
         if abs(det_u) != 1:
             return
@@ -642,32 +666,40 @@ def _equiv_search(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
                 kept.append(neg)
         if not kept:
             return
-        mapped = {canonical_vector(int_matvec(ui, v)) for v in src}
-        if mapped != dst_set:
+        # U is injective on +-classes, so src lands on all of +-dst; the
+        # basis lands where the leaf put it
+        moved = signed_positions(ui, [src[i] for i in rest], dst)
+        if moved is None:
             return
         if flag is not None and not _flag_preserved(ui, flag):
             return
-        results.extend(kept)
+        perm = [0] * m
+        for b, (j, s) in zip(basis_idx, images):
+            perm[b] = j if s > 0 else j + m
+        for i, j in zip(rest, moved):
+            perm[i] = j
+        shifted = tuple((j + m) % (2 * m) for j in perm)
+        results.extend((u, tuple(perm) if u is ui else shifted) for u in kept)
 
-    def backtrack(depth: int):
+    def backtrack(depth: int, w_adj: list[int]):
         if results and not find_all:
             return
         if depth == n:
-            accept()
+            accept(w_adj)
             return
-        targets = level_pairs[depth]
-        for j, s in level_cands[depth]:
+        targets = level_pairs[depth][1:]
+        for j, s in paired[depth - 1][images[0]] if depth else level_cands[0]:
             row = pd[j]
             if any(sk * s * row[jk] != t
-                   for (jk, sk), t in zip(images, targets)):
+                   for (jk, sk), t in zip(images[1:], targets)):
                 continue
             images.append((j, s))
-            backtrack(depth + 1)
+            backtrack(depth + 1, list(map(add, w_adj, outer[depth][j, s])))
             images.pop()
             if results and not find_all:
                 return
 
-    backtrack(0)
+    backtrack(0, [0] * (n * n))
     return results
 
 
@@ -678,12 +710,18 @@ def config_equiv(src: VectorConfig, dst: VectorConfig, group: GroupSpec,
     src = canonical_config(src)
     dst = canonical_config(dst)
     found = _equiv_search(src, dst, group, flag=flag, find_all=False)
-    return found[0] if found else None
+    return found[0][0] if found else None
 
 
 @dataclass(frozen=True)
 class StabilizerResult:
+    """The stabilizer's elements, sorted, and, when the search made them,
+    each one's `signed_permutation` of the configuration, in the same
+    order: the leaf that kept an element has mapped every vector."""
+
     elements: tuple[IntMatrix, ...]
+    permutations: Optional[tuple[tuple[int, ...], ...]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -695,8 +733,10 @@ def config_stabilizer(config: VectorConfig, group: GroupSpec,
     """The finite group {U in the group : U(+-config) = +-config},
     optionally intersected with a flag stabilizer."""
     config = canonical_config(config)
-    elements = _equiv_search(config, config, group, flag=flag, find_all=True)
-    return StabilizerResult(tuple(sorted(elements)))
+    found = sorted(_equiv_search(config, config, group, flag=flag,
+                                 find_all=True))
+    return StabilizerResult(tuple(u for u, _ in found),
+                            tuple(perm for _, perm in found))
 
 
 # ---------------------------------------------------------------------------

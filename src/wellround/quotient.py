@@ -44,14 +44,14 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
-from .cells import FlatFlag, OrbitComplex, _FlagDecoration, _positions
+from .cells import OrbitComplex, _FlagDecoration, _FlatTable, _positions
 from .exactla import (
     CertificateError, Echelon, IntMatrix, PrimeField, QQ, SparseRows,
     dense_view, int_identity, int_inverse, int_matmul, snf, sparse_matmul,
     sparse_transpose,
 )
 from .flags import RationalFlag, coset_space
-from .lattice import GroupSpec, VectorConfig, _Action, move_each
+from .lattice import GroupSpec, VectorConfig, move_each
 
 Chain = tuple[VectorConfig, ...]  # cell configs, dimension-increasing
 
@@ -156,18 +156,16 @@ class _ChainIndexer:
     def closure(self, oid: int):
         """(configs, positions, perms): the closure of representative oid,
         sorted, the position of each of its configurations, and each
-        stabilizer element's permutation of them (`lattice._Action`),
-        in the stabilizer's order.  A chain anchored at oid is the tuple of
-        its members' positions, which compare as the chains do."""
+        stabilizer element's permutation of them (`lattice._Action`, the
+        one the complex's index keeps), in the stabilizer's order.  A
+        chain anchored at oid is the tuple of its members' positions,
+        which compare as the chains do."""
         if oid not in self._closures:
-            complex = self.complex
-            configs = _closure_configs(complex, oid)
-            stabilizer = complex.stabilizers[oid]
-            table = complex.index.tables[oid]
+            configs = _closure_configs(self.complex, oid)
             self._closures[oid] = configs, \
                 {c: i for i, c in enumerate(configs)}, \
-                _Action(stabilizer, [table[g] for g in stabilizer]) \
-                .permutations(configs, "closure")
+                self.complex.index.action(oid).permutations(configs,
+                                                            "closure")
         return self._closures[oid]
 
     def _anchored(self, chain: Chain):
@@ -201,7 +199,7 @@ class _ChainIndexer:
         chain = [pos[c] for c in simplex.chain]
         return tuple(g for g, p in zip(
             self.complex.stabilizers[simplex.top_orbit], perms)
-            if all(p[j] == j for j in chain))
+            if list(map(p.__getitem__, chain)) == chain)
 
 
 def _closure_configs(complex: OrbitComplex, oid: int) -> list[VectorConfig]:
@@ -211,20 +209,22 @@ def _closure_configs(complex: OrbitComplex, oid: int) -> list[VectorConfig]:
 
 def _enumerate_chains(poset: Sequence[VectorConfig], top: VectorConfig):
     """All strictly nested chains of configs ending at `top`; a face
-    carries a strictly larger configuration than its cofaces."""
+    carries a strictly larger configuration than its cofaces, and each
+    config's faces in the poset are listed once."""
     chains: list[Chain] = [(top,)]
     below = frozenset(top)
     pool = [(c, frozenset(c)) for c in poset]
     pool = [(c, vectors) for c, vectors in pool if vectors > below]
+    faces = {c: [d for d, others in pool if others > vectors]
+             for c, vectors in pool}
 
-    def grow(prefix: Chain, first: frozenset):
-        for c, vectors in pool:
-            if vectors > first:
-                chain = (c,) + prefix
-                chains.append(chain)
-                grow(chain, vectors)
+    def grow(prefix: Chain, members: list[VectorConfig]):
+        for c in members:
+            chain = (c,) + prefix
+            chains.append(chain)
+            grow(chain, faces[c])
 
-    grow((top,), below)
+    grow((top,), [c for c, _ in pool])
     return chains
 
 
@@ -457,7 +457,8 @@ class ChainMap:
 @dataclass(frozen=True)
 class FlagSimplex:
     """The simplex orbit of W_F mod Gamma_F of the chain g.tau: tau a
-    simplex orbit of W, y a flag of flats of its top cell, g = w s^-1 for
+    simplex orbit of W, y a numbered flag of flats of its top cell
+    (`cells._FlatTable`), g = w s^-1 for
     the witness w carrying the root s^-1.y of y's orbit onto F, and
     `fixing` = Stab(tau) cap Stab(y).  The witness is found, and the
     element g and the stabilizer g fixing g^-1 are multiplied out, on the
@@ -465,7 +466,7 @@ class FlagSimplex:
     no witness is missing (checked)."""
 
     tau: SimplexOrbit
-    flag: FlatFlag
+    flag: tuple[int, ...]
     root: tuple[Callable[[], Optional[IntMatrix]], IntMatrix]   # (w(), s)
     fixing: tuple[IntMatrix, ...]
 
@@ -528,14 +529,21 @@ class _FlagChains:
         raise IncompatibleComplexes("a flag lift locates no chain")
 
 
-def _carried_flag(perm: Sequence[int], flag: FlatFlag, flats,
-                  dims: Sequence[int]) -> tuple:
-    """The flag of flats of a cell holding the images of a top cell's
-    vectors, vector i at perm[i]: per member, the flat of its dimension
-    holding its image (None if none does)."""
-    return tuple(next((z for z in flats[d]
-                       if z.issuperset(map(perm.__getitem__, x))), None)
-                 for x, d in zip(flag, dims))
+class _CarriedFlats(dict):
+    """The flat numbers of a cell sigma mapped to those of a cell sigma',
+    given the position perm[j] in sigma' of an element's image of
+    sigma's vector j: flat x goes to the flat of sigma' of its dimension
+    holding the images of its vectors (None if none does), found on the
+    first read of x."""
+
+    def __init__(self, perm: Sequence[int], source: _FlatTable,
+                 target: _FlatTable):
+        self.perm, self.source, self.target = perm, source, target
+
+    def __missing__(self, x: int) -> Optional[int]:
+        image = self[x] = self.target.holding(
+            self.source.dims[x], {self.perm[j] for j in self.source.sets[x]})
+        return image
 
 
 class FlagLift:
@@ -553,9 +561,12 @@ class FlagLift:
     group is of level 1, where P(Z) is transitive on Omega: every flag of
     F's type is Gamma-equivalent to F, so the orbits are those of the
     flags of flats of that type, and the witness of an orbit's root is
-    found only when an element of its simplices is first read.  Face
-    i of (tau, y) is (tau', e.y) for W's face tau' of tau and e carrying
-    the face onto it, with W's sign; a deletion map drops member i of y,
+    found only when an element of its simplices is first read.  Flags
+    are numbered flags of flats, which a stabilizer moves by its
+    permutation of the flat numbers (`cells._FlatTable`).  Face i of (tau,
+    y) is (tau', e.y) for W's face tau' of tau and e carrying the face
+    onto it, with W's sign, e.y read through the face's map of flat
+    numbers (`_face_flats`); a deletion map drops member i of y,
     and the inclusion into W forgets y.  Stabilizers and elements are
     those of the chains g.tau, so `CosetLift` lifts the quotients over
     Omega.  Checked: every face and image keeps its flag type, and each
@@ -570,13 +581,32 @@ class FlagLift:
             raise IncompatibleComplexes("the flag lift reads W mod a group "
                                         "of level 1")
         self.quotients: dict[tuple[int, ...], QuotientComplex] = {}
-        tops = [[s.top_orbit for s in level] for level in w_qc.simplices]
-        configs = [oc.cell.config for oc in self.complex.cells]
-        # per simplex of W and face: where its top cell's vectors go
-        self.perms = [[[_positions(e, configs[tops[q][t]],
-                                   configs[tops[q - 1][f]]) for f, e in faces]
-                       for t, faces in enumerate(level)]
-                      for q, level in enumerate(w_qc.located_faces)]
+        self.flat_maps = [[self._face_flats(q, t) for t in range(len(level))]
+                          for q, level in enumerate(w_qc.located_faces)]
+
+    def _face_flats(self, q: int, t: int) -> list:
+        """Per face i of W's simplex t of dimension q, the map of the flat
+        numbers of its top cell sigma onto those of the face's top cell,
+        which carries a numbered flag of sigma onto the face.  A face
+        that keeps sigma, i < q, is located by an element of Stab(sigma),
+        which maps the numbers by its permutation of them; the last face
+        has another top cell sigma', and its element maps sigma's flats
+        by the positions of their vectors' images in sigma'
+        (`_CarriedFlats`)."""
+        w_qc, index = self.w_qc, self.complex.index
+        oid = w_qc.simplices[q][t].top_orbit
+        table = index.flats(oid)
+        maps: list = []
+        for i, (f, e) in enumerate(w_qc.located_faces[q][t]):
+            if i < q:
+                maps.append(table.perms[e])
+            else:
+                top = w_qc.simplices[q - 1][f].top_orbit
+                maps.append(_CarriedFlats(_positions(
+                    e, self.complex.cells[oid].cell.config,
+                    self.complex.cells[top].cell.config), table,
+                    index.flats(top)))
+        return maps
 
     def _roots(self, decoration: _FlagDecoration, oid: int) -> dict:
         """The flags of flats y of F's type of representative oid, as y ->
@@ -632,11 +662,10 @@ class FlagLift:
             located = []
             for j, (s, t) in enumerate(zip(simplices[q], owners[q])):
                 located.append([])
-                for i, ((f, e), perm) in enumerate(zip(
-                        w_qc.located_faces[q][t], self.perms[q][t])):
-                    top = w_qc.simplices[q - 1][f].top_orbit
-                    hit = labels[q - 1][f].get(_carried_flag(
-                        perm, s.flag, decoration.flats[top], dims))
+                for i, ((f, e), flats) in enumerate(zip(
+                        w_qc.located_faces[q][t], self.flat_maps[q][t])):
+                    hit = labels[q - 1][f].get(
+                        tuple(map(flats.__getitem__, s.flag)))
                     if hit is None:
                         raise CertificateError("a face leaves its flag type")
                     rows[hit[0]][j] = rows[hit[0]].get(j, 0) + (-1) ** i

@@ -222,11 +222,16 @@ def test_gauss_bonnet_certificate_raised_under_optimize(fixture, mutant):
 # the lift loses a whole orbit: the first root listed on SL_3 is dropped
 # with its Stab(sigma)-orbit, so the simplices of that orbit are never
 # listed, and the sum of (-1)^q / |stabilizer| over the lifted W_F moves
-# off 0.  Or one lifted face is given a wrong decoration, its flag with
-# the last member dropped, which is no flag of F's type, so no orbit of
-# the lift holds it.  Each check must fire under -O.
+# off 0.  Or one face of W's quotient carries the numbered flags of its
+# top cell wrongly: the map of flat numbers that the lift keeps for it
+# (`FlagLift._face_flats`) finds no flat for any of them, so no orbit of
+# the lift holds the carried flag.  Or one entry of one stabilizer
+# element's permutation of the flat numbers (`cells._FlatTable.perms`)
+# is corrupted, a flat it moves sent to itself, so that the element moves
+# the flags wrongly and their orbits and stabilizers break, and the sum
+# over the lifted W_F moves off 0.  Each check must fire under -O.
 FLAG_LIFT_SCRIPT = textwrap.dedent("""
-    import json, sys
+    import collections, functools, json, sys
     import wellround.cells as cells
     import wellround.quotient as quotient
     from wellround.cli import run
@@ -254,15 +259,33 @@ FLAG_LIFT_SCRIPT = textwrap.dedent("""
             return roots
 
         quotient.FlagLift._roots = dropping
+    elif sys.argv[1] == "wrong-decoration":
+        real = quotient.FlagLift._face_flats
+
+        def wrong(self, q, t):
+            maps = real(self, q, t)
+            if maps and not asked:
+                asked.append((q, t))
+                maps[0] = collections.defaultdict(lambda: None)
+            return maps
+
+        quotient.FlagLift._face_flats = wrong
     else:
-        real = quotient._carried_flag
+        real = cells._FlatTable.perms.func
 
-        def wrong(perm, flag, flats, dims):
-            asked.append(flag)
-            carried = real(perm, flag, flats, dims)
-            return carried[:-1] if len(asked) == 1 else carried
+        def corrupted(self):
+            perms = real(self)
+            if not asked:
+                s, p = next((s, list(p)) for s, p in perms.items()
+                            if p != tuple(range(len(p))))
+                x = next(x for x, y in enumerate(p) if y != x)
+                p[x] = x
+                perms[s] = tuple(p)
+                asked.append(s)
+            return perms
 
-        quotient._carried_flag = wrong
+        cells._FlatTable.perms = functools.cached_property(corrupted)
+        cells._FlatTable.perms.__set_name__(cells._FlatTable, "perms")
     code = run(["boundary", "total"] + group)
     print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
 """)
@@ -272,6 +295,7 @@ FLAG_LIFT_SCRIPT = textwrap.dedent("""
     ("drop-orbit", "no element carries a root flag onto F"),
     ("drop-root", "Gauss-Bonnet sum "),
     ("wrong-decoration", "a face leaves its flag type"),
+    ("corrupt-flat-table", "Gauss-Bonnet sum "),
 ])
 def test_flag_lift_certificates_raised_under_optimize(mutant, error):
     cli_line, result_line = _run_optimized(FLAG_LIFT_SCRIPT, mutant)[-2:]
@@ -559,39 +583,49 @@ def test_transfer_certificate_raised_under_optimize():
         "CertificateError: transfer certificate fails in degree 0")
 
 
-# The kernel that moves a configuration by a group element
-# (`lattice.move_config`) is broken inside one function alone: the image
-# it gives there comes back in reverse order, so it is not canonical.
-# Inside `_derive`, the face located through Omega for Gamma_0(11) then
-# no longer lands on its representative; inside `_OrbitIndex._looked_up`,
-# the witness of a W_F cell located by a chain map of the SL_3 build no
+# A kernel that moves a configuration by a group element is broken
+# inside one function alone.  `lattice.move_config` gives its image back
+# in reverse order, so it is not canonical: inside `_derive`, the face
+# located through Omega for Gamma_0(11) then no longer lands on its
+# representative.  `lattice.signed_positions`, which places the images
+# of a configuration's vectors among a representative's, applies the
+# element transposed: inside `_OrbitIndex._looked_up`, the witness of a
+# configuration that the SL_3 walk files from a located one then no
 # longer carries it.  Each check must fire under -O.
 MOVE_SCRIPT = textwrap.dedent("""
     import json, sys
     import wellround.cells as cells
     from wellround.cli import run
+    from wellround.exactla import int_transpose
 
-    real = cells.move_config
+    function, kernel = sys.argv[1:3]
+    real = getattr(cells, kernel)
 
-    def broken(u, config):
-        inside = sys._getframe(1).f_code.co_name == sys.argv[1]
-        return real(u, config)[::-1] if inside else real(u, config)
+    def broken(u, *configs):
+        if sys._getframe(1).f_code.co_name != function:
+            return real(u, *configs)
+        if kernel == "move_config":
+            return real(u, *configs)[::-1]
+        return real(int_transpose(u), *configs)
 
-    cells.move_config = broken
-    code = run(sys.argv[2:])
+    setattr(cells, kernel, broken)
+    code = run(sys.argv[3:])
     print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
 """)
 
 
-@pytest.mark.parametrize("function, argv, error", [
-    ("_derive", ["cells", "enumerate", "-n", "2", "--group", "gamma0",
-                 "--level", "11"], "derived face is located wrongly"),
-    ("_looked_up", ["boundary", "total", "-n", "3", "--group", "sl"],
+@pytest.mark.parametrize("function, kernel, argv, error", [
+    ("_derive", "move_config", ["cells", "enumerate", "-n", "2", "--group",
+                                "gamma0", "--level", "11"],
+     "derived face is located wrongly"),
+    ("_looked_up", "signed_positions", ["boundary", "total", "-n", "3",
+                                        "--group", "sl"],
      "orbit witness does not carry the cell onto its orbit's "
      "representative"),
 ], ids=["derive", "looked_up"])
-def test_move_certificates_raised_under_optimize(function, argv, error):
-    cli_line, result_line = _run_optimized(MOVE_SCRIPT, function,
+def test_move_certificates_raised_under_optimize(function, kernel, argv,
+                                                error):
+    cli_line, result_line = _run_optimized(MOVE_SCRIPT, function, kernel,
                                            *argv)[-2:]
     assert json.loads(result_line) == {"optimize": 1, "code": 1}
     assert json.loads(cli_line) == {"error": f"CertificateError: {error}"}

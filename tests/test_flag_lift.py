@@ -17,10 +17,13 @@ level-1 build derives no W_F, subdivides W alone, carries no chain
 outside W's quotient and searches only in the walk."""
 
 import json
+from collections import Counter
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chain_canon
 import wellround.boundary as boundary
@@ -31,9 +34,11 @@ from wellround.boundary import (
     build_double_complex, restriction, spectral_sequence, total_cohomology,
 )
 from wellround.cells import enumerate_W, subcomplex_WF
-from wellround.exactla import int_inverse, int_matmul
+from wellround.exactla import QQ, Echelon, int_inverse, int_matmul, int_matvec
 from wellround.flags import flag_types, in_parabolic, standard_flag
-from wellround.lattice import GroupSpec
+from wellround.lattice import (
+    GroupSpec, canonical_config, canonical_vector, signed_permutation,
+)
 from wellround.quotient import FlagLift, barycentric_quotient
 
 LEVEL_ONE = {"SL_2": GroupSpec(2, "sl"), "GL_2": GroupSpec(2, "gl"),
@@ -281,3 +286,102 @@ def test_sl3_build_searches_in_the_walk_only(monkeypatch, cold_level_one):
                         calls.append(args) or real(*args, **kwargs))
     build_double_complex(GroupSpec(3, "sl"))
     assert len(calls) == 1
+
+
+def _eliminated_flats(config):
+    """The flats by elimination, as `cells._flats` found them before it
+    read them off integer normals: each k vectors independent and in no
+    flat found yet span the flat of every vector their echelon basis
+    spans."""
+    out = [()]
+    for k in range(1, len(config[0])):
+        found = []
+        for sub in combinations(range(len(config)), k):
+            if any(flat.issuperset(sub) for flat in found):
+                continue
+            span = Echelon(QQ)
+            if all(span.add(config[i]) for i in sub):
+                found.append(frozenset(j for j, v in enumerate(config)
+                                       if span.spans(v)))
+        out.append(tuple(sorted(found, key=sorted)))
+    return tuple(out)
+
+
+@st.composite
+def configurations(draw):
+    n = draw(st.integers(2, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                            min_size=1, max_size=n + 5))
+    return canonical_config(v for v in vectors if any(v)) or ((1,) * n,)
+
+
+@given(configurations())
+@settings(max_examples=300, deadline=None)
+def test_flats_match_elimination(config):
+    assert cells._flats.__wrapped__(config) == _eliminated_flats(config)
+
+
+@pytest.mark.parametrize("name, variant", CASES)
+def test_tables_match_the_matrices(name, variant):
+    # every representative's stabilizer is tabled from its search as the
+    # signed permutations that `signed_permutation` gives, and each
+    # element's permutation of the flat numbers, composed from its
+    # generators', moves each flat as the element's matrix moves its
+    # vectors; a numbered flag is the tuple of its members' numbers
+    w = enumerate_W(LEVEL_ONE[name], variant=variant)
+    for oc in w.cells:
+        config, stabilizer = oc.cell.config, w.stabilizers[oc.id]
+        table = w.index.flats(oc.id)
+        assert table.sets == [x for level in _eliminated_flats(config)
+                              for x in level]
+        assert list(w.index.tables[oc.id]) == list(stabilizer)
+        assert list(table.perms) == list(stabilizer)
+        for s in stabilizer:
+            assert w.index.tables[oc.id][s] == signed_permutation(s, config)
+            moved = [frozenset(config.index(canonical_vector(int_matvec(
+                s, config[j]))) for j in x) for x in table.sets]
+            assert [table.sets[y] for y in table.perms[s]] == moved
+        for dims in _types(len(config[0])):
+            assert [tuple(table.sets[x] for x in flag)
+                    for flag in table.flags(dims)] == \
+                cells._flat_flags(table.by_dim, dims)
+
+
+def test_sl3_build_carries_flags_by_table(monkeypatch, cold_level_one):
+    # the orbit index numbers the flats of each of W's 5 representatives
+    # once, and all three flag types read them; a face of W's quotient that
+    # keeps its top cell carries a numbered flag by its element's
+    # permutation of the numbers, and only the last face of each of W's 26
+    # simplices of dimension > 0, whose top is another cell, maps flats by
+    # the positions of its element's images, each (face, flat) once.  The
+    # lift scanned the flats of the face's top cell for all 652 faces of
+    # the flag quotients, and moved the flats as sets 108 times
+    tables, positions, mapped = [], [], Counter()
+    real_table = cells._FlatTable.__init__
+    monkeypatch.setattr(cells._FlatTable, "__init__", lambda self, config,
+                        action: tables.append(config) or real_table(
+                            self, config, action))
+    real_positions = quotient._positions
+    monkeypatch.setattr(quotient, "_positions", lambda u, config, target:
+                        positions.append((config, target)) or
+                        real_positions(u, config, target))
+    real_missing = quotient._CarriedFlats.__missing__
+
+    def missing(self, x):
+        mapped[id(self), x] += 1
+        return real_missing(self, x)
+    monkeypatch.setattr(quotient._CarriedFlats, "__missing__", missing)
+    w = build_double_complex(GroupSpec(3, "sl")).w_complex
+    assert sorted(tables) == sorted(oc.cell.config for oc in w.cells)
+    assert len(tables) == 5
+    assert len(positions) == 26 and all(c != t for c, t in positions)
+    assert mapped and set(mapped.values()) == {1}
+    w_qc = barycentric_quotient(w)
+    lift = FlagLift(w_qc)
+    for q, level in enumerate(w_qc.located_faces):
+        for t, faces in enumerate(level):
+            perms = w.index.flats(w_qc.simplices[q][t].top_orbit).perms
+            for i, (f, e) in enumerate(faces[:-1]):
+                assert lift.flat_maps[q][t][i] is perms[e]
+            assert all(isinstance(m, quotient._CarriedFlats)
+                       for m in lift.flat_maps[q][t][-1:])

@@ -13,7 +13,7 @@ from wellround.exactla import (
     int_matvec,
 )
 from wellround.lattice import (
-    GramForm, GroupSpec, _first_witness, canonical_config, canonical_vector,
+    GramForm, GroupSpec, canonical_config, canonical_vector,
     config_equiv, config_stabilizer, is_well_rounded, minimal_vectors,
     move_config, normalize, signed_permutation, vectors_below,
 )
@@ -237,15 +237,17 @@ def test_group_membership_matches_converting_entries(case):
 @pytest.mark.parametrize("n, family", [(2, "sl"), (3, "sl"), (3, "gl")])
 def test_first_witness_from_the_table_is_the_search_first(n, family):
     # a configuration g.rep, carried onto rep by any of its witnesses t g^-1
-    # (t in the stabilizer), gives the witness the search finds first;
-    # the stabilizer acts by its signed permutations of rep's vectors
+    # (t in the stabilizer), is filed with the witness the search finds
+    # first; the stabilizer acts by the signed permutations of rep's
+    # vectors that its search made, and the basis is read off rep's flats
     from wellround.cells import enumerate_W
     group = GroupSpec(n, family)
     w = enumerate_W(group)
     rng = random.Random(n)
     for oc in w.cells:
         rep, stabilizer = oc.cell.config, w.stabilizers[oc.id]
-        table = {s: signed_permutation(s, rep) for s in stabilizer}
+        table = w.index.tables[oc.id]
+        assert list(table) == list(stabilizer)
         for s, perm in table.items():
             assert [canonical_vector(int_matvec(s, v)) for v in rep] == \
                 [rep[j % len(rep)] for j in perm]
@@ -258,9 +260,9 @@ def test_first_witness_from_the_table_is_the_search_first(n, family):
                 g = int_matmul(g, tuple(map(tuple, e)))
             config = move_config(g, rep)
             t = rng.choice(stabilizer)
-            got = _first_witness(config, rep, table,
-                                 int_matmul(t, int_inverse(g)))
-            assert got == config_equiv(config, rep, group)
+            got = w.index._looked_up(config, (oc.id,
+                                              int_matmul(t, int_inverse(g))))
+            assert got == (oc.id, config_equiv(config, rep, group))
 
 
 def test_signed_permutation_refuses_a_moving_element():

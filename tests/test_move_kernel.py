@@ -111,7 +111,12 @@ def test_sl3_build_computes_each_image_once(monkeypatch):
     # contact of one: 1,498 and 732 when it did.  A stabilizer now acts
     # on its representative's contacts and closure by permutations
     # composed from its generators', so only the generators move them by
-    # matrix: 1,319 and 703 when every element did
+    # matrix: 1,319 and 703 when every element did.  A configuration filed
+    # from a located one is checked by the signed positions of its
+    # witness's images, with no image table: 401 and 313 when each filing
+    # moved the configuration by its new witness.  A representative's
+    # closure takes each face from its location and moves no closure of a
+    # face already in it: 324 and 284 when it moved every face's
     boundary._level_one.cache_clear()
     lattice._image_table.cache_clear()
     computed = Counter()
@@ -125,30 +130,27 @@ def test_sl3_build_computes_each_image_once(monkeypatch):
     build_double_complex(GroupSpec(3, "sl"))
     assert set(computed.values()) == {1}
     vectors = sum(type(key[0]) is int for _, key in computed)
-    assert (vectors, len(computed) - vectors) == (401, 313)
+    assert (vectors, len(computed) - vectors) == (318, 267)
 
 
 def test_sl3_build_tables_each_stabilizer_once(monkeypatch, cold_level_one):
-    # each element of the stabilizers of W's five representatives is made
-    # a signed permutation of its representative's vectors once, 92 in
-    # all, and the build (the walk above all) makes no moved face or
-    # coface a cell
-    tabled, moved = Counter(), []
-    real_table, real_moved = cells.signed_permutation, cells._moved_cell
-
-    def table(u, config):
-        tabled[u, config] += 1
-        return real_table(u, config)
-
-    monkeypatch.setattr(cells, "signed_permutation", table)
+    # each element of the stabilizers of W's five representatives is
+    # tabled once as a signed permutation of its representative's
+    # vectors, 92 in all, taken from the search leaf that kept it (92
+    # `signed_permutation` calls when each was tabled after its search),
+    # and the build (the walk above all) makes no moved face or coface a
+    # cell
+    tabled, moved = [], []
+    real_moved = cells._moved_cell
+    monkeypatch.setattr(cells, "signed_permutation", lambda u, config:
+                        tabled.append((u, config)))
     monkeypatch.setattr(cells, "_moved_cell", lambda cell, g: moved.append(
         cell) or real_moved(cell, g))
     w = build_double_complex(GroupSpec(3, "sl")).w_complex
-    assert moved == []
-    assert set(tabled.values()) == {1}
-    assert sorted(tabled) == sorted((s, oc.cell.config) for oc in w.cells
-                                    for s in w.stabilizers[oc.id])
-    assert len(tabled) == 92
+    assert moved == [] and tabled == []
+    assert [list(table) for table in w.index.tables] == \
+        [list(w.stabilizers[oc.id]) for oc in w.cells]
+    assert sum(map(len, w.index.tables)) == 92
 
 
 def test_sl3_build_locates_each_face_once(monkeypatch):

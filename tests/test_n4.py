@@ -69,9 +69,12 @@ def test_gl4_walk_builds_each_image_table_once(monkeypatch):
     # vectors and configurations by the generators of each stabilizer
     # and by the elements that locate configurations; the rest of a
     # stabilizer acts by permutations composed from its generators'.  It
-    # builds each of its 267 tables once and reads 174 images from them
+    # builds each of its 33 tables once and reads 116 images from them
     # again, where moving by every stabilizer element took 2,513 tables
-    # and 29,028 reads.  It builds 23 cells: the 18 representatives, and
+    # and 29,028 reads, and checking each located configuration's witness
+    # by moving the configuration took 267 and 174 (it is now checked by
+    # the signed positions of the witness's images, with no table).  It
+    # builds 23 cells: the 18 representatives, and
     # one to decide each of 5 more S-orbits of cofaces with no member
     # filed, 2 of them no cells (77 when it built the least face and
     # coface of every S-orbit)
@@ -86,5 +89,5 @@ def test_gl4_walk_builds_each_image_table_once(monkeypatch):
     info = lattice._image_table.cache_info()
     print(f"[PASS] GL_4 walk ({time.time() - started:.1f}s, {info})")
     assert set(built.values()) == {1}
-    assert (info.misses, info.hits) == (len(built), 174) == (267, 174)
+    assert (info.misses, info.hits) == (len(built), 116) == (33, 116)
     assert len(cells_built) == 23

@@ -218,3 +218,32 @@ def test_faces_closing_up_elsewhere_raise_under_optimize(mutant):
     assert json.loads(result_line) == {
         "optimize": 1,
         "raised": "a face closes up to another configuration"}
+
+
+def test_sl3_build_tables_from_the_searches(monkeypatch, cold_level_one):
+    # the walk tables each representative's stabilizer from the leaves of
+    # its search, which mapped every vector: no `signed_permutation` (92,
+    # one per element, when each was tabled after the search).  A
+    # configuration filed from a located one reads its basis off its
+    # representative's numbered flats, so only the 6 searches (the 5
+    # stabilizers and one equivalence) choose a basis by elimination,
+    # where each of the 31 filings chose one too (37)
+    import wellround.boundary as boundary
+    import wellround.cells as cells
+    import wellround.lattice as lattice
+
+    calls = {"signed_permutation": 0, "_independent_basis": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cells, "signed_permutation")
+    counted(lattice, "signed_permutation")
+    counted(lattice, "_independent_basis")
+    boundary.build_double_complex(GroupSpec(3, "sl"))
+    assert calls == {"signed_permutation": 0, "_independent_basis": 6}
