@@ -1235,9 +1235,8 @@ class _CosetDecoration:
         return self.omega.transversal
 
     def action(self, oid: int, stabilizer):
-        act = self.omega.act
-        inverses = [int_inverse(s) for s in stabilizer]
-        return lambda w: [act(w, s_inv) for s_inv in inverses]
+        moves = [self.omega.mover(int_inverse(s)) for s in stabilizer]
+        return lambda w: [move(w) for move in moves]
 
     def witness(self, oid: int, w) -> IntMatrix:
         return self.omega.transversal[w]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -368,15 +369,37 @@ def int_kernel(m: IntMatrix) -> tuple[IntVector, ...]:
     return u[r:]
 
 
+def _unit_minors(h: IntMatrix) -> bool:
+    """True iff the maximal minors of the n x d matrix h of rank d have
+    gcd 1, that is iff its columns are a basis of a saturated lattice."""
+    g = 0
+    for rows in combinations(h, len(h[0]) if h else 0):
+        g = gcd(g, int_det(rows))
+        if g == 1:
+            return True
+    return False
+
+
+def is_saturated_hnf(m: IntMatrix) -> bool:
+    """True iff saturation(m) == m, without saturating: m is its own
+    column HNF and its maximal minors have gcd 1."""
+    return hnf(m) == m and _unit_minors(m)
+
+
 def saturation(m: IntMatrix) -> IntMatrix:
     """Canonical basis (column HNF) of span_Q(columns of m) intersected
-    with Z^n: the saturated sublattice containing the column lattice."""
+    with Z^n: the saturated sublattice containing the column lattice.
+    The column HNF is the answer when its maximal minors have gcd 1, and
+    I at rank n; otherwise the saturation is the integer kernel of the
+    integer kernel of m^T."""
     m = int_matrix(m)
+    h = hnf(m)
+    if _unit_minors(h):
+        return h
     n = len(m)
-    perp = int_kernel(int_transpose(m))  # vectors orthogonal to the span
-    if not perp:
-        return hnf(int_identity(n))
-    return hnf(int_transpose(int_kernel(perp)))
+    if len(h[0]) == n:
+        return int_identity(n)
+    return hnf(int_transpose(int_kernel(int_kernel(int_transpose(m)))))
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,17 @@ trees of the BFS over the generators of SL_n(Z) and of P(Z).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import mul
-from typing import Iterable, Optional, Sequence
+from operator import add, mul
+from typing import Callable, Iterable, Optional, Sequence
 
 from .exactla import (
     QQ, CertificateError, Echelon, IntMatrix, IntVector, f_rank, f_solve,
-    hnf_transform, int_det, int_identity, int_inverse,
-    int_matmul, int_matrix, int_transpose, saturation,
+    hnf, hnf_transform, int_det, int_identity, int_inverse,
+    int_matmul, int_matrix, int_transpose, is_saturated_hnf, saturation,
 )
 from .lattice import GroupSpec
 
@@ -52,7 +53,7 @@ class RationalFlag:
             d = len(m[0]) if m else 0
             if not 0 < d < self.n:
                 raise ValueError("members must be proper nonzero subspaces")
-            if saturation(m) != m:
+            if not is_saturated_hnf(m):
                 raise ValueError("member basis is not saturated-canonical")
             if dims and d <= dims[-1]:
                 raise ValueError("dims must strictly increase")
@@ -231,19 +232,62 @@ def _matrix(n: int, entries: dict[tuple[int, int], int]) -> IntMatrix:
                  for r in range(n))
 
 
-def _spanning_tree(omega: "Omega", root: Point, gens: Sequence[IntMatrix],
-                   paths: dict[Point, IntMatrix]) -> list[Point]:
-    """The points reachable from root under gens, in BFS order, each
-    entered into paths with an integral p such that root . p = point."""
-    paths[root] = int_identity(omega.n)
-    order = [root]
-    for w in order:
-        for g in gens:
-            v = omega.act(w, g)
-            if v not in paths:
-                paths[v] = int_matmul(paths[w], g)
-                order.append(v)
-    return order
+def _combination(coords: Sequence[Sequence[int]], col: Sequence[int]):
+    """sum_i col[i] coords[i], entry by entry, as an iterator."""
+    terms = [map(c.__mul__, xs) for c, xs in zip(col, coords) if c]
+    out = terms[0]
+    for term in terms[1:]:
+        out = map(add, out, term)
+    return out
+
+
+class _Paths(Mapping):
+    """A spanning forest of points of Omega in BFS order: each point maps
+    to the integral product p of the generators along its tree path, with
+    root . p = point for the root of its tree.  A point keeps its parent
+    and generator, and p is multiplied out on its first read."""
+
+    def __init__(self, n: int):
+        self.identity = int_identity(n)
+        self.steps: dict[Point, Optional[tuple[Point, IntMatrix]]] = {}
+        self.products: dict[Point, IntMatrix] = {}
+
+    def grow(self, root: Point,
+             moves: Sequence[tuple[IntMatrix, Callable[[Point], Point]]]
+             ) -> list[Point]:
+        """Enter the points reachable from root under the generators, each
+        given with its move (`Omega.mover`), and return them in BFS
+        order."""
+        self.steps[root] = None
+        self.products[root] = self.identity
+        order = [root]
+        for w in order:
+            for g, move in moves:
+                v = move(w)
+                if v not in self.steps:
+                    self.steps[v] = (w, g)
+                    order.append(v)
+        return order
+
+    def __getitem__(self, w: Point) -> IntMatrix:
+        chain = []
+        while w not in self.products:
+            parent, g = self.steps[w]
+            chain.append((w, g))
+            w = parent
+        product = self.products[w]
+        for v, g in reversed(chain):
+            product = self.products[v] = int_matmul(product, g)
+        return product
+
+    def __contains__(self, w) -> bool:
+        return w in self.steps
+
+    def __iter__(self):
+        return iter(self.steps)
+
+    def __len__(self) -> int:
+        return len(self.steps)
 
 
 class Omega:
@@ -253,23 +297,30 @@ class Omega:
     the bottom row up to a unit (a point of P^{n-1}(Z/N)), for Gamma_1(N)
     the bottom row, for Gamma(N) the whole matrix.  A group of level 1
     (GL_n(Z) included, whose flag orbits are those of SL_n(Z)) has the
-    single point ().  The base point w0 = Gamma has stabilizer
-    Gamma cap SL_n(Z), and `transversal` maps each point w, in BFS order
-    from w0 under the signed transpositions and the elementary matrices,
-    to t(w) in SL_n(Z) with w0 . t(w) = w.  The flags of a type are
-    SL_n(Z)/P(Z), h.F_std <-> h P(Z), so their group orbits are the
-    P(Z)-orbits on Omega: a flag with adapted basis b lies over w0 . b.
+    single point ().  An element acts on the points through its move
+    (`mover`): it is reduced mod N once, and each point is moved row by
+    row.  The base point w0 = Gamma has stabilizer Gamma cap SL_n(Z), and
+    `transversal` maps each point w, in BFS order from w0 under the
+    signed transpositions and the elementary matrices, to t(w) in
+    SL_n(Z) with w0 . t(w) = w, multiplied out when read (`_Paths`).  The
+    flags of a type are SL_n(Z)/P(Z), h.F_std <-> h P(Z), so their group
+    orbits are the P(Z)-orbits on Omega: a flag with adapted basis b lies
+    over w0 . b.
     """
 
     def __init__(self, group: GroupSpec):
         n = self.n = group.n
         self.level = group.level if group.is_congruence else 1
         self.rows = {"gamma": n}.get(group.family, 1) if self.level > 1 else 0
-        # Gamma_0(N): per residue x, the units u minimizing u x mod N
+        # Gamma_0(N): per residue x, its inverse mod N if x is a unit (else
+        # 0), and the units u minimizing u x mod N
+        self._inverse: list[int] = []
         self._scalers: list[list[int]] = []
         if self.level > 1 and group.family == "gamma0":
             mod = self.level
             units = [u for u in range(1, mod) if gcd(u, mod) == 1]
+            self._inverse = [pow(x, -1, mod) if x in units else 0
+                             for x in range(mod)]
             self._scalers = [[u for u in units
                               if u * x % mod == gcd(x, mod) % mod]
                              for x in range(mod)]
@@ -279,11 +330,10 @@ class Omega:
         # Gamma_0(N) in SL_2(Z), is represented by that flag
         swaps = [_matrix(n, {(i, i + 1): -1, (i + 1, i): 1, (i, i): 0,
                              (i + 1, i + 1): 0}) for i in range(n - 1)]
-        self.transversal: dict[Point, IntMatrix] = {}
-        _spanning_tree(self, self.base,
-                       swaps + [_matrix(n, {(i, j): c}) for i in range(n)
-                                for j in range(n) for c in (1, -1) if i != j],
-                       self.transversal)
+        self.transversal = _Paths(n)
+        self.transversal.grow(self.base, self._moves(
+            swaps + [_matrix(n, {(i, j): c}) for i in range(n)
+                     for j in range(n) for c in (1, -1) if i != j]))
         self._parabolic: dict[tuple[int, ...], tuple] = {}
 
     def __len__(self) -> int:
@@ -310,20 +360,72 @@ class Omega:
         return self._normal(tuple(tuple(x % self.level for x in row)
                                   for row in h[self.n - self.rows:]))
 
+    def mover(self, h: IntMatrix) -> Callable[[Point], Point]:
+        """The map w -> w . h of the points, with h reduced mod N once.
+        For Gamma_0(N) the image row is scaled by the inverse of its
+        first nonzero entry when that is a unit, which is `_normal`'s
+        answer too, and normalized by `_normal` otherwise."""
+        mod = self.level
+        if mod == 1:
+            return lambda w: w
+        cols = tuple(tuple(x % mod for x in col) for col in zip(*h))
+        if not self._inverse:
+            return lambda w: tuple([tuple([sum(map(mul, row, col)) % mod
+                                           for col in cols]) for row in w])
+        inverse, normal = self._inverse, self._normal
+
+        def move(w: Point) -> Point:
+            row = [sum(map(mul, w[0], col)) % mod for col in cols]
+            u = inverse[next(filter(None, row), 0)]
+            return (tuple([u * x % mod for x in row]),) if u else \
+                normal((tuple(row),))
+
+        return move
+
+    def _moves(self, gens: Sequence[IntMatrix]):
+        return [(g, self.mover(g)) for g in gens]
+
+    def tables(self, points: Sequence[Point]
+               ) -> Callable[[IntMatrix], list[int]]:
+        """The move tables of the points listed in this order: h -> the
+        list of the positions of w . h, w in points.  h is reduced mod N
+        once, and the image rows of all points are combined column by
+        column.  An image is found by any of its forms: for Gamma_0(N) a
+        point is filed under each unit multiple of its row, so no image is
+        normalized."""
+        mod, rows = self.level, self.rows
+        if not rows:
+            return lambda h: [0] * len(points)
+        units = [u for u in range(1, mod) if self._inverse[u]] \
+            if self._inverse else [1]
+        where = {}
+        for i, w in enumerate(points):
+            for u in units:
+                form = tuple(tuple(u * x % mod for x in row) for row in w)
+                where[form[0] if rows == 1 else form] = i
+        coords = list(zip(*(row for w in points for row in w)))
+
+        def table(h: IntMatrix) -> list[int]:
+            images = zip(*(map(mod.__rmod__, _combination(
+                coords, [x % mod for x in col])) for col in zip(*h)))
+            return list(map(where.__getitem__, images if rows == 1
+                            else zip(*[images] * rows)))
+
+        return table
+
     def act(self, w: Point, h: IntMatrix) -> Point:
-        """w . h, row by row mod N."""
-        cols = int_transpose(h)
-        return self._normal(tuple(tuple(sum(map(mul, row, col)) % self.level
-                                        for col in cols) for row in w))
+        """w . h for one point; `mover` reduces h once for many."""
+        return self.mover(h)(w)
 
     def parabolic_orbits(self, dims: tuple[int, ...]):
         """(roots, orbit, paths) for the orbits on Omega of the stabilizer
         P(Z) of the standard flag of type dims: orbit[w] is the orbit of
         w, roots[k] the root of orbit k, and paths[w] an integral s(w) in
-        P(Z) with roots[orbit[w]] . s(w) = w.  A BFS over the generators
-        of P(Z): e_ij for block(i) <= block(j), and the sign changes of
-        the first coordinates of consecutive blocks.  Roots are taken in
-        the order of the transversal, so w0 is the root of orbit 0."""
+        P(Z) with roots[orbit[w]] . s(w) = w, multiplied out when read.  A
+        BFS over the generators of P(Z): e_ij for block(i) <= block(j),
+        and the sign changes of the first coordinates of consecutive
+        blocks.  Roots are taken in the order of the transversal, so w0
+        is the root of orbit 0."""
         if dims not in self._parabolic:
             n = self.n
             block = [sum(1 for d in dims if d <= i) for i in range(n)]
@@ -331,10 +433,11 @@ class Omega:
                     for c in (1, -1) if i != j and block[i] <= block[j]]
             gens += [_matrix(n, {(a, a): -1, (b, b): -1})
                      for a, b in zip((0, *dims), dims)]
-            roots, orbit, paths = [], {}, {}
+            moves = self._moves(gens)
+            roots, orbit, paths = [], {}, _Paths(n)
             for w in self.transversal:
                 if w not in paths:
-                    for v in _spanning_tree(self, w, gens, paths):
+                    for v in paths.grow(w, moves):
                         orbit[v] = len(roots)
                     roots.append(w)
             self._parabolic[dims] = roots, orbit, paths
@@ -382,7 +485,7 @@ def flag_equivalent(f1: RationalFlag, f2: RationalFlag,
                    int_matmul(paths[w1], int_inverse(b1)))
     if not group.contains(g):
         raise CertificateError("flag witness is not in the group")
-    if f1.transform(g) != flag_canonical(f2):
+    if f1.transform(g) != f2:
         raise CertificateError("flag witness does not carry f1 to f2")
     return g
 
@@ -406,15 +509,20 @@ def flag_orbits(group: GroupSpec, dims: Sequence[int]) -> FlagOrbitSet:
     The orbits are the double cosets Gamma \\ SL_n(Z) / P(Z), that is the
     P(Z)-orbits on Omega; the orbit with root w is represented by
     t(w) . F_std, so the orbit of w0 (the only one at level 1) by the
-    standard flag F_std itself.
+    standard flag F_std itself.  Member j of t(w) . F_std is spanned by
+    the first dims[j] columns of the unimodular t(w), which are saturated,
+    so it is their column HNF.
     """
     n = group.n
     dims = tuple(int(d) for d in dims)
     std = standard_flag(n, dims)
     omega = coset_space(group)
+    if len(omega) == 1:
+        return FlagOrbitSet(n, group, dims, (std,), (omega.base,))
     roots, _, _ = omega.parabolic_orbits(dims)
-    pairs = sorted(((std.transform(omega.transversal[w]), w) for w in roots),
-                   key=lambda pair: pair[0].sort_key())
+    pairs = sorted(((RationalFlag(n, tuple(
+        hnf(tuple(row[:d] for row in omega.transversal[w])) for d in dims)),
+        w) for w in roots), key=lambda pair: pair[0].sort_key())
     return FlagOrbitSet(n, group, dims, tuple(f for f, _ in pairs),
                         tuple(w for _, w in pairs))
 

@@ -480,7 +480,10 @@ class _Action:
     is a composition.  `gens` are the positions of elements that generate
     S, each outside the subgroup of those before; a list that is not a
     group is refused.  `steps` writes every other element as a generator
-    times an element met before it, breadth first from the identity."""
+    times an element met before it: the elements reached before a new
+    generator form a group closed under the earlier ones, so only the new
+    generator moves them, and each element it finds is moved by every
+    generator."""
 
     def __init__(self, moves: Sequence[IntMatrix],
                  perms: Sequence[Sequence[int]]):
@@ -488,7 +491,8 @@ class _Action:
         self.moves = moves
         self.m = m
         self.doubled = [(*p, *((j + m) % (2 * m) for j in p)) for p in perms]
-        reached = {tuple(range(2 * m))}
+        elements = [tuple(range(2 * m))]
+        reached = set(elements)
         self.gens: list[int] = []
         # (x, e, i): the element x is generator i composed after e
         self.steps: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
@@ -496,17 +500,19 @@ class _Action:
             if perm in reached:
                 continue
             self.gens.append(k)
-            new = list(reached)
+            new, moving = elements[:], [len(self.gens) - 1]
             while new:
                 found = []
                 for e in new:
-                    for i, g in enumerate(self.gens):
-                        x = tuple(map(self.doubled[g].__getitem__, e))
+                    for i in moving:
+                        x = tuple(map(self.doubled[self.gens[i]].__getitem__,
+                                      e))
                         if x not in reached:
                             reached.add(x)
                             found.append(x)
                             self.steps.append((x, e, i))
-                new = found
+                elements += found
+                new, moving = found, range(len(self.gens))
         if len(reached) != len(set(self.doubled)):
             raise CertificateError("the stabilizer is not a group")
 

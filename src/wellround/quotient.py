@@ -740,18 +740,32 @@ class CosetLift:
         self.omega = omega
         self.points = tuple(omega.transversal)
         self.index = {w: i for i, w in enumerate(self.points)}
+        self._table = omega.tables(self.points)
         self._moves: dict[IntMatrix, list[int]] = {}
         # per lifted level-1 complex: (labels, parts, generators, quotients)
         self._lifts: dict = {}
 
     def _move(self, e: IntMatrix) -> list[int]:
-        """The permutation w -> w . e^-1 of the points, by index."""
+        """The permutation w -> w . e^-1 of the points, by index, made
+        once per element and lift."""
         perm = self._moves.get(e)
         if perm is None:
-            act, index, inverse = self.omega.act, self.index, int_inverse(e)
-            perm = self._moves[e] = [index[act(w, inverse)]
-                                     for w in self.points]
+            perm = self._moves[e] = self._table(int_inverse(e))
         return perm
+
+    @staticmethod
+    def _orbits(moves: Sequence[list[int]]) -> list[tuple[int, set[int]]]:
+        """The orbits of the points under a group given by its
+        permutations, each as (first point, orbit), by first point."""
+        seen = [False] * len(moves[0])
+        out = []
+        for w, done in enumerate(seen):
+            if not done:
+                orbit = {move[w] for move in moves}
+                for v in orbit:
+                    seen[v] = True
+                out.append((w, orbit))
+        return out
 
     def quotients(self, key, qc: QuotientComplex, group: GroupSpec,
                   flags: Sequence[Optional[RationalFlag]] = (None,),
@@ -760,7 +774,8 @@ class CosetLift:
         """The quotients by the group lifted from the level-1 quotient qc,
         one per part, filed under key: part s is constrained by flags[s],
         and point i lies in part parts[i] (all in part 0 by default).  A
-        simplex is listed as (level-1 simplex orbit, point)."""
+        simplex is listed as (level-1 simplex orbit, point).  Each
+        stabilizer element and each located face moves the points once."""
         if len(self.points) == 1:   # level 1: the lift is the identity
             out = [QuotientComplex(group, flags[0], tuple(
                 tuple((s, self.points[0]) for s in level)
@@ -769,45 +784,53 @@ class CosetLift:
             return out
         parts = parts or [0] * len(self.points)
         generators = [[[] for _ in qc.simplices] for _ in flags]
-        euler = [Fraction(0)] * len(flags)
+        # Gauss-Bonnet per part: the sum of (-1)^q |orbit| / |S|, as the
+        # signed orbit sizes summed per stabilizer order |S|
+        euler: list[Counter[int]] = [Counter() for _ in flags]
         labels = []
         for q, level in enumerate(qc.stabilizers):
             per_simplex = []
             for t, stabilizer in enumerate(level):
-                moves = [self._move(s) for s in stabilizer]
                 label = [-1] * len(self.points)
-                for w, part in enumerate(parts):
-                    if label[w] < 0:
-                        listed = generators[part][q]
-                        orbit = {move[w] for move in moves}
-                        for v in orbit:
-                            label[v] = len(listed)
-                        listed.append((t, w))
-                        euler[part] += Fraction((-1) ** q * len(orbit),
-                                                len(stabilizer))
+                for w, orbit in self._orbits(list(map(self._move,
+                                                      stabilizer))):
+                    part = parts[w]
+                    listed = generators[part][q]
+                    for v in orbit:
+                        label[v] = len(listed)
+                    listed.append((t, w))
+                    euler[part][len(stabilizer)] += (-1) ** q * len(orbit)
                 per_simplex.append(label)
             labels.append(per_simplex)
-        for flag, total in zip(flags, euler):
+        for flag, counts in zip(flags, euler):
             want = group_euler_characteristic(group) if flag is None \
                 else Fraction(0)
+            total = sum((Fraction(c, k) for k, c in counts.items()),
+                        Fraction(0))
             if total != want:
                 raise CertificateError(f"Gauss-Bonnet sum {total} != {want}")
         faces = qc.located_faces
+        # per level-1 simplex, its faces' (sign, move, labels), read once
+        moved: list[dict[int, list]] = [{} for _ in qc.simplices]
         out = []
         for s, flag in enumerate(flags):
             boundaries: list[SparseRows] = [()]
             for q in range(1, len(qc.simplices)):
                 rows: list[dict[int, int]] = [{} for _ in generators[s][q - 1]]
+                read = moved[q]
                 for j, (t, w) in enumerate(generators[s][q]):
-                    for i, (f, e) in enumerate(faces[q][t]):
-                        v = self._move(e)[w]
+                    if t not in read:
+                        read[t] = [((-1) ** i, self._move(e), labels[q - 1][f])
+                                   for i, (f, e) in enumerate(faces[q][t])]
+                    for sign, move, label in read[t]:
+                        v = move[w]
                         if parts[v] != s:
                             raise CertificateError(
                                 "a face leaves its flag subcomplex")
-                        row = rows[labels[q - 1][f][v]]
-                        row[j] = row.get(j, 0) + (-1) ** i
-                boundaries.append(tuple(tuple((j, x) for j, x in row.items()
-                                              if x) for row in rows))
+                        row = rows[label[v]]
+                        row[j] = row.get(j, 0) + sign
+                boundaries.append(tuple([tuple([(j, x) for j, x in row.items()
+                                                if x]) for row in rows]))
             simplices = tuple(tuple((qc.simplices[q][t], self.points[w])
                                     for t, w in level)
                               for q, level in enumerate(generators[s]))
@@ -833,9 +856,12 @@ class CosetLift:
             image = {j: (r, x) for r, row in enumerate(m) for j, x in row}
             rows: list[list[tuple[int, int]]] = \
                 [[] for _ in targets[b].simplices[k]]
+            moves: dict[int, list[int]] = {}   # per level-1 simplex, once
             for j, (t, w) in enumerate(generators[k]):
                 r, x = image[t]
-                v = self._move(cm.elements[k][t])[w]
+                if t not in moves:
+                    moves[t] = self._move(cm.elements[k][t])
+                v = moves[t][w]
                 if parts[v] != b:
                     raise CertificateError(
                         "a chain map leaves its flag subcomplex")

@@ -174,10 +174,14 @@ def scale_along_flag(a: GramForm, flag: RationalFlag,
         raise ValueError("flag dimension mismatch")
     if len(s) != len(flag.members) + 1:
         raise ValueError("scaling vector has wrong number of blocks")
-    terms = []
-    for member, s_j, s_next in zip(flag.members, s.s_sq, s.s_sq[1:]):
-        split = _Split(a, member)
-        terms.append(((s_j - s_next) / split.e, split.s))
+    return _scaled(a, [_Split(a, member) for member in flag.members], s)
+
+
+def _scaled(a: GramForm, splits: Sequence[_Split],
+            s: ScalingVector) -> GramForm:
+    """`scale_along_flag` with the splits along the flag's members."""
+    terms = [((s_j - s_next) / split.e, split.s)
+             for split, s_j, s_next in zip(splits, s.s_sq, s.s_sq[1:])]
     terms.append((s.s_sq[-1] / a.denom, a.numer))
     den = lcm(*(c.denominator for c, _ in terms))
     weights = [(c.numerator * (den // c.denominator), mat) for c, mat in terms]
@@ -433,9 +437,11 @@ def orthant_bound(a: GramForm, flag: RationalFlag) -> OrthantBound:
     beta_list: list[Fraction] = []
     t_list: list[Fraction] = []
     running = Fraction(1)
+    splits = []
     for member in flag.members:
         d = len(member[0])
         split = _Split(base, member)
+        splits.append(split)
         # retraction inside the member (scale-invariant stage factors)
         sub = GramForm(split.gram, base.denom)
         beta = Fraction(1)
@@ -454,7 +460,7 @@ def orthant_bound(a: GramForm, flag: RationalFlag) -> OrthantBound:
         t_j = min(Fraction(1), alpha * beta / (4 * running))
         t_list.append(t_j)
         running *= t_j
-    t_list = _certify_orthant(base, flag, t_list)
+    t_list = _certify_orthant(base, flag, splits, t_list)
     return OrthantBound(tuple(t_list), tuple(alpha_list), tuple(beta_list))
 
 
@@ -466,6 +472,7 @@ def _members_dominated(trace: RetractionTrace, flag: RationalFlag) -> bool:
 
 
 def _certify_orthant(base: GramForm, flag: RationalFlag,
+                     splits: Sequence[_Split],
                      t_list: list[Fraction]) -> list[Fraction]:
     """Shrink the candidate bound until the whole orthant certifiably
     retracts to one point of the flag subcomplex.
@@ -479,12 +486,13 @@ def _certify_orthant(base: GramForm, flag: RationalFlag,
 
     Each distinct moved form is retracted once: the all-halved probe of a
     failed round is the next corner, and with one member it is also the
-    single-coordinate probe.
+    single-coordinate probe.  Every moved form is read off the splits of
+    the base along the members, made once by `orthant_bound`.
     """
     images: dict[GramForm, RetractionTrace] = {}
 
     def image_at(tv: list[Fraction]):
-        moved = scale_along_flag(base, flag, ScalingVector.from_rho_sq(tv))
+        moved = _scaled(base, splits, ScalingVector.from_rho_sq(tv))
         if moved not in images:
             images[moved] = retract(moved)
         return images[moved]

@@ -304,6 +304,55 @@ def test_flag_lift_certificates_raised_under_optimize(mutant, error):
         f"CertificateError: {error}")
 
 
+# The lift of W mod SL_2(Z) through Omega to Gamma_0(11) loses a
+# generator orbit: the first orbit on Omega of the stabilizer of W's first
+# simplex (`CosetLift._orbits`) is dropped, so no generator lies over its
+# points.  Or that stabilizer is counted twice, each element listed twice,
+# so its orbits keep their sizes and each counts half.  Either way the sum
+# of (-1)^q |orbit| / |S| moves off the Euler characteristic of the group,
+# and the lift's Gauss-Bonnet check must fire under -O.
+COSET_LIFT_SCRIPT = textwrap.dedent("""
+    import dataclasses, json, sys
+    import wellround.quotient as quotient
+    from wellround.cli import run
+
+    asked = []
+    if sys.argv[1] == "drop-orbit":
+        real = quotient.CosetLift._orbits
+
+        def dropping(moves):
+            orbits = real(moves)
+            asked.append(1)
+            return orbits[1:] if len(asked) == 1 else orbits
+
+        quotient.CosetLift._orbits = staticmethod(dropping)
+    else:
+        real = quotient.CosetLift.quotients
+
+        def doubled(self, key, qc, *args):
+            if not asked:
+                asked.append(key)
+                stabs = qc.stabilizers
+                qc = dataclasses.replace(qc)
+                qc.__dict__["stabilizers"] = (
+                    (stabs[0][0] * 2,) + stabs[0][1:],) + stabs[1:]
+            return real(self, key, qc, *args)
+
+        quotient.CosetLift.quotients = doubled
+    code = run(["boundary", "total", "-n", "2", "--group", "gamma0",
+                "--level", "11"])
+    print(json.dumps({"optimize": sys.flags.optimize, "code": code}))
+""")
+
+
+@pytest.mark.parametrize("mutant", ["drop-orbit", "double-stabilizer"])
+def test_coset_lift_gauss_bonnet_raised_under_optimize(mutant):
+    cli_line, result_line = _run_optimized(COSET_LIFT_SCRIPT, mutant)[-2:]
+    assert json.loads(result_line) == {"optimize": 1, "code": 1}
+    assert json.loads(cli_line)["error"].startswith(
+        "CertificateError: Gauss-Bonnet sum ")
+
+
 # Every pivot of the integer simplex raises the last entry of the last
 # row of the tableau by 1.  In the simplex that row holds the reduced
 # costs, and its last entry the objective, which no pivot choice reads:

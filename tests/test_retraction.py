@@ -256,6 +256,40 @@ def test_orthant_bound_retracts_each_form_once(monkeypatch):
     assert retracted > 12
 
 
+def test_orthant_bound_splits_the_base_once_per_member(monkeypatch):
+    # outside the retractions it certifies with, the bound splits its
+    # base once along each member, and every moved form of the orthant
+    # is read off those splits (a seed-1 retract-stream round made 297
+    # such splits, where 81 were distinct)
+    import wellround.retraction as retraction
+    inside, splits = [], []
+    real_split, real_retract = retraction._Split, retraction.retract
+
+    def split(a, member):
+        if not inside:
+            splits.append((a, member))
+        return real_split(a, member)
+
+    def retract(a):
+        inside.append(a)
+        try:
+            return real_retract(a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(retraction, "_Split", split)
+    monkeypatch.setattr(retraction, "retract", retract)
+    rng = random.Random(46)
+    for _ in range(12):
+        n = rng.choice((2, 3))
+        a = rand_spd(rng, n)
+        flag = standard_flag(n, sorted(rng.sample(range(1, n),
+                                                  rng.randint(1, n - 1))))
+        splits.clear()
+        orthant_bound(a, flag)
+        assert splits == [(normalize(a), m) for m in flag.members]
+
+
 def test_sqrt_approx():
     val = sqrt_approx(Fraction(2), Fraction(1, 10 ** 6))
     assert abs(val * val - 2) < Fraction(3, 10 ** 6)
