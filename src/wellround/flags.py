@@ -340,11 +340,16 @@ class Omega:
         return len(self.transversal)
 
     def _normal(self, rows: Point) -> Point:
-        """For Gamma_0(N), the least multiple of the row by a unit."""
+        """For Gamma_0(N), the least multiple of the row by a unit: the
+        row scaled by the inverse of its first nonzero entry when that is
+        a unit."""
         if not self._scalers:
             return rows
         mod = self.level
         (row,) = rows
+        inverse = self._inverse[next(filter(None, row), 0)]
+        if inverse:
+            return (tuple([inverse * x % mod for x in row]),)
         units = None
         for x in row:
             if units is None:
@@ -361,26 +366,11 @@ class Omega:
                                   for row in h[self.n - self.rows:]))
 
     def mover(self, h: IntMatrix) -> Callable[[Point], Point]:
-        """The map w -> w . h of the points, with h reduced mod N once.
-        For Gamma_0(N) the image row is scaled by the inverse of its
-        first nonzero entry when that is a unit, which is `_normal`'s
-        answer too, and normalized by `_normal` otherwise."""
-        mod = self.level
-        if mod == 1:
-            return lambda w: w
+        """The map w -> w . h of the points, with h reduced mod N once."""
+        mod, normal = self.level, self._normal
         cols = tuple(tuple(x % mod for x in col) for col in zip(*h))
-        if not self._inverse:
-            return lambda w: tuple([tuple([sum(map(mul, row, col)) % mod
-                                           for col in cols]) for row in w])
-        inverse, normal = self._inverse, self._normal
-
-        def move(w: Point) -> Point:
-            row = [sum(map(mul, w[0], col)) % mod for col in cols]
-            u = inverse[next(filter(None, row), 0)]
-            return (tuple([u * x % mod for x in row]),) if u else \
-                normal((tuple(row),))
-
-        return move
+        return lambda w: normal(tuple([tuple([sum(map(mul, row, col)) % mod
+                                              for col in cols]) for row in w]))
 
     def _moves(self, gens: Sequence[IntMatrix]):
         return [(g, self.mover(g)) for g in gens]

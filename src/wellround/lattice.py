@@ -490,7 +490,8 @@ class _Action:
         m = len(perms[0])
         self.moves = moves
         self.m = m
-        self.doubled = [(*p, *((j + m) % (2 * m) for j in p)) for p in perms]
+        negated = [*range(m, 2 * m), *range(m)]
+        self.doubled = [(*p, *map(negated.__getitem__, p)) for p in perms]
         elements = [tuple(range(2 * m))]
         reached = set(elements)
         self.gens: list[int] = []
