@@ -97,7 +97,7 @@ def test_canonical_check_accepts_exactly_the_saturations(m):
 def test_a_sweep_saturates_each_flag_member_once(monkeypatch, cold_level_one):
     # flag members are saturated only by `flag_from_members`, once each:
     # no RationalFlag check and no representative of `flag_orbits`
-    # saturates (the n = 2 sweep made 35 saturations for 15 members)
+    # saturates (the three builds made 32 saturations for 14 members)
     saturated, members = [], []
     real = exactla.saturation
     monkeypatch.setattr(flags, "saturation", lambda m: saturated.append(m)
